@@ -20,7 +20,7 @@ use crate::engine::TransportKind;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::lang::{GTravel, LangError, Plan};
 use crate::lockorder::OrderedMutex;
-use crate::message::{Msg, ProgressSnapshot, TravelOutcome};
+use crate::message::{CopyPurpose, Msg, ProgressSnapshot, TravelOutcome};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, TravelMetrics};
 use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
 use crate::TravelId;
@@ -1074,7 +1074,7 @@ impl ClusterState {
             // Placement acks key on the map version, offset into a range
             // no travel/request id reaches (ids are sequential from 1).
             Msg::PlacementAck { version, .. } => Some((1u64 << 62) | *version),
-            Msg::MigrateApplied { mig, .. } => Some(*mig),
+            Msg::CopyApplied { mig, .. } => Some(*mig),
             // Suspicion reports all share one key: the healer is the only
             // waiter and drains them in arrival order.
             Msg::Suspect { .. } => Some(SUSPECT_KEY),
@@ -1105,16 +1105,12 @@ impl ClusterState {
             | Msg::ReplicateWrite { .. }
             | Msg::ReplicateAck { .. }
             | Msg::ReplicateLedger { .. }
-            | Msg::MigrateBegin { .. }
-            | Msg::MigrateData { .. }
-            | Msg::MigrateCutover { .. }
-            | Msg::MigrateFinish { .. }
+            | Msg::CopyBegin { .. }
+            | Msg::CopyData { .. }
+            | Msg::CopyCutover { .. }
+            | Msg::CopyFinish { .. }
             | Msg::Heartbeat { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => None,
         }
@@ -1941,60 +1937,93 @@ impl ClusterState {
     /// keeps its (now stale, never again written) copy, so stragglers
     /// routed under the old map still read correct data.
     pub fn migrate(&self, partition: usize, to: usize) -> Result<(), ClusterError> {
+        self.copy_partition(partition, to, CopyPurpose::Move)
+    }
+
+    /// The one partition-copy flow under live traffic, behind both
+    /// [`Cluster::migrate`] (`Move`: the cutover flips the primary to
+    /// `to`) and the healer's re-replication (`Replica`: the cutover adds
+    /// `to` to the replica set). Two acknowledged phases — bulk snapshot,
+    /// then the sealed delta of writes that raced it — then the map edit,
+    /// broadcast, and release of both ends.
+    fn copy_partition(
+        &self,
+        partition: usize,
+        to: usize,
+        purpose: CopyPurpose,
+    ) -> Result<(), ClusterError> {
         let snapshot = self.placement.snapshot();
         if to >= self.slots.len() || partition >= snapshot.n_partitions() {
             return Err(ClusterError::Recovery(format!(
-                "migrate({partition}, {to}): no such partition or server"
+                "{purpose:?} copy of {partition} to {to}: no such partition or server"
             )));
         }
         let from = snapshot.primary_of(partition);
-        if from == to {
+        // Nothing to do: already the primary, or (racing another heal)
+        // already a holder.
+        let (done, patience) = match purpose {
+            CopyPurpose::Move => (from == to, Duration::from_secs(60)),
+            CopyPurpose::Replica => (
+                snapshot.holders_of(partition).contains(&to),
+                Duration::from_secs(30),
+            ),
+        };
+        if done {
             return Ok(());
         }
         if self.server_crashed(from) || self.server_crashed(to) {
             return Err(ClusterError::Recovery(format!(
-                "migrate({partition}, {to}): source or target is down"
+                "{purpose:?} copy of {partition} to {to}: source or target is down"
             )));
         }
-        // Migration ids share the travel/request id namespace, so acks
-        // stash cleanly in the client mailbox.
+        // Flow ids share the travel/request id namespace, so acks stash
+        // cleanly in the client mailbox.
         let mig = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
-        let deadline = Instant::now() + Duration::from_secs(60);
+        let deadline = Instant::now() + patience;
         self.client
             .send(
                 from,
-                Msg::MigrateBegin {
+                Msg::CopyBegin {
                     mig,
                     partition,
                     to,
                     client: self.client.id(),
+                    purpose,
                 },
             )
             .map_err(|_| ClusterError::Disconnected)?;
         // Phase 0: bulk snapshot applied on the target.
         self.await_client_msg(
             mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 0, .. }),
+            |m| matches!(m, Msg::CopyApplied { phase: 0, .. }),
             deadline,
         )?;
         // Phase 1: source seals the delta trap and ships writes that
         // raced the snapshot.
         self.client
-            .send(from, Msg::MigrateCutover { mig })
+            .send(from, Msg::CopyCutover { mig })
             .map_err(|_| ClusterError::Disconnected)?;
         self.await_client_msg(
             mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 1, .. }),
+            |m| matches!(m, Msg::CopyApplied { phase: 1, .. }),
             deadline,
         )?;
-        // Cutover: flip the primary and broadcast. In-flight frontiers
-        // route to `to` as soon as each server installs the new map.
+        // Cutover: edit the map and broadcast. In-flight frontiers and
+        // writes route by the new map as soon as each server installs it.
         let mut map = self.placement.snapshot();
-        map.set_primary(partition, to);
-        self.broadcast_placement(map)?;
+        let changed = match purpose {
+            CopyPurpose::Move => {
+                map.set_primary(partition, to);
+                true
+            }
+            CopyPurpose::Replica => map.add_replica(partition, to),
+        };
+        if changed {
+            self.broadcast_placement(map)?;
+        }
         for s in [from, to] {
             self.client
-                .send(s, Msg::MigrateFinish { mig })
+                .send(s, Msg::CopyFinish { mig, purpose })
                 .map_err(|_| ClusterError::Disconnected)?;
         }
         Ok(())
@@ -2245,71 +2274,9 @@ impl ClusterState {
                 .filter(|&s| !self.server_crashed(s))
                 .min_by_key(|&s| self.slots[s].metrics.real_io_visits.load(Ordering::Relaxed));
             if let Some(to) = target {
-                let _ = self.rereplicate(partition, to);
+                let _ = self.copy_partition(partition, to, CopyPurpose::Replica);
             }
         }
-    }
-
-    /// Copy `partition` onto `to` as a new replica under live traffic:
-    /// the same snapshot + delta-trap machinery as [`Cluster::migrate`]
-    /// (bulk chunks ride the `Bulk` traffic class), except the cutover
-    /// *adds* `to` to the replica set instead of flipping the primary.
-    fn rereplicate(&self, partition: usize, to: usize) -> Result<(), ClusterError> {
-        let snapshot = self.placement.snapshot();
-        if to >= self.slots.len() || partition >= snapshot.n_partitions() {
-            return Err(ClusterError::Recovery(format!(
-                "rereplicate({partition}, {to}): no such partition or server"
-            )));
-        }
-        let from = snapshot.primary_of(partition);
-        if snapshot.holders_of(partition).contains(&to) {
-            return Ok(()); // raced another heal — already a holder
-        }
-        if self.server_crashed(from) || self.server_crashed(to) {
-            return Err(ClusterError::Recovery(format!(
-                "rereplicate({partition}, {to}): source or target is down"
-            )));
-        }
-        let mig = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        self.client
-            .send(
-                from,
-                Msg::ReReplicateBegin {
-                    mig,
-                    partition,
-                    to,
-                    client: self.client.id(),
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        // Phase 0: bulk snapshot applied on the target.
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 0, .. }),
-            deadline,
-        )?;
-        // Phase 1: source seals the delta trap and ships racing writes.
-        self.client
-            .send(from, Msg::ReReplicateCutover { mig })
-            .map_err(|_| ClusterError::Disconnected)?;
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 1, .. }),
-            deadline,
-        )?;
-        // Cutover: add the replica and broadcast; from here every write
-        // to the partition fans to `to` like any other holder.
-        let mut map = self.placement.snapshot();
-        if map.add_replica(partition, to) {
-            self.broadcast_placement(map)?;
-        }
-        for s in [from, to] {
-            self.client
-                .send(s, Msg::ReReplicateFinish { mig })
-                .map_err(|_| ClusterError::Disconnected)?;
-        }
-        Ok(())
     }
 
     /// Server-side half of [`Cluster::shutdown`]: stop every server and

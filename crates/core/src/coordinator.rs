@@ -33,7 +33,7 @@
 
 use crate::lang::Plan;
 use crate::message::{ProgressSnapshot, SyncExpect, TravelOutcome};
-use crate::{ExecId, TravelId};
+use crate::ExecId;
 use gt_graph::VertexId;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -51,6 +51,8 @@ use std::time::Instant;
 /// was hosted under: after a failover re-drives a travel under a bumped
 /// epoch, stale events from an older hosting of the same travel (e.g.
 /// when failover lands back on a previous host) are ignored at replay.
+/// The blob-log record format (`encode`/`decode`) is the `LedgerEvent`
+/// table in [`crate::wirecodec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LedgerEvent {
     /// `exec_created` arrived.
@@ -92,43 +94,6 @@ pub enum LedgerEvent {
     },
 }
 
-const EV_CREATED: u8 = 1;
-const EV_TERMINATED: u8 = 2;
-const EV_RESULTS: u8 = 3;
-const EV_SNAPSHOT: u8 = 4;
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-}
-
 impl LedgerEvent {
     /// Travel-epoch stamp of the event.
     pub fn epoch(&self) -> u64 {
@@ -138,136 +103,6 @@ impl LedgerEvent {
             | LedgerEvent::Results { epoch, .. }
             | LedgerEvent::Snapshot { epoch, .. } => *epoch,
         }
-    }
-
-    /// Serialize as one blob-log record: `tag | travel | epoch | body`.
-    pub fn encode(&self, travel: TravelId) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        match self {
-            LedgerEvent::Created { epoch, exec, depth } => {
-                out.push(EV_CREATED);
-                put_u64(&mut out, travel);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, exec.0);
-                put_u16(&mut out, *depth);
-            }
-            LedgerEvent::Terminated {
-                epoch,
-                exec,
-                children,
-            } => {
-                out.push(EV_TERMINATED);
-                put_u64(&mut out, travel);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, exec.0);
-                put_u32(&mut out, children.len() as u32);
-                for (c, d) in children {
-                    put_u64(&mut out, c.0);
-                    put_u16(&mut out, *d);
-                }
-            }
-            LedgerEvent::Results { epoch, items } => {
-                out.push(EV_RESULTS);
-                put_u64(&mut out, travel);
-                put_u64(&mut out, *epoch);
-                put_u32(&mut out, items.len() as u32);
-                for (d, v) in items {
-                    put_u16(&mut out, *d);
-                    put_u64(&mut out, v.0);
-                }
-            }
-            LedgerEvent::Snapshot {
-                epoch,
-                created,
-                terminated,
-                results,
-            } => {
-                out.push(EV_SNAPSHOT);
-                put_u64(&mut out, travel);
-                put_u64(&mut out, *epoch);
-                put_u32(&mut out, created.len() as u32);
-                for (e, d) in created {
-                    put_u64(&mut out, e.0);
-                    put_u16(&mut out, *d);
-                }
-                put_u32(&mut out, terminated.len() as u32);
-                for e in terminated {
-                    put_u64(&mut out, e.0);
-                }
-                put_u32(&mut out, results.len() as u32);
-                for (d, v) in results {
-                    put_u16(&mut out, *d);
-                    put_u64(&mut out, v.0);
-                }
-            }
-        }
-        out
-    }
-
-    /// Decode one blob-log record. `None` for unknown tags or malformed
-    /// bodies (forward compatibility: unknown records are skipped, the
-    /// CRC framing already rejected torn writes).
-    pub fn decode(blob: &[u8]) -> Option<(TravelId, LedgerEvent)> {
-        let mut r = Reader { buf: blob, pos: 0 };
-        let tag = r.take(1)?[0];
-        let travel = r.u64()?;
-        let epoch = r.u64()?;
-        let ev = match tag {
-            EV_CREATED => LedgerEvent::Created {
-                epoch,
-                exec: ExecId(r.u64()?),
-                depth: r.u16()?,
-            },
-            EV_TERMINATED => {
-                let exec = ExecId(r.u64()?);
-                let n = r.u32()? as usize;
-                let mut children = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    children.push((ExecId(r.u64()?), r.u16()?));
-                }
-                LedgerEvent::Terminated {
-                    epoch,
-                    exec,
-                    children,
-                }
-            }
-            EV_RESULTS => {
-                let n = r.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    items.push((r.u16()?, VertexId(r.u64()?)));
-                }
-                LedgerEvent::Results { epoch, items }
-            }
-            EV_SNAPSHOT => {
-                let n = r.u32()? as usize;
-                let mut created = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    created.push((ExecId(r.u64()?), r.u16()?));
-                }
-                let n = r.u32()? as usize;
-                let mut terminated = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    terminated.push(ExecId(r.u64()?));
-                }
-                let n = r.u32()? as usize;
-                let mut results = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    results.push((r.u16()?, VertexId(r.u64()?)));
-                }
-                LedgerEvent::Snapshot {
-                    epoch,
-                    created,
-                    terminated,
-                    results,
-                }
-            }
-            _ => return None,
-        };
-        if r.pos != blob.len() {
-            return None;
-        }
-        Some((travel, ev))
     }
 }
 
@@ -740,46 +575,6 @@ mod tests {
         l.exec_created(eid(0, 1), 0);
         l.exec_terminated(eid(0, 1), &[]);
         assert_eq!(l.outcome().by_depth, vec![(2, vec![])]);
-    }
-
-    #[test]
-    fn ledger_event_encode_decode_roundtrip() {
-        let events = vec![
-            LedgerEvent::Created {
-                epoch: 3,
-                exec: eid(2, 9),
-                depth: 4,
-            },
-            LedgerEvent::Terminated {
-                epoch: 3,
-                exec: eid(2, 9),
-                children: vec![(eid(0, 1), 5), (eid(1, 2), 5)],
-            },
-            LedgerEvent::Results {
-                epoch: 3,
-                items: vec![(1, VertexId(7)), (2, VertexId(8))],
-            },
-            LedgerEvent::Snapshot {
-                epoch: 4,
-                created: vec![(eid(0, 1), 0)],
-                terminated: vec![eid(0, 1)],
-                results: vec![(2, VertexId(5))],
-            },
-        ];
-        for ev in events {
-            let blob = ev.encode(77);
-            let (travel, back) = LedgerEvent::decode(&blob).expect("decodes");
-            assert_eq!(travel, 77);
-            assert_eq!(back, ev);
-        }
-        assert!(LedgerEvent::decode(&[9, 0, 0]).is_none(), "unknown tag");
-        let mut truncated = LedgerEvent::Results {
-            epoch: 0,
-            items: vec![(1, VertexId(1))],
-        }
-        .encode(1);
-        truncated.pop();
-        assert!(LedgerEvent::decode(&truncated).is_none());
     }
 
     #[test]

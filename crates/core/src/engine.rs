@@ -96,10 +96,6 @@ pub struct EngineConfig {
     /// submissions queue client-side in FIFO order until a slot frees
     /// (`0` = unlimited, the single-tenant behaviour).
     pub max_concurrent_travels: usize,
-    /// Override: weighted fair cross-travel scheduling in the merging
-    /// queue. `None` keeps it on whenever the merging queue is on;
-    /// `Some(false)` reverts to the globally-smallest-step pick.
-    pub fair_cross_travel: Option<bool>,
     /// Traversal-affiliate cache triples reserved per active travel: a
     /// co-running travel's inserts never evict another travel below this
     /// floor (`0` = no reservation).
@@ -147,7 +143,6 @@ impl EngineConfig {
             force_merging_queue: None,
             force_cache: None,
             max_concurrent_travels: 0,
-            fair_cross_travel: None,
             cache_reserve_per_travel: 0,
             replica_reads: false,
             snapshot_isolation: false,
@@ -213,12 +208,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: override cross-travel fair scheduling.
-    pub fn fair_cross_travel(mut self, on: bool) -> Self {
-        self.fair_cross_travel = Some(on);
-        self
-    }
-
     /// Builder-style: per-travel cache reservation floor.
     pub fn cache_reserve_per_travel(mut self, n: usize) -> Self {
         self.cache_reserve_per_travel = n;
@@ -255,12 +244,6 @@ impl EngineConfig {
     pub fn qos(mut self, qos: QosConfig) -> Self {
         self.qos = qos;
         self
-    }
-
-    /// Whether the merging queue picks across travels by weighted fair
-    /// share (as opposed to the globally-smallest-step pick).
-    pub fn fair_cross_travel_enabled(&self) -> bool {
-        self.fair_cross_travel.unwrap_or(true)
     }
 
     /// Whether inter-server frontier forwarding runs through the
@@ -333,14 +316,9 @@ mod tests {
     fn concurrency_knobs() {
         let cfg = EngineConfig::new(EngineKind::GraphTrek);
         assert_eq!(cfg.max_concurrent_travels, 0, "unlimited by default");
-        assert!(cfg.fair_cross_travel_enabled(), "fair pick on by default");
         assert_eq!(cfg.cache_reserve_per_travel, 0);
-        let cfg = cfg
-            .max_concurrent_travels(4)
-            .fair_cross_travel(false)
-            .cache_reserve_per_travel(32);
+        let cfg = cfg.max_concurrent_travels(4).cache_reserve_per_travel(32);
         assert_eq!(cfg.max_concurrent_travels, 4);
-        assert!(!cfg.fair_cross_travel_enabled());
         assert_eq!(cfg.cache_reserve_per_travel, 32);
     }
 

@@ -55,6 +55,18 @@ pub enum SyncExpect {
     OriginTokens(u64),
 }
 
+/// Why a partition-copy flow runs; the snapshot + delta-trap protocol is
+/// the same, only the cutover's placement-map edit and the counters
+/// credited differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CopyPurpose {
+    /// Live migration: the cutover re-points the primary at the target.
+    Move,
+    /// Replica restoration (self-healing): the cutover adds the target
+    /// to the replica set.
+    Replica,
+}
+
 /// All GraphTrek wire messages.
 ///
 /// Request→acknowledgment pairings that the `*Ack` naming convention
@@ -63,7 +75,7 @@ pub enum SyncExpect {
 /// senders and a send site for its ack.
 // gt-lint: pair(GetVertex -> VertexReply)
 // gt-lint: pair(CoordRecover -> RecoverDone)
-// gt-lint: pair(MigrateBegin -> MigrateApplied)
+// gt-lint: pair(CopyBegin -> CopyApplied)
 // gt-lint: pair(PlacementUpdate -> PlacementAck)
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -454,27 +466,30 @@ pub enum Msg {
         /// Truncate the replica before appending.
         reset: bool,
     },
-    /// Migration orchestrator (client) → source server: start migrating
+    /// Copy orchestrator (client) → source primary: start copying
     /// `partition` to server `to` — stream the snapshot, then buffer a
-    /// mutation delta until cutover.
-    MigrateBegin {
-        /// Migration id (drawn from the travel-id namespace).
+    /// mutation delta until cutover. One flow serves both live migration
+    /// and replica restoration; `purpose` says which.
+    CopyBegin {
+        /// Flow id (drawn from the travel-id namespace).
         mig: TravelId,
-        /// Partition being moved.
+        /// Partition being copied.
         partition: usize,
         /// Target server.
         to: usize,
-        /// Client endpoint orchestrating the migration.
+        /// Client endpoint orchestrating the flow.
         client: usize,
+        /// Why the partition is copied.
+        purpose: CopyPurpose,
     },
-    /// Source → target: one chunk of the partition being migrated.
+    /// Source → target: one chunk of the partition being copied.
     /// `phase` 0 chunks are the snapshot (segment-imported on the
     /// target); `phase` 1 chunks are the sealed mutation delta (applied
     /// through the write path so they shadow the snapshot).
-    MigrateData {
-        /// Migration id.
+    CopyData {
+        /// Flow id.
         mig: TravelId,
-        /// Partition being moved.
+        /// Partition being copied.
         partition: usize,
         /// Raw `(namespace, key, value)` triples; a `None` value is a
         /// tombstone version (versioned stores ship deletes too, so a
@@ -484,12 +499,14 @@ pub enum Msg {
         phase: u8,
         /// Final chunk of this phase.
         last: bool,
-        /// Client endpoint orchestrating the migration.
+        /// Client endpoint orchestrating the flow.
         client: usize,
+        /// Why the partition is copied (selects the target's counters).
+        purpose: CopyPurpose,
     },
     /// Target → client: every chunk of `phase` has been applied.
-    MigrateApplied {
-        /// Migration id.
+    CopyApplied {
+        /// Flow id.
         mig: TravelId,
         /// Phase that completed (0 = snapshot, 1 = delta).
         phase: u8,
@@ -498,15 +515,18 @@ pub enum Msg {
     },
     /// Client → source server: stop buffering, seal and ship the delta
     /// as phase-1 chunks.
-    MigrateCutover {
-        /// Migration id.
+    CopyCutover {
+        /// Flow id.
         mig: TravelId,
     },
     /// Client → source and target: the new placement map is live; drop
-    /// all migration state for `mig`.
-    MigrateFinish {
-        /// Migration id.
+    /// all copy state for `mig`.
+    CopyFinish {
+        /// Flow id.
         mig: TravelId,
+        /// Why the partition was copied (the target keeps no flow state
+        /// to remember it by).
+        purpose: CopyPurpose,
     },
 
     // ------------------------------------------------- self-healing layer
@@ -544,53 +564,6 @@ pub enum Msg {
         suspect: usize,
         /// Was the peer actually dead?
         confirmed: bool,
-    },
-    /// Healer → source primary: start re-replicating `partition` to the
-    /// new holder `to` — stream a snapshot, then buffer a mutation delta
-    /// until cutover. Reuses the `migrate` snapshot + delta-trap
-    /// machinery; only the cutover differs (the map gains a replica
-    /// instead of re-pointing the primary).
-    ReReplicateBegin {
-        /// Flow id (drawn from the travel-id namespace).
-        mig: TravelId,
-        /// Partition being copied.
-        partition: usize,
-        /// The new replica holder.
-        to: usize,
-        /// Client endpoint orchestrating the flow.
-        client: usize,
-    },
-    /// Source primary → new replica: one chunk of the partition copy.
-    /// Phase semantics match [`Msg::MigrateData`] (0 = snapshot, raw
-    /// import; 1 = sealed delta via the write path); each phase is acked
-    /// with [`Msg::MigrateApplied`].
-    ReReplicateData {
-        /// Flow id.
-        mig: TravelId,
-        /// Partition being copied.
-        partition: usize,
-        /// Raw `(namespace, key, value)` triples; a `None` value is a
-        /// tombstone version (versioned stores ship deletes too, so a
-        /// pinned snapshot resolves identically on the target).
-        pairs: Vec<(String, Vec<u8>, Option<Vec<u8>>)>,
-        /// 0 = snapshot, 1 = delta.
-        phase: u8,
-        /// Final chunk of this phase.
-        last: bool,
-        /// Client endpoint orchestrating the flow.
-        client: usize,
-    },
-    /// Healer → source primary: stop buffering, seal and ship the delta
-    /// as phase-1 chunks.
-    ReReplicateCutover {
-        /// Flow id.
-        mig: TravelId,
-    },
-    /// Healer → source and target: the replica is in the placement map;
-    /// drop all flow state for `mig`.
-    ReReplicateFinish {
-        /// Flow id.
-        mig: TravelId,
     },
 
     // -------------------------------------------------------------- misc
@@ -707,28 +680,19 @@ impl WireSize for Msg {
             Msg::ReplicateLedger { blobs, .. } => {
                 16 + blobs.iter().map(|b| 4 + b.len()).sum::<usize>()
             }
-            Msg::MigrateBegin { .. } => 32,
-            Msg::MigrateData { pairs, .. } => {
+            Msg::CopyBegin { .. } => 32,
+            Msg::CopyData { pairs, .. } => {
                 28 + pairs
                     .iter()
                     .map(|(ns, k, v)| 12 + ns.len() + k.len() + v.as_ref().map_or(0, Vec::len))
                     .sum::<usize>()
             }
-            Msg::MigrateApplied { .. } => 24,
-            Msg::MigrateCutover { .. } => 12,
-            Msg::MigrateFinish { .. } => 12,
+            Msg::CopyApplied { .. } => 24,
+            Msg::CopyCutover { .. } => 12,
+            Msg::CopyFinish { .. } => 12,
             Msg::Heartbeat { .. } => 20,
             Msg::Suspect { .. } => 16,
             Msg::SuspectAck { .. } => 12,
-            Msg::ReReplicateBegin { .. } => 32,
-            Msg::ReReplicateData { pairs, .. } => {
-                28 + pairs
-                    .iter()
-                    .map(|(ns, k, v)| 12 + ns.len() + k.len() + v.as_ref().map_or(0, Vec::len))
-                    .sum::<usize>()
-            }
-            Msg::ReReplicateCutover { .. } => 12,
-            Msg::ReReplicateFinish { .. } => 12,
             Msg::Crash => 4,
             Msg::Shutdown => 4,
         }
@@ -736,11 +700,10 @@ impl WireSize for Msg {
 
     fn traffic_class(&self) -> gt_net::TrafficClass {
         match self {
-            // Snapshot chunks (migration and re-replication) ride the
-            // bulk bandwidth lane so live travels aren't starved; a
+            // Partition-copy chunks (migration and re-replication) ride
+            // the bulk bandwidth lane so live travels aren't starved; a
             // relayed chunk inherits the class of its payload.
-            Msg::MigrateData { .. } => gt_net::TrafficClass::Bulk,
-            Msg::ReReplicateData { .. } => gt_net::TrafficClass::Bulk,
+            Msg::CopyData { .. } => gt_net::TrafficClass::Bulk,
             Msg::Relay { inner, .. } => inner.traffic_class(),
             _ => gt_net::TrafficClass::Interactive,
         }
@@ -814,17 +777,13 @@ impl WireSize for Msg {
             | Msg::ReplicateWrite { .. }
             | Msg::ReplicateAck { .. }
             | Msg::ReplicateLedger { .. }
-            | Msg::MigrateBegin { .. }
-            | Msg::MigrateData { .. }
-            | Msg::MigrateApplied { .. }
-            | Msg::MigrateCutover { .. }
-            | Msg::MigrateFinish { .. }
+            | Msg::CopyBegin { .. }
+            | Msg::CopyData { .. }
+            | Msg::CopyApplied { .. }
+            | Msg::CopyCutover { .. }
+            | Msg::CopyFinish { .. }
             | Msg::Suspect { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => None,
         }
@@ -928,7 +887,7 @@ mod tests {
             .chaos_key(),
             None
         );
-        assert_eq!(Msg::ReReplicateCutover { mig: 4 }.chaos_key(), None);
+        assert_eq!(Msg::CopyCutover { mig: 4 }.chaos_key(), None);
         assert_eq!(Msg::Crash.chaos_key(), None);
         assert_eq!(Msg::Shutdown.chaos_key(), None);
         // The envelope charges for its header plus the payload.
@@ -961,47 +920,39 @@ mod tests {
     }
 
     #[test]
-    fn migrate_data_rides_the_bulk_lane() {
+    fn copy_data_rides_the_bulk_lane() {
         use gt_net::TrafficClass;
-        let chunk = Msg::MigrateData {
-            mig: 9,
-            partition: 1,
-            pairs: vec![("verts".to_string(), vec![0u8; 8], Some(vec![1u8; 32]))],
-            phase: 0,
-            last: false,
-            client: 3,
-        };
-        assert_eq!(chunk.traffic_class(), TrafficClass::Bulk);
-        assert!(chunk.wire_size() > 40, "chunk charges for its payload");
-        // A relayed chunk inherits the class; everything else stays
-        // interactive.
-        let relayed = Msg::Relay {
-            travel: 9,
-            from: 0,
-            epoch: 0,
-            tepoch: 0,
-            seq: 1,
-            attempt: 1,
-            inner: Box::new(chunk),
-        };
-        assert_eq!(relayed.traffic_class(), TrafficClass::Bulk);
+        // Migration and re-replication chunks share the bulk lane.
+        for purpose in [CopyPurpose::Move, CopyPurpose::Replica] {
+            let chunk = Msg::CopyData {
+                mig: 9,
+                partition: 1,
+                pairs: vec![("verts".to_string(), vec![0u8; 8], Some(vec![1u8; 32]))],
+                phase: 0,
+                last: false,
+                client: 3,
+                purpose,
+            };
+            assert_eq!(chunk.traffic_class(), TrafficClass::Bulk);
+            assert!(chunk.wire_size() > 40, "chunk charges for its payload");
+            // A relayed chunk inherits the class.
+            let relayed = Msg::Relay {
+                travel: 9,
+                from: 0,
+                epoch: 0,
+                tepoch: 0,
+                seq: 1,
+                attempt: 1,
+                inner: Box::new(chunk),
+            };
+            assert_eq!(relayed.traffic_class(), TrafficClass::Bulk);
+        }
+        // The flow's control plane and everything else stay interactive.
         assert_eq!(Msg::Crash.traffic_class(), TrafficClass::Interactive);
         assert_eq!(
-            Msg::MigrateCutover { mig: 9 }.traffic_class(),
+            Msg::CopyCutover { mig: 9 }.traffic_class(),
             TrafficClass::Interactive
         );
-        // Re-replication chunks share the bulk lane with migration;
-        // their control plane and heartbeats stay interactive.
-        let rr = Msg::ReReplicateData {
-            mig: 9,
-            partition: 1,
-            pairs: vec![("verts".to_string(), vec![0u8; 8], Some(vec![1u8; 32]))],
-            phase: 0,
-            last: false,
-            client: 3,
-        };
-        assert_eq!(rr.traffic_class(), TrafficClass::Bulk);
-        assert!(rr.wire_size() > 40, "chunk charges for its payload");
         assert_eq!(
             Msg::Heartbeat {
                 from: 0,

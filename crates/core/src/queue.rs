@@ -268,7 +268,6 @@ struct MergingInner {
 pub struct MergingQueue {
     inner: Mutex<MergingInner>,
     cond: Condvar,
-    fair: bool,
 }
 
 impl Default for MergingQueue {
@@ -278,18 +277,11 @@ impl Default for MergingQueue {
 }
 
 impl MergingQueue {
-    /// Empty queue with fair cross-travel scheduling.
+    /// Empty queue.
     pub fn new() -> Self {
-        Self::with_fairness(true)
-    }
-
-    /// Empty queue; `fair = false` reverts the cross-travel pick to the
-    /// globally-smallest-step policy (single-tenant §V-B behaviour).
-    pub fn with_fairness(fair: bool) -> Self {
         MergingQueue {
             inner: Mutex::new(MergingInner::default()),
             cond: Condvar::new(),
-            fair,
         }
     }
 }
@@ -325,27 +317,17 @@ impl RequestQueue for MergingQueue {
     fn pop(&self) -> Option<Vec<WorkItem>> {
         let mut g = self.inner.lock();
         loop {
-            // Level 1 — cross-travel pick: least virtual service (fair)
-            // or globally smallest head depth (legacy); ties broken by
-            // travel id either way, so the schedule is deterministic.
+            // Level 1 — cross-travel pick: least virtual service, ties
+            // broken by travel id, so the schedule is deterministic.
             // Level 2 — within the travel: smallest depth, then smallest
             // vertex id at that depth.
             'search: while g.live > 0 {
-                let picked = if self.fair {
-                    g.travels
-                        .iter()
-                        .filter(|(_, tq)| !tq.order.is_empty())
-                        .min_by_key(|(t, tq)| (tq.vservice, **t))
-                        .map(|(t, _)| *t)
-                } else {
-                    // Lexicographic min over (head depth, travel id) —
-                    // identical order to the fair branch's tie-break.
-                    g.travels
-                        .iter()
-                        .filter_map(|(t, tq)| tq.order.keys().next().map(|d| (*d, *t)))
-                        .min()
-                        .map(|(_, t)| t)
-                };
+                let picked = g
+                    .travels
+                    .iter()
+                    .filter(|(_, tq)| !tq.order.is_empty())
+                    .min_by_key(|(t, tq)| (tq.vservice, **t))
+                    .map(|(t, _)| *t);
                 let Some(travel) = picked else { break 'search };
                 // The picked travel had a non-empty order map under this
                 // same guard; the else-arms are unreachable but must not
@@ -390,9 +372,7 @@ impl RequestQueue for MergingQueue {
                     .vservice
                     .saturating_add(parts.len() as u64 * VS_SCALE / tq.weight.max(1));
                 g.live -= parts.len();
-                if self.fair {
-                    g.vfloor = g.vfloor.max(vs_at_pick);
-                }
+                g.vfloor = g.vfloor.max(vs_at_pick);
                 if g.travels[&travel].order.is_empty() && g.travels[&travel].by_vertex.is_empty() {
                     g.travels.remove(&travel);
                 }
@@ -695,20 +675,6 @@ mod tests {
             first_half.contains(&1) && first_half.contains(&2),
             "both travels must be served early: {order:?}"
         );
-    }
-
-    #[test]
-    fn legacy_pick_keeps_global_smallest_step() {
-        // with_fairness(false): the cross-travel pick reverts to the
-        // globally smallest head depth (the paper's single-tenant rule).
-        let q = MergingQueue::with_fairness(false);
-        let deep = req(1, 2, 2);
-        let shallow = req(2, 0, 1);
-        q.push_many(vec![item(&deep, 10), item(&deep, 11)]);
-        q.push_many(vec![item(&shallow, 20)]);
-        assert_eq!(q.pop().unwrap()[0].depth, 0, "depth 0 first across travels");
-        assert_eq!(q.pop().unwrap()[0].depth, 2);
-        assert_eq!(q.pop().unwrap()[0].depth, 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::engine::{EngineConfig, EngineKind};
 use crate::faults::{CrashPoint, ServerFaults};
 use crate::lang::{vertex_matches, Plan, Source};
 use crate::lockorder::OrderedMutex;
-use crate::message::{Msg, SyncExpect};
+use crate::message::{CopyPurpose, Msg, SyncExpect};
 use crate::metrics::ServerMetrics;
 use crate::queue::{FifoQueue, MergingQueue, ReqMode, RequestQueue, RequestState, WorkItem};
 use crate::{ExecId, Token, Tokens, TravelId};
@@ -78,8 +78,8 @@ const LEDGER_SNAPSHOT_EVERY: u64 = 512;
 /// forces a conservative re-drive on recovery (see [`send_travel`]).
 const JOURNAL_COMPACT_EVERY: usize = 256;
 
-/// Snapshot/delta key-value pairs per [`Msg::MigrateData`] chunk.
-const MIGRATE_CHUNK_PAIRS: usize = 512;
+/// Snapshot/delta key-value pairs per [`Msg::CopyData`] chunk.
+const COPY_CHUNK_PAIRS: usize = 512;
 
 /// Re-send a standing suspicion to the healer after this many heartbeat
 /// periods without a verdict, so one lost `Suspect` report cannot strand
@@ -372,20 +372,25 @@ struct PendingIngest {
     wseq: u64,
 }
 
-/// Source-side state of one outgoing shard migration. Writes that touch
+/// Source-side state of one outgoing partition copy. Writes that touch
 /// the partition while the snapshot ships are trapped here: before the
 /// cutover seals the trap they accumulate as a delta (phase-1 catch-up);
 /// after sealing they are shipped to the target immediately.
-struct MigOut {
+struct CopyOut {
+    route: CopyRoute,
+    delta_vids: BTreeSet<VertexId>,
+    sealed: bool,
+}
+
+/// Where one copy flow's chunks go and what they are stamped with.
+#[derive(Clone, Copy)]
+struct CopyRoute {
+    mig: TravelId,
     partition: usize,
     to: usize,
     client: usize,
-    delta_vids: BTreeSet<VertexId>,
-    sealed: bool,
-    /// This flow restores a lost replica (self-healing) rather than
-    /// moving a primary: chunks ship as [`Msg::ReReplicateData`] and
-    /// count the re-replication counters instead of the migration ones.
-    rerep: bool,
+    /// Selects which counters the flow credits.
+    purpose: CopyPurpose,
 }
 
 struct Shared {
@@ -447,7 +452,7 @@ struct Shared {
     /// req id → ingest awaiting replica write acks.
     pending_ingest: OrderedMutex<HashMap<u64, PendingIngest>>,
     /// migration id → outgoing migration (source side).
-    migrations: OrderedMutex<HashMap<TravelId, MigOut>>,
+    migrations: OrderedMutex<HashMap<TravelId, CopyOut>>,
     /// Replicated copies of peers' travel-ledger streams, one blob log
     /// per origin server (`travel-ledger-replica-<origin>.log`).
     replica_ledgers: OrderedMutex<HashMap<usize, BlobLog>>,
@@ -571,18 +576,14 @@ fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, tepoch: u64, msg: 
             | Msg::ReplicateWrite { .. }
             | Msg::ReplicateAck { .. }
             | Msg::ReplicateLedger { .. }
-            | Msg::MigrateBegin { .. }
-            | Msg::MigrateData { .. }
-            | Msg::MigrateApplied { .. }
-            | Msg::MigrateCutover { .. }
-            | Msg::MigrateFinish { .. }
+            | Msg::CopyBegin { .. }
+            | Msg::CopyData { .. }
+            | Msg::CopyApplied { .. }
+            | Msg::CopyCutover { .. }
+            | Msg::CopyFinish { .. }
             | Msg::Heartbeat { .. }
             | Msg::Suspect { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => false,
         };
@@ -722,9 +723,7 @@ fn retransmit_due(sh: &Arc<Shared>) {
 /// Spawn a server's dispatcher and worker threads.
 pub fn spawn(args: ServerArgs) -> ServerHandle {
     let queue: Arc<dyn RequestQueue> = if args.engine.merging_queue_enabled() {
-        Arc::new(MergingQueue::with_fairness(
-            args.engine.fair_cross_travel_enabled(),
-        ))
+        Arc::new(MergingQueue::new())
     } else {
         Arc::new(FifoQueue::new())
     };
@@ -1269,18 +1268,14 @@ fn crash_triggered(sh: &Arc<Shared>, msg: &Msg) -> bool {
             | Msg::ReplicateWrite { .. }
             | Msg::ReplicateAck { .. }
             | Msg::ReplicateLedger { .. }
-            | Msg::MigrateBegin { .. }
-            | Msg::MigrateData { .. }
-            | Msg::MigrateApplied { .. }
-            | Msg::MigrateCutover { .. }
-            | Msg::MigrateFinish { .. }
+            | Msg::CopyBegin { .. }
+            | Msg::CopyData { .. }
+            | Msg::CopyApplied { .. }
+            | Msg::CopyCutover { .. }
+            | Msg::CopyFinish { .. }
             | Msg::Heartbeat { .. }
             | Msg::Suspect { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => false,
         }
@@ -1515,28 +1510,45 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
         Msg::ReplicateLedger { from, blobs, reset } => {
             handle_replicate_ledger(sh, from, &blobs, reset)
         }
-        Msg::MigrateBegin {
+        Msg::CopyBegin {
             mig,
             partition,
             to,
             client,
-        } => handle_migrate_begin(sh, mig, partition, to, client, false),
-        Msg::MigrateData {
+            purpose,
+        } => handle_copy_begin(
+            sh,
+            CopyRoute {
+                mig,
+                partition,
+                to,
+                client,
+                purpose,
+            },
+        ),
+        Msg::CopyData {
             mig,
             pairs,
             phase,
             last,
             client,
+            purpose,
             ..
         } => {
             // Target side: apply a snapshot (phase 0, bulk segment
             // import) or delta (phase 1, memtable upsert) chunk.
-            sh.metrics.migrate_chunks_in.fetch_add(1, Ordering::Relaxed);
+            match purpose {
+                CopyPurpose::Move => sh.metrics.migrate_chunks_in.fetch_add(1, Ordering::Relaxed),
+                CopyPurpose::Replica => sh
+                    .metrics
+                    .rereplicate_chunks_in
+                    .fetch_add(1, Ordering::Relaxed),
+            };
             let _ = sh.partition.import_raw(pairs, phase == 0);
             if last {
                 let _ = sh.ep.send(
                     client,
-                    Msg::MigrateApplied {
+                    Msg::CopyApplied {
                         mig,
                         phase,
                         server: sh.id,
@@ -1544,47 +1556,12 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
                 );
             }
         }
-        Msg::MigrateCutover { mig } => handle_migrate_cutover(sh, mig),
-        Msg::MigrateFinish { mig } => {
-            sh.migrations.lock().remove(&mig);
-        }
-        Msg::ReReplicateBegin {
-            mig,
-            partition,
-            to,
-            client,
-        } => handle_migrate_begin(sh, mig, partition, to, client, true),
-        Msg::ReReplicateData {
-            mig,
-            pairs,
-            phase,
-            last,
-            client,
-            ..
-        } => {
-            // Target side of a replica restoration: identical apply path
-            // to a migration chunk, separate dormancy-audited counters.
-            sh.metrics
-                .rereplicate_chunks_in
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = sh.partition.import_raw(pairs, phase == 0);
-            if last {
-                let _ = sh.ep.send(
-                    client,
-                    Msg::MigrateApplied {
-                        mig,
-                        phase,
-                        server: sh.id,
-                    },
-                );
-            }
-        }
-        Msg::ReReplicateCutover { mig } => handle_migrate_cutover(sh, mig),
-        Msg::ReReplicateFinish { mig } => {
-            // The healer finishes both ends of the flow; only the target
-            // (which has no source-side entry to clean up) counts the
-            // restored replica.
-            if sh.migrations.lock().remove(&mig).is_none() {
+        Msg::CopyCutover { mig } => handle_copy_cutover(sh, mig),
+        Msg::CopyFinish { mig, purpose } => {
+            // The orchestrator finishes both ends of the flow; only the
+            // target (which has no source-side entry to clean up) counts
+            // a restored replica.
+            if sh.migrations.lock().remove(&mig).is_none() && purpose == CopyPurpose::Replica {
                 sh.metrics.rereplications.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1651,7 +1628,7 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
         | Msg::CancelAck { .. }
         | Msg::RecoverDone { .. }
         | Msg::PlacementAck { .. }
-        | Msg::MigrateApplied { .. }
+        | Msg::CopyApplied { .. }
         | Msg::Heartbeat { .. }
         | Msg::Suspect { .. }
         | Msg::SuspectAck { .. } => {}
@@ -1714,7 +1691,7 @@ fn handle_ingest(
         }
     }
     if fan.is_empty() {
-        capture_migration_delta(sh, &vertices, &edges);
+        capture_copy_delta(sh, &vertices, &edges);
         let _ = sh.ep.send(client, Msg::IngestAck { req, applied, wseq });
         return;
     }
@@ -1727,7 +1704,7 @@ fn handle_ingest(
             wseq,
         },
     );
-    capture_migration_delta(sh, &vertices, &edges);
+    capture_copy_delta(sh, &vertices, &edges);
     for s in fan {
         let _ = sh.ep.send(
             s,
@@ -1743,16 +1720,12 @@ fn handle_ingest(
     }
 }
 
-/// Route a fresh local write into any in-flight outbound migration whose
-/// partition it touches. Before the cutover seals the trap the vertex id
-/// is merely recorded (the delta phase exports it later); after sealing,
-/// the write is exported and shipped to the target immediately so nothing
-/// lands in the gap between the delta phase and `MigrateFinish`.
-fn capture_migration_delta(
-    sh: &Arc<Shared>,
-    vertices: &[gt_graph::Vertex],
-    edges: &[gt_graph::Edge],
-) {
+/// Route a fresh local write into any in-flight outbound partition copy
+/// whose partition it touches. Before the cutover seals the trap the
+/// vertex id is merely recorded (the delta phase exports it later); after
+/// sealing, the write is exported and shipped to the target immediately so
+/// nothing lands in the gap between the delta phase and `CopyFinish`.
+fn capture_copy_delta(sh: &Arc<Shared>, vertices: &[gt_graph::Vertex], edges: &[gt_graph::Edge]) {
     let touched: BTreeSet<VertexId> = vertices
         .iter()
         .map(|v| v.id)
@@ -1761,146 +1734,120 @@ fn capture_migration_delta(
     if touched.is_empty() {
         return;
     }
-    let mut ship: Vec<(TravelId, usize, usize, usize, BTreeSet<VertexId>, bool)> = Vec::new();
+    let mut ship: Vec<(CopyRoute, BTreeSet<VertexId>)> = Vec::new();
     {
         let mut migs = sh.migrations.lock();
-        for (mig, m) in migs.iter_mut() {
+        for m in migs.values_mut() {
             let hit: BTreeSet<VertexId> = touched
                 .iter()
                 .copied()
-                .filter(|&v| sh.placement.partition_of_vid(v) == m.partition)
+                .filter(|&v| sh.placement.partition_of_vid(v) == m.route.partition)
                 .collect();
             if hit.is_empty() {
                 continue;
             }
             if m.sealed {
-                ship.push((*mig, m.partition, m.to, m.client, hit, m.rerep));
+                ship.push((m.route, hit));
             } else {
                 m.delta_vids.extend(hit);
             }
         }
     }
-    for (mig, partition, to, client, vids, rerep) in ship {
+    for (route, vids) in ship {
         let pairs = sh
             .partition
             .export_where(|v| vids.contains(&v))
             .unwrap_or_default();
-        ship_migrate_chunks(sh, mig, partition, to, client, pairs, 1, false, rerep);
+        ship_copy_chunks(sh, route, pairs, 1, false);
     }
 }
 
-/// Source side of a live shard migration, phase 0: register the delta
+/// Source side of a live partition copy, phase 0: register the delta
 /// trap, then stream a snapshot of the partition to the target. The trap
 /// is registered *before* the snapshot export so a concurrent write can
 /// never fall between them — a write captured by both is applied twice on
 /// the target, and the second apply is an idempotent upsert.
-fn handle_migrate_begin(
-    sh: &Arc<Shared>,
-    mig: TravelId,
-    partition: usize,
-    to: usize,
-    client: usize,
-    rerep: bool,
-) {
+fn handle_copy_begin(sh: &Arc<Shared>, route: CopyRoute) {
     sh.migrations.lock().insert(
-        mig,
-        MigOut {
-            partition,
-            to,
-            client,
+        route.mig,
+        CopyOut {
+            route,
             delta_vids: BTreeSet::new(),
             sealed: false,
-            rerep,
         },
     );
     let pairs = sh
         .partition
-        .export_where(|v| sh.placement.partition_of_vid(v) == partition)
+        .export_where(|v| sh.placement.partition_of_vid(v) == route.partition)
         .unwrap_or_default();
-    ship_migrate_chunks(sh, mig, partition, to, client, pairs, 0, true, rerep);
+    ship_copy_chunks(sh, route, pairs, 0, true);
 }
 
 /// Source side, phase 1 (cutover): seal the delta trap and ship every
 /// vertex written since the snapshot export. Writes arriving after the
-/// seal are forwarded individually by [`capture_migration_delta`].
-fn handle_migrate_cutover(sh: &Arc<Shared>, mig: TravelId) {
+/// seal are forwarded individually by [`capture_copy_delta`].
+fn handle_copy_cutover(sh: &Arc<Shared>, mig: TravelId) {
     let taken = {
         let mut migs = sh.migrations.lock();
         migs.get_mut(&mig).map(|m| {
             m.sealed = true;
-            (
-                m.partition,
-                m.to,
-                m.client,
-                std::mem::take(&mut m.delta_vids),
-                m.rerep,
-            )
+            (m.route, std::mem::take(&mut m.delta_vids))
         })
     };
-    let Some((partition, to, client, delta, rerep)) = taken else {
+    let Some((route, delta)) = taken else {
         return;
     };
     let pairs = sh
         .partition
         .export_where(|v| delta.contains(&v))
         .unwrap_or_default();
-    ship_migrate_chunks(sh, mig, partition, to, client, pairs, 1, true, rerep);
+    ship_copy_chunks(sh, route, pairs, 1, true);
 }
 
-/// Chunk raw store triples into [`MIGRATE_CHUNK_PAIRS`]-sized
-/// [`Msg::MigrateData`] messages on the bulk traffic class. With
+/// Chunk raw store triples into [`COPY_CHUNK_PAIRS`]-sized
+/// [`Msg::CopyData`] messages on the bulk traffic class. With
 /// `mark_last` the final chunk carries `last = true` (an empty export
 /// still ships one empty last chunk so the target always acks the
 /// phase); without it no chunk does — post-seal forwards expect no ack.
-#[allow(clippy::too_many_arguments)]
-fn ship_migrate_chunks(
+fn ship_copy_chunks(
     sh: &Arc<Shared>,
-    mig: TravelId,
-    partition: usize,
-    to: usize,
-    client: usize,
+    route: CopyRoute,
     pairs: Vec<gt_graph::storage::RawTriple>,
     phase: u8,
     mark_last: bool,
-    rerep: bool,
 ) {
     let mut chunks: Vec<Vec<gt_graph::storage::RawTriple>> = Vec::new();
     let mut it = pairs.into_iter().peekable();
     while it.peek().is_some() {
-        chunks.push(it.by_ref().take(MIGRATE_CHUNK_PAIRS).collect());
+        chunks.push(it.by_ref().take(COPY_CHUNK_PAIRS).collect());
     }
     if chunks.is_empty() && mark_last {
         chunks.push(Vec::new());
     }
     let n = chunks.len();
+    match route.purpose {
+        CopyPurpose::Move => sh
+            .metrics
+            .migrate_chunks_out
+            .fetch_add(n as u64, Ordering::Relaxed),
+        CopyPurpose::Replica => sh
+            .metrics
+            .rereplicate_chunks_out
+            .fetch_add(n as u64, Ordering::Relaxed),
+    };
     for (i, chunk) in chunks.into_iter().enumerate() {
-        let counter = if rerep {
-            &sh.metrics.rereplicate_chunks_out
-        } else {
-            &sh.metrics.migrate_chunks_out
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let last = mark_last && i + 1 == n;
-        let msg = if rerep {
-            Msg::ReReplicateData {
-                mig,
-                partition,
+        let _ = sh.ep.send(
+            route.to,
+            Msg::CopyData {
+                mig: route.mig,
+                partition: route.partition,
                 pairs: chunk,
                 phase,
-                last,
-                client,
-            }
-        } else {
-            Msg::MigrateData {
-                mig,
-                partition,
-                pairs: chunk,
-                phase,
-                last,
-                client,
-            }
-        };
-        let _ = sh.ep.send(to, msg);
+                last: mark_last && i + 1 == n,
+                client: route.client,
+                purpose: route.purpose,
+            },
+        );
     }
 }
 

@@ -1,4 +1,5 @@
-//! Binary serialization of [`Msg`] for the socket transport.
+//! Binary serialization of [`Msg`] for the socket transport, and of
+//! [`LedgerEvent`] for the coordinator's durable blob log.
 //!
 //! The in-process fabric moves messages by value and never touches this
 //! module; only frames crossing a real socket ([`gt_transport::socket`])
@@ -7,1785 +8,645 @@
 //! and decoding is total: malformed bytes yield `None`, which the mesh
 //! counts as a dropped frame, never a panic in a server thread.
 //!
-//! Conventions match the storage codecs (`gt_graph::codec`, the
-//! coordinator's ledger blobs): little-endian integers, `u32` length
-//! prefixes on sequences and strings, one leading tag byte per variant,
-//! a presence byte (`0`/`1`) for `Option`s. Vertices, props, and ledger
-//! events reuse their existing storage encodings verbatim so there is
-//! exactly one byte-level truth per type.
+//! The format has three parts, each defined once:
+//!
+//! * **The cursor** is [`gt_proto::Reader`] with the `gt_proto::put_*`
+//!   writers: little-endian integers, `u32` length prefixes on sequences
+//!   and strings. `Reader::seq_len` is the only hostile-length rule — a
+//!   count is rejected unless that many minimum-size elements still fit
+//!   in the unread input.
+//! * **The [`Wire`] trait** gives every field type its encoding (`put`),
+//!   decoding (`get`) and smallest encoded size (`MIN_SIZE`, what
+//!   `Vec<T>` hands to `seq_len`). `Option`s are a presence byte (`0`/`1`)
+//!   then the value; vertices and props reuse their storage encodings
+//!   (`gt_graph::codec`) verbatim so there is one byte-level truth per
+//!   type.
+//! * **The tables** ([`wire_table!`]) list each enum variant once, as
+//!   `tag => Variant { fields in wire order }`; encode and decode are both
+//!   generated from that row. A row is written by hand only where the
+//!   format is not the fields in sequence.
+//!
+//! Tags are append-only and never reused: renumbering breaks mixed-version
+//! meshes and replay of on-disk ledgers. A retired variant's tag stays
+//! unassigned (see the note in the `Msg` table), so frames from an older
+//! peer decode to `None` instead of to a different message.
 
 use crate::coordinator::LedgerEvent;
 use crate::lang::{Plan, PlanStep, Source};
-use crate::message::{Msg, ProgressSnapshot, SyncExpect, TravelOutcome};
-use crate::{ExecId, Token, Tokens};
+use crate::message::{CopyPurpose, Msg, ProgressSnapshot, SyncExpect, TravelOutcome};
+use crate::{ExecId, Token, TravelId};
 use gt_graph::{Cond, Edge, FilterSet, PropFilter, PropValue, Vertex, VertexId};
 use gt_placement::{PartitionEntry, PlacementMap};
+use gt_proto::{put_bytes, put_str, put_u16, put_u32, put_u64, Reader};
 use gt_transport::WireCodec;
 use std::sync::Arc;
 
-// Variant tags. Append-only: renumbering breaks mixed-version meshes.
-const T_SUBMIT: u8 = 1;
-const T_ABORT: u8 = 2;
-const T_PROGRESS_QUERY: u8 = 3;
-const T_PROGRESS_REPORT: u8 = 4;
-const T_TRAVEL_DONE: u8 = 5;
-const T_CANCEL: u8 = 6;
-const T_CANCEL_ACK: u8 = 7;
-const T_SOURCE_SCAN: u8 = 8;
-const T_VISIT: u8 = 9;
-const T_EXEC_CREATED: u8 = 10;
-const T_EXEC_TERMINATED: u8 = 11;
-const T_ORIGIN_SATISFIED: u8 = 12;
-const T_RESULTS: u8 = 13;
-const T_SYNC_START: u8 = 14;
-const T_SYNC_FRONTIER: u8 = 15;
-const T_SYNC_ORIGIN: u8 = 16;
-const T_SYNC_STEP_DONE: u8 = 17;
-const T_INGEST: u8 = 18;
-const T_INGEST_ACK: u8 = 19;
-const T_GET_VERTEX: u8 = 20;
-const T_VERTEX_REPLY: u8 = 21;
-const T_RELAY: u8 = 22;
-const T_RELAY_ACK: u8 = 23;
-const T_COORD_RECOVER: u8 = 24;
-const T_COORD_HANDOFF: u8 = 25;
-const T_REANNOUNCE: u8 = 26;
-const T_RECOVER_DONE: u8 = 27;
-const T_PLACEMENT_UPDATE: u8 = 28;
-const T_PLACEMENT_ACK: u8 = 29;
-const T_REPLICATE_WRITE: u8 = 30;
-const T_REPLICATE_ACK: u8 = 31;
-const T_REPLICATE_LEDGER: u8 = 32;
-const T_MIGRATE_BEGIN: u8 = 33;
-const T_MIGRATE_DATA: u8 = 34;
-const T_MIGRATE_APPLIED: u8 = 35;
-const T_MIGRATE_CUTOVER: u8 = 36;
-const T_MIGRATE_FINISH: u8 = 37;
-const T_HEARTBEAT: u8 = 38;
-const T_SUSPECT: u8 = 39;
-const T_SUSPECT_ACK: u8 = 40;
-const T_REREPLICATE_BEGIN: u8 = 41;
-const T_REREPLICATE_DATA: u8 = 42;
-const T_REREPLICATE_CUTOVER: u8 = 43;
-const T_REREPLICATE_FINISH: u8 = 44;
-const T_CRASH: u8 = 45;
-const T_SHUTDOWN: u8 = 46;
+/// A type with one wire encoding.
+trait Wire: Sized {
+    /// Fewest bytes an encoded value occupies.
+    const MIN_SIZE: usize;
+    /// Append the encoding to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Decode one value; `None` on malformed input.
+    fn get(r: &mut Reader<'_>) -> Option<Self>;
 
-// Sub-codec tags.
-const SRC_IDS: u8 = 1;
-const SRC_ALL: u8 = 2;
-const COND_EQ: u8 = 1;
-const COND_IN: u8 = 2;
-const COND_RANGE: u8 = 3;
-const VAL_INT: u8 = 1;
-const VAL_FLOAT: u8 = 2;
-const VAL_STR: u8 = 3;
-const VAL_BOOL: u8 = 4;
-const EXPECT_SCAN: u8 = 1;
-const EXPECT_VERTICES: u8 = 2;
-const EXPECT_ORIGIN_TOKENS: u8 = 3;
-
-// ---------------------------------------------------------------- writer
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            out.push(1);
-            put_u64(out, x);
+    /// Body of a sequence, after its length prefix. `u8` overrides the
+    /// pair to move byte strings in one piece.
+    fn put_seq(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.put(out);
         }
-        None => out.push(0),
+    }
+    /// `n` elements; `n` has already passed `seq_len(MIN_SIZE)`.
+    fn get_seq(r: &mut Reader<'_>, n: usize) -> Option<Vec<Self>> {
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(Self::get(r)?);
+        }
+        Some(items)
     }
 }
 
-fn put_value(out: &mut Vec<u8>, v: &PropValue) {
-    match v {
-        PropValue::Int(i) => {
-            out.push(VAL_INT);
-            put_u64(out, *i as u64);
-        }
-        PropValue::Float(f) => {
-            out.push(VAL_FLOAT);
-            put_u64(out, f.to_bits());
-        }
-        PropValue::Str(s) => {
-            out.push(VAL_STR);
-            put_str(out, s);
-        }
-        PropValue::Bool(b) => {
-            out.push(VAL_BOOL);
-            put_bool(out, *b);
-        }
-    }
-}
+// ------------------------------------------------------ scalars, containers
+//
+// Every `put`/`get` in this section is `#[inline]`: they run once per field
+// inside per-element loops, and left to the inliner's own choice a `Visit`
+// frame encodes and decodes 1.4-3x slower.
 
-fn put_filters(out: &mut Vec<u8>, fs: &FilterSet) {
-    put_u32(out, fs.0.len() as u32);
-    for f in &fs.0 {
-        put_str(out, &f.key);
-        match &f.cond {
-            Cond::Eq(v) => {
-                out.push(COND_EQ);
-                put_value(out, v);
+macro_rules! wire_int {
+    ($($ty:ident via $put:ident);*) => {$(
+        impl Wire for $ty {
+            const MIN_SIZE: usize = std::mem::size_of::<$ty>();
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $put(out, *self);
             }
-            Cond::In(vs) => {
-                out.push(COND_IN);
-                put_u32(out, vs.len() as u32);
-                for v in vs {
-                    put_value(out, v);
-                }
-            }
-            Cond::Range(lo, hi) => {
-                out.push(COND_RANGE);
-                put_value(out, lo);
-                put_value(out, hi);
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                r.$ty().ok()
             }
         }
+    )*};
+}
+wire_int!(u16 via put_u16; u32 via put_u32; u64 via put_u64);
+
+impl Wire for u8 {
+    const MIN_SIZE: usize = 1;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        r.u8().ok()
+    }
+    #[inline]
+    fn put_seq(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    #[inline]
+    fn get_seq(r: &mut Reader<'_>, n: usize) -> Option<Vec<u8>> {
+        Some(r.take(n).ok()?.to_vec())
     }
 }
 
-fn put_plan(out: &mut Vec<u8>, p: &Plan) {
-    match &p.source {
-        Source::Ids(ids) => {
-            out.push(SRC_IDS);
-            put_u32(out, ids.len() as u32);
-            for id in ids {
-                put_u64(out, id.0);
-            }
-        }
-        Source::All => out.push(SRC_ALL),
+/// Server ids, counts and partition ids travel as `u64`.
+impl Wire for usize {
+    const MIN_SIZE: usize = 8;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self as u64);
     }
-    put_filters(out, &p.source_filters);
-    put_bool(out, p.source_rtn);
-    put_u32(out, p.steps.len() as u32);
-    for s in &p.steps {
-        put_str(out, &s.edge_label);
-        put_filters(out, &s.edge_filters);
-        put_filters(out, &s.vertex_filters);
-        put_bool(out, s.rtn);
-    }
-    put_opt_u64(out, p.as_of);
-    put_opt_u64(out, p.snapshot);
-    put_u32(out, p.qos_weight);
-}
-
-fn put_progress(out: &mut Vec<u8>, p: &ProgressSnapshot) {
-    put_u64(out, p.created);
-    put_u64(out, p.terminated);
-    put_u32(out, p.outstanding_by_depth.len() as u32);
-    for &(d, n) in &p.outstanding_by_depth {
-        put_u16(out, d);
-        put_u64(out, n);
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(r.u64().ok()? as usize)
     }
 }
 
-fn put_tokens(out: &mut Vec<u8>, ts: &Tokens) {
-    put_u32(out, ts.len() as u32);
-    for t in ts {
-        put_u16(out, t.owner);
-        put_u64(out, t.id);
+impl Wire for bool {
+    const MIN_SIZE: usize = 1;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
     }
-}
-
-fn put_vertex(out: &mut Vec<u8>, v: &Vertex) {
-    put_u64(out, v.id.0);
-    put_bytes(out, &gt_graph::codec::encode_vertex(v));
-}
-
-fn put_edge(out: &mut Vec<u8>, e: &Edge) {
-    put_u64(out, e.src.0);
-    put_str(out, &e.label);
-    put_u64(out, e.dst.0);
-    put_bytes(out, &gt_graph::codec::encode_props(&e.props));
-}
-
-/// One replicated KV write: (namespace, key, value or tombstone).
-type KvPair = (String, Vec<u8>, Option<Vec<u8>>);
-
-fn put_pairs(out: &mut Vec<u8>, pairs: &[KvPair]) {
-    put_u32(out, pairs.len() as u32);
-    for (ns, k, v) in pairs {
-        put_str(out, ns);
-        put_bytes(out, k);
-        match v {
-            Some(v) => {
-                out.push(1);
-                put_bytes(out, v);
-            }
-            None => out.push(0),
-        }
-    }
-}
-
-// ---------------------------------------------------------------- reader
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn usize(&mut self) -> Option<usize> {
-        Some(self.u64()? as usize)
-    }
-    fn boolean(&mut self) -> Option<bool> {
-        match self.u8()? {
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match r.u8().ok()? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
         }
     }
-    /// Sequence length, sanity-capped against the remaining input so a
-    /// hostile length prefix cannot trigger a huge allocation.
-    fn seq_len(&mut self, min_elem: usize) -> Option<usize> {
-        let n = self.u32()? as usize;
-        if n.checked_mul(min_elem.max(1))? > self.buf.len() - self.pos {
-            return None;
-        }
-        Some(n)
-    }
-    fn string(&mut self) -> Option<String> {
-        let n = self.seq_len(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let n = self.seq_len(1)?;
-        Some(self.take(n)?.to_vec())
-    }
-    fn opt_u64(&mut self) -> Option<Option<u64>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.u64()?)),
-            _ => None,
-        }
-    }
+}
 
-    fn value(&mut self) -> Option<PropValue> {
-        match self.u8()? {
-            VAL_INT => Some(PropValue::Int(self.u64()? as i64)),
-            VAL_FLOAT => Some(PropValue::Float(f64::from_bits(self.u64()?))),
-            VAL_STR => Some(PropValue::Str(self.string()?)),
-            VAL_BOOL => Some(PropValue::Bool(self.boolean()?)),
-            _ => None,
-        }
+impl Wire for String {
+    const MIN_SIZE: usize = 4;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
     }
-
-    fn filters(&mut self) -> Option<FilterSet> {
-        let n = self.seq_len(6)?;
-        let mut fs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = self.string()?;
-            let cond = match self.u8()? {
-                COND_EQ => Cond::Eq(self.value()?),
-                COND_IN => {
-                    let m = self.seq_len(2)?;
-                    let mut vs = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        vs.push(self.value()?);
-                    }
-                    Cond::In(vs)
-                }
-                COND_RANGE => {
-                    let lo = self.value()?;
-                    let hi = self.value()?;
-                    Cond::Range(lo, hi)
-                }
-                _ => return None,
-            };
-            fs.push(PropFilter { key, cond });
-        }
-        Some(FilterSet(fs))
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        r.string().ok()
     }
+}
 
-    fn plan(&mut self) -> Option<Plan> {
-        let source = match self.u8()? {
-            SRC_IDS => {
-                let n = self.seq_len(8)?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(VertexId(self.u64()?));
-                }
-                Source::Ids(ids)
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_SIZE: usize = 4;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.len() as u32);
+        T::put_seq(self, out);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.seq_len(T::MIN_SIZE).ok()?;
+        T::get_seq(r, n)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_SIZE: usize = 1;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                out.push(1);
+                v.put(out);
             }
-            SRC_ALL => Source::All,
-            _ => return None,
-        };
-        let source_filters = self.filters()?;
-        let source_rtn = self.boolean()?;
-        let n = self.seq_len(14)?;
-        let mut steps = Vec::with_capacity(n);
-        for _ in 0..n {
-            let edge_label = self.string()?;
-            let edge_filters = self.filters()?;
-            let vertex_filters = self.filters()?;
-            let rtn = self.boolean()?;
-            steps.push(PlanStep {
-                edge_label,
-                edge_filters,
-                vertex_filters,
-                rtn,
-            });
+            None => out.push(0),
         }
-        let as_of = self.opt_u64()?;
-        let snapshot = self.opt_u64()?;
-        let qos_weight = self.u32()?;
-        Some(Plan {
-            source,
-            source_filters,
-            source_rtn,
-            steps,
-            as_of,
-            snapshot,
-            qos_weight,
-        })
     }
-
-    fn progress(&mut self) -> Option<ProgressSnapshot> {
-        let created = self.u64()?;
-        let terminated = self.u64()?;
-        let n = self.seq_len(10)?;
-        let mut outstanding_by_depth = Vec::with_capacity(n);
-        for _ in 0..n {
-            let d = self.u16()?;
-            let c = self.u64()?;
-            outstanding_by_depth.push((d, c));
-        }
-        Some(ProgressSnapshot {
-            created,
-            terminated,
-            outstanding_by_depth,
-        })
-    }
-
-    fn tokens(&mut self) -> Option<Tokens> {
-        let n = self.seq_len(10)?;
-        let mut ts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let owner = self.u16()?;
-            let id = self.u64()?;
-            ts.push(Token { owner, id });
-        }
-        Some(ts)
-    }
-
-    fn vertex(&mut self) -> Option<Vertex> {
-        let id = VertexId(self.u64()?);
-        let data = self.bytes()?;
-        gt_graph::codec::decode_vertex(id, &data)
-    }
-
-    fn edge(&mut self) -> Option<Edge> {
-        let src = VertexId(self.u64()?);
-        let label = self.string()?;
-        let dst = VertexId(self.u64()?);
-        let props = gt_graph::codec::decode_props(&self.bytes()?)?;
-        Some(Edge {
-            src,
-            label,
-            dst,
-            props,
-        })
-    }
-
-    fn pairs(&mut self) -> Option<Vec<KvPair>> {
-        let n = self.seq_len(9)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ns = self.string()?;
-            let k = self.bytes()?;
-            let v = match self.u8()? {
-                0 => None,
-                1 => Some(self.bytes()?),
-                _ => return None,
-            };
-            out.push((ns, k, v));
-        }
-        Some(out)
-    }
-
-    fn exec_children(&mut self) -> Option<Vec<(ExecId, u16)>> {
-        let n = self.seq_len(10)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let e = ExecId(self.u64()?);
-            let d = self.u16()?;
-            out.push((e, d));
-        }
-        Some(out)
-    }
-
-    fn depth_vertices(&mut self) -> Option<Vec<(u16, VertexId)>> {
-        let n = self.seq_len(10)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let d = self.u16()?;
-            let v = VertexId(self.u64()?);
-            out.push((d, v));
-        }
-        Some(out)
-    }
-
-    fn frontier_items(&mut self) -> Option<Vec<(VertexId, Tokens)>> {
-        let n = self.seq_len(12)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = VertexId(self.u64()?);
-            let ts = self.tokens()?;
-            out.push((v, ts));
-        }
-        Some(out)
-    }
-
-    fn finish<T>(self, value: T) -> Option<T> {
-        if self.pos == self.buf.len() {
-            Some(value)
-        } else {
-            None
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match r.u8().ok()? {
+            0 => Some(None),
+            1 => Some(Some(T::get(r)?)),
+            _ => None,
         }
     }
 }
 
-// ------------------------------------------------------------- the codec
+macro_rules! wire_pointer {
+    ($($ptr:ident),*) => {$(
+        impl<T: Wire> Wire for $ptr<T> {
+            const MIN_SIZE: usize = T::MIN_SIZE;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                (**self).put(out);
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                T::get(r).map($ptr::new)
+            }
+        }
+    )*};
+}
+wire_pointer!(Arc, Box);
 
-/// Recursion guard for nested [`Msg::Relay`] envelopes: the engine only
+/// A struct (or tuple) whose encoding is its fields in the listed order.
+macro_rules! wire_struct {
+    ($ty:ty { $($f:tt : $ft:ty),* }) => {
+        impl Wire for $ty {
+            const MIN_SIZE: usize = 0 $(+ <$ft as Wire>::MIN_SIZE)*;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                Some(Self { $($f: Wire::get(r)?),* })
+            }
+        }
+    };
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident . $i:tt),*) => {
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            const MIN_SIZE: usize = 0 $(+ $t::MIN_SIZE)*;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$i.put(out);)*
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                Some(($($t::get(r)?,)*))
+            }
+        }
+    };
+}
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+
+// ------------------------------------------------- graph and plan payloads
+
+wire_struct!(VertexId { 0: u64 });
+wire_struct!(ExecId { 0: u64 });
+wire_struct!(Token {
+    owner: u16,
+    id: u64
+});
+wire_struct!(PropFilter {
+    key: String,
+    cond: Cond
+});
+wire_struct!(FilterSet { 0: Vec<PropFilter> });
+wire_struct!(PlanStep {
+    edge_label: String,
+    edge_filters: FilterSet,
+    vertex_filters: FilterSet,
+    rtn: bool
+});
+wire_struct!(Plan {
+    source: Source,
+    source_filters: FilterSet,
+    source_rtn: bool,
+    steps: Vec<PlanStep>,
+    as_of: Option<u64>,
+    snapshot: Option<u64>,
+    qos_weight: u32
+});
+wire_struct!(ProgressSnapshot {
+    created: u64,
+    terminated: u64,
+    outstanding_by_depth: Vec<(u16, u64)>
+});
+wire_struct!(TravelOutcome {
+    by_depth: Vec<(u16, Vec<VertexId>)>,
+    progress: ProgressSnapshot
+});
+wire_struct!(PartitionEntry { primary: usize, replicas: Vec<usize> });
+
+impl Wire for PropValue {
+    const MIN_SIZE: usize = 2;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            PropValue::Int(v) => (1u8, *v as u64).put(out),
+            PropValue::Float(v) => (2u8, v.to_bits()).put(out),
+            PropValue::Str(v) => {
+                out.push(3);
+                v.put(out);
+            }
+            PropValue::Bool(v) => (4u8, *v).put(out),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.u8().ok()? {
+            1 => PropValue::Int(u64::get(r)? as i64),
+            2 => PropValue::Float(f64::from_bits(u64::get(r)?)),
+            3 => PropValue::Str(Wire::get(r)?),
+            4 => PropValue::Bool(Wire::get(r)?),
+            _ => return None,
+        })
+    }
+}
+
+impl Wire for Cond {
+    const MIN_SIZE: usize = 3;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Cond::Eq(v) => {
+                out.push(1);
+                v.put(out);
+            }
+            Cond::In(vs) => {
+                out.push(2);
+                vs.put(out);
+            }
+            Cond::Range(lo, hi) => {
+                out.push(3);
+                lo.put(out);
+                hi.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.u8().ok()? {
+            1 => Cond::Eq(Wire::get(r)?),
+            2 => Cond::In(Wire::get(r)?),
+            3 => Cond::Range(Wire::get(r)?, Wire::get(r)?),
+            _ => return None,
+        })
+    }
+}
+
+impl Wire for Source {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Source::Ids(ids) => {
+                out.push(1);
+                ids.put(out);
+            }
+            Source::All => out.push(2),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match r.u8().ok()? {
+            1 => Some(Source::Ids(Wire::get(r)?)),
+            2 => Some(Source::All),
+            _ => None,
+        }
+    }
+}
+
+/// `id`, then the storage encoding of type and props as one byte string.
+impl Wire for Vertex {
+    const MIN_SIZE: usize = 12;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.id.put(out);
+        put_bytes(out, &gt_graph::codec::encode_vertex(self));
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let id = Wire::get(r)?;
+        gt_graph::codec::decode_vertex(id, r.bytes().ok()?)
+    }
+}
+
+/// `src`, `label`, `dst`, then the storage encoding of the props.
+impl Wire for Edge {
+    const MIN_SIZE: usize = 24;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.src.put(out);
+        self.label.put(out);
+        self.dst.put(out);
+        put_bytes(out, &gt_graph::codec::encode_props(&self.props));
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(Edge {
+            src: Wire::get(r)?,
+            label: Wire::get(r)?,
+            dst: Wire::get(r)?,
+            props: gt_graph::codec::decode_props(r.bytes().ok()?)?,
+        })
+    }
+}
+
+// ------------------------------------------------------- protocol payloads
+
+impl Wire for SyncExpect {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            SyncExpect::ScanSource => out.push(1),
+            SyncExpect::Vertices(n) => (2u8, *n).put(out),
+            SyncExpect::OriginTokens(n) => (3u8, *n).put(out),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.u8().ok()? {
+            1 => SyncExpect::ScanSource,
+            2 => SyncExpect::Vertices(Wire::get(r)?),
+            3 => SyncExpect::OriginTokens(Wire::get(r)?),
+            _ => return None,
+        })
+    }
+}
+
+impl Wire for CopyPurpose {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            CopyPurpose::Move => 1,
+            CopyPurpose::Replica => 2,
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match r.u8().ok()? {
+            1 => Some(CopyPurpose::Move),
+            2 => Some(CopyPurpose::Replica),
+            _ => None,
+        }
+    }
+}
+
+impl Wire for PlacementMap {
+    const MIN_SIZE: usize = 24;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.version.put(out);
+        self.n_servers.put(out);
+        self.entries.put(out);
+        self.decommissioned.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let map = PlacementMap {
+            version: Wire::get(r)?,
+            n_servers: Wire::get(r)?,
+            entries: Wire::get(r)?,
+            decommissioned: Wire::get(r)?,
+        };
+        // Routing takes a vertex hash modulo `entries.len()` and indexes
+        // `decommissioned` and the server table by the ids in the map, so
+        // a map that would panic there is malformed here.
+        let routable = !map.entries.is_empty()
+            && map.decommissioned.len() == map.n_servers
+            && map.entries.iter().all(|e| {
+                e.primary < map.n_servers && e.replicas.iter().all(|&s| s < map.n_servers)
+            });
+        routable.then_some(map)
+    }
+}
+
+// --------------------------------------------------------------- the tables
+
+/// From one row per variant, `tag => Variant { fields in wire order }`,
+/// generate for `$ty`: `wire_tag(&self)`, `put_fields(&self, out)` (the
+/// fields, without the tag) and `get_fields(tag, r)`. Field types are the
+/// enum's own; each must implement [`Wire`]. `by hand` rows name their
+/// fields the same way and supply the two bodies themselves, written
+/// against the `|out, r|` identifiers the invocation chose.
+macro_rules! wire_table {
+    (
+        $ty:ident, |$out:ident, $r:ident| {
+            $($tag:tt => $var:ident { $($f:ident),* }),* $(,)?
+        }
+        by hand {
+            $($htag:tt => $hvar:ident { $($hf:ident),* }: put $hput:block get $hget:block),* $(,)?
+        }
+    ) => {
+        impl $ty {
+            fn wire_tag(&self) -> u8 {
+                match self {
+                    $($ty::$var { .. } => $tag,)*
+                    $($ty::$hvar { .. } => $htag,)*
+                }
+            }
+            fn put_fields(&self, $out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$var { $($f),* } => {
+                        $($f.put($out);)*
+                    })*
+                    $($ty::$hvar { $($hf),* } => $hput)*
+                }
+            }
+            fn get_fields(tag: u8, $r: &mut Reader<'_>) -> Option<Self> {
+                match tag {
+                    $($tag => Some($ty::$var { $($f: Wire::get($r)?),* }),)*
+                    $($htag => $hget)*
+                    // Unknown tag: malformed, retired, or a newer peer;
+                    // surfaces as a counted drop, never a panic.
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+/// Nested [`Msg::Relay`] envelopes allowed in one frame: the engine only
 /// nests one level (an envelope around a data-plane message), so anything
 /// deeper in an inbound frame is malformed by construction.
 const MAX_RELAY_DEPTH: u32 = 4;
+const T_RELAY: u8 = 22;
 
-fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
-    match msg {
-        Msg::Submit {
-            travel,
-            plan,
-            client,
-        } => {
-            out.push(T_SUBMIT);
-            put_u64(out, *travel);
-            put_plan(out, plan);
-            put_usize(out, *client);
-        }
-        Msg::Abort { travel } => {
-            out.push(T_ABORT);
-            put_u64(out, *travel);
-        }
-        Msg::ProgressQuery { travel, client } => {
-            out.push(T_PROGRESS_QUERY);
-            put_u64(out, *travel);
-            put_usize(out, *client);
-        }
-        Msg::ProgressReport { travel, snapshot } => {
-            out.push(T_PROGRESS_REPORT);
-            put_u64(out, *travel);
-            put_progress(out, snapshot);
-        }
-        Msg::TravelDone { travel, outcome } => {
-            out.push(T_TRAVEL_DONE);
-            put_u64(out, *travel);
-            put_u32(out, outcome.by_depth.len() as u32);
-            for (d, vs) in &outcome.by_depth {
-                put_u16(out, *d);
-                put_u32(out, vs.len() as u32);
-                for v in vs {
-                    put_u64(out, v.0);
+wire_table! {
+    Msg, |out, r| {
+        1 => Submit { travel, plan, client },
+        2 => Abort { travel },
+        3 => ProgressQuery { travel, client },
+        4 => ProgressReport { travel, snapshot },
+        5 => TravelDone { travel, outcome },
+        6 => Cancel { travel, client },
+        7 => CancelAck { travel, server },
+        8 => SourceScan { travel, plan, coordinator, exec },
+        9 => Visit { travel, depth, exec, plan, coordinator, items },
+        10 => ExecCreated { travel, exec, depth },
+        11 => ExecTerminated { travel, exec, children },
+        12 => OriginSatisfied { travel, exec, coordinator, tokens },
+        13 => Results { travel, items },
+        14 => SyncStart { travel, plan, coordinator, depth, expect },
+        15 => SyncFrontier { travel, depth, items },
+        16 => SyncOrigin { travel, tokens },
+        17 => SyncStepDone { travel, depth, server, sent, origin_sent },
+        18 => Ingest { req, client, vertices, edges },
+        19 => IngestAck { req, applied, wseq },
+        20 => GetVertex { req, client, vertex, barrier },
+        21 => VertexReply { req, vertex },
+        23 => RelayAck { travel, server, seq, attempt },
+        25 => CoordHandoff { travel, epoch, coordinator, restarted },
+        26 => ReAnnounce { travel, epoch, server, created, terminated, results },
+        27 => RecoverDone { travel, epoch },
+        28 => PlacementUpdate { map, client },
+        29 => PlacementAck { version, server },
+        30 => ReplicateWrite { req, origin, wseq, seq, vertices, edges },
+        31 => ReplicateAck { req, server },
+        32 => ReplicateLedger { from, reset, blobs },
+        33 => CopyBegin { mig, partition, to, client, purpose },
+        34 => CopyData { mig, partition, phase, last, client, purpose, pairs },
+        35 => CopyApplied { mig, phase, server },
+        36 => CopyCutover { mig },
+        37 => CopyFinish { mig, purpose },
+        38 => Heartbeat { from, seq, load },
+        39 => Suspect { from, suspect },
+        40 => SuspectAck { suspect, confirmed },
+        // 41–44 are retired (`ReReplicate{Begin,Data,Cutover,Finish}`,
+        // folded into the `Copy*` rows); they stay unassigned.
+        45 => Crash {},
+        46 => Shutdown {},
+    }
+    by hand {
+        // The payload is a whole message, and its nesting is bounded.
+        T_RELAY => Relay { travel, from, epoch, tepoch, seq, attempt, inner }: put {
+            travel.put(out);
+            from.put(out);
+            epoch.put(out);
+            tepoch.put(out);
+            seq.put(out);
+            attempt.put(out);
+            put_msg(inner, out);
+        } get {
+            get_relay(r, 0)
+        },
+        // Events travel as the ledger's own blobs, stamped with `travel`.
+        24 => CoordRecover { travel, epoch, plan, client, events }: put {
+            travel.put(out);
+            epoch.put(out);
+            plan.put(out);
+            client.put(out);
+            let blobs: Vec<Vec<u8>> = events.iter().map(|ev| ev.encode(*travel)).collect();
+            blobs.put(out);
+        } get {
+            let travel = Wire::get(r)?;
+            let (epoch, plan, client) = (Wire::get(r)?, Wire::get(r)?, Wire::get(r)?);
+            let mut events = Vec::new();
+            for blob in Vec::<Vec<u8>>::get(r)? {
+                match LedgerEvent::decode(&blob)? {
+                    (stamp, ev) if stamp == travel => events.push(ev),
+                    _ => return None,
                 }
             }
-            put_progress(out, &outcome.progress);
-        }
-        Msg::Cancel { travel, client } => {
-            out.push(T_CANCEL);
-            put_u64(out, *travel);
-            put_usize(out, *client);
-        }
-        Msg::CancelAck { travel, server } => {
-            out.push(T_CANCEL_ACK);
-            put_u64(out, *travel);
-            put_usize(out, *server);
-        }
-        Msg::SourceScan {
-            travel,
-            plan,
-            coordinator,
-            exec,
-        } => {
-            out.push(T_SOURCE_SCAN);
-            put_u64(out, *travel);
-            put_plan(out, plan);
-            put_usize(out, *coordinator);
-            put_u64(out, exec.0);
-        }
-        Msg::Visit {
-            travel,
-            depth,
-            exec,
-            plan,
-            coordinator,
-            items,
-        } => {
-            out.push(T_VISIT);
-            put_u64(out, *travel);
-            put_u16(out, *depth);
-            put_u64(out, exec.0);
-            put_plan(out, plan);
-            put_usize(out, *coordinator);
-            put_u32(out, items.len() as u32);
-            for (v, ts) in items {
-                put_u64(out, v.0);
-                put_tokens(out, ts);
-            }
-        }
-        Msg::ExecCreated {
-            travel,
-            exec,
-            depth,
-        } => {
-            out.push(T_EXEC_CREATED);
-            put_u64(out, *travel);
-            put_u64(out, exec.0);
-            put_u16(out, *depth);
-        }
-        Msg::ExecTerminated {
-            travel,
-            exec,
-            children,
-        } => {
-            out.push(T_EXEC_TERMINATED);
-            put_u64(out, *travel);
-            put_u64(out, exec.0);
-            put_u32(out, children.len() as u32);
-            for (c, d) in children {
-                put_u64(out, c.0);
-                put_u16(out, *d);
-            }
-        }
-        Msg::OriginSatisfied {
-            travel,
-            exec,
-            coordinator,
-            tokens,
-        } => {
-            out.push(T_ORIGIN_SATISFIED);
-            put_u64(out, *travel);
-            put_u64(out, exec.0);
-            put_usize(out, *coordinator);
-            put_u32(out, tokens.len() as u32);
-            for t in tokens {
-                put_u64(out, *t);
-            }
-        }
-        Msg::Results { travel, items } => {
-            out.push(T_RESULTS);
-            put_u64(out, *travel);
-            put_u32(out, items.len() as u32);
-            for (d, v) in items {
-                put_u16(out, *d);
-                put_u64(out, v.0);
-            }
-        }
-        Msg::SyncStart {
-            travel,
-            plan,
-            coordinator,
-            depth,
-            expect,
-        } => {
-            out.push(T_SYNC_START);
-            put_u64(out, *travel);
-            put_plan(out, plan);
-            put_usize(out, *coordinator);
-            put_u16(out, *depth);
-            match expect {
-                SyncExpect::ScanSource => out.push(EXPECT_SCAN),
-                SyncExpect::Vertices(n) => {
-                    out.push(EXPECT_VERTICES);
-                    put_u64(out, *n);
-                }
-                SyncExpect::OriginTokens(n) => {
-                    out.push(EXPECT_ORIGIN_TOKENS);
-                    put_u64(out, *n);
-                }
-            }
-        }
-        Msg::SyncFrontier {
-            travel,
-            depth,
-            items,
-        } => {
-            out.push(T_SYNC_FRONTIER);
-            put_u64(out, *travel);
-            put_u16(out, *depth);
-            put_u32(out, items.len() as u32);
-            for (v, ts) in items {
-                put_u64(out, v.0);
-                put_tokens(out, ts);
-            }
-        }
-        Msg::SyncOrigin { travel, tokens } => {
-            out.push(T_SYNC_ORIGIN);
-            put_u64(out, *travel);
-            put_u32(out, tokens.len() as u32);
-            for t in tokens {
-                put_u64(out, *t);
-            }
-        }
-        Msg::SyncStepDone {
-            travel,
-            depth,
-            server,
-            sent,
-            origin_sent,
-        } => {
-            out.push(T_SYNC_STEP_DONE);
-            put_u64(out, *travel);
-            put_u16(out, *depth);
-            put_usize(out, *server);
-            put_u32(out, sent.len() as u32);
-            for (s, n) in sent {
-                put_usize(out, *s);
-                put_u64(out, *n);
-            }
-            put_u32(out, origin_sent.len() as u32);
-            for (s, n) in origin_sent {
-                put_usize(out, *s);
-                put_u64(out, *n);
-            }
-        }
-        Msg::Ingest {
-            req,
-            client,
-            vertices,
-            edges,
-        } => {
-            out.push(T_INGEST);
-            put_u64(out, *req);
-            put_usize(out, *client);
-            put_u32(out, vertices.len() as u32);
-            for v in vertices {
-                put_vertex(out, v);
-            }
-            put_u32(out, edges.len() as u32);
-            for e in edges {
-                put_edge(out, e);
-            }
-        }
-        Msg::IngestAck { req, applied, wseq } => {
-            out.push(T_INGEST_ACK);
-            put_u64(out, *req);
-            put_usize(out, *applied);
-            put_u64(out, *wseq);
-        }
-        Msg::GetVertex {
-            req,
-            client,
-            vertex,
-            barrier,
-        } => {
-            out.push(T_GET_VERTEX);
-            put_u64(out, *req);
-            put_usize(out, *client);
-            put_u64(out, vertex.0);
-            put_u64(out, *barrier);
-        }
-        Msg::VertexReply { req, vertex } => {
-            out.push(T_VERTEX_REPLY);
-            put_u64(out, *req);
-            match vertex {
-                Some(v) => {
-                    out.push(1);
-                    put_vertex(out, v);
-                }
-                None => out.push(0),
-            }
-        }
-        Msg::Relay {
-            travel,
-            from,
-            epoch,
-            tepoch,
-            seq,
-            attempt,
-            inner,
-        } => {
-            out.push(T_RELAY);
-            put_u64(out, *travel);
-            put_usize(out, *from);
-            put_u64(out, *epoch);
-            put_u64(out, *tepoch);
-            put_u64(out, *seq);
-            put_u64(out, *attempt);
-            encode_msg(inner, out);
-        }
-        Msg::RelayAck {
-            travel,
-            server,
-            seq,
-            attempt,
-        } => {
-            out.push(T_RELAY_ACK);
-            put_u64(out, *travel);
-            put_usize(out, *server);
-            put_u64(out, *seq);
-            put_u64(out, *attempt);
-        }
-        Msg::CoordRecover {
-            travel,
-            epoch,
-            plan,
-            client,
-            events,
-        } => {
-            out.push(T_COORD_RECOVER);
-            put_u64(out, *travel);
-            put_u64(out, *epoch);
-            put_plan(out, plan);
-            put_usize(out, *client);
-            put_u32(out, events.len() as u32);
-            for ev in events {
-                put_bytes(out, &ev.encode(*travel));
-            }
-        }
-        Msg::CoordHandoff {
-            travel,
-            epoch,
-            coordinator,
-            restarted,
-        } => {
-            out.push(T_COORD_HANDOFF);
-            put_u64(out, *travel);
-            put_u64(out, *epoch);
-            put_usize(out, *coordinator);
-            put_opt_u64(out, restarted.map(|r| r as u64));
-        }
-        Msg::ReAnnounce {
-            travel,
-            epoch,
-            server,
-            created,
-            terminated,
-            results,
-        } => {
-            out.push(T_REANNOUNCE);
-            put_u64(out, *travel);
-            put_u64(out, *epoch);
-            put_usize(out, *server);
-            put_u32(out, created.len() as u32);
-            for (e, d) in created {
-                put_u64(out, e.0);
-                put_u16(out, *d);
-            }
-            put_u32(out, terminated.len() as u32);
-            for (e, children) in terminated {
-                put_u64(out, e.0);
-                put_u32(out, children.len() as u32);
-                for (c, d) in children {
-                    put_u64(out, c.0);
-                    put_u16(out, *d);
-                }
-            }
-            put_u32(out, results.len() as u32);
-            for (d, v) in results {
-                put_u16(out, *d);
-                put_u64(out, v.0);
-            }
-        }
-        Msg::RecoverDone { travel, epoch } => {
-            out.push(T_RECOVER_DONE);
-            put_u64(out, *travel);
-            put_u64(out, *epoch);
-        }
-        Msg::PlacementUpdate { map, client } => {
-            out.push(T_PLACEMENT_UPDATE);
-            put_u64(out, map.version);
-            put_usize(out, map.n_servers);
-            put_u32(out, map.entries.len() as u32);
-            for e in &map.entries {
-                put_usize(out, e.primary);
-                put_u32(out, e.replicas.len() as u32);
-                for r in &e.replicas {
-                    put_usize(out, *r);
-                }
-            }
-            put_u32(out, map.decommissioned.len() as u32);
-            for d in &map.decommissioned {
-                put_bool(out, *d);
-            }
-            put_usize(out, *client);
-        }
-        Msg::PlacementAck { version, server } => {
-            out.push(T_PLACEMENT_ACK);
-            put_u64(out, *version);
-            put_usize(out, *server);
-        }
-        Msg::ReplicateWrite {
-            req,
-            origin,
-            wseq,
-            seq,
-            vertices,
-            edges,
-        } => {
-            out.push(T_REPLICATE_WRITE);
-            put_u64(out, *req);
-            put_usize(out, *origin);
-            put_u64(out, *wseq);
-            put_opt_u64(out, *seq);
-            put_u32(out, vertices.len() as u32);
-            for v in vertices {
-                put_vertex(out, v);
-            }
-            put_u32(out, edges.len() as u32);
-            for e in edges {
-                put_edge(out, e);
-            }
-        }
-        Msg::ReplicateAck { req, server } => {
-            out.push(T_REPLICATE_ACK);
-            put_u64(out, *req);
-            put_usize(out, *server);
-        }
-        Msg::ReplicateLedger { from, blobs, reset } => {
-            out.push(T_REPLICATE_LEDGER);
-            put_usize(out, *from);
-            put_bool(out, *reset);
-            put_u32(out, blobs.len() as u32);
-            for b in blobs {
-                put_bytes(out, b);
-            }
-        }
-        Msg::MigrateBegin {
-            mig,
-            partition,
-            to,
-            client,
-        } => {
-            out.push(T_MIGRATE_BEGIN);
-            put_u64(out, *mig);
-            put_usize(out, *partition);
-            put_usize(out, *to);
-            put_usize(out, *client);
-        }
-        Msg::MigrateData {
-            mig,
-            partition,
-            pairs,
-            phase,
-            last,
-            client,
-        } => {
-            out.push(T_MIGRATE_DATA);
-            put_u64(out, *mig);
-            put_usize(out, *partition);
-            out.push(*phase);
-            put_bool(out, *last);
-            put_usize(out, *client);
-            put_pairs(out, pairs);
-        }
-        Msg::MigrateApplied { mig, phase, server } => {
-            out.push(T_MIGRATE_APPLIED);
-            put_u64(out, *mig);
-            out.push(*phase);
-            put_usize(out, *server);
-        }
-        Msg::MigrateCutover { mig } => {
-            out.push(T_MIGRATE_CUTOVER);
-            put_u64(out, *mig);
-        }
-        Msg::MigrateFinish { mig } => {
-            out.push(T_MIGRATE_FINISH);
-            put_u64(out, *mig);
-        }
-        Msg::Heartbeat { from, seq, load } => {
-            out.push(T_HEARTBEAT);
-            put_usize(out, *from);
-            put_u64(out, *seq);
-            put_u64(out, *load);
-        }
-        Msg::Suspect { from, suspect } => {
-            out.push(T_SUSPECT);
-            put_usize(out, *from);
-            put_usize(out, *suspect);
-        }
-        Msg::SuspectAck { suspect, confirmed } => {
-            out.push(T_SUSPECT_ACK);
-            put_usize(out, *suspect);
-            put_bool(out, *confirmed);
-        }
-        Msg::ReReplicateBegin {
-            mig,
-            partition,
-            to,
-            client,
-        } => {
-            out.push(T_REREPLICATE_BEGIN);
-            put_u64(out, *mig);
-            put_usize(out, *partition);
-            put_usize(out, *to);
-            put_usize(out, *client);
-        }
-        Msg::ReReplicateData {
-            mig,
-            partition,
-            pairs,
-            phase,
-            last,
-            client,
-        } => {
-            out.push(T_REREPLICATE_DATA);
-            put_u64(out, *mig);
-            put_usize(out, *partition);
-            out.push(*phase);
-            put_bool(out, *last);
-            put_usize(out, *client);
-            put_pairs(out, pairs);
-        }
-        Msg::ReReplicateCutover { mig } => {
-            out.push(T_REREPLICATE_CUTOVER);
-            put_u64(out, *mig);
-        }
-        Msg::ReReplicateFinish { mig } => {
-            out.push(T_REREPLICATE_FINISH);
-            put_u64(out, *mig);
-        }
-        Msg::Crash => out.push(T_CRASH),
-        Msg::Shutdown => out.push(T_SHUTDOWN),
+            Some(Msg::CoordRecover { travel, epoch, plan, client, events })
+        },
     }
 }
 
-fn decode_msg(r: &mut Reader<'_>, relay_depth: u32) -> Option<Msg> {
-    let tag = r.u8()?;
-    let msg = match tag {
-        T_SUBMIT => Msg::Submit {
-            travel: r.u64()?,
-            plan: Arc::new(r.plan()?),
-            client: r.usize()?,
-        },
-        T_ABORT => Msg::Abort { travel: r.u64()? },
-        T_PROGRESS_QUERY => Msg::ProgressQuery {
-            travel: r.u64()?,
-            client: r.usize()?,
-        },
-        T_PROGRESS_REPORT => Msg::ProgressReport {
-            travel: r.u64()?,
-            snapshot: r.progress()?,
-        },
-        T_TRAVEL_DONE => {
-            let travel = r.u64()?;
-            let n = r.seq_len(6)?;
-            let mut by_depth = Vec::with_capacity(n);
-            for _ in 0..n {
-                let d = r.u16()?;
-                let m = r.seq_len(8)?;
-                let mut vs = Vec::with_capacity(m);
-                for _ in 0..m {
-                    vs.push(VertexId(r.u64()?));
-                }
-                by_depth.push((d, vs));
-            }
-            let progress = r.progress()?;
-            Msg::TravelDone {
-                travel,
-                outcome: TravelOutcome { by_depth, progress },
-            }
-        }
-        T_CANCEL => Msg::Cancel {
-            travel: r.u64()?,
-            client: r.usize()?,
-        },
-        T_CANCEL_ACK => Msg::CancelAck {
-            travel: r.u64()?,
-            server: r.usize()?,
-        },
-        T_SOURCE_SCAN => Msg::SourceScan {
-            travel: r.u64()?,
-            plan: Arc::new(r.plan()?),
-            coordinator: r.usize()?,
-            exec: ExecId(r.u64()?),
-        },
-        T_VISIT => Msg::Visit {
-            travel: r.u64()?,
-            depth: r.u16()?,
-            exec: ExecId(r.u64()?),
-            plan: Arc::new(r.plan()?),
-            coordinator: r.usize()?,
-            items: r.frontier_items()?,
-        },
-        T_EXEC_CREATED => Msg::ExecCreated {
-            travel: r.u64()?,
-            exec: ExecId(r.u64()?),
-            depth: r.u16()?,
-        },
-        T_EXEC_TERMINATED => Msg::ExecTerminated {
-            travel: r.u64()?,
-            exec: ExecId(r.u64()?),
-            children: r.exec_children()?,
-        },
-        T_ORIGIN_SATISFIED => {
-            let travel = r.u64()?;
-            let exec = ExecId(r.u64()?);
-            let coordinator = r.usize()?;
-            let n = r.seq_len(8)?;
-            let mut tokens = Vec::with_capacity(n);
-            for _ in 0..n {
-                tokens.push(r.u64()?);
-            }
-            Msg::OriginSatisfied {
-                travel,
-                exec,
-                coordinator,
-                tokens,
-            }
-        }
-        T_RESULTS => Msg::Results {
-            travel: r.u64()?,
-            items: r.depth_vertices()?,
-        },
-        T_SYNC_START => {
-            let travel = r.u64()?;
-            let plan = Arc::new(r.plan()?);
-            let coordinator = r.usize()?;
-            let depth = r.u16()?;
-            let expect = match r.u8()? {
-                EXPECT_SCAN => SyncExpect::ScanSource,
-                EXPECT_VERTICES => SyncExpect::Vertices(r.u64()?),
-                EXPECT_ORIGIN_TOKENS => SyncExpect::OriginTokens(r.u64()?),
-                _ => return None,
-            };
-            Msg::SyncStart {
-                travel,
-                plan,
-                coordinator,
-                depth,
-                expect,
-            }
-        }
-        T_SYNC_FRONTIER => Msg::SyncFrontier {
-            travel: r.u64()?,
-            depth: r.u16()?,
-            items: r.frontier_items()?,
-        },
-        T_SYNC_ORIGIN => {
-            let travel = r.u64()?;
-            let n = r.seq_len(8)?;
-            let mut tokens = Vec::with_capacity(n);
-            for _ in 0..n {
-                tokens.push(r.u64()?);
-            }
-            Msg::SyncOrigin { travel, tokens }
-        }
-        T_SYNC_STEP_DONE => {
-            let travel = r.u64()?;
-            let depth = r.u16()?;
-            let server = r.usize()?;
-            let n = r.seq_len(16)?;
-            let mut sent = Vec::with_capacity(n);
-            for _ in 0..n {
-                let s = r.usize()?;
-                let c = r.u64()?;
-                sent.push((s, c));
-            }
-            let m = r.seq_len(16)?;
-            let mut origin_sent = Vec::with_capacity(m);
-            for _ in 0..m {
-                let s = r.usize()?;
-                let c = r.u64()?;
-                origin_sent.push((s, c));
-            }
-            Msg::SyncStepDone {
-                travel,
-                depth,
-                server,
-                sent,
-                origin_sent,
-            }
-        }
-        T_INGEST => {
-            let req = r.u64()?;
-            let client = r.usize()?;
-            let n = r.seq_len(12)?;
-            let mut vertices = Vec::with_capacity(n);
-            for _ in 0..n {
-                vertices.push(r.vertex()?);
-            }
-            let m = r.seq_len(24)?;
-            let mut edges = Vec::with_capacity(m);
-            for _ in 0..m {
-                edges.push(r.edge()?);
-            }
-            Msg::Ingest {
-                req,
-                client,
-                vertices,
-                edges,
-            }
-        }
-        T_INGEST_ACK => Msg::IngestAck {
-            req: r.u64()?,
-            applied: r.usize()?,
-            wseq: r.u64()?,
-        },
-        T_GET_VERTEX => Msg::GetVertex {
-            req: r.u64()?,
-            client: r.usize()?,
-            vertex: VertexId(r.u64()?),
-            barrier: r.u64()?,
-        },
-        T_VERTEX_REPLY => {
-            let req = r.u64()?;
-            let vertex = match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(r.vertex()?)),
-                _ => return None,
-            };
-            Msg::VertexReply { req, vertex }
-        }
-        T_RELAY => {
-            if relay_depth >= MAX_RELAY_DEPTH {
-                return None;
-            }
-            let travel = r.u64()?;
-            let from = r.usize()?;
-            let epoch = r.u64()?;
-            let tepoch = r.u64()?;
-            let seq = r.u64()?;
-            let attempt = r.u64()?;
-            let inner = Box::new(decode_msg(r, relay_depth + 1)?);
-            Msg::Relay {
-                travel,
-                from,
-                epoch,
-                tepoch,
-                seq,
-                attempt,
-                inner,
-            }
-        }
-        T_RELAY_ACK => Msg::RelayAck {
-            travel: r.u64()?,
-            server: r.usize()?,
-            seq: r.u64()?,
-            attempt: r.u64()?,
-        },
-        T_COORD_RECOVER => {
-            let travel = r.u64()?;
-            let epoch = r.u64()?;
-            let plan = Arc::new(r.plan()?);
-            let client = r.usize()?;
-            let n = r.seq_len(4)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                let blob = r.bytes()?;
-                let (t, ev) = LedgerEvent::decode(&blob)?;
-                if t != travel {
-                    return None;
-                }
-                events.push(ev);
-            }
-            Msg::CoordRecover {
-                travel,
-                epoch,
-                plan,
-                client,
-                events,
-            }
-        }
-        T_COORD_HANDOFF => Msg::CoordHandoff {
-            travel: r.u64()?,
-            epoch: r.u64()?,
-            coordinator: r.usize()?,
-            restarted: r.opt_u64()?.map(|v| v as usize),
-        },
-        T_REANNOUNCE => {
-            let travel = r.u64()?;
-            let epoch = r.u64()?;
-            let server = r.usize()?;
-            let created = r.exec_children()?;
-            let n = r.seq_len(12)?;
-            let mut terminated = Vec::with_capacity(n);
-            for _ in 0..n {
-                let e = ExecId(r.u64()?);
-                let children = r.exec_children()?;
-                terminated.push((e, children));
-            }
-            let results = r.depth_vertices()?;
-            Msg::ReAnnounce {
-                travel,
-                epoch,
-                server,
-                created,
-                terminated,
-                results,
-            }
-        }
-        T_RECOVER_DONE => Msg::RecoverDone {
-            travel: r.u64()?,
-            epoch: r.u64()?,
-        },
-        T_PLACEMENT_UPDATE => {
-            let version = r.u64()?;
-            let n_servers = r.usize()?;
-            let n = r.seq_len(12)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let primary = r.usize()?;
-                let m = r.seq_len(8)?;
-                let mut replicas = Vec::with_capacity(m);
-                for _ in 0..m {
-                    replicas.push(r.usize()?);
-                }
-                entries.push(PartitionEntry { primary, replicas });
-            }
-            let d = r.seq_len(1)?;
-            let mut decommissioned = Vec::with_capacity(d);
-            for _ in 0..d {
-                decommissioned.push(r.boolean()?);
-            }
-            let client = r.usize()?;
-            Msg::PlacementUpdate {
-                map: Arc::new(PlacementMap {
-                    version,
-                    entries,
-                    decommissioned,
-                    n_servers,
-                }),
-                client,
-            }
-        }
-        T_PLACEMENT_ACK => Msg::PlacementAck {
-            version: r.u64()?,
-            server: r.usize()?,
-        },
-        T_REPLICATE_WRITE => {
-            let req = r.u64()?;
-            let origin = r.usize()?;
-            let wseq = r.u64()?;
-            let seq = r.opt_u64()?;
-            let n = r.seq_len(12)?;
-            let mut vertices = Vec::with_capacity(n);
-            for _ in 0..n {
-                vertices.push(r.vertex()?);
-            }
-            let m = r.seq_len(24)?;
-            let mut edges = Vec::with_capacity(m);
-            for _ in 0..m {
-                edges.push(r.edge()?);
-            }
-            Msg::ReplicateWrite {
-                req,
-                origin,
-                wseq,
-                seq,
-                vertices,
-                edges,
-            }
-        }
-        T_REPLICATE_ACK => Msg::ReplicateAck {
-            req: r.u64()?,
-            server: r.usize()?,
-        },
-        T_REPLICATE_LEDGER => {
-            let from = r.usize()?;
-            let reset = r.boolean()?;
-            let n = r.seq_len(4)?;
-            let mut blobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                blobs.push(r.bytes()?);
-            }
-            Msg::ReplicateLedger { from, blobs, reset }
-        }
-        T_MIGRATE_BEGIN => Msg::MigrateBegin {
-            mig: r.u64()?,
-            partition: r.usize()?,
-            to: r.usize()?,
-            client: r.usize()?,
-        },
-        T_MIGRATE_DATA => {
-            let mig = r.u64()?;
-            let partition = r.usize()?;
-            let phase = r.u8()?;
-            let last = r.boolean()?;
-            let client = r.usize()?;
-            let pairs = r.pairs()?;
-            Msg::MigrateData {
-                mig,
-                partition,
-                pairs,
-                phase,
-                last,
-                client,
-            }
-        }
-        T_MIGRATE_APPLIED => Msg::MigrateApplied {
-            mig: r.u64()?,
-            phase: r.u8()?,
-            server: r.usize()?,
-        },
-        T_MIGRATE_CUTOVER => Msg::MigrateCutover { mig: r.u64()? },
-        T_MIGRATE_FINISH => Msg::MigrateFinish { mig: r.u64()? },
-        T_HEARTBEAT => Msg::Heartbeat {
-            from: r.usize()?,
-            seq: r.u64()?,
-            load: r.u64()?,
-        },
-        T_SUSPECT => Msg::Suspect {
-            from: r.usize()?,
-            suspect: r.usize()?,
-        },
-        T_SUSPECT_ACK => Msg::SuspectAck {
-            suspect: r.usize()?,
-            confirmed: r.boolean()?,
-        },
-        T_REREPLICATE_BEGIN => Msg::ReReplicateBegin {
-            mig: r.u64()?,
-            partition: r.usize()?,
-            to: r.usize()?,
-            client: r.usize()?,
-        },
-        T_REREPLICATE_DATA => {
-            let mig = r.u64()?;
-            let partition = r.usize()?;
-            let phase = r.u8()?;
-            let last = r.boolean()?;
-            let client = r.usize()?;
-            let pairs = r.pairs()?;
-            Msg::ReReplicateData {
-                mig,
-                partition,
-                pairs,
-                phase,
-                last,
-                client,
-            }
-        }
-        T_REREPLICATE_CUTOVER => Msg::ReReplicateCutover { mig: r.u64()? },
-        T_REREPLICATE_FINISH => Msg::ReReplicateFinish { mig: r.u64()? },
-        T_CRASH => Msg::Crash,
-        T_SHUTDOWN => Msg::Shutdown,
-        // Unknown tag: malformed or newer peer; surfaces as a counted
-        // drop at the mesh, never a panic.
-        _ => return None,
-    };
-    Some(msg)
+wire_table! {
+    LedgerEvent, |out, r| {
+        1 => Created { epoch, exec, depth },
+        2 => Terminated { epoch, exec, children },
+        3 => Results { epoch, items },
+        4 => Snapshot { epoch, created, terminated, results },
+    }
+    by hand {}
+}
+
+fn put_msg(msg: &Msg, out: &mut Vec<u8>) {
+    out.push(msg.wire_tag());
+    msg.put_fields(out);
+}
+
+/// The body of a `Relay` frame, itself `depth` envelopes down.
+fn get_relay(r: &mut Reader<'_>, depth: u32) -> Option<Msg> {
+    if depth >= MAX_RELAY_DEPTH {
+        return None;
+    }
+    Some(Msg::Relay {
+        travel: Wire::get(r)?,
+        from: Wire::get(r)?,
+        epoch: Wire::get(r)?,
+        tepoch: Wire::get(r)?,
+        seq: Wire::get(r)?,
+        attempt: Wire::get(r)?,
+        inner: Box::new(match r.u8().ok()? {
+            T_RELAY => get_relay(r, depth + 1)?,
+            tag => Msg::get_fields(tag, r)?,
+        }),
+    })
 }
 
 impl WireCodec for Msg {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_msg(self, out);
+        put_msg(self, out);
     }
 
     fn decode(buf: &[u8]) -> Option<Msg> {
-        let mut r = Reader { buf, pos: 0 };
-        let msg = decode_msg(&mut r, 0)?;
-        r.finish(msg)
+        let mut r = Reader::new(buf);
+        let msg = Msg::get_fields(r.u8().ok()?, &mut r)?;
+        r.finish().ok()?;
+        Some(msg)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lang::GTravel;
-    use gt_graph::Props;
-
-    fn rt(msg: Msg) {
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        let back = Msg::decode(&buf).unwrap_or_else(|| panic!("decode failed for {msg:?}"));
-        // Msg is not PartialEq (Arc<Plan> payloads); compare debug forms,
-        // which print through the Arc and cover every field.
-        assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+impl LedgerEvent {
+    /// Serialize as one blob-log record: `tag | travel | fields`, the
+    /// travel-epoch being every variant's first field.
+    pub fn encode(&self, travel: TravelId) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32);
+        out.push(self.wire_tag());
+        travel.put(&mut out);
+        self.put_fields(&mut out);
+        out
     }
 
-    fn sample_plan() -> Arc<Plan> {
-        Arc::new(
-            GTravel::v([1u64, 9])
-                .va(PropFilter::eq("type", "User"))
-                .e("run")
-                .ea(PropFilter::range("start_ts", 10i64, 99i64))
-                .e("read")
-                .va(PropFilter::is_in(
-                    "fmt",
-                    vec![PropValue::Str("h5".into()), PropValue::Str("csv".into())],
-                ))
-                .rtn()
-                .as_of(77)
-                .compile()
-                .expect("sample plan compiles"),
-        )
-    }
-
-    #[test]
-    fn every_variant_round_trips() {
-        let plan = sample_plan();
-        let vertex = Vertex::new(5u64, "User", Props::new().with("name", "a").with("n", 3i64));
-        let edge = Edge::new(5u64, "run", 6u64, Props::new().with("t", 1i64));
-        let msgs = vec![
-            Msg::Submit {
-                travel: 1,
-                plan: plan.clone(),
-                client: 3,
-            },
-            Msg::Abort { travel: 2 },
-            Msg::ProgressQuery {
-                travel: 3,
-                client: 4,
-            },
-            Msg::ProgressReport {
-                travel: 3,
-                snapshot: ProgressSnapshot {
-                    created: 5,
-                    terminated: 2,
-                    outstanding_by_depth: vec![(0, 1), (1, 2)],
-                },
-            },
-            Msg::TravelDone {
-                travel: 3,
-                outcome: TravelOutcome {
-                    by_depth: vec![(1, vec![VertexId(5), VertexId(9)]), (2, vec![])],
-                    progress: ProgressSnapshot::default(),
-                },
-            },
-            Msg::Cancel {
-                travel: 4,
-                client: 3,
-            },
-            Msg::CancelAck {
-                travel: 4,
-                server: 1,
-            },
-            Msg::SourceScan {
-                travel: 5,
-                plan: plan.clone(),
-                coordinator: 0,
-                exec: ExecId::new(0, 7),
-            },
-            Msg::Visit {
-                travel: 5,
-                depth: 1,
-                exec: ExecId::new(1, 8),
-                plan: plan.clone(),
-                coordinator: 0,
-                items: vec![
-                    (VertexId(1), vec![]),
-                    (VertexId(2), vec![Token { owner: 1, id: 42 }]),
-                ],
-            },
-            Msg::ExecCreated {
-                travel: 5,
-                exec: ExecId::new(1, 9),
-                depth: 2,
-            },
-            Msg::ExecTerminated {
-                travel: 5,
-                exec: ExecId::new(1, 9),
-                children: vec![(ExecId::new(2, 1), 3)],
-            },
-            Msg::OriginSatisfied {
-                travel: 5,
-                exec: ExecId::new(2, 2),
-                coordinator: 0,
-                tokens: vec![7, 8],
-            },
-            Msg::Results {
-                travel: 5,
-                items: vec![(1, VertexId(10))],
-            },
-            Msg::SyncStart {
-                travel: 6,
-                plan: plan.clone(),
-                coordinator: 1,
-                depth: 0,
-                expect: SyncExpect::ScanSource,
-            },
-            Msg::SyncStart {
-                travel: 6,
-                plan: plan.clone(),
-                coordinator: 1,
-                depth: 1,
-                expect: SyncExpect::Vertices(12),
-            },
-            Msg::SyncStart {
-                travel: 6,
-                plan: plan.clone(),
-                coordinator: 1,
-                depth: 2,
-                expect: SyncExpect::OriginTokens(3),
-            },
-            Msg::SyncFrontier {
-                travel: 6,
-                depth: 1,
-                items: vec![(VertexId(3), vec![Token { owner: 0, id: 1 }])],
-            },
-            Msg::SyncOrigin {
-                travel: 6,
-                tokens: vec![1, 2, 3],
-            },
-            Msg::SyncStepDone {
-                travel: 6,
-                depth: 1,
-                server: 2,
-                sent: vec![(0, 5), (1, 6)],
-                origin_sent: vec![(2, 1)],
-            },
-            Msg::Ingest {
-                req: 9,
-                client: 3,
-                vertices: vec![vertex.clone()],
-                edges: vec![edge.clone()],
-            },
-            Msg::IngestAck {
-                req: 9,
-                applied: 2,
-                wseq: 44,
-            },
-            Msg::GetVertex {
-                req: 10,
-                client: 3,
-                vertex: VertexId(5),
-                barrier: 44,
-            },
-            Msg::VertexReply {
-                req: 10,
-                vertex: Some(Box::new(vertex.clone())),
-            },
-            Msg::VertexReply {
-                req: 11,
-                vertex: None,
-            },
-            Msg::Relay {
-                travel: 5,
-                from: 1,
-                epoch: 2,
-                tepoch: 3,
-                seq: 4,
-                attempt: 1,
-                inner: Box::new(Msg::Results {
-                    travel: 5,
-                    items: vec![(1, VertexId(10))],
-                }),
-            },
-            Msg::RelayAck {
-                travel: 5,
-                server: 2,
-                seq: 4,
-                attempt: 1,
-            },
-            Msg::CoordRecover {
-                travel: 7,
-                epoch: 2,
-                plan: plan.clone(),
-                client: 3,
-                events: vec![
-                    LedgerEvent::Created {
-                        epoch: 1,
-                        exec: ExecId::new(0, 1),
-                        depth: 0,
-                    },
-                    LedgerEvent::Snapshot {
-                        epoch: 1,
-                        created: vec![(ExecId::new(0, 1), 0)],
-                        terminated: vec![ExecId::new(0, 1)],
-                        results: vec![(0, VertexId(1))],
-                    },
-                ],
-            },
-            Msg::CoordHandoff {
-                travel: 7,
-                epoch: 3,
-                coordinator: 2,
-                restarted: Some(1),
-            },
-            Msg::CoordHandoff {
-                travel: 7,
-                epoch: 3,
-                coordinator: 2,
-                restarted: None,
-            },
-            Msg::ReAnnounce {
-                travel: 7,
-                epoch: 3,
-                server: 0,
-                created: vec![(ExecId::new(0, 2), 1)],
-                terminated: vec![(ExecId::new(0, 2), vec![(ExecId::new(1, 1), 2)])],
-                results: vec![(1, VertexId(4))],
-            },
-            Msg::RecoverDone {
-                travel: 7,
-                epoch: 3,
-            },
-            Msg::PlacementUpdate {
-                map: Arc::new(PlacementMap::initial(3, 2)),
-                client: 3,
-            },
-            Msg::PlacementAck {
-                version: 1,
-                server: 0,
-            },
-            Msg::ReplicateWrite {
-                req: 12,
-                origin: 0,
-                wseq: 5,
-                seq: Some(6),
-                vertices: vec![vertex.clone()],
-                edges: vec![edge],
-            },
-            Msg::ReplicateAck { req: 12, server: 1 },
-            Msg::ReplicateLedger {
-                from: 0,
-                blobs: vec![vec![1, 2, 3], vec![]],
-                reset: true,
-            },
-            Msg::MigrateBegin {
-                mig: 20,
-                partition: 1,
-                to: 2,
-                client: 3,
-            },
-            Msg::MigrateData {
-                mig: 20,
-                partition: 1,
-                pairs: vec![
-                    ("verts".into(), vec![1, 2], Some(vec![3])),
-                    ("edges".into(), vec![4], None),
-                ],
-                phase: 0,
-                last: true,
-                client: 3,
-            },
-            Msg::MigrateApplied {
-                mig: 20,
-                phase: 1,
-                server: 2,
-            },
-            Msg::MigrateCutover { mig: 20 },
-            Msg::MigrateFinish { mig: 20 },
-            Msg::Heartbeat {
-                from: 1,
-                seq: 99,
-                load: 1000,
-            },
-            Msg::Suspect {
-                from: 0,
-                suspect: 1,
-            },
-            Msg::SuspectAck {
-                suspect: 1,
-                confirmed: false,
-            },
-            Msg::ReReplicateBegin {
-                mig: 21,
-                partition: 0,
-                to: 1,
-                client: 3,
-            },
-            Msg::ReReplicateData {
-                mig: 21,
-                partition: 0,
-                pairs: vec![("verts".into(), vec![9], None)],
-                phase: 1,
-                last: false,
-                client: 3,
-            },
-            Msg::ReReplicateCutover { mig: 21 },
-            Msg::ReReplicateFinish { mig: 21 },
-            Msg::Crash,
-            Msg::Shutdown,
-        ];
-        for msg in msgs {
-            rt(msg);
-        }
-    }
-
-    #[test]
-    fn malformed_bytes_decode_to_none() {
-        assert!(Msg::decode(&[]).is_none());
-        assert!(Msg::decode(&[250]).is_none(), "unknown tag");
-        assert!(
-            Msg::decode(&[T_SUBMIT, 1, 2, 3]).is_none(),
-            "truncated body"
-        );
-        // Trailing garbage after a complete message.
-        let mut buf = Vec::new();
-        Msg::Shutdown.encode(&mut buf);
-        buf.push(7);
-        assert!(Msg::decode(&buf).is_none());
-        // A hostile length prefix larger than the buffer is rejected
-        // before allocation.
-        let mut buf = vec![T_RESULTS];
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Msg::decode(&buf).is_none());
-        // Relay nesting beyond the engine's single level is rejected.
-        let mut deep = Msg::Results {
-            travel: 1,
-            items: vec![],
-        };
-        for _ in 0..10 {
-            deep = Msg::Relay {
-                travel: 1,
-                from: 0,
-                epoch: 0,
-                tepoch: 0,
-                seq: 1,
-                attempt: 1,
-                inner: Box::new(deep),
-            };
-        }
-        let mut buf = Vec::new();
-        deep.encode(&mut buf);
-        assert!(Msg::decode(&buf).is_none());
-    }
-
-    #[test]
-    fn qos_weight_survives_the_wire() {
-        let mut plan = (*sample_plan()).clone();
-        plan.qos_weight = 4;
-        let mut buf = Vec::new();
-        Msg::Submit {
-            travel: 1,
-            plan: Arc::new(plan),
-            client: 0,
-        }
-        .encode(&mut buf);
-        let Some(Msg::Submit { plan, .. }) = Msg::decode(&buf) else {
-            panic!("expected Submit back");
-        };
-        assert_eq!(plan.qos_weight, 4);
+    /// Decode one blob-log record. `None` for unknown tags or malformed
+    /// bodies (forward compatibility: unknown records are skipped, the
+    /// CRC framing already rejected torn writes).
+    pub fn decode(blob: &[u8]) -> Option<(TravelId, LedgerEvent)> {
+        let mut r = Reader::new(blob);
+        let tag = r.u8().ok()?;
+        let travel = r.u64().ok()?;
+        let ev = LedgerEvent::get_fields(tag, &mut r)?;
+        r.finish().ok()?;
+        Some((travel, ev))
     }
 }

@@ -144,6 +144,58 @@ fn chaos_plus_socket_transport_is_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The partition-copy flow over a real socket. A live `migrate` lands
+/// while a travel is in flight; it moves the primary onto the partition's
+/// only replica, which leaves the partition one copy short, so the healer
+/// then re-replicates it. Both runs of the flow send every `Copy*`
+/// message through the wire codec on a Unix-socket mesh, and travels
+/// before, across and after equal the oracle.
+#[test]
+fn partition_copy_over_uds_keeps_travels_on_the_oracle() {
+    let g = random_graph(0xC0B1, 120);
+    let q = &queries()[1];
+    let want = expected(&g, q);
+    let dir = tmp("copy-uds");
+    // Slow the middle steps so the travel is still running at the move.
+    let crawl = FaultPlan {
+        stragglers: (0..3)
+            .map(|server| Straggler {
+                server,
+                step: 1,
+                delay: Duration::from_millis(2),
+                count: 100,
+            })
+            .collect(),
+    };
+    let cluster = Cluster::build(
+        &g,
+        ClusterConfig::new(&dir, 3).replication(2).self_healing(),
+        EngineConfig::new(EngineKind::GraphTrek)
+            .transport(TransportKind::Uds)
+            .faults(crawl),
+    )
+    .unwrap();
+    let ticket = cluster.start(q).unwrap();
+    let from = (ticket.travel() as usize + 1) % 3;
+    let partition = cluster.placement().primaried_by(from)[0];
+    let to = cluster.placement().replicas_of(partition)[0];
+    cluster.migrate(partition, to).unwrap();
+    assert_eq!(cluster.placement().primary_of(partition), to);
+    let got = cluster.wait(&ticket, Duration::from_secs(30)).unwrap();
+    assert_eq!(got.vertices, want, "travel diverged across the move");
+    assert!(
+        cluster.await_self_heal(Duration::from_secs(30)),
+        "the moved partition never got its second copy back"
+    );
+    let m = cluster.metrics();
+    assert!(m.iter().map(|s| s.migrate_chunks_in).sum::<u64>() > 0);
+    assert!(m.iter().map(|s| s.rereplicate_chunks_in).sum::<u64>() > 0);
+    assert!(m.iter().map(|s| s.rereplications).sum::<u64>() > 0);
+    assert_eq!(cluster.submit(q).unwrap().vertices, want);
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ------------------------------------------------------------ proto door
 
 /// A raw proto connection for tests: hello done, requests correlated.

@@ -424,9 +424,9 @@ mod tests {
 
     #[test]
     fn pair_directives_are_collected() {
-        let l = lex("// gt-lint: pair(MigrateBegin -> MigrateAck)\nfn f() {}");
+        let l = lex("// gt-lint: pair(CopyBegin -> CopyApplied)\nfn f() {}");
         assert_eq!(l.pairs.len(), 1);
-        assert_eq!(l.pairs[0].request, "MigrateBegin");
-        assert_eq!(l.pairs[0].ack, "MigrateAck");
+        assert_eq!(l.pairs[0].request, "CopyBegin");
+        assert_eq!(l.pairs[0].ack, "CopyApplied");
     }
 }

@@ -264,7 +264,11 @@ const ET_QUERY: u8 = 5;
 const ET_THROTTLED: u8 = 6;
 const ET_SERVER: u8 = 7;
 
-/// Bounds-checked little-endian reader over a payload.
+/// Bounds-checked little-endian cursor over a payload: the one reader
+/// every GraphTrek wire format decodes through (these frames, the
+/// server-to-server message codec, the coordinator's ledger blobs). The
+/// field accessors and the `put_*` writers are `#[inline]` because the
+/// message codec, in another crate, calls them once per field.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -277,37 +281,42 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.remaining() < n {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    /// The next `n` raw bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
+        let end = self.pos.checked_add(n).ok_or(ProtoError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(ProtoError::Truncated)?;
+        self.pos = end;
         Ok(s)
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, ProtoError> {
         Ok(self.take(1)?[0])
     }
 
     /// Little-endian u16.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, ProtoError> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Little-endian u32.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, ProtoError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Little-endian u64.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, ProtoError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
@@ -315,14 +324,29 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// u32 element count of a sequence whose elements each occupy at
+    /// least `min_elem` encoded bytes. The single hostile-length rule: a
+    /// count the unread input cannot hold is rejected here, so no length
+    /// prefix makes a decoder allocate more than its frame's own size.
+    #[inline]
+    pub fn seq_len(&mut self, min_elem: usize) -> Result<usize, ProtoError> {
+        let n = self.u32()? as usize;
+        match n.checked_mul(min_elem.max(1)) {
+            Some(need) if need <= self.remaining() => Ok(n),
+            _ => Err(ProtoError::Truncated),
+        }
+    }
+
+    /// u32-length-prefixed byte string.
+    #[inline]
+    pub fn bytes(&mut self) -> Result<&'a [u8], ProtoError> {
+        let n = self.seq_len(1)?;
+        self.take(n)
+    }
+
     /// u32-length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, ProtoError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME {
-            return Err(ProtoError::Oversize(n));
-        }
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| ProtoError::BadUtf8)
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| ProtoError::BadUtf8)
     }
 
     /// Error unless the whole payload was consumed.
@@ -335,18 +359,31 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
+/// Append a little-endian u16.
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Append a little-endian u32.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Append a little-endian u64.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+/// Append a u32-length-prefixed byte string.
+#[inline]
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_u32(out, b.len() as u32);
+    out.extend_from_slice(b);
+}
+/// Append a u32-length-prefixed UTF-8 string.
+#[inline]
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
 }
 
 fn put_progress(out: &mut Vec<u8>, p: &WireProgress) {
@@ -362,11 +399,8 @@ fn put_progress(out: &mut Vec<u8>, p: &WireProgress) {
 fn read_progress(r: &mut Reader<'_>) -> Result<WireProgress, ProtoError> {
     let created = r.u64()?;
     let terminated = r.u64()?;
-    let n = r.u32()? as usize;
-    if n > MAX_FRAME / 10 {
-        return Err(ProtoError::Oversize(n));
-    }
-    let mut outstanding_by_depth = Vec::with_capacity(n.min(1024));
+    let n = r.seq_len(10)?;
+    let mut outstanding_by_depth = Vec::with_capacity(n);
     for _ in 0..n {
         let d = r.u16()?;
         let c = r.u64()?;
@@ -577,18 +611,12 @@ impl ServerMsg {
             },
             ST_RESULT => {
                 let id = r.u64()?;
-                let nd = r.u32()? as usize;
-                if nd > MAX_FRAME / 6 {
-                    return Err(ProtoError::Oversize(nd));
-                }
-                let mut by_depth = Vec::with_capacity(nd.min(1024));
+                let nd = r.seq_len(6)?;
+                let mut by_depth = Vec::with_capacity(nd);
                 for _ in 0..nd {
                     let d = r.u16()?;
-                    let nv = r.u32()? as usize;
-                    if nv > MAX_FRAME / 8 {
-                        return Err(ProtoError::Oversize(nv));
-                    }
-                    let mut vs = Vec::with_capacity(nv.min(65_536));
+                    let nv = r.seq_len(8)?;
+                    let mut vs = Vec::with_capacity(nv);
                     for _ in 0..nv {
                         vs.push(r.u64()?);
                     }
@@ -608,11 +636,8 @@ impl ServerMsg {
                 error: read_error(&mut r)?,
             },
             ST_METRICS_REPORT => {
-                let n = r.u32()? as usize;
-                if n > MAX_FRAME / 13 {
-                    return Err(ProtoError::Oversize(n));
-                }
-                let mut counters = Vec::with_capacity(n.min(4096));
+                let n = r.seq_len(12)?;
+                let mut counters = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = r.string()?;
                     let v = r.u64()?;

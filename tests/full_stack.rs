@@ -2,6 +2,7 @@
 //! fabric → engines, exercised together the way the benchmark harness and
 //! a downstream user would.
 
+use graphtrek_suite::graphtrek::engine::TransportKind;
 use graphtrek_suite::prelude::*;
 use gt_kvstore::IoProfile;
 use std::time::Duration;
@@ -63,21 +64,25 @@ fn darshan_provenance_with_typed_source_scan() {
         !want.all_vertices().is_empty(),
         "workload should produce matches"
     );
-    let dir = tmp("darshan-prov");
-    let cluster = Cluster::build(
-        &d.graph,
-        ClusterConfig::new(&dir, 6),
-        EngineConfig::new(EngineKind::GraphTrek),
-    )
-    .unwrap();
-    let got = cluster.submit(&q).unwrap();
-    assert_eq!(got.vertices, want.all_vertices());
-    // All returned vertices are executions.
-    for v in &got.vertices {
-        assert_eq!(d.graph.vertex(*v).unwrap().vtype, "Execution");
+    // Once on the in-process fabric, once with every message encoded
+    // through the wire codec onto a Unix-socket mesh.
+    for transport in [TransportKind::InProc, TransportKind::Uds] {
+        let dir = tmp(&format!("darshan-prov-{}", transport.label()));
+        let cluster = Cluster::build(
+            &d.graph,
+            ClusterConfig::new(&dir, 6),
+            EngineConfig::new(EngineKind::GraphTrek).transport(transport),
+        )
+        .unwrap();
+        let got = cluster.submit(&q).unwrap();
+        assert_eq!(got.vertices, want.all_vertices(), "{}", transport.label());
+        // All returned vertices are executions.
+        for v in &got.vertices {
+            assert_eq!(d.graph.vertex(*v).unwrap().vtype, "Execution");
+        }
+        cluster.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
-    cluster.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
