@@ -7,13 +7,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use graphtrek::cache::TraversalCache;
 use graphtrek::prelude::*;
 use graphtrek::queue::{FifoQueue, MergingQueue, ReqMode, RequestQueue, RequestState, WorkItem};
-use gt_graph::{EdgeCutPartitioner, GraphPartition, VertexId};
-use gt_kvstore::{IoProfile, Store, StoreConfig};
+use gt_graph::{codec, Edge, EdgeCutPartitioner, GraphPartition, InMemoryGraph, Props, VertexId};
+use gt_kvstore::{IoProfile, ReadView, Store, StoreConfig};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn storage_partition() -> (GraphPartition, std::path::PathBuf) {
+fn storage_partition() -> (GraphPartition, InMemoryGraph, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("gt-micro-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = Arc::new(Store::open(StoreConfig::new(&dir).io(IoProfile::free())).unwrap());
@@ -26,11 +26,47 @@ fn storage_partition() -> (GraphPartition, std::path::PathBuf) {
     });
     p.load(g.iter_vertices().cloned(), g.iter_edges()).unwrap();
     p.seal_cold().unwrap();
-    (p, dir)
+    (p, g, dir)
 }
 
 fn bench_storage(c: &mut Criterion) {
-    let (p, dir) = storage_partition();
+    let (p, g, dir) = storage_partition();
+    let label = gt_rmat::RMAT_ELABEL;
+    let degree = |v: u64| g.edges_from(VertexId(v), label).len();
+    let hub = (0..1024u64).max_by_key(|&v| degree(v)).unwrap();
+    let leaf = (0..1024u64)
+        .filter(|&v| degree(v) > 0)
+        .min_by_key(|&v| degree(v))
+        .unwrap();
+    let mut group = c.benchmark_group("micro_visit_reads");
+    // What an unfiltered step reads (existence, destinations) against the
+    // full decode a filtered step still pays.
+    group.bench_function("has_vertex_at", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7) % 1024;
+            std::hint::black_box(p.has_vertex_at(VertexId(i), ReadView::LATEST).unwrap())
+        })
+    });
+    for (name, v) in [("hub", hub), ("leaf", leaf)] {
+        group.bench_function(format!("edge_dsts_at_{name}_deg{}", degree(v)), |b| {
+            b.iter(|| {
+                std::hint::black_box(
+                    p.edge_dsts_at(VertexId(v), label, ReadView::LATEST)
+                        .unwrap(),
+                )
+            })
+        });
+        group.bench_function(format!("edges_out_at_{name}_deg{}", degree(v)), |b| {
+            b.iter(|| {
+                std::hint::black_box(
+                    p.edges_out_at(VertexId(v), label, ReadView::LATEST)
+                        .unwrap(),
+                )
+            })
+        });
+    }
+    group.finish();
     let mut group = c.benchmark_group("micro_storage");
     group.bench_function("get_vertex_warm", |b| {
         let mut i = 0u64;
@@ -47,6 +83,27 @@ fn bench_storage(c: &mut Criterion) {
         })
     });
     group.finish();
+    // The sealed partition holds one segment and an empty memtable, so a
+    // prefix scan sees one layer; one more edge per vertex in the memtable
+    // puts the same scans on the layered merge.
+    let edges = p.store().namespace("edges").unwrap();
+    let scan_all = |b: &mut criterion::Bencher| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7) % 1024;
+            let prefix = codec::edge_label_prefix(VertexId(i), label);
+            std::hint::black_box(edges.scan_prefix(&prefix).unwrap())
+        })
+    };
+    let mut group = c.benchmark_group("micro_scan_prefix");
+    group.bench_function("single_segment", scan_all);
+    for v in 0..1024u64 {
+        p.put_edge(&Edge::new(v, label, 1u64 << 40, Props::new()))
+            .unwrap();
+    }
+    group.bench_function("layered_memtable_over_segment", scan_all);
+    group.finish();
+    drop(edges);
     drop(p);
     std::fs::remove_dir_all(dir).ok();
 }

@@ -88,7 +88,43 @@ impl TraversalCache {
         if self.capacity == 0 {
             return CacheDecision::FirstVisit;
         }
+        self.observe_locked(&mut self.inner.lock(), travel, step, vertex, tokens)
+    }
+
+    /// Consult-and-update for every request of one `Visit` message under
+    /// one lock acquisition. Returns the requests still to be served —
+    /// first visits as they came, re-visits narrowed to their unseen
+    /// tokens — and how many were abandoned as redundant.
+    pub fn observe_many(
+        &self,
+        travel: TravelId,
+        step: u16,
+        items: Vec<(VertexId, Tokens)>,
+    ) -> (Vec<(VertexId, Tokens)>, u64) {
+        if self.capacity == 0 {
+            return (items, 0);
+        }
         let mut map = self.inner.lock();
+        let mut kept = Vec::with_capacity(items.len());
+        let mut redundant = 0u64;
+        for (v, tokens) in items {
+            match self.observe_locked(&mut map, travel, step, v, &tokens) {
+                CacheDecision::FirstVisit => kept.push((v, tokens)),
+                CacheDecision::Redundant => redundant += 1,
+                CacheDecision::NewTokens(new) => kept.push((v, new)),
+            }
+        }
+        (kept, redundant)
+    }
+
+    fn observe_locked(
+        &self,
+        map: &mut HashMap<TravelId, TravelEntries>,
+        travel: TravelId,
+        step: u16,
+        vertex: VertexId,
+        tokens: &Tokens,
+    ) -> CacheDecision {
         let entries = &mut map.entry(travel).or_default().entries;
         match entries.get_mut(&(step, vertex)) {
             Some(seen) => {
@@ -108,7 +144,7 @@ impl TraversalCache {
                 entries.insert((step, vertex), tokens.iter().copied().collect());
                 let total = self.len.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
                 if total > self.capacity {
-                    self.evict_locked(&mut map, travel, (step, vertex));
+                    self.evict_locked(map, travel, (step, vertex));
                 }
                 CacheDecision::FirstVisit
             }
@@ -234,6 +270,46 @@ mod tests {
             c.observe(1, 1, v, &vec![tok(2, 9)]),
             CacheDecision::Redundant
         );
+    }
+
+    #[test]
+    fn observe_many_is_observe_per_item() {
+        let items = vec![
+            (VertexId(1), vec![tok(0, 1)]),
+            (VertexId(2), vec![]),
+            (VertexId(1), vec![tok(0, 1), tok(0, 2)]),
+            (VertexId(2), vec![]),
+        ];
+        let one = TraversalCache::new(100, 0);
+        let decisions: Vec<CacheDecision> = items
+            .iter()
+            .map(|(v, t)| one.observe(9, 3, *v, t))
+            .collect();
+        assert_eq!(
+            decisions,
+            vec![
+                CacheDecision::FirstVisit,
+                CacheDecision::FirstVisit,
+                CacheDecision::NewTokens(vec![tok(0, 2)]),
+                CacheDecision::Redundant,
+            ]
+        );
+        let many = TraversalCache::new(100, 0);
+        let (kept, redundant) = many.observe_many(9, 3, items);
+        assert_eq!(
+            kept,
+            vec![
+                (VertexId(1), vec![tok(0, 1)]),
+                (VertexId(2), vec![]),
+                (VertexId(1), vec![tok(0, 2)]),
+            ]
+        );
+        assert_eq!(redundant, 1);
+        assert_eq!(many.len(), one.len());
+        // Disabled cache: everything passes through untouched.
+        let off = TraversalCache::new(0, 0);
+        let (kept, redundant) = off.observe_many(9, 3, vec![(VertexId(1), vec![]); 2]);
+        assert_eq!((kept.len(), redundant), (2, 0));
     }
 
     #[test]

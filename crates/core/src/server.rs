@@ -20,15 +20,17 @@
 //! traversal is driven by the asynchronous protocol or the synchronous
 //! controller.
 
-use crate::cache::{CacheDecision, TraversalCache};
+use crate::cache::TraversalCache;
 use crate::coordinator::{CoordState, LedgerEvent, SyncState, TravelLedger};
 use crate::engine::{EngineConfig, EngineKind};
 use crate::faults::{CrashPoint, ServerFaults};
 use crate::lang::{vertex_matches, Plan, Source};
 use crate::lockorder::OrderedMutex;
 use crate::message::{CopyPurpose, Msg, SyncExpect};
-use crate::metrics::ServerMetrics;
-use crate::queue::{FifoQueue, MergingQueue, ReqMode, RequestQueue, RequestState, WorkItem};
+use crate::metrics::{ServerMetrics, TravelMetrics};
+use crate::queue::{
+    FifoQueue, MergingQueue, ReqMode, RequestOutput, RequestQueue, RequestState, WorkItem,
+};
 use crate::{ExecId, Token, Tokens, TravelId};
 use gt_graph::{GraphPartition, Props, VertexId};
 use gt_kvstore::wal::BlobLog;
@@ -2465,51 +2467,58 @@ fn handle_visit(
         .requests_received
         .fetch_add(items.len() as u64, Ordering::Relaxed);
     // Traversal-affiliate cache check at receipt (§V-A): redundant
-    // requests are abandoned before they ever reach the queue.
-    let mut kept: Vec<(VertexId, Tokens)> = Vec::with_capacity(items.len());
-    let mut redundant = 0u64;
-    for (v, tokens) in items {
-        match sh.cache.observe(travel, depth, v, &tokens) {
-            CacheDecision::FirstVisit => kept.push((v, tokens)),
-            CacheDecision::Redundant => redundant += 1,
-            CacheDecision::NewTokens(new) => kept.push((v, new)),
-        }
-    }
+    // requests are abandoned before they ever reach the queue. One lock
+    // acquisition covers the whole message.
+    let (kept, redundant) = sh.cache.observe_many(travel, depth, items);
     if redundant > 0 {
         sh.metrics
             .redundant_visits
             .fetch_add(redundant, Ordering::Relaxed);
-        sh.metrics
-            .travel_mut(travel, |t| t.redundant_visits += redundant);
     }
-    let req = Arc::new(RequestState {
-        travel,
-        depth,
-        exec,
-        plan,
-        coordinator,
-        tepoch: sh.travel_epoch_of(travel),
-        mode: ReqMode::Async,
-        remaining: AtomicUsize::new(kept.len()),
-        out: Mutex::new(Default::default()),
-    });
-    if kept.is_empty() {
+    enqueue_execution(
+        sh,
+        RequestState {
+            travel,
+            depth,
+            exec,
+            plan,
+            coordinator,
+            tepoch: sh.travel_epoch_of(travel),
+            mode: ReqMode::Async,
+            remaining: AtomicUsize::new(kept.len()),
+            out: Mutex::new(RequestOutput {
+                tally: TravelMetrics {
+                    redundant_visits: redundant,
+                    ..TravelMetrics::default()
+                },
+                ..RequestOutput::default()
+            }),
+        },
+        kept,
+    );
+}
+
+/// Queue one execution's vertex requests (or flush it at once when none
+/// survived receipt) and sample the queue-length high-water mark from the
+/// push itself.
+fn enqueue_execution(sh: &Arc<Shared>, req: RequestState, items: Vec<(VertexId, Tokens)>) {
+    let req = Arc::new(req);
+    if items.is_empty() {
         flush_request(sh, &req);
         return;
     }
     let enqueued_at = Instant::now();
-    let work: Vec<WorkItem> = kept
+    let work: Vec<WorkItem> = items
         .into_iter()
         .map(|(vertex, tokens)| WorkItem {
             vertex,
-            depth,
+            depth: req.depth,
             tokens,
             enqueued_at,
             req: req.clone(),
         })
         .collect();
-    sh.queue.push_many(work);
-    sh.metrics.observe_queue_len(sh.queue.len());
+    sh.metrics.observe_queue_len(sh.queue.push_many(work));
 }
 
 fn handle_origin_satisfied(
@@ -2773,36 +2782,31 @@ fn enqueue_sync_fragment(
         sh.metrics
             .redundant_visits
             .fetch_add(dup, Ordering::Relaxed);
-        sh.metrics.travel_mut(travel, |t| t.redundant_visits += dup);
     }
-    let req = Arc::new(RequestState {
-        travel,
-        depth,
-        exec: alloc_exec(sh),
-        plan,
-        coordinator,
-        tepoch: sh.travel_epoch_of(travel),
-        mode: ReqMode::SyncStep,
-        remaining: AtomicUsize::new(merged.len()),
-        out: Mutex::new(Default::default()),
-    });
-    if merged.is_empty() {
-        flush_request(sh, &req);
-        return;
-    }
-    let enqueued_at = Instant::now();
-    let work: Vec<WorkItem> = merged
-        .into_iter()
-        .map(|(vertex, tokens)| WorkItem {
-            vertex,
+    enqueue_execution(
+        sh,
+        RequestState {
+            travel,
             depth,
-            tokens: tokens.into_iter().collect(),
-            enqueued_at,
-            req: req.clone(),
-        })
-        .collect();
-    sh.queue.push_many(work);
-    sh.metrics.observe_queue_len(sh.queue.len());
+            exec: alloc_exec(sh),
+            plan,
+            coordinator,
+            tepoch: sh.travel_epoch_of(travel),
+            mode: ReqMode::SyncStep,
+            remaining: AtomicUsize::new(merged.len()),
+            out: Mutex::new(RequestOutput {
+                tally: TravelMetrics {
+                    redundant_visits: dup,
+                    ..TravelMetrics::default()
+                },
+                ..RequestOutput::default()
+            }),
+        },
+        merged
+            .into_iter()
+            .map(|(vertex, tokens)| (vertex, tokens.into_iter().collect()))
+            .collect(),
+    );
 }
 
 fn handle_sync_origin(sh: &Arc<Shared>, travel: TravelId, tokens: &[u64]) {
@@ -2952,8 +2956,52 @@ fn worker_loop(sh: &Arc<Shared>) {
     }
 }
 
+/// What a pop's one vertex access learned.
+enum VertexRead {
+    /// No (intact) record visible at the travel's view.
+    Absent,
+    /// The vertex exists. No step of the pop filters on its type or
+    /// properties, so the record was walked, not decoded.
+    Present,
+    /// The decoded record, for steps that filter on it.
+    Record(gt_graph::Vertex),
+}
+
+/// One label's adjacency as the pop's steps need it.
+enum EdgeScan {
+    /// Destinations only: no step following this label filters on edge
+    /// properties, so only the key tails were decoded.
+    Dsts(Vec<VertexId>),
+    /// Destinations with decoded edge properties.
+    Full(Vec<(VertexId, Props)>),
+}
+
+fn scan_edges(
+    sh: &Arc<Shared>,
+    vertex: VertexId,
+    label: &str,
+    with_props: bool,
+    view: ReadView,
+) -> EdgeScan {
+    if with_props {
+        EdgeScan::Full(
+            sh.partition
+                .edges_out_at(vertex, label, view)
+                .unwrap_or_default(),
+        )
+    } else {
+        EdgeScan::Dsts(
+            sh.partition
+                .edge_dsts_at(vertex, label, view)
+                .unwrap_or_default(),
+        )
+    }
+}
+
 /// Process every queued part for one vertex with a single storage access
-/// (execution merging, §V-B).
+/// (execution merging, §V-B), reading and decoding only what the parts'
+/// steps use: the record is decoded only if some step filters on it, an
+/// adjacency only carries edge properties if some step filters on them.
 ///
 /// Parts sharing the same depth are *coalesced duplicates* (several
 /// executions requested the same `(step, vertex)` while it sat in the
@@ -2962,76 +3010,113 @@ fn worker_loop(sh: &Arc<Shared>) {
 /// origin tokens — and the twins only tick their executions' countdowns
 /// (counted as redundant visits). Parts at *different* depths are the
 /// §V-B execution merge: distinct traversal work sharing one disk access
-/// (counted as combined visits).
-fn process_parts(sh: &Arc<Shared>, parts: Vec<WorkItem>) {
-    debug_assert!(!parts.is_empty());
-    let vertex = parts[0].vertex;
-    // All parts of one pop belong to one travel (neither queue merges
-    // across travels); attribute the pop's accounting to it.
-    let travel = parts[0].req.travel;
+/// (counted as combined visits). Nearly every pop is a single part, for
+/// which all of this degenerates to one step on borrowed tokens: nothing
+/// is regrouped or cloned.
+fn process_parts(sh: &Arc<Shared>, mut parts: Vec<WorkItem>) {
     let popped_at = Instant::now();
-    let wait_ns: u64 = parts
-        .iter()
-        .map(|p| {
-            popped_at
-                .saturating_duration_since(p.enqueued_at)
-                .as_nanos() as u64
-        })
-        .sum();
-    let n_parts = parts.len() as u64;
-    let Some(min_depth) = parts.iter().map(|p| p.depth).min() else {
+    // Both queues hand the parts over shallowest depth first; the stable
+    // sort (a no-op on sorted input) makes the run-grouping below hold for
+    // any queue.
+    parts.sort_by_key(|p| p.depth);
+    let Some(first) = parts.first() else {
         return; // unreachable: the queue never yields an empty batch
+    };
+    let (vertex, min_depth) = (first.vertex, first.depth);
+    // All parts of one pop belong to one travel (neither queue merges
+    // across travels), so its accounting rides on the first part's
+    // execution and one read view covers every part.
+    let view = plan_view(&first.req.plan);
+    let n_groups = parts.chunk_by(|a, b| a.depth == b.depth).count() as u64;
+    let mut tally = TravelMetrics {
+        real_io_visits: 1,
+        combined_visits: n_groups - 1,
+        redundant_visits: parts.len() as u64 - n_groups,
+        queue_wait_ns: parts
+            .iter()
+            .map(|p| {
+                popped_at
+                    .saturating_duration_since(p.enqueued_at)
+                    .as_nanos() as u64
+            })
+            .sum(),
+        queue_popped: parts.len() as u64,
     };
     // Transient-straggler injection (Fig. 11): one delay per vertex access.
     if let Some(d) = sh.faults.charge(min_depth) {
         sh.metrics.injected_delays.fetch_add(1, Ordering::Relaxed);
         crate::faults::sleep_exact(d);
     }
-    // One real vertex access serves all merged parts. Every part of a
-    // pop belongs to one travel, so one read view covers them all.
-    let vdata = sh
-        .partition
-        .get_vertex_at(vertex, plan_view(&parts[0].req.plan))
-        .ok()
-        .flatten();
+    // One real vertex access serves all merged parts.
+    let needs_record = parts
+        .iter()
+        .any(|p| !p.req.plan.vertex_filters_at(p.depth).is_empty());
+    let vread = if needs_record {
+        match sh.partition.get_vertex_at(vertex, view) {
+            Ok(Some(v)) => VertexRead::Record(v),
+            _ => VertexRead::Absent,
+        }
+    } else {
+        match sh.partition.has_vertex_at(vertex, view) {
+            Ok(true) => VertexRead::Present,
+            _ => VertexRead::Absent,
+        }
+    };
     sh.metrics.real_io_visits.fetch_add(1, Ordering::Relaxed);
-    // Group by depth, preserving order.
-    let mut by_depth: BTreeMap<u16, Vec<WorkItem>> = BTreeMap::new();
-    for part in parts {
-        by_depth.entry(part.depth).or_default().push(part);
-    }
-    let combined = by_depth.len() as u64 - 1;
-    if combined > 0 {
+    if tally.combined_visits > 0 {
         sh.metrics
             .combined_visits
-            .fetch_add(combined, Ordering::Relaxed);
+            .fetch_add(tally.combined_visits, Ordering::Relaxed);
     }
-    let dup_redundant: u64 = by_depth.values().map(|g| g.len() as u64 - 1).sum();
-    sh.metrics.travel_mut(travel, |t| {
-        t.real_io_visits += 1;
-        t.combined_visits += combined;
-        t.redundant_visits += dup_redundant;
-        t.queue_wait_ns += wait_ns;
-        t.queue_popped += n_parts;
-    });
+    if tally.redundant_visits > 0 {
+        sh.metrics
+            .redundant_visits
+            .fetch_add(tally.redundant_visits, Ordering::Relaxed);
+    }
     // Edge scans shared across merged parts that follow the same label.
-    let mut edge_cache: HashMap<String, Arc<Vec<(VertexId, Props)>>> = HashMap::new();
-    for (_, group) in by_depth {
-        if group.len() > 1 {
-            sh.metrics
-                .redundant_visits
-                .fetch_add(group.len() as u64 - 1, Ordering::Relaxed);
-        }
-        // Union the duplicates' tokens into the lead part.
-        let mut lead = group[0].clone();
+    let mut scans: Vec<(&str, EdgeScan)> = Vec::new();
+    for group in parts.chunk_by(|a, b| a.depth == b.depth) {
+        let lead = &group[0];
+        // Union the duplicates' tokens into the lead part's.
+        let mut unioned: Option<Tokens> = None;
         for twin in &group[1..] {
+            let tokens = unioned.get_or_insert_with(|| lead.tokens.clone());
             for t in &twin.tokens {
-                if !lead.tokens.contains(t) {
-                    lead.tokens.push(*t);
+                if !tokens.contains(t) {
+                    tokens.push(*t);
                 }
             }
         }
-        process_one(sh, &vdata, &lead, &mut edge_cache);
+        let step = Step {
+            req: &lead.req,
+            depth: lead.depth,
+            vertex,
+            tokens: unioned.as_ref().unwrap_or(&lead.tokens),
+        };
+        if !step.admits(&vread) {
+            step.record(std::mem::take(&mut tally));
+        } else if let Some(hop) = lead.req.plan.hop_from(lead.depth) {
+            let label = hop.edge_label.as_str();
+            let i = match scans.iter().position(|(l, _)| *l == label) {
+                Some(i) => i,
+                None => {
+                    // With props if any part following this label filters
+                    // on them, so the label is scanned once per pop.
+                    let with_props = parts.iter().any(|p| {
+                        p.req
+                            .plan
+                            .hop_from(p.depth)
+                            .is_some_and(|h| h.edge_label == label && !h.edge_filters.is_empty())
+                    });
+                    scans.push((label, scan_edges(sh, vertex, label, with_props, view)));
+                    scans.len() - 1
+                }
+            };
+            let scan = &scans[i].1;
+            step.fan_out(sh, hop, scan, std::mem::take(&mut tally));
+        } else {
+            step.complete(sh, std::mem::take(&mut tally));
+        }
         for part in group {
             if part.req.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 flush_request(sh, &part.req);
@@ -3040,65 +3125,98 @@ fn process_parts(sh: &Arc<Shared>, parts: Vec<WorkItem>) {
     }
 }
 
-fn process_one(
-    sh: &Arc<Shared>,
-    vdata: &Option<gt_graph::Vertex>,
-    part: &WorkItem,
-    edge_cache: &mut HashMap<String, Arc<Vec<(VertexId, Props)>>>,
-) {
-    let Some(v) = vdata else { return };
-    let plan = &part.req.plan;
-    let depth = part.depth;
-    if !vertex_matches(&v.vtype, &v.props, plan.vertex_filters_at(depth)) {
-        return;
-    }
-    let mut tokens = part.tokens.clone();
-    if plan.rtn_at(depth) {
-        let id = register_token(sh, part.req.travel, depth, v.id);
-        let own = Token {
-            owner: sh.id as u16,
-            id,
-        };
-        if !tokens.contains(&own) {
-            tokens.push(own);
+/// One traversal step of one execution on the pop's vertex.
+struct Step<'a> {
+    req: &'a RequestState,
+    depth: u16,
+    vertex: VertexId,
+    tokens: &'a Tokens,
+}
+
+impl Step<'_> {
+    /// Whether the vertex exists and passes this step's `va()` filters.
+    fn admits(&self, vread: &VertexRead) -> bool {
+        let filters = self.req.plan.vertex_filters_at(self.depth);
+        match vread {
+            VertexRead::Absent => false,
+            VertexRead::Record(v) => vertex_matches(&v.vtype, &v.props, filters),
+            // `process_parts` decodes the record whenever any step of the
+            // pop has filters, so an undecoded vertex meets none here.
+            VertexRead::Present => {
+                debug_assert!(filters.is_empty());
+                true
+            }
         }
     }
-    if depth == plan.depth() {
-        // End of the chain: the path completed.
-        let mut out = part.req.out.lock();
-        if plan.returns_final() {
-            out.results.push((depth, v.id));
+
+    /// The tokens riding on from this step: the arriving ones, plus this
+    /// vertex's own when the step is `rtn()`-marked.
+    fn outgoing_tokens(&self, sh: &Arc<Shared>) -> std::borrow::Cow<'_, Tokens> {
+        let mut tokens = std::borrow::Cow::Borrowed(self.tokens);
+        if self.req.plan.rtn_at(self.depth) {
+            let own = Token {
+                owner: sh.id as u16,
+                id: register_token(sh, self.req.travel, self.depth, self.vertex),
+            };
+            if !tokens.contains(&own) {
+                tokens.to_mut().push(own);
+            }
+        }
+        tokens
+    }
+
+    /// The step produced nothing; only the pop's accounting (if this step
+    /// carries it) goes into the execution.
+    fn record(&self, tally: TravelMetrics) {
+        if tally != TravelMetrics::default() {
+            self.req.out.lock().tally.merge(&tally);
+        }
+    }
+
+    /// End of the chain: the path completed.
+    fn complete(&self, sh: &Arc<Shared>, tally: TravelMetrics) {
+        let tokens = self.outgoing_tokens(sh);
+        let mut out = self.req.out.lock();
+        out.tally.merge(&tally);
+        if self.req.plan.returns_final() {
+            out.results.push((self.depth, self.vertex));
         }
         out.satisfied.extend(tokens.iter().copied());
-        return;
     }
-    let Some(hop) = plan.hop_from(depth) else {
-        return; // unreachable: depth < plan.depth() always has a next hop
-    };
-    let edges = match edge_cache.get(&hop.edge_label) {
-        Some(e) => e.clone(),
-        None => {
-            let scanned = sh
-                .partition
-                .edges_out_at(v.id, &hop.edge_label, plan_view(plan))
-                .unwrap_or_default();
-            let arc = Arc::new(scanned);
-            edge_cache.insert(hop.edge_label.clone(), arc.clone());
-            arc
+
+    /// Route every (matching) edge's destination to its owner's share of
+    /// the next step.
+    fn fan_out(
+        &self,
+        sh: &Arc<Shared>,
+        hop: &crate::lang::PlanStep,
+        scan: &EdgeScan,
+        tally: TravelMetrics,
+    ) {
+        let tokens = self.outgoing_tokens(sh);
+        let mut out = self.req.out.lock();
+        out.tally.merge(&tally);
+        let mut emit = |dst: VertexId| {
+            let owner = route_frontier_read(sh, self.req.travel, dst);
+            out.dst_by_owner
+                .entry(owner)
+                .or_default()
+                .entry(dst)
+                .or_default()
+                .extend(tokens.iter().copied());
+        };
+        match scan {
+            EdgeScan::Dsts(dsts) => {
+                // `process_parts` scans with props whenever a step on
+                // this label filters on them.
+                debug_assert!(hop.edge_filters.is_empty());
+                dsts.iter().copied().for_each(emit)
+            }
+            EdgeScan::Full(edges) => edges
+                .iter()
+                .filter(|(_, eprops)| hop.edge_filters.matches(eprops))
+                .for_each(|(dst, _)| emit(*dst)),
         }
-    };
-    let mut out = part.req.out.lock();
-    for (dst, eprops) in edges.iter() {
-        if !hop.edge_filters.matches(eprops) {
-            continue;
-        }
-        let owner = route_frontier_read(sh, part.req.travel, *dst);
-        out.dst_by_owner
-            .entry(owner)
-            .or_default()
-            .entry(*dst)
-            .or_default()
-            .extend(tokens.iter().copied());
     }
 }
 
@@ -3149,6 +3267,12 @@ fn register_token(sh: &Arc<Shared>, travel: TravelId, depth: u16, vertex: Vertex
 fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
     let out = std::mem::take(&mut *req.out.lock());
     let travel = req.travel;
+    // The execution's visits accumulated their per-travel accounting in
+    // `out`; one table update covers them all, ahead of the termination
+    // report so the travel's counters are complete when it finishes.
+    if out.tally != TravelMetrics::default() {
+        sh.metrics.travel_mut(travel, |t| t.merge(&out.tally));
+    }
     // Group satisfied tokens by owning server.
     let mut satisfied_by_owner: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for t in &out.satisfied {

@@ -38,6 +38,8 @@ struct StepSpec {
     label: u8,
     ts_filter: Option<(i64, i64)>,
     w_filter: Option<(i64, i64)>,
+    /// `va('type', EQ, …)` on the step's destination vertices.
+    type_filter: Option<u8>,
     rtn: bool,
 }
 
@@ -47,6 +49,12 @@ struct PlanSpec {
     all_source: bool,
     type_filter: Option<u8>,
     source_rtn: bool,
+    /// Follow this one label at every step. On a cyclic graph the same
+    /// vertex is then reached at several depths, so the merging queue
+    /// hands workers pops whose parts mix filtered and unfiltered steps —
+    /// the visit path must read the record (or the edge properties) for
+    /// all of them as soon as one of them needs it.
+    one_label: Option<u8>,
     steps: Vec<StepSpec>,
 }
 
@@ -55,12 +63,14 @@ fn step_spec() -> impl Strategy<Value = StepSpec> {
         0u8..3,
         proptest::option::of((0i64..20, 0i64..20)),
         proptest::option::weighted(0.3, (0i64..10, 0i64..10)),
+        proptest::option::weighted(0.15, 0u8..3),
         proptest::bool::weighted(0.3),
     )
-        .prop_map(|(label, ts, w, rtn)| StepSpec {
+        .prop_map(|(label, ts, w, type_filter, rtn)| StepSpec {
             label,
             ts_filter: ts.map(|(a, b)| (a.min(b), a.max(b))),
             w_filter: w.map(|(a, b)| (a.min(b), a.max(b))),
+            type_filter,
             rtn,
         })
 }
@@ -71,14 +81,16 @@ fn plan_spec() -> impl Strategy<Value = PlanSpec> {
         proptest::bool::weighted(0.3),
         proptest::option::weighted(0.4, 0u8..3),
         proptest::bool::weighted(0.25),
+        proptest::option::weighted(0.4, 0u8..3),
         proptest::collection::vec(step_spec(), 0..5),
     )
         .prop_map(
-            |(sources, all_source, type_filter, source_rtn, steps)| PlanSpec {
+            |(sources, all_source, type_filter, source_rtn, one_label, steps)| PlanSpec {
                 sources,
                 all_source,
                 type_filter,
                 source_rtn,
+                one_label,
                 steps,
             },
         )
@@ -128,12 +140,15 @@ fn build_query(spec: &PlanSpec, n_vertices: u64) -> GTravel {
         q = q.rtn();
     }
     for s in &spec.steps {
-        q = q.e(LABELS[s.label as usize]);
+        q = q.e(LABELS[spec.one_label.unwrap_or(s.label) as usize]);
         if let Some((lo, hi)) = s.ts_filter {
             q = q.ea(PropFilter::range("ts", lo, hi));
         }
         if let Some((lo, hi)) = s.w_filter {
             q = q.va(PropFilter::range("w", lo, hi));
+        }
+        if let Some(t) = s.type_filter {
+            q = q.va(PropFilter::eq("type", TYPES[t as usize]));
         }
         if s.rtn {
             q = q.rtn();
@@ -222,7 +237,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
     #[test]
-    fn engines_match_oracle(gspec in graph_spec(), pspec in plan_spec(), n_servers in 1usize..5) {
+    fn engines_match_oracle(
+        gspec in graph_spec(),
+        pspec in plan_spec(),
+        n_servers in 1usize..5,
+        workers in 1usize..3,
+    ) {
         let g = build_graph(&gspec);
         let q = build_query(&pspec, gspec.n_vertices);
         let plan = q.compile().unwrap();
@@ -245,7 +265,7 @@ proptest! {
             let cluster = Cluster::build(
                 &g,
                 ClusterConfig::new(&dir, n_servers),
-                EngineConfig::new(kind),
+                EngineConfig::new(kind).workers(workers),
             )
             .unwrap();
             let got = cluster.submit(&q).unwrap();
@@ -254,9 +274,10 @@ proptest! {
             prop_assert_eq!(
                 &got.by_depth,
                 &want_map,
-                "{:?} on {} servers diverged; plan = {:?}",
+                "{:?} on {} servers x {} workers diverged; plan = {:?}",
                 kind,
                 n_servers,
+                workers,
                 plan
             );
         }

@@ -239,3 +239,90 @@ fn zero_step_plan_on_all_engines() {
     let q = GTravel::v_all().va(PropFilter::eq("type", "File"));
     check_all_engines(&g, &q, 3, "zerostep");
 }
+
+/// A dense cyclic graph walked along one label reaches the same vertex at
+/// several depths at once, so the merging queue pops parts of different
+/// steps together. The steps below alternate between needing nothing of
+/// the vertex (existence only), its record (`va`), and the edge
+/// properties (`ea`): one pop then serves a step that filters beside one
+/// that does not, on one vertex read and one scan per label.
+#[test]
+fn merged_pops_mixing_filtered_and_unfiltered_steps_stay_on_the_oracle() {
+    let n = 48u64;
+    let mut g = InMemoryGraph::new();
+    for i in 0..n {
+        let vtype = if i % 3 == 0 { "File" } else { "Job" };
+        g.add_vertex(Vertex::new(
+            i,
+            vtype,
+            Props::new().with("w", (i % 7) as i64),
+        ));
+    }
+    for i in 0..n {
+        for (k, hop) in [1u64, 5, 11, 17].into_iter().enumerate() {
+            g.add_edge(Edge::new(
+                i,
+                "link",
+                (i * 5 + hop) % n,
+                Props::new().with("ts", ((i + k as u64) % 10) as i64),
+            ));
+        }
+    }
+    // Selective filters with `rtn()` right on them: a step served without
+    // its filter shows up as extra vertices at that depth.
+    let q = GTravel::v((0..6u64).collect::<Vec<_>>())
+        .e("link")
+        .e("link")
+        .va(PropFilter::range("w", 2i64, 4i64))
+        .rtn()
+        .e("link")
+        .ea(PropFilter::range("ts", 2i64, 5i64))
+        .rtn()
+        .e("link")
+        .va(PropFilter::eq("type", "File"))
+        .rtn()
+        .e("link")
+        .e("link")
+        .ea(PropFilter::range("ts", 0i64, 3i64))
+        .rtn()
+        .e("link");
+    let want = oracle::traverse(&g, &q.compile().unwrap());
+    let want_map: BTreeMap<u16, Vec<VertexId>> = want
+        .by_depth
+        .iter()
+        .map(|(&d, s)| (d, s.iter().copied().collect()))
+        .collect();
+    assert!(
+        want_map.values().any(|v| !v.is_empty()),
+        "the scenario must return something"
+    );
+    // Slow pops at the shallow steps let deeper requests pile up behind
+    // them; one worker per server keeps the backlog in the queue.
+    let faults = FaultPlan {
+        stragglers: (0..2)
+            .flat_map(|server| {
+                [1u16, 2].map(|step| Straggler {
+                    server,
+                    step,
+                    delay: std::time::Duration::from_micros(300),
+                    count: 40,
+                })
+            })
+            .collect(),
+    };
+    let dir = tmp("mixed-merge");
+    let cluster = Cluster::build(
+        &g,
+        ClusterConfig::new(&dir, 2),
+        EngineConfig::new(EngineKind::GraphTrek)
+            .workers(1)
+            .faults(faults),
+    )
+    .unwrap();
+    let got = cluster.submit(&q).unwrap();
+    assert_eq!(got.by_depth, want_map);
+    let merged: u64 = cluster.metrics().iter().map(|m| m.combined_visits).sum();
+    assert!(merged > 0, "the scenario must exercise multi-depth pops");
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

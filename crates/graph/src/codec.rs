@@ -69,6 +69,32 @@ fn decode_value(data: &[u8], pos: &mut usize) -> Option<PropValue> {
     }
 }
 
+/// Step over one encoded value without building it; `None` exactly when
+/// [`decode_value`] would reject it.
+fn skip_value(data: &[u8], pos: &mut usize) -> Option<()> {
+    let tag = *data.get(*pos)?;
+    *pos += 1;
+    match tag {
+        TAG_INT | TAG_FLOAT => {
+            data.get(*pos..*pos + 8)?;
+            *pos += 8;
+        }
+        TAG_STR => {
+            let b = data.get(*pos..*pos + 4)?;
+            let n = u32::from_le_bytes(b.try_into().ok()?) as usize;
+            *pos += 4;
+            std::str::from_utf8(data.get(*pos..*pos + n)?).ok()?;
+            *pos += n;
+        }
+        TAG_BOOL => {
+            data.get(*pos)?;
+            *pos += 1;
+        }
+        _ => return None,
+    }
+    Some(())
+}
+
 /// Encode a property map.
 pub fn encode_props(props: &Props) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + props.len() * 24);
@@ -101,6 +127,25 @@ pub fn decode_props(data: &[u8]) -> Option<Props> {
     Some(props)
 }
 
+/// Whether [`decode_props`] would accept `data`, decided by walking the
+/// length fields: no `String`, no map. Lets a read that only needs to know
+/// a record is intact (an unfiltered traversal step) skip the decode.
+pub fn props_well_formed(data: &[u8]) -> bool {
+    fn walk(data: &[u8]) -> Option<()> {
+        let n = u16::from_le_bytes(data.get(0..2)?.try_into().ok()?) as usize;
+        let mut pos = 2usize;
+        for _ in 0..n {
+            let klen = u16::from_le_bytes(data.get(pos..pos + 2)?.try_into().ok()?) as usize;
+            pos += 2;
+            std::str::from_utf8(data.get(pos..pos + klen)?).ok()?;
+            pos += klen;
+            skip_value(data, &mut pos)?;
+        }
+        (pos == data.len()).then_some(())
+    }
+    walk(data).is_some()
+}
+
 /// Encode a vertex record (type + props) for the vertex namespace.
 pub fn encode_vertex(v: &Vertex) -> Bytes {
     let props = encode_props(&v.props);
@@ -117,6 +162,18 @@ pub fn decode_vertex(id: VertexId, data: &[u8]) -> Option<Vertex> {
     let vtype = String::from_utf8(data.get(2..2 + tlen)?.to_vec()).ok()?;
     let props = decode_props(data.get(2 + tlen..)?)?;
     Some(Vertex { id, vtype, props })
+}
+
+/// Whether [`decode_vertex`] would accept `data` — the existence-only
+/// form of the vertex read (see [`props_well_formed`]).
+pub fn vertex_well_formed(data: &[u8]) -> bool {
+    let Some(tlen) = data.get(0..2).and_then(|b| b.try_into().ok()) else {
+        return false;
+    };
+    let tlen = u16::from_le_bytes(tlen) as usize;
+    data.get(2..2 + tlen)
+        .is_some_and(|t| std::str::from_utf8(t).is_ok())
+        && data.get(2 + tlen..).is_some_and(props_well_formed)
 }
 
 /// Storage key of a vertex in the vertex namespace: big-endian id.
@@ -153,8 +210,8 @@ pub fn edge_src_prefix(src: VertexId) -> [u8; 8] {
     src.to_be_bytes()
 }
 
-/// Decode `(src, label, dst)` from an edge key.
-pub fn decode_edge_key(key: &[u8]) -> Option<(VertexId, String, VertexId)> {
+/// Split an edge key into `(src, label, dst)` without copying the label.
+pub fn split_edge_key(key: &[u8]) -> Option<(VertexId, &str, VertexId)> {
     if key.len() < 17 {
         return None;
     }
@@ -163,9 +220,14 @@ pub fn decode_edge_key(key: &[u8]) -> Option<(VertexId, String, VertexId)> {
     if key.len() != 9 + llen + 8 {
         return None;
     }
-    let label = String::from_utf8(key[9..9 + llen].to_vec()).ok()?;
+    let label = std::str::from_utf8(&key[9..9 + llen]).ok()?;
     let dst = VertexId::from_be_bytes(key[9 + llen..].try_into().ok()?);
     Some((src, label, dst))
+}
+
+/// Decode `(src, label, dst)` from an edge key.
+pub fn decode_edge_key(key: &[u8]) -> Option<(VertexId, String, VertexId)> {
+    split_edge_key(key).map(|(src, label, dst)| (src, label.to_string(), dst))
 }
 
 #[cfg(test)]

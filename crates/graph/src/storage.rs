@@ -151,24 +151,36 @@ impl GraphPartition {
     /// Fetch a vertex with its attributes. This is the "vertex visit" the
     /// traversal engine accounts as one storage access.
     pub fn get_vertex(&self, id: VertexId) -> Result<Option<Vertex>> {
-        if self.store.versioning_enabled() {
-            return self.get_vertex_at(id, ReadView::LATEST);
-        }
-        Ok(self
-            .verts
-            .get(&codec::vertex_key(id))?
-            .and_then(|data| codec::decode_vertex(id, &data)))
+        self.get_vertex_at(id, ReadView::LATEST)
     }
 
     /// Fetch a vertex as visible at `view`.
     pub fn get_vertex_at(&self, id: VertexId, view: ReadView) -> Result<Option<Vertex>> {
-        if !self.store.versioning_enabled() {
-            return self.get_vertex(id);
-        }
         Ok(self
-            .verts
-            .get_at(&codec::vertex_key(id), view)?
+            .vertex_record(id, view)?
             .and_then(|data| codec::decode_vertex(id, &data)))
+    }
+
+    /// Whether vertex `id` is visible at `view`: the same storage read,
+    /// I/O-model charge and `IoStats` as [`Self::get_vertex_at`], but the
+    /// record is only walked, never built — what an unfiltered traversal
+    /// step needs. A record `get_vertex_at` would reject is absent here
+    /// too.
+    pub fn has_vertex_at(&self, id: VertexId, view: ReadView) -> Result<bool> {
+        Ok(self
+            .vertex_record(id, view)?
+            .is_some_and(|data| codec::vertex_well_formed(&data)))
+    }
+
+    /// The stored record of vertex `id` as visible at `view` (the view
+    /// only matters to a versioned store).
+    fn vertex_record(&self, id: VertexId, view: ReadView) -> Result<Option<bytes::Bytes>> {
+        let key = codec::vertex_key(id);
+        if self.store.versioning_enabled() {
+            self.verts.get_at(&key, view)
+        } else {
+            self.verts.get(&key)
+        }
     }
 
     /// Outgoing edges of `src` carrying `label`, as `(dst, props)` pairs
@@ -194,6 +206,25 @@ impl GraphPartition {
             }
         }
         Ok(out)
+    }
+
+    /// Destinations of the `label` edges of `src` visible at `view`, in
+    /// destination order: the scan of [`Self::edges_out_at`] with only the
+    /// key tail decoded — what a hop without edge filters needs. An edge
+    /// `edges_out_at` would skip (malformed key or props) is skipped here.
+    pub fn edge_dsts_at(
+        &self,
+        src: VertexId,
+        label: &str,
+        view: ReadView,
+    ) -> Result<Vec<VertexId>> {
+        let prefix = codec::edge_label_prefix(src, label);
+        Ok(self
+            .scan_edges(&prefix, view)?
+            .into_iter()
+            .filter(|(_, v)| codec::props_well_formed(v))
+            .filter_map(|(k, _)| codec::split_edge_key(&k).map(|(_, _, dst)| dst))
+            .collect())
     }
 
     /// Every outgoing edge of `src`, all labels.

@@ -32,6 +32,35 @@ proptest! {
     }
 
     #[test]
+    fn well_formed_walk_agrees_with_decode(
+        vtype in "[A-Za-z]{1,12}",
+        p in props(),
+        damage in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..3),
+        cut in proptest::option::weighted(0.25, any::<u16>()),
+    ) {
+        // Intact, byte-flipped and truncated records: the length-field walk
+        // accepts exactly what the allocating decode accepts.
+        let v = Vertex::new(1u64, vtype, p);
+        let mut rec = codec::encode_vertex(&v).to_vec();
+        let mut blob = codec::encode_props(&v.props);
+        for (at, byte) in damage {
+            let i = at as usize % rec.len();
+            rec[i] = byte;
+            let i = at as usize % blob.len();
+            blob[i] = byte;
+        }
+        if let Some(cut) = cut {
+            rec.truncate(cut as usize % (rec.len() + 1));
+            blob.truncate(cut as usize % (blob.len() + 1));
+        }
+        prop_assert_eq!(
+            codec::vertex_well_formed(&rec),
+            codec::decode_vertex(VertexId(1), &rec).is_some()
+        );
+        prop_assert_eq!(codec::props_well_formed(&blob), codec::decode_props(&blob).is_some());
+    }
+
+    #[test]
     fn edge_key_roundtrip(src in any::<u64>(), dst in any::<u64>(), label in "[a-zA-Z]{1,32}") {
         let k = codec::edge_key(VertexId(src), &label, VertexId(dst));
         prop_assert_eq!(

@@ -279,14 +279,15 @@ impl Tree {
     /// that view.
     pub fn get_at(&self, ukey: &[u8], view: ReadView) -> Result<Option<Bytes>> {
         let inner = self.inner.read();
-        let versions = self.merge_raw(&inner, ukey, &self.io)?;
+        let versions = self.raw_rows(&inner, ukey, &self.io)?;
+        drop(inner);
         let mut winner: Option<(u64, Option<Bytes>)> = None;
         let mut saw_newer = false;
-        for (k, v) in &versions {
+        for (k, v) in versions {
             if k.len() != ukey.len() + version::SUFFIX_LEN {
                 continue; // a longer user key sharing the prefix
             }
-            let Some((_, seq)) = version::split_suffixed(k) else {
+            let Some((_, seq)) = version::split_suffixed(&k) else {
                 continue;
             };
             if seq > view.seq {
@@ -294,14 +295,10 @@ impl Tree {
                 continue;
             }
             if winner.as_ref().is_none_or(|(w, _)| seq > *w) {
-                winner = Some((seq, v.clone()));
+                winner = Some((seq, v));
             }
         }
-        if saw_newer {
-            if let Some(vs) = &self.version {
-                vs.stats.stale_seq_reads.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.note_stale_read(saw_newer);
         Ok(winner.and_then(|(_, v)| v))
     }
 
@@ -310,79 +307,87 @@ impl Tree {
     /// stripped; tombstone winners are dropped.
     pub fn scan_prefix_at(&self, prefix: &[u8], view: ReadView) -> Result<Vec<(Vec<u8>, Bytes)>> {
         let inner = self.inner.read();
-        let merged = self.merge_raw(&inner, prefix, &self.io)?;
+        let rows = self.raw_rows(&inner, prefix, &self.io)?;
         drop(inner);
-        let mut out: Vec<(Vec<u8>, Bytes)> = Vec::new();
-        let mut saw_newer = false;
-        // Versions of one user key are adjacent with the newest first
-        // (inverted suffix), so the first visible entry per group wins.
-        let mut current: Option<Vec<u8>> = None;
-        for (k, v) in &merged {
-            let Some((ukey, seq)) = version::split_suffixed(k) else {
-                continue;
-            };
-            if current.as_deref() == Some(ukey) {
-                continue; // this group already resolved
-            }
-            if seq > view.seq {
-                saw_newer = true;
-                continue;
-            }
-            current = Some(ukey.to_vec());
-            if let Some(v) = v {
-                out.push((ukey.to_vec(), v.clone()));
-            }
-        }
+        let (out, saw_newer) = resolve_at(rows, view);
+        self.note_stale_read(saw_newer);
+        Ok(out)
+    }
+
+    /// Credit `stale_seq_reads` when a versioned read skipped a version
+    /// newer than its view.
+    fn note_stale_read(&self, saw_newer: bool) {
         if saw_newer {
             if let Some(vs) = &self.version {
                 vs.stats.stale_seq_reads.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(out)
     }
 
-    /// Merged raw view of every layer under `prefix` — full internal
-    /// keys, tombstones included, memtable shadowing segments.
-    fn merge_raw(
+    /// Raw rows under `prefix` from every layer that holds any, oldest
+    /// layer first (segments oldest to newest, then the memtable), each
+    /// layer in key order. This is the only place a scan touches storage,
+    /// so the I/O-model charges and [`IoStats`] of a scan are decided
+    /// here, whatever is done with the rows afterwards.
+    fn scan_layers(
         &self,
         inner: &TreeInner,
         prefix: &[u8],
         io: &IoProfile,
-    ) -> Result<BTreeMap<Vec<u8>, Option<Bytes>>> {
-        let mut merged: BTreeMap<Vec<u8>, Option<Bytes>> = BTreeMap::new();
-        let mut scratch = Vec::new();
+    ) -> Result<Vec<Vec<RawRow>>> {
+        let mut layers = Vec::new();
         for seg in inner.segments.iter().rev() {
-            scratch.clear();
+            let mut rows = Vec::new();
             seg.scan_prefix(
                 self.cache_tag,
                 prefix,
                 &self.cache,
                 io,
                 &self.stats,
-                &mut scratch,
+                &mut rows,
             )?;
-            for (k, v) in scratch.drain(..) {
-                merged.insert(k, v);
+            if !rows.is_empty() {
+                layers.push(rows);
             }
         }
-        for (k, v) in inner.memtable.scan_prefix(prefix) {
-            io.charge(AccessKind::Warm);
-            self.stats
-                .record(AccessKind::Warm, v.map_or(0, |b| b.len()));
-            merged.insert(k.to_vec(), v.cloned());
+        let mem: Vec<RawRow> = inner
+            .memtable
+            .scan_prefix(prefix)
+            .map(|(k, v)| {
+                io.charge(AccessKind::Warm);
+                self.stats
+                    .record(AccessKind::Warm, v.map_or(0, |b| b.len()));
+                (k.to_vec(), v.cloned())
+            })
+            .collect();
+        if !mem.is_empty() {
+            layers.push(mem);
         }
-        Ok(merged)
+        Ok(layers)
+    }
+
+    /// Raw view of the tree under `prefix` — full internal keys in key
+    /// order, tombstones included, newer layers shadowing older ones.
+    ///
+    /// When at most one layer holds rows under the prefix (a loaded,
+    /// read-mostly tree: everything in the memtable, or everything in one
+    /// segment) nothing can shadow anything, so that layer's rows are the
+    /// answer as they stand. Otherwise the layers go through
+    /// [`merge_raw`].
+    fn raw_rows(&self, inner: &TreeInner, prefix: &[u8], io: &IoProfile) -> Result<Vec<RawRow>> {
+        let mut layers = self.scan_layers(inner, prefix, io)?;
+        if layers.len() > 1 {
+            return Ok(merge_raw(layers));
+        }
+        Ok(layers.pop().unwrap_or_default())
     }
 
     /// Ordered scan of all live entries whose key starts with `prefix`.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Bytes)>> {
         let inner = self.inner.read();
-        // Merge newest-wins: start from the oldest segment and overwrite.
-        let merged = self.merge_raw(&inner, prefix, &self.io)?;
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect())
+        let rows = self.raw_rows(&inner, prefix, &self.io)?;
+        drop(inner);
+        Ok(resolve_live(rows))
     }
 
     /// Flush the memtable to a new segment (no-op when empty).
@@ -565,8 +570,7 @@ impl Tree {
     pub fn export_raw(&self) -> Result<Vec<(Vec<u8>, Option<Bytes>)>> {
         let inner = self.inner.read();
         let free = IoProfile::free();
-        let merged = self.merge_raw(&inner, b"", &free)?;
-        Ok(merged.into_iter().collect())
+        self.raw_rows(&inner, b"", &free)
     }
 
     /// Receiving side of [`Tree::export_raw`]: build one immutable
@@ -692,6 +696,63 @@ impl Tree {
     pub fn cache(&self) -> &Arc<BlockCache> {
         &self.cache
     }
+}
+
+/// One raw row of a layer: full internal key, `None` = tombstone.
+type RawRow = (Vec<u8>, Option<Bytes>);
+
+/// Newest-wins merge of per-layer rows (oldest layer first) into one
+/// key-ordered raw view. The general scan path, and the reference the
+/// single-layer shortcut in [`Tree::raw_rows`] is tested against.
+fn merge_raw(layers: Vec<Vec<RawRow>>) -> Vec<RawRow> {
+    let mut merged: BTreeMap<Vec<u8>, Option<Bytes>> = BTreeMap::new();
+    for layer in layers {
+        merged.extend(layer);
+    }
+    merged.into_iter().collect()
+}
+
+/// Unversioned resolution of a raw view: drop the tombstones.
+fn resolve_live(rows: Vec<RawRow>) -> Vec<(Vec<u8>, Bytes)> {
+    rows.into_iter()
+        .filter_map(|(k, v)| v.map(|v| (k, v)))
+        .collect()
+}
+
+/// Versioned resolution of a raw view against `view`: per user key the
+/// newest version with `stamp <= view.seq`, suffix stripped, tombstone
+/// winners dropped. Also reports whether any newer version was skipped.
+fn resolve_at(rows: Vec<RawRow>, view: ReadView) -> (Vec<(Vec<u8>, Bytes)>, bool) {
+    let mut out: Vec<(Vec<u8>, Bytes)> = Vec::with_capacity(rows.len());
+    let mut saw_newer = false;
+    // Versions of one user key are adjacent with the newest first
+    // (inverted suffix), so the first visible entry per group wins.
+    let mut resolved: Option<Vec<u8>> = None;
+    for (mut k, v) in rows {
+        let Some((ukey, seq)) = version::split_suffixed(&k) else {
+            continue;
+        };
+        if resolved.as_deref() == Some(ukey) {
+            continue; // this group already resolved
+        }
+        if seq > view.seq {
+            saw_newer = true;
+            continue;
+        }
+        let ukey_len = ukey.len();
+        match &mut resolved {
+            Some(r) => {
+                r.clear();
+                r.extend_from_slice(ukey);
+            }
+            None => resolved = Some(ukey.to_vec()),
+        }
+        if let Some(v) = v {
+            k.truncate(ukey_len);
+            out.push((k, v));
+        }
+    }
+    (out, saw_newer)
 }
 
 #[cfg(test)]
@@ -1263,6 +1324,155 @@ mod tests {
         t.put(b"k".to_vec(), Bytes::from_static(b"v")).unwrap();
         // Raw key on disk: no suffix, normal get works.
         assert_eq!(t.get(b"k").unwrap(), Some(Bytes::from_static(b"v")));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    // ---- single-layer scan shortcut == layered merge -----------------
+
+    #[derive(Debug, Clone)]
+    enum LayerOp {
+        Put(Vec<u8>, Vec<u8>),
+        Delete(Vec<u8>),
+        Flush,
+    }
+
+    /// Keys of 1..=3 bytes over a 3-letter alphabet: prefixes of every
+    /// length hit several keys, and some keys are prefixes of others.
+    fn small_key() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..3, 1..=3usize)
+            .prop_map(|k| k.into_iter().map(|b| b'a' + b).collect())
+    }
+
+    fn layer_ops() -> impl proptest::strategy::Strategy<Value = Vec<LayerOp>> {
+        use proptest::prelude::*;
+        // At most three flushes (0..=3 segments), each preceded by a
+        // possibly empty run of writes; a final run decides whether the
+        // memtable ends up empty.
+        let run = || {
+            let write = prop_oneof![
+                3 => (small_key(), proptest::collection::vec(any::<u8>(), 0..4))
+                    .prop_map(|(k, v)| LayerOp::Put(k, v)),
+                1 => small_key().prop_map(LayerOp::Delete),
+            ];
+            proptest::collection::vec(write, 0..8usize)
+        };
+        (proptest::collection::vec(run(), 0..=3usize), run()).prop_map(|(flushed, tail)| {
+            let mut ops = Vec::new();
+            for writes in flushed {
+                ops.extend(writes);
+                ops.push(LayerOp::Flush);
+            }
+            ops.extend(tail);
+            ops
+        })
+    }
+
+    /// Every prefix of length 0..=2 over the key alphabet.
+    fn all_prefixes() -> Vec<Vec<u8>> {
+        let mut out = vec![Vec::new()];
+        for a in b'a'..=b'c' {
+            out.push(vec![a]);
+            for b in b'a'..=b'c' {
+                out.push(vec![a, b]);
+            }
+        }
+        out
+    }
+
+    impl Tree {
+        /// The scan as it would be if every read took the layered merge.
+        fn merged_rows(&self, prefix: &[u8]) -> Vec<RawRow> {
+            let inner = self.inner.read();
+            merge_raw(self.scan_layers(&inner, prefix, &self.io).unwrap())
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+        #[test]
+        fn scan_prefix_equals_layered_merge(ops in layer_ops()) {
+            let (t, dir) = open_tmp("prop-scan");
+            for op in ops {
+                match op {
+                    LayerOp::Put(k, v) => t.put(k, Bytes::from(v)).unwrap(),
+                    LayerOp::Delete(k) => t.delete(k).unwrap(),
+                    LayerOp::Flush => t.flush().unwrap(),
+                }
+            }
+            prop_assert!(t.n_segments() <= 3);
+            for prefix in all_prefixes() {
+                let want = resolve_live(t.merged_rows(&prefix));
+                prop_assert_eq!(t.scan_prefix(&prefix).unwrap(), want, "prefix {:?}", prefix);
+            }
+            std::fs::remove_dir_all(dir).ok();
+        }
+
+        #[test]
+        fn scan_prefix_at_equals_layered_merge(ops in layer_ops(), views in proptest::collection::vec(0u64..40, 1..4usize)) {
+            let (t, dir) = open_tmp_versioned("prop-scan-at", vstate());
+            // One stamp per write, ascending, so overwrites become shadowed
+            // versions and deletes tombstone versions.
+            let mut seq = 0u64;
+            for op in ops {
+                seq += 1;
+                match op {
+                    LayerOp::Put(k, v) => {
+                        let mut b = WriteBatch::new();
+                        b.put(k, Bytes::from(v));
+                        t.write_batch_at(b, seq).unwrap();
+                    }
+                    LayerOp::Delete(k) => del_at(&t, &k, seq),
+                    LayerOp::Flush => t.flush().unwrap(),
+                }
+            }
+            for view in views.into_iter().map(ReadView::at).chain([ReadView::LATEST]) {
+                for prefix in all_prefixes() {
+                    let (want, _) = resolve_at(t.merged_rows(&prefix), view);
+                    prop_assert_eq!(
+                        t.scan_prefix_at(&prefix, view).unwrap(),
+                        want,
+                        "prefix {:?} view {:?}", prefix, view
+                    );
+                    // A whole user key as the prefix is the point read.
+                    let want_get = t
+                        .merged_rows(&prefix)
+                        .into_iter()
+                        .filter(|(k, _)| k.len() == prefix.len() + version::SUFFIX_LEN)
+                        .filter_map(|(k, v)| Some((version::split_suffixed(&k)?.1, v)))
+                        .filter(|(s, _)| *s <= view.seq)
+                        .max_by_key(|(s, _)| *s)
+                        .and_then(|(_, v)| v);
+                    prop_assert_eq!(t.get_at(&prefix, view).unwrap(), want_get);
+                }
+            }
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn single_layer_scans_skip_the_merge_and_layered_ones_take_it() {
+        // The shortcut's precondition is observed per scan, not configured:
+        // the same tree answers one prefix from a single layer and another
+        // through the merge.
+        let (t, dir) = open_tmp("layers");
+        t.put(b"a1".to_vec(), Bytes::from_static(b"x")).unwrap();
+        t.put(b"b1".to_vec(), Bytes::from_static(b"y")).unwrap();
+        t.flush().unwrap();
+        t.put(b"b1".to_vec(), Bytes::from_static(b"y2")).unwrap();
+        let layers = |prefix: &[u8]| {
+            let inner = t.inner.read();
+            t.scan_layers(&inner, prefix, &t.io).unwrap().len()
+        };
+        assert_eq!(layers(b"a"), 1, "only the segment holds a-keys");
+        assert_eq!(layers(b"b"), 2, "memtable shadows the segment");
+        assert_eq!(layers(b"c"), 0);
+        assert_eq!(
+            t.scan_prefix(b"b").unwrap(),
+            vec![(b"b1".to_vec(), Bytes::from_static(b"y2"))]
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -23,9 +23,11 @@
 //!
 //! Outbound: one writer thread per *remote process*, fed by an unbounded
 //! outbox. Connections are opened lazily on first send and re-opened with
-//! exponential backoff (10 ms doubling to 500 ms) after any failure; the
-//! frame being written when a connection dies is retransmitted on the
-//! next connection, so startup order between processes does not matter.
+//! exponential backoff (10 ms doubling to 500 ms) after any failure; every
+//! frame not yet written in full when a connection dies is retransmitted
+//! on the next connection, so startup order between processes does not
+//! matter. Frames already waiting in the outbox are written together (up
+//! to 64 KiB per system call).
 //! Local destinations take the same path through the real socket — a
 //! single-process "loopback mesh" measures true kernel round-trips.
 //!
@@ -38,7 +40,7 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gt_net::{Envelope, NetStats, RecvError, SendError};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -51,6 +53,11 @@ use crate::WireCodec;
 /// Upper bound on a single frame (length prefix value). Frames claiming
 /// more are treated as a malformed peer and the connection is dropped.
 pub const MAX_FRAME: usize = 256 << 20;
+
+/// Writer and reader move up to this many bytes per system call: the
+/// writer folds the frames already waiting in its outbox into one write,
+/// the reader pulls whatever the socket holds through a buffer this big.
+const IO_CHUNK: usize = 64 << 10;
 
 const BACKOFF_START: Duration = Duration::from_millis(10);
 const BACKOFF_CAP: Duration = Duration::from_millis(500);
@@ -476,24 +483,31 @@ impl<M: Send + WireCodec + 'static> SocketEndpoint<M> {
     }
 }
 
-/// Outbound side: own the connection to one process, retransmitting the
-/// in-flight frame across reconnects.
+/// Outbound side: own the connection to one process, retransmitting
+/// whatever was not written in full across reconnects.
 fn writer_loop<M>(rx: Receiver<Vec<u8>>, addr: SocketAddrSpec, shared: Arc<MeshShared<M>>) {
     let mut conn: Option<Stream> = None;
     let mut backoff = BACKOFF_START;
     loop {
-        let frame = match rx.recv() {
+        let mut buf = match rx.recv() {
             Ok(f) => f,
             Err(_) => return,
         };
-        if frame.is_empty() {
-            // Shutdown wake-up.
-            if shared.closed.load(Ordering::SeqCst) {
-                return;
+        // Whatever else is already queued rides in the same write; an
+        // empty frame (here or in the backlog) is the shutdown wake-up.
+        while !buf.is_empty() && buf.len() < IO_CHUNK {
+            match rx.try_recv() {
+                Ok(next) if next.is_empty() => break,
+                Ok(next) => buf.extend_from_slice(&next),
+                Err(_) => break,
             }
-            continue;
         }
-        loop {
+        if shared.closed.load(Ordering::SeqCst) {
+            return;
+        }
+        // Offset of the first frame not yet handed to the kernel in full.
+        let mut sent = 0usize;
+        while sent < buf.len() {
             if shared.closed.load(Ordering::SeqCst) {
                 return;
             }
@@ -510,16 +524,43 @@ fn writer_loop<M>(rx: Receiver<Vec<u8>>, addr: SocketAddrSpec, shared: Arc<MeshS
                     }
                 }
             }
-            let ok = match conn.as_mut() {
-                Some(s) => s.write_all(&frame).and_then(|()| s.flush()).is_ok(),
-                None => false,
-            };
-            if ok {
-                break;
+            let Some(s) = conn.as_mut() else { continue };
+            match write_frames(s, &buf[sent..]) {
+                Ok(()) => break,
+                Err(whole_frames) => {
+                    // The peer drops the torn frame with the connection;
+                    // resume at its start on the next one.
+                    sent += whole_frames;
+                    conn = None;
+                }
             }
-            conn = None; // reconnect and retransmit this frame
         }
     }
+}
+
+/// Write a run of frames. On failure, `Err(n)`: the first `n` bytes were
+/// accepted and end on a frame boundary; everything after must be resent.
+fn write_frames(s: &mut impl Write, frames: &[u8]) -> Result<(), usize> {
+    let mut written = 0usize;
+    while written < frames.len() {
+        match s.write(&frames[written..]) {
+            Ok(n) if n > 0 => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            _ => {
+                let mut whole = 0usize;
+                while let Some(len) = frames.get(whole..whole + 4) {
+                    let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+                    let end = whole + 4 + len;
+                    if end > written {
+                        break;
+                    }
+                    whole = end;
+                }
+                return Err(whole);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Accept loop: one reader thread per inbound connection.
@@ -549,8 +590,10 @@ fn accept_loop<M: Send + WireCodec + 'static>(listener: Listener, shared: Arc<Me
 }
 
 /// Inbound side: parse frames off one connection, route to local inboxes.
-fn reader_loop<M: Send + WireCodec + 'static>(mut stream: Stream, shared: Arc<MeshShared<M>>) {
+fn reader_loop<M: Send + WireCodec + 'static>(stream: Stream, shared: Arc<MeshShared<M>>) {
+    let mut stream = BufReader::with_capacity(IO_CHUNK, stream);
     let mut header = [0u8; 4];
+    let mut body: Vec<u8> = Vec::new();
     loop {
         if shared.closed.load(Ordering::SeqCst) {
             return;
@@ -562,7 +605,7 @@ fn reader_loop<M: Send + WireCodec + 'static>(mut stream: Stream, shared: Arc<Me
         if !(8..=MAX_FRAME).contains(&len) {
             return; // malformed peer; closing forces it to reconnect
         }
-        let mut body = vec![0u8; len];
+        body.resize(len, 0);
         if stream.read_exact(&mut body).is_err() {
             return;
         }
@@ -578,6 +621,9 @@ fn reader_loop<M: Send + WireCodec + 'static>(mut stream: Stream, shared: Arc<Me
         };
         if !delivered {
             shared.stats.record_drop();
+        }
+        if body.capacity() > IO_CHUNK {
+            body = Vec::new(); // do not sit on an outsized frame's buffer
         }
     }
 }
@@ -687,6 +733,86 @@ mod tests {
         assert_eq!(env.msg, 42);
         mesh0.close();
         mesh1.close();
+    }
+
+    /// Accepts `budget` bytes, a few at a time, then fails every write.
+    struct Choke {
+        budget: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Choke {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.budget).min(5);
+            self.got.extend_from_slice(&buf[..n]);
+            self.budget -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn torn_coalesced_write_resumes_at_the_first_unfinished_frame() {
+        // Three frames of 4 + 8, 4 + 10 and 4 + 9 bytes in one buffer.
+        let mut buf = Vec::new();
+        for body in [8usize, 10, 9] {
+            buf.extend_from_slice(&(body as u32).to_le_bytes());
+            buf.extend(std::iter::repeat_n(body as u8, body));
+        }
+        let ends = [0usize, 12, 26, 39];
+        for budget in 0..buf.len() {
+            let mut w = Choke {
+                budget,
+                got: Vec::new(),
+            };
+            let whole = write_frames(&mut w, &buf).expect_err("choked before the end");
+            assert_eq!(w.got, buf[..budget]);
+            // The resume point is the last frame boundary at or before
+            // what the peer accepted: no whole frame is sent twice, no
+            // frame is lost.
+            let want = *ends
+                .iter()
+                .rfind(|&&e| e <= budget)
+                .expect("0 is a boundary");
+            assert_eq!(whole, want, "budget {budget}");
+        }
+        let mut w = Choke {
+            budget: usize::MAX,
+            got: Vec::new(),
+        };
+        assert_eq!(write_frames(&mut w, &buf), Ok(()));
+        assert_eq!(w.got, buf);
+    }
+
+    #[test]
+    fn burst_of_queued_frames_arrives_whole_and_in_order() {
+        // Frames queue faster than the writer drains them, so most of
+        // them travel coalesced; sizes straddle the 64 KiB chunk.
+        let dir = std::env::temp_dir().join(format!("gt-mesh-burst-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let cfg = MeshConfig::single_process(2, SocketAddrSpec::Uds(dir.join("burst.sock")));
+        let (mesh, eps) = SocketMesh::<Vec<u8>>::start(cfg).expect("start uds mesh");
+        let sizes = [0usize, 1, 100, 70_000, 3, 65_536 - 12, 40_000, 40_000, 7];
+        for round in 0..20u8 {
+            for (i, &n) in sizes.iter().enumerate() {
+                eps[0].send(1, vec![round ^ i as u8; n]).expect("send");
+            }
+        }
+        for round in 0..20u8 {
+            for (i, &n) in sizes.iter().enumerate() {
+                let env = eps[1]
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("recv in time");
+                assert_eq!(env.msg, vec![round ^ i as u8; n], "round {round} frame {i}");
+            }
+        }
+        mesh.close();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
