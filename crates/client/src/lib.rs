@@ -13,11 +13,8 @@ use gt_proto::{
     negotiate, read_frame, send_client, ClientMsg, ProtoError, ServerMsg, SubmitOpts, WireError,
     WireProgress, PROTOCOL_VERSION,
 };
-use gt_transport::SocketAddrSpec;
+use gt_transport::{SocketAddrSpec, Stream};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -105,38 +102,9 @@ impl TravelReply {
     }
 }
 
-enum Sock {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
-
-impl Read for Sock {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Uds(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.flush(),
-            Sock::Uds(s) => s.flush(),
-        }
-    }
-}
-
 /// A connected, version-negotiated proto client.
 pub struct Client {
-    sock: Sock,
+    sock: Stream,
     next_id: u64,
     /// Terminal responses read while waiting for a different id.
     parked: HashMap<u64, ServerMsg>,
@@ -145,18 +113,8 @@ pub struct Client {
 impl Client {
     /// Dial `addr`, send the hello for `tenant`, and negotiate versions.
     pub fn connect(addr: &SocketAddrSpec, tenant: &str) -> Result<Client, ClientError> {
-        let sock = match addr {
-            SocketAddrSpec::Tcp(a) => {
-                let s = TcpStream::connect(a)?;
-                // Frames are tiny and written prefix-then-payload;
-                // Nagle + delayed ACK would cost ~40 ms per write pair.
-                let _ = s.set_nodelay(true);
-                Sock::Tcp(s)
-            }
-            SocketAddrSpec::Uds(p) => Sock::Uds(UnixStream::connect(p)?),
-        };
         let mut client = Client {
-            sock,
+            sock: Stream::connect(addr)?,
             next_id: 1,
             parked: HashMap::new(),
         };

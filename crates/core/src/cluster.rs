@@ -15,12 +15,16 @@
 //! from scratch (§IV-C: "this failure will simply cause the traversal to
 //! be restarted").
 
+pub use crate::client::Ticket;
+use crate::client::{ClientPort, MAX_TRACKED, PROGRESS_DEADLINE};
 use crate::coordinator::LedgerEvent;
 use crate::engine::TransportKind;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::lang::{GTravel, LangError, Plan};
 use crate::lockorder::OrderedMutex;
-use crate::message::{CopyPurpose, Msg, ProgressSnapshot, TravelOutcome};
+use crate::message::{
+    CopyPurpose, Msg, ProgressSnapshot, TravelOutcome, PLACEMENT_KEYS, SUSPECT_KEY,
+};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, TravelMetrics};
 use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
 use crate::TravelId;
@@ -28,7 +32,7 @@ use gt_graph::storage::load_replicated;
 use gt_graph::{EdgeCutPartitioner, GraphPartition, InMemoryGraph, VertexId};
 use gt_kvstore::wal::replay_blobs;
 use gt_kvstore::{IoProfile, Store, StoreConfig};
-use gt_net::{Fabric, NetConfig, NetStats, RecvError};
+use gt_net::{Fabric, NetConfig, NetStats};
 use gt_placement::rebalance::{plan_moves, Move};
 use gt_placement::{PlacementMap, SharedPlacement};
 use gt_transport::{Conduit, MeshConfig, SocketAddrSpec, SocketMesh};
@@ -43,13 +47,10 @@ use std::time::{Duration, Instant};
 const RESUBMIT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Cap on the resubmission backoff.
 const RESUBMIT_BACKOFF_CAP: Duration = Duration::from_millis(500);
-// (The granularity of `Cluster::wait`'s receive loop is configurable:
-// `EngineConfig::wait_poll`, default 50 ms, floor 1 ms. Between slices
-// the client checks the travel's coordinator for a crash so an orphaned
-// travel is failed over instead of silently running out the clock.)
-/// Cap on retained routing entries / cancelled ids (tickets whose
-/// `wait()` never happens).
-const MAX_ROUTES: usize = 4096;
+/// How often a blocked [`Cluster::wait`] looks at its travel's coordinator
+/// for a crash, so an orphaned travel is failed over instead of silently
+/// running out the clock. Deadlines do not depend on it.
+const FAILOVER_CHECK_EVERY: Duration = Duration::from_millis(50);
 /// File name of a server's durable travel-ledger event log, next to its
 /// store (only clusters that own their storage get one).
 const LEDGER_FILE: &str = "travel-ledger.log";
@@ -60,11 +61,8 @@ const RECOVER_DEADLINE: Duration = Duration::from_secs(3);
 /// control messages at this period (covers a successor that was isolated
 /// when the first round arrived).
 const RECOVER_RENUDGE: Duration = Duration::from_millis(500);
-/// Mailbox stash key for [`Msg::Suspect`] reports, in a range no travel,
-/// request, or placement-version key reaches (see [`ClusterState::msg_key`]).
-const SUSPECT_KEY: u64 = 3u64 << 62;
-/// The healer thread's receive slice: how long it blocks on the shared
-/// client inbox per iteration before re-checking its stop flag and the
+/// The healer thread's receive slice: how long it blocks on the client
+/// port per iteration before re-checking its stop flag and the
 /// under-replication scan deadline.
 const HEALER_SLICE: Duration = Duration::from_millis(10);
 /// How often the (otherwise idle) healer scans the placement map for
@@ -254,7 +252,7 @@ pub enum ClusterError {
 }
 
 impl ClusterError {
-    fn slice_timeout() -> Self {
+    pub(crate) fn slice_timeout() -> Self {
         ClusterError::Travel(TravelError::Timeout {
             attempts: 1,
             last_progress: None,
@@ -327,22 +325,6 @@ impl TravelResult {
             failovers: 0,
             admit_wait: Duration::ZERO,
         }
-    }
-}
-
-/// An in-flight traversal started with [`Cluster::start`].
-#[derive(Debug, Clone, Copy)]
-pub struct Ticket {
-    travel: TravelId,
-    coordinator: usize,
-    started: Instant,
-    restarts: u32,
-}
-
-impl Ticket {
-    /// The travel id this ticket tracks.
-    pub fn travel(&self) -> TravelId {
-        self.travel
     }
 }
 
@@ -487,20 +469,16 @@ impl std::ops::Deref for Cluster {
 pub struct ClusterState {
     slots: Vec<ServerSlot>,
     fabric: NetHandle,
-    client: Conduit<Msg>,
+    /// The client endpoint: every send to a server and every wait for a
+    /// reply goes through it. Travel, request and flow ids are minted
+    /// from its one counter, sequentially from 1 (chaos schedules are a
+    /// function of message keys that include them).
+    port: ClientPort,
     partitioner: EdgeCutPartitioner,
     engine: EngineConfig,
-    travel_ctr: AtomicU64,
-    /// Messages received while waiting for something else, with their
-    /// receive times (so a stashed completion's latency is not inflated
-    /// by however long the client took to come back and `wait`).
-    mailbox: OrderedMutex<VecDeque<(TravelId, Msg, Instant)>>,
     admission: OrderedMutex<Admission>,
     /// Dispatched travels' coordinator routing (failover re-homing).
     routes: OrderedMutex<BTreeMap<TravelId, Route>>,
-    /// Travels cancelled via [`Cluster::cancel`]; a later `wait` reports
-    /// [`TravelError::Cancelled`] instead of timing out.
-    cancelled: OrderedMutex<BTreeSet<TravelId>>,
     /// Serializes failover orchestration across concurrent waiters.
     failover_lock: OrderedMutex<()>,
     /// The client's (authoritative) placement map; server copies trail it
@@ -512,10 +490,6 @@ pub struct ClusterState {
     durability: DurabilityLevel,
     /// Failure-detector tuning handed to every server incarnation.
     detection: Option<DetectionConfig>,
-    /// Highest acknowledged ingest write-sequence per primary server: the
-    /// read-your-replication barrier attached to replica-routed point
-    /// queries. Lock-free — read on every `get_vertex`.
-    acked_w: Vec<AtomicU64>,
     /// Snapshot seq pinned per in-flight travel (snapshot isolation
     /// only). Pins are taken on every server's store at dispatch and
     /// released when the travel's admission slot frees, so compaction
@@ -685,26 +659,32 @@ impl Cluster {
             });
         }
         let self_heal = detection.is_some();
-        let inner = Arc::new(ClusterState {
+        let inner = Arc::new_cyclic(|me: &std::sync::Weak<ClusterState>| ClusterState {
             slots,
             fabric,
-            client,
+            // Every observed completion frees an admission slot, whichever
+            // travel the receiving waiter is after: queued submissions
+            // make progress while the client blocks on a different travel.
+            port: ClientPort::new(client, n, 0).on_travel_done({
+                let me = me.clone();
+                move |travel| {
+                    if let Some(cluster) = me.upgrade() {
+                        cluster.release_slot(travel);
+                    }
+                }
+            }),
             partitioner,
             engine: ecfg,
-            travel_ctr: AtomicU64::new(1),
             placement: Arc::new(SharedPlacement::new(map)),
             replication,
             durability,
             detection,
-            acked_w: (0..n).map(|_| AtomicU64::new(0)).collect(),
             // Client-side lock-order ranks (see `lockorder`): the failover
             // path holds `failover_lock` while touching routes and slots,
             // so it sits lowest; slot locks (`handle`, `partition`) rank
             // above every Cluster-level lock they nest under.
-            mailbox: OrderedMutex::new(4, "mailbox", VecDeque::new()),
             admission: OrderedMutex::new(2, "admission", Admission::default()),
             routes: OrderedMutex::new(3, "routes", BTreeMap::new()),
-            cancelled: OrderedMutex::new(5, "cancelled", BTreeSet::new()),
             failover_lock: OrderedMutex::new(1, "failover_lock", ()),
             // Rank 8: taken after slot locks (pin/unpin walk the stores),
             // never while any lower-ranked Cluster lock must follow.
@@ -780,9 +760,7 @@ impl ClusterState {
     /// on-disk store (when the cluster owns one) and the fabric address
     /// survive for [`Cluster::restart_server`].
     pub fn crash_server(&self, id: usize) -> Result<(), ClusterError> {
-        self.client
-            .send(id, Msg::Crash)
-            .map_err(|_| ClusterError::Disconnected)?;
+        self.port.send(id, Msg::Crash)?;
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
             if self.server_crashed(id) {
@@ -892,7 +870,7 @@ impl ClusterState {
     /// Begin a traversal from an already-compiled plan (the front door's
     /// path: it stamps QoS metadata onto the plan before dispatch).
     pub fn start_plan(&self, plan: Arc<Plan>) -> Result<Ticket, ClusterError> {
-        let travel = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
+        let travel = self.port.open_travel();
         // Deterministic ring assignment, skipping decommissioned servers
         // (they keep serving reads while draining but host no new
         // coordinator roles).
@@ -1003,20 +981,11 @@ impl ClusterState {
                     plan: plan.clone(),
                 },
             );
-            while routes.len() > MAX_ROUTES {
+            while routes.len() > MAX_TRACKED {
                 routes.pop_first();
             }
         }
-        self.client
-            .send(
-                coordinator,
-                Msg::Submit {
-                    travel,
-                    plan,
-                    client: self.client.id(),
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)
+        self.port.submit(travel, coordinator, plan)
     }
 
     /// Release a travel's admission slot and dispatch queued submissions
@@ -1063,108 +1032,6 @@ impl ClusterState {
         self.admission.lock().pending.len()
     }
 
-    /// Stash-key of a client-bound message (travel id or request id).
-    fn msg_key(msg: &Msg) -> Option<u64> {
-        match msg {
-            Msg::TravelDone { travel, .. }
-            | Msg::ProgressReport { travel, .. }
-            | Msg::CancelAck { travel, .. }
-            | Msg::RecoverDone { travel, .. } => Some(*travel),
-            Msg::IngestAck { req, .. } | Msg::VertexReply { req, .. } => Some(*req),
-            // Placement acks key on the map version, offset into a range
-            // no travel/request id reaches (ids are sequential from 1).
-            Msg::PlacementAck { version, .. } => Some((1u64 << 62) | *version),
-            Msg::CopyApplied { mig, .. } => Some(*mig),
-            // Suspicion reports all share one key: the healer is the only
-            // waiter and drains them in arrival order.
-            Msg::Suspect { .. } => Some(SUSPECT_KEY),
-            // Server-bound traffic never reaches the client mailbox; listed
-            // explicitly so a new client-bound variant fails gt-lint here.
-            Msg::Submit { .. }
-            | Msg::Abort { .. }
-            | Msg::ProgressQuery { .. }
-            | Msg::Cancel { .. }
-            | Msg::SourceScan { .. }
-            | Msg::Visit { .. }
-            | Msg::ExecCreated { .. }
-            | Msg::ExecTerminated { .. }
-            | Msg::OriginSatisfied { .. }
-            | Msg::Results { .. }
-            | Msg::SyncStart { .. }
-            | Msg::SyncFrontier { .. }
-            | Msg::SyncOrigin { .. }
-            | Msg::SyncStepDone { .. }
-            | Msg::Ingest { .. }
-            | Msg::GetVertex { .. }
-            | Msg::Relay { .. }
-            | Msg::RelayAck { .. }
-            | Msg::CoordRecover { .. }
-            | Msg::CoordHandoff { .. }
-            | Msg::ReAnnounce { .. }
-            | Msg::PlacementUpdate { .. }
-            | Msg::ReplicateWrite { .. }
-            | Msg::ReplicateAck { .. }
-            | Msg::ReplicateLedger { .. }
-            | Msg::CopyBegin { .. }
-            | Msg::CopyData { .. }
-            | Msg::CopyCutover { .. }
-            | Msg::CopyFinish { .. }
-            | Msg::Heartbeat { .. }
-            | Msg::SuspectAck { .. }
-            | Msg::Crash
-            | Msg::Shutdown => None,
-        }
-    }
-
-    /// Wait for the first client-bound message with `key` matching
-    /// `want`, stashing every other client-bound message so concurrent
-    /// waiters on other keys still see theirs. Returns the message and
-    /// the instant it was received from the fabric.
-    fn await_client_msg(
-        &self,
-        key: u64,
-        want: impl Fn(&Msg) -> bool,
-        deadline: Instant,
-    ) -> Result<(Msg, Instant), ClusterError> {
-        loop {
-            {
-                let mut mb = self.mailbox.lock();
-                if let Some(pos) = mb.iter().position(|(k, m, _)| *k == key && want(m)) {
-                    if let Some((_, msg, at)) = mb.remove(pos) {
-                        return Ok((msg, at));
-                    }
-                }
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(ClusterError::slice_timeout());
-            }
-            match self
-                .client
-                .recv_timeout(left.min(Duration::from_millis(25)))
-            {
-                Ok(env) => {
-                    let received = Instant::now();
-                    // Every observed completion frees an admission slot,
-                    // regardless of which travel this waiter is after —
-                    // queued submissions make progress even while the
-                    // client blocks on a different travel.
-                    if let Msg::TravelDone { travel, .. } = &env.msg {
-                        self.release_slot(*travel);
-                    }
-                    if Self::msg_key(&env.msg) == Some(key) && want(&env.msg) {
-                        return Ok((env.msg, received));
-                    }
-                    if let Some(k) = Self::msg_key(&env.msg) {
-                        self.mailbox.lock().push_back((k, env.msg, received));
-                    }
-                }
-                Err(RecvError::Timeout) => continue,
-                Err(RecvError::Closed) => return Err(ClusterError::Disconnected),
-            }
-        }
-    }
-
     /// Wait for a started traversal (up to `timeout`).
     ///
     /// The wait runs in short slices; between slices the client checks
@@ -1185,12 +1052,9 @@ impl ClusterState {
         let travel = ticket.travel;
         let deadline = Instant::now() + timeout;
         loop {
-            if self.cancelled.lock().contains(&travel) {
-                return Err(ClusterError::Travel(TravelError::Cancelled { travel }));
-            }
-            let slice = deadline.min(Instant::now() + self.engine.wait_poll);
-            match self.await_client_msg(travel, |m| matches!(m, Msg::TravelDone { .. }), slice) {
-                Ok((Msg::TravelDone { outcome, .. }, received)) => {
+            let slice = deadline.min(Instant::now() + FAILOVER_CHECK_EVERY);
+            match self.port.await_done(travel, slice)? {
+                Some((outcome, received)) => {
                     let mut r = TravelResult::from_outcome(
                         outcome,
                         received.saturating_duration_since(ticket.started),
@@ -1210,59 +1074,54 @@ impl ClusterState {
                     }
                     return Ok(r);
                 }
-                // The matcher only admits TravelDone; anything else means a
-                // matcher/key bug — keep waiting rather than kill the client.
-                Ok(_) => continue,
-                Err(e) if e.is_timeout() => {
-                    let died = {
-                        let routes = self.routes.lock();
-                        routes.get(&travel).map(|r| (r.coordinator, r.coord_epoch))
-                    };
-                    if let Some((coord, coord_epoch)) = died {
-                        let host_lost = self.server_crashed(coord)
-                            || self.slots[coord].epoch.load(Ordering::SeqCst) != coord_epoch;
-                        if host_lost {
-                            if !self.engine.reliable_delivery_enabled() {
-                                // No epoch fencing: the travel is
-                                // unrecoverable in place.
-                                self.abandon(travel);
-                                return Err(ClusterError::Travel(TravelError::CoordinatorLost {
-                                    travel,
-                                }));
-                            }
-                            match self.failover(travel) {
-                                Ok(()) => {}
-                                Err(ClusterError::Travel(TravelError::FailoverStalled {
-                                    ..
-                                })) => {
-                                    // The successor took the handoff but
-                                    // never confirmed recovery — fail fast
-                                    // instead of burning the whole timeout.
-                                    self.abandon(travel);
-                                    return Err(ClusterError::Travel(
-                                        TravelError::FailoverStalled { travel },
-                                    ));
-                                }
-                                Err(_) => {
-                                    self.abandon(travel);
-                                    return Err(ClusterError::Travel(
-                                        TravelError::CoordinatorLost { travel },
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        let last_progress = self.try_progress_snapshot(ticket, timeout);
-                        self.abandon(travel);
-                        return Err(ClusterError::Travel(TravelError::Timeout {
+                None => {
+                    let gave_up = match self.rescue_orphan(travel) {
+                        Err(why) => Some(why),
+                        Ok(()) if Instant::now() >= deadline => Some(TravelError::Timeout {
                             attempts: ticket.restarts + 1,
-                            last_progress,
-                        }));
+                            last_progress: self.try_progress_snapshot(ticket, timeout),
+                        }),
+                        Ok(()) => None,
+                    };
+                    if let Some(why) = gave_up {
+                        self.abandon(travel);
+                        return Err(ClusterError::Travel(why));
                     }
                 }
-                Err(e) => return Err(e),
             }
+        }
+    }
+
+    /// Whether the incarnation of `coordinator` a travel was routed to
+    /// under `coord_epoch` is still running (a crash-restarted host looks
+    /// alive again, but the ledger it hosted died with it).
+    fn host_alive(&self, coordinator: usize, coord_epoch: u64) -> bool {
+        !self.server_crashed(coordinator)
+            && self.slots[coordinator].epoch.load(Ordering::SeqCst) == coord_epoch
+    }
+
+    /// Between wait slices: fail the travel over if its coordinator's host
+    /// is gone. The error is why the travel cannot be saved.
+    fn rescue_orphan(&self, travel: TravelId) -> Result<(), TravelError> {
+        let host = {
+            let routes = self.routes.lock();
+            routes.get(&travel).map(|r| (r.coordinator, r.coord_epoch))
+        };
+        if host.is_none_or(|(coord, coord_epoch)| self.host_alive(coord, coord_epoch)) {
+            return Ok(());
+        }
+        if !self.engine.reliable_delivery_enabled() {
+            // No epoch fencing: the travel is unrecoverable in place.
+            return Err(TravelError::CoordinatorLost { travel });
+        }
+        match self.failover(travel) {
+            Ok(()) => Ok(()),
+            // The successor took the handoff but never confirmed recovery:
+            // fail fast instead of burning the whole timeout.
+            Err(ClusterError::Travel(stalled @ TravelError::FailoverStalled { .. })) => {
+                Err(stalled)
+            }
+            Err(_) => Err(TravelError::CoordinatorLost { travel }),
         }
     }
 
@@ -1273,32 +1132,14 @@ impl ClusterState {
     /// not overshoot by a fresh quarter-second window when the
     /// coordinator is up but unresponsive (e.g. network-isolated).
     fn try_progress_snapshot(&self, ticket: &Ticket, budget: Duration) -> Option<ProgressSnapshot> {
-        let coordinator = self
-            .routes
-            .lock()
-            .get(&ticket.travel)
-            .map(|r| r.coordinator)
-            .unwrap_or(ticket.coordinator);
+        let coordinator = self.coordinator_of(ticket);
         if self.server_crashed(coordinator) {
             return None;
         }
-        self.client
-            .send(
-                coordinator,
-                Msg::ProgressQuery {
-                    travel: ticket.travel,
-                    client: self.client.id(),
-                },
-            )
-            .ok()?;
-        match self.await_client_msg(
-            ticket.travel,
-            |m| matches!(m, Msg::ProgressReport { .. }),
-            Instant::now() + budget.min(Duration::from_millis(250)),
-        ) {
-            Ok((Msg::ProgressReport { snapshot, .. }, _)) => Some(snapshot),
-            Ok(_) | Err(_) => None,
-        }
+        let patience = budget.min(Duration::from_millis(250));
+        self.port
+            .query_progress(ticket.travel, coordinator, patience)
+            .ok()
     }
 
     /// Collect a travel's ledger events from every surviving copy: the
@@ -1367,9 +1208,7 @@ impl ClusterState {
             let Some(r) = routes.get(&travel) else {
                 return Ok(()); // completed (or abandoned) meanwhile
             };
-            let host_alive = !self.server_crashed(r.coordinator)
-                && self.slots[r.coordinator].epoch.load(Ordering::SeqCst) == r.coord_epoch;
-            if host_alive {
+            if self.host_alive(r.coordinator, r.coord_epoch) {
                 return Ok(()); // a concurrent waiter already re-homed it
             }
             (r.coordinator, r.plan.clone(), r.tepoch)
@@ -1449,48 +1288,43 @@ impl ClusterState {
             travel,
             epoch,
             plan: plan.clone(),
-            client: self.client.id(),
+            client: self.port.id(),
             events,
         };
         let send_round = |round: &Msg| -> Result<(), ClusterError> {
-            self.client
-                // gt-lint: allow(guard-across-channel, "serializing the recover+handoff sends is the failover lock's whole job")
-                .send(successor, round.clone())
-                .map_err(|_| ClusterError::Disconnected)?;
+            // gt-lint: allow(guard-across-channel, "serializing the recover+handoff sends is the failover lock's whole job")
+            self.port.send(successor, round.clone())?;
             for s in 0..n {
                 if self.server_crashed(s) {
                     // A crashed server can't re-announce; satisfy the
                     // barrier on its behalf with an empty journal (its
                     // in-memory work is gone — re-drive covers it).
-                    self.client
-                        .send(
-                            successor,
-                            Msg::ReAnnounce {
-                                travel,
-                                epoch,
-                                server: s,
-                                created: Vec::new(),
-                                terminated: Vec::new(),
-                                results: Vec::new(),
-                            },
-                        )
-                        .map_err(|_| ClusterError::Disconnected)?;
-                    continue;
-                }
-                self.client
-                    .send(
-                        s,
-                        Msg::CoordHandoff {
+                    self.port.send(
+                        successor,
+                        Msg::ReAnnounce {
                             travel,
                             epoch,
-                            coordinator: successor,
-                            restarted,
+                            server: s,
+                            created: Vec::new(),
+                            terminated: Vec::new(),
+                            results: Vec::new(),
                         },
-                    )
-                    .map_err(|_| ClusterError::Disconnected)?;
+                    )?;
+                    continue;
+                }
+                self.port.send(
+                    s,
+                    Msg::CoordHandoff {
+                        travel,
+                        epoch,
+                        coordinator: successor,
+                        restarted,
+                    },
+                )?;
             }
             Ok(())
         };
+        let _listening = self.port.listen(travel);
         send_round(&recover)?;
         {
             let mut routes = self.routes.lock();
@@ -1510,11 +1344,10 @@ impl ClusterState {
         let deadline = Instant::now() + RECOVER_DEADLINE;
         loop {
             let slice = deadline.min(Instant::now() + RECOVER_RENUDGE);
-            match self.await_client_msg(
-                travel,
-                |m| matches!(m, Msg::RecoverDone { epoch: e, .. } if *e >= epoch),
-                slice,
-            ) {
+            match self.port.await_reply(travel, slice, |m| match m {
+                Msg::RecoverDone { epoch: e, .. } if e >= epoch => Ok(()),
+                other => Err(other),
+            }) {
                 Ok(_) => return Ok(()),
                 Err(e) if e.is_timeout() => {
                     let epoch_moved = self
@@ -1552,13 +1385,10 @@ impl ClusterState {
     /// (dispatching queued submissions into the capacity), and forget its
     /// bookkeeping.
     fn abandon(&self, travel: TravelId) {
-        for s in 0..self.slots.len() {
-            let _ = self.client.send(s, Msg::Abort { travel });
-        }
+        self.port.abort(travel);
         self.release_slot(travel);
         self.admission.lock().times.remove(&travel);
         self.routes.lock().remove(&travel);
-        self.mailbox.lock().retain(|(k, _, _)| *k != travel);
     }
 
     /// Cancel a started traversal cluster-wide.
@@ -1580,71 +1410,31 @@ impl ClusterState {
                 return Ok(false);
             }
         }
-        for s in 0..self.slots.len() {
-            self.client
-                .send(
-                    s,
-                    Msg::Cancel {
-                        travel,
-                        client: self.client.id(),
-                    },
-                )
-                .map_err(|_| ClusterError::Disconnected)?;
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        for _ in 0..self.slots.len() {
-            self.await_client_msg(travel, |m| matches!(m, Msg::CancelAck { .. }), deadline)?;
-        }
+        self.port.cancel_travel(travel)?;
         self.release_slot(travel);
         self.admission.lock().times.remove(&travel);
         self.routes.lock().remove(&travel);
-        {
-            // Mark cancelled so a concurrent `wait()` on this ticket
-            // reports `TravelError::Cancelled` instead of timing out.
-            let mut cancelled = self.cancelled.lock();
-            cancelled.insert(travel);
-            while cancelled.len() > MAX_ROUTES {
-                cancelled.pop_first();
-            }
-        }
-        // A completion may have raced the cancellation; drop any stashed
-        // messages for this travel so later waiters can't see them.
-        self.mailbox.lock().retain(|(k, _, _)| *k != travel);
+        // Last, so a concurrent `wait()` on this ticket reports
+        // `TravelError::Cancelled` only once the slot is free.
+        self.port.mark_cancelled(travel);
         Ok(true)
     }
 
     /// Query the coordinator's progress estimate for an in-flight travel
     /// (§IV-C's progress reporting).
     pub fn progress(&self, ticket: &Ticket) -> Result<ProgressSnapshot, ClusterError> {
-        // After a failover the coordinator has moved; follow the route.
-        let coordinator = self
-            .routes
-            .lock()
+        let coordinator = self.coordinator_of(ticket);
+        self.port
+            .query_progress(ticket.travel, coordinator, PROGRESS_DEADLINE)
+    }
+
+    /// Where the travel's coordinator role lives now (a failover moves it
+    /// off the server the ticket was issued for).
+    fn coordinator_of(&self, ticket: &Ticket) -> usize {
+        let routes = self.routes.lock();
+        routes
             .get(&ticket.travel)
-            .map(|r| r.coordinator)
-            .unwrap_or(ticket.coordinator);
-        self.client
-            .send(
-                coordinator,
-                Msg::ProgressQuery {
-                    travel: ticket.travel,
-                    client: self.client.id(),
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        match self
-            .await_client_msg(
-                ticket.travel,
-                |m| matches!(m, Msg::ProgressReport { .. }),
-                Instant::now() + Duration::from_secs(10),
-            )?
-            .0
-        {
-            Msg::ProgressReport { snapshot, .. } => Ok(snapshot),
-            other => Err(ClusterError::Recovery(format!(
-                "unexpected reply to progress query: {other:?}"
-            ))),
-        }
+            .map_or(ticket.coordinator, |r| r.coordinator)
     }
 
     /// Ingest vertices and edges into the live cluster (§I: "live
@@ -1671,42 +1461,27 @@ impl ClusterState {
             if vs.is_empty() && es.is_empty() {
                 continue;
             }
-            let req = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
-            self.client
-                .send(
-                    owner,
-                    Msg::Ingest {
-                        req,
-                        client: self.client.id(),
-                        vertices: vs,
-                        edges: es,
-                    },
-                )
-                .map_err(|_| ClusterError::Disconnected)?;
-            pending.push((req, owner));
+            let req = self.port.mint();
+            let listening = self.port.listen(req);
+            self.port.send(
+                owner,
+                Msg::Ingest {
+                    req,
+                    client: self.port.id(),
+                    vertices: vs,
+                    edges: es,
+                },
+            )?;
+            pending.push((req, listening));
         }
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut applied = 0usize;
-        for (req, owner) in pending {
-            match self
-                .await_client_msg(req, |m| matches!(m, Msg::IngestAck { .. }), deadline)?
-                .0
-            {
-                Msg::IngestAck {
-                    applied: a, wseq, ..
-                } => {
-                    // Read-your-replication barrier: remember the highest
-                    // acked write sequence per origin. Replica reads below
-                    // this mark redirect to the primary.
-                    self.acked_w[owner].fetch_max(wseq, Ordering::Release);
-                    applied += a;
-                }
-                other => {
-                    return Err(ClusterError::Recovery(format!(
-                        "unexpected reply to ingest: {other:?}"
-                    )))
-                }
-            }
+        for (req, _listening) in pending {
+            let ack = self.port.await_reply(req, deadline, |m| match m {
+                Msg::IngestAck { applied, .. } => Ok(applied),
+                other => Err(other),
+            })?;
+            applied += ack.0;
         }
         Ok(applied)
     }
@@ -1714,79 +1489,24 @@ impl ClusterState {
     /// Low-latency point query (§I: "frequent metadata operations such
     /// as permission checking"): fetch one vertex from its owning server.
     pub fn get_vertex(&self, vertex: VertexId) -> Result<Option<gt_graph::Vertex>, ClusterError> {
-        let primary = self.placement.primary_of_vid(vertex);
-        let (owner, barrier) = self.route_point_read(vertex, primary);
-        let req = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
-        self.client
-            .send(
-                owner,
-                Msg::GetVertex {
-                    req,
-                    client: self.client.id(),
-                    vertex,
-                    barrier,
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        match self
-            .await_client_msg(
+        let owner = self.placement.primary_of_vid(vertex);
+        let req = self.port.mint();
+        let _listening = self.port.listen(req);
+        self.port.send(
+            owner,
+            Msg::GetVertex {
                 req,
-                |m| matches!(m, Msg::VertexReply { .. }),
-                Instant::now() + Duration::from_secs(30),
-            )?
-            .0
-        {
-            Msg::VertexReply { vertex, .. } => Ok(vertex.map(|b| *b)),
-            other => Err(ClusterError::Recovery(format!(
-                "unexpected reply to vertex fetch: {other:?}"
-            ))),
-        }
-    }
-
-    /// Pick the serving holder for a point read. With replica reads off
-    /// (the default) this is always the primary with no barrier —
-    /// byte-identical to the pre-replica-read code. With them on, the
-    /// least-loaded live holder serves, carrying the read-your-replication
-    /// barrier (the highest ingest sequence this client saw acked for the
-    /// primary) so acked writes are never invisible.
-    fn route_point_read(&self, vertex: VertexId, primary: usize) -> (usize, u64) {
-        if !self.engine.replica_reads {
-            return (primary, 0);
-        }
-        let holders: Vec<usize> = self
-            .placement
-            .holders_of_vid(vertex)
-            .into_iter()
-            .filter(|&s| !self.server_crashed(s))
-            .collect();
-        if holders.len() < 2 {
-            return (primary, 0);
-        }
-        let loads: Vec<u64> = holders
-            .iter()
-            .map(|&s| self.slots[s].metrics.real_io_visits.load(Ordering::Relaxed))
-            .collect();
-        let Some(&min) = loads.iter().min() else {
-            return (primary, 0);
-        };
-        // Ties (the idle-cluster common case) spread by vertex hash, so
-        // equal-load holders share the point-read traffic evenly.
-        let tied: Vec<usize> = holders
-            .into_iter()
-            .zip(&loads)
-            .filter(|&(_, &l)| l == min)
-            .map(|(s, _)| s)
-            .collect();
-        let pick = tied[gt_graph::splitmix64(vertex.0) as usize % tied.len()];
-        if pick == primary {
-            (primary, 0)
-        } else {
-            self.slots[pick]
-                .metrics
-                .replica_reads
-                .fetch_add(1, Ordering::Relaxed);
-            (pick, self.acked_w[primary].load(Ordering::Acquire))
-        }
+                client: self.port.id(),
+                vertex,
+            },
+        )?;
+        let reply = self
+            .port
+            .await_reply(req, Instant::now() + Duration::from_secs(30), |m| match m {
+                Msg::VertexReply { vertex, .. } => Ok(vertex),
+                other => Err(other),
+            })?;
+        Ok(reply.0.map(|b| *b))
     }
 
     /// This cluster's durability level (see [`DurabilityLevel`]).
@@ -1829,18 +1549,17 @@ impl ClusterState {
         let live: Vec<usize> = (0..self.slots.len())
             .filter(|&s| !self.server_crashed(s))
             .collect();
+        let key = PLACEMENT_KEYS | version;
+        let _listening = self.port.listen(key);
         for &s in &live {
-            self.client
-                .send(
-                    s,
-                    Msg::PlacementUpdate {
-                        map: shared.clone(),
-                        client: self.client.id(),
-                    },
-                )
-                .map_err(|_| ClusterError::Disconnected)?;
+            self.port.send(
+                s,
+                Msg::PlacementUpdate {
+                    map: shared.clone(),
+                    client: self.port.id(),
+                },
+            )?;
         }
-        let key = (1u64 << 62) | version;
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut acked = BTreeSet::new();
         loop {
@@ -1854,11 +1573,13 @@ impl ClusterState {
                 return Ok(());
             }
             let slice = deadline.min(Instant::now() + Duration::from_millis(100));
-            match self.await_client_msg(key, |m| matches!(m, Msg::PlacementAck { .. }), slice) {
-                Ok((Msg::PlacementAck { server, .. }, _)) => {
+            match self.port.await_reply(key, slice, |m| match m {
+                Msg::PlacementAck { server, .. } => Ok(server),
+                other => Err(other),
+            }) {
+                Ok((server, _)) => {
                     acked.insert(server);
                 }
-                Ok(_) => {}
                 Err(e) if e.is_timeout() => {
                     if Instant::now() >= deadline {
                         return Err(e);
@@ -1916,9 +1637,7 @@ impl ClusterState {
                 .collect()
         };
         for (travel, coord, coord_epoch) in routed {
-            let host_alive = !self.server_crashed(coord)
-                && self.slots[coord].epoch.load(Ordering::SeqCst) == coord_epoch;
-            if host_alive {
+            if self.host_alive(coord, coord_epoch) {
                 // Best-effort: the map flip above is already durable, so a
                 // re-drive that stalls (e.g. the revived slot still booting
                 // when the handoff barrier forms) must not fail the
@@ -1976,38 +1695,32 @@ impl ClusterState {
                 "{purpose:?} copy of {partition} to {to}: source or target is down"
             )));
         }
-        // Flow ids share the travel/request id namespace, so acks stash
-        // cleanly in the client mailbox.
-        let mig = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
+        // Flow ids share the travel/request id namespace.
+        let mig = self.port.mint();
+        let _listening = self.port.listen(mig);
         let deadline = Instant::now() + patience;
-        self.client
-            .send(
-                from,
-                Msg::CopyBegin {
-                    mig,
-                    partition,
-                    to,
-                    client: self.client.id(),
-                    purpose,
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        // Phase 0: bulk snapshot applied on the target.
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::CopyApplied { phase: 0, .. }),
-            deadline,
+        let applied = |phase: u8| {
+            self.port.await_reply(mig, deadline, move |m| match m {
+                Msg::CopyApplied { phase: p, .. } if p == phase => Ok(()),
+                other => Err(other),
+            })
+        };
+        self.port.send(
+            from,
+            Msg::CopyBegin {
+                mig,
+                partition,
+                to,
+                client: self.port.id(),
+                purpose,
+            },
         )?;
+        // Phase 0: bulk snapshot applied on the target.
+        applied(0)?;
         // Phase 1: source seals the delta trap and ships writes that
         // raced the snapshot.
-        self.client
-            .send(from, Msg::CopyCutover { mig })
-            .map_err(|_| ClusterError::Disconnected)?;
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::CopyApplied { phase: 1, .. }),
-            deadline,
-        )?;
+        self.port.send(from, Msg::CopyCutover { mig })?;
+        applied(1)?;
         // Cutover: edit the map and broadcast. In-flight frontiers and
         // writes route by the new map as soon as each server installs it.
         let mut map = self.placement.snapshot();
@@ -2022,9 +1735,7 @@ impl ClusterState {
             self.broadcast_placement(map)?;
         }
         for s in [from, to] {
-            self.client
-                .send(s, Msg::CopyFinish { mig, purpose })
-                .map_err(|_| ClusterError::Disconnected)?;
+            self.port.send(s, Msg::CopyFinish { mig, purpose })?;
         }
         Ok(())
     }
@@ -2283,7 +1994,7 @@ impl ClusterState {
     /// join their threads.
     fn shutdown_servers(&self) {
         for s in 0..self.slots.len() {
-            let _ = self.client.send(s, Msg::Shutdown);
+            let _ = self.port.send(s, Msg::Shutdown);
         }
         for s in &self.slots {
             if let Some(h) = s.handle.lock().take() {
@@ -2295,9 +2006,8 @@ impl ClusterState {
 
 /// The self-healing loop, run on the `gt-healer` thread whenever the
 /// cluster was built with a [`DetectionConfig`]. It shares the client
-/// endpoint with the foreground API through the mailbox-stash protocol
-/// (every receive stashes messages it doesn't want, keyed by
-/// [`ClusterState::msg_key`], so concurrent waiters still see theirs):
+/// port with the foreground API as one more waiter, listening for the
+/// servers' suspicion reports for as long as it runs:
 ///
 /// 1. drain `Suspect` reports from the servers' phi-accrual detectors,
 ///    ground-truth each against the actual crash state, and answer with
@@ -2313,15 +2023,19 @@ fn healer_loop(cluster: &Arc<ClusterState>, stop: &AtomicBool) {
     // clears itself on that heartbeat).
     let mut healed: BTreeMap<usize, Instant> = BTreeMap::new();
     let mut last_scan = Instant::now();
+    let _listening = cluster.port.listen(SUSPECT_KEY);
     while !stop.load(Ordering::SeqCst) {
         let slice = Instant::now() + HEALER_SLICE;
-        match cluster.await_client_msg(SUSPECT_KEY, |m| matches!(m, Msg::Suspect { .. }), slice) {
-            Ok((Msg::Suspect { from, suspect }, _)) => {
+        match cluster.port.await_reply(SUSPECT_KEY, slice, |m| match m {
+            Msg::Suspect { from, suspect } => Ok((from, suspect)),
+            other => Err(other),
+        }) {
+            Ok(((from, suspect), _)) => {
                 let crashed = cluster.server_crashed(suspect);
                 let stale = healed
                     .get(&suspect)
                     .is_some_and(|t| t.elapsed() < HEAL_STALE_WINDOW);
-                let _ = cluster.client.send(
+                let _ = cluster.port.send(
                     from,
                     Msg::SuspectAck {
                         suspect,
@@ -2333,9 +2047,6 @@ fn healer_loop(cluster: &Arc<ClusterState>, stop: &AtomicBool) {
                     healed.insert(suspect, Instant::now());
                 }
             }
-            // The matcher only admits Suspect; anything else is a
-            // key/matcher bug — ignore rather than kill the healer.
-            Ok(_) => {}
             Err(e) if e.is_timeout() => {}
             // Disconnected mid-shutdown (or a wedged fabric): back off so
             // the loop doesn't spin hot until `stop` flips.

@@ -1,9 +1,7 @@
 //! Engine selection and tuning.
 
 use crate::faults::{ChaosPlan, FaultPlan};
-use crate::qos::QosConfig;
 use gt_net::NetConfig;
-use std::time::Duration;
 
 /// How cluster endpoints exchange messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,12 +98,6 @@ pub struct EngineConfig {
     /// co-running travel's inserts never evict another travel below this
     /// floor (`0` = no reservation).
     pub cache_reserve_per_travel: usize,
-    /// Route point lookups and frontier reads to the least-loaded holder
-    /// of a partition (replica reads) instead of always the primary.
-    /// Off by default: a single-replica cluster routes byte-identically
-    /// to the pre-placement code, and every `self_heal_counters()` entry
-    /// stays zero.
-    pub replica_reads: bool,
     /// MVCC snapshot isolation: stores stamp every write with a
     /// cluster-wide sequence number and each travel reads a frozen view
     /// captured at admission, so a travel never observes ingest that
@@ -119,14 +111,6 @@ pub struct EngineConfig {
     /// the simulated fabric; combining it with a socket transport is a
     /// build error.
     pub transport: TransportKind,
-    /// Poll slice for [`crate::cluster::Cluster::wait`]: how often a
-    /// blocked waiter re-checks for failover/timeout while a travel is
-    /// outstanding. Shorter slices tighten deadline enforcement at the
-    /// cost of wake-ups. Floor 1 ms.
-    pub wait_poll: Duration,
-    /// Front-door per-tenant QoS policy. Disabled by default: the gate
-    /// is bypassed and every per-tenant counter stays exactly zero.
-    pub qos: QosConfig,
 }
 
 impl EngineConfig {
@@ -144,11 +128,8 @@ impl EngineConfig {
             force_cache: None,
             max_concurrent_travels: 0,
             cache_reserve_per_travel: 0,
-            replica_reads: false,
             snapshot_isolation: false,
             transport: TransportKind::InProc,
-            wait_poll: Duration::from_millis(50),
-            qos: QosConfig::default(),
         }
     }
 
@@ -214,13 +195,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: replica-read routing for point lookups and
-    /// frontier reads.
-    pub fn replica_reads(mut self, on: bool) -> Self {
-        self.replica_reads = on;
-        self
-    }
-
     /// Builder-style: MVCC snapshot isolation for travels over a
     /// mutating graph.
     pub fn snapshot_isolation(mut self, on: bool) -> Self {
@@ -231,18 +205,6 @@ impl EngineConfig {
     /// Builder-style: message transport (in-process fabric or sockets).
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = kind;
-        self
-    }
-
-    /// Builder-style: `Cluster::wait` poll slice (floored at 1 ms).
-    pub fn wait_poll(mut self, slice: Duration) -> Self {
-        self.wait_poll = slice.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Builder-style: front-door QoS policy.
-    pub fn qos(mut self, qos: QosConfig) -> Self {
-        self.qos = qos;
         self
     }
 
@@ -323,13 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_reads_default_off() {
-        let cfg = EngineConfig::new(EngineKind::GraphTrek);
-        assert!(!cfg.replica_reads, "dormant by default");
-        assert!(cfg.replica_reads(true).replica_reads);
-    }
-
-    #[test]
     fn snapshot_isolation_default_off() {
         let cfg = EngineConfig::new(EngineKind::GraphTrek);
         assert!(!cfg.snapshot_isolation, "dormant by default");
@@ -356,21 +311,6 @@ mod tests {
         assert_eq!(cfg.transport, TransportKind::InProc);
         assert_eq!(cfg.transport(TransportKind::Uds).transport.label(), "uds");
         assert_eq!(TransportKind::Tcp.label(), "tcp");
-    }
-
-    #[test]
-    fn wait_poll_floors_at_one_ms() {
-        let cfg = EngineConfig::new(EngineKind::Sync);
-        assert_eq!(cfg.wait_poll, Duration::from_millis(50), "default slice");
-        assert_eq!(
-            cfg.wait_poll(Duration::ZERO).wait_poll,
-            Duration::from_millis(1)
-        );
-    }
-
-    #[test]
-    fn qos_defaults_off() {
-        assert!(!EngineConfig::new(EngineKind::GraphTrek).qos.enabled);
     }
 
     #[test]

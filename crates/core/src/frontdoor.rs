@@ -21,37 +21,33 @@
 //! - [`ClusterState`] — the in-process cluster (single-process
 //!   deployments, tests, benches; results are oracle-identical to
 //!   calling [`ClusterState::submit`] directly).
-//! - [`Agent`] — a thin remote client over a [`Conduit`], for
-//!   multi-process deployments where each `gt-server` process hosts one
-//!   backend server plus a front door.
+//! - [`crate::client::ClientPort`] — the bare client driver over a mesh
+//!   endpoint, for multi-process deployments where each `gt-server`
+//!   process hosts one backend server plus a front door (no failover
+//!   orchestration: there a dead server is a dead process, restarted
+//!   from the outside).
 
-use crate::cluster::{ClusterError, ClusterState, Ticket, TravelError, TravelResult};
+use crate::client::Ticket;
+use crate::cluster::{ClusterError, ClusterState, TravelError, TravelResult};
 use crate::lang::Plan;
-use crate::message::{Msg, ProgressSnapshot};
+use crate::message::ProgressSnapshot;
 use crate::qos::{Admission, QosConfig, QosGate};
-use crate::TravelId;
 use gt_proto::{negotiate, read_frame, send_server, ClientMsg, ServerMsg, WireError, WireProgress};
-use gt_transport::{Conduit, SocketAddrSpec};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeSet, HashMap};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use gt_transport::{Listener, SocketAddrSpec, Stream};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Timeout applied to requests that carry no explicit deadline.
 const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
-/// The agent's receive slice while pumping its conduit.
-const AGENT_SLICE: Duration = Duration::from_millis(10);
-/// How long [`Agent::cancel`] waits for every server's ack.
-const CANCEL_DEADLINE: Duration = Duration::from_secs(30);
 
 // ------------------------------------------------------------- backend
 
 /// What the front door needs from an execution engine. Implemented by
-/// the in-process [`ClusterState`] and by the remote [`Agent`].
+/// the in-process [`ClusterState`] and by the bare
+/// [`crate::client::ClientPort`].
 pub trait Backend: Send + Sync + 'static {
     /// Handle onto one in-flight travel.
     type Ticket: Clone + Send + Sync + 'static;
@@ -82,301 +78,6 @@ impl Backend for ClusterState {
     }
 }
 
-// --------------------------------------------------------------- agent
-
-/// Handle onto a travel dispatched through an [`Agent`].
-#[derive(Debug, Clone, Copy)]
-pub struct AgentTicket {
-    travel: TravelId,
-    coordinator: usize,
-    started: Instant,
-}
-
-impl AgentTicket {
-    /// The travel id this ticket tracks.
-    pub fn travel(&self) -> TravelId {
-        self.travel
-    }
-}
-
-/// Messages received while a waiter was looking for something else,
-/// keyed for the waiter they belong to.
-#[derive(Default)]
-struct AgentMailbox {
-    done: HashMap<TravelId, crate::message::TravelOutcome>,
-    progress: HashMap<TravelId, ProgressSnapshot>,
-    cancel_acks: HashMap<TravelId, usize>,
-    cancelled: BTreeSet<TravelId>,
-    /// Whether some thread currently owns the conduit's receive side.
-    pumping: bool,
-}
-
-/// A minimal remote client for one cluster: submits travels over a
-/// [`Conduit`] endpoint and sorts the replies to concurrent waiters.
-///
-/// Unlike [`ClusterState`] it performs no failover orchestration — it is
-/// the multi-process front door's path to servers it does not host, and
-/// in that deployment a dead server is a dead process, restarted from
-/// the outside. Travel ids embed the agent's endpoint id in their high
-/// bits so concurrent agents in different processes never collide.
-pub struct Agent {
-    ep: Conduit<Msg>,
-    n_servers: usize,
-    ctr: AtomicU64,
-    mail: Mutex<AgentMailbox>,
-    cv: Condvar,
-}
-
-impl Agent {
-    /// Wrap a client endpoint. `n_servers` is the number of backend
-    /// servers (endpoints `0..n_servers` on the same fabric/mesh).
-    pub fn new(ep: Conduit<Msg>, n_servers: usize) -> Agent {
-        Agent {
-            ep,
-            n_servers,
-            ctr: AtomicU64::new(1),
-            mail: Mutex::new(AgentMailbox::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Pump the conduit until `pick` yields, the deadline passes, or the
-    /// conduit closes. Concurrent callers share one receive side: the
-    /// thread holding the `pumping` flag receives and stashes for all.
-    fn await_mail<R>(
-        &self,
-        deadline: Instant,
-        mut pick: impl FnMut(&mut AgentMailbox) -> Option<R>,
-    ) -> Result<Option<R>, ClusterError> {
-        loop {
-            let i_pump = {
-                let mut mb = self.mail.lock();
-                if let Some(r) = pick(&mut mb) {
-                    return Ok(Some(r));
-                }
-                if Instant::now() >= deadline {
-                    return Ok(None);
-                }
-                if mb.pumping {
-                    // Someone else is receiving; sleep until they stash.
-                    self.cv.wait_for(&mut mb, AGENT_SLICE);
-                    false
-                } else {
-                    mb.pumping = true;
-                    true
-                }
-            };
-            if i_pump {
-                let r = self.ep.recv_timeout(AGENT_SLICE);
-                let mut mb = self.mail.lock();
-                mb.pumping = false;
-                match r {
-                    Ok(env) => match env.msg {
-                        Msg::TravelDone { travel, outcome } => {
-                            mb.done.insert(travel, outcome);
-                        }
-                        Msg::ProgressReport { travel, snapshot } => {
-                            mb.progress.insert(travel, snapshot);
-                        }
-                        Msg::CancelAck { travel, .. } => {
-                            *mb.cancel_acks.entry(travel).or_insert(0) += 1;
-                        }
-                        // Anything else addressed to a client endpoint is
-                        // an artifact of a path the agent does not drive
-                        // (no ingest, no placement orchestration).
-                        // gt-lint: allow(wildcard-arm, "agent drives only submit/cancel/progress; the full Msg dispatch audit lives in server.rs and cluster.rs")
-                        _ => {}
-                    },
-                    Err(gt_net::RecvError::Timeout) => {}
-                    Err(gt_net::RecvError::Closed) => {
-                        drop(mb);
-                        return Err(ClusterError::Disconnected);
-                    }
-                }
-                self.cv.notify_all();
-            }
-        }
-    }
-}
-
-impl Backend for Agent {
-    type Ticket = AgentTicket;
-
-    fn begin(&self, plan: Arc<Plan>) -> Result<AgentTicket, ClusterError> {
-        // High bits: endpoint id. Low bits: local counter. Distinct
-        // agents (distinct endpoints) thus mint disjoint id ranges.
-        let travel = ((self.ep.id() as u64) << 48) | self.ctr.fetch_add(1, Ordering::Relaxed);
-        let coordinator = (travel as usize) % self.n_servers;
-        self.ep
-            .send(
-                coordinator,
-                Msg::Submit {
-                    travel,
-                    plan,
-                    client: self.ep.id(),
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        Ok(AgentTicket {
-            travel,
-            coordinator,
-            started: Instant::now(),
-        })
-    }
-
-    fn wait(&self, t: &AgentTicket, timeout: Duration) -> Result<TravelResult, ClusterError> {
-        let travel = t.travel;
-        let got = self.await_mail(Instant::now() + timeout, |mb| {
-            if mb.cancelled.contains(&travel) {
-                return Some(None);
-            }
-            mb.done.remove(&travel).map(Some)
-        })?;
-        match got {
-            Some(Some(outcome)) => Ok(TravelResult::from_outcome(outcome, t.started.elapsed(), 0)),
-            Some(None) => Err(ClusterError::Travel(TravelError::Cancelled { travel })),
-            None => {
-                // Deadline: abort everywhere so the cluster stops
-                // spending on a result nobody will read.
-                for s in 0..self.n_servers {
-                    let _ = self.ep.send(s, Msg::Abort { travel });
-                }
-                Err(ClusterError::Travel(TravelError::Timeout {
-                    attempts: 1,
-                    last_progress: None,
-                }))
-            }
-        }
-    }
-
-    fn cancel(&self, t: &AgentTicket) -> Result<bool, ClusterError> {
-        let travel = t.travel;
-        for s in 0..self.n_servers {
-            self.ep
-                .send(
-                    s,
-                    Msg::Cancel {
-                        travel,
-                        client: self.ep.id(),
-                    },
-                )
-                .map_err(|_| ClusterError::Disconnected)?;
-        }
-        let n = self.n_servers;
-        let acked = self
-            .await_mail(Instant::now() + CANCEL_DEADLINE, |mb| {
-                (mb.cancel_acks.get(&travel).copied().unwrap_or(0) >= n).then_some(())
-            })?
-            .is_some();
-        let mut mb = self.mail.lock();
-        mb.cancel_acks.remove(&travel);
-        mb.cancelled.insert(travel);
-        // A completion may have raced the cancellation.
-        mb.done.remove(&travel);
-        drop(mb);
-        self.cv.notify_all();
-        Ok(acked)
-    }
-
-    fn progress(&self, t: &AgentTicket) -> Result<ProgressSnapshot, ClusterError> {
-        self.ep
-            .send(
-                t.coordinator,
-                Msg::ProgressQuery {
-                    travel: t.travel,
-                    client: self.ep.id(),
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        let travel = t.travel;
-        self.await_mail(Instant::now() + Duration::from_secs(10), |mb| {
-            mb.progress.remove(&travel)
-        })?
-        .ok_or(ClusterError::Travel(TravelError::Timeout {
-            attempts: 1,
-            last_progress: None,
-        }))
-    }
-}
-
-// ------------------------------------------------------------- sockets
-
-/// A connected client stream, TCP or UDS.
-enum Sock {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
-
-impl Sock {
-    fn try_clone(&self) -> std::io::Result<Sock> {
-        Ok(match self {
-            Sock::Tcp(s) => Sock::Tcp(s.try_clone()?),
-            Sock::Uds(s) => Sock::Uds(s.try_clone()?),
-        })
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            Sock::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Sock::Uds(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-impl Read for Sock {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Uds(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.flush(),
-            Sock::Uds(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Uds(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Sock> {
-        // Request/response frames are small and written in two syscalls
-        // (length prefix, then payload); without TCP_NODELAY, Nagle +
-        // delayed ACK turns every round-trip into tens of milliseconds.
-        Ok(match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                let _ = s.set_nodelay(true);
-                Sock::Tcp(s)
-            }
-            Listener::Uds(l) => Sock::Uds(l.accept()?.0),
-        })
-    }
-}
-
-/// Dial a front-door address (used by [`FrontDoor::stop`]'s self-wake;
-/// `gt-client` has its own copy against `std` types).
-fn dial(spec: &SocketAddrSpec) -> std::io::Result<Sock> {
-    Ok(match spec {
-        SocketAddrSpec::Tcp(a) => Sock::Tcp(TcpStream::connect(a)?),
-        SocketAddrSpec::Uds(p) => Sock::Uds(UnixStream::connect(p)?),
-    })
-}
-
 // ---------------------------------------------------------- front door
 
 /// A running proto listener. Dropping it does **not** stop the accept
@@ -396,17 +97,7 @@ impl FrontDoor {
         spec: SocketAddrSpec,
         qos: QosConfig,
     ) -> std::io::Result<FrontDoor> {
-        let (listener, local) = match &spec {
-            SocketAddrSpec::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                let local = SocketAddrSpec::Tcp(l.local_addr()?.to_string());
-                (Listener::Tcp(l), local)
-            }
-            SocketAddrSpec::Uds(path) => {
-                let _ = std::fs::remove_file(path);
-                (Listener::Uds(UnixListener::bind(path)?), spec.clone())
-            }
-        };
+        let (listener, local) = Listener::bind(&spec)?;
         let gate = Arc::new(QosGate::new(qos));
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
@@ -451,7 +142,7 @@ impl FrontDoor {
     /// connections finish on their own threads.
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = dial(&self.local); // wake the blocking accept
+        let _ = Stream::connect(&self.local); // wake the blocking accept
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -489,14 +180,14 @@ fn wire_progress(p: &ProgressSnapshot) -> WireProgress {
 
 /// Serialize + send under the shared writer lock, ignoring IO errors
 /// (a dead connection is detected by the read side).
-fn reply(writer: &Mutex<Sock>, msg: &ServerMsg) {
+fn reply(writer: &Mutex<Stream>, msg: &ServerMsg) {
     let mut w = writer.lock();
     let _ = send_server(&mut *w, msg);
 }
 
 /// One connection's lifecycle: hello, then a request loop; on exit the
 /// tenant's in-flight travels are retired.
-fn serve_conn<B: Backend>(mut sock: Sock, backend: &Arc<B>, gate: &Arc<QosGate>) {
+fn serve_conn<B: Backend>(mut sock: Stream, backend: &Arc<B>, gate: &Arc<QosGate>) {
     // Hello first. A malformed or absent hello closes the connection.
     let tenant = match read_frame(&mut sock) {
         Ok(Some(frame)) => match ClientMsg::decode(&frame) {

@@ -68,6 +68,7 @@
 //! ```
 
 pub mod cache;
+pub mod client;
 pub mod cluster;
 pub mod coordinator;
 pub mod engine;
@@ -99,8 +100,11 @@ pub mod prelude {
 }
 
 pub use cluster::{Cluster, ClusterConfig, TravelResult};
+// Their types appear in this crate's signatures (`Conduit`,
+// `SocketAddrSpec`; `PlacementMap`, `SharedPlacement`).
 pub use engine::{EngineConfig, EngineKind};
 pub use lang::{GTravel, Plan};
+pub use {gt_placement, gt_transport};
 
 /// Identifier of one traversal (assigned by the submitting client).
 pub type TravelId = u64;

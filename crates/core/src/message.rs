@@ -271,10 +271,6 @@ pub enum Msg {
         req: u64,
         /// Vertices + edges applied.
         applied: usize,
-        /// The primary's write watermark after this ingest. The client
-        /// remembers the highest acked watermark per primary and sends it
-        /// back as the read barrier on replica-routed point lookups.
-        wseq: u64,
     },
     /// Client → owner server: point metadata lookup.
     GetVertex {
@@ -284,11 +280,6 @@ pub enum Msg {
         client: usize,
         /// Vertex to fetch.
         vertex: VertexId,
-        /// Read-your-replication barrier: the highest primary write
-        /// watermark the client has seen acked for this vertex's
-        /// partition. A replica parks the read until its applied
-        /// watermark catches up; `0` (always satisfied) toward primaries.
-        barrier: u64,
     },
     /// Owner server → client: point lookup reply.
     VertexReply {
@@ -434,10 +425,6 @@ pub enum Msg {
         req: u64,
         /// The primary awaiting the ack.
         origin: usize,
-        /// The primary's write watermark for this mutation; the replica
-        /// advances its per-origin applied watermark to it (the replica
-        /// side of the read barrier).
-        wseq: u64,
         /// MVCC stamp the primary wrote the batch at (`None` when
         /// versioning is off). The replica applies at the same stamp so
         /// a snapshot resolves identically on every holder.
@@ -541,8 +528,8 @@ pub enum Msg {
         from: usize,
         /// Monotonic per-sender beacon number (chaos-key uniqueness).
         seq: u64,
-        /// The sender's cumulative real-I/O visit count — a cheap load
-        /// proxy for least-loaded replica-read routing.
+        /// The sender's cumulative real-I/O visit count (a cheap load
+        /// proxy).
         load: u64,
     },
     /// Monitor server → healer (client endpoint): peer `suspect`'s phi
@@ -572,6 +559,67 @@ pub enum Msg {
     Crash,
     /// Stop the server's dispatcher and workers.
     Shutdown,
+}
+
+/// Reply-key range of [`Msg::PlacementAck`]: the map version offset past
+/// every travel/request id (those are sequential from 1, or
+/// `endpoint << 48 | counter` on a mesh).
+pub(crate) const PLACEMENT_KEYS: u64 = 1 << 62;
+/// Reply key shared by every [`Msg::Suspect`] report: the healer is the
+/// only listener and drains them in arrival order.
+pub(crate) const SUSPECT_KEY: u64 = 3 << 62;
+
+impl Msg {
+    /// The key a client-bound message is delivered under by
+    /// [`crate::client::ClientPort`]: the travel, request, flow or map
+    /// version it answers. `None` for server-bound traffic.
+    pub(crate) fn client_key(&self) -> Option<u64> {
+        match self {
+            Msg::TravelDone { travel, .. }
+            | Msg::ProgressReport { travel, .. }
+            | Msg::CancelAck { travel, .. }
+            | Msg::RecoverDone { travel, .. } => Some(*travel),
+            Msg::IngestAck { req, .. } | Msg::VertexReply { req, .. } => Some(*req),
+            Msg::PlacementAck { version, .. } => Some(PLACEMENT_KEYS | *version),
+            Msg::CopyApplied { mig, .. } => Some(*mig),
+            Msg::Suspect { .. } => Some(SUSPECT_KEY),
+            // Listed explicitly so a new client-bound variant fails
+            // gt-lint here instead of being silently dropped.
+            Msg::Submit { .. }
+            | Msg::Abort { .. }
+            | Msg::ProgressQuery { .. }
+            | Msg::Cancel { .. }
+            | Msg::SourceScan { .. }
+            | Msg::Visit { .. }
+            | Msg::ExecCreated { .. }
+            | Msg::ExecTerminated { .. }
+            | Msg::OriginSatisfied { .. }
+            | Msg::Results { .. }
+            | Msg::SyncStart { .. }
+            | Msg::SyncFrontier { .. }
+            | Msg::SyncOrigin { .. }
+            | Msg::SyncStepDone { .. }
+            | Msg::Ingest { .. }
+            | Msg::GetVertex { .. }
+            | Msg::Relay { .. }
+            | Msg::RelayAck { .. }
+            | Msg::CoordRecover { .. }
+            | Msg::CoordHandoff { .. }
+            | Msg::ReAnnounce { .. }
+            | Msg::PlacementUpdate { .. }
+            | Msg::ReplicateWrite { .. }
+            | Msg::ReplicateAck { .. }
+            | Msg::ReplicateLedger { .. }
+            | Msg::CopyBegin { .. }
+            | Msg::CopyData { .. }
+            | Msg::CopyCutover { .. }
+            | Msg::CopyFinish { .. }
+            | Msg::Heartbeat { .. }
+            | Msg::SuspectAck { .. }
+            | Msg::Crash
+            | Msg::Shutdown => None,
+        }
+    }
 }
 
 impl WireSize for Msg {
@@ -616,8 +664,8 @@ impl WireSize for Msg {
                     .sum::<usize>()
                     + edges.iter().map(|e| 24 + e.props.len() * 24).sum::<usize>()
             }
-            Msg::IngestAck { .. } => 20,
-            Msg::GetVertex { .. } => 28,
+            Msg::IngestAck { .. } => 12,
+            Msg::GetVertex { .. } => 20,
             Msg::VertexReply { vertex, .. } => {
                 16 + vertex.as_ref().map_or(0, |v| 16 + v.props.len() * 24)
             }

@@ -17,111 +17,203 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// are pruned beyond this, bounding memory across long multi-tenant runs.
 const MAX_TRACKED_TRAVELS: usize = 512;
 
-/// Lock-free counters for one backend server.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Vertex requests whose `(travel, step, vertex)` triple hit the
-    /// traversal-affiliate cache and were abandoned.
-    pub redundant_visits: AtomicU64,
-    /// Vertex requests served by merging with a same-vertex request at a
-    /// different step (one disk access amortized over several steps).
-    pub combined_visits: AtomicU64,
-    /// Vertex requests that performed a real storage access.
-    pub real_io_visits: AtomicU64,
-    /// Traversal-request messages received.
-    pub requests_received: AtomicU64,
-    /// Traversal-request messages dispatched to downstream servers.
-    pub requests_dispatched: AtomicU64,
-    /// Result vertices sent toward the coordinator / report destination.
-    pub results_sent: AtomicU64,
-    /// High-water mark of the local request queue.
-    pub queue_peak: AtomicUsize,
-    /// Straggler delay events injected on this server (Fig. 11 model).
-    pub injected_delays: AtomicU64,
-    /// Relay retransmissions sent (reliable-delivery layer; zero with
-    /// chaos off).
-    pub relay_retries: AtomicU64,
-    /// Relayed messages received more than once and deduped.
-    pub redeliveries: AtomicU64,
-    /// Relayed messages discarded by epoch fencing (stale pre-crash
-    /// incarnation of a peer).
-    pub stale_epoch_dropped: AtomicU64,
-    /// Scripted crashes this server executed.
-    pub crashes: AtomicU64,
-    /// Restart-and-recovery cycles this server completed.
-    pub recoveries: AtomicU64,
-    /// Travels whose ledger this server rebuilt from a durable event
-    /// stream (coordinator-failover takeovers).
-    pub ledger_replays: AtomicU64,
-    /// Durable ledger events applied across all replays.
-    pub ledger_events_replayed: AtomicU64,
-    /// Coordinator failovers this server absorbed as the successor.
-    pub failovers: AtomicU64,
-    /// Per-travel re-announce reports received while recovering a
-    /// ledger (one per live server per failover).
-    pub reannounce_msgs: AtomicU64,
-    /// Relayed messages discarded by travel-epoch fencing (stale work
-    /// from a pre-failover execution tree).
-    pub stale_travel_epoch_dropped: AtomicU64,
-    /// Placement-map installs accepted by this server (epoch-fenced; a
-    /// stale map is rejected and not counted).
-    pub placement_updates: AtomicU64,
-    /// Graph mutations applied on this server as a replica (shipped from
-    /// the partition primary).
-    pub replica_writes: AtomicU64,
-    /// Durable travel-ledger blobs this server stored on behalf of a
-    /// peer's ledger (coordinator-loss protection at rf >= 2).
-    pub ledger_blobs_replicated: AtomicU64,
-    /// Migration snapshot/delta chunks sent by this server as a source.
-    pub migrate_chunks_out: AtomicU64,
-    /// Migration snapshot/delta chunks applied by this server as a target.
-    pub migrate_chunks_in: AtomicU64,
-    /// Sent-journal compactions performed (bounding per-travel memory).
-    pub journal_compactions: AtomicU64,
-    /// High-water mark of live sent-journal entries across all travels.
-    pub journal_peak_entries: AtomicU64,
-    /// Heartbeat messages this server sent to peers (failure detector).
-    pub heartbeats_sent: AtomicU64,
-    /// Heartbeat messages this server received from peers.
-    pub heartbeats_recv: AtomicU64,
-    /// Suspicions this server raised (phi crossed the threshold).
-    pub suspicions_raised: AtomicU64,
-    /// Suspicions the healer rejected because the peer was in fact alive
-    /// (delay-induced false positives; the detector window then resets).
-    pub false_suspicions: AtomicU64,
-    /// Automatic promotions executed by the self-healing loop on behalf
-    /// of partitions this server now primaries (no client involvement).
-    pub auto_promotions: AtomicU64,
-    /// Background re-replication flows this server completed as the new
-    /// replica target (restoring `rf` copies after a promotion).
-    pub rereplications: AtomicU64,
-    /// Re-replication snapshot/delta chunks sent by this server as the
-    /// source primary.
-    pub rereplicate_chunks_out: AtomicU64,
-    /// Re-replication snapshot/delta chunks applied by this server as the
-    /// new replica target.
-    pub rereplicate_chunks_in: AtomicU64,
-    /// Point/frontier reads this server served (or the client routed) to
-    /// a non-primary holder (replica-read routing).
-    pub replica_reads: AtomicU64,
-    /// Reads parked at a replica until its applied-write watermark caught
-    /// up with the client's read barrier (read-your-replication rule).
-    pub read_barrier_stalls: AtomicU64,
-    /// Snapshot read views pinned on this server's store (mirrored from
-    /// the store's MVCC machinery; one per admitted travel under
-    /// snapshot isolation).
-    pub views_pinned: AtomicU64,
-    /// High-water mark of simultaneously pinned views on this server.
-    pub view_pin_peak: AtomicU64,
-    /// Versioned reads that skipped at least one version newer than the
-    /// travel's read view (the isolation machinery actually mattered).
-    pub stale_seq_reads: AtomicU64,
-    /// Store compactions deferred because a pinned view could still
-    /// observe a version the merge would have dropped.
-    pub compactions_deferred: AtomicU64,
-    /// Per-travel splits of the same counters (concurrent-travel
-    /// accounting; bounded to [`MAX_TRACKED_TRAVELS`] entries).
-    per_travel: Mutex<BTreeMap<TravelId, TravelMetrics>>,
+/// The one table of server counters. From each row
+/// `name: Atomic => plain [groups]` it generates the field of
+/// [`ServerMetrics`], the field of [`MetricsSnapshot`], its line in
+/// [`ServerMetrics::snapshot`] and [`ServerMetrics::reset`], and its entry
+/// in the dormancy group arrays the row names (`fault`, `failover`,
+/// `placement`, `self_heal`, `snapshot`, in that order, each followed by a
+/// comma). gt-lint's `dead-counter` rule reads the table as a struct body.
+macro_rules! counters {
+    (struct ServerMetrics {$(
+        $(#[$doc:meta])*
+        $name:ident: $atomic:ident => $plain:ty [
+            $(fault $fault:tt)? $(failover $failover:tt)? $(placement $placement:tt)?
+            $(self_heal $self_heal:tt)? $(snapshot $snapshot:tt)?
+        ],
+    )*}) => {
+        /// Lock-free counters for one backend server.
+        #[derive(Debug, Default)]
+        pub struct ServerMetrics {
+            $($(#[$doc])* pub $name: $atomic,)*
+            /// Per-travel splits of the same counters (concurrent-travel
+            /// accounting; bounded to [`MAX_TRACKED_TRAVELS`] entries).
+            per_travel: Mutex<BTreeMap<TravelId, TravelMetrics>>,
+        }
+
+        impl ServerMetrics {
+            /// Plain-value snapshot.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Zero every counter (between experiment runs).
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+                self.per_travel.lock().clear();
+            }
+
+            /// Add one to every counter in the table.
+            #[cfg(test)]
+            fn bump_all(&self) {
+                $(self.$name.fetch_add(1, Ordering::Relaxed);)*
+            }
+        }
+
+        /// Point-in-time copy of [`ServerMetrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: $plain,)*
+        }
+
+        impl MetricsSnapshot {
+            /// Every counter belonging to the fault machinery (reliable
+            /// delivery, chaos absorption, crash/failover recovery), as
+            /// `(name, value)` pairs. The chaos-off dormancy test asserts
+            /// each entry is exactly zero.
+            pub fn fault_counters(&self) -> [(&'static str, u64); counters!(@count $($($fault)?)*)] {
+                [$($(counters!(@entry self, $name, $fault),)?)*]
+            }
+
+            /// The failover-specific subset of [`Self::fault_counters`]:
+            /// counters that must stay zero on a healthy cluster even when
+            /// reliable delivery itself is enabled (retries/redeliveries
+            /// are legitimate under load; a ledger replay never is).
+            pub fn failover_counters(&self) -> [(&'static str, u64); counters!(@count $($($failover)?)*)] {
+                [$($(counters!(@entry self, $name, $failover),)?)*]
+            }
+
+            /// Every counter belonging to the placement machinery (map
+            /// propagation, write/ledger replication, shard migration).
+            /// On a static single-replica cluster — no `rebalance()`,
+            /// `decommission()`, or `promote()`, replication factor 1 —
+            /// each of these is exactly zero, and the dormancy test
+            /// asserts so.
+            pub fn placement_counters(&self) -> [(&'static str, u64); counters!(@count $($($placement)?)*)] {
+                [$($(counters!(@entry self, $name, $placement),)?)*]
+            }
+
+            /// Every counter belonging to the self-healing machinery
+            /// (failure detection, automatic promotion, background
+            /// re-replication). With detection disabled — the default —
+            /// each of these is exactly zero on a static cluster, and the
+            /// dormancy test asserts so.
+            pub fn self_heal_counters(&self) -> [(&'static str, u64); counters!(@count $($($self_heal)?)*)] {
+                [$($(counters!(@entry self, $name, $self_heal),)?)*]
+            }
+
+            /// Every counter belonging to the MVCC snapshot machinery (view
+            /// pinning, versioned reads, compaction deferral). With
+            /// snapshot isolation off — the default — each of these is
+            /// exactly zero, and the dormancy test asserts so.
+            pub fn snapshot_counters(&self) -> [(&'static str, u64); counters!(@count $($($snapshot)?)*)] {
+                [$($(counters!(@entry self, $name, $snapshot),)?)*]
+            }
+        }
+    };
+    (@count $($mark:tt)*) => { 0 $(+ counters!(@one $mark))* };
+    (@one $mark:tt) => { 1 };
+    (@entry $snap:expr, $name:ident, $mark:tt) => { (stringify!($name), $snap.$name) };
+}
+
+counters! {
+    struct ServerMetrics {
+        /// Vertex requests whose `(travel, step, vertex)` triple hit the
+        /// traversal-affiliate cache and were abandoned.
+        redundant_visits: AtomicU64 => u64 [],
+        /// Vertex requests served by merging with a same-vertex request at a
+        /// different step (one disk access amortized over several steps).
+        combined_visits: AtomicU64 => u64 [],
+        /// Vertex requests that performed a real storage access.
+        real_io_visits: AtomicU64 => u64 [],
+        /// Traversal-request messages received.
+        requests_received: AtomicU64 => u64 [],
+        /// Traversal-request messages dispatched to downstream servers.
+        requests_dispatched: AtomicU64 => u64 [],
+        /// Result vertices sent toward the coordinator / report destination.
+        results_sent: AtomicU64 => u64 [],
+        /// High-water mark of the local request queue.
+        queue_peak: AtomicUsize => usize [],
+        /// Straggler delay events injected on this server (Fig. 11 model).
+        injected_delays: AtomicU64 => u64 [],
+        /// Relay retransmissions sent (reliable-delivery layer; zero with
+        /// chaos off).
+        relay_retries: AtomicU64 => u64 [fault,],
+        /// Relayed messages received more than once and deduped.
+        redeliveries: AtomicU64 => u64 [fault,],
+        /// Relayed messages discarded by epoch fencing (stale pre-crash
+        /// incarnation of a peer).
+        stale_epoch_dropped: AtomicU64 => u64 [fault,],
+        /// Scripted crashes this server executed.
+        crashes: AtomicU64 => u64 [fault,],
+        /// Restart-and-recovery cycles this server completed.
+        recoveries: AtomicU64 => u64 [fault,],
+        /// Travels whose ledger this server rebuilt from a durable event
+        /// stream (coordinator-failover takeovers).
+        ledger_replays: AtomicU64 => u64 [fault, failover,],
+        /// Durable ledger events applied across all replays.
+        ledger_events_replayed: AtomicU64 => u64 [fault, failover,],
+        /// Coordinator failovers this server absorbed as the successor.
+        failovers: AtomicU64 => u64 [fault, failover,],
+        /// Per-travel re-announce reports received while recovering a
+        /// ledger (one per live server per failover).
+        reannounce_msgs: AtomicU64 => u64 [fault, failover,],
+        /// Relayed messages discarded by travel-epoch fencing (stale work
+        /// from a pre-failover execution tree).
+        stale_travel_epoch_dropped: AtomicU64 => u64 [fault, failover,],
+        /// Placement-map installs accepted by this server (epoch-fenced; a
+        /// stale map is rejected and not counted).
+        placement_updates: AtomicU64 => u64 [placement,],
+        /// Graph mutations applied on this server as a replica (shipped from
+        /// the partition primary).
+        replica_writes: AtomicU64 => u64 [placement,],
+        /// Durable travel-ledger blobs this server stored on behalf of a
+        /// peer's ledger (coordinator-loss protection at rf >= 2).
+        ledger_blobs_replicated: AtomicU64 => u64 [placement,],
+        /// Migration snapshot/delta chunks sent by this server as a source.
+        migrate_chunks_out: AtomicU64 => u64 [placement,],
+        /// Migration snapshot/delta chunks applied by this server as a target.
+        migrate_chunks_in: AtomicU64 => u64 [placement,],
+        /// Sent-journal compactions performed (bounding per-travel memory).
+        journal_compactions: AtomicU64 => u64 [],
+        /// High-water mark of live sent-journal entries across all travels.
+        journal_peak_entries: AtomicU64 => u64 [],
+        /// Heartbeat messages this server sent to peers (failure detector).
+        heartbeats_sent: AtomicU64 => u64 [self_heal,],
+        /// Heartbeat messages this server received from peers.
+        heartbeats_recv: AtomicU64 => u64 [self_heal,],
+        /// Suspicions this server raised (phi crossed the threshold).
+        suspicions_raised: AtomicU64 => u64 [self_heal,],
+        /// Suspicions the healer rejected because the peer was in fact alive
+        /// (delay-induced false positives; the detector window then resets).
+        false_suspicions: AtomicU64 => u64 [self_heal,],
+        /// Automatic promotions executed by the self-healing loop on behalf
+        /// of partitions this server now primaries (no client involvement).
+        auto_promotions: AtomicU64 => u64 [self_heal,],
+        /// Background re-replication flows this server completed as the new
+        /// replica target (restoring `rf` copies after a promotion).
+        rereplications: AtomicU64 => u64 [self_heal,],
+        /// Re-replication snapshot/delta chunks sent by this server as the
+        /// source primary.
+        rereplicate_chunks_out: AtomicU64 => u64 [self_heal,],
+        /// Re-replication snapshot/delta chunks applied by this server as the
+        /// new replica target.
+        rereplicate_chunks_in: AtomicU64 => u64 [self_heal,],
+        /// Snapshot read views pinned on this server's store (mirrored from
+        /// the store's MVCC machinery; one per admitted travel under
+        /// snapshot isolation).
+        views_pinned: AtomicU64 => u64 [snapshot,],
+        /// High-water mark of simultaneously pinned views on this server.
+        view_pin_peak: AtomicU64 => u64 [snapshot,],
+        /// Versioned reads that skipped at least one version newer than the
+        /// travel's read view (the isolation machinery actually mattered).
+        stale_seq_reads: AtomicU64 => u64 [snapshot,],
+        /// Store compactions deferred because a pinned view could still
+        /// observe a version the merge would have dropped.
+        compactions_deferred: AtomicU64 => u64 [snapshot,],
+    }
 }
 
 impl ServerMetrics {
@@ -155,95 +247,6 @@ impl ServerMetrics {
             .iter()
             .map(|(&t, &m)| (t, m))
             .collect()
-    }
-
-    /// Plain-value snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            redundant_visits: self.redundant_visits.load(Ordering::Relaxed),
-            combined_visits: self.combined_visits.load(Ordering::Relaxed),
-            real_io_visits: self.real_io_visits.load(Ordering::Relaxed),
-            requests_received: self.requests_received.load(Ordering::Relaxed),
-            requests_dispatched: self.requests_dispatched.load(Ordering::Relaxed),
-            results_sent: self.results_sent.load(Ordering::Relaxed),
-            queue_peak: self.queue_peak.load(Ordering::Relaxed),
-            injected_delays: self.injected_delays.load(Ordering::Relaxed),
-            relay_retries: self.relay_retries.load(Ordering::Relaxed),
-            redeliveries: self.redeliveries.load(Ordering::Relaxed),
-            stale_epoch_dropped: self.stale_epoch_dropped.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            ledger_replays: self.ledger_replays.load(Ordering::Relaxed),
-            ledger_events_replayed: self.ledger_events_replayed.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            reannounce_msgs: self.reannounce_msgs.load(Ordering::Relaxed),
-            stale_travel_epoch_dropped: self.stale_travel_epoch_dropped.load(Ordering::Relaxed),
-            placement_updates: self.placement_updates.load(Ordering::Relaxed),
-            replica_writes: self.replica_writes.load(Ordering::Relaxed),
-            ledger_blobs_replicated: self.ledger_blobs_replicated.load(Ordering::Relaxed),
-            migrate_chunks_out: self.migrate_chunks_out.load(Ordering::Relaxed),
-            migrate_chunks_in: self.migrate_chunks_in.load(Ordering::Relaxed),
-            journal_compactions: self.journal_compactions.load(Ordering::Relaxed),
-            journal_peak_entries: self.journal_peak_entries.load(Ordering::Relaxed),
-            heartbeats_sent: self.heartbeats_sent.load(Ordering::Relaxed),
-            heartbeats_recv: self.heartbeats_recv.load(Ordering::Relaxed),
-            suspicions_raised: self.suspicions_raised.load(Ordering::Relaxed),
-            false_suspicions: self.false_suspicions.load(Ordering::Relaxed),
-            auto_promotions: self.auto_promotions.load(Ordering::Relaxed),
-            rereplications: self.rereplications.load(Ordering::Relaxed),
-            rereplicate_chunks_out: self.rereplicate_chunks_out.load(Ordering::Relaxed),
-            rereplicate_chunks_in: self.rereplicate_chunks_in.load(Ordering::Relaxed),
-            replica_reads: self.replica_reads.load(Ordering::Relaxed),
-            read_barrier_stalls: self.read_barrier_stalls.load(Ordering::Relaxed),
-            views_pinned: self.views_pinned.load(Ordering::Relaxed),
-            view_pin_peak: self.view_pin_peak.load(Ordering::Relaxed),
-            stale_seq_reads: self.stale_seq_reads.load(Ordering::Relaxed),
-            compactions_deferred: self.compactions_deferred.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (between experiment runs).
-    pub fn reset(&self) {
-        self.redundant_visits.store(0, Ordering::Relaxed);
-        self.combined_visits.store(0, Ordering::Relaxed);
-        self.real_io_visits.store(0, Ordering::Relaxed);
-        self.requests_received.store(0, Ordering::Relaxed);
-        self.requests_dispatched.store(0, Ordering::Relaxed);
-        self.results_sent.store(0, Ordering::Relaxed);
-        self.queue_peak.store(0, Ordering::Relaxed);
-        self.injected_delays.store(0, Ordering::Relaxed);
-        self.relay_retries.store(0, Ordering::Relaxed);
-        self.redeliveries.store(0, Ordering::Relaxed);
-        self.stale_epoch_dropped.store(0, Ordering::Relaxed);
-        self.crashes.store(0, Ordering::Relaxed);
-        self.recoveries.store(0, Ordering::Relaxed);
-        self.ledger_replays.store(0, Ordering::Relaxed);
-        self.ledger_events_replayed.store(0, Ordering::Relaxed);
-        self.failovers.store(0, Ordering::Relaxed);
-        self.reannounce_msgs.store(0, Ordering::Relaxed);
-        self.stale_travel_epoch_dropped.store(0, Ordering::Relaxed);
-        self.placement_updates.store(0, Ordering::Relaxed);
-        self.replica_writes.store(0, Ordering::Relaxed);
-        self.ledger_blobs_replicated.store(0, Ordering::Relaxed);
-        self.migrate_chunks_out.store(0, Ordering::Relaxed);
-        self.migrate_chunks_in.store(0, Ordering::Relaxed);
-        self.journal_compactions.store(0, Ordering::Relaxed);
-        self.journal_peak_entries.store(0, Ordering::Relaxed);
-        self.heartbeats_sent.store(0, Ordering::Relaxed);
-        self.heartbeats_recv.store(0, Ordering::Relaxed);
-        self.suspicions_raised.store(0, Ordering::Relaxed);
-        self.false_suspicions.store(0, Ordering::Relaxed);
-        self.auto_promotions.store(0, Ordering::Relaxed);
-        self.rereplications.store(0, Ordering::Relaxed);
-        self.rereplicate_chunks_out.store(0, Ordering::Relaxed);
-        self.rereplicate_chunks_in.store(0, Ordering::Relaxed);
-        self.replica_reads.store(0, Ordering::Relaxed);
-        self.read_barrier_stalls.store(0, Ordering::Relaxed);
-        self.views_pinned.store(0, Ordering::Relaxed);
-        self.view_pin_peak.store(0, Ordering::Relaxed);
-        self.stale_seq_reads.store(0, Ordering::Relaxed);
-        self.compactions_deferred.store(0, Ordering::Relaxed);
-        self.per_travel.lock().clear();
     }
 }
 
@@ -280,183 +283,11 @@ impl TravelMetrics {
     }
 }
 
-/// Point-in-time copy of [`ServerMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// See [`ServerMetrics::redundant_visits`].
-    pub redundant_visits: u64,
-    /// See [`ServerMetrics::combined_visits`].
-    pub combined_visits: u64,
-    /// See [`ServerMetrics::real_io_visits`].
-    pub real_io_visits: u64,
-    /// See [`ServerMetrics::requests_received`].
-    pub requests_received: u64,
-    /// See [`ServerMetrics::requests_dispatched`].
-    pub requests_dispatched: u64,
-    /// See [`ServerMetrics::results_sent`].
-    pub results_sent: u64,
-    /// See [`ServerMetrics::queue_peak`].
-    pub queue_peak: usize,
-    /// See [`ServerMetrics::injected_delays`].
-    pub injected_delays: u64,
-    /// See [`ServerMetrics::relay_retries`].
-    pub relay_retries: u64,
-    /// See [`ServerMetrics::redeliveries`].
-    pub redeliveries: u64,
-    /// See [`ServerMetrics::stale_epoch_dropped`].
-    pub stale_epoch_dropped: u64,
-    /// See [`ServerMetrics::crashes`].
-    pub crashes: u64,
-    /// See [`ServerMetrics::recoveries`].
-    pub recoveries: u64,
-    /// See [`ServerMetrics::ledger_replays`].
-    pub ledger_replays: u64,
-    /// See [`ServerMetrics::ledger_events_replayed`].
-    pub ledger_events_replayed: u64,
-    /// See [`ServerMetrics::failovers`].
-    pub failovers: u64,
-    /// See [`ServerMetrics::reannounce_msgs`].
-    pub reannounce_msgs: u64,
-    /// See [`ServerMetrics::stale_travel_epoch_dropped`].
-    pub stale_travel_epoch_dropped: u64,
-    /// See [`ServerMetrics::placement_updates`].
-    pub placement_updates: u64,
-    /// See [`ServerMetrics::replica_writes`].
-    pub replica_writes: u64,
-    /// See [`ServerMetrics::ledger_blobs_replicated`].
-    pub ledger_blobs_replicated: u64,
-    /// See [`ServerMetrics::migrate_chunks_out`].
-    pub migrate_chunks_out: u64,
-    /// See [`ServerMetrics::migrate_chunks_in`].
-    pub migrate_chunks_in: u64,
-    /// See [`ServerMetrics::journal_compactions`].
-    pub journal_compactions: u64,
-    /// See [`ServerMetrics::journal_peak_entries`].
-    pub journal_peak_entries: u64,
-    /// See [`ServerMetrics::heartbeats_sent`].
-    pub heartbeats_sent: u64,
-    /// See [`ServerMetrics::heartbeats_recv`].
-    pub heartbeats_recv: u64,
-    /// See [`ServerMetrics::suspicions_raised`].
-    pub suspicions_raised: u64,
-    /// See [`ServerMetrics::false_suspicions`].
-    pub false_suspicions: u64,
-    /// See [`ServerMetrics::auto_promotions`].
-    pub auto_promotions: u64,
-    /// See [`ServerMetrics::rereplications`].
-    pub rereplications: u64,
-    /// See [`ServerMetrics::rereplicate_chunks_out`].
-    pub rereplicate_chunks_out: u64,
-    /// See [`ServerMetrics::rereplicate_chunks_in`].
-    pub rereplicate_chunks_in: u64,
-    /// See [`ServerMetrics::replica_reads`].
-    pub replica_reads: u64,
-    /// See [`ServerMetrics::read_barrier_stalls`].
-    pub read_barrier_stalls: u64,
-    /// See [`ServerMetrics::views_pinned`].
-    pub views_pinned: u64,
-    /// See [`ServerMetrics::view_pin_peak`].
-    pub view_pin_peak: u64,
-    /// See [`ServerMetrics::stale_seq_reads`].
-    pub stale_seq_reads: u64,
-    /// See [`ServerMetrics::compactions_deferred`].
-    pub compactions_deferred: u64,
-}
-
 impl MetricsSnapshot {
     /// Total vertex requests = redundant + combined + real I/O (§VII-A's
     /// accounting identity).
     pub fn total_vertex_requests(&self) -> u64 {
         self.redundant_visits + self.combined_visits + self.real_io_visits
-    }
-
-    /// Every counter belonging to the fault machinery (reliable delivery,
-    /// chaos absorption, crash/failover recovery), as `(name, value)`
-    /// pairs. The chaos-off dormancy test asserts each entry is exactly
-    /// zero, so a new fault counter added here is automatically covered —
-    /// and gt-lint's `dead-counter` rule makes sure it cannot be added to
-    /// the struct without being wired up at all.
-    pub fn fault_counters(&self) -> [(&'static str, u64); 10] {
-        [
-            ("relay_retries", self.relay_retries),
-            ("redeliveries", self.redeliveries),
-            ("stale_epoch_dropped", self.stale_epoch_dropped),
-            ("crashes", self.crashes),
-            ("recoveries", self.recoveries),
-            ("ledger_replays", self.ledger_replays),
-            ("ledger_events_replayed", self.ledger_events_replayed),
-            ("failovers", self.failovers),
-            ("reannounce_msgs", self.reannounce_msgs),
-            (
-                "stale_travel_epoch_dropped",
-                self.stale_travel_epoch_dropped,
-            ),
-        ]
-    }
-
-    /// The failover-specific subset of [`Self::fault_counters`]: counters
-    /// that must stay zero on a healthy cluster even when reliable
-    /// delivery itself is enabled (retries/redeliveries are legitimate
-    /// under load; a ledger replay never is).
-    pub fn failover_counters(&self) -> [(&'static str, u64); 5] {
-        [
-            ("ledger_replays", self.ledger_replays),
-            ("ledger_events_replayed", self.ledger_events_replayed),
-            ("failovers", self.failovers),
-            ("reannounce_msgs", self.reannounce_msgs),
-            (
-                "stale_travel_epoch_dropped",
-                self.stale_travel_epoch_dropped,
-            ),
-        ]
-    }
-
-    /// Every counter belonging to the placement machinery (map
-    /// propagation, write/ledger replication, shard migration). On a
-    /// static single-replica cluster — no `rebalance()`,
-    /// `decommission()`, or `promote()`, replication factor 1 — each of
-    /// these is exactly zero, and the dormancy test asserts so.
-    pub fn placement_counters(&self) -> [(&'static str, u64); 5] {
-        [
-            ("placement_updates", self.placement_updates),
-            ("replica_writes", self.replica_writes),
-            ("ledger_blobs_replicated", self.ledger_blobs_replicated),
-            ("migrate_chunks_out", self.migrate_chunks_out),
-            ("migrate_chunks_in", self.migrate_chunks_in),
-        ]
-    }
-
-    /// Every counter belonging to the self-healing machinery (failure
-    /// detection, automatic promotion, background re-replication, replica
-    /// reads). With detection disabled and replica reads off — the
-    /// defaults — each of these is exactly zero on a static cluster, and
-    /// the dormancy test asserts so.
-    pub fn self_heal_counters(&self) -> [(&'static str, u64); 10] {
-        [
-            ("heartbeats_sent", self.heartbeats_sent),
-            ("heartbeats_recv", self.heartbeats_recv),
-            ("suspicions_raised", self.suspicions_raised),
-            ("false_suspicions", self.false_suspicions),
-            ("auto_promotions", self.auto_promotions),
-            ("rereplications", self.rereplications),
-            ("rereplicate_chunks_out", self.rereplicate_chunks_out),
-            ("rereplicate_chunks_in", self.rereplicate_chunks_in),
-            ("replica_reads", self.replica_reads),
-            ("read_barrier_stalls", self.read_barrier_stalls),
-        ]
-    }
-
-    /// Every counter belonging to the MVCC snapshot machinery (view
-    /// pinning, versioned reads, compaction deferral). With snapshot
-    /// isolation off — the default — each of these is exactly zero, and
-    /// the dormancy test asserts so.
-    pub fn snapshot_counters(&self) -> [(&'static str, u64); 4] {
-        [
-            ("views_pinned", self.views_pinned),
-            ("view_pin_peak", self.view_pin_peak),
-            ("stale_seq_reads", self.stale_seq_reads),
-            ("compactions_deferred", self.compactions_deferred),
-        ]
     }
 }
 
@@ -490,18 +321,10 @@ mod tests {
         m.real_io_visits.fetch_add(5, Ordering::Relaxed);
         m.observe_queue_len(7);
         m.travel_mut(3, |t| t.real_io_visits += 5);
-        m.relay_retries.fetch_add(2, Ordering::Relaxed);
-        m.redeliveries.fetch_add(3, Ordering::Relaxed);
-        m.stale_epoch_dropped.fetch_add(1, Ordering::Relaxed);
-        m.crashes.fetch_add(1, Ordering::Relaxed);
-        m.recoveries.fetch_add(1, Ordering::Relaxed);
-        m.ledger_replays.fetch_add(1, Ordering::Relaxed);
-        m.ledger_events_replayed.fetch_add(9, Ordering::Relaxed);
-        m.failovers.fetch_add(1, Ordering::Relaxed);
-        m.reannounce_msgs.fetch_add(3, Ordering::Relaxed);
-        m.stale_travel_epoch_dropped.fetch_add(4, Ordering::Relaxed);
-        assert_eq!(m.snapshot().relay_retries, 2);
-        assert_eq!(m.snapshot().redeliveries, 3);
+        m.bump_all();
+        assert_eq!(m.snapshot().relay_retries, 1);
+        assert_eq!(m.snapshot().compactions_deferred, 1);
+        assert_eq!(m.snapshot().self_heal_counters().len(), 8);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
         assert_eq!(m.travel_snapshot(3), TravelMetrics::default());

@@ -369,9 +369,6 @@ struct PendingIngest {
     client: usize,
     applied: usize,
     remaining: usize,
-    /// Primary write-sequence watermark of this batch, echoed on the
-    /// `IngestAck` so the client can form read barriers.
-    wseq: u64,
 }
 
 /// Source-side state of one outgoing partition copy. Writes that touch
@@ -460,20 +457,6 @@ struct Shared {
     replica_ledgers: OrderedMutex<HashMap<usize, BlobLog>>,
     /// Failure-detector tuning; `None` keeps the detector fully dormant.
     detection: Option<DetectionConfig>,
-    /// Route frontier reads to a deterministic holder spread instead of
-    /// always the primary (see [`EngineConfig::replica_reads`]).
-    replica_reads: bool,
-    /// This server's write-sequence watermark as a primary: bumped once
-    /// per locally applied ingest and carried on [`Msg::ReplicateWrite`]
-    /// and [`Msg::IngestAck`]. Lock-free — read from worker and
-    /// dispatcher threads at any lock rank.
-    wseq: AtomicU64,
-    /// Per-origin replication watermark: `applied_w[o]` is the highest
-    /// `wseq` from primary `o` whose write this server has applied.
-    /// Indexed by server id; the read-your-replication barrier compares
-    /// a client-supplied barrier against this before serving a replica
-    /// read.
-    applied_w: Vec<AtomicU64>,
 }
 
 impl Shared {
@@ -791,12 +774,6 @@ pub fn spawn(args: ServerArgs) -> ServerHandle {
         migrations: OrderedMutex::new(66, "migrations", HashMap::new()),
         replica_ledgers: OrderedMutex::new(115, "replica_ledgers", HashMap::new()),
         detection: args.detection,
-        replica_reads: args.engine.replica_reads,
-        // Epoch-seeded like the id counters: a restarted primary's fresh
-        // write sequences stay above every pre-crash barrier the client
-        // may still hold.
-        wseq: AtomicU64::new(ctr_seed),
-        applied_w: (0..args.n_servers).map(|_| AtomicU64::new(0)).collect(),
     });
     let mut workers = Vec::with_capacity(args.engine.workers_per_server);
     for w in 0..args.engine.workers_per_server {
@@ -1447,7 +1424,6 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
         Msg::ReplicateWrite {
             req,
             origin,
-            wseq,
             seq,
             vertices,
             edges,
@@ -1475,12 +1451,6 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             sh.metrics
                 .replica_writes
                 .fetch_add((vertices.len() + edges.len()) as u64, Ordering::Relaxed);
-            // Raise the per-origin replication watermark *after* the
-            // writes land, so a replica read admitted by the barrier
-            // check can never observe a gap.
-            if origin < sh.applied_w.len() {
-                sh.applied_w[origin].fetch_max(wseq, Ordering::Release);
-            }
             let _ = sh.ep.send(origin, Msg::ReplicateAck { req, server: sh.id });
         }
         Msg::ReplicateAck { req, .. } => {
@@ -1504,7 +1474,6 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
                     Msg::IngestAck {
                         req,
                         applied: p.applied,
-                        wseq: p.wseq,
                     },
                 );
             }
@@ -1571,36 +1540,8 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             req,
             client,
             vertex,
-            barrier,
         } => {
-            // Low-latency point query (§I: permission checks etc.). A
-            // non-zero barrier is the client's read-your-replication
-            // fence: serve only if this server has applied the origin
-            // primary's writes up to it. An acked ingest is on every
-            // holder before the ack, so the miss path is a rare race
-            // (e.g. a freshly re-replicated holder with a cold
-            // watermark) — redirect to the primary, which is always
-            // current for its own writes.
-            let origin = sh.placement.primary_of_vid(vertex);
-            if barrier > 0
-                && origin != sh.id
-                && origin < sh.applied_w.len()
-                && sh.applied_w[origin].load(Ordering::Acquire) < barrier
-            {
-                sh.metrics
-                    .read_barrier_stalls
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = sh.ep.send(
-                    origin,
-                    Msg::GetVertex {
-                        req,
-                        client,
-                        vertex,
-                        barrier: 0,
-                    },
-                );
-                return LoopCtl::Continue;
-            }
+            // Low-latency point query (§I: permission checks etc.).
             let found = sh.partition.get_vertex(vertex).ok().flatten();
             let _ = sh.ep.send(
                 client,
@@ -1675,11 +1616,6 @@ fn handle_ingest(
             applied += 1;
         }
     }
-    // One write-sequence number per batch: the client's read barrier for
-    // this primary. The primary's own watermark rises with it so a
-    // barrier-carrying read routed *at* the primary is trivially served.
-    let wseq = sh.wseq.fetch_add(1, Ordering::Relaxed) + 1;
-    sh.applied_w[sh.id].fetch_max(wseq, Ordering::Release);
     let mut fan: BTreeSet<usize> = BTreeSet::new();
     for vid in vertices
         .iter()
@@ -1694,7 +1630,7 @@ fn handle_ingest(
     }
     if fan.is_empty() {
         capture_copy_delta(sh, &vertices, &edges);
-        let _ = sh.ep.send(client, Msg::IngestAck { req, applied, wseq });
+        let _ = sh.ep.send(client, Msg::IngestAck { req, applied });
         return;
     }
     sh.pending_ingest.lock().insert(
@@ -1703,7 +1639,6 @@ fn handle_ingest(
             client,
             applied,
             remaining: fan.len(),
-            wseq,
         },
     );
     capture_copy_delta(sh, &vertices, &edges);
@@ -1713,7 +1648,6 @@ fn handle_ingest(
             Msg::ReplicateWrite {
                 req,
                 origin: sh.id,
-                wseq,
                 seq,
                 vertices: vertices.clone(),
                 edges: edges.clone(),
@@ -3197,7 +3131,7 @@ impl Step<'_> {
         let mut out = self.req.out.lock();
         out.tally.merge(&tally);
         let mut emit = |dst: VertexId| {
-            let owner = route_frontier_read(sh, self.req.travel, dst);
+            let owner = sh.placement.primary_of_vid(dst);
             out.dst_by_owner
                 .entry(owner)
                 .or_default()
@@ -3218,30 +3152,6 @@ impl Step<'_> {
                 .for_each(|(dst, _)| emit(*dst)),
         }
     }
-}
-
-/// Where to send the next-hop visit of `dst`: the primary, or — with
-/// replica reads on — a deterministic spread over every holder of the
-/// vertex's partition. Any holder carries a full copy (the synchronous
-/// ingest fan-out keeps replicas current before the ack), and traversal
-/// results are per-depth sets, so holder choice never changes the
-/// outcome — only where the storage reads land. The hash is keyed by
-/// (travel, vertex) so one travel's visits of a vertex converge on one
-/// holder (preserving execution merging) while different travels spread.
-fn route_frontier_read(sh: &Arc<Shared>, travel: TravelId, dst: VertexId) -> usize {
-    let holders = if sh.replica_reads {
-        sh.placement.holders_of_vid(dst)
-    } else {
-        Vec::new()
-    };
-    if holders.len() < 2 {
-        return sh.placement.primary_of_vid(dst);
-    }
-    let pick = holders[(gt_graph::splitmix64(travel ^ dst.0) % holders.len() as u64) as usize];
-    if pick != sh.placement.primary_of_vid(dst) {
-        sh.metrics.replica_reads.fetch_add(1, Ordering::Relaxed);
-    }
-    pick
 }
 
 fn register_token(sh: &Arc<Shared>, travel: TravelId, depth: u16, vertex: VertexId) -> u64 {

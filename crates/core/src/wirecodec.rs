@@ -519,8 +519,8 @@ wire_table! {
         16 => SyncOrigin { travel, tokens },
         17 => SyncStepDone { travel, depth, server, sent, origin_sent },
         18 => Ingest { req, client, vertices, edges },
-        19 => IngestAck { req, applied, wseq },
-        20 => GetVertex { req, client, vertex, barrier },
+        // 19–20 are retired (`IngestAck`/`GetVertex` with the replica-read
+        // barrier fields; re-issued slimmer as 47–48); they stay unassigned.
         21 => VertexReply { req, vertex },
         23 => RelayAck { travel, server, seq, attempt },
         25 => CoordHandoff { travel, epoch, coordinator, restarted },
@@ -528,7 +528,8 @@ wire_table! {
         27 => RecoverDone { travel, epoch },
         28 => PlacementUpdate { map, client },
         29 => PlacementAck { version, server },
-        30 => ReplicateWrite { req, origin, wseq, seq, vertices, edges },
+        // 30 is retired (`ReplicateWrite` with its write sequence;
+        // re-issued as 49).
         31 => ReplicateAck { req, server },
         32 => ReplicateLedger { from, reset, blobs },
         33 => CopyBegin { mig, partition, to, client, purpose },
@@ -543,6 +544,9 @@ wire_table! {
         // folded into the `Copy*` rows); they stay unassigned.
         45 => Crash {},
         46 => Shutdown {},
+        47 => IngestAck { req, applied },
+        48 => GetVertex { req, client, vertex },
+        49 => ReplicateWrite { req, origin, seq, vertices, edges },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.

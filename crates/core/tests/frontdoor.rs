@@ -489,16 +489,14 @@ fn missed_deadline_surfaces_as_timeout() {
     let cluster = Cluster::build(
         &g,
         ClusterConfig::new(&dir, 2),
-        EngineConfig::new(EngineKind::GraphTrek)
-            .faults(graphtrek::faults::FaultPlan::round_robin_stragglers(
+        EngineConfig::new(EngineKind::GraphTrek).faults(
+            graphtrek::faults::FaultPlan::round_robin_stragglers(
                 &[0, 1],
                 8,
                 Duration::from_millis(50),
                 1000,
-            ))
-            // Tight poll slice so a millisecond-scale deadline is
-            // enforced at millisecond granularity.
-            .wait_poll(Duration::from_millis(1)),
+            ),
+        ),
     )
     .unwrap();
     let door = FrontDoor::serve(

@@ -1,6 +1,6 @@
 //! Self-healing placement suite: phi-accrual failure detection over the
-//! fabric, epoch-fenced automatic promotion, background re-replication,
-//! and replica reads — proven by chaos convergence.
+//! fabric, epoch-fenced automatic promotion and background
+//! re-replication — proven by chaos convergence.
 //!
 //! The contract under test: with `ClusterConfig::self_healing()`, a
 //! cluster hit by a randomized crash schedule converges back to full
@@ -295,64 +295,13 @@ fn delayed_heartbeats_never_demote_live_servers() {
 }
 
 // ---------------------------------------------------------------------
-// Replica reads: routing, load spread, read-your-replication barrier
-// ---------------------------------------------------------------------
-
-/// With rf = 2 and replica reads on, point queries actually land on
-/// replicas (the `replica_reads` counter moves) and every read returns
-/// exactly what was acked — the barrier redirects a read that would
-/// observe a replica lagging its primary.
-#[test]
-fn replica_point_reads_spread_load_and_stay_consistent() {
-    let base = random_graph(37, 40);
-    let (new_vertices, new_edges) = fresh_rows();
-    let dir = tmp("replica-reads");
-    let cluster = Cluster::build(
-        &base,
-        ClusterConfig::new(&dir, 3).replication(2),
-        EngineConfig::new(EngineKind::GraphTrek)
-            .force_reliable_delivery(true)
-            .replica_reads(true),
-    )
-    .unwrap();
-    cluster
-        .ingest(new_vertices.clone(), new_edges.clone())
-        .unwrap();
-    for _ in 0..20 {
-        for v in &new_vertices {
-            let got = cluster.get_vertex(v.id).unwrap();
-            assert_eq!(
-                got.as_ref().map(|x| x.id),
-                Some(v.id),
-                "acked vertex {:?} invisible through a replica read",
-                v.id
-            );
-        }
-        for i in 0..40u64 {
-            assert!(
-                cluster.get_vertex(VertexId(i)).unwrap().is_some(),
-                "base vertex {i} invisible through a replica read"
-            );
-        }
-    }
-    let m = cluster.metrics();
-    assert!(
-        m.iter().map(|s| s.replica_reads).sum::<u64>() > 0,
-        "rf = 2 with replica reads on never served a read from a replica"
-    );
-    cluster.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-// ---------------------------------------------------------------------
 // Dormancy: detection off + static cluster ⇒ the subsystem is free
 // ---------------------------------------------------------------------
 
 /// Without `self_healing()` the entire subsystem must be dormant: after
 /// travels, replicated ingest and point reads, every `self_heal_counters()`
 /// entry on every server is exactly zero — no heartbeat ever crossed the
-/// fabric, nothing was suspected, promoted, re-replicated, or served from
-/// a replica.
+/// fabric, nothing was suspected, promoted or re-replicated.
 #[test]
 fn detection_off_keeps_every_self_heal_counter_at_zero() {
     let base = random_graph(41, 50);
@@ -389,13 +338,13 @@ fn detection_off_keeps_every_self_heal_counter_at_zero() {
 }
 
 // ---------------------------------------------------------------------
-// Proptest lane: replica reads on == replica reads off == local oracle
+// Proptest lane: replicated ingest + point reads == local oracle
 // ---------------------------------------------------------------------
 
-/// A random interleaving of ingest batches and point reads, executed on
-/// two identical rf = 2 clusters — replica reads on vs off. Every read
-/// must return the same visibility on both (the acked prefix is never
-/// invisible through a replica), and a final travel must agree too.
+/// A random interleaving of ingest batches and point reads on an rf = 2
+/// cluster. Every acked vertex (and the whole base graph) must be
+/// readable at once, and a final travel must match the oracle over the
+/// graph as ingested.
 #[derive(Debug, Clone)]
 enum RwOp {
     /// Ingest a batch of `count` fresh vertices linked from vertex 0.
@@ -419,25 +368,19 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
     #[test]
-    fn replica_reads_match_plain_reads_under_interleaving(
+    fn point_reads_see_every_acked_ingest_under_interleaving(
         seed in 0u64..1024,
         ops in rw_ops(),
     ) {
-        let base = random_graph(seed, 24);
+        let mut graph = random_graph(seed, 24);
         let q = heal_query();
-        let mut clusters = Vec::new();
-        for replica_reads in [false, true] {
-            let dir = tmp(&format!("prop-rw-{replica_reads}"));
-            let cluster = Cluster::build(
-                &base,
-                ClusterConfig::new(&dir, 3).replication(2),
-                EngineConfig::new(EngineKind::GraphTrek)
-                    .force_reliable_delivery(true)
-                    .replica_reads(replica_reads),
-            )
-            .unwrap();
-            clusters.push((cluster, dir));
-        }
+        let dir = tmp("prop-rw");
+        let cluster = Cluster::build(
+            &graph,
+            ClusterConfig::new(&dir, 3).replication(2),
+            EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
+        )
+        .unwrap();
         let mut next_id = 1000u64;
         let mut created: Vec<u64> = Vec::new();
         for op in &ops {
@@ -452,12 +395,12 @@ proptest! {
                         .iter()
                         .map(|v| Edge::new(0u64, "link", v.id, Props::new().with("ts", 5i64)))
                         .collect();
-                    for (cluster, _) in &clusters {
-                        let applied = cluster.ingest(vs.clone(), es.clone()).unwrap();
-                        prop_assert!(applied > 0);
-                    }
+                    let applied = cluster.ingest(vs.clone(), es.clone()).unwrap();
+                    prop_assert_eq!(applied, vs.len() + es.len());
                     created.extend(vs.iter().map(|v| v.id.0));
                     next_id += *count as u64;
+                    vs.into_iter().for_each(|v| graph.add_vertex(v));
+                    es.into_iter().for_each(|e| graph.add_edge(e));
                 }
                 RwOp::Read { pick } => {
                     let vid = if created.is_empty() {
@@ -465,30 +408,14 @@ proptest! {
                     } else {
                         VertexId(created[*pick as usize % created.len()])
                     };
-                    let off = clusters[0].0.get_vertex(vid).unwrap();
-                    let on = clusters[1].0.get_vertex(vid).unwrap();
-                    prop_assert_eq!(
-                        off.as_ref().map(|v| v.id),
-                        on.as_ref().map(|v| v.id),
-                        "read of {:?} diverged between replica reads off and on",
-                        vid
-                    );
-                    // Everything ever acked (and the whole base graph) is
-                    // visible on both.
-                    prop_assert!(on.is_some(), "acked/base vertex {:?} invisible", vid);
+                    let got = cluster.get_vertex(vid).unwrap();
+                    prop_assert!(got.is_some(), "acked/base vertex {:?} invisible", vid);
                 }
             }
         }
-        let off = clusters[0].0.submit(&q).unwrap();
-        let on = clusters[1].0.submit(&q).unwrap();
-        prop_assert_eq!(
-            &off.by_depth,
-            &on.by_depth,
-            "travel diverged between replica reads off and on"
-        );
-        for (cluster, dir) in clusters {
-            cluster.shutdown();
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let got = cluster.submit(&q).unwrap();
+        prop_assert_eq!(&got.by_depth, &oracle_map(&graph, &q));
+        cluster.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

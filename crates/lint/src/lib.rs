@@ -234,8 +234,8 @@ fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
                 && p.to_string_lossy().contains("core/src")
                 && !ends_with(p, "cluster.rs")
         }),
-        // Handshake atomics live in core (wseq/applied_w barriers, crash
-        // flags), net (fabric stats), and kvstore (version clock, pins).
+        // Handshake atomics live in core (crash flags, epochs), net
+        // (fabric stats), and kvstore (version clock, pins).
         atomic: pick(&|p| {
             let s = p.to_string_lossy().replace('\\', "/");
             s.contains("crates/core/src/")

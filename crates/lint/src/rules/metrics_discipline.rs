@@ -6,6 +6,10 @@
 //! (chaos-off runs require every fault counter to be exactly zero). A
 //! counter nobody increments asserts nothing; a counter nobody reads is
 //! invisible. Both rot silently — this rule makes them fail the build.
+//!
+//! A struct written as the body of a `counters! { struct … }` table is
+//! read like any other, except that the macro generates its snapshot: its
+//! counters are surfaced by construction and only have to be incremented.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
@@ -34,10 +38,12 @@ const WINDOW: usize = 16;
 pub fn check(decl_files: &[&SourceFile], use_files: &[&SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for decl in decl_files {
-        for (struct_name, fields) in atomic_structs(decl) {
-            for (field, line) in fields {
+        for st in atomic_structs(decl) {
+            let struct_name = &st.name;
+            for (field, line) in st.fields {
                 let incremented = use_files.iter().any(|f| mentions(f, &field, INC_METHODS));
-                let surfaced = use_files.iter().any(|f| mentions(f, &field, READ_METHODS));
+                let surfaced = st.generated_snapshot
+                    || use_files.iter().any(|f| mentions(f, &field, READ_METHODS));
                 if !incremented {
                     out.push(Diagnostic::new(
                         "dead-counter",
@@ -63,9 +69,16 @@ pub fn check(decl_files: &[&SourceFile], use_files: &[&SourceFile]) -> Vec<Diagn
     out
 }
 
-/// Structs in `f` that declare at least one `Atomic*`-typed field, with
-/// `(field_name, decl_line)` for each atomic field.
-fn atomic_structs(f: &SourceFile) -> Vec<(String, Vec<(String, u32)>)> {
+/// A struct that declares at least one `Atomic*`-typed field.
+struct AtomicStruct {
+    name: String,
+    /// It is the table of a `counters!` invocation.
+    generated_snapshot: bool,
+    /// `(field_name, decl_line)` of each atomic field.
+    fields: Vec<(String, u32)>,
+}
+
+fn atomic_structs(f: &SourceFile) -> Vec<AtomicStruct> {
     let toks = &f.toks;
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -75,6 +88,10 @@ fn atomic_structs(f: &SourceFile) -> Vec<(String, Vec<(String, u32)>)> {
             continue;
         }
         let name = toks[i + 1].text.clone();
+        let generated_snapshot = i >= 3
+            && toks[i - 3].is_ident("counters")
+            && toks[i - 2].is_punct('!')
+            && toks[i - 1].is_punct('{');
         let mut j = i + 2;
         while j < toks.len() && !toks[j].is_punct('{') {
             if toks[j].is_punct(';') {
@@ -132,7 +149,11 @@ fn atomic_structs(f: &SourceFile) -> Vec<(String, Vec<(String, u32)>)> {
             k += 1;
         }
         if !fields.is_empty() {
-            out.push((name, fields));
+            out.push(AtomicStruct {
+                name,
+                generated_snapshot,
+                fields,
+            });
         }
         i = close;
     }

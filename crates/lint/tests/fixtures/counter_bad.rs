@@ -12,3 +12,11 @@ struct Metrics {
 fn bump(m: &Metrics) {
     m.hidden.fetch_add(1, Ordering::Relaxed);
 }
+
+// A `counters!` table's snapshot is generated, its increments are not:
+// a row nobody bumps is still dead.
+counters! {
+    struct Table {
+        dead_row: AtomicU64 => u64 [],
+    }
+}

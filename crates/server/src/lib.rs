@@ -17,9 +17,10 @@
 //! [`parse_graph`], so every process of a multi-process cluster sees the
 //! same input and shards it identically by placement.
 
+use graphtrek::client::ClientPort;
 use graphtrek::cluster::{Cluster, ClusterConfig, ClusterError};
 use graphtrek::engine::{EngineConfig, EngineKind};
-use graphtrek::frontdoor::{Agent, FrontDoor};
+use graphtrek::frontdoor::FrontDoor;
 use graphtrek::qos::QosConfig;
 use graphtrek::server::{spawn, ServerArgs, ServerHandle};
 use gt_graph::storage::{load_replicated, GraphPartition};
@@ -368,7 +369,10 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
                 replication: 1,
                 detection: None,
             });
-            let agent = Arc::new(Agent::new(Conduit::Socket(agent_ep), n));
+            // Several processes' ports share the servers: each mints ids in
+            // its own endpoint's range.
+            let id_base = (agent_ep.id() as u64) << 48;
+            let agent = Arc::new(ClientPort::new(Conduit::Socket(agent_ep), n, id_base));
             let door = FrontDoor::serve(agent, cfg.listen.clone(), cfg.qos.clone())
                 .map_err(ServeError::Io)?;
             Ok(Running {

@@ -27,7 +27,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use gt_net::{Endpoint, Envelope, NetStats, RecvError, SendError, WireSize};
-pub use socket::{MeshConfig, MeshError, SocketAddrSpec, SocketEndpoint, SocketMesh};
+pub use socket::{
+    Listener, MeshConfig, MeshError, SocketAddrSpec, SocketEndpoint, SocketMesh, Stream,
+};
 
 /// Binary serialization contract for messages that may cross a socket.
 ///

@@ -193,14 +193,87 @@ impl From<std::io::Error> for MeshError {
     }
 }
 
-enum Listener {
+/// A bound TCP or UDS listener: what the mesh and the front door accept
+/// connections on.
+pub enum Listener {
+    /// TCP.
     Tcp(TcpListener),
+    /// Unix domain socket.
     Uds(UnixListener),
 }
 
-enum Stream {
+impl Listener {
+    /// Bind `addr`; returns the listener and the address it actually
+    /// listens on (`tcp:…:0` resolved to the bound port). A stale socket
+    /// file from a crashed predecessor would block a UDS bind, so it is
+    /// removed first (no other listener can hold it if the deployment
+    /// assigns unique paths).
+    pub fn bind(addr: &SocketAddrSpec) -> std::io::Result<(Listener, SocketAddrSpec)> {
+        match addr {
+            SocketAddrSpec::Tcp(a) => {
+                let l = TcpListener::bind(a)?;
+                let actual = SocketAddrSpec::Tcp(l.local_addr()?.to_string());
+                Ok((Listener::Tcp(l), actual))
+            }
+            SocketAddrSpec::Uds(p) => {
+                let _ = std::fs::remove_file(p);
+                Ok((Listener::Uds(UnixListener::bind(p)?), addr.clone()))
+            }
+        }
+    }
+
+    /// Block for the next inbound connection.
+    pub fn accept(&self) -> std::io::Result<Stream> {
+        match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                // Frames are small and may be written prefix-then-payload;
+                // Nagle + delayed ACK would cost tens of milliseconds each.
+                let _ = s.set_nodelay(true);
+                Ok(Stream::Tcp(s))
+            }
+            Listener::Uds(l) => Ok(Stream::Uds(l.accept()?.0)),
+        }
+    }
+}
+
+/// A connected TCP or UDS byte stream.
+pub enum Stream {
+    /// TCP (`TCP_NODELAY` set).
     Tcp(TcpStream),
+    /// Unix domain socket.
     Uds(UnixStream),
+}
+
+impl Stream {
+    /// Dial `addr`.
+    pub fn connect(addr: &SocketAddrSpec) -> std::io::Result<Stream> {
+        match addr {
+            SocketAddrSpec::Tcp(a) => {
+                let s = TcpStream::connect(a)?;
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }
+            SocketAddrSpec::Uds(p) => Ok(Stream::Uds(UnixStream::connect(p)?)),
+        }
+    }
+
+    /// A second handle onto the same connection (one side reads while
+    /// the other writes).
+    pub fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Uds(s) => Stream::Uds(s.try_clone()?),
+        })
+    }
+
+    /// Shut both directions down, ignoring errors (the peer may be gone).
+    pub fn shutdown(&self) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+            Stream::Uds(s) => s.shutdown(std::net::Shutdown::Both),
+        };
+    }
 }
 
 impl Read for Stream {
@@ -224,17 +297,6 @@ impl Write for Stream {
             Stream::Tcp(s) => s.flush(),
             Stream::Uds(s) => s.flush(),
         }
-    }
-}
-
-fn connect(addr: &SocketAddrSpec) -> std::io::Result<Stream> {
-    match addr {
-        SocketAddrSpec::Tcp(a) => {
-            let s = TcpStream::connect(a)?;
-            s.set_nodelay(true)?;
-            Ok(Stream::Tcp(s))
-        }
-        SocketAddrSpec::Uds(p) => Ok(Stream::Uds(UnixStream::connect(p)?)),
     }
 }
 
@@ -314,21 +376,8 @@ impl<M: Send + WireCodec + 'static> SocketMesh<M> {
         mut cfg: MeshConfig,
     ) -> Result<(SocketMesh<M>, Vec<SocketEndpoint<M>>), MeshError> {
         cfg.validate()?;
-        let listener = match &cfg.processes[cfg.me] {
-            SocketAddrSpec::Tcp(a) => {
-                let l = TcpListener::bind(a)?;
-                let actual = l.local_addr()?;
-                cfg.processes[cfg.me] = SocketAddrSpec::Tcp(actual.to_string());
-                Listener::Tcp(l)
-            }
-            SocketAddrSpec::Uds(p) => {
-                // A stale socket file from a crashed predecessor blocks
-                // bind; remove it (no other listener can hold it if the
-                // deployment assigns unique paths).
-                let _ = std::fs::remove_file(p);
-                Listener::Uds(UnixListener::bind(p)?)
-            }
-        };
+        let (listener, actual) = Listener::bind(&cfg.processes[cfg.me])?;
+        cfg.processes[cfg.me] = actual;
 
         let mut inboxes = HashMap::new();
         let mut rxs = Vec::new();
@@ -413,7 +462,7 @@ fn close_shared<M>(shared: &MeshShared<M>) {
         let _ = tx.send(Vec::new());
     }
     // Wake the accept loop; it checks `closed` after each accept.
-    let _ = connect(&shared.cfg.processes[shared.cfg.me]);
+    let _ = Stream::connect(&shared.cfg.processes[shared.cfg.me]);
     if let SocketAddrSpec::Uds(p) = &shared.cfg.processes[shared.cfg.me] {
         let _ = std::fs::remove_file(p);
     }
@@ -512,7 +561,7 @@ fn writer_loop<M>(rx: Receiver<Vec<u8>>, addr: SocketAddrSpec, shared: Arc<MeshS
                 return;
             }
             if conn.is_none() {
-                match connect(&addr) {
+                match Stream::connect(&addr) {
                     Ok(s) => {
                         conn = Some(s);
                         backoff = BACKOFF_START;
@@ -566,13 +615,7 @@ fn write_frames(s: &mut impl Write, frames: &[u8]) -> Result<(), usize> {
 /// Accept loop: one reader thread per inbound connection.
 fn accept_loop<M: Send + WireCodec + 'static>(listener: Listener, shared: Arc<MeshShared<M>>) {
     loop {
-        let stream = match &listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
-            }),
-            Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
-        };
+        let stream = listener.accept();
         if shared.closed.load(Ordering::SeqCst) {
             return;
         }

@@ -2,9 +2,16 @@
 //! fabric → engines, exercised together the way the benchmark harness and
 //! a downstream user would.
 
+use graphtrek_suite::graphtrek::client::ClientPort;
 use graphtrek_suite::graphtrek::engine::TransportKind;
+use graphtrek_suite::graphtrek::frontdoor::Backend;
+use graphtrek_suite::graphtrek::gt_placement::{PlacementMap, SharedPlacement};
+use graphtrek_suite::graphtrek::gt_transport::{Conduit, MeshConfig, SocketAddrSpec, SocketMesh};
+use graphtrek_suite::graphtrek::server::{spawn, ServerArgs};
 use graphtrek_suite::prelude::*;
-use gt_kvstore::IoProfile;
+use gt_graph::storage::{load_replicated, GraphPartition};
+use gt_kvstore::{IoProfile, Store, StoreConfig};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -240,5 +247,72 @@ fn degree_skew_translates_to_server_load_imbalance() {
         "expected visible load spread, got {loads:?}"
     );
     cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The multi-process deployment shape, folded into one process: backend
+/// servers on a Unix-socket mesh with nothing around them, driven by a
+/// bare [`ClientPort`] — the same driver a [`Cluster`] embeds, here as
+/// `gt-server`'s mesh mode uses it.
+#[test]
+fn bare_client_port_drives_a_travel_over_a_uds_mesh() {
+    let cfg = RmatConfig {
+        scale: 8,
+        avg_out_degree: 4,
+        attr_bytes: 16,
+        ..RmatConfig::rmat1(8)
+    };
+    let g = gt_rmat::generate(&cfg);
+    let q = GTravel::v([gt_rmat::random_vertex(&cfg, 3)])
+        .e(gt_rmat::RMAT_ELABEL)
+        .e(gt_rmat::RMAT_ELABEL)
+        .e(gt_rmat::RMAT_ELABEL);
+    let plan = Arc::new(q.compile().unwrap());
+    let want = graphtrek_suite::graphtrek::oracle::traverse(&g, &plan);
+
+    let n = 3;
+    let dir = tmp("bare-port");
+    std::fs::create_dir_all(&dir).unwrap();
+    let map = PlacementMap::initial(n, 1);
+    let partitions: Vec<GraphPartition> = (0..n)
+        .map(|s| {
+            let store = Store::open(StoreConfig::new(dir.join(format!("server-{s}")))).unwrap();
+            GraphPartition::open(Arc::new(store)).unwrap()
+        })
+        .collect();
+    load_replicated(&g, &partitions, |s, vid| map.holds(s, vid)).unwrap();
+    // Endpoints 0..n are the servers, endpoint n the client.
+    let addr = SocketAddrSpec::Uds(dir.join("mesh.sock"));
+    let (mesh, mut endpoints) = SocketMesh::start(MeshConfig::single_process(n + 1, addr)).unwrap();
+    let client = endpoints.pop().unwrap();
+    let servers: Vec<_> = partitions
+        .into_iter()
+        .zip(endpoints)
+        .enumerate()
+        .map(|(id, (partition, endpoint))| {
+            spawn(ServerArgs {
+                id,
+                n_servers: n,
+                partition: Arc::new(partition),
+                endpoint: Conduit::Socket(endpoint),
+                engine: EngineConfig::new(EngineKind::GraphTrek),
+                epoch: 0,
+                metrics: None,
+                crash_after: None,
+                ledger_path: None,
+                placement: Arc::new(SharedPlacement::new(map.clone())),
+                replication: 1,
+                detection: None,
+            })
+        })
+        .collect();
+    let id_base = (client.id() as u64) << 48;
+    let port = ClientPort::new(Conduit::Socket(client), n, id_base);
+    let ticket = port.begin(plan).unwrap();
+    assert_eq!(ticket.travel(), id_base + 1);
+    let got = port.wait(&ticket, Duration::from_secs(30)).unwrap();
+    assert_eq!(got.vertices, want.all_vertices());
+    mesh.close();
+    servers.into_iter().for_each(|s| s.join());
     std::fs::remove_dir_all(&dir).ok();
 }
