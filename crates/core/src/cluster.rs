@@ -1239,7 +1239,7 @@ impl ClusterState {
             })
             .ok_or_else(|| ClusterError::Recovery("no live server to host the failover".into()))?;
         // gt-lint: allow(guard-across-channel, "serializing concurrent failovers is the failover lock's whole job")
-        self.handoff_to(travel, successor, plan, tepoch + 1, events, Some(dead))
+        self.handoff_to(travel, successor, plan, tepoch + 1, events)
     }
 
     /// Re-drive a travel whose *live* coordinator must shed the role or
@@ -1247,7 +1247,7 @@ impl ClusterState {
     /// coordinator's own ledger file is readable concurrently
     /// (`replay_blobs` tolerates a torn tail), so recovery follows the
     /// exact crash path, minus the restart.
-    fn redrive(&self, travel: TravelId, restarted: Option<usize>) -> Result<(), ClusterError> {
+    fn redrive(&self, travel: TravelId) -> Result<(), ClusterError> {
         let _serialize = self.failover_lock.lock();
         let (old_coord, plan, tepoch) = {
             let routes = self.routes.lock();
@@ -1265,7 +1265,7 @@ impl ClusterState {
             .find(|&s| !self.server_crashed(s) && !self.placement.is_decommissioned(s))
             .ok_or_else(|| ClusterError::Recovery("no live server to host the re-drive".into()))?;
         // gt-lint: allow(guard-across-channel, "serializing concurrent failovers is the failover lock's whole job")
-        self.handoff_to(travel, successor, plan, tepoch + 1, events, restarted)
+        self.handoff_to(travel, successor, plan, tepoch + 1, events)
     }
 
     /// Ship a travel's coordinator role to `successor` under travel-epoch
@@ -1280,7 +1280,6 @@ impl ClusterState {
         plan: Arc<Plan>,
         epoch: u64,
         events: Vec<LedgerEvent>,
-        restarted: Option<usize>,
     ) -> Result<(), ClusterError> {
         let n = self.slots.len();
         let succ_epoch = self.slots[successor].epoch.load(Ordering::SeqCst);
@@ -1318,7 +1317,6 @@ impl ClusterState {
                         travel,
                         epoch,
                         coordinator: successor,
-                        restarted,
                     },
                 )?;
             }
@@ -1643,7 +1641,7 @@ impl ClusterState {
                 // when the handoff barrier forms) must not fail the
                 // promotion — `Cluster::wait` re-drives any stalled travel
                 // through its own failover path.
-                let _ = self.redrive(travel, Some(dead));
+                let _ = self.redrive(travel);
             }
         }
         Ok(promoted)

@@ -21,8 +21,8 @@
 //!
 //! # Interaction with the fault-injecting transport
 //!
-//! Under a [`ChaosPlan`](crate::faults::ChaosPlan) the relay layer in
-//! `server.rs` already provides exactly-once, in-order delivery per
+//! Under a [`ChaosPlan`](crate::faults::ChaosPlan) the relay layer
+//! (`server/relay.rs`) already provides exactly-once, in-order delivery per
 //! `(travel, sender)` stream (sequence numbers, acks, retransmission,
 //! epoch fencing), so the ledger normally never sees a duplicated or
 //! reordered event. The ledger is nevertheless written to be idempotent —
@@ -37,7 +37,6 @@ use crate::ExecId;
 use gt_graph::VertexId;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Durable ledger events
@@ -125,10 +124,6 @@ pub struct TravelLedger {
     results: BTreeMap<u16, BTreeSet<VertexId>>,
     created_total: u64,
     terminated_total: u64,
-    /// Submission time (for diagnostics / failure timeouts).
-    pub started: Instant,
-    /// Last event time (silent-failure detection).
-    pub last_event: Instant,
     /// Travel-epoch this ledger is hosted under (bumped by failover).
     pub epoch: u64,
     /// Durable events appended since the last snapshot checkpoint (the
@@ -144,7 +139,6 @@ impl TravelLedger {
 
     /// Fresh ledger hosted under a given travel-epoch (failover path).
     pub fn new_with_epoch(plan: Arc<Plan>, client: usize, epoch: u64) -> Self {
-        let now = Instant::now();
         TravelLedger {
             plan,
             client,
@@ -157,8 +151,6 @@ impl TravelLedger {
             results: BTreeMap::new(),
             created_total: 0,
             terminated_total: 0,
-            started: now,
-            last_event: now,
             epoch,
             events_since_snapshot: 0,
         }
@@ -166,7 +158,6 @@ impl TravelLedger {
 
     /// Record an execution-creation event.
     pub fn exec_created(&mut self, exec: ExecId, depth: u16) {
-        self.last_event = Instant::now();
         if !self.created.insert(exec) {
             return; // duplicate (e.g. eager report + termination children)
         }
@@ -186,7 +177,6 @@ impl TravelLedger {
         for &(child, depth) in children {
             self.exec_created(child, depth);
         }
-        self.last_event = Instant::now();
         if !self.terminated.insert(exec) {
             return;
         }
@@ -202,7 +192,6 @@ impl TravelLedger {
 
     /// Record returned vertices.
     pub fn add_results(&mut self, items: &[(u16, VertexId)]) {
-        self.last_event = Instant::now();
         for &(depth, v) in items {
             self.results.entry(depth).or_default().insert(v);
         }
@@ -338,8 +327,6 @@ pub struct SyncState {
     pub results: BTreeMap<u16, BTreeSet<VertexId>>,
     /// Barrier count already performed (diagnostics).
     pub barriers: u64,
-    /// Submission time.
-    pub started: Instant,
 }
 
 impl SyncState {
@@ -355,7 +342,6 @@ impl SyncState {
             origin_expected: HashMap::new(),
             results: BTreeMap::new(),
             barriers: 0,
-            started: Instant::now(),
         }
     }
 

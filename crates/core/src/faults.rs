@@ -9,6 +9,7 @@
 //! starting at a chosen traversal step, the next `count` vertex accesses
 //! each pay `delay` extra.
 
+use crate::message::{Msg, Traffic};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -128,6 +129,47 @@ impl CrashPoint {
             after_messages,
             coordinator_events: true,
         }
+    }
+}
+
+/// A [`CrashPoint`] armed on its server for one incarnation.
+pub(crate) struct CrashTrigger {
+    point: CrashPoint,
+    counted: AtomicU64,
+}
+
+impl CrashTrigger {
+    pub(crate) fn armed(point: CrashPoint) -> Self {
+        CrashTrigger {
+            point,
+            counted: AtomicU64::new(0),
+        }
+    }
+
+    /// Check an arriving message against the trigger; true when the
+    /// server must die *instead of* processing it (the message is lost
+    /// with the server, like a process kill mid-receive).
+    pub(crate) fn fires(&self, msg: &Msg) -> bool {
+        let qualifies = match msg.traffic() {
+            // Step-scoped trigger: frontier traffic at or past the step.
+            Traffic::Frontier(depth) => !self.point.coordinator_events && depth >= self.point.step,
+            // Coordinator-role trigger: count tracing/barrier messages the
+            // server absorbs while hosting a travel's ledger, so the crash
+            // lands mid-travel with coordinator state in flight.
+            Traffic::Created(..)
+            | Traffic::Terminated(..)
+            | Traffic::Results(_)
+            | Traffic::StepDone => self.point.coordinator_events,
+            Traffic::Reply(_) | Traffic::Lossy(_) | Traffic::Other => false,
+        };
+        if !qualifies {
+            return false;
+        }
+        let n = self
+            .counted
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            + 1;
+        n >= self.point.after_messages.max(1)
     }
 }
 

@@ -317,12 +317,18 @@ pub enum Msg {
         /// The wrapped data-plane message.
         inner: Box<Msg>,
     },
-    /// Server → server: cumulative-free ack for one relayed message.
+    /// Server → server: cumulative-free ack for one relayed message of one
+    /// stream generation.
     RelayAck {
         /// Travel of the acked message.
         travel: TravelId,
         /// Acking server.
         server: usize,
+        /// Travel-epoch of the acked frame, echoed so the sender retires
+        /// only a pending message of that stream generation: a handoff
+        /// restarts numbering at 1, and a late ack for the old
+        /// generation's `seq` must not cancel the new one's retransmits.
+        tepoch: u64,
         /// Sequence number being acked.
         seq: u64,
         /// Attempt the ack answers (chaos-key uniqueness only).
@@ -360,13 +366,6 @@ pub enum Msg {
         epoch: u64,
         /// Successor coordinator server id.
         coordinator: usize,
-        /// The crashed (now restarted) server, if one was restarted;
-        /// `None` when the takeover re-homes a travel without restarting
-        /// anything (replica promotion). Informational: every receiver
-        /// restarts the travel's relay streams for the bumped epoch
-        /// regardless (generational streams — see `InStream` in the
-        /// server), so no targeted per-stream reset keys off this field.
-        restarted: Option<usize>,
     },
     /// Server → successor coordinator: everything this server reported
     /// to the previous coordinator for `travel` (its sent-journal), so
@@ -528,9 +527,6 @@ pub enum Msg {
         from: usize,
         /// Monotonic per-sender beacon number (chaos-key uniqueness).
         seq: u64,
-        /// The sender's cumulative real-I/O visit count (a cheap load
-        /// proxy).
-        load: u64,
     },
     /// Monitor server → healer (client endpoint): peer `suspect`'s phi
     /// value crossed the suspicion threshold. Re-sent periodically while
@@ -569,40 +565,97 @@ pub(crate) const PLACEMENT_KEYS: u64 = 1 << 62;
 /// only listener and drains them in arrival order.
 pub(crate) const SUSPECT_KEY: u64 = 3 << 62;
 
+/// What kind of traffic a message is, decided once per variant: the
+/// client port reads which slot a reply fills, the fabric what faces the
+/// lossy link, the server which tracing reports its sent-journal records
+/// for a successor and which arrivals a scripted crash counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Traffic<'a> {
+    /// A reply to the client endpoint, delivered by
+    /// [`crate::client::ClientPort`] under this key: the travel, request,
+    /// flow or map version it answers.
+    Reply(u64),
+    /// The reliable layer's envelope or ack, or a heartbeat: it faces the
+    /// lossy transport under this chaos key. The attempt counter is in an
+    /// envelope's key so a retransmission re-rolls its fate instead of
+    /// being dropped forever. Heartbeats face it too — raw and unacked,
+    /// because absorbing loss and jitter is the failure detector's job,
+    /// and it must be tested against chaos.
+    Lossy(u64),
+    /// Carries frontier vertices entering at this depth.
+    Frontier(u16),
+    /// Tracing report: an execution was created.
+    Created(ExecId, u16),
+    /// Tracing report: an execution terminated, registering its children.
+    Terminated(ExecId, &'a [(ExecId, u16)]),
+    /// Returned vertices on their way to the coordinator.
+    Results(&'a [(u16, VertexId)]),
+    /// A sync step's barrier report.
+    StepDone,
+    /// Control plane, and everything else that only ever rides inside an
+    /// envelope.
+    Other,
+}
+
 impl Msg {
-    /// The key a client-bound message is delivered under by
-    /// [`crate::client::ClientPort`]: the travel, request, flow or map
-    /// version it answers. `None` for server-bound traffic.
-    pub(crate) fn client_key(&self) -> Option<u64> {
+    /// See [`Traffic`].
+    pub(crate) fn traffic(&self) -> Traffic<'_> {
         match self {
             Msg::TravelDone { travel, .. }
             | Msg::ProgressReport { travel, .. }
             | Msg::CancelAck { travel, .. }
-            | Msg::RecoverDone { travel, .. } => Some(*travel),
-            Msg::IngestAck { req, .. } | Msg::VertexReply { req, .. } => Some(*req),
-            Msg::PlacementAck { version, .. } => Some(PLACEMENT_KEYS | *version),
-            Msg::CopyApplied { mig, .. } => Some(*mig),
-            Msg::Suspect { .. } => Some(SUSPECT_KEY),
-            // Listed explicitly so a new client-bound variant fails
-            // gt-lint here instead of being silently dropped.
+            | Msg::RecoverDone { travel, .. } => Traffic::Reply(*travel),
+            Msg::IngestAck { req, .. } | Msg::VertexReply { req, .. } => Traffic::Reply(*req),
+            Msg::PlacementAck { version, .. } => Traffic::Reply(PLACEMENT_KEYS | *version),
+            Msg::CopyApplied { mig, .. } => Traffic::Reply(*mig),
+            Msg::Suspect { .. } => Traffic::Reply(SUSPECT_KEY),
+            Msg::Relay {
+                travel,
+                from,
+                seq,
+                attempt,
+                ..
+            } => Traffic::Lossy(gt_net::chaos_key_of(&[
+                1,
+                *travel,
+                *from as u64,
+                *seq,
+                *attempt,
+            ])),
+            Msg::RelayAck {
+                travel,
+                server,
+                seq,
+                attempt,
+                ..
+            } => Traffic::Lossy(gt_net::chaos_key_of(&[
+                2,
+                *travel,
+                *server as u64,
+                *seq,
+                *attempt,
+            ])),
+            Msg::Heartbeat { from, seq } => {
+                Traffic::Lossy(gt_net::chaos_key_of(&[3, *from as u64, *seq]))
+            }
+            Msg::Visit { depth, .. } | Msg::SyncFrontier { depth, .. } => Traffic::Frontier(*depth),
+            Msg::SourceScan { .. } => Traffic::Frontier(0),
+            Msg::ExecCreated { exec, depth, .. } => Traffic::Created(*exec, *depth),
+            Msg::ExecTerminated { exec, children, .. } => Traffic::Terminated(*exec, children),
+            Msg::Results { items, .. } => Traffic::Results(items),
+            Msg::SyncStepDone { .. } => Traffic::StepDone,
+            // Listed explicitly so a new variant fails gt-lint here
+            // instead of being silently dropped at the client, exempted
+            // from chaos, or left out of the sent-journal.
             Msg::Submit { .. }
             | Msg::Abort { .. }
             | Msg::ProgressQuery { .. }
             | Msg::Cancel { .. }
-            | Msg::SourceScan { .. }
-            | Msg::Visit { .. }
-            | Msg::ExecCreated { .. }
-            | Msg::ExecTerminated { .. }
             | Msg::OriginSatisfied { .. }
-            | Msg::Results { .. }
             | Msg::SyncStart { .. }
-            | Msg::SyncFrontier { .. }
             | Msg::SyncOrigin { .. }
-            | Msg::SyncStepDone { .. }
             | Msg::Ingest { .. }
             | Msg::GetVertex { .. }
-            | Msg::Relay { .. }
-            | Msg::RelayAck { .. }
             | Msg::CoordRecover { .. }
             | Msg::CoordHandoff { .. }
             | Msg::ReAnnounce { .. }
@@ -614,10 +667,18 @@ impl Msg {
             | Msg::CopyData { .. }
             | Msg::CopyCutover { .. }
             | Msg::CopyFinish { .. }
-            | Msg::Heartbeat { .. }
             | Msg::SuspectAck { .. }
             | Msg::Crash
-            | Msg::Shutdown => None,
+            | Msg::Shutdown => Traffic::Other,
+        }
+    }
+
+    /// The key a client-bound message is delivered under; `None` for
+    /// server-bound traffic.
+    pub(crate) fn client_key(&self) -> Option<u64> {
+        match self.traffic() {
+            Traffic::Reply(key) => Some(key),
+            _ => None,
         }
     }
 }
@@ -689,7 +750,7 @@ impl WireSize for Msg {
                         })
                         .sum::<usize>()
             }
-            Msg::CoordHandoff { .. } => 32,
+            Msg::CoordHandoff { .. } => 28,
             Msg::ReAnnounce {
                 created,
                 terminated,
@@ -704,7 +765,7 @@ impl WireSize for Msg {
                     + results.len() * 10
             }
             Msg::Relay { inner, .. } => 48 + inner.wire_size(),
-            Msg::RelayAck { .. } => 28,
+            Msg::RelayAck { .. } => 36,
             Msg::RecoverDone { .. } => 20,
             Msg::PlacementUpdate { map, .. } => {
                 20 + map
@@ -738,7 +799,7 @@ impl WireSize for Msg {
             Msg::CopyApplied { .. } => 24,
             Msg::CopyCutover { .. } => 12,
             Msg::CopyFinish { .. } => 12,
-            Msg::Heartbeat { .. } => 20,
+            Msg::Heartbeat { .. } => 12,
             Msg::Suspect { .. } => 16,
             Msg::SuspectAck { .. } => 12,
             Msg::Crash => 4,
@@ -758,82 +819,9 @@ impl WireSize for Msg {
     }
 
     fn chaos_key(&self) -> Option<u64> {
-        // The reliable layer's envelopes face the lossy transport; the
-        // attempt counter is in the key so a retransmission re-rolls its
-        // fate instead of being dropped forever. Heartbeats face it too —
-        // raw and unacked, because absorbing loss and jitter is the
-        // failure detector's job, and it must be tested against chaos.
-        match self {
-            Msg::Relay {
-                travel,
-                from,
-                seq,
-                attempt,
-                ..
-            } => Some(gt_net::chaos_key_of(&[
-                1,
-                *travel,
-                *from as u64,
-                *seq,
-                *attempt,
-            ])),
-            Msg::RelayAck {
-                travel,
-                server,
-                seq,
-                attempt,
-            } => Some(gt_net::chaos_key_of(&[
-                2,
-                *travel,
-                *server as u64,
-                *seq,
-                *attempt,
-            ])),
-            Msg::Heartbeat { from, seq, .. } => {
-                Some(gt_net::chaos_key_of(&[3, *from as u64, *seq]))
-            }
-            // Everything else rides inside a Relay envelope (or is
-            // client/control traffic that bypasses chaos); listed
-            // explicitly so a new wire-facing variant fails gt-lint here.
-            Msg::Submit { .. }
-            | Msg::Abort { .. }
-            | Msg::ProgressQuery { .. }
-            | Msg::ProgressReport { .. }
-            | Msg::TravelDone { .. }
-            | Msg::Cancel { .. }
-            | Msg::CancelAck { .. }
-            | Msg::SourceScan { .. }
-            | Msg::Visit { .. }
-            | Msg::ExecCreated { .. }
-            | Msg::ExecTerminated { .. }
-            | Msg::OriginSatisfied { .. }
-            | Msg::Results { .. }
-            | Msg::SyncStart { .. }
-            | Msg::SyncFrontier { .. }
-            | Msg::SyncOrigin { .. }
-            | Msg::SyncStepDone { .. }
-            | Msg::Ingest { .. }
-            | Msg::IngestAck { .. }
-            | Msg::GetVertex { .. }
-            | Msg::VertexReply { .. }
-            | Msg::CoordRecover { .. }
-            | Msg::CoordHandoff { .. }
-            | Msg::ReAnnounce { .. }
-            | Msg::RecoverDone { .. }
-            | Msg::PlacementUpdate { .. }
-            | Msg::PlacementAck { .. }
-            | Msg::ReplicateWrite { .. }
-            | Msg::ReplicateAck { .. }
-            | Msg::ReplicateLedger { .. }
-            | Msg::CopyBegin { .. }
-            | Msg::CopyData { .. }
-            | Msg::CopyApplied { .. }
-            | Msg::CopyCutover { .. }
-            | Msg::CopyFinish { .. }
-            | Msg::Suspect { .. }
-            | Msg::SuspectAck { .. }
-            | Msg::Crash
-            | Msg::Shutdown => None,
+        match self.traffic() {
+            Traffic::Lossy(key) => Some(key),
+            _ => None,
         }
     }
 }
@@ -895,6 +883,7 @@ mod tests {
         let ack = Msg::RelayAck {
             travel: 3,
             server: 2,
+            tepoch: 0,
             seq: 5,
             attempt: 1,
         };
@@ -908,11 +897,7 @@ mod tests {
         assert_ne!(relay.chaos_key(), ack.chaos_key());
         // Heartbeats face chaos too: each beacon rolls its own fate, so
         // a delay/drop plan jitters the detector's real input signal.
-        let hb = |seq| Msg::Heartbeat {
-            from: 1,
-            seq,
-            load: 0,
-        };
+        let hb = |seq| Msg::Heartbeat { from: 1, seq };
         assert!(hb(7).chaos_key().is_some());
         assert_ne!(hb(7).chaos_key(), hb(8).chaos_key());
         assert_ne!(hb(7).chaos_key(), relay.chaos_key());
@@ -944,14 +929,13 @@ mod tests {
             items: vec![],
         };
         assert_eq!(relay.wire_size(), 48 + inner.wire_size());
-        assert_eq!(ack.wire_size(), 28);
+        assert_eq!(ack.wire_size(), 36);
         // Failover control messages stay chaos-exempt (they model the
         // orchestrator's out-of-band channel, like Crash/Shutdown).
         let handoff = Msg::CoordHandoff {
             travel: 3,
             epoch: 1,
             coordinator: 2,
-            restarted: Some(1),
         };
         assert_eq!(handoff.chaos_key(), None);
         assert!(handoff.wire_size() > 0);
@@ -1002,12 +986,7 @@ mod tests {
             TrafficClass::Interactive
         );
         assert_eq!(
-            Msg::Heartbeat {
-                from: 0,
-                seq: 1,
-                load: 0
-            }
-            .traffic_class(),
+            Msg::Heartbeat { from: 0, seq: 1 }.traffic_class(),
             TrafficClass::Interactive
         );
     }

@@ -141,6 +141,10 @@ counters! {
         /// Relay retransmissions sent (reliable-delivery layer; zero with
         /// chaos off).
         relay_retries: AtomicU64 => u64 [fault,],
+        /// Relayed messages given up on after the last retransmission
+        /// attempt went unacknowledged (the client's timeout owns recovery
+        /// from there).
+        relay_abandoned: AtomicU64 => u64 [fault, failover,],
         /// Relayed messages received more than once and deduped.
         redeliveries: AtomicU64 => u64 [fault,],
         /// Relayed messages discarded by epoch fencing (stale pre-crash

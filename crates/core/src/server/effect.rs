@@ -1,0 +1,148 @@
+//! The contract between the protocol machines and the shell: effects as
+//! data, and the one interpreter that carries them out.
+
+use super::{coord, forget_executions, handle_msg, LoopCtl, Shared};
+use crate::lang::Plan;
+use crate::message::Msg;
+use crate::TravelId;
+use gt_graph::VertexId;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// What a step of a protocol machine asks of the shell, in the order it
+/// must happen. The machines decide; only the shell acts ([`perform`]) — it
+/// owns the endpoint, the counters, the handlers and whatever lives behind
+/// another lock.
+#[derive(Debug)]
+pub(super) enum Effect {
+    /// Put this message on the wire to this endpoint.
+    Send(usize, Msg),
+    /// Hand a relayed message to the protocol handlers.
+    Deliver(Msg),
+    /// First sight of a handoff's travel-epoch: the travel's executions on
+    /// this server belong to a superseded tree and must go before the
+    /// successor `coordinator`'s re-drive arrives.
+    NewGeneration {
+        travel: TravelId,
+        coordinator: usize,
+    },
+    /// A takeover's barrier closed on an unfinished ledger: install fresh
+    /// coordinator state under `epoch`, seed it with `results`, and run
+    /// the traversal from its source again.
+    Redrive {
+        travel: TravelId,
+        plan: Arc<Plan>,
+        client: usize,
+        epoch: u64,
+        results: Vec<(u16, VertexId)>,
+    },
+    /// Add to a counter.
+    Count(Counter, u64),
+}
+
+/// The [`ServerMetrics`](crate::metrics::ServerMetrics) counters machines
+/// report into, by field name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Counter {
+    /// A high-water mark: the maximum is kept, not the sum.
+    JournalPeakEntries,
+    JournalCompactions,
+    RelayRetries,
+    RelayAbandoned,
+    StaleEpochDropped,
+    StaleTravelEpochDropped,
+    Redeliveries,
+    HeartbeatsSent,
+    SuspicionsRaised,
+    LedgerReplays,
+    LedgerEventsReplayed,
+    Failovers,
+    ReannounceMsgs,
+}
+
+/// Carry out a machine step, effect by effect. Only a delivery can end
+/// the dispatcher loop.
+pub(super) fn perform(sh: &Arc<Shared>, step: Vec<Effect>) -> LoopCtl {
+    for effect in step {
+        match effect {
+            Effect::Send(to, msg) => {
+                let _ = sh.ep.send(to, msg);
+            }
+            Effect::Deliver(msg) => match handle_msg(sh, msg) {
+                LoopCtl::Continue => {}
+                other => return other,
+            },
+            Effect::NewGeneration {
+                travel,
+                coordinator,
+            } => {
+                forget_executions(sh, travel);
+                if sh.id != coordinator {
+                    sh.coords.lock().remove(&travel);
+                }
+            }
+            Effect::Redrive {
+                travel,
+                plan,
+                client,
+                epoch,
+                results,
+            } => coord::start_travel(sh, travel, plan, client, epoch, results),
+            Effect::Count(counter, n) => {
+                let (m, order) = (&sh.metrics, Ordering::Relaxed);
+                match counter {
+                    Counter::JournalPeakEntries => m.journal_peak_entries.fetch_max(n, order),
+                    Counter::JournalCompactions => m.journal_compactions.fetch_add(n, order),
+                    Counter::RelayRetries => m.relay_retries.fetch_add(n, order),
+                    Counter::RelayAbandoned => m.relay_abandoned.fetch_add(n, order),
+                    Counter::StaleEpochDropped => m.stale_epoch_dropped.fetch_add(n, order),
+                    Counter::StaleTravelEpochDropped => {
+                        m.stale_travel_epoch_dropped.fetch_add(n, order)
+                    }
+                    Counter::Redeliveries => m.redeliveries.fetch_add(n, order),
+                    Counter::HeartbeatsSent => m.heartbeats_sent.fetch_add(n, order),
+                    Counter::SuspicionsRaised => m.suspicions_raised.fetch_add(n, order),
+                    Counter::LedgerReplays => m.ledger_replays.fetch_add(n, order),
+                    Counter::LedgerEventsReplayed => m.ledger_events_replayed.fetch_add(n, order),
+                    Counter::Failovers => m.failovers.fetch_add(n, order),
+                    Counter::ReannounceMsgs => m.reannounce_msgs.fetch_add(n, order),
+                };
+            }
+        }
+    }
+    LoopCtl::Continue
+}
+
+/// Assertion helpers shared by the machines' unit tests.
+#[cfg(test)]
+pub(super) mod testkit {
+    use super::{Counter, Effect, Msg};
+
+    /// A step's messages apart from its other effects.
+    pub(in crate::server) struct Step {
+        pub(in crate::server) send: Vec<(usize, Msg)>,
+        pub(in crate::server) effects: Vec<Effect>,
+    }
+
+    pub(in crate::server) fn split(step: Vec<Effect>) -> Step {
+        let (mut send, mut effects) = (Vec::new(), Vec::new());
+        for effect in step {
+            match effect {
+                Effect::Send(to, msg) => send.push((to, msg)),
+                other => effects.push(other),
+            }
+        }
+        Step { send, effects }
+    }
+
+    impl Step {
+        /// What the step added to `counter`.
+        pub(in crate::server) fn counted(&self, counter: Counter) -> u64 {
+            let of = |e: &Effect| match e {
+                Effect::Count(c, n) if *c == counter => *n,
+                _ => 0,
+            };
+            self.effects.iter().map(of).sum()
+        }
+    }
+}

@@ -522,8 +522,8 @@ wire_table! {
         // 19–20 are retired (`IngestAck`/`GetVertex` with the replica-read
         // barrier fields; re-issued slimmer as 47–48); they stay unassigned.
         21 => VertexReply { req, vertex },
-        23 => RelayAck { travel, server, seq, attempt },
-        25 => CoordHandoff { travel, epoch, coordinator, restarted },
+        // 23 and 25 are retired (`RelayAck` without its stream generation,
+        // `CoordHandoff` with the unread `restarted`; re-issued as 50–51).
         26 => ReAnnounce { travel, epoch, server, created, terminated, results },
         27 => RecoverDone { travel, epoch },
         28 => PlacementUpdate { map, client },
@@ -537,7 +537,8 @@ wire_table! {
         35 => CopyApplied { mig, phase, server },
         36 => CopyCutover { mig },
         37 => CopyFinish { mig, purpose },
-        38 => Heartbeat { from, seq, load },
+        // 38 is retired (`Heartbeat` with the unread `load`; re-issued
+        // as 52).
         39 => Suspect { from, suspect },
         40 => SuspectAck { suspect, confirmed },
         // 41–44 are retired (`ReReplicate{Begin,Data,Cutover,Finish}`,
@@ -547,6 +548,9 @@ wire_table! {
         47 => IngestAck { req, applied },
         48 => GetVertex { req, client, vertex },
         49 => ReplicateWrite { req, origin, seq, vertices, edges },
+        50 => RelayAck { travel, server, tepoch, seq, attempt },
+        51 => CoordHandoff { travel, epoch, coordinator },
+        52 => Heartbeat { from, seq },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.

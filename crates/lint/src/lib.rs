@@ -53,11 +53,12 @@ pub enum Mode {
     Files(Vec<PathBuf>),
 }
 
-/// Hot-path files within `crates/core/src` for the `panic` rule. The
-/// query layer (`lang`, `parse`, `oracle`) is exempt: it runs client-side
-/// before submission, where a panic cannot kill a server thread.
+/// Hot-path files within `crates/core/src` for the `panic` rule, beside
+/// the server itself (see [`is_server`]): everything that runs inside a
+/// server process. The query layer (`lang`, `parse`, `oracle`) is exempt:
+/// it runs client-side before submission, where a panic cannot kill a
+/// server thread.
 const CORE_HOT: &[&str] = &[
-    "server.rs",
     "cluster.rs",
     "coordinator.rs",
     "queue.rs",
@@ -67,6 +68,10 @@ const CORE_HOT: &[&str] = &[
     "engine.rs",
     "faults.rs",
     "lib.rs",
+    "client.rs",
+    "wirecodec.rs",
+    "frontdoor.rs",
+    "qos.rs",
 ];
 
 /// Run the enabled rules and return unsuppressed diagnostics sorted by
@@ -184,15 +189,26 @@ fn ends_with(p: &Path, suffix: &str) -> bool {
     p.to_string_lossy().replace('\\', "/").ends_with(suffix)
 }
 
+/// The server: its shell (`server.rs`) and every module under `server/`,
+/// however deep. The server-scoped rules take the directory, not a list
+/// of names, so a new protocol machine is audited from its first commit.
+fn is_server(p: &Path) -> bool {
+    ends_with(p, "crates/core/src/server.rs")
+        || p.to_string_lossy()
+            .replace('\\', "/")
+            .contains("crates/core/src/server/")
+}
+
 fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
     let pick = |pred: &dyn Fn(&Path) -> bool| -> Vec<&SourceFile> {
         parsed.iter().filter(|f| pred(&f.path)).collect()
     };
     FileSets {
         lock: pick(&|p| {
-            ["server.rs", "cluster.rs", "queue.rs"]
-                .iter()
-                .any(|n| ends_with(p, &format!("crates/core/src/{n}")))
+            is_server(p)
+                || ["cluster.rs", "queue.rs"]
+                    .iter()
+                    .any(|n| ends_with(p, &format!("crates/core/src/{n}")))
         }),
         // Dispatch audit spans every crate that matches on a wire enum:
         // the fabric protocol (core), the client↔server proto frames
@@ -210,11 +226,12 @@ fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
                 .iter()
                 .any(|d| s.contains(d))
         }),
-        fence: pick(&|p| ends_with(p, "crates/core/src/server.rs")),
+        fence: pick(&is_server),
         panic: pick(&|p| {
-            CORE_HOT
-                .iter()
-                .any(|n| ends_with(p, &format!("crates/core/src/{n}")))
+            is_server(p)
+                || CORE_HOT
+                    .iter()
+                    .any(|n| ends_with(p, &format!("crates/core/src/{n}")))
                 || p.to_string_lossy()
                     .replace('\\', "/")
                     .contains("crates/net/src/")
@@ -242,7 +259,7 @@ fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
                 || s.contains("crates/net/src/")
                 || s.contains("crates/kvstore/src/")
         }),
-        blocking: pick(&|p| ends_with(p, "crates/core/src/server.rs")),
+        blocking: pick(&is_server),
     }
 }
 
@@ -261,6 +278,9 @@ fn collect_files(mode: &Mode) -> Result<Vec<PathBuf>, String> {
                 "crates/client/src",
             ] {
                 let d = root.join(dir);
+                if !d.is_dir() {
+                    continue; // a partial tree is audited for what it holds
+                }
                 let mut files = rs_files_in(&d)
                     .map_err(|e| format!("gt-lint: cannot walk {}: {e}", d.display()))?;
                 files.sort();

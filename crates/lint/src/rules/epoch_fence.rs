@@ -7,10 +7,13 @@
 //! `extend`, scratch-ledger mutators, …) without first checking
 //! `is_retired`/`travel_epoch` can resurrect a travel that the fence
 //! already killed. Pure-cleanup handlers (`remove`/`retain` only) are
-//! exempt — tearing state down is safe at any epoch. Mutations through a
-//! guard of the fence's own bookkeeping locks (`peer_epoch`,
-//! `travel_epoch`, `retired`) are exempt too: updating the fence *is* the
-//! fence.
+//! exempt — tearing state down is safe at any epoch. Stepping a protocol
+//! machine with an input (`.on_frontier(…)`, `.on_seed(…)` — the server's
+//! machines name every input `on_*`) is a mutation like any other: the
+//! machines hold the per-travel state now, and fencing is their shell's
+//! job. Mutations through a guard of the fence's own bookkeeping (`relay`,
+//! which owns the travel-epoch and peer-epoch fences, and `retired`) are
+//! exempt: updating the fence *is* the fence.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
@@ -36,8 +39,11 @@ const MUTATORS: &[&str] = &[
     "apply",
 ];
 
+/// Prefix of the protocol machines' input methods.
+const MACHINE_INPUT: &str = "on_";
+
 /// Locks that *are* the fence; mutating through their guards is exempt.
-const FENCE_LOCKS: &[&str] = &["peer_epoch", "travel_epoch", "retired"];
+const FENCE_LOCKS: &[&str] = &["relay", "retired"];
 
 /// Idents that count as consulting the fence.
 const FENCE_CALLS: &[&str] = &["is_retired", "travel_epoch_of"];
@@ -57,7 +63,7 @@ pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
             for i in s..e.min(toks.len()) {
                 let t = &toks[i];
                 let is_mutation = t.kind == TokKind::Ident
-                    && MUTATORS.contains(&t.text.as_str())
+                    && (MUTATORS.contains(&t.text.as_str()) || t.text.starts_with(MACHINE_INPUT))
                     && i > 0
                     && toks[i - 1].is_punct('.')
                     && i + 1 < toks.len()
@@ -146,7 +152,7 @@ fn is_compared(toks: &[Tok], i: usize) -> bool {
 }
 
 /// Names bound as guards of fence-state locks:
-/// `let [mut] NAME = <chain>.{peer_epoch|travel_epoch|retired}.lock()...`.
+/// `let [mut] NAME = <chain>.{relay|retired}.lock()...`.
 fn fence_guard_names(toks: &[Tok], s: usize, e: usize) -> Vec<String> {
     let mut out: Vec<String> = FENCE_LOCKS.iter().map(|s| s.to_string()).collect();
     let mut i = s;

@@ -81,6 +81,18 @@ fn epoch_fence_quiet_when_fence_consulted_first() {
     assert!(lint("fence_ok.rs", &["epoch-fence"]).is_empty());
 }
 
+/// Workspace mode scopes the server rules by directory: a file nested
+/// under `crates/core/src/server/` is audited, and stepping a machine
+/// (`on_*`) unfenced is the mutation the rule looks for there.
+#[test]
+fn server_scoped_rules_reach_modules_under_the_server_dir() {
+    let enabled: BTreeSet<String> = ["epoch-fence".to_string()].into();
+    let diags = run(&Mode::Workspace(fixture("nested_ws")), &enabled).expect("fixture tree");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].file.ends_with("server/sync_glue.rs"), "{diags:?}");
+    assert!(diags[0].message.contains("on_frontier"), "{diags:?}");
+}
+
 #[test]
 fn panic_fires_on_unwrap_and_panic_macro() {
     let diags = lint("panic_bad.rs", &["panic"]);
@@ -296,19 +308,24 @@ fn rank_table_has_unique_names_and_ranks() {
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
     let mut files = Vec::new();
-    for entry in std::fs::read_dir(&root).expect("read core/src") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|e| e == "rs") {
-            files.push(SourceFile::read(&path).expect("parse"));
+    let mut dirs = vec![root];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read core/src") {
+            let path = entry.expect("entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(SourceFile::read(&path).expect("parse"));
+            }
         }
     }
     let refs: Vec<&SourceFile> = files.iter().collect();
     let locks = ranked_locks(&refs);
-    // 21, not 22: the server ledger lock is built through `.map(...)`
+    // 15, not 16: the server ledger lock is built through `.map(...)`
     // rather than struct-field syntax, so the field-context harvest
-    // (deliberately) skips it.
+    // (deliberately) skips it. (9 in the server shell, 6 in the cluster.)
     assert!(
-        locks.len() >= 21,
+        locks.len() >= 15,
         "rank table shrank? found {} ranked locks",
         locks.len()
     );
