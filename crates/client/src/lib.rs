@@ -15,6 +15,7 @@ use gt_proto::{
 };
 use gt_transport::{SocketAddrSpec, Stream};
 use std::collections::HashMap;
+use std::io::BufReader;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -104,7 +105,11 @@ impl TravelReply {
 
 /// A connected, version-negotiated proto client.
 pub struct Client {
+    /// Write half.
     sock: Stream,
+    /// Read half, a second handle onto the same connection: buffered, so
+    /// a frame's length prefix and body arrive in one `recv`.
+    reader: BufReader<Stream>,
     next_id: u64,
     /// Terminal responses read while waiting for a different id.
     parked: HashMap<u64, ServerMsg>,
@@ -113,8 +118,10 @@ pub struct Client {
 impl Client {
     /// Dial `addr`, send the hello for `tenant`, and negotiate versions.
     pub fn connect(addr: &SocketAddrSpec, tenant: &str) -> Result<Client, ClientError> {
+        let sock = Stream::connect(addr)?;
         let mut client = Client {
-            sock: Stream::connect(addr)?,
+            reader: BufReader::new(sock.try_clone()?),
+            sock,
             next_id: 1,
             parked: HashMap::new(),
         };
@@ -136,7 +143,7 @@ impl Client {
     }
 
     fn read_msg(&mut self) -> Result<ServerMsg, ClientError> {
-        let frame = read_frame(&mut self.sock)?.ok_or_else(|| {
+        let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
             ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
