@@ -139,8 +139,8 @@ pub struct ClientPort {
     state: Mutex<PortState>,
     cv: Condvar,
     /// Called, outside the port's lock, for every `TravelDone` received —
-    /// whether or not anyone still waits for it.
-    on_travel_done: Box<dyn Fn(TravelId) + Send + Sync>,
+    /// whether or not anyone still waits for it — with its receive time.
+    on_travel_done: Box<dyn Fn(TravelId, Instant) + Send + Sync>,
 }
 
 impl ClientPort {
@@ -156,12 +156,15 @@ impl ClientPort {
             next_id: AtomicU64::new(id_base + 1),
             state: Mutex::new(PortState::default()),
             cv: Condvar::new(),
-            on_travel_done: Box::new(|_| {}),
+            on_travel_done: Box::new(|_, _| {}),
         }
     }
 
     /// Builder-style: observe every completion the port receives.
-    pub(crate) fn on_travel_done(mut self, f: impl Fn(TravelId) + Send + Sync + 'static) -> Self {
+    pub(crate) fn on_travel_done(
+        mut self,
+        f: impl Fn(TravelId, Instant) + Send + Sync + 'static,
+    ) -> Self {
         self.on_travel_done = Box::new(f);
         self
     }
@@ -236,7 +239,7 @@ impl ClientPort {
             let received = Instant::now();
             if let Ok(env) = &got {
                 if let Msg::TravelDone { travel, .. } = &env.msg {
-                    (self.on_travel_done)(*travel);
+                    (self.on_travel_done)(*travel, received);
                 }
             }
             st = self.state.lock();
@@ -268,6 +271,13 @@ impl ClientPort {
     ) -> Result<(R, Instant), ClusterError> {
         self.pump_until(deadline, |st| st.take(key, &take))?
             .ok_or_else(ClusterError::slice_timeout)
+    }
+
+    /// The oldest reply already filed under `key` that `take` accepts, if
+    /// any: [`ClientPort::await_reply`] without the waiting, for a caller
+    /// whose own wait loop pumps.
+    pub(crate) fn try_reply<R>(&self, key: u64, take: impl Fn(Msg) -> Result<R, Msg>) -> Option<R> {
+        self.state.lock().take(key, &take).map(|(r, _)| r)
     }
 
     /// Ship a travel to its coordinator.
@@ -500,7 +510,7 @@ mod tests {
         let (fabric, server, port) = rig();
         let completions = Arc::new(AtomicUsize::new(0));
         let seen = completions.clone();
-        let port = port.on_travel_done(move |_| {
+        let port = port.on_travel_done(move |_, _| {
             seen.fetch_add(1, Ordering::Relaxed);
         });
         const ROUNDS: u64 = 10_000;

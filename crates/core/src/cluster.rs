@@ -14,356 +14,60 @@
 //! crashed or isolated server), the traversal is aborted and restarted
 //! from scratch (§IV-C: "this failure will simply cause the traversal to
 //! be restarted").
+//!
+//! This file is the **shell**: stores, threads, crash/restart, the public
+//! API, and the one place on the client side that reads the clock,
+//! touches the port, the stores and the ledger files. What it decides
+//! with lives in sans-I/O machines under `cluster/` — [`travels`] (one
+//! entry per travel: admission, coordinator routing, snapshot pins, the
+//! re-home of an orphaned travel), [`rehome`] (successor choice and the
+//! handoff round) and [`healer`] — which it steps under one lock that is
+//! never held across a send. `cluster/placement.rs` is shell too: the
+//! sequential placement orchestration and the healer thread.
+
+mod healer;
+mod placement;
+mod rehome;
+mod travels;
+mod types;
 
 pub use crate::client::Ticket;
-use crate::client::{ClientPort, MAX_TRACKED, PROGRESS_DEADLINE};
-use crate::coordinator::LedgerEvent;
+use crate::client::{ClientPort, PROGRESS_DEADLINE};
+use crate::coordinator::{ledger_file, ledger_replica_file, LedgerEvent};
 use crate::engine::TransportKind;
 use crate::engine::{EngineConfig, EngineKind};
-use crate::lang::{GTravel, LangError, Plan};
+use crate::lang::{GTravel, Plan};
 use crate::lockorder::OrderedMutex;
-use crate::message::{
-    CopyPurpose, Msg, ProgressSnapshot, TravelOutcome, PLACEMENT_KEYS, SUSPECT_KEY,
-};
+use crate::message::{Msg, ProgressSnapshot};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, TravelMetrics};
 use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
 use crate::TravelId;
 use gt_graph::storage::load_replicated;
 use gt_graph::{EdgeCutPartitioner, GraphPartition, InMemoryGraph, VertexId};
 use gt_kvstore::wal::replay_blobs;
-use gt_kvstore::{IoProfile, Store, StoreConfig};
-use gt_net::{Fabric, NetConfig, NetStats};
-use gt_placement::rebalance::{plan_moves, Move};
+use gt_kvstore::{Store, StoreConfig};
+use gt_net::{Fabric, NetStats};
 use gt_placement::{PlacementMap, SharedPlacement};
 use gt_transport::{Conduit, MeshConfig, SocketAddrSpec, SocketMesh};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use rehome::{ring_pick, Cause, Host, Round};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use travels::{Dispatch, Freed, Travels};
+pub use types::{ClusterConfig, ClusterError, DurabilityLevel, TravelError, TravelResult};
 
 /// Base pause between timeout-driven resubmissions in
 /// [`Cluster::submit_opts`] (doubled per attempt, capped).
 const RESUBMIT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Cap on the resubmission backoff.
 const RESUBMIT_BACKOFF_CAP: Duration = Duration::from_millis(500);
-/// How often a blocked [`Cluster::wait`] looks at its travel's coordinator
-/// for a crash, so an orphaned travel is failed over instead of silently
-/// running out the clock. Deadlines do not depend on it.
+/// The slice a blocked [`Cluster::wait`] waits in. Between slices it
+/// steps its travel's entry: a lost coordinator is re-homed, an
+/// unconfirmed handoff re-nudged or given up. Deadlines do not depend on
+/// it.
 const FAILOVER_CHECK_EVERY: Duration = Duration::from_millis(50);
-/// File name of a server's durable travel-ledger event log, next to its
-/// store (only clusters that own their storage get one).
-const LEDGER_FILE: &str = "travel-ledger.log";
-/// How long a failover/takeover orchestration waits for the successor's
-/// [`Msg::RecoverDone`] before declaring the handoff stalled.
-const RECOVER_DEADLINE: Duration = Duration::from_secs(3);
-/// While waiting for [`Msg::RecoverDone`], re-send the recover/handoff
-/// control messages at this period (covers a successor that was isolated
-/// when the first round arrived).
-const RECOVER_RENUDGE: Duration = Duration::from_millis(500);
-/// The healer thread's receive slice: how long it blocks on the client
-/// port per iteration before re-checking its stop flag and the
-/// under-replication scan deadline.
-const HEALER_SLICE: Duration = Duration::from_millis(10);
-/// How often the (otherwise idle) healer scans the placement map for
-/// under-replicated partitions and restores missing copies.
-const REREPLICATE_SCAN_EVERY: Duration = Duration::from_millis(25);
-
-/// Suspicions re-reported within this window of a heal are answered
-/// `confirmed` (stale, not false): the revived server's first heartbeat
-/// clears them on the reporter.
-const HEAL_STALE_WINDOW: Duration = Duration::from_secs(1);
-
-/// Storage-side configuration of a simulated cluster.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Directory holding one store per server (`server-<i>/`).
-    pub dir: PathBuf,
-    /// Number of backend servers.
-    pub n_servers: usize,
-    /// Storage I/O latency model (see [`IoProfile`]).
-    pub io: IoProfile,
-    /// Shared block-cache capacity per server, in runs. `0` keeps every
-    /// segment read cold.
-    pub block_cache_runs: usize,
-    /// Flush + compact + drop caches after loading, so the first traversal
-    /// runs from a cold start (§VII's experimental condition).
-    pub seal_cold: bool,
-    /// Memtable budget per namespace.
-    pub memtable_bytes: usize,
-    /// Replication factor: how many servers hold each partition (one
-    /// primary plus `replication - 1` replicas). Clamped to
-    /// `1..=n_servers`. At 1 (the default) the cluster behaves exactly
-    /// like the unreplicated seed.
-    pub replication: usize,
-    /// Failure-detector tuning. `None` (the default) keeps the whole
-    /// self-healing layer dormant: no heartbeats, no healer thread, every
-    /// [`crate::metrics::MetricsSnapshot::self_heal_counters`] entry
-    /// stays zero.
-    pub detection: Option<DetectionConfig>,
-}
-
-impl ClusterConfig {
-    /// Sensible defaults for tests: free I/O, warm caches allowed.
-    pub fn new(dir: impl Into<PathBuf>, n_servers: usize) -> Self {
-        ClusterConfig {
-            dir: dir.into(),
-            n_servers,
-            io: IoProfile::free(),
-            block_cache_runs: 4096,
-            seal_cold: false,
-            memtable_bytes: 8 << 20,
-            replication: 1,
-            detection: None,
-        }
-    }
-
-    /// Builder-style: storage I/O model.
-    pub fn io(mut self, io: IoProfile) -> Self {
-        self.io = io;
-        self
-    }
-
-    /// Builder-style: block cache capacity (runs).
-    pub fn block_cache_runs(mut self, runs: usize) -> Self {
-        self.block_cache_runs = runs;
-        self
-    }
-
-    /// Builder-style: cold-start sealing after load.
-    pub fn seal_cold(mut self, on: bool) -> Self {
-        self.seal_cold = on;
-        self
-    }
-
-    /// Builder-style: replication factor (see [`ClusterConfig::replication`]).
-    pub fn replication(mut self, rf: usize) -> Self {
-        self.replication = rf;
-        self
-    }
-
-    /// Builder-style: turn on self-healing (failure detection, automatic
-    /// promotion, background re-replication) with default detector tuning.
-    pub fn self_healing(self) -> Self {
-        self.detection(DetectionConfig::default())
-    }
-
-    /// Builder-style: self-healing with explicit detector tuning.
-    pub fn detection(mut self, cfg: DetectionConfig) -> Self {
-        self.detection = Some(cfg);
-        self
-    }
-}
-
-/// Whether a cluster's state survives server crashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurabilityLevel {
-    /// The cluster owns its storage: WAL-backed stores reopen on restart
-    /// and coordinator travel-ledgers are durable (and replicated when
-    /// the replication factor is ≥ 2).
-    Durable,
-    /// Built over borrowed partitions ([`Cluster::from_partitions`]): no
-    /// store reopening, no durable travel ledgers, no ledger
-    /// replication. A crash loses that server's shard for good; recovery
-    /// degrades to timeout-and-resubmit.
-    Ephemeral,
-}
-
-/// Why a traversal failed, as observed by the client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TravelError {
-    /// No completion arrived within the timeout (after every restart
-    /// attempt). Carries the number of attempts made and the
-    /// coordinator's last progress estimate when one could still be
-    /// fetched — a timeout is no longer silent about *where* the
-    /// traversal got stuck.
-    Timeout {
-        /// Submission attempts made (1 = no restarts).
-        attempts: u32,
-        /// Best-effort progress snapshot taken just before giving up.
-        last_progress: Option<ProgressSnapshot>,
-    },
-    /// The coordinator hosting the travel died and could not be failed
-    /// over (reliability disabled, or every candidate successor down).
-    CoordinatorLost {
-        /// The orphaned travel.
-        travel: TravelId,
-    },
-    /// The travel was cancelled via [`Cluster::cancel`].
-    Cancelled {
-        /// The cancelled travel.
-        travel: TravelId,
-    },
-    /// A coordinator failover was started but the successor never
-    /// confirmed recovery within the deadline (e.g. it is isolated).
-    /// Surfaced instead of letting the client's whole-travel timeout run
-    /// out on a handoff that is going nowhere.
-    FailoverStalled {
-        /// The travel whose recovery stalled.
-        travel: TravelId,
-    },
-}
-
-impl std::fmt::Display for TravelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TravelError::Timeout {
-                attempts,
-                last_progress,
-            } => {
-                write!(f, "traversal timed out after {attempts} attempt(s)")?;
-                if let Some(p) = last_progress {
-                    write!(
-                        f,
-                        " (last progress: {} created / {} terminated)",
-                        p.created, p.terminated
-                    )?;
-                }
-                Ok(())
-            }
-            TravelError::CoordinatorLost { travel } => {
-                write!(f, "travel {travel}: coordinator lost and not recoverable")
-            }
-            TravelError::Cancelled { travel } => write!(f, "travel {travel} was cancelled"),
-            TravelError::FailoverStalled { travel } => {
-                write!(
-                    f,
-                    "travel {travel}: failover successor never confirmed recovery"
-                )
-            }
-        }
-    }
-}
-
-/// Errors surfaced by the client API.
-#[derive(Debug)]
-pub enum ClusterError {
-    /// The GTravel chain failed to compile.
-    Lang(LangError),
-    /// Storage failure while building the cluster.
-    Storage(gt_kvstore::Error),
-    /// The traversal failed (timeout, lost coordinator, cancellation).
-    Travel(TravelError),
-    /// The fabric is down (cluster shut down concurrently).
-    Disconnected,
-    /// A crash/restart operation could not be carried out (server not
-    /// crashed, already restarted, storage reopen failed, …).
-    Recovery(String),
-}
-
-impl ClusterError {
-    pub(crate) fn slice_timeout() -> Self {
-        ClusterError::Travel(TravelError::Timeout {
-            attempts: 1,
-            last_progress: None,
-        })
-    }
-
-    /// True when this is a travel timeout (any attempt count).
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, ClusterError::Travel(TravelError::Timeout { .. }))
-    }
-}
-
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::Lang(e) => write!(f, "query error: {e}"),
-            ClusterError::Storage(e) => write!(f, "storage error: {e}"),
-            ClusterError::Travel(e) => write!(f, "{e}"),
-            ClusterError::Disconnected => write!(f, "cluster disconnected"),
-            ClusterError::Recovery(why) => write!(f, "recovery error: {why}"),
-        }
-    }
-}
-impl std::error::Error for ClusterError {}
-
-impl From<LangError> for ClusterError {
-    fn from(e: LangError) -> Self {
-        ClusterError::Lang(e)
-    }
-}
-impl From<gt_kvstore::Error> for ClusterError {
-    fn from(e: gt_kvstore::Error) -> Self {
-        ClusterError::Storage(e)
-    }
-}
-
-/// Result of one completed traversal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TravelResult {
-    /// Returned vertices per returned depth, sorted and dedup'd.
-    pub by_depth: BTreeMap<u16, Vec<VertexId>>,
-    /// Union of all returned depths, sorted and dedup'd.
-    pub vertices: Vec<VertexId>,
-    /// Wall-clock time from submission to completion (including restarts).
-    pub elapsed: Duration,
-    /// Final status-tracing totals.
-    pub progress: ProgressSnapshot,
-    /// How many times the traversal was restarted after a timeout.
-    pub restarts: u32,
-    /// How many coordinator failovers the traversal survived (its ledger
-    /// was re-hosted on a successor that many times).
-    pub failovers: u32,
-    /// Time spent in the client-side admission queue before the travel
-    /// was dispatched (zero when admitted immediately).
-    pub admit_wait: Duration,
-}
-
-impl TravelResult {
-    pub(crate) fn from_outcome(outcome: TravelOutcome, elapsed: Duration, restarts: u32) -> Self {
-        let by_depth: BTreeMap<u16, Vec<VertexId>> = outcome.by_depth.into_iter().collect();
-        let mut all: Vec<VertexId> = by_depth.values().flatten().copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        TravelResult {
-            by_depth,
-            vertices: all,
-            elapsed,
-            progress: outcome.progress,
-            restarts,
-            failovers: 0,
-            admit_wait: Duration::ZERO,
-        }
-    }
-}
-
-/// A submission parked in the client-side admission queue.
-struct Pending {
-    travel: TravelId,
-    coordinator: usize,
-    plan: Arc<Plan>,
-}
-
-/// Client-side routing state of one dispatched travel: which server
-/// currently hosts its coordinator role, under which travel-epoch, and
-/// the plan (needed to seed a successor on failover).
-struct Route {
-    coordinator: usize,
-    /// Incarnation epoch of the hosting server when (re-)routed. A
-    /// mismatch later means the host crashed and restarted — the hosted
-    /// ledger died with it even though the server looks alive again.
-    coord_epoch: u64,
-    /// Travel-epoch the travel currently runs under (bumped per failover).
-    tepoch: u64,
-    failovers: u32,
-    plan: Arc<Plan>,
-}
-
-/// Cap on completed-travel admission timestamps retained for tickets
-/// whose `wait()` never happens.
-const MAX_ADMIT_TIMES: usize = 4096;
-
-/// Client-side admission control (engine knob `max_concurrent_travels`):
-/// travels beyond the limit queue FIFO and are dispatched as slots free.
-#[derive(Default)]
-struct Admission {
-    in_flight: BTreeSet<TravelId>,
-    pending: VecDeque<Pending>,
-    /// travel → (submitted, admitted). `admitted` is `None` while the
-    /// travel waits in `pending`.
-    times: BTreeMap<TravelId, (Instant, Option<Instant>)>,
-}
 
 /// A socket path no other cluster in this process (or a concurrent test
 /// process) is using: pid plus a process-wide counter.
@@ -425,10 +129,10 @@ struct ServerSlot {
     /// Current shard. Replaced on restart when `store_cfg` is known
     /// (store reopened → WAL replay); reused as-is otherwise.
     partition: OrderedMutex<Arc<GraphPartition>>,
-    /// Running incarnation, `None` transiently during restart.
+    /// Running incarnation, `None` transiently during restart. Which
+    /// incarnation it is, the travel table counts
+    /// ([`Travels::on_restart`]).
     handle: OrderedMutex<Option<ServerHandle>>,
-    /// Incarnation counter: 0 at first boot, +1 per restart.
-    epoch: AtomicU64,
     /// How to reopen this server's store (only known when the cluster
     /// built the storage itself via [`Cluster::build`]).
     store_cfg: Option<StoreConfig>,
@@ -476,11 +180,11 @@ pub struct ClusterState {
     port: ClientPort,
     partitioner: EdgeCutPartitioner,
     engine: EngineConfig,
-    admission: OrderedMutex<Admission>,
-    /// Dispatched travels' coordinator routing (failover re-homing).
-    routes: OrderedMutex<BTreeMap<TravelId, Route>>,
-    /// Serializes failover orchestration across concurrent waiters.
-    failover_lock: OrderedMutex<()>,
+    /// Everything known about each travel — admission slot, coordinator
+    /// route, snapshot pin, handoff in flight — and each server's
+    /// incarnation number. A leaf lock: held for one step of the machine,
+    /// never across a send, a store call or another lock.
+    travels: OrderedMutex<Travels>,
     /// The client's (authoritative) placement map; server copies trail it
     /// by one [`Msg::PlacementUpdate`] round-trip.
     placement: Arc<SharedPlacement>,
@@ -490,11 +194,6 @@ pub struct ClusterState {
     durability: DurabilityLevel,
     /// Failure-detector tuning handed to every server incarnation.
     detection: Option<DetectionConfig>,
-    /// Snapshot seq pinned per in-flight travel (snapshot isolation
-    /// only). Pins are taken on every server's store at dispatch and
-    /// released when the travel's admission slot frees, so compaction
-    /// never drops a version a live travel can still read.
-    pinned: OrderedMutex<BTreeMap<TravelId, u64>>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -631,7 +330,7 @@ impl Cluster {
             .zip(store_cfgs)
             .enumerate()
         {
-            let ledger_path = store_cfg.as_ref().map(|c| c.dir.join(LEDGER_FILE));
+            let ledger_path = store_cfg.as_ref().map(|c| ledger_file(&c.dir));
             let placement = Arc::new(SharedPlacement::new(map.clone()));
             let handle = spawn(ServerArgs {
                 id,
@@ -652,13 +351,13 @@ impl Cluster {
                 metrics: handle.metrics.clone(),
                 partition: OrderedMutex::new(7, "partition", partition),
                 handle: OrderedMutex::new(6, "handle", Some(handle)),
-                epoch: AtomicU64::new(0),
                 store_cfg,
                 ledger_path,
                 placement,
             });
         }
         let self_heal = detection.is_some();
+        let table = Travels::new(n, ecfg.max_concurrent_travels, client.id());
         let inner = Arc::new_cyclic(|me: &std::sync::Weak<ClusterState>| ClusterState {
             slots,
             fabric,
@@ -667,9 +366,11 @@ impl Cluster {
             // make progress while the client blocks on a different travel.
             port: ClientPort::new(client, n, 0).on_travel_done({
                 let me = me.clone();
-                move |travel| {
+                move |travel, received| {
                     if let Some(cluster) = me.upgrade() {
-                        cluster.release_slot(travel);
+                        let seq = cluster.seq_now();
+                        let freed = cluster.travels.lock().on_done(travel, seq, received);
+                        cluster.settle(freed);
                     }
                 }
             }),
@@ -679,16 +380,10 @@ impl Cluster {
             replication,
             durability,
             detection,
-            // Client-side lock-order ranks (see `lockorder`): the failover
-            // path holds `failover_lock` while touching routes and slots,
-            // so it sits lowest; slot locks (`handle`, `partition`) rank
-            // above every Cluster-level lock they nest under.
-            admission: OrderedMutex::new(2, "admission", Admission::default()),
-            routes: OrderedMutex::new(3, "routes", BTreeMap::new()),
-            failover_lock: OrderedMutex::new(1, "failover_lock", ()),
-            // Rank 8: taken after slot locks (pin/unpin walk the stores),
-            // never while any lower-ranked Cluster lock must follow.
-            pinned: OrderedMutex::new(8, "pinned", BTreeMap::new()),
+            // Client-side lock-order ranks (see `lockorder`): the table is
+            // a leaf, so it ranks above the slot locks a restart holds
+            // (`handle`, `partition`) when it asks for the views to re-pin.
+            travels: OrderedMutex::new(8, "travels", table),
         });
         let heal_stop = Arc::new(AtomicBool::new(false));
         let healer = if self_heal {
@@ -697,7 +392,7 @@ impl Cluster {
             Some(
                 std::thread::Builder::new()
                     .name("gt-healer".into())
-                    .spawn(move || healer_loop(&state, &stop))
+                    .spawn(move || placement::healer_loop(&state, &stop))
                     .map_err(|e| ClusterError::Recovery(format!("spawn healer: {e}")))?,
             )
         } else {
@@ -811,12 +506,6 @@ impl ClusterState {
                 GraphPartition::open(store)
                     .map_err(|e| ClusterError::Recovery(format!("partition reopen: {e}")))?,
             );
-            // The reopened store shares the cluster clock but starts with
-            // an empty pin registry; re-pin every live travel's snapshot
-            // so compaction on the new incarnation still defers.
-            for view in self.pinned.lock().values() {
-                part.store().pin_view(*view);
-            }
         }
         // Everything delivered while the server was dead is from its
         // previous life; drop it (peers retransmit what still matters).
@@ -825,12 +514,21 @@ impl ClusterState {
         // while it was down were lost); seed it from the client's
         // authoritative copy before the new threads start routing.
         slot.placement.install(self.placement.snapshot());
-        let epoch = slot.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let partition = slot.partition.lock().clone();
+        let (epoch, views) = self.travels.lock().on_restart(id);
+        if slot.store_cfg.is_some() {
+            // The reopened store shares the cluster clock but starts with
+            // an empty pin registry; re-pin every live travel's snapshot
+            // so compaction on the new incarnation still defers.
+            for view in views {
+                partition.store().pin_view(view);
+            }
+        }
         slot.metrics.recoveries.fetch_add(1, Ordering::Relaxed);
         *handle = Some(spawn(ServerArgs {
             id,
             n_servers: self.slots.len(),
-            partition: slot.partition.lock().clone(),
+            partition,
             endpoint: slot.endpoint.clone(),
             engine: self.engine.clone(),
             epoch,
@@ -876,35 +574,18 @@ impl ClusterState {
         // coordinator roles).
         let n = self.slots.len();
         let base = (travel as usize) % n;
-        let coordinator = (0..n)
-            .map(|k| (base + k) % n)
-            .find(|&c| !self.placement.is_decommissioned(c))
-            .unwrap_or(base);
-        let limit = self.engine.max_concurrent_travels;
-        let now = Instant::now();
-        let admit_now = {
-            let mut adm = self.admission.lock();
-            adm.times.insert(travel, (now, None));
-            while adm.times.len() > MAX_ADMIT_TIMES {
-                adm.times.pop_first();
-            }
-            if limit == 0 || adm.in_flight.len() < limit {
-                adm.in_flight.insert(travel);
-                if let Some(t) = adm.times.get_mut(&travel) {
-                    t.1 = Some(now);
-                }
-                true
-            } else {
-                adm.pending.push_back(Pending {
-                    travel,
-                    coordinator,
-                    plan: plan.clone(),
-                });
-                false
-            }
+        let coordinator =
+            ring_pick(base, n, |c| !self.placement.is_decommissioned(c)).unwrap_or(base);
+        let (seq, now) = (self.seq_now(), Instant::now());
+        let dispatch = {
+            let mut table = self.travels.lock();
+            table.on_start(travel, plan, coordinator, seq, now)
         };
-        if admit_now {
-            self.dispatch_submit(travel, coordinator, plan)?;
+        if let Some(d) = dispatch {
+            if let Err(e) = self.dispatch(d) {
+                self.abandon(travel);
+                return Err(e);
+            }
         }
         Ok(Ticket {
             travel,
@@ -914,122 +595,72 @@ impl ClusterState {
         })
     }
 
-    /// With snapshot isolation on: freeze the travel's read view at the
-    /// current cluster-wide sequence and pin it on every server's store.
-    /// The stamp lives in the plan itself, and the plan rides every
-    /// coordinator message (Submit, SyncStart, CoordRecover, handoff
-    /// re-drive), so a failed-over or migrated travel re-reads the same
-    /// snapshot with no extra message plumbing. Idempotent per travel —
-    /// a re-dispatch after failover finds the stamp already present.
-    fn freeze_snapshot(&self, travel: TravelId, plan: Arc<Plan>) -> Arc<Plan> {
-        if !self.engine.snapshot_isolation {
-            return plan;
-        }
-        let plan = if plan.snapshot.is_none() {
-            let seq = self.slots[0].partition.lock().store().current_seq();
-            let mut p = (*plan).clone();
-            p.snapshot = Some(seq);
-            Arc::new(p)
-        } else {
-            plan
-        };
-        if let Some(view) = plan.view_seq() {
-            let parts: Vec<_> = self
-                .slots
-                .iter()
-                .map(|s| s.partition.lock().clone())
-                .collect();
-            let mut pinned = self.pinned.lock();
-            if let std::collections::btree_map::Entry::Vacant(e) = pinned.entry(travel) {
-                for p in &parts {
-                    p.store().pin_view(view);
-                }
-                e.insert(view);
-            }
-        }
-        plan
+    /// With snapshot isolation on: the cluster-wide sequence a travel
+    /// admitted now freezes its read view at.
+    fn seq_now(&self) -> Option<u64> {
+        self.engine.snapshot_isolation.then(|| self.current_seq())
     }
 
-    /// Release a travel's snapshot pins (no-op for unpinned travels).
+    /// Snapshot pins are taken and released on every server's store, so
+    /// compaction never drops a version a live travel can still read.
     /// Stores reopened since the pin ignore the unbalanced unpin.
-    fn release_snapshot(&self, travel: TravelId) {
-        let view = { self.pinned.lock().remove(&travel) };
-        if let Some(view) = view {
-            for s in &self.slots {
-                let part = s.partition.lock().clone();
-                part.store().unpin_view(view);
-            }
+    fn on_every_store(&self, f: impl Fn(&Store)) {
+        for s in &self.slots {
+            let part = s.partition.lock().clone();
+            f(part.store());
         }
     }
 
-    fn dispatch_submit(
-        &self,
-        travel: TravelId,
-        coordinator: usize,
-        plan: Arc<Plan>,
-    ) -> Result<(), ClusterError> {
-        let plan = self.freeze_snapshot(travel, plan);
-        {
-            let mut routes = self.routes.lock();
-            routes.insert(
-                travel,
-                Route {
-                    coordinator,
-                    coord_epoch: self.slots[coordinator].epoch.load(Ordering::SeqCst),
-                    tepoch: 0,
-                    failovers: 0,
-                    plan: plan.clone(),
-                },
-            );
-            while routes.len() > MAX_TRACKED {
-                routes.pop_first();
-            }
+    fn dispatch(&self, d: Dispatch) -> Result<(), ClusterError> {
+        if let Some(view) = d.pin {
+            self.on_every_store(|store| store.pin_view(view));
         }
-        self.port.submit(travel, coordinator, plan)
+        self.port.submit(d.travel, d.coordinator, d.plan)
     }
 
-    /// Release a travel's admission slot and dispatch queued submissions
-    /// into the freed capacity. Called on every observed completion and
-    /// on abandoning a travel (timeout restart, cancellation).
-    fn release_slot(&self, travel: TravelId) {
-        // The travel is finished (done, timed out, or cancelled):
-        // compaction may reclaim versions its snapshot was holding.
-        self.release_snapshot(travel);
-        let limit = self.engine.max_concurrent_travels;
-        let mut to_send = Vec::new();
-        {
-            let mut adm = self.admission.lock();
-            adm.in_flight.remove(&travel);
-            if let Some(pos) = adm.pending.iter().position(|p| p.travel == travel) {
-                adm.pending.remove(pos);
+    /// Carry out what a travel leaving its admission slot asked for. A
+    /// queued submission that cannot be dispatched into the capacity gives
+    /// back its slot and its pins in turn.
+    fn settle(&self, freed: Freed) {
+        let (mut next, mut failed) = (Some(freed), Vec::new());
+        while let Some(freed) = next {
+            if let Some(view) = freed.unpin {
+                // The travel is finished (done, timed out, or cancelled):
+                // compaction may reclaim versions its snapshot held.
+                self.on_every_store(|store| store.unpin_view(view));
             }
-            while limit == 0 || adm.in_flight.len() < limit {
-                match adm.pending.pop_front() {
-                    Some(p) => {
-                        adm.in_flight.insert(p.travel);
-                        if let Some(t) = adm.times.get_mut(&p.travel) {
-                            t.1 = Some(Instant::now());
-                        }
-                        to_send.push(p);
-                    }
-                    None => break,
+            for d in freed.admitted {
+                let travel = d.travel;
+                if self.dispatch(d).is_err() {
+                    self.port.abort(travel);
+                    failed.push(self.give_up(travel));
                 }
             }
+            next = failed.pop();
         }
-        for p in to_send {
-            let _ = self.dispatch_submit(p.travel, p.coordinator, p.plan);
-        }
+    }
+
+    /// Forget a travel in the table; the caller settles what that frees.
+    fn give_up(&self, travel: TravelId) -> Freed {
+        let (seq, now) = (self.seq_now(), Instant::now());
+        self.travels.lock().on_give_up(travel, seq, now)
+    }
+
+    fn send_round(&self, round: Round) -> Result<(), ClusterError> {
+        round
+            .into_iter()
+            .try_for_each(|(to, msg)| self.port.send(to, msg))
     }
 
     /// Travels currently admitted and not yet observed complete. Useful
     /// for asserting no ticket leaks after a multi-tenant run.
     pub fn active_travels(&self) -> usize {
-        self.admission.lock().in_flight.len()
+        self.travels.lock().active()
     }
 
     /// Travels parked in the admission queue.
     pub fn pending_travels(&self) -> usize {
-        self.admission.lock().pending.len()
+        self.travels.lock().pending()
     }
 
     /// Wait for a started traversal (up to `timeout`).
@@ -1040,7 +671,8 @@ impl ClusterState {
     /// **failed over**: its durable ledger stream is replayed on a
     /// successor server, every server re-announces its journal, and the
     /// traversal resumes under a bumped travel-epoch — transparently to
-    /// this call, which keeps waiting for the same `TravelDone`.
+    /// this call, which keeps waiting for the same `TravelDone` and, slice
+    /// by slice, for the successor's confirmation.
     ///
     /// On timeout the travel is abandoned: an abort is broadcast so the
     /// servers drop its state, and its admission slot is released so
@@ -1060,24 +692,16 @@ impl ClusterState {
                         received.saturating_duration_since(ticket.started),
                         ticket.restarts,
                     );
-                    r.failovers = self
-                        .routes
-                        .lock()
-                        .remove(&travel)
-                        .map(|rt| rt.failovers)
-                        .unwrap_or(0);
-                    if let Some((submitted, admitted)) = self.admission.lock().times.remove(&travel)
-                    {
-                        r.admit_wait = admitted
-                            .map(|a| a.saturating_duration_since(submitted))
-                            .unwrap_or_default();
-                    }
+                    let waited = self.travels.lock().on_waited(travel);
+                    (r.failovers, r.admit_wait) = waited.unwrap_or_default();
                     return Ok(r);
                 }
                 None => {
-                    let gave_up = match self.rescue_orphan(travel) {
-                        Err(why) => Some(why),
-                        Ok(()) if Instant::now() >= deadline => Some(TravelError::Timeout {
+                    let now = Instant::now();
+                    let gave_up = match self.between_slices(travel, now) {
+                        Err(ClusterError::Travel(why)) => Some(why),
+                        Err(_) => Some(TravelError::CoordinatorLost { travel }),
+                        Ok(()) if now >= deadline => Some(TravelError::Timeout {
                             attempts: ticket.restarts + 1,
                             last_progress: self.try_progress_snapshot(ticket, timeout),
                         }),
@@ -1092,36 +716,47 @@ impl ClusterState {
         }
     }
 
-    /// Whether the incarnation of `coordinator` a travel was routed to
-    /// under `coord_epoch` is still running (a crash-restarted host looks
-    /// alive again, but the ledger it hosted died with it).
-    fn host_alive(&self, coordinator: usize, coord_epoch: u64) -> bool {
-        !self.server_crashed(coordinator)
-            && self.slots[coordinator].epoch.load(Ordering::SeqCst) == coord_epoch
+    /// What the servers look like right now, for a step of the table.
+    fn hosts(&self) -> Vec<Host> {
+        let host = |s| Host {
+            crashed: self.server_crashed(s),
+            decommissioned: self.placement.is_decommissioned(s),
+        };
+        (0..self.slots.len()).map(host).collect()
     }
 
-    /// Between wait slices: fail the travel over if its coordinator's host
-    /// is gone. The error is why the travel cannot be saved.
-    fn rescue_orphan(&self, travel: TravelId) -> Result<(), TravelError> {
-        let host = {
-            let routes = self.routes.lock();
-            routes.get(&travel).map(|r| (r.coordinator, r.coord_epoch))
-        };
-        if host.is_none_or(|(coord, coord_epoch)| self.host_alive(coord, coord_epoch)) {
-            return Ok(());
-        }
-        if !self.engine.reliable_delivery_enabled() {
-            // No epoch fencing: the travel is unrecoverable in place.
-            return Err(TravelError::CoordinatorLost { travel });
-        }
-        match self.failover(travel) {
-            Ok(()) => Ok(()),
-            // The successor took the handoff but never confirmed recovery:
-            // fail fast instead of burning the whole timeout.
-            Err(ClusterError::Travel(stalled @ TravelError::FailoverStalled { .. })) => {
-                Err(stalled)
+    /// A wait slice of `travel` expired at `now`: take the successor's
+    /// confirmation if it arrived, re-home the travel if its coordinator's
+    /// host is gone, re-nudge an unconfirmed handoff or give it up. The
+    /// error is why the travel cannot be saved.
+    fn between_slices(&self, travel: TravelId, now: Instant) -> Result<(), ClusterError> {
+        let confirmed = self.port.try_reply(travel, |m| match m {
+            Msg::RecoverDone { epoch, .. } => Ok(epoch),
+            other => Err(other),
+        });
+        let hosts = self.hosts();
+        let (lost, nudge) = {
+            let mut table = self.travels.lock();
+            if let Some(epoch) = confirmed {
+                table.on_recover_done(travel, epoch);
             }
-            Err(_) => Err(TravelError::CoordinatorLost { travel }),
+            // In this order: a travel just found orphaned has no handoff
+            // to step.
+            (
+                table.orphaned(travel, &hosts),
+                table.tick(travel, &hosts, now),
+            )
+        };
+        match lost {
+            None => self.send_round(nudge.map_err(ClusterError::Travel)?),
+            // No epoch fencing without reliable delivery: the travel is
+            // unrecoverable in place.
+            Some(_) if !self.engine.reliable_delivery_enabled() => {
+                Err(ClusterError::Travel(TravelError::CoordinatorLost {
+                    travel,
+                }))
+            }
+            Some(host) => self.rehome(travel, host, Cause::HostLost),
         }
     }
 
@@ -1144,11 +779,10 @@ impl ClusterState {
 
     /// Collect a travel's ledger events from every surviving copy: the
     /// (possibly dead) coordinator's own file, plus every replica stream
-    /// peers keep for it (`travel-ledger-replica-<coord>.log` next to
-    /// their own stores, shipped via [`Msg::ReplicateLedger`]). The single
-    /// most complete copy wins — streams are never concatenated, so a
-    /// lagging replica can only degrade recovery toward re-drive, never
-    /// double-apply an event.
+    /// peers keep for it next to their own stores (shipped via
+    /// [`Msg::ReplicateLedger`]). The single most complete copy wins —
+    /// streams are never concatenated, so a lagging replica can only
+    /// degrade recovery toward re-drive, never double-apply an event.
     fn read_ledger_events(&self, coord: usize, travel: TravelId) -> Vec<LedgerEvent> {
         let mut candidates: Vec<PathBuf> = Vec::new();
         if let Some(p) = &self.slots[coord].ledger_path {
@@ -1159,7 +793,7 @@ impl ClusterState {
                 continue;
             }
             if let Some(dir) = slot.ledger_path.as_deref().and_then(|p| p.parent()) {
-                candidates.push(dir.join(format!("travel-ledger-replica-{coord}.log")));
+                candidates.push(ledger_replica_file(dir, coord));
             }
         }
         let mut best: Vec<LedgerEvent> = Vec::new();
@@ -1181,202 +815,46 @@ impl ClusterState {
         best
     }
 
-    /// Re-home an orphaned travel's coordinator role onto a successor.
-    ///
-    /// Steps (see DESIGN.md, "Coordinator fault tolerance"):
-    /// 1. Re-check under the failover lock — a concurrent waiter may have
-    ///    already re-homed the travel.
-    /// 2. Read the dead coordinator's durable ledger stream, falling back
-    ///    to replica copies on peers (read-only — the restarted
-    ///    incarnation may already hold the file open, and may truncate it
-    ///    once it hosts nothing, which is why the read happens *before*
-    ///    the restart).
-    /// 3. Restart the dead server: its shard is needed to finish the
-    ///    traversal, and the re-announce barrier spans every server.
-    /// 4. Pick the successor: the next live non-decommissioned server
-    ///    after the dead one (deterministic, for same-seed
-    ///    reproducibility).
-    /// 5. Seed the successor ([`Msg::CoordRecover`]), broadcast the
-    ///    handoff ([`Msg::CoordHandoff`]) under the bumped travel-epoch,
-    ///    and wait for the successor's [`Msg::RecoverDone`] acknowledgment
-    ///    (bounded — a successor that never confirms surfaces
-    ///    [`TravelError::FailoverStalled`]).
-    fn failover(&self, travel: TravelId) -> Result<(), ClusterError> {
-        let _serialize = self.failover_lock.lock();
-        let (dead, plan, tepoch) = {
-            let routes = self.routes.lock();
-            let Some(r) = routes.get(&travel) else {
-                return Ok(()); // completed (or abandoned) meanwhile
-            };
-            if self.host_alive(r.coordinator, r.coord_epoch) {
-                return Ok(()); // a concurrent waiter already re-homed it
-            }
-            (r.coordinator, r.plan.clone(), r.tepoch)
-        };
-        let events = self.read_ledger_events(dead, travel);
-        let restart_deadline = Instant::now() + Duration::from_secs(5);
-        while self.server_crashed(dead) {
-            // Tolerate races with an external restart watcher: either of
-            // us succeeding is fine.
-            if self.restart_server(dead).is_ok() {
-                break;
-            }
-            if Instant::now() >= restart_deadline {
-                return Err(ClusterError::Recovery(format!(
-                    "server {dead} stayed down through failover"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let n = self.slots.len();
-        let successor = (1..=n)
-            .map(|k| (dead + k) % n)
-            .find(|&s| !self.server_crashed(s) && !self.placement.is_decommissioned(s))
-            .or_else(|| {
-                (1..=n)
-                    .map(|k| (dead + k) % n)
-                    .find(|&s| !self.server_crashed(s))
-            })
-            .ok_or_else(|| ClusterError::Recovery("no live server to host the failover".into()))?;
-        // gt-lint: allow(guard-across-channel, "serializing concurrent failovers is the failover lock's whole job")
-        self.handoff_to(travel, successor, plan, tepoch + 1, events)
-    }
-
-    /// Re-drive a travel whose *live* coordinator must shed the role or
-    /// whose data dependencies shifted under it (replica promotion). The
-    /// coordinator's own ledger file is readable concurrently
-    /// (`replay_blobs` tolerates a torn tail), so recovery follows the
-    /// exact crash path, minus the restart.
-    fn redrive(&self, travel: TravelId) -> Result<(), ClusterError> {
-        let _serialize = self.failover_lock.lock();
-        let (old_coord, plan, tepoch) = {
-            let routes = self.routes.lock();
-            let Some(r) = routes.get(&travel) else {
-                return Ok(()); // completed (or abandoned) meanwhile
-            };
-            (r.coordinator, r.plan.clone(), r.tepoch)
-        };
-        let events = self.read_ledger_events(old_coord, travel);
-        let n = self.slots.len();
-        // Always move the role: the old coordinator clears its hosted
-        // state when the handoff names someone else.
-        let successor = (1..=n)
-            .map(|k| (old_coord + k) % n)
-            .find(|&s| !self.server_crashed(s) && !self.placement.is_decommissioned(s))
-            .ok_or_else(|| ClusterError::Recovery("no live server to host the re-drive".into()))?;
-        // gt-lint: allow(guard-across-channel, "serializing concurrent failovers is the failover lock's whole job")
-        self.handoff_to(travel, successor, plan, tepoch + 1, events)
-    }
-
-    /// Ship a travel's coordinator role to `successor` under travel-epoch
-    /// `epoch`: seed it with the recovered ledger `events`, broadcast the
-    /// handoff, fabricate empty re-announces for crashed servers so the
-    /// barrier can complete, update the client route, and await the
-    /// successor's [`Msg::RecoverDone`]. Caller holds the failover lock.
-    fn handoff_to(
-        &self,
-        travel: TravelId,
-        successor: usize,
-        plan: Arc<Plan>,
-        epoch: u64,
-        events: Vec<LedgerEvent>,
-    ) -> Result<(), ClusterError> {
-        let n = self.slots.len();
-        let succ_epoch = self.slots[successor].epoch.load(Ordering::SeqCst);
-        let recover = Msg::CoordRecover {
-            travel,
-            epoch,
-            plan: plan.clone(),
-            client: self.port.id(),
-            events,
-        };
-        let send_round = |round: &Msg| -> Result<(), ClusterError> {
-            // gt-lint: allow(guard-across-channel, "serializing the recover+handoff sends is the failover lock's whole job")
-            self.port.send(successor, round.clone())?;
-            for s in 0..n {
-                if self.server_crashed(s) {
-                    // A crashed server can't re-announce; satisfy the
-                    // barrier on its behalf with an empty journal (its
-                    // in-memory work is gone — re-drive covers it).
-                    self.port.send(
-                        successor,
-                        Msg::ReAnnounce {
-                            travel,
-                            epoch,
-                            server: s,
-                            created: Vec::new(),
-                            terminated: Vec::new(),
-                            results: Vec::new(),
-                        },
-                    )?;
-                    continue;
+    /// Move a travel's coordinator role off `from` (DESIGN.md §8): gather
+    /// the facts for [`Travels::on_rehome`], which picks the successor and
+    /// builds the round; `wait`'s slices see the handoff through. The
+    /// ledger stream is read first — from `from`'s own file or the most
+    /// complete replica, read-only, and *before* the restart, because a
+    /// fresh incarnation may truncate the file once it hosts nothing (a
+    /// live host's file is readable concurrently: `replay_blobs` tolerates
+    /// a torn tail). A lost host is then restarted: its shard is needed to
+    /// finish the traversal, and the re-announce barrier spans every
+    /// server.
+    fn rehome(&self, travel: TravelId, from: usize, cause: Cause) -> Result<(), ClusterError> {
+        let events = self.read_ledger_events(from, travel);
+        if cause == Cause::HostLost {
+            let restart_deadline = Instant::now() + Duration::from_secs(5);
+            while self.server_crashed(from) {
+                // Tolerate races with an external restart watcher: either
+                // of us succeeding is fine.
+                if self.restart_server(from).is_ok() {
+                    break;
                 }
-                self.port.send(
-                    s,
-                    Msg::CoordHandoff {
-                        travel,
-                        epoch,
-                        coordinator: successor,
-                    },
-                )?;
-            }
-            Ok(())
-        };
-        let _listening = self.port.listen(travel);
-        send_round(&recover)?;
-        {
-            let mut routes = self.routes.lock();
-            if let Some(r) = routes.get_mut(&travel) {
-                r.coordinator = successor;
-                r.coord_epoch = succ_epoch;
-                r.tepoch = epoch;
-                r.failovers += 1;
-            }
-        }
-        self.fabric.stats().record_handoff();
-        // Acknowledged handoff: wait for the successor to confirm it has
-        // rebuilt the travel (re-announce barrier done, traversal
-        // re-driven or directly completed). Without this, a successor that
-        // is isolated or wedged silently eats the travel until the
-        // client's whole timeout expires.
-        let deadline = Instant::now() + RECOVER_DEADLINE;
-        loop {
-            let slice = deadline.min(Instant::now() + RECOVER_RENUDGE);
-            match self.port.await_reply(travel, slice, |m| match m {
-                Msg::RecoverDone { epoch: e, .. } if e >= epoch => Ok(()),
-                other => Err(other),
-            }) {
-                Ok(_) => return Ok(()),
-                Err(e) if e.is_timeout() => {
-                    let epoch_moved = self
-                        .routes
-                        .lock()
-                        .get(&travel)
-                        .map(|r| r.tepoch != epoch)
-                        .unwrap_or(true);
-                    if epoch_moved {
-                        // A newer handoff superseded this one; its own
-                        // acknowledgment wait takes over.
-                        return Ok(());
-                    }
-                    if Instant::now() >= deadline {
-                        if self.server_crashed(successor) {
-                            // Successor died mid-recovery: the next wait
-                            // slice re-detects the dead host and fails
-                            // over again (double-failover path).
-                            return Ok(());
-                        }
-                        return Err(ClusterError::Travel(TravelError::FailoverStalled {
-                            travel,
-                        }));
-                    }
-                    // Re-nudge: duplicates are epoch-fenced on the servers
-                    // (an already-applied recover/handoff is ignored).
-                    send_round(&recover)?;
+                if Instant::now() >= restart_deadline {
+                    return Err(ClusterError::Recovery(format!(
+                        "server {from} stayed down through failover"
+                    )));
                 }
-                Err(e) => return Err(e),
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
+        let (hosts, now) = (self.hosts(), Instant::now());
+        let round = {
+            let mut table = self.travels.lock();
+            table.on_rehome(travel, from, cause, events, &hosts, now)
+        };
+        let round = round.map_err(ClusterError::Travel)?;
+        let moved = !round.is_empty();
+        self.send_round(round)?;
+        if moved {
+            self.fabric.stats().record_handoff();
+        }
+        Ok(())
     }
 
     /// Give up on a travel: abort it everywhere, free its admission slot
@@ -1384,9 +862,8 @@ impl ClusterState {
     /// bookkeeping.
     fn abandon(&self, travel: TravelId) {
         self.port.abort(travel);
-        self.release_slot(travel);
-        self.admission.lock().times.remove(&travel);
-        self.routes.lock().remove(&travel);
+        let freed = self.give_up(travel);
+        self.settle(freed);
     }
 
     /// Cancel a started traversal cluster-wide.
@@ -1397,25 +874,20 @@ impl ClusterState {
     /// executions, drops its scheduling-queue entries and cache
     /// partition, marks the id retired (so stray in-flight requests are
     /// ignored), and acknowledges. Once all servers have acknowledged the
-    /// admission slot is released and `Ok(true)` is returned.
+    /// admission slot is released and `Ok(true)` is returned. Either way
+    /// a `wait` on the ticket reports [`TravelError::Cancelled`].
     pub fn cancel(&self, ticket: &Ticket) -> Result<bool, ClusterError> {
         let travel = ticket.travel;
-        {
-            let mut adm = self.admission.lock();
-            if let Some(pos) = adm.pending.iter().position(|p| p.travel == travel) {
-                adm.pending.remove(pos);
-                adm.times.remove(&travel);
-                return Ok(false);
-            }
+        let started = !self.travels.lock().on_cancel(travel);
+        if started {
+            self.port.cancel_travel(travel)?;
+            let freed = self.give_up(travel);
+            self.settle(freed);
         }
-        self.port.cancel_travel(travel)?;
-        self.release_slot(travel);
-        self.admission.lock().times.remove(&travel);
-        self.routes.lock().remove(&travel);
         // Last, so a concurrent `wait()` on this ticket reports
         // `TravelError::Cancelled` only once the slot is free.
         self.port.mark_cancelled(travel);
-        Ok(true)
+        Ok(started)
     }
 
     /// Query the coordinator's progress estimate for an in-flight travel
@@ -1429,10 +901,8 @@ impl ClusterState {
     /// Where the travel's coordinator role lives now (a failover moves it
     /// off the server the ticket was issued for).
     fn coordinator_of(&self, ticket: &Ticket) -> usize {
-        let routes = self.routes.lock();
-        routes
-            .get(&ticket.travel)
-            .map_or(ticket.coordinator, |r| r.coordinator)
+        let current = self.travels.lock().host_of(ticket.travel);
+        current.unwrap_or(ticket.coordinator)
     }
 
     /// Ingest vertices and edges into the live cluster (§I: "live
@@ -1525,260 +995,6 @@ impl ClusterState {
                  timeout-and-resubmit",
             ),
         }
-    }
-
-    /// Snapshot of the client's (authoritative) placement map.
-    pub fn placement(&self) -> PlacementMap {
-        self.placement.snapshot()
-    }
-
-    /// Effective replication factor (clamped to `1..=n_servers` at build).
-    pub fn replication_factor(&self) -> usize {
-        self.replication
-    }
-
-    /// Install `map` as the authoritative placement and push it to every
-    /// live server, waiting until each has acknowledged the version
-    /// (epoch-fenced: servers ignore maps older than what they hold).
-    fn broadcast_placement(&self, map: PlacementMap) -> Result<(), ClusterError> {
-        let version = map.version;
-        self.placement.install(map.clone());
-        let shared = Arc::new(map);
-        let live: Vec<usize> = (0..self.slots.len())
-            .filter(|&s| !self.server_crashed(s))
-            .collect();
-        let key = PLACEMENT_KEYS | version;
-        let _listening = self.port.listen(key);
-        for &s in &live {
-            self.port.send(
-                s,
-                Msg::PlacementUpdate {
-                    map: shared.clone(),
-                    client: self.port.id(),
-                },
-            )?;
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut acked = BTreeSet::new();
-        loop {
-            // Re-check liveness every slice: a server that crashes after
-            // the send can never ack this version — its next incarnation
-            // is seeded with the authoritative map on restart instead.
-            if live
-                .iter()
-                .all(|&s| acked.contains(&s) || self.server_crashed(s))
-            {
-                return Ok(());
-            }
-            let slice = deadline.min(Instant::now() + Duration::from_millis(100));
-            match self.port.await_reply(key, slice, |m| match m {
-                Msg::PlacementAck { server, .. } => Ok(server),
-                other => Err(other),
-            }) {
-                Ok((server, _)) => {
-                    acked.insert(server);
-                }
-                Err(e) if e.is_timeout() => {
-                    if Instant::now() >= deadline {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Promote replicas after a primary crash: every partition `dead`
-    /// primaried is re-pointed at its first surviving replica (the data
-    /// is already there — synchronous [`Msg::ReplicateWrite`] fan-out
-    /// keeps replicas byte-equivalent), the new map is broadcast, and
-    /// every travel coordinated by a *live* server is re-driven so its
-    /// frontier work lost with the dead shard is re-issued against the
-    /// promoted copies. Travels coordinated by `dead` itself recover
-    /// through the regular [`Cluster::wait`] failover path.
-    ///
-    /// After the map flips, the dead slot is revived as a *data-less
-    /// worker*: it primaries nothing and replicates nothing, but the
-    /// stepped (Sync) engine's per-depth barrier counts every server, so
-    /// the process must exist even if its disk is gone — promotion works
-    /// even when the old store directory was wiped, because the promoted
-    /// replicas own the data now.
-    ///
-    /// Requires replication ≥ 2 to be useful; with no replicas the
-    /// partition becomes unowned and this returns an error.
-    pub fn promote(&self, dead: usize) -> Result<Vec<usize>, ClusterError> {
-        if !self.server_crashed(dead) {
-            return Err(ClusterError::Recovery(format!(
-                "server {dead} has not crashed; promotion is for dead primaries"
-            )));
-        }
-        let mut map = self.placement.snapshot();
-        let promoted = map.promote(dead);
-        if promoted.is_empty() && !map.primaried_by(dead).is_empty() {
-            return Err(ClusterError::Recovery(format!(
-                "server {dead} has partitions with no replicas to promote (replication factor 1)"
-            )));
-        }
-        self.broadcast_placement(map)?;
-        // Revive the slot as an empty worker (see above). A failed
-        // restart is tolerable for the asynchronous engines — they only
-        // talk to servers the map routes to.
-        let _ = self.restart_server(dead);
-        // Re-drive travels whose coordinator is live: their in-flight
-        // frontier work on the dead shard is gone, and only a fresh
-        // re-drive against the promoted replicas recovers it.
-        let routed: Vec<(TravelId, usize, u64)> = {
-            let routes = self.routes.lock();
-            routes
-                .iter()
-                .map(|(t, r)| (*t, r.coordinator, r.coord_epoch))
-                .collect()
-        };
-        for (travel, coord, coord_epoch) in routed {
-            if self.host_alive(coord, coord_epoch) {
-                // Best-effort: the map flip above is already durable, so a
-                // re-drive that stalls (e.g. the revived slot still booting
-                // when the handoff barrier forms) must not fail the
-                // promotion — `Cluster::wait` re-drives any stalled travel
-                // through its own failover path.
-                let _ = self.redrive(travel);
-            }
-        }
-        Ok(promoted)
-    }
-
-    /// Migrate one partition's primary role to `to`: snapshot transfer
-    /// from the current primary's store segments, mutation delta
-    /// catch-up, then an epoch-bumped cutover that re-routes traffic —
-    /// including the frontiers of travels already in flight. The source
-    /// keeps its (now stale, never again written) copy, so stragglers
-    /// routed under the old map still read correct data.
-    pub fn migrate(&self, partition: usize, to: usize) -> Result<(), ClusterError> {
-        self.copy_partition(partition, to, CopyPurpose::Move)
-    }
-
-    /// The one partition-copy flow under live traffic, behind both
-    /// [`Cluster::migrate`] (`Move`: the cutover flips the primary to
-    /// `to`) and the healer's re-replication (`Replica`: the cutover adds
-    /// `to` to the replica set). Two acknowledged phases — bulk snapshot,
-    /// then the sealed delta of writes that raced it — then the map edit,
-    /// broadcast, and release of both ends.
-    fn copy_partition(
-        &self,
-        partition: usize,
-        to: usize,
-        purpose: CopyPurpose,
-    ) -> Result<(), ClusterError> {
-        let snapshot = self.placement.snapshot();
-        if to >= self.slots.len() || partition >= snapshot.n_partitions() {
-            return Err(ClusterError::Recovery(format!(
-                "{purpose:?} copy of {partition} to {to}: no such partition or server"
-            )));
-        }
-        let from = snapshot.primary_of(partition);
-        // Nothing to do: already the primary, or (racing another heal)
-        // already a holder.
-        let (done, patience) = match purpose {
-            CopyPurpose::Move => (from == to, Duration::from_secs(60)),
-            CopyPurpose::Replica => (
-                snapshot.holders_of(partition).contains(&to),
-                Duration::from_secs(30),
-            ),
-        };
-        if done {
-            return Ok(());
-        }
-        if self.server_crashed(from) || self.server_crashed(to) {
-            return Err(ClusterError::Recovery(format!(
-                "{purpose:?} copy of {partition} to {to}: source or target is down"
-            )));
-        }
-        // Flow ids share the travel/request id namespace.
-        let mig = self.port.mint();
-        let _listening = self.port.listen(mig);
-        let deadline = Instant::now() + patience;
-        let applied = |phase: u8| {
-            self.port.await_reply(mig, deadline, move |m| match m {
-                Msg::CopyApplied { phase: p, .. } if p == phase => Ok(()),
-                other => Err(other),
-            })
-        };
-        self.port.send(
-            from,
-            Msg::CopyBegin {
-                mig,
-                partition,
-                to,
-                client: self.port.id(),
-                purpose,
-            },
-        )?;
-        // Phase 0: bulk snapshot applied on the target.
-        applied(0)?;
-        // Phase 1: source seals the delta trap and ships writes that
-        // raced the snapshot.
-        self.port.send(from, Msg::CopyCutover { mig })?;
-        applied(1)?;
-        // Cutover: edit the map and broadcast. In-flight frontiers and
-        // writes route by the new map as soon as each server installs it.
-        let mut map = self.placement.snapshot();
-        let changed = match purpose {
-            CopyPurpose::Move => {
-                map.set_primary(partition, to);
-                true
-            }
-            CopyPurpose::Replica => map.add_replica(partition, to),
-        };
-        if changed {
-            self.broadcast_placement(map)?;
-        }
-        for s in [from, to] {
-            self.port.send(s, Msg::CopyFinish { mig, purpose })?;
-        }
-        Ok(())
-    }
-
-    /// Drain a server for removal: mark it decommissioned (it hosts no
-    /// new coordinator roles and receives no new primaries), migrate
-    /// every partition it primaries to the least-loaded active servers,
-    /// and broadcast the final map. The server stays up throughout —
-    /// travels it currently coordinates or serves finish normally on its
-    /// retained (stale) copies. Returns the executed move plan.
-    pub fn decommission(&self, server: usize) -> Result<Vec<Move>, ClusterError> {
-        if server >= self.slots.len() {
-            return Err(ClusterError::Recovery(format!("no server {server}")));
-        }
-        let active = self.placement.snapshot().active_servers().len();
-        if active <= 1 {
-            return Err(ClusterError::Recovery(
-                "cannot decommission the last active server".into(),
-            ));
-        }
-        let mut map = self.placement.snapshot();
-        map.decommission(server);
-        self.broadcast_placement(map)?;
-        self.execute_rebalance()
-    }
-
-    /// Load-aware rebalance: plan shard moves from observed per-server
-    /// real-I/O visit counts ([`gt_placement::rebalance::plan_moves`])
-    /// and execute them as live migrations. Returns the executed plan
-    /// (empty when already balanced).
-    pub fn rebalance(&self) -> Result<Vec<Move>, ClusterError> {
-        self.execute_rebalance()
-    }
-
-    fn execute_rebalance(&self) -> Result<Vec<Move>, ClusterError> {
-        let loads: Vec<u64> = self
-            .slots
-            .iter()
-            .map(|s| s.metrics.real_io_visits.load(Ordering::Relaxed))
-            .collect();
-        let moves = plan_moves(&loads, &self.placement.snapshot());
-        for m in &moves {
-            self.migrate(m.partition, m.to)?;
-        }
-        Ok(moves)
     }
 
     /// Submit a traversal and wait (60 s default timeout, no restarts).
@@ -1912,82 +1128,6 @@ impl ClusterState {
         self.fabric.stats()
     }
 
-    /// Block until every server is live and every partition is back at
-    /// full replication factor, or `timeout` elapses. The convergence
-    /// primitive of the chaos tests: after a crash schedule, a
-    /// self-healing cluster must reach this state with **zero** client
-    /// intervention.
-    pub fn await_self_heal(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let all_live = (0..self.slots.len()).all(|s| !self.server_crashed(s));
-            if all_live
-                && self
-                    .placement
-                    .snapshot()
-                    .under_replicated(self.replication)
-                    .is_empty()
-            {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// Healer action on a confirmed-dead server: epoch-fenced promotion
-    /// of its replicas (crediting `auto_promotions` on each new primary),
-    /// falling back to a plain restart when there is nothing to promote
-    /// (replication factor 1 — WAL replay restores the shard on durable
-    /// clusters, and `promote` itself revives the slot otherwise).
-    fn heal_dead_server(&self, dead: usize) {
-        if !self.server_crashed(dead) {
-            return; // raced a concurrent restart — nothing to heal
-        }
-        match self.promote(dead) {
-            Ok(promoted) => {
-                let map = self.placement.snapshot();
-                for &p in &promoted {
-                    self.slots[map.primary_of(p)]
-                        .metrics
-                        .auto_promotions
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                let _ = self.restart_server(dead);
-            }
-        }
-    }
-
-    /// One background scan: restore the replication factor of every
-    /// under-replicated partition by copying it to the least-loaded live
-    /// non-holder. Failures are left for the next scan — the source may
-    /// itself be mid-promotion.
-    fn heal_under_replicated(&self) {
-        let map = self.placement.snapshot();
-        let short = map.under_replicated(self.replication);
-        if short.is_empty() {
-            return;
-        }
-        let active: BTreeSet<usize> = map.active_servers().into_iter().collect();
-        for (partition, _missing) in short {
-            if self.server_crashed(map.primary_of(partition)) {
-                continue; // promotion has to land first
-            }
-            let holders = map.holders_of(partition);
-            let target = (0..self.slots.len())
-                .filter(|s| active.contains(s) && !holders.contains(s))
-                .filter(|&s| !self.server_crashed(s))
-                .min_by_key(|&s| self.slots[s].metrics.real_io_visits.load(Ordering::Relaxed));
-            if let Some(to) = target {
-                let _ = self.copy_partition(partition, to, CopyPurpose::Replica);
-            }
-        }
-    }
-
     /// Server-side half of [`Cluster::shutdown`]: stop every server and
     /// join their threads.
     fn shutdown_servers(&self) {
@@ -2000,64 +1140,4 @@ impl ClusterState {
             }
         }
     }
-}
-
-/// The self-healing loop, run on the `gt-healer` thread whenever the
-/// cluster was built with a [`DetectionConfig`]. It shares the client
-/// port with the foreground API as one more waiter, listening for the
-/// servers' suspicion reports for as long as it runs:
-///
-/// 1. drain `Suspect` reports from the servers' phi-accrual detectors,
-///    ground-truth each against the actual crash state, and answer with
-///    a `SuspectAck` verdict (a false suspicion resets the reporter's
-///    inter-arrival window and bumps its `false_suspicions` counter);
-/// 2. heal confirmed-dead servers (promotion, falling back to restart);
-/// 3. periodically scan for under-replicated partitions and re-replicate
-///    them to the least-loaded live non-holders.
-fn healer_loop(cluster: &Arc<ClusterState>, stop: &AtomicBool) {
-    // Suspicions re-reported between a heal and the revived server's
-    // first heartbeat are stale, not false: answering `confirmed` keeps
-    // the reporter's `false_suspicions` honest (the standing suspicion
-    // clears itself on that heartbeat).
-    let mut healed: BTreeMap<usize, Instant> = BTreeMap::new();
-    let mut last_scan = Instant::now();
-    let _listening = cluster.port.listen(SUSPECT_KEY);
-    while !stop.load(Ordering::SeqCst) {
-        let slice = Instant::now() + HEALER_SLICE;
-        match cluster.port.await_reply(SUSPECT_KEY, slice, |m| match m {
-            Msg::Suspect { from, suspect } => Ok((from, suspect)),
-            other => Err(other),
-        }) {
-            Ok(((from, suspect), _)) => {
-                let crashed = cluster.server_crashed(suspect);
-                let stale = healed
-                    .get(&suspect)
-                    .is_some_and(|t| t.elapsed() < HEAL_STALE_WINDOW);
-                let _ = cluster.port.send(
-                    from,
-                    Msg::SuspectAck {
-                        suspect,
-                        confirmed: crashed || stale,
-                    },
-                );
-                if crashed {
-                    cluster.heal_dead_server(suspect);
-                    healed.insert(suspect, Instant::now());
-                }
-            }
-            Err(e) if e.is_timeout() => {}
-            // Disconnected mid-shutdown (or a wedged fabric): back off so
-            // the loop doesn't spin hot until `stop` flips.
-            Err(_) => std::thread::sleep(HEALER_SLICE),
-        }
-        if last_scan.elapsed() >= REREPLICATE_SCAN_EVERY {
-            last_scan = Instant::now();
-            cluster.heal_under_replicated();
-        }
-    }
-}
-
-/// Convenience: the network model used by the paper-style experiments.
-pub fn default_experiment_net() -> NetConfig {
-    NetConfig::cluster()
 }

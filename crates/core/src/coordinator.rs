@@ -36,11 +36,25 @@ use crate::message::{ProgressSnapshot, SyncExpect, TravelOutcome};
 use crate::ExecId;
 use gt_graph::VertexId;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Durable ledger events
 // ---------------------------------------------------------------------
+
+/// A server's durable travel-ledger event log, in its store directory
+/// `dir`. The coordinator writes it; a failover reads it.
+pub fn ledger_file(dir: &Path) -> PathBuf {
+    dir.join("travel-ledger.log")
+}
+
+/// Where a server with store directory `dir` keeps its replica of server
+/// `origin`'s travel-ledger stream (shipped via
+/// [`Msg::ReplicateLedger`](crate::message::Msg::ReplicateLedger)).
+pub fn ledger_replica_file(dir: &Path, origin: usize) -> PathBuf {
+    dir.join(format!("travel-ledger-replica-{origin}.log"))
+}
 
 /// One event of a travel's durable, event-sourced ledger stream.
 ///

@@ -30,10 +30,10 @@ mod barrier;
 mod coord;
 mod copy;
 mod detector;
-mod effect;
+pub(crate) mod effect;
 mod ingest;
-mod recovery;
-mod relay;
+pub(crate) mod recovery;
+pub(crate) mod relay;
 mod visit;
 
 pub use detector::DetectionConfig;
@@ -221,7 +221,7 @@ struct Shared {
     /// configured path only).
     ledger: Option<OrderedMutex<BlobLog>>,
     /// Replicated copies of peers' travel-ledger streams, one blob log
-    /// per origin server (`travel-ledger-replica-<origin>.log`).
+    /// per origin server ([`crate::coordinator::ledger_replica_file`]).
     replica_ledgers: OrderedMutex<HashMap<usize, BlobLog>>,
 }
 

@@ -6,7 +6,7 @@
 
 use super::recovery::Announce;
 use super::{alloc_exec, perform, send_travel, Shared};
-use crate::coordinator::{CoordState, LedgerEvent, SyncState, TravelLedger};
+use crate::coordinator::{ledger_replica_file, CoordState, LedgerEvent, SyncState, TravelLedger};
 use crate::engine::EngineKind;
 use crate::lang::{Plan, Source};
 use crate::message::{Msg, SyncExpect, TravelOutcome};
@@ -106,8 +106,7 @@ pub(super) fn handle_replicate_ledger(
     let log = match logs.entry(from) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
         std::collections::hash_map::Entry::Vacant(slot) => {
-            let path = dir.join(format!("travel-ledger-replica-{from}.log"));
-            match BlobLog::open(&path, false) {
+            match BlobLog::open(ledger_replica_file(dir, from), false) {
                 Ok(l) => slot.insert(l),
                 Err(_) => return,
             }

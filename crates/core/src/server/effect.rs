@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// owns the endpoint, the counters, the handlers and whatever lives behind
 /// another lock.
 #[derive(Debug)]
-pub(super) enum Effect {
+pub(crate) enum Effect {
     /// Put this message on the wire to this endpoint.
     Send(usize, Msg),
     /// Hand a relayed message to the protocol handlers.
@@ -43,7 +43,7 @@ pub(super) enum Effect {
 /// The [`ServerMetrics`](crate::metrics::ServerMetrics) counters machines
 /// report into, by field name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Counter {
+pub(crate) enum Counter {
     /// A high-water mark: the maximum is kept, not the sum.
     JournalPeakEntries,
     JournalCompactions,

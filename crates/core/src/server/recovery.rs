@@ -31,12 +31,12 @@ use std::sync::Arc;
 
 /// One server's re-announced sent-journal.
 #[derive(Debug)]
-pub(super) struct Announce {
-    pub(super) epoch: u64,
-    pub(super) server: usize,
-    pub(super) created: Vec<(ExecId, u16)>,
-    pub(super) terminated: Vec<(ExecId, Vec<(ExecId, u16)>)>,
-    pub(super) results: Vec<(u16, VertexId)>,
+pub(crate) struct Announce {
+    pub(crate) epoch: u64,
+    pub(crate) server: usize,
+    pub(crate) created: Vec<(ExecId, u16)>,
+    pub(crate) terminated: Vec<(ExecId, Vec<(ExecId, u16)>)>,
+    pub(crate) results: Vec<(u16, VertexId)>,
 }
 
 /// An open re-announce barrier.
@@ -59,7 +59,7 @@ struct Takeover {
 }
 
 /// Every takeover this server runs as successor.
-pub(super) struct Recovery {
+pub(crate) struct Recovery {
     n_servers: usize,
     /// The synchronous engine keeps no execution ledger, so its takeovers
     /// always re-drive.
@@ -68,7 +68,7 @@ pub(super) struct Recovery {
 }
 
 impl Recovery {
-    pub(super) fn new(n_servers: usize, sync_engine: bool) -> Self {
+    pub(crate) fn new(n_servers: usize, sync_engine: bool) -> Self {
         Recovery {
             n_servers,
             sync_engine,
@@ -85,7 +85,7 @@ impl Recovery {
     /// shell's fence for the travel: finished here, and the travel-epoch
     /// already installed.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_seed(
+    pub(crate) fn on_seed(
         &mut self,
         travel: TravelId,
         epoch: u64,
@@ -137,7 +137,7 @@ impl Recovery {
     }
 
     /// One server's re-announcement.
-    pub(super) fn on_announce(&mut self, travel: TravelId, a: Announce) -> Vec<Effect> {
+    pub(crate) fn on_announce(&mut self, travel: TravelId, a: Announce) -> Vec<Effect> {
         let mut step = Vec::new();
         let t = self.takeovers.entry(travel).or_default();
         if t.epoch.is_none_or(|cur| a.epoch > cur) {

@@ -112,7 +112,7 @@ impl SentJournal {
 
 /// One server's reliable-delivery state.
 #[derive(Default)]
-pub(super) struct Relay {
+pub(crate) struct Relay {
     me: usize,
     /// This incarnation's epoch, stamped on every frame.
     epoch: u64,
@@ -130,7 +130,7 @@ pub(super) struct Relay {
 }
 
 impl Relay {
-    pub(super) fn new(me: usize, epoch: u64) -> Self {
+    pub(crate) fn new(me: usize, epoch: u64) -> Self {
         Relay {
             me,
             epoch,
@@ -140,7 +140,7 @@ impl Relay {
 
     /// Travel-epoch this server believes `travel` runs under (0 until a
     /// handoff bumps it).
-    pub(super) fn epoch_of(&self, travel: TravelId) -> u64 {
+    pub(crate) fn epoch_of(&self, travel: TravelId) -> u64 {
         self.travel_epoch.get(&travel).copied().unwrap_or(0)
     }
 
@@ -378,7 +378,7 @@ impl Relay {
     /// it again would strand live execs. A retired travel has nothing to
     /// clear and no journal left; it still answers, so the successor's
     /// barrier cannot stall.
-    pub(super) fn on_handoff(
+    pub(crate) fn on_handoff(
         &mut self,
         travel: TravelId,
         epoch: u64,

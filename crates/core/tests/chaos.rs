@@ -10,56 +10,15 @@
 //! timeout-and-resubmit loop must keep every engine's results equal to
 //! the single-threaded oracle.
 
-use graphtrek::oracle;
+mod common;
+
+use common::{oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-chaos-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph (same shape as the equivalence
-/// suite: cycles, multi-label edges, property filters have teeth).
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new().with("w", rng.gen_range(0..10) as i64),
-        ));
-    }
-    for _ in 0..n * 4 {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 /// A query mixing depth, filters and an intermediate rtn() — used where
 /// semantic richness matters more than traffic volume.
@@ -116,14 +75,6 @@ fn deep_query(steps: usize) -> GTravel {
         }
     }
     q
-}
-
-fn oracle_map(g: &InMemoryGraph, q: &GTravel) -> BTreeMap<u16, Vec<VertexId>> {
-    oracle::traverse(g, &q.compile().unwrap())
-        .by_depth
-        .iter()
-        .map(|(&d, s)| (d, s.iter().copied().collect()))
-        .collect()
 }
 
 /// Run `f` with a watcher thread that restarts any server that executed
@@ -254,7 +205,7 @@ fn lossy_transport_preserves_oracle_equivalence_on_all_engines() {
 #[test]
 fn same_seed_same_results_across_replays() {
     let seed = 77;
-    let g = random_graph(seed, 50);
+    let g = random_graph(seed, 50, None);
     let queries = [
         chaos_query(),
         GTravel::v([0u64, 9, 17]).e("link").e("link").e("link"),
@@ -443,7 +394,7 @@ fn progress_is_monotone_under_chaos() {
 /// admission slot so a queued travel still gets to run.
 #[test]
 fn wait_timeout_frees_admission_slot_for_pending_travel() {
-    let g = random_graph(8, 40);
+    let g = random_graph(8, 40, None);
     let q = GTravel::v([0u64, 1, 2]).e("link").e("read");
     let want = oracle_map(&g, &q);
     let dir = tmp("slot-release");
@@ -573,7 +524,7 @@ fn isolation_stalls_then_heals_to_completion() {
 /// point lookup) sees the data.
 #[test]
 fn acked_ingest_survives_owner_crash_and_restart() {
-    let mut g = random_graph(6, 40);
+    let mut g = random_graph(6, 40, None);
     let dir = tmp("durable");
     let cluster = Cluster::build(
         &g,
@@ -628,7 +579,7 @@ fn acked_ingest_survives_owner_crash_and_restart() {
 /// are byte-identical to a build without the chaos layer.
 #[test]
 fn chaos_off_means_zero_overhead_counters() {
-    let g = random_graph(3, 50);
+    let g = random_graph(3, 50, None);
     let dir = tmp("dormant");
     let ecfg = EngineConfig::new(EngineKind::GraphTrek);
     assert!(!ecfg.reliable_delivery_enabled());
@@ -673,7 +624,7 @@ fn randomized_chaos_sweep() {
     for i in 0..4u64 {
         let seed = base.wrapping_add(i);
         println!("randomized_chaos_sweep: GT_CHAOS_SEED={seed}");
-        let g = random_graph(seed, 50);
+        let g = random_graph(seed, 50, None);
         let q = chaos_query();
         let want = oracle_map(&g, &q);
         for kind in EngineKind::all() {

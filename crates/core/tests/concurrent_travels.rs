@@ -7,56 +7,12 @@
 //! short travel out from behind a long scan faster than arrival-order
 //! draining does.
 
-use graphtrek::oracle;
+mod common;
+
+use common::{oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
-use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-conc-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph (fixed seed ⇒ fixed graph).
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new()
-                .with("w", rng.gen_range(0..10) as i64)
-                .with("name", format!("v{i}")),
-        ));
-    }
-    for _ in 0..n * 4 {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 /// Eight distinct fixed plans — different sources, depths, filters and
 /// rtn() placements, so concurrent travels genuinely interleave
@@ -85,20 +41,12 @@ fn tenant_queries() -> Vec<GTravel> {
     ]
 }
 
-fn oracle_map(g: &InMemoryGraph, q: &GTravel) -> BTreeMap<u16, Vec<VertexId>> {
-    oracle::traverse(g, &q.compile().unwrap())
-        .by_depth
-        .iter()
-        .map(|(&d, s)| (d, s.iter().copied().collect()))
-        .collect()
-}
-
 /// Eight concurrent travels on every engine × {2, 4, 8} servers return
 /// exactly the solo-run oracle results (the PR's headline acceptance
 /// criterion).
 #[test]
 fn concurrent_travels_match_solo_oracle_all_engines() {
-    let g = random_graph(11, 80);
+    let g = random_graph(11, 80, Some("name"));
     let queries = tenant_queries();
     let want: Vec<_> = queries.iter().map(|q| oracle_map(&g, q)).collect();
     for kind in EngineKind::all() {
@@ -133,7 +81,7 @@ fn concurrent_travels_match_solo_oracle_all_engines() {
 /// oracle. Time-to-admit is surfaced on the result.
 #[test]
 fn admission_control_bounds_concurrency_fifo() {
-    let g = random_graph(12, 60);
+    let g = random_graph(12, 60, Some("name"));
     let queries = tenant_queries();
     let want: Vec<_> = queries.iter().map(|q| oracle_map(&g, q)).collect();
     let dir = tmp("admission");
@@ -181,7 +129,7 @@ fn admission_control_bounds_concurrency_fifo() {
 /// afterwards.
 #[test]
 fn cancel_retires_pending_and_inflight_travels() {
-    let g = random_graph(13, 60);
+    let g = random_graph(13, 60, Some("name"));
     let dir = tmp("cancel");
     let cluster = Cluster::build(
         &g,
@@ -200,6 +148,20 @@ fn cancel_retires_pending_and_inflight_travels() {
         "pending travel: removed before start"
     );
     assert_eq!(cluster.pending_travels(), 0);
+    // Whoever waits on B (a front-door waiter does) learns of it at once,
+    // not by running out its timeout on a travel no server ever saw.
+    let asked = std::time::Instant::now();
+    match cluster.wait(&b, Duration::from_secs(5)) {
+        Err(ClusterError::Travel(TravelError::Cancelled { travel })) => {
+            assert_eq!(travel, b.travel())
+        }
+        other => panic!("a cancelled queued travel must report Cancelled, got {other:?}"),
+    }
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "the cancellation was noticed after {:?}",
+        asked.elapsed()
+    );
     // A was admitted: cancellation is acknowledged by every server.
     assert!(
         cluster.cancel(&a).unwrap(),
@@ -223,7 +185,7 @@ fn cancel_retires_pending_and_inflight_travels() {
 /// I/O and queue-residency accounting, aggregated across servers.
 #[test]
 fn per_travel_metrics_are_attributed() {
-    let g = random_graph(14, 60);
+    let g = random_graph(14, 60, Some("name"));
     let dir = tmp("metrics");
     let cluster = Cluster::build(
         &g,
@@ -263,7 +225,7 @@ fn per_travel_metrics_are_attributed() {
 /// pick serves the newcomer its share immediately.
 #[test]
 fn fair_scheduling_beats_arrival_order_for_short_travels() {
-    let g = random_graph(15, 300);
+    let g = random_graph(15, 300, Some("name"));
     let long = GTravel::v_all().e("link").e("link").e("link");
     let short = GTravel::v([0u64]).e("run");
     let short_want = oracle_map(&g, &short);
@@ -328,7 +290,7 @@ fn fair_scheduling_beats_arrival_order_for_short_travels() {
 #[test]
 #[ignore = "stress lane: ~32 concurrent travels with straggler injection"]
 fn stress_32_travels_with_stragglers() {
-    let g = random_graph(16, 100);
+    let g = random_graph(16, 100, Some("name"));
     let queries = tenant_queries();
     let want: Vec<_> = queries.iter().map(|q| oracle_map(&g, q)).collect();
     let dir = tmp("stress");

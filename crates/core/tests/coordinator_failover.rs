@@ -9,54 +9,11 @@
 //! and the traversal resumes — finishing with exactly the oracle's
 //! result, under the same travel id, without a resubmission.
 
-use graphtrek::oracle;
+mod common;
+
+use common::{oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
-use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-failover-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph (same shape as the chaos suite).
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new().with("w", rng.gen_range(0..10) as i64),
-        ));
-    }
-    for _ in 0..n * 4 {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 fn failover_query() -> GTravel {
     GTravel::v([0u64, 1, 2, 3, 4, 5])
@@ -66,14 +23,6 @@ fn failover_query() -> GTravel {
         .va(PropFilter::range("w", 0i64, 8i64))
         .e("link")
         .e("link")
-}
-
-fn oracle_map(g: &InMemoryGraph, q: &GTravel) -> BTreeMap<u16, Vec<VertexId>> {
-    oracle::traverse(g, &q.compile().unwrap())
-        .by_depth
-        .iter()
-        .map(|(&d, s)| (d, s.iter().copied().collect()))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -87,7 +36,7 @@ fn oracle_map(g: &InMemoryGraph, q: &GTravel) -> BTreeMap<u16, Vec<VertexId>> {
 /// same travel id, zero resubmissions.
 #[test]
 fn coordinator_crash_mid_travel_fails_over_on_all_engines() {
-    let g = random_graph(11, 50);
+    let g = random_graph(11, 50, None);
     let q = failover_query();
     let want = oracle_map(&g, &q);
     for kind in EngineKind::all() {
@@ -128,7 +77,7 @@ fn coordinator_crash_mid_travel_fails_over_on_all_engines() {
 /// being assembled — must still converge on the oracle's answer.
 #[test]
 fn coordinator_crash_during_result_assembly_recovers() {
-    let g = random_graph(23, 50);
+    let g = random_graph(23, 50, None);
     let q = failover_query();
     let want = oracle_map(&g, &q);
     for kind in [EngineKind::AsyncPlain, EngineKind::GraphTrek] {
@@ -174,7 +123,7 @@ fn coordinator_crash_during_result_assembly_recovers() {
 /// hops must be transparent.
 #[test]
 fn double_failover_survives_on_all_engines() {
-    let g = random_graph(37, 50);
+    let g = random_graph(37, 50, None);
     let q = failover_query();
     let want = oracle_map(&g, &q);
     for kind in EngineKind::all() {
@@ -215,7 +164,7 @@ fn double_failover_survives_on_all_engines() {
 #[test]
 fn failover_is_deterministic_for_a_fixed_seed() {
     let run = |tag: &str| {
-        let g = random_graph(4242, 50);
+        let g = random_graph(4242, 50, None);
         let q = failover_query();
         let dir = tmp(tag);
         let plan = ChaosPlan {
@@ -238,7 +187,10 @@ fn failover_is_deterministic_for_a_fixed_seed() {
     let (b, fb) = run("det-b");
     assert_eq!(a, b, "same seed must reproduce the same result");
     assert_eq!(fa, fb, "same seed must reproduce the same failover count");
-    assert_eq!(a, oracle_map(&random_graph(4242, 50), &failover_query()));
+    assert_eq!(
+        a,
+        oracle_map(&random_graph(4242, 50, None), &failover_query())
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -250,7 +202,7 @@ fn failover_is_deterministic_for_a_fixed_seed() {
 /// estimate — the timeout is no longer silent about where it got stuck.
 #[test]
 fn timeout_error_carries_last_progress() {
-    let g = random_graph(7, 40);
+    let g = random_graph(7, 40, None);
     let q = failover_query();
     let dir = tmp("timeout-progress");
     let cluster = Cluster::build(
@@ -290,7 +242,7 @@ fn timeout_error_carries_last_progress() {
 /// timeout.
 #[test]
 fn short_wait_timeout_is_not_overshot_by_the_progress_probe() {
-    let g = random_graph(19, 30);
+    let g = random_graph(19, 30, None);
     let q = failover_query();
     let dir = tmp("probe-overshoot");
     let cluster = Cluster::build(
@@ -323,7 +275,7 @@ fn short_wait_timeout_is_not_overshot_by_the_progress_probe() {
 /// `TravelError::Cancelled`, not a bare timeout.
 #[test]
 fn cancelled_travel_reports_typed_cancellation() {
-    let g = random_graph(9, 40);
+    let g = random_graph(9, 40, None);
     let q = failover_query();
     let dir = tmp("typed-cancel");
     // Drop 100% of the relayed data plane: the travel can never finish,
@@ -357,7 +309,7 @@ fn cancelled_travel_reports_typed_cancellation() {
 /// with `CoordinatorLost` instead of burning its whole timeout.
 #[test]
 fn coordinator_loss_without_reliability_is_typed() {
-    let g = random_graph(13, 40);
+    let g = random_graph(13, 40, None);
     let q = failover_query();
     let dir = tmp("coord-lost");
     let cluster = Cluster::build(
@@ -401,7 +353,7 @@ fn coordinator_loss_without_reliability_is_typed() {
 /// about the travel anymore).
 #[test]
 fn progress_reroutes_to_successor_after_failover() {
-    let g = random_graph(17, 40);
+    let g = random_graph(17, 40, None);
     let q = failover_query();
     let dir = tmp("reroute");
     // Drop 100% of the relayed data plane so the travel outlives the
@@ -449,7 +401,7 @@ fn progress_reroutes_to_successor_after_failover() {
 /// (releasing normally on completion).
 #[test]
 fn admission_timestamps_survive_failover() {
-    let g = random_graph(19, 50);
+    let g = random_graph(19, 50, None);
     let q = failover_query();
     let want = oracle_map(&g, &q);
     let dir = tmp("admit-wait");
@@ -488,7 +440,7 @@ fn admission_timestamps_survive_failover() {
 /// a coordinator actually dies.
 #[test]
 fn no_crash_means_zero_failover_counters() {
-    let g = random_graph(29, 50);
+    let g = random_graph(29, 50, None);
     let q = failover_query();
     let want = oracle_map(&g, &q);
     let dir = tmp("dormant-failover");

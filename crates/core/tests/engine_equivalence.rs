@@ -2,56 +2,13 @@
 //! the single-threaded oracle says, on directed metadata-style graphs,
 //! across server counts, plan shapes, and rtn() placements.
 
+mod common;
+
+use common::{random_graph, tmp};
 use graphtrek::oracle;
 use graphtrek::prelude::*;
-use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use gt_graph::InMemoryGraph;
 use std::collections::BTreeMap;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-eng-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph with cycles and multi-label edges.
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new()
-                .with("w", rng.gen_range(0..10) as i64)
-                .with("name", format!("v{i}")),
-        ));
-    }
-    let n_edges = n * 4;
-    for _ in 0..n_edges {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 fn run_all_engines(g: &InMemoryGraph, q: &GTravel, n_servers: usize, tag: &str) {
     let want = oracle::traverse(g, &q.compile().unwrap());
@@ -80,7 +37,7 @@ fn run_all_engines(g: &InMemoryGraph, q: &GTravel, n_servers: usize, tag: &str) 
 
 #[test]
 fn two_step_audit_equivalence() {
-    let g = random_graph(1, 60);
+    let g = random_graph(1, 60, Some("name"));
     let q = GTravel::v([0u64, 1, 2, 3])
         .e("run")
         .ea(PropFilter::range("ts", 10i64, 80i64))
@@ -92,7 +49,7 @@ fn two_step_audit_equivalence() {
 
 #[test]
 fn deep_traversal_equivalence() {
-    let g = random_graph(2, 50);
+    let g = random_graph(2, 50, Some("name"));
     let q = GTravel::v([0u64, 7, 13])
         .e("link")
         .e("link")
@@ -107,7 +64,7 @@ fn deep_traversal_equivalence() {
 
 #[test]
 fn typed_source_scan_equivalence() {
-    let g = random_graph(3, 60);
+    let g = random_graph(3, 60, Some("name"));
     let q = GTravel::v_all()
         .va(PropFilter::eq("type", "Execution"))
         .e("read")
@@ -119,7 +76,7 @@ fn typed_source_scan_equivalence() {
 
 #[test]
 fn rtn_intermediate_equivalence() {
-    let g = random_graph(4, 60);
+    let g = random_graph(4, 60, Some("name"));
     let q = GTravel::v([0u64, 1, 2, 3, 4, 5])
         .e("link")
         .rtn()
@@ -132,7 +89,7 @@ fn rtn_intermediate_equivalence() {
 
 #[test]
 fn rtn_source_provenance_equivalence() {
-    let g = random_graph(5, 50);
+    let g = random_graph(5, 50, Some("name"));
     let q = GTravel::v_all()
         .va(PropFilter::eq("type", "Execution"))
         .rtn()
@@ -145,7 +102,7 @@ fn rtn_source_provenance_equivalence() {
 
 #[test]
 fn multiple_rtn_depths_equivalence() {
-    let g = random_graph(6, 50);
+    let g = random_graph(6, 50, Some("name"));
     let q = GTravel::v([0u64, 1, 2, 3])
         .rtn()
         .e("link")
@@ -157,14 +114,14 @@ fn multiple_rtn_depths_equivalence() {
 
 #[test]
 fn empty_result_equivalence() {
-    let g = random_graph(7, 30);
+    let g = random_graph(7, 30, Some("name"));
     let q = GTravel::v([0u64]).e("no-such-label").e("read");
     run_all_engines(&g, &q, 3, "empty");
 }
 
 #[test]
 fn zero_step_equivalence() {
-    let g = random_graph(8, 40);
+    let g = random_graph(8, 40, Some("name"));
     let q = GTravel::v_all().va(PropFilter::eq("type", "File"));
     for n in [1, 4] {
         run_all_engines(&g, &q, n, "zerostep");
@@ -173,7 +130,7 @@ fn zero_step_equivalence() {
 
 #[test]
 fn missing_sources_equivalence() {
-    let g = random_graph(9, 30);
+    let g = random_graph(9, 30, Some("name"));
     let q = GTravel::v([5u64, 500, 900]).e("link");
     run_all_engines(&g, &q, 2, "missing");
 }
@@ -181,7 +138,7 @@ fn missing_sources_equivalence() {
 #[test]
 fn cyclic_revisit_equivalence() {
     // Dense tiny graph maximizes cross-step revisits.
-    let g = random_graph(10, 8);
+    let g = random_graph(10, 8, Some("name"));
     let q = GTravel::v([0u64]).e("link").e("link").e("link").e("link");
     for n in [1, 2] {
         run_all_engines(&g, &q, n, "cycles");
@@ -192,7 +149,7 @@ fn cyclic_revisit_equivalence() {
 fn results_identical_under_io_latency_and_network() {
     // Same equivalence with real latencies in play (exercises the async
     // races that zero-latency runs may hide).
-    let g = random_graph(11, 40);
+    let g = random_graph(11, 40, Some("name"));
     let q = GTravel::v([0u64, 1, 2]).e("link").rtn().e("read");
     let want = oracle::traverse(&g, &q.compile().unwrap());
     for kind in EngineKind::all() {
@@ -217,7 +174,7 @@ fn results_identical_under_io_latency_and_network() {
 
 #[test]
 fn repeated_submissions_are_stable() {
-    let g = random_graph(12, 40);
+    let g = random_graph(12, 40, Some("name"));
     let q = GTravel::v([0u64, 1]).e("link").e("read");
     let dir = tmp("repeat");
     let cluster = Cluster::build(

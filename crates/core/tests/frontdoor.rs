@@ -9,63 +9,23 @@
 //! isolation, disconnect-driven retirement, and the all-zeroes guarantee
 //! when QoS is off.
 
+mod common;
+
+use common::{random_graph, tmp};
 use graphtrek::cluster::{Cluster, ClusterConfig};
 use graphtrek::engine::{EngineConfig, EngineKind, TransportKind};
 use graphtrek::frontdoor::FrontDoor;
 use graphtrek::oracle;
 use graphtrek::prelude::*;
 use graphtrek::qos::QosConfig;
-use gt_graph::{Edge, InMemoryGraph, Props, Vertex, VertexId};
+use gt_graph::{InMemoryGraph, VertexId};
 use gt_proto::{
     read_frame, send_client, ClientMsg, ServerMsg, SubmitOpts, WireError, PROTOCOL_VERSION,
 };
 use gt_transport::SocketAddrSpec;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-frontdoor-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph (the equivalence suite's shape).
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new().with("w", rng.gen_range(0..10) as i64),
-        ));
-    }
-    for _ in 0..n * 4 {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 fn queries() -> Vec<GTravel> {
     vec![
@@ -95,7 +55,7 @@ fn expected(g: &InMemoryGraph, q: &GTravel) -> Vec<VertexId> {
 /// to the oracle.
 #[test]
 fn socket_transport_matches_inproc_oracle_on_all_engines() {
-    let g = random_graph(0x50C7, 120);
+    let g = random_graph(0x50C7, 120, None);
     for transport in [TransportKind::Tcp, TransportKind::Uds] {
         for kind in EngineKind::all() {
             let dir = tmp(&format!("sock-{}-{}", transport.label(), kind.label()));
@@ -125,7 +85,7 @@ fn socket_transport_matches_inproc_oracle_on_all_engines() {
 /// build-time error, not a silently chaos-free run.
 #[test]
 fn chaos_plus_socket_transport_is_rejected() {
-    let g = random_graph(1, 40);
+    let g = random_graph(1, 40, None);
     let dir = tmp("chaos-sock");
     let err = Cluster::build(
         &g,
@@ -151,7 +111,7 @@ fn chaos_plus_socket_transport_is_rejected() {
 /// before, across and after equal the oracle.
 #[test]
 fn partition_copy_over_uds_keeps_travels_on_the_oracle() {
-    let g = random_graph(0xC0B1, 120);
+    let g = random_graph(0xC0B1, 120, None);
     let q = &queries()[1];
     let want = expected(&g, q);
     let dir = tmp("copy-uds");
@@ -189,7 +149,16 @@ fn partition_copy_over_uds_keeps_travels_on_the_oracle() {
     let m = cluster.metrics();
     assert!(m.iter().map(|s| s.migrate_chunks_in).sum::<u64>() > 0);
     assert!(m.iter().map(|s| s.rereplicate_chunks_in).sum::<u64>() > 0);
-    assert!(m.iter().map(|s| s.rereplications).sum::<u64>() > 0);
+    // The target counts the restored replica when the flow's last message
+    // reaches it, which is after the map the wait above watches flipped.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while cluster.metrics().iter().all(|s| s.rereplications == 0) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the restored replica was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(cluster.submit(q).unwrap().vertices, want);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -285,6 +254,10 @@ impl TestClient {
         }
     }
 
+    fn cancel(&mut self, id: u64) {
+        send_client(&mut self.sock, &ClientMsg::Cancel { id }).unwrap();
+    }
+
     fn goodbye(mut self) {
         let _ = send_client(&mut self.sock, &ClientMsg::Goodbye);
     }
@@ -324,7 +297,7 @@ fn keep_pipeline_full(
 /// to the oracle on all three engines.
 #[test]
 fn proto_door_matches_oracle_on_all_engines() {
-    let g = random_graph(0xD00F, 100);
+    let g = random_graph(0xD00F, 100, None);
     let texts = [
         "v(0,1,2,3).e('run').e('read')",
         "v(0,5,9,13).e('link').rtn().e('read').va('w', RANGE, 0, 7).e('link')",
@@ -360,7 +333,7 @@ fn proto_door_matches_oracle_on_all_engines() {
 /// With QoS off, nothing is counted — exactly zero, not merely small.
 #[test]
 fn qos_counters_stay_zero_when_disabled() {
-    let g = random_graph(3, 60);
+    let g = random_graph(3, 60, None);
     let dir = tmp("qos-off");
     let cluster = Cluster::build(
         &g,
@@ -398,7 +371,7 @@ fn qos_counters_stay_zero_when_disabled() {
 /// tenant sharing the door sees every one of its requests admitted.
 #[test]
 fn rate_limited_tenant_throttles_without_perturbing_others() {
-    let g = random_graph(5, 60);
+    let g = random_graph(5, 60, None);
     let dir = tmp("qos-rate");
     let cluster = Cluster::build(
         &g,
@@ -445,7 +418,7 @@ fn rate_limited_tenant_throttles_without_perturbing_others() {
 /// active-travel count returns to zero without anyone calling wait.
 #[test]
 fn killed_connection_retires_inflight_travels() {
-    let g = random_graph(7, 80);
+    let g = random_graph(7, 80, None);
     let dir = tmp("qos-kill");
     let cluster = Cluster::build(
         &g,
@@ -513,7 +486,7 @@ fn killed_connection_retires_inflight_travels() {
 /// hopeless deadline fails with `WireError::Timeout` and is counted.
 #[test]
 fn missed_deadline_surfaces_as_timeout() {
-    let g = random_graph(9, 80);
+    let g = random_graph(9, 80, None);
     let dir = tmp("qos-deadline");
     let cluster = Cluster::build(
         &g,
@@ -564,13 +537,87 @@ fn missed_deadline_surfaces_as_timeout() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A request still parked in the cluster's admission queue can be
+/// cancelled like any other: its waiter is released and answers
+/// `Cancelled` at once. (It used to sit out the request's whole deadline
+/// and answer `Timeout`, for a travel no server ever saw.)
+#[test]
+fn cancelling_a_queued_request_answers_cancelled_at_once() {
+    let g = random_graph(9, 80, None);
+    let dir = tmp("cancel-queued");
+    let cluster = Cluster::build(
+        &g,
+        ClusterConfig::new(&dir, 2),
+        EngineConfig::new(EngineKind::GraphTrek)
+            .max_concurrent_travels(1)
+            .faults(graphtrek::faults::FaultPlan::round_robin_stragglers(
+                &[0, 1],
+                8,
+                Duration::from_millis(50),
+                1000,
+            )),
+    )
+    .unwrap();
+    let door = FrontDoor::serve(
+        cluster.handle(),
+        SocketAddrSpec::Tcp("127.0.0.1:0".into()),
+        QosConfig::default(),
+    )
+    .unwrap();
+    let mut client = TestClient::connect(door.local_addr(), "t");
+    let patient = || SubmitOpts {
+        deadline_ms: Some(20_000),
+    };
+    // The first travel crawls and holds the only slot; the second queues.
+    let slow = client.submit("v(0,1,2,3,4,5).e('link').e('link').e('link')", patient());
+    let queued = client.submit("v(0).e('run')", patient());
+    let state = cluster.handle();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while state.pending_travels() != 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the second request never queued"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let asked = std::time::Instant::now();
+    client.cancel(queued);
+    match client.response_for(queued) {
+        ServerMsg::Error {
+            error: WireError::Cancelled,
+            ..
+        } => {}
+        other => panic!("expected Cancelled for the queued request, got {other:?}"),
+    }
+    assert!(
+        asked.elapsed() < Duration::from_secs(5),
+        "answered after {:?}",
+        asked.elapsed()
+    );
+    assert_eq!(state.pending_travels(), 0);
+    // The running one is cancelled the usual way, acked by every server.
+    client.cancel(slow);
+    match client.response_for(slow) {
+        ServerMsg::Error {
+            error: WireError::Cancelled,
+            ..
+        } => {}
+        other => panic!("expected Cancelled for the running request, got {other:?}"),
+    }
+    assert_eq!(state.active_travels(), 0);
+    client.goodbye();
+    door.stop();
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// 4:1 tenant weights ⇒ ~4:1 admitted work under saturation. Both
 /// tenants keep a full pipeline of identical travels against a saturated
 /// single-worker cluster; the weighted-fair merging queue must complete
 /// gold's travels roughly four times as often as bronze's.
 #[test]
 fn tenant_weights_shape_throughput_under_saturation() {
-    let g = random_graph(11, 140);
+    let g = random_graph(11, 140, None);
     let dir = tmp("qos-weights");
     let cluster = Cluster::build(
         &g,
@@ -629,7 +676,7 @@ fn tenant_weights_shape_throughput_under_saturation() {
 /// the weighted test above comes from the gate, not tenant luck.
 #[test]
 fn equal_tenants_split_evenly_without_qos() {
-    let g = random_graph(11, 140);
+    let g = random_graph(11, 140, None);
     let dir = tmp("qos-even");
     let cluster = Cluster::build(
         &g,
@@ -682,7 +729,7 @@ fn equal_tenants_split_evenly_without_qos() {
 /// stays reachable: it can still be cancelled, and it still completes.
 #[test]
 fn reused_request_id_is_refused_and_the_first_travel_is_unharmed() {
-    let g = random_graph(13, 80);
+    let g = random_graph(13, 80, None);
     let dir = tmp("dup-id");
     let cluster = Cluster::build(
         &g,
@@ -758,7 +805,7 @@ fn reused_request_id_is_refused_and_the_first_travel_is_unharmed() {
 /// overtakes it starts a second thread, which is the scheduler's doing.)
 #[test]
 fn point_lookups_reuse_one_waiter_thread() {
-    let g = random_graph(17, 100);
+    let g = random_graph(17, 100, None);
     let dir = tmp("pool-reuse");
     let cluster = Cluster::build(
         &g,
@@ -802,7 +849,7 @@ fn point_lookups_reuse_one_waiter_thread() {
 fn soak_waiter_count_follows_load_up_and_down() {
     const CONNS: usize = 32;
     const DEPTH: usize = 16;
-    let g = random_graph(19, 100);
+    let g = random_graph(19, 100, None);
     let dir = tmp("pool-soak");
     let cluster = Cluster::build(
         &g,

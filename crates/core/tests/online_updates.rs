@@ -2,21 +2,11 @@
 //! running against the same cluster that serves traversals — the full
 //! trio of system requirements from the paper's §I.
 
+mod common;
+
+use common::tmp;
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-online-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
 
 fn base_graph() -> InMemoryGraph {
     let mut g = InMemoryGraph::new();

@@ -6,54 +6,12 @@
 //! partitions move between live servers via snapshot + delta + epoch-
 //! bumped cutover — all while traversals are in flight.
 
-use graphtrek::oracle;
+mod common;
+
+use common::{oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
-use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use gt_graph::{Edge, Props, Vertex};
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-placement-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph (same shape as the chaos suite).
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new().with("w", rng.gen_range(0..10) as i64),
-        ));
-    }
-    for _ in 0..n * 4 {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 fn placement_query() -> GTravel {
     GTravel::v([0u64, 1, 2, 3, 4, 5])
@@ -63,14 +21,6 @@ fn placement_query() -> GTravel {
         .va(PropFilter::range("w", 0i64, 8i64))
         .e("link")
         .e("link")
-}
-
-fn oracle_map(g: &InMemoryGraph, q: &GTravel) -> BTreeMap<u16, Vec<VertexId>> {
-    oracle::traverse(g, &q.compile().unwrap())
-        .by_depth
-        .iter()
-        .map(|(&d, s)| (d, s.iter().copied().collect()))
-        .collect()
 }
 
 /// Slow every server's vertex accesses a little so a travel started just
@@ -101,8 +51,8 @@ fn crawl(n_servers: usize) -> FaultPlan {
 /// disk is the whole point of synchronous replication.
 #[test]
 fn replica_promotion_after_primary_crash_on_all_engines() {
-    let base = random_graph(11, 50);
-    let mut g = random_graph(11, 50);
+    let base = random_graph(11, 50, None);
+    let mut g = random_graph(11, 50, None);
     // Freshly ingested data (mirrored into the oracle graph only): the
     // cluster is built from `base` and receives these rows through the
     // replicating ingest path, so the acked writes must be readable
@@ -177,6 +127,47 @@ fn replica_promotion_after_primary_crash_on_all_engines() {
     }
 }
 
+/// A travel that finished is finished, whether or not anybody waited for
+/// it: a later promotion has nothing of it to re-drive. (It used to hand
+/// off every travel it still had a route for — fire-and-forget ones
+/// forever — onto servers whose retired set died with the crash, which
+/// then took finished travels over.)
+#[test]
+fn promotion_leaves_finished_unwaited_travels_alone() {
+    let g = random_graph(17, 50, None);
+    let dir = tmp("promote-finished");
+    let cluster = Cluster::build(
+        &g,
+        ClusterConfig::new(&dir, 3).replication(2),
+        EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
+    )
+    .unwrap();
+    // Five fire-and-forget travels, coordinators 1, 2, 0, 1, 2.
+    for _ in 0..5 {
+        cluster.start(&placement_query()).unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while cluster.active_travels() != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "travels never finished"
+        );
+        // Completions are observed by whoever pumps the client port.
+        let _ = cluster.get_vertex(VertexId(0)).unwrap();
+    }
+    cluster.crash_server(2).unwrap();
+    cluster.promote(2).unwrap();
+    assert_eq!(
+        cluster.net_stats().handoffs(),
+        0,
+        "a finished travel was handed off"
+    );
+    let failovers: Vec<u64> = cluster.metrics().iter().map(|m| m.failovers).collect();
+    assert_eq!(failovers, vec![0, 0, 0], "a finished travel was taken over");
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // Tentpole (b): decommission drains a server mid-travel — all engines
 // ---------------------------------------------------------------------
@@ -188,7 +179,7 @@ fn replica_promotion_after_primary_crash_on_all_engines() {
 /// including ones whose id hashes onto the drained server — still work.
 #[test]
 fn decommission_drains_server_mid_travel_on_all_engines() {
-    let g = random_graph(13, 60);
+    let g = random_graph(13, 60, None);
     let q = placement_query();
     let want = oracle_map(&g, &q);
     for kind in EngineKind::all() {
@@ -251,7 +242,7 @@ fn decommission_drains_server_mid_travel_on_all_engines() {
 /// with the oracle's result.
 #[test]
 fn coordinator_and_ledger_disk_loss_recovers_with_replication() {
-    let g = random_graph(17, 50);
+    let g = random_graph(17, 50, None);
     let q = placement_query();
     let want = oracle_map(&g, &q);
     for kind in [EngineKind::AsyncPlain, EngineKind::GraphTrek] {
@@ -295,7 +286,7 @@ fn coordinator_and_ledger_disk_loss_recovers_with_replication() {
 /// rebalancer proposes no moves: the subsystem is free until used.
 #[test]
 fn static_cluster_keeps_every_placement_counter_at_zero() {
-    let g = random_graph(29, 50);
+    let g = random_graph(29, 50, None);
     let q = placement_query();
     let want = oracle_map(&g, &q);
     let dir = tmp("dormant");
@@ -342,7 +333,7 @@ fn static_cluster_keeps_every_placement_counter_at_zero() {
 /// That used to be silent; now it is a typed level plus a warning string.
 #[test]
 fn from_partitions_clusters_carry_a_typed_durability_warning() {
-    let g = random_graph(31, 30);
+    let g = random_graph(31, 30, None);
     let dir = tmp("ephemeral");
     // Materialize stores once, then rebuild a cluster over the loaded
     // partitions the way the benchmark harness does.
@@ -394,7 +385,7 @@ fn from_partitions_clusters_carry_a_typed_durability_warning() {
 /// duplicated and delayed; the migration control plane is raw and FIFO.
 #[test]
 fn migration_mid_travel_under_chaos_on_all_engines() {
-    let g = random_graph(43, 50);
+    let g = random_graph(43, 50, None);
     let q = placement_query();
     let want = oracle_map(&g, &q);
     for kind in EngineKind::all() {
@@ -434,7 +425,7 @@ fn migration_mid_travel_under_chaos_on_all_engines() {
 #[test]
 fn migration_cutover_racing_coordinator_failover_is_deterministic() {
     let run = |tag: &str| {
-        let g = random_graph(4242, 50);
+        let g = random_graph(4242, 50, None);
         let q = placement_query();
         let dir = tmp(tag);
         let plan = ChaosPlan {
@@ -462,7 +453,7 @@ fn migration_cutover_racing_coordinator_failover_is_deterministic() {
         std::fs::remove_dir_all(&dir).ok();
         (got.by_depth, got.failovers, crashed)
     };
-    let want = oracle_map(&random_graph(4242, 50), &placement_query());
+    let want = oracle_map(&random_graph(4242, 50, None), &placement_query());
     let (a, fa, ca) = run("race-a");
     let (b, fb, cb) = run("race-b");
     assert_eq!(a, want, "raced run must still match the oracle");
@@ -482,7 +473,7 @@ fn migration_cutover_racing_coordinator_failover_is_deterministic() {
 /// journals) still converges on the oracle via the sentinel re-drive.
 #[test]
 fn sent_journal_is_compacted_and_memory_bounded() {
-    let g = random_graph(53, 600);
+    let g = random_graph(53, 600, None);
     // Journal entries grow with depth × servers (one exec per frontier
     // message per hop), so a very deep chain on the merge-free engine is
     // what drives a single travel's journal past the compaction budget.
@@ -527,7 +518,7 @@ fn sent_journal_is_compacted_and_memory_bounded() {
 /// client's whole travel timeout.
 #[test]
 fn unacknowledged_handoff_surfaces_failover_stalled() {
-    let g = random_graph(59, 40);
+    let g = random_graph(59, 40, None);
     let q = placement_query();
     let dir = tmp("stalled");
     let cluster = Cluster::build(

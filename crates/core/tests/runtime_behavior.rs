@@ -2,24 +2,14 @@
 //! status tracing, silent-failure restart, straggler injection, the
 //! Fig. 7 accounting identity, progress reporting, and concurrency.
 
+mod common;
+
+use common::tmp;
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-rt-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
 
 /// Chain graph a0 → a1 → … with heavy fan-out at each hop so traversals
 /// generate real work.

@@ -10,55 +10,15 @@
 //! stays readable. With detection off, the whole subsystem is free:
 //! every `self_heal_counters()` entry is exactly zero.
 
-use graphtrek::oracle;
+mod common;
+
+use common::{oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
-use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
+use gt_graph::{Edge, Props, Vertex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-selfheal-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph (same shape as the chaos suite).
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new().with("w", rng.gen_range(0..10) as i64),
-        ));
-    }
-    for _ in 0..n * 4 {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 fn heal_query() -> GTravel {
     GTravel::v([0u64, 1, 2, 3, 4, 5])
@@ -68,14 +28,6 @@ fn heal_query() -> GTravel {
         .va(PropFilter::range("w", 0i64, 8i64))
         .e("link")
         .e("link")
-}
-
-fn oracle_map(g: &InMemoryGraph, q: &GTravel) -> BTreeMap<u16, Vec<VertexId>> {
-    oracle::traverse(g, &q.compile().unwrap())
-        .by_depth
-        .iter()
-        .map(|(&d, s)| (d, s.iter().copied().collect()))
-        .collect()
 }
 
 /// Rows that enter through the replicating ingest path (mirrored into the
@@ -104,8 +56,8 @@ fn fresh_rows() -> (Vec<Vertex>, Vec<Edge>) {
 /// test ever calling `promote` or `restart_server`.
 fn run_convergence(seed: u64, kind: EngineKind) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e1f_4ea1);
-    let base = random_graph(seed, 40);
-    let mut g = random_graph(seed, 40);
+    let base = random_graph(seed, 40, None);
+    let mut g = random_graph(seed, 40, None);
     let (new_vertices, new_edges) = fresh_rows();
     for v in &new_vertices {
         g.add_vertex(v.clone());
@@ -226,7 +178,7 @@ fn chaos_seed_sweep_nightly() {
 /// is auto-promoted, and `false_suspicions` is zero after the run.
 #[test]
 fn delayed_heartbeats_never_demote_live_servers() {
-    let g = random_graph(23, 50);
+    let g = random_graph(23, 50, None);
     let q = heal_query();
     let want = oracle_map(&g, &q);
     let dir = tmp("false-positive");
@@ -304,7 +256,7 @@ fn delayed_heartbeats_never_demote_live_servers() {
 /// fabric, nothing was suspected, promoted or re-replicated.
 #[test]
 fn detection_off_keeps_every_self_heal_counter_at_zero() {
-    let base = random_graph(41, 50);
+    let base = random_graph(41, 50, None);
     let q = heal_query();
     let (new_vertices, new_edges) = fresh_rows();
     let dir = tmp("dormant-self-heal");
@@ -372,7 +324,7 @@ proptest! {
         seed in 0u64..1024,
         ops in rw_ops(),
     ) {
-        let mut graph = random_graph(seed, 24);
+        let mut graph = random_graph(seed, 24, None);
         let q = heal_query();
         let dir = tmp("prop-rw");
         let cluster = Cluster::build(

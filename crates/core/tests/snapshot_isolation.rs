@@ -10,56 +10,15 @@
 //! pins reads to named sequence numbers. A dormancy lane proves the
 //! whole subsystem is free when the flag is off.
 
-use graphtrek::oracle;
+mod common;
+
+use common::{oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-snap-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// Random layered metadata-ish graph (same shape as the chaos suite).
-fn random_graph(seed: u64, n: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = InMemoryGraph::new();
-    let types = ["User", "Execution", "File"];
-    let labels = ["run", "read", "write", "link"];
-    for i in 0..n {
-        let t = types[rng.gen_range(0..types.len())];
-        g.add_vertex(Vertex::new(
-            i,
-            t,
-            Props::new().with("w", rng.gen_range(0..10) as i64),
-        ));
-    }
-    for _ in 0..n * 4 {
-        let src = rng.gen_range(0..n);
-        let dst = rng.gen_range(0..n);
-        let label = labels[rng.gen_range(0..labels.len())];
-        g.add_edge(Edge::new(
-            src,
-            label,
-            dst,
-            Props::new().with("ts", rng.gen_range(0..100) as i64),
-        ));
-    }
-    g
-}
 
 /// A query whose depth-1 frontier is rtn()'d, so fresh "link" edges off
 /// the sources change the result immediately, and whose deeper hops give
@@ -72,14 +31,6 @@ fn snap_query() -> GTravel {
         .va(PropFilter::range("w", 0i64, 8i64))
         .e("link")
         .e("link")
-}
-
-fn oracle_map(g: &InMemoryGraph, q: &GTravel) -> BTreeMap<u16, Vec<VertexId>> {
-    oracle::traverse(g, &q.compile().unwrap())
-        .by_depth
-        .iter()
-        .map(|(&d, s)| (d, s.iter().copied().collect()))
-        .collect()
 }
 
 fn versioned(kind: EngineKind) -> EngineConfig {
@@ -186,7 +137,7 @@ fn with_auto_restart<T>(cluster: &Cluster, f: impl FnOnce() -> T) -> T {
 /// on the frozen pre-ingest graph; the next travel sees the new rows.
 #[test]
 fn live_ingest_stays_invisible_until_the_next_travel() {
-    let g = random_graph(11, 50);
+    let g = random_graph(11, 50, None);
     let q = snap_query();
     let want_frozen = oracle_map(&g, &q);
     for kind in EngineKind::all() {
@@ -249,7 +200,7 @@ fn live_ingest_stays_invisible_until_the_next_travel() {
 /// before that pipeline ran?") as first-class predicates.
 #[test]
 fn as_of_and_created_after_pin_reads_to_explicit_seqs() {
-    let g = random_graph(17, 40);
+    let g = random_graph(17, 40, None);
     let q = snap_query();
     let dir = tmp("asof");
     let cluster = Cluster::build(
@@ -333,7 +284,7 @@ fn as_of_and_created_after_pin_reads_to_explicit_seqs() {
 /// same frozen view.
 #[test]
 fn frozen_view_survives_coordinator_failover() {
-    let g = random_graph(23, 50);
+    let g = random_graph(23, 50, None);
     let q = snap_query();
     let want_frozen = oracle_map(&g, &q);
     for kind in EngineKind::all() {
@@ -384,7 +335,7 @@ fn frozen_view_survives_coordinator_failover() {
 /// shard's new home afterwards.
 #[test]
 fn frozen_view_survives_live_migration_cutover() {
-    let g = random_graph(31, 50);
+    let g = random_graph(31, 50, None);
     let q = snap_query();
     let want_frozen = oracle_map(&g, &q);
     let dir = tmp("migrate");
@@ -444,7 +395,7 @@ fn chaos_crashes_with_live_ingest_never_tear_a_snapshot() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4242);
-    let g = random_graph(seed, 40);
+    let g = random_graph(seed, 40, None);
     let q = snap_query();
     let dir = tmp("chaos");
     let plan = ChaosPlan {
@@ -532,7 +483,7 @@ proptest! {
         batches in proptest::collection::vec(batch_spec(), 1..4),
         split_pick in 0usize..4,
     ) {
-        let g = random_graph(seed, 24);
+        let g = random_graph(seed, 24, None);
         let q = snap_query();
         let split = split_pick.min(batches.len());
         let dir = tmp(&format!("prop-{seed}"));
@@ -586,7 +537,7 @@ proptest! {
 /// `snapshot_counters()` entry on every server is exactly zero.
 #[test]
 fn versioning_off_keeps_every_snapshot_counter_at_zero() {
-    let g = random_graph(41, 40);
+    let g = random_graph(41, 40, None);
     let q = snap_query();
     let want = oracle_map(&g, &q);
     let dir = tmp("dormant");

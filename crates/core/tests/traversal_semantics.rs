@@ -2,23 +2,13 @@
 //! diamonds, self-loops, deep rtn chains, IN/float filters, and abort
 //! behaviour — each checked against the oracle on every engine.
 
+mod common;
+
+use common::tmp;
 use graphtrek::oracle;
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
 use std::collections::BTreeMap;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "gt-sem-{}-{name}-{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
 
 fn check_all_engines(g: &InMemoryGraph, q: &GTravel, n_servers: usize, tag: &str) {
     let want = oracle::traverse(g, &q.compile().unwrap());

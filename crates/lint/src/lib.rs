@@ -54,12 +54,11 @@ pub enum Mode {
 }
 
 /// Hot-path files within `crates/core/src` for the `panic` rule, beside
-/// the server itself (see [`is_server`]): everything that runs inside a
-/// server process. The query layer (`lang`, `parse`, `oracle`) is exempt:
-/// it runs client-side before submission, where a panic cannot kill a
-/// server thread.
+/// the server and the cluster client themselves (see [`is_server`],
+/// [`is_cluster`]): everything that runs inside a server process. The
+/// query layer (`lang`, `parse`, `oracle`) is exempt: it runs client-side
+/// before submission, where a panic cannot kill a server thread.
 const CORE_HOT: &[&str] = &[
-    "cluster.rs",
     "coordinator.rs",
     "queue.rs",
     "message.rs",
@@ -189,14 +188,24 @@ fn ends_with(p: &Path, suffix: &str) -> bool {
     p.to_string_lossy().replace('\\', "/").ends_with(suffix)
 }
 
-/// The server: its shell (`server.rs`) and every module under `server/`,
-/// however deep. The server-scoped rules take the directory, not a list
-/// of names, so a new protocol machine is audited from its first commit.
+/// A module of `crates/core/src` that is a shell file plus a directory:
+/// `<name>.rs` and every file under `<name>/`, however deep. The rules
+/// scoped to one take the directory, not a list of names, so a new
+/// protocol machine is audited from its first commit.
+fn in_core_module(p: &Path, name: &str) -> bool {
+    let p = p.to_string_lossy().replace('\\', "/");
+    p.ends_with(&format!("crates/core/src/{name}.rs"))
+        || p.contains(&format!("crates/core/src/{name}/"))
+}
+
+/// The server: `server.rs` and its protocol machines under `server/`.
 fn is_server(p: &Path) -> bool {
-    ends_with(p, "crates/core/src/server.rs")
-        || p.to_string_lossy()
-            .replace('\\', "/")
-            .contains("crates/core/src/server/")
+    in_core_module(p, "server")
+}
+
+/// The cluster client: `cluster.rs` and its machines under `cluster/`.
+fn is_cluster(p: &Path) -> bool {
+    in_core_module(p, "cluster")
 }
 
 fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
@@ -204,12 +213,7 @@ fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
         parsed.iter().filter(|f| pred(&f.path)).collect()
     };
     FileSets {
-        lock: pick(&|p| {
-            is_server(p)
-                || ["cluster.rs", "queue.rs"]
-                    .iter()
-                    .any(|n| ends_with(p, &format!("crates/core/src/{n}")))
-        }),
+        lock: pick(&|p| is_server(p) || is_cluster(p) || ends_with(p, "crates/core/src/queue.rs")),
         // Dispatch audit spans every crate that matches on a wire enum:
         // the fabric protocol (core), the client↔server proto frames
         // (proto, client), and the socket mesh + door (transport, core).
@@ -229,6 +233,7 @@ fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
         fence: pick(&is_server),
         panic: pick(&|p| {
             is_server(p)
+                || is_cluster(p)
                 || CORE_HOT
                     .iter()
                     .any(|n| ends_with(p, &format!("crates/core/src/{n}")))
@@ -243,14 +248,8 @@ fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
         // The whole protocol surface: every sender and dispatcher lives in
         // core/src (clients in cluster.rs, servers in server.rs).
         protocol: pick(&|p| ends_with(p, ".rs") && p.to_string_lossy().contains("core/src")),
-        // Server data plane only: client-side orchestration (cluster.rs)
-        // holds the failover lock across handoff round-trips by design —
-        // see the rule's module docs for the rationale.
-        guard_send: pick(&|p| {
-            ends_with(p, ".rs")
-                && p.to_string_lossy().contains("core/src")
-                && !ends_with(p, "cluster.rs")
-        }),
+        // Servers and clients alike: no ranked guard outlives a send.
+        guard_send: pick(&|p| ends_with(p, ".rs") && p.to_string_lossy().contains("core/src")),
         // Handshake atomics live in core (crash flags, epochs), net
         // (fabric stats), and kvstore (version clock, pins).
         atomic: pick(&|p| {

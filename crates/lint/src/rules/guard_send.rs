@@ -13,15 +13,12 @@
 //! backpressure — the cross-node deadlock shape the rank table exists to
 //! prevent.
 //!
-//! Scope: the workspace file set covers the **server data plane**
-//! (`server.rs`, `queue.rs`, `coordinator.rs`, …) and deliberately
-//! excludes `cluster.rs`. The client orchestration thread there holds
-//! `failover_lock` across entire handoff round-trips *on purpose* —
-//! serializing whole failovers is that lock's job, and a client thread
-//! blocking on its own round-trip cannot deadlock a server dispatcher
-//! against fabric backpressure (those sites carry reviewed
-//! `guard-across-channel` allows documenting the same decision). In
-//! `Files` mode (fixtures, `tests/`, `examples/`) every file is checked.
+//! Scope: the workspace file set covers all of `crates/core/src` — the
+//! server data plane (`server.rs`, `queue.rs`, `coordinator.rs`, …) and
+//! the client (`cluster.rs`, `cluster/`), whose per-travel table is
+//! stepped under its lock and whose effects are carried out after the
+//! guard is gone. In `Files` mode (fixtures, `tests/`, `examples/`) every
+//! file is checked.
 
 use crate::diag::Diagnostic;
 use crate::ir;

@@ -1,9 +1,11 @@
-//! Load-aware rebalance planning.
+//! Load-aware rebalance and repair planning.
 //!
 //! `plan_moves` is a pure function from observed per-server load (e.g.
 //! real-I/O vertex visits since the last rebalance) and the current
-//! placement map to an ordered list of shard moves. Being pure keeps it
-//! unit-testable and the cluster's `rebalance()` a thin executor.
+//! placement map to an ordered list of shard moves; `plan_repairs` is the
+//! same for the copies that restore the replication factor. Being pure
+//! keeps them unit-testable and the cluster's `rebalance()` and healer
+//! thin executors.
 
 use crate::PlacementMap;
 
@@ -119,9 +121,76 @@ pub fn plan_moves(loads: &[u64], map: &PlacementMap) -> Vec<Move> {
     moves
 }
 
+/// Plan the copies that bring every under-replicated partition back
+/// toward `rf` holders: `(partition, to)`, one copy per partition per
+/// plan, `to` the least-loaded live active server that does not hold the
+/// partition yet (ties toward the lower id). A partition whose primary is
+/// down is skipped — promotion has to land first, the copy streams from
+/// the primary. `crashed[s]` and `loads[s]` describe server `s`.
+pub fn plan_repairs(
+    map: &PlacementMap,
+    rf: usize,
+    crashed: &[bool],
+    loads: &[u64],
+) -> Vec<(usize, usize)> {
+    let active = map.active_servers();
+    let mut repairs = Vec::new();
+    for (partition, _missing) in map.under_replicated(rf) {
+        if crashed[map.primary_of(partition)] {
+            continue;
+        }
+        let holders = map.holders_of(partition);
+        let candidates = active.iter().copied();
+        let to = candidates
+            .filter(|s| !crashed[*s] && !holders.contains(s))
+            .min_by_key(|&s| loads[s]);
+        repairs.extend(to.map(|to| (partition, to)));
+    }
+    repairs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repairs_go_to_the_least_loaded_live_non_holder() {
+        // rf 2 on four servers: partition p is held by p and p + 1.
+        let mut map = PlacementMap::initial(4, 2);
+        assert!(plan_repairs(&map, 2, &[false; 4], &[0; 4]).is_empty());
+        // Server 1 dies and is promoted away: partition 0 lost its replica,
+        // partition 1 its primary (server 2 took over, alone).
+        assert_eq!(map.promote(1), vec![1]);
+        let crashed = [false, true, false, false];
+        let plan = |loads: [u64; 4], map: &PlacementMap| plan_repairs(map, 2, &crashed, &loads);
+        // The dead server is the idlest and takes nothing.
+        assert_eq!(plan([50, 0, 40, 10], &map), vec![(0, 3), (1, 3)]);
+        assert_eq!(plan([50, 0, 40, 60], &map), vec![(0, 2), (1, 0)]);
+        assert_eq!(
+            plan([7, 0, 7, 7], &map),
+            vec![(0, 2), (1, 0)],
+            "ties: lower id"
+        );
+        // A draining server takes no new copies.
+        map.decommission(3);
+        assert_eq!(plan([50, 0, 40, 10], &map), vec![(0, 2), (1, 0)]);
+    }
+
+    #[test]
+    fn partitions_with_a_dead_primary_wait_for_promotion() {
+        // rf 2 on three servers; server 2 died and was promoted away, so
+        // partitions 1 (primary 1) and 2 (primary 0 now) are one short.
+        let mut map = PlacementMap::initial(3, 2);
+        map.promote(2);
+        assert_eq!(map.under_replicated(2), vec![(1, 1), (2, 1)]);
+        assert_eq!(
+            plan_repairs(&map, 2, &[false, false, true], &[0; 3]),
+            vec![(1, 0), (2, 1)]
+        );
+        // Server 0 dies too, not yet promoted: partition 2 cannot stream
+        // from its primary, and partition 1 has no live non-holder left.
+        assert!(plan_repairs(&map, 2, &[true, false, true], &[0; 3]).is_empty());
+    }
 
     #[test]
     fn balanced_cluster_plans_nothing() {

@@ -19,6 +19,7 @@
 
 use graphtrek::client::ClientPort;
 use graphtrek::cluster::{Cluster, ClusterConfig, ClusterError};
+use graphtrek::coordinator::ledger_file;
 use graphtrek::engine::{EngineConfig, EngineKind};
 use graphtrek::frontdoor::FrontDoor;
 use graphtrek::qos::QosConfig;
@@ -364,7 +365,7 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
                 epoch: 0,
                 metrics: None,
                 crash_after: None,
-                ledger_path: Some(sdir.join("travel.ledger")),
+                ledger_path: Some(ledger_file(&sdir)),
                 placement: Arc::new(SharedPlacement::new(map)),
                 replication: 1,
                 detection: None,
