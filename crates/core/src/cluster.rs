@@ -16,8 +16,8 @@
 //! be restarted").
 //!
 //! This file is the **shell**: stores, threads, crash/restart, the public
-//! API, and the one place on the client side that reads the clock,
-//! touches the port, the stores and the ledger files. What it decides
+//! API, and the one place on the client side that reads the clock and
+//! touches the port and the stores. What it decides
 //! with lives in sans-I/O machines under `cluster/` — [`travels`] (one
 //! entry per travel: admission, coordinator routing, snapshot pins, the
 //! re-home of an orphaned travel), [`rehome`] (successor choice and the
@@ -33,7 +33,6 @@ mod types;
 
 pub use crate::client::Ticket;
 use crate::client::{ClientPort, PROGRESS_DEADLINE};
-use crate::coordinator::{ledger_file, ledger_replica_file, LedgerEvent};
 use crate::engine::TransportKind;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::lang::{GTravel, Plan};
@@ -44,7 +43,6 @@ use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
 use crate::TravelId;
 use gt_graph::storage::load_replicated;
 use gt_graph::{EdgeCutPartitioner, GraphPartition, InMemoryGraph, VertexId};
-use gt_kvstore::wal::replay_blobs;
 use gt_kvstore::{Store, StoreConfig};
 use gt_net::{Fabric, NetStats};
 use gt_placement::{PlacementMap, SharedPlacement};
@@ -136,10 +134,6 @@ struct ServerSlot {
     /// How to reopen this server's store (only known when the cluster
     /// built the storage itself via [`Cluster::build`]).
     store_cfg: Option<StoreConfig>,
-    /// Where this server persists its durable travel-ledger stream
-    /// (coordinator role). `None` for store-less clusters — failover then
-    /// recovers purely from re-announced journals.
-    ledger_path: Option<PathBuf>,
     /// This server's view of the placement map. Distinct from the
     /// client's copy: servers learn of changes via epoch-fenced
     /// [`Msg::PlacementUpdate`] broadcasts, never by sharing memory with
@@ -260,8 +254,8 @@ impl Cluster {
     /// the benchmark harness shares one loaded partition set across every
     /// engine configuration).
     /// Such a cluster is [`DurabilityLevel::Ephemeral`]: it owns no
-    /// storage, so crashed servers cannot reopen a store, no durable
-    /// travel ledgers exist, and nothing is replicated. Check
+    /// storage, so crashed servers cannot reopen a store and nothing is
+    /// replicated. Check
     /// [`Cluster::durability_warning`] before relying on crash recovery.
     pub fn from_partitions(
         partitions: Vec<Arc<GraphPartition>>,
@@ -330,7 +324,6 @@ impl Cluster {
             .zip(store_cfgs)
             .enumerate()
         {
-            let ledger_path = store_cfg.as_ref().map(|c| ledger_file(&c.dir));
             let placement = Arc::new(SharedPlacement::new(map.clone()));
             let handle = spawn(ServerArgs {
                 id,
@@ -341,9 +334,7 @@ impl Cluster {
                 epoch: 0,
                 metrics: None,
                 crash_after: ecfg.chaos.crash_for(id),
-                ledger_path: ledger_path.clone(),
                 placement: placement.clone(),
-                replication,
                 detection: detection.clone(),
             });
             slots.push(ServerSlot {
@@ -352,7 +343,6 @@ impl Cluster {
                 partition: OrderedMutex::new(7, "partition", partition),
                 handle: OrderedMutex::new(6, "handle", Some(handle)),
                 store_cfg,
-                ledger_path,
                 placement,
             });
         }
@@ -534,9 +524,7 @@ impl ClusterState {
             epoch,
             metrics: Some(slot.metrics.clone()),
             crash_after: None,
-            ledger_path: slot.ledger_path.clone(),
             placement: slot.placement.clone(),
-            replication: self.replication,
             detection: self.detection.clone(),
         }));
         Ok(())
@@ -668,11 +656,10 @@ impl ClusterState {
     /// The wait runs in short slices; between slices the client checks
     /// the travel's current coordinator. If that server crashed (or
     /// crash-restarted) since the travel was routed, the travel is
-    /// **failed over**: its durable ledger stream is replayed on a
-    /// successor server, every server re-announces its journal, and the
-    /// traversal resumes under a bumped travel-epoch — transparently to
-    /// this call, which keeps waiting for the same `TravelDone` and, slice
-    /// by slice, for the successor's confirmation.
+    /// **failed over**: every server fences a bumped travel-epoch and a
+    /// successor server runs the traversal from its sources again —
+    /// transparently to this call, which keeps waiting for the same
+    /// `TravelDone` and, slice by slice, for the successor's confirmation.
     ///
     /// On timeout the travel is abandoned: an abort is broadcast so the
     /// servers drop its state, and its admission slot is released so
@@ -777,56 +764,12 @@ impl ClusterState {
             .ok()
     }
 
-    /// Collect a travel's ledger events from every surviving copy: the
-    /// (possibly dead) coordinator's own file, plus every replica stream
-    /// peers keep for it next to their own stores (shipped via
-    /// [`Msg::ReplicateLedger`]). The single most complete copy wins —
-    /// streams are never concatenated, so a lagging replica can only
-    /// degrade recovery toward re-drive, never double-apply an event.
-    fn read_ledger_events(&self, coord: usize, travel: TravelId) -> Vec<LedgerEvent> {
-        let mut candidates: Vec<PathBuf> = Vec::new();
-        if let Some(p) = &self.slots[coord].ledger_path {
-            candidates.push(p.clone());
-        }
-        for (s, slot) in self.slots.iter().enumerate() {
-            if s == coord {
-                continue;
-            }
-            if let Some(dir) = slot.ledger_path.as_deref().and_then(|p| p.parent()) {
-                candidates.push(ledger_replica_file(dir, coord));
-            }
-        }
-        let mut best: Vec<LedgerEvent> = Vec::new();
-        for path in candidates {
-            let Ok(replay) = replay_blobs(&path) else {
-                continue;
-            };
-            let events: Vec<LedgerEvent> = replay
-                .blobs
-                .iter()
-                .filter_map(|b| LedgerEvent::decode(b))
-                .filter(|(t, _)| *t == travel)
-                .map(|(_, ev)| ev)
-                .collect();
-            if events.len() > best.len() {
-                best = events;
-            }
-        }
-        best
-    }
-
     /// Move a travel's coordinator role off `from` (DESIGN.md §8): gather
     /// the facts for [`Travels::on_rehome`], which picks the successor and
-    /// builds the round; `wait`'s slices see the handoff through. The
-    /// ledger stream is read first — from `from`'s own file or the most
-    /// complete replica, read-only, and *before* the restart, because a
-    /// fresh incarnation may truncate the file once it hosts nothing (a
-    /// live host's file is readable concurrently: `replay_blobs` tolerates
-    /// a torn tail). A lost host is then restarted: its shard is needed to
-    /// finish the traversal, and the re-announce barrier spans every
-    /// server.
+    /// builds the round; `wait`'s slices see the handoff through. A lost
+    /// host is restarted first: its shard is needed to finish the
+    /// traversal, and the handoff barrier spans every server.
     fn rehome(&self, travel: TravelId, from: usize, cause: Cause) -> Result<(), ClusterError> {
-        let events = self.read_ledger_events(from, travel);
         if cause == Cause::HostLost {
             let restart_deadline = Instant::now() + Duration::from_secs(5);
             while self.server_crashed(from) {
@@ -846,7 +789,7 @@ impl ClusterState {
         let (hosts, now) = (self.hosts(), Instant::now());
         let round = {
             let mut table = self.travels.lock();
-            table.on_rehome(travel, from, cause, events, &hosts, now)
+            table.on_rehome(travel, from, cause, &hosts, now)
         };
         let round = round.map_err(ClusterError::Travel)?;
         let moved = !round.is_empty();
@@ -990,9 +933,8 @@ impl ClusterState {
             DurabilityLevel::Durable => None,
             DurabilityLevel::Ephemeral => Some(
                 "cluster built over borrowed partitions (from_partitions): no WAL replay on \
-                 restart, no durable travel ledgers, no replication — a server crash loses its \
-                 shard and in-flight coordinator state for good; recovery degrades to \
-                 timeout-and-resubmit",
+                 restart, no replication — a restarted server serves the borrowed partition \
+                 as the crash left it",
             ),
         }
     }

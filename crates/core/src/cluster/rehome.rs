@@ -1,14 +1,16 @@
 //! Moving a travel's coordinator role: the pure pieces of a re-home.
 //!
 //! A host that crashed and a live host that sheds the role (replica
-//! promotion) move it the same way — seed a successor with the old host's
-//! ledger stream, tell every server who coordinates now, collect their
-//! re-announced journals on the successor — and differ only in the
+//! promotion) move it the same way — seed a successor, tell every server
+//! who coordinates now, collect their acks on the successor, which then
+//! runs the plan from its sources again — and differ only in the
 //! [`Cause`]. The per-travel table ([`super::travels`]) decides when; this
 //! module decides where to and what goes on the wire.
 
+use crate::lang::Plan;
 use crate::message::Msg;
 use crate::TravelId;
+use std::sync::Arc;
 
 /// One handoff round: what goes on the wire, to whom, in order.
 pub(super) type Round = Vec<(usize, Msg)>;
@@ -16,10 +18,8 @@ pub(super) type Round = Vec<(usize, Msg)>;
 /// Why a travel's coordinator role moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Cause {
-    /// Its host crashed or crash-restarted. The shell read the host's
-    /// ledger and *then* restarted it (a fresh incarnation may truncate
-    /// the file); the role may land on any live server, the revived host
-    /// included.
+    /// Its host crashed or crash-restarted. The shell restarted it; the
+    /// role may land on any live server, the revived host included.
     HostLost,
     /// A live host sheds it because the data under the travel moved.
     /// Nothing restarts, and the role moves on: the old coordinator clears
@@ -57,29 +57,33 @@ pub(super) fn successor_of(from: usize, cause: Cause, hosts: &[Host]) -> Option<
 }
 
 /// The round of a handoff under travel-epoch `epoch`: the seed to the
-/// successor, then for every server either the handoff or — a crashed
-/// server cannot re-announce, and its in-memory work is gone anyway — an
-/// empty re-announcement on its behalf, so the successor's barrier can
-/// close.
+/// successor (`plan` as dispatched, reporting to `client`), then for every
+/// server either the handoff or — a crashed server cannot answer, and its
+/// in-memory work is gone anyway — the ack on its behalf, so the
+/// successor's barrier can close.
 pub(super) fn round(
     travel: TravelId,
     epoch: u64,
     successor: usize,
-    recover: &Msg,
+    plan: &Arc<Plan>,
+    client: usize,
     hosts: &[Host],
 ) -> Round {
-    let mut step = vec![(successor, recover.clone())];
+    let recover = Msg::CoordRecover {
+        travel,
+        epoch,
+        plan: plan.clone(),
+        client,
+    };
+    let mut step = vec![(successor, recover)];
     for (server, host) in hosts.iter().enumerate() {
         step.push(if host.crashed {
-            let announce = Msg::ReAnnounce {
+            let ack = Msg::CoordHandoffAck {
                 travel,
                 epoch,
                 server,
-                created: Vec::new(),
-                terminated: Vec::new(),
-                results: Vec::new(),
             };
-            (successor, announce)
+            (successor, ack)
         } else {
             let coordinator = successor;
             let handoff = Msg::CoordHandoff {
@@ -100,9 +104,8 @@ mod tests {
     use super::*;
     use crate::lang::GTravel;
     use crate::server::effect::Effect as ServerEffect;
-    use crate::server::recovery::{Announce, Recovery};
+    use crate::server::recovery::Recovery;
     use crate::server::relay::Relay;
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     const UP: Host = Host {
@@ -173,7 +176,7 @@ mod tests {
         fn boot(id: usize, incarnation: u64) -> Server {
             Server {
                 relay: Relay::new(id, incarnation),
-                recovery: Recovery::new(N, false),
+                recovery: Recovery::new(N),
                 crashed: false,
                 hosts_epoch: None,
             }
@@ -195,34 +198,21 @@ mod tests {
                     epoch,
                     plan,
                     client,
-                    events,
                 } => {
                     let fenced = self.relay.epoch_of(travel);
                     self.recovery
-                        .on_seed(travel, epoch, plan, client, &events, false, fenced)
+                        .on_seed(travel, epoch, plan, client, false, fenced)
                 }
                 Msg::CoordHandoff {
                     travel,
                     epoch,
                     coordinator,
                 } => self.relay.on_handoff(travel, epoch, coordinator, false),
-                Msg::ReAnnounce {
+                Msg::CoordHandoffAck {
                     travel,
                     epoch,
                     server,
-                    created,
-                    terminated,
-                    results,
-                } => self.recovery.on_announce(
-                    travel,
-                    Announce {
-                        epoch,
-                        server,
-                        created,
-                        terminated,
-                        results,
-                    },
-                ),
+                } => self.recovery.on_ack(travel, epoch, server),
                 other => panic!("not a takeover message: {other:?}"),
             };
             let mut out = Vec::new();
@@ -338,7 +328,7 @@ mod tests {
                 promotion = None;
                 let facts = hosts(&servers);
                 if let Some(&(travel, host)) = table.hosted_alive(&facts).first() {
-                    step = table.on_rehome(travel, host, Cause::Shed, Vec::new(), &facts, now);
+                    step = table.on_rehome(travel, host, Cause::Shed, &facts, now);
                     handoffs += step.iter().filter(|round| !round.is_empty()).count() as u32;
                 }
             } else if since.is_multiple_of(SLICE.as_millis() as u64) {
@@ -356,7 +346,7 @@ mod tests {
                         wire.retain(|(_, to, _)| *to != host);
                         let facts = hosts(&servers);
                         handoffs += 1;
-                        table.on_rehome(T, host, Cause::HostLost, Vec::new(), &facts, now)
+                        table.on_rehome(T, host, Cause::HostLost, &facts, now)
                     }
                     None => table.tick(T, &facts, now),
                 };

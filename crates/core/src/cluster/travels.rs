@@ -15,23 +15,21 @@
 //! with, the snapshot view pinned on the stores and where the coordinator
 //! role lives; retiring the travel is removing the entry. The shell
 //! (`cluster.rs`) gathers the facts a step needs — the clock, which
-//! servers are crashed, the ledger events read from disk — steps the table
-//! under one lock that is never held across a send, and carries out what
-//! comes back.
+//! servers are crashed — steps the table under one lock that is never held
+//! across a send, and carries out what comes back.
 
 use super::rehome::{round, successor_of, Cause, Host, Round};
 use super::TravelError;
 use crate::client::MAX_TRACKED;
-use crate::coordinator::LedgerEvent;
 use crate::lang::Plan;
-use crate::message::Msg;
 use crate::TravelId;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a handoff waits for the successor's [`Msg::RecoverDone`]
-/// before the travel is failed with `FailoverStalled`.
+/// How long a handoff waits for the successor's
+/// [`RecoverDone`](crate::message::Msg::RecoverDone) before the travel is
+/// failed with `FailoverStalled`.
 pub(super) const RECOVER_DEADLINE: Duration = Duration::from_secs(3);
 /// While a handoff is unconfirmed, its round is re-sent at this period
 /// (covers a successor that was isolated when the first one arrived).
@@ -67,13 +65,11 @@ struct Role {
     tepoch: u64,
 }
 
-/// An unconfirmed handoff: when to give up, when to re-send the round,
-/// and the seeding `CoordRecover` the round starts with.
+/// An unconfirmed handoff: when to give up, when to re-send the round.
 #[derive(Debug)]
 struct Handoff {
     deadline: Instant,
     next_nudge: Instant,
-    recover: Msg,
 }
 
 /// Where a live travel's coordinator role is.
@@ -83,11 +79,10 @@ enum State {
     Queued(usize),
     Running(Role),
     /// The host is gone and one shell thread — the one `orphaned`
-    /// answered — is reading its ledger and restarting it.
+    /// answered — is restarting it.
     Orphaned(Role),
     /// The handoff round went out; the role's host has not confirmed.
-    /// (Boxed: the rare state would triple the size of every entry.)
-    Handing(Role, Box<Handoff>),
+    Handing(Role, Handoff),
 }
 
 impl State {
@@ -377,9 +372,8 @@ impl Travels {
     }
 
     /// Move the coordinator role off `from`. The shell gathered the
-    /// facts: `events` is the most complete surviving copy of `from`'s
-    /// ledger stream for the travel, `hosts` the servers as they are now
-    /// (after the restart, for a lost host). Builds the one handoff round
+    /// facts: `hosts` is the servers as they are now (after the restart,
+    /// for a lost host). Builds the one handoff round
     /// under the bumped travel-epoch. Empty — nothing happens — unless the
     /// entry is still where the facts were gathered for: orphaned off
     /// `from` for [`Cause::HostLost`], hosted by `from` (a handoff still
@@ -390,7 +384,6 @@ impl Travels {
         travel: TravelId,
         from: usize,
         cause: Cause,
-        events: Vec<LedgerEvent>,
         hosts: &[Host],
         now: Instant,
     ) -> Result<Round, TravelError> {
@@ -419,22 +412,20 @@ impl Travels {
             incarnation: self.incarnation[host],
             tepoch: old.tepoch + 1,
         };
-        let recover = Msg::CoordRecover {
-            travel,
-            epoch: role.tepoch,
-            plan: live.plan.clone(),
-            client: self.client,
-            events,
-        };
-        let step = round(travel, role.tepoch, host, &recover, hosts);
-        let handoff = Box::new(Handoff {
+        let handoff = Handoff {
             deadline: now + RECOVER_DEADLINE,
             next_nudge: now + RECOVER_RENUDGE,
-            recover,
-        });
+        };
         live.state = State::Handing(role, handoff);
         e.failovers += 1;
-        Ok(step)
+        Ok(round(
+            travel,
+            role.tepoch,
+            host,
+            &live.plan,
+            self.client,
+            hosts,
+        ))
     }
 
     /// The successor confirmed a takeover under `epoch`. Only the handoff
@@ -457,7 +448,13 @@ impl Travels {
         hosts: &[Host],
         now: Instant,
     ) -> Result<Round, TravelError> {
-        let Some(State::Handing(role, h)) = state_of(&mut self.entries, travel) else {
+        let live = self.entries.get_mut(&travel).and_then(|e| e.live.as_mut());
+        let Some(Live {
+            plan,
+            state: State::Handing(role, h),
+            ..
+        }) = live
+        else {
             return Ok(Round::new());
         };
         if now >= h.deadline {
@@ -467,7 +464,14 @@ impl Travels {
             return Ok(Round::new());
         }
         h.next_nudge = now + RECOVER_RENUDGE;
-        Ok(round(travel, role.tepoch, role.host, &h.recover, hosts))
+        Ok(round(
+            travel,
+            role.tepoch,
+            role.host,
+            plan,
+            self.client,
+            hosts,
+        ))
     }
 }
 
@@ -486,6 +490,7 @@ impl Travels {
 mod tests {
     use super::*;
     use crate::lang::GTravel;
+    use crate::message::Msg;
 
     const CLIENT: usize = 3;
     const UP: Host = Host {
@@ -527,7 +532,7 @@ mod tests {
                 (to, "recover", epoch)
             }
             Msg::CoordHandoff { epoch, .. } => (to, "handoff", epoch),
-            Msg::ReAnnounce { epoch, .. } => (to, "announce", epoch),
+            Msg::CoordHandoffAck { epoch, .. } => (to, "ack", epoch),
             other => panic!("unexpected {other:?}"),
         };
         round.expect("a round").into_iter().map(sent).collect()
@@ -544,7 +549,7 @@ mod tests {
         start(&mut t, 1, now);
         assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), Some(1));
         t.on_restart(1);
-        let round = t.on_rehome(1, 1, Cause::HostLost, Vec::new(), &ALL_UP, now);
+        let round = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, now);
         assert!(!nothing(round));
         assert_eq!(t.host_of(1), Some(2));
         t
@@ -615,7 +620,7 @@ mod tests {
         assert_eq!(t.hosted_alive(&ALL_UP), vec![(2, 2)]);
         assert_eq!(t.orphaned(1, &[DOWN; 3]), None);
         for cause in [Cause::Shed, Cause::HostLost] {
-            assert!(nothing(t.on_rehome(1, 1, cause, Vec::new(), &ALL_UP, t0)));
+            assert!(nothing(t.on_rehome(1, 1, cause, &ALL_UP, t0)));
         }
         // A duplicate completion (a failover can produce one) frees
         // nothing twice.
@@ -637,7 +642,7 @@ mod tests {
         }
         // Travel 4 is mid-handoff, 3 and 6 finished unwaited, the rest run.
         assert_eq!(t.orphaned(4, &[UP, DOWN, UP]), Some(1));
-        wire(t.on_rehome(4, 1, Cause::HostLost, Vec::new(), &ALL_UP, t0));
+        wire(t.on_rehome(4, 1, Cause::HostLost, &ALL_UP, t0));
         t.on_done(6, None, t0);
         t.on_done(3, None, t0);
         let known = |t: &Travels, travel| t.entries.contains_key(&travel);
@@ -676,7 +681,7 @@ mod tests {
         // The re-home seeds the successor with the stamped plan and asks
         // for nothing but sends: no second pin.
         assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), Some(1));
-        let round = t.on_rehome(1, 1, Cause::HostLost, Vec::new(), &ALL_UP, t0);
+        let round = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, t0);
         let seeded = round.unwrap().into_iter().find_map(|(_, m)| match m {
             Msg::CoordRecover { plan, .. } => plan.snapshot,
             _ => None,
@@ -708,49 +713,28 @@ mod tests {
         // waiter, a promotion and the clock all leave the travel alone.
         assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), None);
         assert!(t.hosted_alive(&ALL_UP).is_empty());
-        assert!(nothing(t.on_rehome(
-            1,
-            1,
-            Cause::Shed,
-            Vec::new(),
-            &ALL_UP,
-            t0
-        )));
+        assert!(nothing(t.on_rehome(1, 1, Cause::Shed, &ALL_UP, t0)));
         assert!(nothing(t.tick(1, &ALL_UP, t0 + ms(9000))));
         // Facts gathered for another host do not apply.
-        assert!(nothing(t.on_rehome(
-            1,
-            0,
-            Cause::HostLost,
-            Vec::new(),
-            &ALL_UP,
-            t0
-        )));
-        // Server 0 went down meanwhile: the round announces on its behalf.
-        let round = t.on_rehome(1, 1, Cause::HostLost, Vec::new(), &[DOWN, UP, UP], t0);
+        assert!(nothing(t.on_rehome(1, 0, Cause::HostLost, &ALL_UP, t0)));
+        // Server 0 went down meanwhile: the round acknowledges on its behalf.
+        let round = t.on_rehome(1, 1, Cause::HostLost, &[DOWN, UP, UP], t0);
         let want = vec![
             (2, "recover", 1),
-            (2, "announce", 1),
+            (2, "ack", 1),
             (1, "handoff", 1),
             (2, "handoff", 1),
         ];
         assert_eq!(wire(round), want);
         assert_eq!(t.host_of(1), Some(2));
-        assert!(nothing(t.on_rehome(
-            1,
-            1,
-            Cause::HostLost,
-            Vec::new(),
-            &ALL_UP,
-            t0
-        )));
+        assert!(nothing(t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, t0)));
         // A host that crashed *and came back* hosts nothing any more,
         // however alive it looks.
         start(&mut t, 2, t0);
         t.on_restart(2);
         assert_eq!(t.orphaned(2, &ALL_UP), Some(2));
         // Nobody left to host it: the travel is lost.
-        let lost = t.on_rehome(2, 2, Cause::HostLost, Vec::new(), &[DOWN; 3], t0);
+        let lost = t.on_rehome(2, 2, Cause::HostLost, &[DOWN; 3], t0);
         assert_eq!(
             lost.unwrap_err(),
             TravelError::CoordinatorLost { travel: 2 }
@@ -772,7 +756,7 @@ mod tests {
         assert!(nothing(t.tick(1, &ALL_UP, t0 + ms(999))));
         // The round is rebuilt from the servers as they are at the nudge.
         let nudge = wire(t.tick(1, &[DOWN, UP, UP], t0 + ms(1040)));
-        assert_eq!(nudge[1], (2, "announce", 1));
+        assert_eq!(nudge[1], (2, "ack", 1));
         assert!(nothing(t.tick(1, &ALL_UP, t0 + ms(1539))));
         assert_eq!(wire(t.tick(1, &ALL_UP, t0 + ms(1540))), round);
         let stalled = t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE);
@@ -796,7 +780,7 @@ mod tests {
         // A promotion re-drives the travel while server 2 is still taking
         // over: the role moves on, under the next epoch.
         assert_eq!(t.hosted_alive(&ALL_UP), vec![(1, 2)]);
-        let sends = wire(t.on_rehome(1, 2, Cause::Shed, Vec::new(), &ALL_UP, t0 + ms(100)));
+        let sends = wire(t.on_rehome(1, 2, Cause::Shed, &ALL_UP, t0 + ms(100)));
         assert_eq!(sends[0], (0, "recover", 2));
         assert!(sends[1..].iter().all(|s| (s.1, s.2) == ("handoff", 2)));
         // Server 2's confirmation of epoch 1 is about a role it no longer
@@ -811,7 +795,7 @@ mod tests {
         t.on_recover_done(1, 2);
         assert_eq!(t.running(1), Some((0, 2)));
         // A running travel sheds the same way.
-        let sends = wire(t.on_rehome(1, 0, Cause::Shed, Vec::new(), &ALL_UP, t0));
+        let sends = wire(t.on_rehome(1, 0, Cause::Shed, &ALL_UP, t0));
         assert_eq!(sends[0], (1, "recover", 3));
         t.on_done(1, None, t0);
         assert_eq!(t.on_waited(1).map(|w| w.0), Some(3));
@@ -826,7 +810,7 @@ mod tests {
         assert_eq!(t.orphaned(1, &[UP, UP, DOWN]), Some(2));
         assert_eq!(t.orphaned(1, &[UP, UP, DOWN]), None);
         t.on_restart(2);
-        let round = t.on_rehome(1, 2, Cause::HostLost, Vec::new(), &ALL_UP, t0 + ms(50));
+        let round = t.on_rehome(1, 2, Cause::HostLost, &ALL_UP, t0 + ms(50));
         assert_eq!(wire(round)[0], (0, "recover", 2), "on from where it died");
         // Whatever the dead successor managed to confirm is void.
         t.on_recover_done(1, 1);

@@ -96,13 +96,11 @@ impl ClusterConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityLevel {
     /// The cluster owns its storage: WAL-backed stores reopen on restart
-    /// and coordinator travel-ledgers are durable (and replicated when
-    /// the replication factor is ≥ 2).
+    /// (and writes are replicated when the replication factor is ≥ 2).
     Durable,
     /// Built over borrowed partitions ([`super::Cluster::from_partitions`]): no
-    /// store reopening, no durable travel ledgers, no ledger
-    /// replication. A crash loses that server's shard for good; recovery
-    /// degrades to timeout-and-resubmit.
+    /// store reopening, no replication. What a crashed server had not
+    /// flushed to the borrowed partition is gone for good.
     Ephemeral,
 }
 
@@ -239,8 +237,8 @@ pub struct TravelResult {
     pub progress: ProgressSnapshot,
     /// How many times the traversal was restarted after a timeout.
     pub restarts: u32,
-    /// How many coordinator failovers the traversal survived (its ledger
-    /// was re-hosted on a successor that many times).
+    /// How many coordinator failovers the traversal survived (a successor
+    /// re-drove it that many times).
     pub failovers: u32,
     /// Time spent in the client-side admission queue before the travel
     /// was dispatched (zero when admitted immediately).

@@ -36,88 +36,7 @@ use crate::message::{ProgressSnapshot, SyncExpect, TravelOutcome};
 use crate::ExecId;
 use gt_graph::VertexId;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------
-// Durable ledger events
-// ---------------------------------------------------------------------
-
-/// A server's durable travel-ledger event log, in its store directory
-/// `dir`. The coordinator writes it; a failover reads it.
-pub fn ledger_file(dir: &Path) -> PathBuf {
-    dir.join("travel-ledger.log")
-}
-
-/// Where a server with store directory `dir` keeps its replica of server
-/// `origin`'s travel-ledger stream (shipped via
-/// [`Msg::ReplicateLedger`](crate::message::Msg::ReplicateLedger)).
-pub fn ledger_replica_file(dir: &Path, origin: usize) -> PathBuf {
-    dir.join(format!("travel-ledger-replica-{origin}.log"))
-}
-
-/// One event of a travel's durable, event-sourced ledger stream.
-///
-/// The coordinator appends these to its blob log *before* applying them
-/// in memory, so a successor can rebuild the ledger after the
-/// coordinator crashes. Every event is stamped with the travel-epoch it
-/// was hosted under: after a failover re-drives a travel under a bumped
-/// epoch, stale events from an older hosting of the same travel (e.g.
-/// when failover lands back on a previous host) are ignored at replay.
-/// The blob-log record format (`encode`/`decode`) is the `LedgerEvent`
-/// table in [`crate::wirecodec`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LedgerEvent {
-    /// `exec_created` arrived.
-    Created {
-        /// Travel-epoch the hosting coordinator ran under.
-        epoch: u64,
-        /// The created execution.
-        exec: ExecId,
-        /// Depth of the created execution.
-        depth: u16,
-    },
-    /// `exec_terminated` arrived (children ride along, as on the wire).
-    Terminated {
-        /// Travel-epoch the hosting coordinator ran under.
-        epoch: u64,
-        /// The terminated execution.
-        exec: ExecId,
-        /// Downstream executions registered by the termination report.
-        children: Vec<(ExecId, u16)>,
-    },
-    /// Result vertices arrived.
-    Results {
-        /// Travel-epoch the hosting coordinator ran under.
-        epoch: u64,
-        /// `(depth, vertex)` pairs.
-        items: Vec<(u16, VertexId)>,
-    },
-    /// Compacted checkpoint of the whole ledger state; replay restarts
-    /// from the latest snapshot, bounding recovery work.
-    Snapshot {
-        /// Travel-epoch the hosting coordinator ran under.
-        epoch: u64,
-        /// Every created execution with its depth.
-        created: Vec<(ExecId, u16)>,
-        /// Every terminated execution (orphans included).
-        terminated: Vec<ExecId>,
-        /// Flattened results.
-        results: Vec<(u16, VertexId)>,
-    },
-}
-
-impl LedgerEvent {
-    /// Travel-epoch stamp of the event.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            LedgerEvent::Created { epoch, .. }
-            | LedgerEvent::Terminated { epoch, .. }
-            | LedgerEvent::Results { epoch, .. }
-            | LedgerEvent::Snapshot { epoch, .. } => *epoch,
-        }
-    }
-}
 
 /// Ledger for one asynchronous traversal.
 #[derive(Debug)]
@@ -138,21 +57,12 @@ pub struct TravelLedger {
     results: BTreeMap<u16, BTreeSet<VertexId>>,
     created_total: u64,
     terminated_total: u64,
-    /// Travel-epoch this ledger is hosted under (bumped by failover).
-    pub epoch: u64,
-    /// Durable events appended since the last snapshot checkpoint (the
-    /// hosting server uses this to decide when to compact).
-    pub events_since_snapshot: u64,
 }
 
 impl TravelLedger {
-    /// Fresh ledger for a submitted traversal.
+    /// Fresh ledger for a traversal about to run from its sources (a
+    /// submission, or a failover's re-drive).
     pub fn new(plan: Arc<Plan>, client: usize) -> Self {
-        Self::new_with_epoch(plan, client, 0)
-    }
-
-    /// Fresh ledger hosted under a given travel-epoch (failover path).
-    pub fn new_with_epoch(plan: Arc<Plan>, client: usize, epoch: u64) -> Self {
         TravelLedger {
             plan,
             client,
@@ -165,8 +75,6 @@ impl TravelLedger {
             results: BTreeMap::new(),
             created_total: 0,
             terminated_total: 0,
-            epoch,
-            events_since_snapshot: 0,
         }
     }
 
@@ -239,82 +147,6 @@ impl TravelLedger {
             by_depth: assemble_by_depth(&self.plan, &self.results),
             progress: self.progress(),
         }
-    }
-
-    /// Apply one durable event to the in-memory state. A `Snapshot`
-    /// resets the ledger to the checkpointed state; the other events are
-    /// the same idempotent mutators the live path uses.
-    pub fn apply(&mut self, ev: &LedgerEvent) {
-        match ev {
-            LedgerEvent::Created { exec, depth, .. } => self.exec_created(*exec, *depth),
-            LedgerEvent::Terminated { exec, children, .. } => self.exec_terminated(*exec, children),
-            LedgerEvent::Results { items, .. } => self.add_results(items),
-            LedgerEvent::Snapshot {
-                created,
-                terminated,
-                results,
-                ..
-            } => {
-                let (plan, client, epoch) = (self.plan.clone(), self.client, self.epoch);
-                *self = TravelLedger::new_with_epoch(plan, client, epoch);
-                for &(e, d) in created {
-                    self.exec_created(e, d);
-                }
-                for &e in terminated {
-                    self.exec_terminated(e, &[]);
-                }
-                self.add_results(results);
-            }
-        }
-    }
-
-    /// Rebuild a ledger from a durable event stream.
-    ///
-    /// Only events stamped with the stream's **maximum** travel-epoch
-    /// are applied: if a host served the same travel under an older
-    /// epoch (failover bounced back to it), those stale events describe
-    /// a superseded execution tree and must not pollute the rebuilt
-    /// state. Returns the ledger and the number of events applied.
-    pub fn replay(plan: Arc<Plan>, client: usize, events: &[LedgerEvent]) -> (Self, u64) {
-        let max_epoch = events.iter().map(|e| e.epoch()).max().unwrap_or(0);
-        let mut ledger = TravelLedger::new_with_epoch(plan, client, max_epoch);
-        // Start from the last snapshot (if any) to bound replay work.
-        let live: Vec<&LedgerEvent> = events.iter().filter(|e| e.epoch() == max_epoch).collect();
-        let start = live
-            .iter()
-            .rposition(|e| matches!(e, LedgerEvent::Snapshot { .. }))
-            .unwrap_or(0);
-        let mut applied = 0u64;
-        for ev in &live[start..] {
-            ledger.apply(ev);
-            applied += 1;
-        }
-        (ledger, applied)
-    }
-
-    /// Compacted checkpoint event capturing the entire current state.
-    pub fn snapshot_event(&self) -> LedgerEvent {
-        LedgerEvent::Snapshot {
-            epoch: self.epoch,
-            created: self
-                .created
-                .iter()
-                .map(|&e| (e, self.depth_of.get(&e).copied().unwrap_or(0)))
-                .collect(),
-            terminated: self.terminated.iter().copied().collect(),
-            results: self.results_flat(),
-        }
-    }
-
-    /// Flattened `(depth, vertex)` results (re-drive seeding: results
-    /// are reachable vertices regardless of which execution-tree
-    /// incarnation found them, so a successor's fresh drive can keep
-    /// them — the per-depth sets dedup the overlap).
-    pub fn results_flat(&self) -> Vec<(u16, VertexId)> {
-        self.results
-            .iter()
-            .flat_map(|(&d, s)| s.iter().map(move |&v| (d, v)))
-            .collect()
     }
 }
 
@@ -575,102 +407,6 @@ mod tests {
         l.exec_created(eid(0, 1), 0);
         l.exec_terminated(eid(0, 1), &[]);
         assert_eq!(l.outcome().by_depth, vec![(2, vec![])]);
-    }
-
-    #[test]
-    fn replay_reconstructs_complete_ledger() {
-        // A complete stream (crash landed after the last tracing event
-        // but before TravelDone went out): replay alone must yield a
-        // done ledger with the full result set — no re-drive needed.
-        let mut live = TravelLedger::new(plan(), 0);
-        let mut events = vec![
-            LedgerEvent::Created {
-                epoch: 0,
-                exec: eid(0, 1),
-                depth: 0,
-            },
-            LedgerEvent::Results {
-                epoch: 0,
-                items: vec![(2, VertexId(5))],
-            },
-            LedgerEvent::Terminated {
-                epoch: 0,
-                exec: eid(0, 1),
-                children: vec![(eid(1, 1), 1)],
-            },
-            LedgerEvent::Terminated {
-                epoch: 0,
-                exec: eid(1, 1),
-                children: vec![],
-            },
-        ];
-        for ev in &events {
-            live.apply(ev);
-        }
-        assert!(live.is_done());
-        // Replay with a mid-stream snapshot checkpoint interleaved.
-        events.insert(3, live_snapshot_after(&events[..3]));
-        let (replayed, applied) = TravelLedger::replay(plan(), 0, &events);
-        assert!(replayed.is_done(), "replayed ledger must be done");
-        assert_eq!(replayed.outcome().by_depth, live.outcome().by_depth);
-        // Replay started at the snapshot: snapshot + one tail event.
-        assert_eq!(applied, 2);
-    }
-
-    fn live_snapshot_after(events: &[LedgerEvent]) -> LedgerEvent {
-        let mut l = TravelLedger::new(plan(), 0);
-        for ev in events {
-            l.apply(ev);
-        }
-        l.snapshot_event()
-    }
-
-    #[test]
-    fn replay_ignores_stale_travel_epochs() {
-        // Events from an older hosting epoch describe a superseded
-        // execution tree; only the max-epoch stream counts.
-        let events = vec![
-            LedgerEvent::Created {
-                epoch: 0,
-                exec: eid(0, 1),
-                depth: 0,
-            },
-            LedgerEvent::Created {
-                epoch: 1,
-                exec: eid(0, 2),
-                depth: 0,
-            },
-            LedgerEvent::Terminated {
-                epoch: 1,
-                exec: eid(0, 2),
-                children: vec![],
-            },
-        ];
-        let (l, applied) = TravelLedger::replay(plan(), 0, &events);
-        assert_eq!(applied, 2);
-        assert_eq!(l.epoch, 1);
-        assert!(l.is_done(), "stale epoch-0 creation must not linger");
-        assert_eq!(l.progress().created, 1);
-    }
-
-    #[test]
-    fn snapshot_event_roundtrips_state_including_orphans() {
-        let mut l = TravelLedger::new(plan(), 0);
-        l.exec_created(eid(0, 1), 0);
-        l.exec_terminated(eid(9, 9), &[]); // orphan termination
-        l.add_results(&[(2, VertexId(3))]);
-        let snap = l.snapshot_event();
-        let mut back = TravelLedger::new(plan(), 0);
-        back.apply(&snap);
-        assert_eq!(back.progress().created, l.progress().created);
-        assert_eq!(back.progress().terminated, l.progress().terminated);
-        assert!(!back.is_done(), "orphan must survive the checkpoint");
-        // Matching the orphan completes both the original and the copy.
-        l.exec_terminated(eid(0, 1), &[(eid(9, 9), 1)]);
-        back.exec_terminated(eid(0, 1), &[(eid(9, 9), 1)]);
-        assert_eq!(l.is_done(), back.is_done());
-        assert!(back.is_done());
-        assert_eq!(back.results_flat(), vec![(2, VertexId(3))]);
     }
 
     #[test]

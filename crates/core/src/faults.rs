@@ -156,10 +156,7 @@ impl CrashTrigger {
             // Coordinator-role trigger: count tracing/barrier messages the
             // server absorbs while hosting a travel's ledger, so the crash
             // lands mid-travel with coordinator state in flight.
-            Traffic::Created(..)
-            | Traffic::Terminated(..)
-            | Traffic::Results(_)
-            | Traffic::StepDone => self.point.coordinator_events,
+            Traffic::Tracing | Traffic::StepDone => self.point.coordinator_events,
             Traffic::Reply(_) | Traffic::Lossy(_) | Traffic::Other => false,
         };
         if !qualifies {

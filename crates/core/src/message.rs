@@ -336,12 +336,10 @@ pub enum Msg {
     },
 
     // --------------------------------------------- coordinator failover
-    /// Failover orchestrator → successor server: take over hosting this
-    /// travel's ledger under a bumped travel-epoch. Carries the durable
-    /// event stream recovered from the crashed coordinator's ledger log
-    /// (possibly empty when the log was unreachable); the successor
-    /// replays it, then waits for every live server's [`Msg::ReAnnounce`]
-    /// before deciding between "already complete" and a re-drive.
+    /// Failover orchestrator → successor server: take over coordinating
+    /// this travel under a bumped travel-epoch. The successor waits for
+    /// every server's [`Msg::CoordHandoffAck`], then runs the plan from
+    /// its sources again.
     CoordRecover {
         /// Travel id.
         travel: TravelId,
@@ -351,14 +349,12 @@ pub enum Msg {
         plan: Arc<Plan>,
         /// Client endpoint awaiting `TravelDone`.
         client: usize,
-        /// Recovered durable ledger events.
-        events: Vec<crate::coordinator::LedgerEvent>,
     },
     /// Failover orchestrator → every server: travel `travel` is now
     /// coordinated by `coordinator` under `epoch`. Receivers clear their
     /// per-travel transient state (stale work from the old execution
-    /// tree), record the travel-epoch fence, and report what they told
-    /// the dead coordinator via [`Msg::ReAnnounce`].
+    /// tree), record the travel-epoch fence, and tell the successor so
+    /// with [`Msg::CoordHandoffAck`].
     CoordHandoff {
         /// Travel id.
         travel: TravelId,
@@ -367,31 +363,24 @@ pub enum Msg {
         /// Successor coordinator server id.
         coordinator: usize,
     },
-    /// Server → successor coordinator: everything this server reported
-    /// to the previous coordinator for `travel` (its sent-journal), so
-    /// the successor can merge tracing state that never reached the
-    /// durable log. Epoch-fenced: the successor ignores re-announcements
-    /// for older travel-epochs.
-    ReAnnounce {
+    /// Server → successor coordinator: this server fenced `epoch` for
+    /// `travel` and holds nothing of the superseded execution tree any
+    /// more, so a re-driven visit may reach it. Epoch-fenced: the
+    /// successor ignores acks for older travel-epochs.
+    CoordHandoffAck {
         /// Travel id.
         travel: TravelId,
-        /// Travel-epoch this report answers.
+        /// Travel-epoch this ack answers.
         epoch: u64,
-        /// Reporting server.
+        /// Acknowledging server.
         server: usize,
-        /// Execution creations this server reported.
-        created: Vec<(ExecId, u16)>,
-        /// Execution terminations this server reported (with children).
-        terminated: Vec<(ExecId, Vec<(ExecId, u16)>)>,
-        /// Result vertices this server reported.
-        results: Vec<(u16, VertexId)>,
     },
 
     /// Successor coordinator → failover orchestrator (client): recovery
-    /// of `travel` under `epoch` is complete — the re-announce barrier
-    /// closed and the travel was either directly completed or re-driven.
-    /// Bounds the orchestrator's wait; without it the client would fall
-    /// back to its whole-travel timeout when a handoff stalls.
+    /// of `travel` under `epoch` is complete — every server acknowledged
+    /// the handoff and the travel was re-driven. Bounds the orchestrator's
+    /// wait; without it the client would fall back to its whole-travel
+    /// timeout when a handoff stalls.
     RecoverDone {
         /// Travel id.
         travel: TravelId,
@@ -439,18 +428,6 @@ pub enum Msg {
         req: u64,
         /// Acknowledging replica.
         server: usize,
-    },
-    /// Coordinator server → its ledger peers: append these encoded
-    /// travel-ledger blobs to the replica copy of `from`'s ledger. With
-    /// `reset`, truncate the replica first (the source ledger was reset
-    /// after all its travels retired).
-    ReplicateLedger {
-        /// Server whose ledger is being mirrored.
-        from: usize,
-        /// Encoded `LedgerEvent` blobs, in append order.
-        blobs: Vec<Vec<u8>>,
-        /// Truncate the replica before appending.
-        reset: bool,
     },
     /// Copy orchestrator (client) → source primary: start copying
     /// `partition` to server `to` — stream the snapshot, then buffer a
@@ -567,10 +544,9 @@ pub(crate) const SUSPECT_KEY: u64 = 3 << 62;
 
 /// What kind of traffic a message is, decided once per variant: the
 /// client port reads which slot a reply fills, the fabric what faces the
-/// lossy link, the server which tracing reports its sent-journal records
-/// for a successor and which arrivals a scripted crash counts.
+/// lossy link, the server which arrivals a scripted crash counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Traffic<'a> {
+pub(crate) enum Traffic {
     /// A reply to the client endpoint, delivered by
     /// [`crate::client::ClientPort`] under this key: the travel, request,
     /// flow or map version it answers.
@@ -584,12 +560,9 @@ pub(crate) enum Traffic<'a> {
     Lossy(u64),
     /// Carries frontier vertices entering at this depth.
     Frontier(u16),
-    /// Tracing report: an execution was created.
-    Created(ExecId, u16),
-    /// Tracing report: an execution terminated, registering its children.
-    Terminated(ExecId, &'a [(ExecId, u16)]),
-    /// Returned vertices on their way to the coordinator.
-    Results(&'a [(u16, VertexId)]),
+    /// A status-tracing report or returned vertices on their way to the
+    /// coordinator.
+    Tracing,
     /// A sync step's barrier report.
     StepDone,
     /// Control plane, and everything else that only ever rides inside an
@@ -599,7 +572,7 @@ pub(crate) enum Traffic<'a> {
 
 impl Msg {
     /// See [`Traffic`].
-    pub(crate) fn traffic(&self) -> Traffic<'_> {
+    pub(crate) fn traffic(&self) -> Traffic {
         match self {
             Msg::TravelDone { travel, .. }
             | Msg::ProgressReport { travel, .. }
@@ -640,13 +613,13 @@ impl Msg {
             }
             Msg::Visit { depth, .. } | Msg::SyncFrontier { depth, .. } => Traffic::Frontier(*depth),
             Msg::SourceScan { .. } => Traffic::Frontier(0),
-            Msg::ExecCreated { exec, depth, .. } => Traffic::Created(*exec, *depth),
-            Msg::ExecTerminated { exec, children, .. } => Traffic::Terminated(*exec, children),
-            Msg::Results { items, .. } => Traffic::Results(items),
+            Msg::ExecCreated { .. } | Msg::ExecTerminated { .. } | Msg::Results { .. } => {
+                Traffic::Tracing
+            }
             Msg::SyncStepDone { .. } => Traffic::StepDone,
             // Listed explicitly so a new variant fails gt-lint here
-            // instead of being silently dropped at the client, exempted
-            // from chaos, or left out of the sent-journal.
+            // instead of being silently dropped at the client or
+            // exempted from chaos.
             Msg::Submit { .. }
             | Msg::Abort { .. }
             | Msg::ProgressQuery { .. }
@@ -658,11 +631,10 @@ impl Msg {
             | Msg::GetVertex { .. }
             | Msg::CoordRecover { .. }
             | Msg::CoordHandoff { .. }
-            | Msg::ReAnnounce { .. }
+            | Msg::CoordHandoffAck { .. }
             | Msg::PlacementUpdate { .. }
             | Msg::ReplicateWrite { .. }
             | Msg::ReplicateAck { .. }
-            | Msg::ReplicateLedger { .. }
             | Msg::CopyBegin { .. }
             | Msg::CopyData { .. }
             | Msg::CopyCutover { .. }
@@ -730,40 +702,9 @@ impl WireSize for Msg {
             Msg::VertexReply { vertex, .. } => {
                 16 + vertex.as_ref().map_or(0, |v| 16 + v.props.len() * 24)
             }
-            Msg::CoordRecover { plan, events, .. } => {
-                use crate::coordinator::LedgerEvent as Ev;
-                28 + plan.wire_size()
-                    + events
-                        .iter()
-                        .map(|e| match e {
-                            Ev::Created { .. } => 28,
-                            Ev::Terminated { children, .. } => 28 + children.len() * 10,
-                            Ev::Results { items, .. } => 20 + items.len() * 10,
-                            Ev::Snapshot {
-                                created,
-                                terminated,
-                                results,
-                                ..
-                            } => {
-                                32 + created.len() * 10 + terminated.len() * 8 + results.len() * 10
-                            }
-                        })
-                        .sum::<usize>()
-            }
+            Msg::CoordRecover { plan, .. } => 28 + plan.wire_size(),
             Msg::CoordHandoff { .. } => 28,
-            Msg::ReAnnounce {
-                created,
-                terminated,
-                results,
-                ..
-            } => {
-                28 + created.len() * 10
-                    + terminated
-                        .iter()
-                        .map(|(_, c)| 12 + c.len() * 10)
-                        .sum::<usize>()
-                    + results.len() * 10
-            }
+            Msg::CoordHandoffAck { .. } => 28,
             Msg::Relay { inner, .. } => 48 + inner.wire_size(),
             Msg::RelayAck { .. } => 36,
             Msg::RecoverDone { .. } => 20,
@@ -786,9 +727,6 @@ impl WireSize for Msg {
                     + edges.iter().map(|e| 24 + e.props.len() * 24).sum::<usize>()
             }
             Msg::ReplicateAck { .. } => 20,
-            Msg::ReplicateLedger { blobs, .. } => {
-                16 + blobs.iter().map(|b| 4 + b.len()).sum::<usize>()
-            }
             Msg::CopyBegin { .. } => 32,
             Msg::CopyData { pairs, .. } => {
                 28 + pairs
@@ -939,16 +877,13 @@ mod tests {
         };
         assert_eq!(handoff.chaos_key(), None);
         assert!(handoff.wire_size() > 0);
-        let reann = Msg::ReAnnounce {
+        let handoff_ack = Msg::CoordHandoffAck {
             travel: 3,
             epoch: 1,
             server: 0,
-            created: vec![(ExecId::new(0, 1), 0)],
-            terminated: vec![(ExecId::new(0, 1), vec![(ExecId::new(1, 1), 1)])],
-            results: vec![(1, VertexId(9))],
         };
-        assert_eq!(reann.chaos_key(), None);
-        assert!(reann.wire_size() > 28);
+        assert_eq!(handoff_ack.chaos_key(), None);
+        assert!(handoff_ack.wire_size() > 0);
     }
 
     #[test]

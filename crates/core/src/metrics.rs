@@ -80,13 +80,13 @@ macro_rules! counters {
             /// The failover-specific subset of [`Self::fault_counters`]:
             /// counters that must stay zero on a healthy cluster even when
             /// reliable delivery itself is enabled (retries/redeliveries
-            /// are legitimate under load; a ledger replay never is).
+            /// are legitimate under load; a takeover never is).
             pub fn failover_counters(&self) -> [(&'static str, u64); counters!(@count $($($failover)?)*)] {
                 [$($(counters!(@entry self, $name, $failover),)?)*]
             }
 
             /// Every counter belonging to the placement machinery (map
-            /// propagation, write/ledger replication, shard migration).
+            /// propagation, write replication, shard migration).
             /// On a static single-replica cluster — no `rebalance()`,
             /// `decommission()`, or `promote()`, replication factor 1 —
             /// each of these is exactly zero, and the dormancy test
@@ -154,16 +154,8 @@ counters! {
         crashes: AtomicU64 => u64 [fault,],
         /// Restart-and-recovery cycles this server completed.
         recoveries: AtomicU64 => u64 [fault,],
-        /// Travels whose ledger this server rebuilt from a durable event
-        /// stream (coordinator-failover takeovers).
-        ledger_replays: AtomicU64 => u64 [fault, failover,],
-        /// Durable ledger events applied across all replays.
-        ledger_events_replayed: AtomicU64 => u64 [fault, failover,],
         /// Coordinator failovers this server absorbed as the successor.
         failovers: AtomicU64 => u64 [fault, failover,],
-        /// Per-travel re-announce reports received while recovering a
-        /// ledger (one per live server per failover).
-        reannounce_msgs: AtomicU64 => u64 [fault, failover,],
         /// Relayed messages discarded by travel-epoch fencing (stale work
         /// from a pre-failover execution tree).
         stale_travel_epoch_dropped: AtomicU64 => u64 [fault, failover,],
@@ -173,17 +165,10 @@ counters! {
         /// Graph mutations applied on this server as a replica (shipped from
         /// the partition primary).
         replica_writes: AtomicU64 => u64 [placement,],
-        /// Durable travel-ledger blobs this server stored on behalf of a
-        /// peer's ledger (coordinator-loss protection at rf >= 2).
-        ledger_blobs_replicated: AtomicU64 => u64 [placement,],
         /// Migration snapshot/delta chunks sent by this server as a source.
         migrate_chunks_out: AtomicU64 => u64 [placement,],
         /// Migration snapshot/delta chunks applied by this server as a target.
         migrate_chunks_in: AtomicU64 => u64 [placement,],
-        /// Sent-journal compactions performed (bounding per-travel memory).
-        journal_compactions: AtomicU64 => u64 [],
-        /// High-water mark of live sent-journal entries across all travels.
-        journal_peak_entries: AtomicU64 => u64 [],
         /// Heartbeat messages this server sent to peers (failure detector).
         heartbeats_sent: AtomicU64 => u64 [self_heal,],
         /// Heartbeat messages this server received from peers.

@@ -39,7 +39,7 @@ mod visit;
 pub use detector::DetectionConfig;
 
 use crate::cache::TraversalCache;
-use crate::coordinator::{CoordState, LedgerEvent};
+use crate::coordinator::CoordState;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::faults::{CrashPoint, CrashTrigger, ServerFaults};
 use crate::lockorder::OrderedMutex;
@@ -51,14 +51,12 @@ use copy::{CopyRoute, CopyTrap};
 use detector::Detector;
 use effect::perform;
 use gt_graph::GraphPartition;
-use gt_kvstore::wal::BlobLog;
 use gt_net::RecvError;
 use gt_placement::SharedPlacement;
 use gt_transport::Conduit;
-use recovery::{Announce, Recovery};
+use recovery::Recovery;
 use relay::Relay;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,17 +116,9 @@ pub struct ServerArgs {
     /// Scripted crash point to arm for this incarnation (restarts pass
     /// `None` — crash points are one-shot).
     pub crash_after: Option<CrashPoint>,
-    /// Where to persist the durable travel-ledger event stream this
-    /// server appends while acting as a coordinator. `None` (or
-    /// reliability off) disables durable ledgers — failover then
-    /// recovers purely from re-announced server journals.
-    pub ledger_path: Option<PathBuf>,
     /// This server's view of the versioned placement map (updated only by
     /// epoch-fenced [`Msg::PlacementUpdate`] broadcasts).
     pub placement: Arc<SharedPlacement>,
-    /// Cluster replication factor; ≥ 2 turns on write fan-out to replica
-    /// holders and travel-ledger blob shipping to ring peers.
-    pub replication: usize,
     /// Failure-detector tuning; `None` (the default cluster config)
     /// disables the detector entirely.
     pub detection: Option<DetectionConfig>,
@@ -190,11 +180,6 @@ struct Shared {
     /// This server's placement-map view (see [`ServerArgs::placement`]).
     /// Leaf `RwLock` internally — readable from any lock rank.
     placement: Arc<SharedPlacement>,
-    /// Cluster replication factor.
-    replication: usize,
-    /// Directory holding this server's store (for replica ledger files);
-    /// `None` for store-less servers.
-    ledger_dir: Option<PathBuf>,
     // Lock-order ranks (see `lockorder`): acquisitions within a thread
     // must be in strictly increasing rank. Ranks are spaced so future
     // locks can slot in without renumbering.
@@ -202,10 +187,10 @@ struct Shared {
     /// in-flight messages for them are dropped instead of re-creating
     /// queue or cache state that nothing would ever clean up again.
     retired: OrderedMutex<BTreeSet<TravelId>>,
-    /// Reliable delivery, both fences and the sent-journals. One rank for
-    /// the whole machine: every step is a few map operations, and the
-    /// chaos and failover suites show no contention that splitting its
-    /// maps back out would relieve.
+    /// Reliable delivery and both fences. One rank for the whole machine:
+    /// every step is a few map operations, and the chaos and failover
+    /// suites show no contention that splitting its maps back out would
+    /// relieve.
     relay: OrderedMutex<Relay>,
     /// req id → ingest awaiting replica write acks.
     pending_ingest: OrderedMutex<HashMap<u64, ingest::PendingIngest>>,
@@ -215,14 +200,8 @@ struct Shared {
     /// Per-travel synchronous-engine step buffers.
     barrier: OrderedMutex<barrier::SyncBarrier>,
     coords: OrderedMutex<HashMap<TravelId, CoordState>>,
-    /// Ledger takeovers on this server (as successor).
+    /// Takeovers on this server (as successor).
     recovery: OrderedMutex<Recovery>,
-    /// Durable ledger event log (coordinator role; reliable mode with a
-    /// configured path only).
-    ledger: Option<OrderedMutex<BlobLog>>,
-    /// Replicated copies of peers' travel-ledger streams, one blob log
-    /// per origin server ([`crate::coordinator::ledger_replica_file`]).
-    replica_ledgers: OrderedMutex<HashMap<usize, BlobLog>>,
 }
 
 impl Shared {
@@ -267,7 +246,6 @@ pub fn spawn(args: ServerArgs) -> ServerHandle {
     // byte = epoch).
     debug_assert!(args.epoch < (1 << 8), "epoch exceeds counter headroom");
     let ctr_seed = (args.epoch << 40) | 1;
-    let sync_engine = matches!(args.engine.kind, EngineKind::Sync);
     let shared = Arc::new(Shared {
         id: args.id,
         n_servers: args.n_servers,
@@ -287,11 +265,6 @@ pub fn spawn(args: ServerArgs) -> ServerHandle {
         crashed: crashed.clone(),
         crash_trigger: args.crash_after.map(CrashTrigger::armed),
         placement: args.placement,
-        replication: args.replication,
-        ledger_dir: args
-            .ledger_path
-            .as_ref()
-            .and_then(|p| p.parent().map(|d| d.to_path_buf())),
         retired: OrderedMutex::new(10, "retired", BTreeSet::new()),
         relay: OrderedMutex::new(40, "relay", Relay::new(args.id, args.epoch)),
         pending_ingest: OrderedMutex::new(65, "pending_ingest", HashMap::new()),
@@ -299,16 +272,7 @@ pub fn spawn(args: ServerArgs) -> ServerHandle {
         tokens: OrderedMutex::new(70, "tokens", visit::TokenRegistry::default()),
         barrier: OrderedMutex::new(80, "barrier", barrier::SyncBarrier::default()),
         coords: OrderedMutex::new(90, "coords", HashMap::new()),
-        recovery: OrderedMutex::new(100, "recovery", Recovery::new(args.n_servers, sync_engine)),
-        ledger: if reliable {
-            args.ledger_path
-                .as_ref()
-                .and_then(|p| BlobLog::open(p, false).ok())
-                .map(|log| OrderedMutex::new(110, "ledger", log))
-        } else {
-            None
-        },
-        replica_ledgers: OrderedMutex::new(115, "replica_ledgers", HashMap::new()),
+        recovery: OrderedMutex::new(100, "recovery", Recovery::new(args.n_servers)),
     });
     let mut workers = Vec::with_capacity(args.engine.workers_per_server);
     for w in 0..args.engine.workers_per_server {
@@ -420,8 +384,8 @@ fn absorb_detector_traffic(
 /// Send a data-plane message for `travel` to server `to`, stamped with
 /// the travel-epoch `tepoch` the sender executed under. With the reliable
 /// layer on it goes through the [`Relay`] (sequenced, retransmitted until
-/// acked, tracing reports journaled for a successor); otherwise it goes
-/// out raw, exactly as before the chaos layer existed.
+/// acked); otherwise it goes out raw, exactly as before the chaos layer
+/// existed.
 fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, tepoch: u64, msg: Msg) {
     // SeqCst pairs with the crash path's SeqCst store: once the kill is
     // ordered, no thread of the dying incarnation slips another message
@@ -495,24 +459,16 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             travel,
             exec,
             depth,
-        } => coord::coord_event(sh, travel, |epoch| LedgerEvent::Created {
-            epoch,
-            exec,
-            depth,
-        }),
+        } => coord::coord_event(sh, travel, |l| l.exec_created(exec, depth)),
         Msg::ExecTerminated {
             travel,
             exec,
             children,
         } => {
-            coord::coord_event(sh, travel, |epoch| LedgerEvent::Terminated {
-                epoch,
-                exec,
-                children,
-            });
+            coord::coord_event(sh, travel, |l| l.exec_terminated(exec, &children));
             coord::maybe_finish_async(sh, travel);
         }
-        Msg::Results { travel, items } => coord::coord_results(sh, travel, items),
+        Msg::Results { travel, items } => coord::coord_results(sh, travel, &items),
         Msg::OriginSatisfied {
             travel,
             exec,
@@ -548,8 +504,7 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             epoch,
             plan,
             client,
-            events,
-        } => coord::handle_recover(sh, travel, epoch, plan, client, &events),
+        } => coord::handle_recover(sh, travel, epoch, plan, client),
         Msg::CoordHandoff {
             travel,
             epoch,
@@ -563,23 +518,11 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
                 .on_handoff(travel, epoch, coordinator, retired);
             return perform(sh, step);
         }
-        Msg::ReAnnounce {
+        Msg::CoordHandoffAck {
             travel,
             epoch,
             server,
-            created,
-            terminated,
-            results,
-        } => {
-            let announce = Announce {
-                epoch,
-                server,
-                created,
-                terminated,
-                results,
-            };
-            coord::handle_reannounce(sh, travel, announce);
-        }
+        } => coord::handle_handoff_ack(sh, travel, epoch, server),
         Msg::Abort { travel } => handle_abort(sh, travel),
         Msg::Cancel { travel, client } => {
             // Cluster-wide cancellation: same cleanup as an abort,
@@ -614,9 +557,6 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             edges,
         } => ingest::handle_replicate_write(sh, req, origin, seq, &vertices, &edges),
         Msg::ReplicateAck { req, .. } => ingest::handle_replicate_ack(sh, req),
-        Msg::ReplicateLedger { from, blobs, reset } => {
-            coord::handle_replicate_ledger(sh, from, &blobs, reset)
-        }
         Msg::CopyBegin {
             mig,
             partition,
@@ -700,7 +640,6 @@ fn handle_abort(sh: &Arc<Shared>, travel: TravelId) {
     if sh.reliable {
         sh.relay.lock().forget(travel);
         sh.recovery.lock().forget(travel);
-        coord::maybe_reset_ledger(sh);
     }
     sh.mark_retired(travel);
 }

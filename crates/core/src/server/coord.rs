@@ -1,140 +1,38 @@
 //! The coordinator role on the shell side: hosting a travel's ledger (or
-//! the synchronous controller), write-ahead logging and replicating its
-//! events, dispatching the source, finishing — and, after a failover,
-//! stepping the [`Recovery`](super::recovery::Recovery) machine and
-//! carrying out the re-drive it decides on.
+//! the synchronous controller), feeding it the tracing reports,
+//! dispatching the source, finishing — and, after a failover, stepping the
+//! [`Recovery`](super::recovery::Recovery) machine and carrying out the
+//! re-drive it decides on.
 
-use super::recovery::Announce;
 use super::{alloc_exec, perform, send_travel, Shared};
-use crate::coordinator::{ledger_replica_file, CoordState, LedgerEvent, SyncState, TravelLedger};
+use crate::coordinator::{CoordState, SyncState, TravelLedger};
 use crate::engine::EngineKind;
 use crate::lang::{Plan, Source};
 use crate::message::{Msg, SyncExpect, TravelOutcome};
 use crate::{Tokens, TravelId};
 use gt_graph::VertexId;
-use gt_kvstore::wal::BlobLog;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Append a compacting [`LedgerEvent::Snapshot`] after this many durable
-/// events per hosted travel, bounding replay work after a coordinator
-/// crash.
-const LEDGER_SNAPSHOT_EVERY: u64 = 512;
-
-/// Apply one tracing event to `travel`'s hosted asynchronous ledger,
-/// writing it to the durable blob log *first* (write-ahead) so a
-/// successor can replay the stream after this server crashes. Appends a
-/// compacted [`LedgerEvent::Snapshot`] every [`LEDGER_SNAPSHOT_EVERY`]
-/// events to bound replay work. No-op when this server doesn't host an
-/// asynchronous ledger for `travel`.
+/// Apply one tracing report to `travel`'s hosted asynchronous ledger.
+/// No-op when this server doesn't host one for `travel`.
 pub(super) fn coord_event(
     sh: &Arc<Shared>,
     travel: TravelId,
-    make: impl FnOnce(u64) -> LedgerEvent,
+    apply: impl FnOnce(&mut TravelLedger),
 ) {
-    let mut shipped: Vec<Vec<u8>> = Vec::new();
-    {
-        let mut coords = sh.coords.lock();
-        let Some(CoordState::Async(l)) = coords.get_mut(&travel) else {
-            return;
-        };
-        let ev = make(l.epoch);
-        if let Some(log) = &sh.ledger {
-            let mut log = log.lock();
-            let blob = ev.encode(travel);
-            let _ = log.append(&blob);
-            shipped.push(blob);
-            l.apply(&ev);
-            l.events_since_snapshot += 1;
-            if l.events_since_snapshot >= LEDGER_SNAPSHOT_EVERY {
-                let snap = l.snapshot_event().encode(travel);
-                let _ = log.append(&snap);
-                shipped.push(snap);
-                l.events_since_snapshot = 0;
-            }
-        } else {
-            l.apply(&ev);
-        }
-    }
-    // Fan the durable blobs out to the ledger replica set *after* the
-    // coordinator locks are released — replication rides the raw (FIFO,
-    // chaos-exempt) control plane, so order is still preserved per link.
-    ship_ledger_blobs(sh, shipped, false);
-}
-
-/// A `Results` report reached the coordinator: the synchronous controller
-/// collects it directly, an asynchronous ledger logs it as an event.
-pub(super) fn coord_results(sh: &Arc<Shared>, travel: TravelId, items: Vec<(u16, VertexId)>) {
-    if let Some(CoordState::Sync(s)) = sh.coords.lock().get_mut(&travel) {
-        s.add_results(&items);
-        return;
-    }
-    coord_event(sh, travel, |epoch| LedgerEvent::Results { epoch, items });
-}
-
-/// Replicate freshly-appended ledger blobs (or a truncation marker) to
-/// this server's ledger peers. With a replication factor below 2 the
-/// cluster runs in the pre-replication single-copy regime and nothing is
-/// shipped.
-fn ship_ledger_blobs(sh: &Arc<Shared>, blobs: Vec<Vec<u8>>, reset: bool) {
-    if sh.replication < 2 || (blobs.is_empty() && !reset) {
-        return;
-    }
-    for peer in sh.placement.ledger_peers(sh.id, sh.replication) {
-        let _ = sh.ep.send(
-            peer,
-            Msg::ReplicateLedger {
-                from: sh.id,
-                blobs: blobs.clone(),
-                reset,
-            },
-        );
+    if let Some(CoordState::Async(l)) = sh.coords.lock().get_mut(&travel) {
+        apply(l);
     }
 }
 
-/// Receiver side of ledger replication: persist another coordinator's
-/// travel-ledger blobs into a per-origin sidecar log so a cluster-level
-/// failover can replay them if the origin's disk is lost too.
-pub(super) fn handle_replicate_ledger(
-    sh: &Arc<Shared>,
-    from: usize,
-    blobs: &[Vec<u8>],
-    reset: bool,
-) {
-    let Some(dir) = &sh.ledger_dir else { return };
-    let mut logs = sh.replica_ledgers.lock();
-    let log = match logs.entry(from) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            match BlobLog::open(ledger_replica_file(dir, from), false) {
-                Ok(l) => slot.insert(l),
-                Err(_) => return,
-            }
-        }
-    };
-    if reset {
-        let _ = log.reset();
+/// A `Results` report reached the coordinator, whichever engine it hosts
+/// the travel for.
+pub(super) fn coord_results(sh: &Arc<Shared>, travel: TravelId, items: &[(u16, VertexId)]) {
+    match sh.coords.lock().get_mut(&travel) {
+        Some(CoordState::Sync(s)) => s.add_results(items),
+        Some(CoordState::Async(l)) => l.add_results(items),
+        None => {}
     }
-    for blob in blobs {
-        let _ = log.append(blob);
-    }
-    sh.metrics
-        .ledger_blobs_replicated
-        .fetch_add(blobs.len() as u64, Ordering::Relaxed);
-}
-
-/// Truncate the durable ledger log once this server hosts no coordinator
-/// state at all (no live ledgers, no takeover in progress); everything in
-/// it is then about finished travels no successor will ever replay.
-pub(super) fn maybe_reset_ledger(sh: &Arc<Shared>) {
-    let Some(log) = &sh.ledger else { return };
-    if !sh.coords.lock().is_empty() || sh.recovery.lock().in_progress() {
-        return;
-    }
-    let _ = log.lock().reset();
-    // Keep the replica copies in lock-step: a truncated primary log with
-    // stale replicas would replay finished travels after a failover.
-    ship_ledger_blobs(sh, Vec::new(), true);
 }
 
 /// The travel is over: release per-travel state on every server, then
@@ -166,23 +64,21 @@ pub(super) fn maybe_finish_async(sh: &Arc<Shared>, travel: TravelId) {
 /// The submitting client decided this server coordinates `travel`.
 pub(super) fn handle_submit(sh: &Arc<Shared>, travel: TravelId, plan: Arc<Plan>, client: usize) {
     let tepoch = sh.travel_epoch_of(travel);
-    start_travel(sh, travel, plan, client, tepoch, Vec::new());
+    start_travel(sh, travel, plan, client, tepoch);
 }
 
 /// Install coordinator state for `travel` under `tepoch` and run it from
-/// its source — a fresh submission, or a failover re-drive seeded with the
-/// `results` that survived (then `tepoch` is the bumped travel-epoch).
+/// its source — a fresh submission, or a failover's re-drive (then
+/// `tepoch` is the bumped travel-epoch).
 pub(super) fn start_travel(
     sh: &Arc<Shared>,
     travel: TravelId,
     plan: Arc<Plan>,
     client: usize,
     tepoch: u64,
-    results: Vec<(u16, VertexId)>,
 ) {
     if matches!(sh.engine_kind, EngineKind::Sync) {
-        let mut state = SyncState::new(plan.clone(), client, sh.n_servers);
-        state.add_results(&results);
+        let state = SyncState::new(plan.clone(), client, sh.n_servers);
         sh.coords.lock().insert(travel, CoordState::Sync(state));
         for s in 0..sh.n_servers {
             let start = Msg::SyncStart {
@@ -196,14 +92,8 @@ pub(super) fn start_travel(
         }
         return;
     }
-    let ledger = TravelLedger::new_with_epoch(plan.clone(), client, tepoch);
+    let ledger = TravelLedger::new(plan.clone(), client);
     sh.coords.lock().insert(travel, CoordState::Async(ledger));
-    if !results.is_empty() {
-        coord_event(sh, travel, |epoch| LedgerEvent::Results {
-            epoch,
-            items: results,
-        });
-    }
     dispatch_travel_source(sh, travel, &plan, tepoch);
 }
 
@@ -213,11 +103,7 @@ pub(super) fn start_travel(
 fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>, tepoch: u64) {
     let root = || {
         let exec = alloc_exec(sh);
-        coord_event(sh, travel, |epoch| LedgerEvent::Created {
-            epoch,
-            exec,
-            depth: 0,
-        });
+        coord_event(sh, travel, |l| l.exec_created(exec, 0));
         exec
     };
     match &plan.source {
@@ -244,11 +130,7 @@ fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>, 
             if !any {
                 // Degenerate: no owned sources at all; finish immediately.
                 let exec = root();
-                coord_event(sh, travel, |epoch| LedgerEvent::Terminated {
-                    epoch,
-                    exec,
-                    children: Vec::new(),
-                });
+                coord_event(sh, travel, |l| l.exec_terminated(exec, &[]));
                 maybe_finish_async(sh, travel);
             }
         }
@@ -319,29 +201,27 @@ pub(super) fn handle_sync_step_done(
 // ------------------------------------------------------ takeover
 
 /// Become the successor coordinator for an orphaned travel (failover step
-/// 1): seed a takeover with the dead coordinator's durable event stream.
+/// 1): open the handoff barrier.
 pub(super) fn handle_recover(
     sh: &Arc<Shared>,
     travel: TravelId,
     epoch: u64,
     plan: Arc<Plan>,
     client: usize,
-    events: &[LedgerEvent],
 ) {
     let (retired, fenced) = (sh.is_retired(travel), sh.travel_epoch_of(travel));
     let step = sh
         .recovery
         .lock()
-        .on_seed(travel, epoch, plan, client, events, retired, fenced);
+        .on_seed(travel, epoch, plan, client, retired, fenced);
     perform(sh, step);
 }
 
-/// One server's journal re-announcement during a takeover (failover step
-/// 3).
-pub(super) fn handle_reannounce(sh: &Arc<Shared>, travel: TravelId, announce: Announce) {
+/// One server acknowledged the handoff (failover step 3).
+pub(super) fn handle_handoff_ack(sh: &Arc<Shared>, travel: TravelId, epoch: u64, server: usize) {
     if sh.is_retired(travel) {
         return; // the travel finished here; no barrier left to feed
     }
-    let step = sh.recovery.lock().on_announce(travel, announce);
+    let step = sh.recovery.lock().on_ack(travel, epoch, server);
     perform(sh, step);
 }

@@ -5,7 +5,6 @@ use super::{coord, forget_executions, handle_msg, LoopCtl, Shared};
 use crate::lang::Plan;
 use crate::message::Msg;
 use crate::TravelId;
-use gt_graph::VertexId;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -26,15 +25,13 @@ pub(crate) enum Effect {
         travel: TravelId,
         coordinator: usize,
     },
-    /// A takeover's barrier closed on an unfinished ledger: install fresh
-    /// coordinator state under `epoch`, seed it with `results`, and run
-    /// the traversal from its source again.
+    /// A takeover's barrier closed: install fresh coordinator state under
+    /// `epoch` and run the traversal from its source again.
     Redrive {
         travel: TravelId,
         plan: Arc<Plan>,
         client: usize,
         epoch: u64,
-        results: Vec<(u16, VertexId)>,
     },
     /// Add to a counter.
     Count(Counter, u64),
@@ -44,9 +41,6 @@ pub(crate) enum Effect {
 /// report into, by field name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Counter {
-    /// A high-water mark: the maximum is kept, not the sum.
-    JournalPeakEntries,
-    JournalCompactions,
     RelayRetries,
     RelayAbandoned,
     StaleEpochDropped,
@@ -54,10 +48,7 @@ pub(crate) enum Counter {
     Redeliveries,
     HeartbeatsSent,
     SuspicionsRaised,
-    LedgerReplays,
-    LedgerEventsReplayed,
     Failovers,
-    ReannounceMsgs,
 }
 
 /// Carry out a machine step, effect by effect. Only a delivery can end
@@ -86,13 +77,10 @@ pub(super) fn perform(sh: &Arc<Shared>, step: Vec<Effect>) -> LoopCtl {
                 plan,
                 client,
                 epoch,
-                results,
-            } => coord::start_travel(sh, travel, plan, client, epoch, results),
+            } => coord::start_travel(sh, travel, plan, client, epoch),
             Effect::Count(counter, n) => {
                 let (m, order) = (&sh.metrics, Ordering::Relaxed);
                 match counter {
-                    Counter::JournalPeakEntries => m.journal_peak_entries.fetch_max(n, order),
-                    Counter::JournalCompactions => m.journal_compactions.fetch_add(n, order),
                     Counter::RelayRetries => m.relay_retries.fetch_add(n, order),
                     Counter::RelayAbandoned => m.relay_abandoned.fetch_add(n, order),
                     Counter::StaleEpochDropped => m.stale_epoch_dropped.fetch_add(n, order),
@@ -102,10 +90,7 @@ pub(super) fn perform(sh: &Arc<Shared>, step: Vec<Effect>) -> LoopCtl {
                     Counter::Redeliveries => m.redeliveries.fetch_add(n, order),
                     Counter::HeartbeatsSent => m.heartbeats_sent.fetch_add(n, order),
                     Counter::SuspicionsRaised => m.suspicions_raised.fetch_add(n, order),
-                    Counter::LedgerReplays => m.ledger_replays.fetch_add(n, order),
-                    Counter::LedgerEventsReplayed => m.ledger_events_replayed.fetch_add(n, order),
                     Counter::Failovers => m.failovers.fetch_add(n, order),
-                    Counter::ReannounceMsgs => m.reannounce_msgs.fetch_add(n, order),
                 };
             }
         }

@@ -1,7 +1,6 @@
 //! Reliable delivery as a sans-I/O machine: sequenced streams with
 //! retransmission on the sending side, in-order exactly-once delivery on
-//! the receiving side, the two fences that keep failover honest, and the
-//! sent-journal a successor coordinator is re-told from.
+//! the receiving side, and the two fences that keep failover honest.
 //!
 //! Streams are per `(travel, peer)` and *generational*: every coordinator
 //! handoff bumps the travel-epoch and restarts the sender's numbering at 1,
@@ -14,10 +13,9 @@
 //! longer retried, the live message is lost and the travel wedges.
 
 use super::effect::{Counter, Effect};
-use crate::message::{Msg, Traffic};
-use crate::{ExecId, TravelId};
-use gt_graph::VertexId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::message::Msg;
+use crate::TravelId;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// First retransmission delay; later attempts back off exponentially
@@ -31,10 +29,6 @@ const RETRY_CAP: Duration = Duration::from_millis(500);
 /// down for good and recovery belongs to the client's timeout-and-resubmit
 /// path, not the transport.
 const MAX_ATTEMPTS: u64 = 32;
-
-/// Compact a travel's sent-journal whenever its created + terminated
-/// entry count exceeds this (see [`SentJournal::compact`]).
-const JOURNAL_COMPACT_EVERY: usize = 256;
 
 /// One unacked outgoing message awaiting acknowledgment or retransmission.
 struct Pending {
@@ -59,57 +53,6 @@ struct InStream {
     buffered: BTreeMap<u64, Msg>,
 }
 
-/// What this server has reported toward a travel's coordinator. After a
-/// coordinator crash every server re-announces its journal to the
-/// successor, recovering tracing state that never reached the durable
-/// ledger log.
-#[derive(Debug, Default)]
-struct SentJournal {
-    created: Vec<(ExecId, u16)>,
-    terminated: Vec<(ExecId, Vec<(ExecId, u16)>)>,
-    results: Vec<(u16, VertexId)>,
-}
-
-impl SentJournal {
-    /// Created + terminated entries (results are never compacted, so they
-    /// have no ceiling to track).
-    fn live(&self) -> usize {
-        self.created.len() + self.terminated.len()
-    }
-
-    /// Bound the journal, in two recovery-safe stages:
-    /// 1. Drop balanced pairs — executions this journal both created and
-    ///    terminated. Their children were journaled as separate created
-    ///    entries before the parent's termination (flush order), so
-    ///    nothing the pair references is lost; a successor's merged
-    ///    scratch ledger simply never hears of the completed exec.
-    /// 2. If still over budget (long fan-out travels keep created entries
-    ///    for remotely-terminating children indefinitely), collapse to the
-    ///    single `sentinel` created-entry, which can never terminate. A
-    ///    recovery that merges it sees an eternally live execution and
-    ///    re-drives the traversal from its source — always correct
-    ///    (results are dedup'd), merely slower than a direct completion.
-    ///    Created entries must never be dropped without the sentinel: an
-    ///    under-reported journal could make the scratch ledger look
-    ///    complete while work is still in flight.
-    fn compact(&mut self, sentinel: ExecId) {
-        let done: HashSet<ExecId> = self.terminated.iter().map(|(e, _)| *e).collect();
-        let both: HashSet<ExecId> = self
-            .created
-            .iter()
-            .map(|(e, _)| *e)
-            .filter(|e| done.contains(e))
-            .collect();
-        self.created.retain(|(e, _)| !both.contains(e));
-        self.terminated.retain(|(e, _)| !both.contains(e));
-        if self.live() > JOURNAL_COMPACT_EVERY {
-            self.created.clear();
-            self.terminated.clear();
-            self.created.push((sentinel, 0));
-        }
-    }
-}
-
 /// One server's reliable-delivery state.
 #[derive(Default)]
 pub(crate) struct Relay {
@@ -121,7 +64,6 @@ pub(crate) struct Relay {
     travel_epoch: HashMap<TravelId, u64>,
     /// Highest incarnation seen per peer; frames below it are fenced off.
     peer_epoch: HashMap<usize, u64>,
-    journal: HashMap<TravelId, SentJournal>,
     /// Next sequence number per `(travel, destination)` stream.
     next_seq: HashMap<(TravelId, usize), u64>,
     /// `(travel, destination, seq)` → unacked message.
@@ -157,16 +99,15 @@ impl Relay {
     }
 
     /// Send `msg` for `travel` to `to`, stamped with the travel-epoch
-    /// `tepoch` the sender executed under: sequenced, registered for
-    /// retransmission until acked, and — a current-epoch tracing report —
-    /// recorded in the travel's sent-journal.
+    /// `tepoch` the sender executed under: sequenced and registered for
+    /// retransmission until acked.
     ///
     /// A send stamped *below* the travel's epoch is refused outright (a
     /// worker flushing a superseded execution after the handoff reset this
     /// travel's streams): the receiver would fence the payload anyway, but
     /// letting it claim a sequence number of the new generation would leave
     /// the receiver waiting on that number forever once it drops the
-    /// payload. For the same reason only current-epoch sends are journaled.
+    /// payload.
     pub(super) fn on_send(
         &mut self,
         to: usize,
@@ -176,37 +117,8 @@ impl Relay {
         now: Instant,
     ) -> Vec<Effect> {
         let mut step = Vec::new();
-        let current = self.epoch_of(travel);
-        if tepoch < current {
+        if tepoch < self.epoch_of(travel) {
             return step;
-        }
-        if tepoch == current {
-            // Exec counters start at 1, so counter 0 names an execution no
-            // server ever runs or terminates.
-            let sentinel = ExecId::new(self.me, 0);
-            let j = self.journal.entry(travel).or_default();
-            let journaled = match msg.traffic() {
-                Traffic::Created(exec, depth) => {
-                    j.created.push((exec, depth));
-                    true
-                }
-                Traffic::Terminated(exec, children) => {
-                    j.terminated.push((exec, children.to_vec()));
-                    true
-                }
-                Traffic::Results(items) => {
-                    j.results.extend_from_slice(items);
-                    false
-                }
-                _ => false,
-            };
-            if journaled {
-                step.push(Effect::Count(Counter::JournalPeakEntries, j.live() as u64));
-                if j.live() > JOURNAL_COMPACT_EVERY {
-                    j.compact(sentinel);
-                    step.push(Effect::Count(Counter::JournalCompactions, 1));
-                }
-            }
         }
         let ctr = self.next_seq.entry((travel, to)).or_insert(1);
         let seq = *ctr;
@@ -368,16 +280,15 @@ impl Relay {
     /// A failover re-homed `travel` onto `coordinator` under travel-epoch
     /// `epoch`: fence the old epoch, restart the travel's outgoing streams
     /// at sequence 1 (dropping the old generation's unacked messages — the
-    /// receivers would fence their payloads anyway), and re-announce the
-    /// sent-journal to the successor. The re-announcement is a raw send:
-    /// the handoff protocol *is* the recovery path, so it rides neither the
-    /// lossy relay layer nor the travel-epoch fence.
+    /// receivers would fence their payloads anyway), and acknowledge to the
+    /// successor. The ack is a raw send: the handoff protocol *is* the
+    /// recovery path, so it rides neither the lossy relay layer nor the
+    /// travel-epoch fence.
     ///
     /// A re-nudged duplicate answers again but resets nothing — by then
     /// the successor's re-drive may have queued fresh work, and clearing
     /// it again would strand live execs. A retired travel has nothing to
-    /// clear and no journal left; it still answers, so the successor's
-    /// barrier cannot stall.
+    /// clear; it still answers, so the successor's barrier cannot stall.
     pub(crate) fn on_handoff(
         &mut self,
         travel: TravelId,
@@ -386,7 +297,6 @@ impl Relay {
         retired: bool,
     ) -> Vec<Effect> {
         let mut step = Vec::new();
-        let mut j = SentJournal::default();
         if !retired {
             let cur = self.travel_epoch.entry(travel).or_insert(0);
             if epoch < *cur {
@@ -401,28 +311,24 @@ impl Relay {
                     coordinator,
                 });
             }
-            j = self.journal.remove(&travel).unwrap_or_default();
         }
-        let announce = Msg::ReAnnounce {
+        let server = self.me;
+        let ack = Msg::CoordHandoffAck {
             travel,
             epoch,
-            server: self.me,
-            created: j.created,
-            terminated: j.terminated,
-            results: j.results,
+            server,
         };
-        step.push(Effect::Send(coordinator, announce));
+        step.push(Effect::Send(coordinator, ack));
         step
     }
 
     /// The travel finished or was aborted here: pending retransmits stop,
-    /// receive streams forget their cursors, the journal and the epoch
-    /// fence follow it out (a resubmission gets a new travel id).
+    /// receive streams forget their cursors, the epoch fence follows it
+    /// out (a resubmission gets a new travel id).
     pub(super) fn forget(&mut self, travel: TravelId) {
         self.next_seq.retain(|&(t, _), _| t != travel);
         self.pending.retain(|&(t, _, _), _| t != travel);
         self.in_streams.retain(|&(t, _), _| t != travel);
-        self.journal.remove(&travel);
         self.travel_epoch.remove(&travel);
     }
 }
@@ -431,6 +337,8 @@ impl Relay {
 mod tests {
     use super::super::effect::testkit::{split, Step};
     use super::*;
+    use crate::ExecId;
+    use gt_graph::VertexId;
 
     const T: TravelId = 7;
 
@@ -446,14 +354,6 @@ mod tests {
             travel: T,
             exec,
             depth: 1,
-        }
-    }
-
-    fn terminated(exec: ExecId) -> Msg {
-        Msg::ExecTerminated {
-            travel: T,
-            exec,
-            children: Vec::new(),
         }
     }
 
@@ -703,48 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn the_journal_drops_balanced_pairs_then_collapses_to_the_sentinel() {
-        let now = Instant::now();
-        let mut a = Relay::new(3, 0);
-        // Balanced pairs compact away without a sentinel.
-        for n in 1..=(JOURNAL_COMPACT_EVERY as u64 / 2 + 1) {
-            a.on_send(0, T, 0, created(ExecId::new(3, n)), now);
-            a.on_send(0, T, 0, terminated(ExecId::new(3, n)), now);
-        }
-        let j = &a.journal[&T];
-        assert!(j.live() <= 2, "pairs are gone: {}", j.live());
-        // Created-only entries cannot be dropped: past the budget the
-        // journal collapses to one never-terminating entry, and stays
-        // within the budget however long the travel fans out.
-        let mut compactions = 0;
-        for n in 1000..1000 + 3 * JOURNAL_COMPACT_EVERY as u64 {
-            let step = split(a.on_send(0, T, 0, created(ExecId::new(3, n)), now));
-            compactions += step.counted(Counter::JournalCompactions);
-            assert!(a.journal[&T].live() <= JOURNAL_COMPACT_EVERY);
-        }
-        assert!(compactions >= 2);
-        let j = &a.journal[&T];
-        assert!(j.created.contains(&(ExecId::new(3, 0), 0)));
-        assert!(j.terminated.is_empty());
-        // Results ride along uncompacted, and the handoff ships it all.
-        a.on_send(0, T, 0, results(5), now);
-        let h = split(a.on_handoff(T, 1, 2, false));
-        match &h.send[0] {
-            (
-                2,
-                Msg::ReAnnounce {
-                    created, results, ..
-                },
-            ) => {
-                assert!(created.contains(&(ExecId::new(3, 0), 0)));
-                assert_eq!(results, &vec![(1, VertexId(5))]);
-            }
-            other => panic!("expected the re-announcement, got {other:?}"),
-        }
-        assert!(!a.journal.contains_key(&T));
-    }
-
-    #[test]
     fn retired_travels_ack_without_growing_state_and_forget_drops_everything() {
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
@@ -757,14 +615,21 @@ mod tests {
         assert!(b.in_streams.is_empty());
         let h = split(b.on_handoff(T, 1, 0, true));
         assert!(matches!(
-            &h.send[0],
-            (0, Msg::ReAnnounce { created, .. }) if created.is_empty()
+            h.send[0],
+            (
+                0,
+                Msg::CoordHandoffAck {
+                    epoch: 1,
+                    server: 1,
+                    ..
+                }
+            )
         ));
         assert_eq!(b.epoch_of(T), 0, "a retired travel is not re-fenced");
         a.on_handoff(T, 1, 0, false);
         a.on_send(1, T, 1, created(ExecId::new(0, 2)), now);
         a.forget(T);
-        assert!(a.pending.is_empty() && a.next_seq.is_empty() && a.journal.is_empty());
+        assert!(a.pending.is_empty() && a.next_seq.is_empty());
         assert_eq!(a.epoch_of(T), 0);
     }
 

@@ -1,5 +1,4 @@
-//! Binary serialization of [`Msg`] for the socket transport, and of
-//! [`LedgerEvent`] for the coordinator's durable blob log.
+//! Binary serialization of [`Msg`] for the socket transport.
 //!
 //! The in-process fabric moves messages by value and never touches this
 //! module; only frames crossing a real socket ([`gt_transport::socket`])
@@ -21,20 +20,19 @@
 //!   then the value; vertices and props reuse their storage encodings
 //!   (`gt_graph::codec`) verbatim so there is one byte-level truth per
 //!   type.
-//! * **The tables** ([`wire_table!`]) list each enum variant once, as
+//! * **The table** ([`wire_table!`]) lists each enum variant once, as
 //!   `tag => Variant { fields in wire order }`; encode and decode are both
 //!   generated from that row. A row is written by hand only where the
 //!   format is not the fields in sequence.
 //!
 //! Tags are append-only and never reused: renumbering breaks mixed-version
-//! meshes and replay of on-disk ledgers. A retired variant's tag stays
+//! meshes. A retired variant's tag stays
 //! unassigned (see the note in the `Msg` table), so frames from an older
 //! peer decode to `None` instead of to a different message.
 
-use crate::coordinator::LedgerEvent;
 use crate::lang::{Plan, PlanStep, Source};
 use crate::message::{CopyPurpose, Msg, ProgressSnapshot, SyncExpect, TravelOutcome};
-use crate::{ExecId, Token, TravelId};
+use crate::{ExecId, Token};
 use gt_graph::{Cond, Edge, FilterSet, PropFilter, PropValue, Vertex, VertexId};
 use gt_placement::{PartitionEntry, PlacementMap};
 use gt_proto::{put_bytes, put_str, put_u16, put_u32, put_u64, Reader};
@@ -448,7 +446,7 @@ impl Wire for PlacementMap {
     }
 }
 
-// --------------------------------------------------------------- the tables
+// ---------------------------------------------------------------- the table
 
 /// From one row per variant, `tag => Variant { fields in wire order }`,
 /// generate for `$ty`: `wire_tag(&self)`, `put_fields(&self, out)` (the
@@ -522,16 +520,17 @@ wire_table! {
         // 19–20 are retired (`IngestAck`/`GetVertex` with the replica-read
         // barrier fields; re-issued slimmer as 47–48); they stay unassigned.
         21 => VertexReply { req, vertex },
-        // 23 and 25 are retired (`RelayAck` without its stream generation,
-        // `CoordHandoff` with the unread `restarted`; re-issued as 50–51).
-        26 => ReAnnounce { travel, epoch, server, created, terminated, results },
+        // 23–26 are retired (`RelayAck` without its stream generation,
+        // `CoordHandoff` with the unread `restarted`; re-issued as 50–51;
+        // `CoordRecover` with the ledger stream and `ReAnnounce` with the
+        // sent-journal; re-issued bare as 53–54).
         27 => RecoverDone { travel, epoch },
         28 => PlacementUpdate { map, client },
         29 => PlacementAck { version, server },
         // 30 is retired (`ReplicateWrite` with its write sequence;
         // re-issued as 49).
         31 => ReplicateAck { req, server },
-        32 => ReplicateLedger { from, reset, blobs },
+        // 32 is retired (ledger replication, gone with the durable ledger).
         33 => CopyBegin { mig, partition, to, client, purpose },
         34 => CopyData { mig, partition, phase, last, client, purpose, pairs },
         35 => CopyApplied { mig, phase, server },
@@ -551,6 +550,8 @@ wire_table! {
         50 => RelayAck { travel, server, tepoch, seq, attempt },
         51 => CoordHandoff { travel, epoch, coordinator },
         52 => Heartbeat { from, seq },
+        53 => CoordRecover { travel, epoch, plan, client },
+        54 => CoordHandoffAck { travel, epoch, server },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.
@@ -565,37 +566,7 @@ wire_table! {
         } get {
             get_relay(r, 0)
         },
-        // Events travel as the ledger's own blobs, stamped with `travel`.
-        24 => CoordRecover { travel, epoch, plan, client, events }: put {
-            travel.put(out);
-            epoch.put(out);
-            plan.put(out);
-            client.put(out);
-            let blobs: Vec<Vec<u8>> = events.iter().map(|ev| ev.encode(*travel)).collect();
-            blobs.put(out);
-        } get {
-            let travel = Wire::get(r)?;
-            let (epoch, plan, client) = (Wire::get(r)?, Wire::get(r)?, Wire::get(r)?);
-            let mut events = Vec::new();
-            for blob in Vec::<Vec<u8>>::get(r)? {
-                match LedgerEvent::decode(&blob)? {
-                    (stamp, ev) if stamp == travel => events.push(ev),
-                    _ => return None,
-                }
-            }
-            Some(Msg::CoordRecover { travel, epoch, plan, client, events })
-        },
     }
-}
-
-wire_table! {
-    LedgerEvent, |out, r| {
-        1 => Created { epoch, exec, depth },
-        2 => Terminated { epoch, exec, children },
-        3 => Results { epoch, items },
-        4 => Snapshot { epoch, created, terminated, results },
-    }
-    by hand {}
 }
 
 fn put_msg(msg: &Msg, out: &mut Vec<u8>) {
@@ -632,29 +603,5 @@ impl WireCodec for Msg {
         let msg = Msg::get_fields(r.u8().ok()?, &mut r)?;
         r.finish().ok()?;
         Some(msg)
-    }
-}
-
-impl LedgerEvent {
-    /// Serialize as one blob-log record: `tag | travel | fields`, the
-    /// travel-epoch being every variant's first field.
-    pub fn encode(&self, travel: TravelId) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        out.push(self.wire_tag());
-        travel.put(&mut out);
-        self.put_fields(&mut out);
-        out
-    }
-
-    /// Decode one blob-log record. `None` for unknown tags or malformed
-    /// bodies (forward compatibility: unknown records are skipped, the
-    /// CRC framing already rejected torn writes).
-    pub fn decode(blob: &[u8]) -> Option<(TravelId, LedgerEvent)> {
-        let mut r = Reader::new(blob);
-        let tag = r.u8().ok()?;
-        let travel = r.u64().ok()?;
-        let ev = LedgerEvent::get_fields(tag, &mut r)?;
-        r.finish().ok()?;
-        Some((travel, ev))
     }
 }

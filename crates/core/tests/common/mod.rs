@@ -3,7 +3,7 @@
 #![allow(dead_code)]
 
 use graphtrek::oracle;
-use graphtrek::prelude::GTravel;
+use graphtrek::prelude::{GTravel, PropFilter};
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,6 +52,19 @@ pub fn random_graph(seed: u64, n: u64, name_prop: Option<&str>) -> InMemoryGraph
         ));
     }
     g
+}
+
+/// Four hops over [`random_graph`] mixing depth, a vertex filter and an
+/// intermediate `rtn()`: the query of the failure suites, where semantic
+/// richness matters more than traffic volume.
+pub fn mixed_query() -> GTravel {
+    GTravel::v([0u64, 1, 2, 3, 4, 5])
+        .e("link")
+        .rtn()
+        .e("read")
+        .va(PropFilter::range("w", 0i64, 8i64))
+        .e("link")
+        .e("link")
 }
 
 /// The single-threaded oracle's answer, in `TravelResult::by_depth` shape.

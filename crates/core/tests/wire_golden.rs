@@ -1,17 +1,16 @@
 //! Wire compatibility and hostile-input robustness, from one corpus.
 //!
-//! The corpus holds at least one sample of every [`Msg`] variant, every
-//! [`LedgerEvent`] and every front-door [`ClientMsg`]/[`ServerMsg`]. Over
-//! it: the encodings equal the bytes recorded in `golden/wire.txt` (mixed
-//! version meshes, and ledgers already on disk, keep decoding), every
-//! sample round-trips, every strict prefix of every frame is rejected,
-//! and spliced or random byte strings never panic a decoder.
+//! The corpus holds at least one sample of every [`Msg`] variant and
+//! every front-door [`ClientMsg`]/[`ServerMsg`]. Over it: the encodings
+//! equal the bytes recorded in `golden/wire.txt` (mixed version meshes
+//! keep decoding), every sample round-trips, every strict prefix of every
+//! frame is rejected, and spliced or random byte strings never panic a
+//! decoder.
 //!
 //! A deliberate format change regenerates the golden lines from the
 //! failing assertion's output; a retired variant's last line moves under
 //! a `retired/` label, where it must decode to `None` for good.
 
-use graphtrek::coordinator::LedgerEvent;
 use graphtrek::lang::{GTravel, Plan};
 use graphtrek::message::{CopyPurpose, Msg, ProgressSnapshot, SyncExpect, TravelOutcome};
 use graphtrek::{ExecId, Token};
@@ -38,31 +37,6 @@ fn sample_plan() -> Arc<Plan> {
             .compile()
             .expect("sample plan compiles"),
     )
-}
-
-fn ledger_events() -> Vec<LedgerEvent> {
-    vec![
-        LedgerEvent::Created {
-            epoch: 1,
-            exec: ExecId::new(0, 1),
-            depth: 0,
-        },
-        LedgerEvent::Terminated {
-            epoch: 1,
-            exec: ExecId::new(0, 1),
-            children: vec![(ExecId::new(1, 2), 1), (ExecId::new(2, 3), 1)],
-        },
-        LedgerEvent::Results {
-            epoch: 2,
-            items: vec![(1, VertexId(4)), (2, VertexId(5))],
-        },
-        LedgerEvent::Snapshot {
-            epoch: 1,
-            created: vec![(ExecId::new(0, 1), 0)],
-            terminated: vec![ExecId::new(0, 1)],
-            results: vec![(0, VertexId(1))],
-        },
-    ]
 }
 
 fn msgs() -> Vec<Msg> {
@@ -236,20 +210,16 @@ fn msgs() -> Vec<Msg> {
             epoch: 2,
             plan: plan.clone(),
             client: 3,
-            events: ledger_events(),
         },
         Msg::CoordHandoff {
             travel: 7,
             epoch: 3,
             coordinator: 2,
         },
-        Msg::ReAnnounce {
+        Msg::CoordHandoffAck {
             travel: 7,
             epoch: 3,
             server: 0,
-            created: vec![(ExecId::new(0, 2), 1)],
-            terminated: vec![(ExecId::new(0, 2), vec![(ExecId::new(1, 1), 2)])],
-            results: vec![(1, VertexId(4))],
         },
         Msg::RecoverDone {
             travel: 7,
@@ -271,11 +241,6 @@ fn msgs() -> Vec<Msg> {
             edges: vec![edge],
         },
         Msg::ReplicateAck { req: 12, server: 1 },
-        Msg::ReplicateLedger {
-            from: 0,
-            blobs: vec![vec![1, 2, 3], vec![]],
-            reset: true,
-        },
         Msg::CopyBegin {
             mig: 20,
             partition: 1,
@@ -407,14 +372,8 @@ struct Sample {
     decode: fn(&[u8]) -> Option<String>,
 }
 
-/// Travel id every ledger sample is stamped with (matches `CoordRecover`).
-const LEDGER_TRAVEL: u64 = 7;
-
 fn decode_msg(buf: &[u8]) -> Option<String> {
     Msg::decode(buf).map(|m| format!("{m:?}"))
-}
-fn decode_ledger(buf: &[u8]) -> Option<String> {
-    LedgerEvent::decode(buf).map(|(travel, ev)| format!("{ev:?} of travel {travel}"))
 }
 fn decode_client(buf: &[u8]) -> Option<String> {
     ClientMsg::decode(buf).ok().map(|m| format!("{m:?}"))
@@ -445,15 +404,6 @@ fn corpus() -> Vec<Sample> {
     let mut out = Vec::new();
     for m in msgs() {
         out.push(sample("msg", format!("{m:?}"), m.to_bytes(), decode_msg));
-    }
-    for ev in ledger_events() {
-        let debug = format!("{ev:?} of travel {LEDGER_TRAVEL}");
-        out.push(sample(
-            "ledger",
-            debug,
-            ev.encode(LEDGER_TRAVEL),
-            decode_ledger,
-        ));
     }
     for m in client_msgs() {
         let mut buf = Vec::new();
@@ -522,8 +472,8 @@ fn retired_tags_stay_unassigned() {
     let (_, retired) = golden_lines();
     assert_eq!(
         retired.len(),
-        10,
-        "tags 41-44, then 19, 20 and 30, then 23, 25 and 38"
+        13,
+        "tags 41-44, then 19, 20 and 30, then 23, 25 and 38, then 24, 26 and 32"
     );
     for line in retired {
         let (label, frame) = line.split_once(' ').expect("label, then hex");
@@ -552,7 +502,6 @@ fn every_strict_prefix_is_rejected() {
 fn malformed_bytes_decode_to_none() {
     assert!(Msg::decode(&[]).is_none());
     assert!(Msg::decode(&[250]).is_none(), "unknown tag");
-    assert!(LedgerEvent::decode(&[9, 0, 0]).is_none(), "unknown tag");
     // Trailing garbage after a complete message.
     let mut buf = Msg::Shutdown.to_bytes();
     buf.push(7);
@@ -580,26 +529,6 @@ fn malformed_bytes_decode_to_none() {
         };
     }
     assert!(Msg::decode(&deep.to_bytes()).is_none());
-    // A recovery stream carrying another travel's ledger record: splice
-    // one of travel 7's blobs into an empty stream's frame.
-    let recover_with_blob_of_7 = |travel| {
-        let mut buf = Msg::CoordRecover {
-            travel,
-            epoch: 2,
-            plan: sample_plan(),
-            client: 3,
-            events: vec![],
-        }
-        .to_bytes();
-        let blob = ledger_events()[0].encode(LEDGER_TRAVEL);
-        buf.truncate(buf.len() - 4);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&blob);
-        buf
-    };
-    assert!(Msg::decode(&recover_with_blob_of_7(LEDGER_TRAVEL)).is_some());
-    assert!(Msg::decode(&recover_with_blob_of_7(8)).is_none());
     // Placement maps the routing code would index out of bounds.
     let good = PlacementMap::initial(3, 2);
     let bad_maps = [
@@ -655,10 +584,10 @@ proptest! {
         let _ = (s.decode)(&frame);
     }
 
-    /// Unstructured input, through all four decoders.
+    /// Unstructured input, through all three decoders.
     #[test]
     fn random_bytes_never_panic(frame in proptest::collection::vec(any::<u8>(), 0..96)) {
-        for decode in [decode_msg, decode_ledger, decode_client, decode_server] {
+        for decode in [decode_msg, decode_client, decode_server] {
             let _ = decode(&frame);
         }
     }

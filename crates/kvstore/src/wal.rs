@@ -215,136 +215,6 @@ fn is_tail(data: &[u8], end: usize) -> bool {
     end >= data.len()
 }
 
-// ---------------------------------------------------------------------
-// Blob log: opaque-record variant of the WAL
-// ---------------------------------------------------------------------
-
-/// Append-only log of opaque byte records, framed exactly like the WAL
-/// (`u32 len | u32 crc32 | payload`) but without interpreting the
-/// payload. Used by the traversal control plane to persist per-travel
-/// ledger event streams next to the data WAL.
-#[derive(Debug)]
-pub struct BlobLog {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    written: u64,
-    sync_on_write: bool,
-}
-
-impl BlobLog {
-    /// Open (creating if necessary) the blob log at `path` for appending.
-    pub fn open(path: impl Into<PathBuf>, sync_on_write: bool) -> Result<Self> {
-        let path = path.into();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let written = file.metadata()?.len();
-        Ok(BlobLog {
-            path,
-            writer: BufWriter::new(file),
-            written,
-            sync_on_write,
-        })
-    }
-
-    /// Append one opaque record.
-    pub fn append(&mut self, blob: &[u8]) -> Result<()> {
-        let mut header = [0u8; 8];
-        header[0..4].copy_from_slice(&(blob.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&crate::crc32(blob).to_le_bytes());
-        self.writer.write_all(&header)?;
-        self.writer.write_all(blob)?;
-        self.writer.flush()?;
-        if self.sync_on_write {
-            self.writer.get_ref().sync_data()?;
-        }
-        self.written += (header.len() + blob.len()) as u64;
-        Ok(())
-    }
-
-    /// Total bytes in the log file.
-    pub fn len_bytes(&self) -> u64 {
-        self.written
-    }
-
-    /// Truncate the log (e.g. after every tracked stream was compacted
-    /// away or retired).
-    pub fn reset(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        let file = self.writer.get_mut();
-        file.set_len(0)?;
-        file.seek(SeekFrom::Start(0))?;
-        self.written = 0;
-        Ok(())
-    }
-
-    /// Path of the underlying file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// Outcome of replaying a blob log.
-#[derive(Debug)]
-pub struct BlobReplay {
-    /// Every committed record in append order.
-    pub blobs: Vec<Vec<u8>>,
-    /// Byte offset of a torn tail record that was discarded, if any.
-    pub truncated_at: Option<u64>,
-}
-
-/// Replay a blob log, tolerating a torn tail record.
-///
-/// Unlike [`replay`], this **never truncates the file**: a failover
-/// orchestrator reads the log of a crashed server that may be restarted
-/// (and hold the file open for append) concurrently, so the read side
-/// must be strictly non-destructive. A torn tail is simply skipped.
-pub fn replay_blobs(path: &Path) -> Result<BlobReplay> {
-    let fname = path.display().to_string();
-    let mut blobs = Vec::new();
-    let mut truncated_at = None;
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(BlobReplay {
-                blobs,
-                truncated_at,
-            })
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let mut data = Vec::new();
-    file.read_to_end(&mut data)?;
-    let mut pos = 0usize;
-    while pos < data.len() {
-        if pos + 8 > data.len() {
-            truncated_at = Some(pos as u64);
-            break;
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-        if pos + 8 + len > data.len() {
-            truncated_at = Some(pos as u64);
-            break;
-        }
-        let payload = &data[pos + 8..pos + 8 + len];
-        if crate::crc32(payload) != crc {
-            if is_tail(&data, pos + 8 + len) {
-                truncated_at = Some(pos as u64);
-                break;
-            }
-            return Err(Error::corruption(
-                &fname,
-                format!("bad crc at offset {pos}"),
-            ));
-        }
-        blobs.push(payload.to_vec());
-        pos += 8 + len;
-    }
-    Ok(BlobReplay {
-        blobs,
-        truncated_at,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,55 +298,6 @@ mod tests {
         data[10] ^= 0xFF;
         std::fs::write(&p, &data).unwrap();
         assert!(matches!(replay(&p), Err(Error::Corruption { .. })));
-    }
-
-    #[test]
-    fn blob_log_roundtrip_and_torn_tail_is_nondestructive() {
-        let p = tmp("blob");
-        std::fs::remove_file(&p).ok();
-        {
-            let mut w = BlobLog::open(&p, false).unwrap();
-            w.append(b"alpha").unwrap();
-            w.append(b"").unwrap();
-            w.append(b"gamma-record").unwrap();
-        }
-        let r = replay_blobs(&p).unwrap();
-        assert!(r.truncated_at.is_none());
-        assert_eq!(
-            r.blobs,
-            vec![b"alpha".to_vec(), Vec::new(), b"gamma-record".to_vec()]
-        );
-        // Tear the tail; replay skips it but must NOT shrink the file
-        // (a restarted writer may hold it open for append).
-        let len = std::fs::metadata(&p).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&p).unwrap();
-        f.set_len(len - 2).unwrap();
-        drop(f);
-        let r2 = replay_blobs(&p).unwrap();
-        assert_eq!(r2.blobs.len(), 2);
-        assert!(r2.truncated_at.is_some());
-        assert_eq!(std::fs::metadata(&p).unwrap().len(), len - 2);
-    }
-
-    #[test]
-    fn blob_log_mid_corruption_is_fatal_and_reset_works() {
-        let p = tmp("blob-corrupt");
-        std::fs::remove_file(&p).ok();
-        {
-            let mut w = BlobLog::open(&p, false).unwrap();
-            w.append(b"aaaaaaaaaaaa").unwrap();
-            w.append(b"bbbbbbbbbbbb").unwrap();
-        }
-        let mut data = std::fs::read(&p).unwrap();
-        data[10] ^= 0xFF;
-        std::fs::write(&p, &data).unwrap();
-        assert!(matches!(replay_blobs(&p), Err(Error::Corruption { .. })));
-        let mut w = BlobLog::open(&p, false).unwrap();
-        w.reset().unwrap();
-        assert_eq!(w.len_bytes(), 0);
-        w.append(b"fresh").unwrap();
-        drop(w);
-        assert_eq!(replay_blobs(&p).unwrap().blobs, vec![b"fresh".to_vec()]);
     }
 
     #[test]

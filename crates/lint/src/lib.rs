@@ -8,7 +8,7 @@
 //! | `lock-cycle` | no cycles in the static lock-acquisition graph |
 //! | `guard-across-channel` | no guard live across a blocking `send`/`recv` |
 //! | `wildcard-arm` | no silent `_ =>` arms in protocol dispatch |
-//! | `unhandled-variant` | every `Msg`/`LedgerEvent` variant matched by name |
+//! | `unhandled-variant` | every `Msg` variant matched by name |
 //! | `epoch-fence` | travel-scoped handlers fence before mutating |
 //! | `panic` | no `unwrap`/`expect`/`panic!` in hot paths |
 //! | `dead-counter`, `unsurfaced-counter` | every metrics counter incremented and surfaced |

@@ -2,7 +2,7 @@
 //! exhaustive by name.
 //!
 //! The wire protocol evolves one enum variant at a time. A `_ => {}` arm in
-//! a dispatch match means a newly added `Msg`/`LedgerEvent` variant is
+//! a dispatch match means a newly added `Msg` variant is
 //! silently swallowed instead of being a compile/lint error — the exact bug
 //! class that epoch fencing and failover recovery cannot survive. Two
 //! checks:
@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// `ServerMsg` are the front-door wire frames (gt-proto): a silently
 /// swallowed frame variant is the same bug class on the client↔server
 /// hop as a swallowed `Msg` is on the server↔server fabric.
-const AUDITED_ENUMS: &[&str] = &["Msg", "LedgerEvent", "ClientMsg", "ServerMsg"];
+const AUDITED_ENUMS: &[&str] = &["Msg", "ClientMsg", "ServerMsg"];
 
 /// Idents that may appear in a "silent default" arm body. Anything else
 /// (function calls, error construction, field writes) makes the body

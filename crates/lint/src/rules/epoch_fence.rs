@@ -4,7 +4,7 @@
 //! After a coordinator failover, stale messages from the previous epoch
 //! keep arriving. Any `handle_*` function that takes a `travel: TravelId`
 //! and *creates or modifies* per-travel state (`insert`, `entry`, `push`,
-//! `extend`, scratch-ledger mutators, …) without first checking
+//! `extend`, ledger mutators, …) without first checking
 //! `is_retired`/`travel_epoch` can resurrect a travel that the fence
 //! already killed. Pure-cleanup handlers (`remove`/`retain` only) are
 //! exempt — tearing state down is safe at any epoch. Stepping a protocol
@@ -20,7 +20,7 @@ use crate::lexer::{Tok, TokKind};
 use crate::parser::{functions, SourceFile};
 
 /// Method names that create or modify per-travel state. The trailing
-/// entries are the scratch-ledger/sync-state mutators specific to this
+/// entries are the ledger/sync-state mutators specific to this
 /// workspace; the set is deliberately explicit so the rule's reach is
 /// reviewable in one place.
 const MUTATORS: &[&str] = &[
@@ -36,7 +36,6 @@ const MUTATORS: &[&str] = &[
     "add_results",
     "exec_created",
     "exec_terminated",
-    "apply",
 ];
 
 /// Prefix of the protocol machines' input methods.

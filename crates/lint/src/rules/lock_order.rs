@@ -22,7 +22,7 @@
 //!
 //! A cycle in the acquisition graph (including a self-edge) is a
 //! `lock-cycle` finding. Lock identity is the field name before
-//! `.lock()`/`.read()`/`.write()`, with `let Some(g) = &sh.ledger`-style
+//! `.lock()`/`.read()`/`.write()`, with `let Some(g) = &sh.log`-style
 //! aliases resolved; this is intentionally simple — names are per-struct
 //! unique in this workspace — and documented as a known limitation in
 //! DESIGN.md.

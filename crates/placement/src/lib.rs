@@ -205,13 +205,6 @@ impl PlacementMap {
             .collect()
     }
 
-    /// The ring successors of `server` that receive its replicated travel
-    /// ledger (`rf - 1` peers, skipping `server` itself).
-    pub fn ledger_peers(&self, server: usize, rf: usize) -> Vec<usize> {
-        let rf = rf.clamp(1, self.n_servers);
-        (1..rf).map(|i| (server + i) % self.n_servers).collect()
-    }
-
     /// Partitions primaried by `server`, ascending.
     pub fn primaried_by(&self, server: usize) -> Vec<usize> {
         (0..self.entries.len())
@@ -295,12 +288,6 @@ impl SharedPlacement {
     /// Has `server` been decommissioned?
     pub fn is_decommissioned(&self, server: usize) -> bool {
         self.map.read().is_decommissioned(server)
-    }
-
-    /// Ledger replication peers of `server` (see
-    /// [`PlacementMap::ledger_peers`]).
-    pub fn ledger_peers(&self, server: usize, rf: usize) -> Vec<usize> {
-        self.map.read().ledger_peers(server, rf)
     }
 
     /// Does `server` hold a copy (primary or replica) of `vid`'s partition?
@@ -410,15 +397,6 @@ mod tests {
         map.decommission(2);
         assert!(map.is_decommissioned(2));
         assert_eq!(map.active_servers(), vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn ledger_peers_skip_self() {
-        let map = PlacementMap::initial(3, 2);
-        assert_eq!(map.ledger_peers(0, 2), vec![1]);
-        assert_eq!(map.ledger_peers(2, 2), vec![0]);
-        assert!(map.ledger_peers(0, 1).is_empty());
-        assert_eq!(map.ledger_peers(1, 3), vec![2, 0]);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use graphtrek::client::ClientPort;
 use graphtrek::cluster::{Cluster, ClusterConfig, ClusterError};
-use graphtrek::coordinator::ledger_file;
 use graphtrek::engine::{EngineConfig, EngineKind};
 use graphtrek::frontdoor::FrontDoor;
 use graphtrek::qos::QosConfig;
@@ -176,7 +175,7 @@ pub fn load_graph_file(path: &Path) -> Result<InMemoryGraph, String> {
 pub struct NodeConfig {
     /// Path of the graph text file every node loads.
     pub graph: PathBuf,
-    /// Storage directory for this node's shard(s) and ledgers.
+    /// Storage directory for this node's shard(s).
     pub dir: PathBuf,
     /// Front-door listen address.
     pub listen: SocketAddrSpec,
@@ -335,10 +334,9 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
                 .ok_or_else(|| ServeError::Config("mesh returned no server endpoint".into()))?;
 
             let map = PlacementMap::initial(n, 1);
-            let sdir = cfg.dir.join(format!("server-{p}"));
             let store = Arc::new(
                 Store::open(StoreConfig {
-                    dir: sdir.clone(),
+                    dir: cfg.dir.join(format!("server-{p}")),
                     memtable_bytes: 8 << 20,
                     bloom_bits_per_key: 10,
                     block_cache_runs: 4096,
@@ -365,9 +363,7 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
                 epoch: 0,
                 metrics: None,
                 crash_after: None,
-                ledger_path: Some(ledger_file(&sdir)),
                 placement: Arc::new(SharedPlacement::new(map)),
-                replication: 1,
                 detection: None,
             });
             // Several processes' ports share the servers: each mints ids in

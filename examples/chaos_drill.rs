@@ -142,13 +142,8 @@ fn main() {
     println!("per-server coordinator-failover counters:");
     for (id, m) in cluster.metrics().into_iter().enumerate() {
         println!(
-            "  server {id}: failovers={} ledger_replays={} ledger_events_replayed={} \
-             reannounce_msgs={} stale_travel_epoch_dropped={}",
-            m.failovers,
-            m.ledger_replays,
-            m.ledger_events_replayed,
-            m.reannounce_msgs,
-            m.stale_travel_epoch_dropped
+            "  server {id}: failovers={} stale_travel_epoch_dropped={} relay_abandoned={}",
+            m.failovers, m.stale_travel_epoch_dropped, m.relay_abandoned
         );
     }
     let net = cluster.net_stats();

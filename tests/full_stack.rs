@@ -299,9 +299,7 @@ fn bare_client_port_drives_a_travel_over_a_uds_mesh() {
                 epoch: 0,
                 metrics: None,
                 crash_after: None,
-                ledger_path: None,
                 placement: Arc::new(SharedPlacement::new(map.clone())),
-                replication: 1,
                 detection: None,
             })
         })
