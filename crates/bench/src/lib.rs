@@ -2,8 +2,7 @@
 //!
 //! Each table and figure of the paper's §VII maps to one function here
 //! (see `DESIGN.md`'s experiment index). The `repro` binary drives them
-//! and prints paper-style rows; the Criterion benches under `benches/`
-//! reuse the same workloads at reduced scale for statistical timing.
+//! and prints paper-style rows.
 //!
 //! Methodology notes (mirroring §VII):
 //!
@@ -296,128 +295,6 @@ pub fn fig11_faults(campaign: &Campaign, n_servers: usize, depth: u16) -> FaultP
 /// Scratch directory for one experiment.
 pub fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gt-bench-{}-{tag}", std::process::id()))
-}
-
-/// A ready-to-measure cluster + query pair for the Criterion benches.
-///
-/// Keeps the loaded partition set alive for the cluster's lifetime and
-/// exposes [`BenchSetup::run_cold`], the measured unit: drop storage
-/// caches, then submit the traversal once.
-pub struct BenchSetup {
-    /// The running cluster.
-    pub cluster: graphtrek::Cluster,
-    /// The traversal under test.
-    pub query: GTravel,
-    loaded: Option<LoadedCluster>,
-}
-
-impl BenchSetup {
-    /// One cold traversal; returns its wall-clock time.
-    pub fn run_cold(&self) -> Duration {
-        self.cluster.drop_storage_caches();
-        let r = self
-            .cluster
-            .submit_opts(&self.query, Duration::from_secs(600), 0)
-            .expect("bench traversal");
-        r.elapsed
-    }
-
-    /// Shut down and remove scratch state.
-    pub fn teardown(mut self) {
-        self.cluster.shutdown();
-        if let Some(l) = self.loaded.take() {
-            l.cleanup();
-        }
-    }
-}
-
-/// The reduced campaign used by `cargo bench` (Criterion drives the
-/// repetitions, so each iteration must stay sub-second).
-pub fn bench_campaign() -> Campaign {
-    Campaign {
-        rmat_scale: 9,
-        out_degree: 8,
-        attr_bytes: 32,
-        servers: vec![2, 8],
-        repeats: 1,
-        io: IoProfile {
-            cold_read: Duration::from_micros(300),
-            warm_read: Duration::from_micros(1),
-            sequential_read: Duration::from_micros(5),
-        },
-        darshan_divisor: 100_000,
-        straggler_delay: Duration::from_micros(500),
-        straggler_count: 60,
-        ..Campaign::default_small()
-    }
-}
-
-/// Build a bench setup over an RMAT-1 graph.
-pub fn rmat_bench_setup(
-    kind: EngineKind,
-    n_servers: usize,
-    steps: u16,
-    faults: FaultPlan,
-) -> BenchSetup {
-    let campaign = bench_campaign();
-    let rmat = campaign.rmat1();
-    let g = gt_rmat::generate(&rmat);
-    let loaded = LoadedCluster::load(
-        &g,
-        n_servers,
-        &scratch(&format!("crit-{kind:?}-{n_servers}-{steps}")),
-        campaign.io,
-    );
-    let cluster = graphtrek::Cluster::from_partitions(
-        loaded.partitions.clone(),
-        loaded.partitioner,
-        EngineConfig::new(kind)
-            .workers(campaign.workers)
-            .net(campaign.net)
-            .faults(faults),
-    )
-    .expect("cluster");
-    BenchSetup {
-        cluster,
-        query: rmat_query(&rmat, steps, 42),
-        loaded: Some(loaded),
-    }
-}
-
-/// Build a bench setup over the synthetic Darshan graph with the
-/// Table III audit query.
-pub fn darshan_bench_setup(kind: EngineKind, n_servers: usize) -> BenchSetup {
-    let campaign = bench_campaign();
-    let cfg = gt_darshan::DarshanConfig::table2_scaled(campaign.darshan_divisor);
-    let d = gt_darshan::generate(&cfg);
-    let loaded = LoadedCluster::load(
-        &d.graph,
-        n_servers,
-        &scratch(&format!("crit-darshan-{kind:?}-{n_servers}")),
-        campaign.io,
-    );
-    let cluster = graphtrek::Cluster::from_partitions(
-        loaded.partitions.clone(),
-        loaded.partitioner,
-        EngineConfig::new(kind)
-            .workers(campaign.workers)
-            .net(campaign.net),
-    )
-    .expect("cluster");
-    let suspect = d.layout.user(d.stats.users / 2);
-    let query = GTravel::v([suspect])
-        .e("run")
-        .ea(PropFilter::range("ts", 0i64, cfg.ts_range))
-        .e("hasExecutions")
-        .e("write")
-        .e("readBy")
-        .e("write")
-        .rtn();
-    BenchSetup {
-        cluster,
-        query,
-        loaded: Some(loaded),
-    }
 }
 
 #[cfg(test)]

@@ -83,8 +83,7 @@ fn main() {
         client.close();
         return;
     }
-    // gt-lint: allow(unwrap, "checked non-None above")
-    let query = gtravel.unwrap();
+    let Some(query) = gtravel else { usage() };
     match client.run(&query, SubmitOpts { deadline_ms }) {
         Ok(reply) => {
             for (depth, vertices) in &reply.by_depth {

@@ -27,6 +27,7 @@
 use crate::cluster::{ClusterError, TravelError, TravelResult};
 use crate::frontdoor::Backend;
 use crate::lang::Plan;
+use crate::lockorder::assert_none_held;
 use crate::message::{Msg, ProgressSnapshot, TravelOutcome};
 use crate::TravelId;
 use gt_net::RecvError;
@@ -179,8 +180,10 @@ impl ClientPort {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Send `msg` to server `to`.
+    /// Send `msg` to server `to`: the one place a client's messages
+    /// leave.
     pub(crate) fn send(&self, to: usize, msg: Msg) -> Result<(), ClusterError> {
+        assert_none_held("a client's send");
         self.ep
             .send(to, msg)
             .map_err(|_| ClusterError::Disconnected)
@@ -215,6 +218,7 @@ impl ClientPort {
         deadline: Instant,
         mut pick: impl FnMut(&mut PortState) -> Option<R>,
     ) -> Result<Option<R>, ClusterError> {
+        assert_none_held("a client's wait");
         let mut st = self.state.lock();
         loop {
             if let Some(r) = pick(&mut st) {

@@ -36,7 +36,7 @@ use crate::client::{ClientPort, PROGRESS_DEADLINE};
 use crate::engine::TransportKind;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::lang::{GTravel, Plan};
-use crate::lockorder::OrderedMutex;
+use crate::lockorder::{OrderedMutex, Rank};
 use crate::message::{Msg, ProgressSnapshot};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, TravelMetrics};
 use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
@@ -340,8 +340,8 @@ impl Cluster {
             slots.push(ServerSlot {
                 endpoint,
                 metrics: handle.metrics.clone(),
-                partition: OrderedMutex::new(7, "partition", partition),
-                handle: OrderedMutex::new(6, "handle", Some(handle)),
+                partition: OrderedMutex::new(Rank::Partition, partition),
+                handle: OrderedMutex::new(Rank::Handle, Some(handle)),
                 store_cfg,
                 placement,
             });
@@ -370,10 +370,10 @@ impl Cluster {
             replication,
             durability,
             detection,
-            // Client-side lock-order ranks (see `lockorder`): the table is
-            // a leaf, so it ranks above the slot locks a restart holds
-            // (`handle`, `partition`) when it asks for the views to re-pin.
-            travels: OrderedMutex::new(8, "travels", table),
+            // The table is a leaf, so it ranks above the slot locks a
+            // restart holds (`handle`, `partition`) when it asks for the
+            // views to re-pin.
+            travels: OrderedMutex::new(Rank::Travels, table),
         });
         let heal_stop = Arc::new(AtomicBool::new(false));
         let healer = if self_heal {
@@ -409,7 +409,10 @@ impl Cluster {
     pub fn shutdown(self) {
         self.heal_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.healer {
-            // gt-lint: allow(panic, "shutdown path: a panicked healer must surface, not vanish")
+            #[expect(
+                clippy::expect_used,
+                reason = "shutdown path: a panicked healer must surface, not vanish"
+            )]
             h.join().expect("healer panicked");
         }
         self.inner.shutdown_servers();

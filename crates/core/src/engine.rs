@@ -79,11 +79,12 @@ pub struct EngineConfig {
     pub faults: FaultPlan,
     /// Seeded lossy-transport + crash schedule (the chaos harness).
     pub chaos: ChaosPlan,
-    /// Override: force the reliable-delivery layer (sequenced, ack'd,
-    /// retransmitted frontier forwarding with epoch fencing) on or off.
-    /// `None` enables it exactly when the chaos plan requires it, so the
-    /// chaos-free fast path stays byte-identical to the plain engine.
-    pub reliable_delivery: Option<bool>,
+    /// Force the reliable-delivery layer (sequenced, ack'd, retransmitted
+    /// frontier forwarding with epoch fencing) on without a chaos plan. A
+    /// chaos plan that needs it turns it on by itself; nothing turns it
+    /// off under one, and the chaos-free fast path stays byte-identical
+    /// to the plain engine.
+    pub reliable_delivery: bool,
     /// Override: force the scheduling/merging queue on or off
     /// independently of `kind` (ablation experiments). `None` follows the
     /// kind's default.
@@ -94,10 +95,6 @@ pub struct EngineConfig {
     /// submissions queue client-side in FIFO order until a slot frees
     /// (`0` = unlimited, the single-tenant behaviour).
     pub max_concurrent_travels: usize,
-    /// Traversal-affiliate cache triples reserved per active travel: a
-    /// co-running travel's inserts never evict another travel below this
-    /// floor (`0` = no reservation).
-    pub cache_reserve_per_travel: usize,
     /// MVCC snapshot isolation: stores stamp every write with a
     /// cluster-wide sequence number and each travel reads a frozen view
     /// captured at admission, so a travel never observes ingest that
@@ -123,11 +120,10 @@ impl EngineConfig {
             net: NetConfig::instant(),
             faults: FaultPlan::none(),
             chaos: ChaosPlan::none(),
-            reliable_delivery: None,
+            reliable_delivery: false,
             force_merging_queue: None,
             force_cache: None,
             max_concurrent_travels: 0,
-            cache_reserve_per_travel: 0,
             snapshot_isolation: false,
             transport: TransportKind::InProc,
         }
@@ -163,11 +159,11 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: force the reliable-delivery layer on or off
-    /// independently of the chaos plan (e.g. on with zero fault
-    /// probabilities, so isolation healing via retransmit can be tested).
+    /// Builder-style: run the reliable-delivery layer even without a
+    /// chaos plan (on with zero fault probabilities, so a scripted crash
+    /// or isolation healing via retransmit can be tested).
     pub fn force_reliable_delivery(mut self, on: bool) -> Self {
-        self.reliable_delivery = Some(on);
+        self.reliable_delivery = on;
         self
     }
 
@@ -189,12 +185,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: per-travel cache reservation floor.
-    pub fn cache_reserve_per_travel(mut self, n: usize) -> Self {
-        self.cache_reserve_per_travel = n;
-        self
-    }
-
     /// Builder-style: MVCC snapshot isolation for travels over a
     /// mutating graph.
     pub fn snapshot_isolation(mut self, on: bool) -> Self {
@@ -213,8 +203,7 @@ impl EngineConfig {
     /// with capped exponential backoff, epoch fencing, redelivery
     /// dedupe). Off by default so the chaos-free bench paths pay nothing.
     pub fn reliable_delivery_enabled(&self) -> bool {
-        self.reliable_delivery
-            .unwrap_or_else(|| self.chaos.requires_reliable_delivery())
+        self.reliable_delivery || self.chaos.requires_reliable_delivery()
     }
 
     /// Whether this configuration uses the scheduling/merging queue.
@@ -278,10 +267,7 @@ mod tests {
     fn concurrency_knobs() {
         let cfg = EngineConfig::new(EngineKind::GraphTrek);
         assert_eq!(cfg.max_concurrent_travels, 0, "unlimited by default");
-        assert_eq!(cfg.cache_reserve_per_travel, 0);
-        let cfg = cfg.max_concurrent_travels(4).cache_reserve_per_travel(32);
-        assert_eq!(cfg.max_concurrent_travels, 4);
-        assert_eq!(cfg.cache_reserve_per_travel, 32);
+        assert_eq!(cfg.max_concurrent_travels(4).max_concurrent_travels, 4);
     }
 
     #[test]
@@ -298,11 +284,11 @@ mod tests {
         let cfg = cfg.chaos(ChaosPlan::lossy(1));
         assert!(cfg.reliable_delivery_enabled(), "on under chaos");
         let cfg = EngineConfig::new(EngineKind::Sync).force_reliable_delivery(true);
-        assert!(cfg.reliable_delivery_enabled(), "explicit override");
+        assert!(cfg.reliable_delivery_enabled(), "forced on without chaos");
         let cfg = EngineConfig::new(EngineKind::Sync)
             .chaos(ChaosPlan::lossy(1))
             .force_reliable_delivery(false);
-        assert!(!cfg.reliable_delivery_enabled(), "override wins");
+        assert!(cfg.reliable_delivery_enabled(), "a chaos plan needs it");
     }
 
     #[test]

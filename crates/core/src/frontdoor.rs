@@ -414,6 +414,8 @@ fn overloaded() -> WireError {
 /// One connection's lifecycle: hello, then a request loop; on exit the
 /// tenant's in-flight travels are retired. This thread reads, parses,
 /// admits and `begin`s; whatever blocks on the backend is a [`Job`].
+/// Every `ClientMsg` is dispatched by name.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn serve_conn<B: Backend>(
     mut sock: Stream,
     backend: Arc<B>,

@@ -1,4 +1,21 @@
 #![warn(missing_docs)]
+// A panicking dispatcher or worker kills its server without tripping the
+// failure detector — the silent death status tracing exists to notice
+// (§IV-C). Everything that runs inside a server propagates typed errors or
+// drops the message; a deliberate abort carries
+// `#[expect(clippy::…, reason = "…")]`. Tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 //! # GraphTrek — asynchronous graph traversal for property-graph metadata
 //!

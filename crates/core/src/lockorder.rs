@@ -1,42 +1,100 @@
 //! Debug-build runtime lock-order enforcement.
 //!
-//! gt-lint's `lock-cycle` rule proves the *static* acquisition graph is
-//! acyclic, but it reasons over a name-based call graph and cannot see
-//! orders constructed at runtime (e.g. a closure stored in a map). This
-//! module closes that gap dynamically: every shared lock in the server and
-//! cluster layers is an [`OrderedMutex`] carrying a total-order *rank*, and
-//! debug builds `debug_assert!` that each acquisition's rank is strictly
-//! greater than every rank the current thread already holds. Any execution
-//! that could deadlock under some interleaving trips the assertion on the
-//! *first* out-of-order acquisition, deterministically, even when the run
-//! itself would have gotten lucky.
+//! Every shared lock in the server and cluster layers is an
+//! [`OrderedMutex`] carrying a [`Rank`], its position in one process-wide
+//! total order, and debug builds `debug_assert!` two things about the
+//! ranks a thread holds:
+//!
+//! * **order** — each acquisition's rank is strictly greater than every
+//!   rank the thread already holds, so any execution that could deadlock
+//!   under some interleaving trips on its *first* out-of-order
+//!   acquisition, deterministically, even when the run itself would have
+//!   gotten lucky ([`OrderedMutex::lock`]);
+//! * **no guard leaves with a message** — where a server or a client puts
+//!   a message on the wire, or blocks for one, the thread holds no ranked
+//!   lock at all ([`assert_none_held`]): a guard held across a send
+//!   couples the lock order to the peer's backpressure, the cross-node
+//!   deadlock shape no per-process order can rule out.
+//!
+//! Both are armed in every test the workspace runs (tests build with
+//! debug assertions) and are the only gate on these invariants: they see
+//! the orders that actually execute, closures and trait objects included,
+//! which a static pass over names cannot (DESIGN.md §9).
 //!
 //! Release builds compile the bookkeeping away: `OrderedMutex<T>` is a
-//! `parking_lot::Mutex<T>` plus two immutable words (rank and name), and
-//! `lock()` is a plain forwarding call.
-//!
-//! The workspace's rank assignment lives next to each field declaration
-//! (see `Shared` in `server.rs` and `Cluster` in `cluster.rs`); ranks are
-//! spaced out so future locks can slot in between without renumbering.
+//! `parking_lot::Mutex<T>` plus its rank, `lock()` is a plain forwarding
+//! call and `assert_none_held` is empty.
 
 use parking_lot::{Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
 
+/// The process-wide lock order: one variant per ranked lock, acquired in
+/// increasing discriminant order. This is the whole rank table — a lock
+/// cannot be built without a variant, and rustc rejects two variants with
+/// one discriminant (E0081), so names and ranks are unique by
+/// construction. Ranks are spaced so a new lock can slot in between
+/// without renumbering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u32)]
+pub enum Rank {
+    // The cluster client (`cluster.rs`): two locks per server slot, then
+    // the per-travel table, a leaf.
+    /// A slot's running server, `None` while it is crashed.
+    Handle = 6,
+    /// A slot's graph shard (swapped on restart).
+    Partition = 7,
+    /// The client's per-travel table.
+    Travels = 8,
+    // One server's shell (`server.rs`, `Shared`).
+    /// Travels finished here; the fence for stray messages.
+    Retired = 10,
+    /// Reliable delivery and both epoch fences.
+    Relay = 40,
+    /// Ingests awaiting replica write acks.
+    PendingIngest = 65,
+    /// Outgoing partition copies.
+    Copy = 66,
+    /// Pending `rtn()` returns.
+    Tokens = 70,
+    /// Synchronous-engine step buffers.
+    Barrier = 80,
+    /// Hosted coordinator state.
+    Coords = 90,
+    /// Takeovers run as successor.
+    Recovery = 100,
+}
+
 #[cfg(debug_assertions)]
 thread_local! {
-    /// Ranks (and names, for the panic message) of every `OrderedMutex`
-    /// the current thread holds, in acquisition order.
-    static HELD: std::cell::RefCell<Vec<(u32, &'static str)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// Rank of every `OrderedMutex` the current thread holds, in
+    /// acquisition order.
+    static HELD: std::cell::RefCell<Vec<Rank>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Assert (debug builds) that the current thread holds no ranked lock.
+/// Called at every point where a message leaves a server or a client and
+/// where the client blocks for one; `at` names the point in the panic.
+#[inline]
+pub(crate) fn assert_none_held(at: &str) {
+    #[cfg(debug_assertions)]
+    HELD.with(|held| {
+        let held = held.borrow();
+        assert!(
+            held.is_empty(),
+            "ranked lock held across {at}: {held:?}; snapshot what you need, drop the \
+             guard, then send",
+        );
+    });
+    #[cfg(not(debug_assertions))]
+    let _ = at;
 }
 
 /// A `parking_lot::Mutex` with a fixed position in the process-wide lock
 /// order. Acquisitions must happen in strictly increasing rank within a
 /// thread; debug builds assert this on every `lock()`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OrderedMutex<T> {
-    rank: u32,
-    name: &'static str,
+    rank: Rank,
     inner: Mutex<T>,
 }
 
@@ -45,19 +103,17 @@ pub struct OrderedMutex<T> {
 /// rank from the thread's held-lock stack.
 pub struct OrderedGuard<'a, T> {
     #[cfg(debug_assertions)]
-    rank: u32,
+    rank: Rank,
     guard: MutexGuard<'a, T>,
 }
 
 impl<T> OrderedMutex<T> {
-    /// Create a mutex at position `rank` in the global lock order.
-    ///
-    /// `name` is used only in the violation panic message; `rank` need not
-    /// be unique, but two locks sharing a rank may never be held together.
-    pub const fn new(rank: u32, name: &'static str, value: T) -> Self {
+    /// Create a mutex at position `rank` in the global lock order. Several
+    /// mutexes may share a rank (one per server slot, say); two of them may
+    /// then never be held together.
+    pub const fn new(rank: Rank, value: T) -> Self {
         OrderedMutex {
             rank,
-            name,
             inner: Mutex::new(value),
         }
     }
@@ -67,22 +123,20 @@ impl<T> OrderedMutex<T> {
     pub fn lock(&self) -> OrderedGuard<'_, T> {
         #[cfg(debug_assertions)]
         HELD.with(|held| {
-            let held = held.borrow();
-            if let Some(&(top_rank, top_name)) = held.iter().max_by_key(|&&(r, _)| r) {
+            if let Some(&top) = held.borrow().iter().max() {
                 debug_assert!(
-                    self.rank > top_rank,
-                    "lock-order violation: acquiring `{}` (rank {}) while holding \
-                     `{}` (rank {}); acquisitions must be in strictly increasing rank",
-                    self.name,
+                    self.rank > top,
+                    "lock-order violation: acquiring `{:?}` (rank {}) while holding \
+                     `{top:?}` (rank {}); acquisitions must be in strictly increasing rank",
                     self.rank,
-                    top_name,
-                    top_rank,
+                    self.rank as u32,
+                    top as u32,
                 );
             }
         });
         let guard = self.inner.lock();
         #[cfg(debug_assertions)]
-        HELD.with(|held| held.borrow_mut().push((self.rank, self.name)));
+        HELD.with(|held| held.borrow_mut().push(self.rank));
         OrderedGuard {
             #[cfg(debug_assertions)]
             rank: self.rank,
@@ -96,7 +150,7 @@ impl<T> OrderedMutex<T> {
     pub fn try_lock(&self) -> Option<OrderedGuard<'_, T>> {
         let guard = self.inner.try_lock()?;
         #[cfg(debug_assertions)]
-        HELD.with(|held| held.borrow_mut().push((self.rank, self.name)));
+        HELD.with(|held| held.borrow_mut().push(self.rank));
         Some(OrderedGuard {
             #[cfg(debug_assertions)]
             rank: self.rank,
@@ -114,13 +168,8 @@ impl<T> OrderedMutex<T> {
         self.inner.into_inner()
     }
 
-    /// The lock's name in the rank table (for diagnostics).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The lock's position in the global order (for diagnostics).
-    pub fn rank(&self) -> u32 {
+    pub fn rank(&self) -> Rank {
         self.rank
     }
 }
@@ -130,7 +179,7 @@ impl<T> Drop for OrderedGuard<'_, T> {
         #[cfg(debug_assertions)]
         HELD.with(|held| {
             let mut held = held.borrow_mut();
-            if let Some(i) = held.iter().rposition(|&(r, _)| r == self.rank) {
+            if let Some(i) = held.iter().rposition(|&r| r == self.rank) {
                 held.remove(i);
             }
         });
@@ -156,8 +205,8 @@ mod tests {
 
     #[test]
     fn in_order_acquisition_is_fine() {
-        let a = OrderedMutex::new(1, "a", 0u32);
-        let b = OrderedMutex::new(2, "b", 0u32);
+        let a = OrderedMutex::new(Rank::Retired, 0u32);
+        let b = OrderedMutex::new(Rank::Relay, 0u32);
         let ga = a.lock();
         let gb = b.lock();
         assert_eq!(*ga + *gb, 0);
@@ -165,8 +214,8 @@ mod tests {
 
     #[test]
     fn reacquire_after_release_is_fine() {
-        let a = OrderedMutex::new(1, "a", 0u32);
-        let b = OrderedMutex::new(2, "b", 0u32);
+        let a = OrderedMutex::new(Rank::Retired, 0u32);
+        let b = OrderedMutex::new(Rank::Relay, 0u32);
         {
             let _gb = b.lock();
         }
@@ -177,7 +226,7 @@ mod tests {
 
     #[test]
     fn guard_mutation_works() {
-        let m = OrderedMutex::new(5, "m", Vec::new());
+        let m = OrderedMutex::new(Rank::Tokens, Vec::new());
         m.lock().push(7u8);
         assert_eq!(*m.lock(), vec![7u8]);
         assert_eq!(m.into_inner(), vec![7u8]);
@@ -185,7 +234,7 @@ mod tests {
 
     #[test]
     fn try_lock_contended_returns_none() {
-        let m = OrderedMutex::new(5, "m", ());
+        let m = OrderedMutex::new(Rank::Tokens, ());
         let _g = m.lock();
         assert!(m.try_lock().is_none());
     }
@@ -196,9 +245,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn out_of_order_acquisition_panics() {
-        let a = OrderedMutex::new(1, "a", ());
-        let b = OrderedMutex::new(2, "b", ());
+        let a = OrderedMutex::new(Rank::Retired, ());
+        let b = OrderedMutex::new(Rank::Relay, ());
         let _gb = b.lock();
-        let _ga = a.lock(); // rank 1 while holding rank 2: must panic
+        let _ga = a.lock(); // rank 10 while holding rank 40: must panic
+    }
+
+    #[test]
+    fn nothing_held_passes_the_send_check() {
+        let a = OrderedMutex::new(Rank::Retired, ());
+        drop(a.lock());
+        assert_none_held("a test send");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ranked lock held across a test send: [Relay]")]
+    fn a_guard_held_at_a_send_point_panics() {
+        let relay = OrderedMutex::new(Rank::Relay, ());
+        let _g = relay.lock();
+        assert_none_held("a test send");
     }
 }

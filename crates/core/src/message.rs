@@ -68,15 +68,6 @@ pub enum CopyPurpose {
 }
 
 /// All GraphTrek wire messages.
-///
-/// Request→acknowledgment pairings that the `*Ack` naming convention
-/// cannot infer are declared for `gt-lint`'s protocol-conformance rule;
-/// each declared request must have a reachable retry/timeout site at its
-/// senders and a send site for its ack.
-// gt-lint: pair(GetVertex -> VertexReply)
-// gt-lint: pair(CoordRecover -> RecoverDone)
-// gt-lint: pair(CopyBegin -> CopyApplied)
-// gt-lint: pair(PlacementUpdate -> PlacementAck)
 #[derive(Debug, Clone)]
 pub enum Msg {
     // ------------------------------------------------------- client-facing
@@ -571,7 +562,8 @@ pub(crate) enum Traffic {
 }
 
 impl Msg {
-    /// See [`Traffic`].
+    /// See [`Traffic`]. Every variant is classed by name.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub(crate) fn traffic(&self) -> Traffic {
         match self {
             Msg::TravelDone { travel, .. }
@@ -617,7 +609,7 @@ impl Msg {
                 Traffic::Tracing
             }
             Msg::SyncStepDone { .. } => Traffic::StepDone,
-            // Listed explicitly so a new variant fails gt-lint here
+            // Listed explicitly so a new variant fails to compile here
             // instead of being silently dropped at the client or
             // exempted from chaos.
             Msg::Submit { .. }

@@ -42,7 +42,7 @@ use crate::cache::TraversalCache;
 use crate::coordinator::CoordState;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::faults::{CrashPoint, CrashTrigger, ServerFaults};
-use crate::lockorder::OrderedMutex;
+use crate::lockorder::{assert_none_held, OrderedMutex, Rank};
 use crate::message::Msg;
 use crate::metrics::ServerMetrics;
 use crate::queue::{FifoQueue, MergingQueue, RequestQueue};
@@ -140,11 +140,13 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Wait for the server's threads to exit (send [`Msg::Shutdown`] first).
+    #[expect(
+        clippy::expect_used,
+        reason = "shutdown path: a panicked server thread must surface, not vanish"
+    )]
     pub fn join(self) {
-        // gt-lint: allow(panic, "shutdown path: a panicked server thread must surface, not vanish")
         self.dispatcher.join().expect("dispatcher panicked");
         for w in self.workers {
-            // gt-lint: allow(panic, "shutdown path: a panicked server thread must surface, not vanish")
             w.join().expect("worker panicked");
         }
     }
@@ -180,9 +182,9 @@ struct Shared {
     /// This server's placement-map view (see [`ServerArgs::placement`]).
     /// Leaf `RwLock` internally — readable from any lock rank.
     placement: Arc<SharedPlacement>,
-    // Lock-order ranks (see `lockorder`): acquisitions within a thread
-    // must be in strictly increasing rank. Ranks are spaced so future
-    // locks can slot in without renumbering.
+    // Ranked locks, in `lockorder::Rank` order: acquisitions within a
+    // thread must be in strictly increasing rank, and none is held where a
+    // message leaves (`Shared::send`).
     /// Travels aborted/cancelled/completed on this server: stray
     /// in-flight messages for them are dropped instead of re-creating
     /// queue or cache state that nothing would ever clean up again.
@@ -205,6 +207,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// Put `msg` on the wire to endpoint `to`: the one place a server's
+    /// messages leave. A closed conduit is a peer (or the cluster) going
+    /// away; there is nobody left to tell.
+    fn send(&self, to: usize, msg: Msg) {
+        assert_none_held("a server's send");
+        let _ = self.ep.send(to, msg);
+    }
+
     fn mark_retired(&self, travel: TravelId) {
         let mut r = self.retired.lock();
         r.insert(travel);
@@ -231,70 +241,75 @@ fn alloc_exec(sh: &Arc<Shared>) -> ExecId {
     ExecId::new(sh.id, sh.exec_ctr.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Spawn a server's dispatcher and worker threads.
-pub fn spawn(args: ServerArgs) -> ServerHandle {
+/// A server's state, before any thread runs on it.
+fn build(args: ServerArgs) -> Arc<Shared> {
     let queue: Arc<dyn RequestQueue> = if args.engine.merging_queue_enabled() {
         Arc::new(MergingQueue::new())
     } else {
         Arc::new(FifoQueue::new())
     };
-    let metrics = args.metrics.unwrap_or_default();
-    let crashed = Arc::new(AtomicBool::new(false));
-    let reliable = args.engine.reliable_delivery_enabled();
     // Seed the id counters from the epoch so a restarted server can never
     // reuse a pre-crash ExecId or token id (48-bit counter space, high
     // byte = epoch).
     debug_assert!(args.epoch < (1 << 8), "epoch exceeds counter headroom");
     let ctr_seed = (args.epoch << 40) | 1;
-    let shared = Arc::new(Shared {
+    Arc::new(Shared {
         id: args.id,
         n_servers: args.n_servers,
         engine_kind: args.engine.kind,
-        partition: args.partition.clone(),
+        partition: args.partition,
         ep: args.endpoint,
         queue,
-        cache: TraversalCache::new(
-            args.engine.effective_cache_capacity(),
-            args.engine.cache_reserve_per_travel,
-        ),
-        metrics: metrics.clone(),
+        // No per-travel reserve floor: no workload or test ever set one
+        // (EXPERIMENTS.md, "Second census").
+        cache: TraversalCache::new(args.engine.effective_cache_capacity(), 0),
+        metrics: args.metrics.unwrap_or_default(),
         faults: args.engine.faults.for_server(args.id),
         exec_ctr: AtomicU64::new(ctr_seed),
         token_ctr: AtomicU64::new(ctr_seed),
-        reliable,
-        crashed: crashed.clone(),
+        reliable: args.engine.reliable_delivery_enabled(),
+        crashed: Arc::new(AtomicBool::new(false)),
         crash_trigger: args.crash_after.map(CrashTrigger::armed),
         placement: args.placement,
-        retired: OrderedMutex::new(10, "retired", BTreeSet::new()),
-        relay: OrderedMutex::new(40, "relay", Relay::new(args.id, args.epoch)),
-        pending_ingest: OrderedMutex::new(65, "pending_ingest", HashMap::new()),
-        copy: OrderedMutex::new(66, "copy", CopyTrap::default()),
-        tokens: OrderedMutex::new(70, "tokens", visit::TokenRegistry::default()),
-        barrier: OrderedMutex::new(80, "barrier", barrier::SyncBarrier::default()),
-        coords: OrderedMutex::new(90, "coords", HashMap::new()),
-        recovery: OrderedMutex::new(100, "recovery", Recovery::new(args.n_servers)),
-    });
-    let mut workers = Vec::with_capacity(args.engine.workers_per_server);
-    for w in 0..args.engine.workers_per_server {
+        retired: OrderedMutex::new(Rank::Retired, BTreeSet::new()),
+        relay: OrderedMutex::new(Rank::Relay, Relay::new(args.id, args.epoch)),
+        pending_ingest: OrderedMutex::new(Rank::PendingIngest, HashMap::new()),
+        copy: OrderedMutex::new(Rank::Copy, CopyTrap::default()),
+        tokens: OrderedMutex::new(Rank::Tokens, visit::TokenRegistry::default()),
+        barrier: OrderedMutex::new(Rank::Barrier, barrier::SyncBarrier::default()),
+        coords: OrderedMutex::new(Rank::Coords, HashMap::new()),
+        recovery: OrderedMutex::new(Rank::Recovery, Recovery::new(args.n_servers)),
+    })
+}
+
+/// Spawn a server's dispatcher and worker threads.
+#[expect(
+    clippy::expect_used,
+    reason = "construction-time: a server that cannot spawn threads cannot run"
+)]
+pub fn spawn(mut args: ServerArgs) -> ServerHandle {
+    let (id, n_workers) = (args.id, args.engine.workers_per_server);
+    let detection = args.detection.take();
+    let shared = build(args);
+    let mut workers = Vec::with_capacity(n_workers);
+    for w in 0..n_workers {
         let sh = shared.clone();
         workers.push(
             std::thread::Builder::new()
-                .name(format!("gt-s{}-w{}", args.id, w))
+                .name(format!("gt-s{id}-w{w}"))
                 .spawn(move || visit::worker_loop(&sh))
-                // gt-lint: allow(panic, "construction-time: a server that cannot spawn threads cannot run")
                 .expect("spawn worker"),
         );
     }
-    let (sh, detection) = (shared.clone(), args.detection);
+    let sh = shared.clone();
     let dispatcher = std::thread::Builder::new()
-        .name(format!("gt-s{}-dispatch", args.id))
+        .name(format!("gt-s{id}-dispatch"))
         .spawn(move || dispatcher_loop(&sh, detection))
-        // gt-lint: allow(panic, "construction-time: a server that cannot spawn threads cannot run")
         .expect("spawn dispatcher");
     ServerHandle {
-        metrics,
-        partition: args.partition,
-        crashed,
+        metrics: shared.metrics.clone(),
+        partition: shared.partition.clone(),
+        crashed: shared.crashed.clone(),
         dispatcher,
         workers,
     }
@@ -395,7 +410,7 @@ fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, tepoch: u64, msg: 
         return; // a dying server sends nothing
     }
     if !sh.reliable {
-        let _ = sh.ep.send(to, msg);
+        sh.send(to, msg);
         return;
     }
     let now = Instant::now();
@@ -405,7 +420,9 @@ fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, tepoch: u64, msg: 
     perform(sh, step);
 }
 
-/// The one dispatch table: every `Msg` variant, by name.
+/// The one dispatch table: every `Msg` variant, by name — no catch-all,
+/// so a new variant fails to compile here until it has an arm.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
     if sh.crash_trigger.as_ref().is_some_and(|t| t.fires(&msg)) {
         return LoopCtl::Crash;
@@ -413,6 +430,23 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
     match msg {
         Msg::Shutdown => return LoopCtl::Shutdown,
         Msg::Crash => return LoopCtl::Crash,
+        // The fence: the travel finished, was aborted or was cancelled on
+        // this server, and a stray message that would queue work, fill a
+        // cache partition, register a token or buffer a step or a handoff
+        // ack for it is dropped — nothing would ever clean that state up
+        // again. (`Relay`, `CoordHandoff` and `CoordRecover` hand the
+        // verdict to their machine instead: those still have to answer. The
+        // coordinator's tracing and barrier reports need no fence: the
+        // abort that retires a travel removes its `coords` entry, and they
+        // are no-ops without one.)
+        Msg::SourceScan { travel, .. }
+        | Msg::Visit { travel, .. }
+        | Msg::OriginSatisfied { travel, .. }
+        | Msg::SyncStart { travel, .. }
+        | Msg::SyncFrontier { travel, .. }
+        | Msg::SyncOrigin { travel, .. }
+        | Msg::CoordHandoffAck { travel, .. }
+            if sh.is_retired(travel) => {}
         Msg::Relay {
             travel,
             from,
@@ -530,7 +564,7 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             // admission slot once every server has complied.
             handle_abort(sh, travel);
             let server = sh.id;
-            let _ = sh.ep.send(client, Msg::CancelAck { travel, server });
+            sh.send(client, Msg::CancelAck { travel, server });
         }
         Msg::Ingest {
             req,
@@ -547,7 +581,7 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
                 sh.metrics.placement_updates.fetch_add(1, Ordering::Relaxed);
             }
             let server = sh.id;
-            let _ = sh.ep.send(client, Msg::PlacementAck { version, server });
+            sh.send(client, Msg::PlacementAck { version, server });
         }
         Msg::ReplicateWrite {
             req,
@@ -592,7 +626,7 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             // Low-latency point query (§I: permission checks etc.).
             let found = sh.partition.get_vertex(vertex).ok().flatten();
             let vertex = found.map(Box::new);
-            let _ = sh.ep.send(client, Msg::VertexReply { req, vertex });
+            sh.send(client, Msg::VertexReply { req, vertex });
         }
         Msg::ProgressQuery { travel, client } => {
             let snapshot = match sh.coords.lock().get(&travel) {
@@ -600,7 +634,7 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
                 Some(CoordState::Sync(s)) => s.outcome().progress,
                 None => Default::default(),
             };
-            let _ = sh.ep.send(client, Msg::ProgressReport { travel, snapshot });
+            sh.send(client, Msg::ProgressReport { travel, snapshot });
         }
         // Client-facing replies never arrive at servers. Detector traffic
         // is absorbed by the dispatcher before dispatch (Heartbeat,
@@ -642,4 +676,217 @@ fn handle_abort(sh: &Arc<Shared>, travel: TravelId) {
         sh.recovery.lock().forget(travel);
     }
     sh.mark_retired(travel);
+}
+
+#[cfg(test)]
+mod tests {
+    //! The shell stepped by hand: `build` without `spawn`, so no thread
+    //! runs and `handle_msg` is called like the dispatcher would.
+
+    use super::*;
+    use crate::lang::{GTravel, Plan};
+    use crate::message::SyncExpect;
+    use gt_graph::VertexId;
+    use gt_kvstore::{Store, StoreConfig};
+    use gt_net::{Endpoint, Fabric, NetConfig};
+    use gt_placement::PlacementMap;
+
+    const T: TravelId = 7;
+    /// The other server of the two, the travel's coordinator.
+    const PEER: usize = 1;
+    const CLIENT: usize = 2;
+
+    /// Server 0 of two on an instant fabric, its shard empty; the test
+    /// holds the peer's and the client's endpoints.
+    struct Rig {
+        sh: Arc<Shared>,
+        peer: Endpoint<Msg>,
+        client: Endpoint<Msg>,
+        _fabric: Fabric<Msg>,
+        dir: std::path::PathBuf,
+    }
+
+    impl Rig {
+        fn new(tag: &str, engine: EngineConfig) -> Rig {
+            let dir = std::env::temp_dir().join(format!("gt-shell-{}-{tag}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let store = Arc::new(Store::open(StoreConfig::new(&dir)).expect("store"));
+            let (fabric, mut eps) = Fabric::new(3, NetConfig::instant());
+            let client = eps.pop().expect("endpoint 2");
+            let peer = eps.pop().expect("endpoint 1");
+            let sh = build(ServerArgs {
+                id: 0,
+                n_servers: 2,
+                partition: Arc::new(GraphPartition::open(store).expect("partition")),
+                endpoint: Conduit::Fabric(eps.pop().expect("endpoint 0")),
+                engine,
+                epoch: 0,
+                metrics: None,
+                crash_after: None,
+                placement: Arc::new(SharedPlacement::new(PlacementMap::initial(2, 1))),
+                detection: None,
+            });
+            Rig {
+                sh,
+                peer,
+                client,
+                _fabric: fabric,
+                dir,
+            }
+        }
+
+        fn deliver(&self, msg: Msg) {
+            assert_eq!(handle_msg(&self.sh, msg), LoopCtl::Continue);
+        }
+
+        /// Nothing on this server remembers `T`, and nothing left it.
+        fn assert_no_trace_of_the_travel(&self) {
+            let sh = &self.sh;
+            assert_eq!(sh.queue.len(), 0, "queued work");
+            assert_eq!(sh.cache.len(), 0, "cache partition");
+            assert!(!sh.tokens.lock().holds(T), "origin token");
+            assert!(!sh.barrier.lock().holds(T), "step buffer");
+            assert!(!sh.coords.lock().contains_key(&T), "coordinator state");
+            assert!(!sh.recovery.lock().holds(T), "handoff barrier");
+            assert_eq!(self.peer.pending(), 0, "message to the peer");
+            assert_eq!(self.client.pending(), 0, "message to the client");
+        }
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    fn plan() -> Arc<Plan> {
+        Arc::new(GTravel::v([1u64]).e("x").rtn().compile().expect("plan"))
+    }
+
+    fn exec() -> ExecId {
+        ExecId::new(PEER, 1)
+    }
+
+    /// One case per variant of `handle_msg`'s fence arm: the message
+    /// arrives after the `Abort` that retired its travel and must leave
+    /// nothing behind. Each fails with its variant taken out of the arm.
+    fn late_after_abort(tag: &str, engine: EngineConfig, late: Msg) {
+        let rig = Rig::new(tag, engine);
+        rig.deliver(Msg::Abort { travel: T });
+        rig.deliver(late);
+        rig.assert_no_trace_of_the_travel();
+    }
+
+    #[test]
+    fn a_late_visit_is_fenced() {
+        let visit = Msg::Visit {
+            travel: T,
+            depth: 1,
+            exec: exec(),
+            plan: plan(),
+            coordinator: PEER,
+            items: vec![(VertexId(1), Vec::new())],
+        };
+        late_after_abort("visit", EngineConfig::new(EngineKind::GraphTrek), visit);
+    }
+
+    #[test]
+    fn a_late_source_scan_is_fenced() {
+        // Unfenced it scans the (empty) shard and reports the execution
+        // terminated to the coordinator.
+        let scan = Msg::SourceScan {
+            travel: T,
+            plan: Arc::new(GTravel::v_all().e("x").compile().expect("plan")),
+            coordinator: PEER,
+            exec: exec(),
+        };
+        late_after_abort("scan", EngineConfig::new(EngineKind::GraphTrek), scan);
+    }
+
+    #[test]
+    fn a_late_origin_satisfied_is_fenced() {
+        // Unfenced it reports the synthetic execution terminated.
+        let satisfied = Msg::OriginSatisfied {
+            travel: T,
+            exec: exec(),
+            coordinator: PEER,
+            tokens: vec![3],
+        };
+        late_after_abort(
+            "origin",
+            EngineConfig::new(EngineKind::GraphTrek),
+            satisfied,
+        );
+    }
+
+    #[test]
+    fn late_sync_step_inputs_are_fenced() {
+        let sync = || EngineConfig::new(EngineKind::Sync);
+        let start = Msg::SyncStart {
+            travel: T,
+            plan: plan(),
+            coordinator: PEER,
+            depth: 1,
+            expect: SyncExpect::Vertices(5),
+        };
+        late_after_abort("sync-start", sync(), start);
+        let frontier = Msg::SyncFrontier {
+            travel: T,
+            depth: 1,
+            items: vec![(VertexId(1), Vec::new())],
+        };
+        late_after_abort("sync-frontier", sync(), frontier);
+        let origin = Msg::SyncOrigin {
+            travel: T,
+            tokens: vec![3],
+        };
+        late_after_abort("sync-origin", sync(), origin);
+    }
+
+    #[test]
+    fn a_late_handoff_ack_is_fenced() {
+        // Unfenced it is buffered as an ack ahead of its seed.
+        let ack = Msg::CoordHandoffAck {
+            travel: T,
+            epoch: 1,
+            server: PEER,
+        };
+        let reliable = EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true);
+        late_after_abort("handoff-ack", reliable, ack);
+    }
+
+    /// The coordinator's barrier report needs no fence of its own: the
+    /// abort that retires a travel takes its `coords` entry along.
+    #[test]
+    fn a_late_step_done_finds_no_controller() {
+        let rig = Rig::new("step-done", EngineConfig::new(EngineKind::Sync));
+        rig.deliver(Msg::Submit {
+            travel: T,
+            plan: plan(),
+            client: CLIENT,
+        });
+        assert!(rig.sh.coords.lock().contains_key(&T));
+        while rig.peer.try_recv().is_some() {} // the step-0 `SyncStart`
+        rig.deliver(Msg::Abort { travel: T });
+        for server in 0..2 {
+            rig.deliver(Msg::SyncStepDone {
+                travel: T,
+                depth: 0,
+                server,
+                sent: Vec::new(),
+                origin_sent: Vec::new(),
+            });
+        }
+        rig.assert_no_trace_of_the_travel();
+    }
+
+    /// The one gate on "no ranked guard is alive where a message leaves".
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ranked lock held across a server's send: [Relay]")]
+    fn a_ranked_guard_held_at_a_send_panics() {
+        let rig = Rig::new("held-send", EngineConfig::new(EngineKind::GraphTrek));
+        let _relay = rig.sh.relay.lock();
+        rig.sh.send(PEER, Msg::Abort { travel: T });
+    }
 }

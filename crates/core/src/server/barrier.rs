@@ -178,6 +178,11 @@ impl SyncBarrier {
     pub(super) fn forget(&mut self, travel: TravelId) {
         self.travels.remove(&travel);
     }
+
+    #[cfg(test)]
+    pub(super) fn holds(&self, travel: TravelId) -> bool {
+        self.travels.contains_key(&travel)
+    }
 }
 
 #[cfg(test)]

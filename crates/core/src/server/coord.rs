@@ -39,9 +39,9 @@ pub(super) fn coord_results(sh: &Arc<Shared>, travel: TravelId, items: &[(u16, V
 /// notify the client.
 fn finish_travel(sh: &Arc<Shared>, travel: TravelId, client: usize, outcome: TravelOutcome) {
     for s in 0..sh.n_servers {
-        let _ = sh.ep.send(s, Msg::Abort { travel });
+        sh.send(s, Msg::Abort { travel });
     }
-    let _ = sh.ep.send(client, Msg::TravelDone { travel, outcome });
+    sh.send(client, Msg::TravelDone { travel, outcome });
 }
 
 /// Complete an asynchronous traversal if its ledger says so.
@@ -158,13 +158,10 @@ pub(super) fn handle_sync_step_done(
     sent: &[(usize, u64)],
     origin_sent: &[(usize, u64)],
 ) {
-    if sh.is_retired(travel) {
-        // A racing Abort already retired this travel on the coordinator; a
-        // late barrier report must not advance or finish it.
-        return;
-    }
     let action = {
         let mut coords = sh.coords.lock();
+        // No entry: the travel finished or was aborted here, and a late
+        // barrier report has nothing left to advance.
         let Some(CoordState::Sync(state)) = coords.get_mut(&travel) else {
             return;
         };
@@ -219,9 +216,6 @@ pub(super) fn handle_recover(
 
 /// One server acknowledged the handoff (failover step 3).
 pub(super) fn handle_handoff_ack(sh: &Arc<Shared>, travel: TravelId, epoch: u64, server: usize) {
-    if sh.is_retired(travel) {
-        return; // the travel finished here; no barrier left to feed
-    }
     let step = sh.recovery.lock().on_ack(travel, epoch, server);
     perform(sh, step);
 }

@@ -56,9 +56,7 @@ pub(crate) enum Counter {
 pub(super) fn perform(sh: &Arc<Shared>, step: Vec<Effect>) -> LoopCtl {
     for effect in step {
         match effect {
-            Effect::Send(to, msg) => {
-                let _ = sh.ep.send(to, msg);
-            }
+            Effect::Send(to, msg) => sh.send(to, msg),
             Effect::Deliver(msg) => match handle_msg(sh, msg) {
                 LoopCtl::Continue => {}
                 other => return other,

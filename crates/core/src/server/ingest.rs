@@ -95,11 +95,11 @@ pub(super) fn handle_ingest(
         }
     }
     if fan.is_empty() {
-        let _ = sh.ep.send(client, Msg::IngestAck { req, applied });
+        sh.send(client, Msg::IngestAck { req, applied });
         return;
     }
     for s in fan {
-        let _ = sh.ep.send(
+        sh.send(
             s,
             Msg::ReplicateWrite {
                 req,
@@ -131,7 +131,7 @@ pub(super) fn handle_replicate_write(
     sh.metrics
         .replica_writes
         .fetch_add((vertices.len() + edges.len()) as u64, Ordering::Relaxed);
-    let _ = sh.ep.send(origin, Msg::ReplicateAck { req, server: sh.id });
+    sh.send(origin, Msg::ReplicateAck { req, server: sh.id });
 }
 
 /// One holder confirmed; the last confirmation releases the client's ack.
@@ -147,7 +147,7 @@ pub(super) fn handle_replicate_ack(sh: &Arc<Shared>, req: u64) {
     let (client, applied) = (p.client, p.applied);
     pending.remove(&req);
     drop(pending);
-    let _ = sh.ep.send(client, Msg::IngestAck { req, applied });
+    sh.send(client, Msg::IngestAck { req, applied });
 }
 
 /// Source side, phase 0: arm the delta trap, then stream a snapshot of
@@ -173,7 +173,7 @@ pub(super) fn handle_copy_data(
     let _ = sh.partition.import_raw(pairs, phase == 0);
     if last {
         let server = sh.id;
-        let _ = sh.ep.send(client, Msg::CopyApplied { mig, phase, server });
+        sh.send(client, Msg::CopyApplied { mig, phase, server });
     }
 }
 
@@ -219,6 +219,6 @@ fn ship_copy_rows(
     let chunks = copy::chunks(route, rows, phase, mark_last);
     count_copy_chunks(sh, route.purpose, true, chunks.len() as u64);
     for (to, chunk) in chunks {
-        let _ = sh.ep.send(to, chunk);
+        sh.send(to, chunk);
     }
 }

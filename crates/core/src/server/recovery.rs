@@ -146,6 +146,11 @@ impl Recovery {
     pub(super) fn forget(&mut self, travel: TravelId) {
         self.takeovers.remove(&travel);
     }
+
+    #[cfg(test)]
+    pub(super) fn holds(&self, travel: TravelId) -> bool {
+        self.takeovers.contains_key(&travel)
+    }
 }
 
 #[cfg(test)]

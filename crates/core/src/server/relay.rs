@@ -139,7 +139,10 @@ impl Relay {
     /// Receive one frame: fence a stale incarnation, ack, dedupe, and
     /// release whatever the stream can now deliver in sequence order.
     /// `retired` says the shell already finished or aborted the travel.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one `Msg::Relay` frame plus the shell's verdict"
+    )]
     pub(super) fn on_frame(
         &mut self,
         travel: TravelId,

@@ -61,6 +61,11 @@ impl TokenRegistry {
         self.by_key.retain(|(t, _, _), _| *t != travel);
         self.records.retain(|(t, _), _| *t != travel);
     }
+
+    #[cfg(test)]
+    pub(super) fn holds(&self, travel: TravelId) -> bool {
+        self.records.keys().any(|(t, _)| *t == travel)
+    }
 }
 
 fn register_token(sh: &Arc<Shared>, travel: TravelId, depth: u16, vertex: VertexId) -> u64 {
@@ -130,11 +135,6 @@ pub(super) fn handle_visit(
     coordinator: usize,
     items: Vec<(VertexId, Tokens)>,
 ) {
-    if sh.is_retired(travel) {
-        // Stray in-flight visit for an aborted/finished travel: dropping
-        // it here keeps the queue and cache free of orphaned state.
-        return;
-    }
     sh.metrics
         .requests_received
         .fetch_add(items.len() as u64, Ordering::Relaxed);
@@ -165,7 +165,10 @@ pub(super) fn handle_visit(
 /// when none survived receipt) and sample the queue-length high-water mark
 /// from the push itself. `redundant` requests were already dropped at
 /// receipt and open the execution's tally.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the fields of one `RequestState`, passed once from two call sites"
+)]
 fn enqueue_execution(
     sh: &Arc<Shared>,
     travel: TravelId,
@@ -248,9 +251,6 @@ pub(super) fn handle_origin_satisfied(
     coordinator: usize,
     tokens: &[u64],
 ) {
-    if sh.is_retired(travel) {
-        return;
-    }
     // The synthetic execution covering the release terminates with it.
     let children = Vec::new();
     let tail = Msg::ExecTerminated {
@@ -270,9 +270,6 @@ pub(super) fn handle_sync(
     travel: TravelId,
     input: impl FnOnce(&mut SyncBarrier) -> Option<Fire>,
 ) {
-    if sh.is_retired(travel) {
-        return;
-    }
     let fire = input(&mut sh.barrier.lock());
     run_sync_step(sh, travel, fire);
 }

@@ -463,6 +463,7 @@ macro_rules! wire_table {
             $($htag:tt => $hvar:ident { $($hf:ident),* }: put $hput:block get $hget:block),* $(,)?
         }
     ) => {
+        #[deny(clippy::wildcard_enum_match_arm)]
         impl $ty {
             fn wire_tag(&self) -> u8 {
                 match self {

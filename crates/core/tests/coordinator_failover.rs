@@ -295,7 +295,7 @@ fn coordinator_loss_without_reliability_is_typed() {
     let cluster = Cluster::build(
         &g,
         ClusterConfig::new(&dir, 3),
-        EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(false),
+        EngineConfig::new(EngineKind::GraphTrek),
     )
     .unwrap();
     cluster.isolate_server(0, true); // stall so the crash lands mid-travel

@@ -8,19 +8,10 @@ use std::path::PathBuf;
 /// These double as the identifiers accepted by `--rules` and by the
 /// `// gt-lint: allow(<rule>, "reason")` escape hatch.
 pub const ALL_RULES: &[&str] = &[
-    "lock-cycle",
-    "guard-across-channel",
-    "wildcard-arm",
-    "unhandled-variant",
-    "epoch-fence",
-    "panic",
     "dead-counter",
     "unsurfaced-counter",
-    "protocol-conformance",
-    "guard-across-send",
     "atomic-ordering",
     "blocking-in-dispatcher",
-    "bare-allow",
 ];
 
 /// One finding: where, which rule, what is wrong, and how to fix it.
@@ -174,14 +165,14 @@ mod tests {
     use super::*;
 
     fn d() -> Diagnostic {
-        Diagnostic::new("panic", "crates/x.rs", 7, "says \"hi\"", "drop it")
+        Diagnostic::new("dead-counter", "crates/x.rs", 7, "says \"hi\"", "drop it")
     }
 
     #[test]
     fn json_escapes_and_shapes() {
         let s = render_json(&[d()]);
         assert!(s.starts_with('['), "{s}");
-        assert!(s.contains("\"rule\":\"panic\""));
+        assert!(s.contains("\"rule\":\"dead-counter\""));
         assert!(s.contains("says \\\"hi\\\""));
         assert!(s.trim_end().ends_with(']'));
         assert_eq!(render_json(&[]), "[\n]");
@@ -191,7 +182,7 @@ mod tests {
     fn sarif_has_schema_and_result() {
         let s = render_sarif(&[d()]);
         assert!(s.contains("\"version\":\"2.1.0\""));
-        assert!(s.contains("\"ruleId\":\"panic\""));
+        assert!(s.contains("\"ruleId\":\"dead-counter\""));
         assert!(s.contains("\"startLine\":7"));
     }
 
@@ -200,7 +191,7 @@ mod tests {
         let mut diag = d();
         diag.message = "line1\nline2".into();
         let s = render_github(&[diag]);
-        assert!(s.starts_with("::error file=crates/x.rs,line=7,title=gt-lint[panic]::"));
+        assert!(s.starts_with("::error file=crates/x.rs,line=7,title=gt-lint[dead-counter]::"));
         assert!(s.contains("line1%0Aline2"));
     }
 }

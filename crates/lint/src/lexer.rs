@@ -3,7 +3,8 @@
 //! Produces a flat token stream with line numbers. Comments are skipped
 //! (so doc-example code never trips a rule), except that `// gt-lint:
 //! allow(<rule>, "reason")` directives are collected so diagnostics on the
-//! same or the following line can be suppressed. String/char literals
+//! same or the following line can be suppressed; one without a reason is
+//! not a directive and suppresses nothing. String/char literals
 //! become single opaque tokens, which keeps every downstream heuristic
 //! honest: a `"panic!"` inside a log message is not a `panic!` call.
 
@@ -56,23 +57,6 @@ pub struct Allow {
     pub line: u32,
     /// Rule name being allowed.
     pub rule: String,
-    /// Whether a non-empty reason string follows the rule name. Allows
-    /// without a reason are themselves a finding (`bare-allow`): the
-    /// escape hatch must document why it is safe.
-    pub has_reason: bool,
-}
-
-/// A `// gt-lint: pair(Request -> Ack)` directive: declares a
-/// request→acknowledgment pairing for the protocol-conformance rule, for
-/// pairs the `*Ack` naming convention cannot infer.
-#[derive(Debug, Clone)]
-pub struct PairDecl {
-    /// Line the comment appears on.
-    pub line: u32,
-    /// Request variant name.
-    pub request: String,
-    /// Acknowledgment/reply variant name.
-    pub ack: String,
 }
 
 /// Result of lexing one file.
@@ -82,8 +66,6 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// All allow directives found in comments.
     pub allows: Vec<Allow>,
-    /// All request→ack pair declarations found in comments.
-    pub pairs: Vec<PairDecl>,
 }
 
 /// Lex `src` into tokens plus allow directives.
@@ -111,7 +93,6 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             collect_allows(&src[start..i], line, &mut out.allows);
-            collect_pairs(&src[start..i], line, &mut out.pairs);
             continue;
         }
         // Block comment, possibly nested.
@@ -135,7 +116,6 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             collect_allows(&src[start..i.min(src.len())], start_line, &mut out.allows);
-            collect_pairs(&src[start..i.min(src.len())], start_line, &mut out.pairs);
             continue;
         }
         // Raw / byte string literals: r"..", r#".."#, br".., b"..".
@@ -330,7 +310,8 @@ fn try_char_literal(b: &[u8], i: usize) -> Option<usize> {
     }
 }
 
-/// Scan a comment for `gt-lint: allow(rule, "reason")` directives.
+/// Scan a comment for `gt-lint: allow(rule, "reason")` directives. The
+/// reason is mandatory: the escape hatch must say why it is safe.
 fn collect_allows(comment: &str, line: u32, out: &mut Vec<Allow>) {
     let needle = "gt-lint: allow(";
     let mut rest = comment;
@@ -339,36 +320,12 @@ fn collect_allows(comment: &str, line: u32, out: &mut Vec<Allow>) {
         let end = after.find(')').unwrap_or(after.len());
         let inner = &after[..end];
         // Rule name is everything before the first comma; the rest is the
-        // human-readable reason. `bare-allow` fires when it is missing.
-        let mut parts = inner.splitn(2, ',');
-        let rule = parts.next().unwrap_or("").trim();
-        let reason = parts.next().unwrap_or("").trim();
-        if !rule.is_empty() {
-            out.push(Allow {
-                line,
-                rule: rule.to_string(),
-                has_reason: !reason.is_empty(),
-            });
-        }
-        rest = &after[end..];
-    }
-}
-
-/// Scan a comment for `gt-lint: pair(Request -> Ack)` directives.
-fn collect_pairs(comment: &str, line: u32, out: &mut Vec<PairDecl>) {
-    let needle = "gt-lint: pair(";
-    let mut rest = comment;
-    while let Some(pos) = rest.find(needle) {
-        let after = &rest[pos + needle.len()..];
-        let end = after.find(')').unwrap_or(after.len());
-        let inner = &after[..end];
-        if let Some((req, ack)) = inner.split_once("->") {
-            let (req, ack) = (req.trim(), ack.trim());
-            if !req.is_empty() && !ack.is_empty() {
-                out.push(PairDecl {
+        // human-readable reason.
+        if let Some((rule, reason)) = inner.split_once(',') {
+            if !rule.trim().is_empty() && !reason.trim().is_empty() {
+                out.push(Allow {
                     line,
-                    request: req.to_string(),
-                    ack: ack.to_string(),
+                    rule: rule.trim().to_string(),
                 });
             }
         }
@@ -407,26 +364,15 @@ mod tests {
 
     #[test]
     fn allow_directives_are_collected() {
-        let l = lex("x();\n// gt-lint: allow(panic, \"startup only\")\ny.unwrap();");
+        let l = lex("x();\n// gt-lint: allow(atomic-ordering, \"a counter\")\ny.load(Relaxed);");
         assert_eq!(l.allows.len(), 1);
-        assert_eq!(l.allows[0].rule, "panic");
+        assert_eq!(l.allows[0].rule, "atomic-ordering");
         assert_eq!(l.allows[0].line, 2);
-        assert!(l.allows[0].has_reason);
     }
 
     #[test]
-    fn bare_allows_are_flagged_as_reasonless() {
-        let l = lex("// gt-lint: allow(panic)\n// gt-lint: allow(lock-cycle,   )\n");
-        assert_eq!(l.allows.len(), 2);
-        assert!(!l.allows[0].has_reason);
-        assert!(!l.allows[1].has_reason);
-    }
-
-    #[test]
-    fn pair_directives_are_collected() {
-        let l = lex("// gt-lint: pair(CopyBegin -> CopyApplied)\nfn f() {}");
-        assert_eq!(l.pairs.len(), 1);
-        assert_eq!(l.pairs[0].request, "CopyBegin");
-        assert_eq!(l.pairs[0].ack, "CopyApplied");
+    fn an_allow_without_a_reason_is_not_an_allow() {
+        let l = lex("// gt-lint: allow(atomic-ordering)\n// gt-lint: allow(dead-counter,   )\n");
+        assert!(l.allows.is_empty(), "{:?}", l.allows);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! With no paths, audits the workspace (rooted at `--root`, default `.`)
 //! with the per-rule file sets. With paths, audits exactly those files —
-//! used for fixtures and the per-push pass over `examples/` and `tests/`.
+//! used for fixtures.
 //!
 //! `--format` selects the output: `text` (default, human-readable),
 //! `json` (stable machine-readable array), `sarif` (SARIF 2.1.0 log),

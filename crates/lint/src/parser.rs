@@ -1,12 +1,11 @@
 //! Shallow structural parser on top of the token stream.
 //!
-//! gt-lint does not need a real AST. The rules work on three structural
-//! facts: where functions are (name, params, body as token ranges), where
-//! `match` expressions and their arms are, and how deeply nested in braces
-//! each token sits. `#[cfg(test)]` items are stripped up front so test-only
+//! gt-lint does not need a real AST. The rules work on two structural
+//! facts: where functions are (name and body as token ranges) and where a
+//! bracket closes. `#[cfg(test)]` items are stripped up front so test-only
 //! code is never audited as production code.
 
-use crate::lexer::{self, Allow, PairDecl, Tok, TokKind};
+use crate::lexer::{self, Allow, Tok, TokKind};
 use std::path::{Path, PathBuf};
 
 /// One lexed and test-stripped source file.
@@ -19,8 +18,6 @@ pub struct SourceFile {
     /// Allow directives found anywhere in the file (comments survive
     /// stripping because they are collected during lexing).
     pub allows: Vec<Allow>,
-    /// Request→ack pair declarations found anywhere in the file.
-    pub pairs: Vec<PairDecl>,
 }
 
 impl SourceFile {
@@ -32,7 +29,6 @@ impl SourceFile {
             path: path.to_path_buf(),
             toks,
             allows: lexed.allows,
-            pairs: lexed.pairs,
         }
     }
 
@@ -48,52 +44,9 @@ impl SourceFile {
 pub struct Func {
     /// Function name.
     pub name: String,
-    /// Tokens between the parameter parentheses (exclusive of them).
-    pub params: (usize, usize),
     /// Tokens between the body braces (exclusive of them). Empty for
     /// bodyless trait-method declarations.
     pub body: (usize, usize),
-    /// Line of the `fn` keyword.
-    pub line: u32,
-}
-
-/// One `match` arm.
-#[derive(Debug, Clone)]
-pub struct Arm {
-    /// Pattern tokens (including any `if` guard), `[start, end)`.
-    pub pat: (usize, usize),
-    /// Body tokens, `[start, end)` (outer braces included when present).
-    pub body: (usize, usize),
-    /// Line the pattern starts on.
-    pub line: u32,
-}
-
-/// One `match` expression.
-#[derive(Debug, Clone)]
-pub struct MatchExpr {
-    /// Scrutinee tokens, `[start, end)`.
-    pub scrutinee: (usize, usize),
-    /// The arms in source order.
-    pub arms: Vec<Arm>,
-    /// Line of the `match` keyword.
-    pub line: u32,
-}
-
-/// Brace depth of each token: the number of unclosed `{` strictly before
-/// it (a closing `}` sits at the depth of its matching `{`).
-pub fn brace_depths(toks: &[Tok]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(toks.len());
-    let mut cur = 0u32;
-    for t in toks {
-        if t.is_punct('}') {
-            cur = cur.saturating_sub(1);
-        }
-        out.push(cur);
-        if t.is_punct('{') {
-            cur += 1;
-        }
-    }
-    out
 }
 
 /// Index of the close bracket matching the open bracket at `open`, or
@@ -176,7 +129,6 @@ pub fn functions(toks: &[Tok]) -> Vec<Func> {
             continue;
         }
         let name = toks[i + 1].text.clone();
-        let line = toks[i].line;
         // Find the parameter list. Generic params in this workspace never
         // contain parentheses, so the first `(` opens the parameters.
         let mut j = i + 2;
@@ -208,145 +160,10 @@ pub fn functions(toks: &[Tok]) -> Vec<Func> {
             }
             k += 1;
         }
-        out.push(Func {
-            name,
-            params: (j + 1, params_close),
-            body,
-            line,
-        });
+        out.push(Func { name, body });
         i = k.max(i + 2);
     }
     out
-}
-
-/// All `match` expressions whose `match` keyword lies in `[start, end)`.
-/// Nested matches are reported separately (their arms also appear inside
-/// the outer match's arm bodies).
-pub fn matches_in(toks: &[Tok], start: usize, end: usize) -> Vec<MatchExpr> {
-    let mut out = Vec::new();
-    for i in start..end.min(toks.len()) {
-        if !toks[i].is_ident("match") {
-            continue;
-        }
-        // Exclude `.match` field access (not valid Rust anyway) and the
-        // `matches!` macro (different identifier, but be safe).
-        if i > 0 && toks[i - 1].is_punct('.') {
-            continue;
-        }
-        // Scrutinee runs to the first `{` outside parens/brackets.
-        let mut p = 0i32;
-        let mut b = 0i32;
-        let mut open = None;
-        for (j, t) in toks
-            .iter()
-            .enumerate()
-            .take(end.min(toks.len()))
-            .skip(i + 1)
-        {
-            if t.is_punct('(') {
-                p += 1;
-            } else if t.is_punct(')') {
-                p -= 1;
-            } else if t.is_punct('[') {
-                b += 1;
-            } else if t.is_punct(']') {
-                b -= 1;
-            } else if t.is_punct('{') && p == 0 && b == 0 {
-                open = Some(j);
-                break;
-            } else if t.is_punct(';') && p == 0 && b == 0 {
-                break; // not a match expression after all
-            }
-        }
-        let Some(open) = open else { continue };
-        let close = matching_close(toks, open, '{', '}');
-        let arms = parse_arms(toks, open + 1, close);
-        out.push(MatchExpr {
-            scrutinee: (i + 1, open),
-            arms,
-            line: toks[i].line,
-        });
-    }
-    out
-}
-
-/// Parse the arms between a match's braces.
-fn parse_arms(toks: &[Tok], start: usize, end: usize) -> Vec<Arm> {
-    let mut arms = Vec::new();
-    let mut i = start;
-    while i < end {
-        while i < end && toks[i].is_punct(',') {
-            i += 1;
-        }
-        if i >= end {
-            break;
-        }
-        let pat_start = i;
-        // Pattern (and optional guard) runs to `=>` at depth 0.
-        let (mut p, mut b, mut c) = (0i32, 0i32, 0i32);
-        let mut fat = None;
-        while i < end {
-            let t = &toks[i];
-            if t.is_punct('(') {
-                p += 1;
-            } else if t.is_punct(')') {
-                p -= 1;
-            } else if t.is_punct('[') {
-                b += 1;
-            } else if t.is_punct(']') {
-                b -= 1;
-            } else if t.is_punct('{') {
-                c += 1;
-            } else if t.is_punct('}') {
-                c -= 1;
-            } else if t.is_punct('=')
-                && p == 0
-                && b == 0
-                && c == 0
-                && i + 1 < end
-                && toks[i + 1].is_punct('>')
-            {
-                fat = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        let Some(fat) = fat else { break };
-        let body_start = fat + 2;
-        let body_end = if body_start < end && toks[body_start].is_punct('{') {
-            matching_close(toks, body_start, '{', '}') + 1
-        } else {
-            let (mut p, mut b, mut c) = (0i32, 0i32, 0i32);
-            let mut j = body_start;
-            while j < end {
-                let t = &toks[j];
-                if t.is_punct('(') {
-                    p += 1;
-                } else if t.is_punct(')') {
-                    p -= 1;
-                } else if t.is_punct('[') {
-                    b += 1;
-                } else if t.is_punct(']') {
-                    b -= 1;
-                } else if t.is_punct('{') {
-                    c += 1;
-                } else if t.is_punct('}') {
-                    c -= 1;
-                } else if t.is_punct(',') && p == 0 && b == 0 && c == 0 {
-                    break;
-                }
-                j += 1;
-            }
-            j
-        };
-        arms.push(Arm {
-            pat: (pat_start, fat),
-            body: (body_start, body_end.min(end)),
-            line: toks[pat_start].line,
-        });
-        i = body_end.max(fat + 2);
-    }
-    arms
 }
 
 #[cfg(test)]
@@ -379,19 +196,5 @@ mod tests {
         assert_eq!(fns[0].name, "a");
         let (s, e) = fns[0].body;
         assert!(f.toks[s..e].iter().any(|t| t.is_ident("n")));
-    }
-
-    #[test]
-    fn match_arms_parse() {
-        let f = file(
-            "fn d(m: Msg) { match m { Msg::A { x } if x > 0 => go(x), Msg::B => {} , _ => {} } }",
-        );
-        let fns = functions(&f.toks);
-        let ms = matches_in(&f.toks, fns[0].body.0, fns[0].body.1);
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].arms.len(), 3);
-        let last = &ms[0].arms[2];
-        assert_eq!(last.pat.1 - last.pat.0, 1);
-        assert!(f.toks[last.pat.0].is_ident("_"));
     }
 }

@@ -16,7 +16,6 @@
 //! has no consume side and `Relaxed` is exactly right there.
 
 use crate::diag::Diagnostic;
-use crate::ir;
 use crate::lexer::TokKind;
 use crate::parser::{matching_close, SourceFile};
 
@@ -50,7 +49,7 @@ struct Site {
 
 /// Run the rule over `files`.
 pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
-    let fields = ir::atomic_fields(files);
+    let fields = atomic_fields(files);
     if fields.is_empty() {
         return Vec::new();
     }
@@ -104,6 +103,89 @@ pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
                  store/RMW (or SeqCst to match the field's other sites); Relaxed is \
                  only for counters that no control flow consumes",
             ));
+        }
+    }
+    out
+}
+
+/// One atomic struct field.
+#[derive(Debug)]
+struct AtomicField {
+    strukt: String,
+    field: String,
+}
+
+/// Harvest `Atomic*`-typed struct fields from declarations in `files`.
+fn atomic_fields(files: &[&SourceFile]) -> Vec<AtomicField> {
+    let mut out = Vec::new();
+    for f in files {
+        let toks = &f.toks;
+        let mut i = 0usize;
+        while i + 2 < toks.len() {
+            if !toks[i].is_ident("struct") || toks[i + 1].kind != TokKind::Ident {
+                i += 1;
+                continue;
+            }
+            let strukt = toks[i + 1].text.clone();
+            let mut j = i + 2;
+            while j < toks.len() && !toks[j].is_punct('{') {
+                if toks[j].is_punct(';') || toks[j].is_punct('(') {
+                    break; // unit or tuple struct
+                }
+                j += 1;
+            }
+            if j >= toks.len() || !toks[j].is_punct('{') {
+                i += 2;
+                continue;
+            }
+            let close = matching_close(toks, j, '{', '}');
+            let mut k = j + 1;
+            while k < close {
+                // Field: IDENT `:` <type tokens> up to a depth-0 comma.
+                while k + 1 < close && toks[k].is_punct('#') && toks[k + 1].is_punct('[') {
+                    k = matching_close(toks, k + 1, '[', ']') + 1;
+                }
+                if k + 1 >= close {
+                    break;
+                }
+                let field_ok = toks[k].kind == TokKind::Ident
+                    && toks[k + 1].is_punct(':')
+                    && !(k + 2 < close && toks[k + 2].is_punct(':'));
+                if !field_ok {
+                    k += 1;
+                    continue;
+                }
+                let field = toks[k].text.clone();
+                let mut depth = 0i32;
+                let mut is_atomic = false;
+                let mut m = k + 2;
+                while m < close {
+                    let t = &toks[m];
+                    if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
+                        depth += 1;
+                    } else if t.is_punct(')')
+                        || t.is_punct(']')
+                        || t.is_punct('}')
+                        || t.is_punct('>')
+                    {
+                        depth -= 1;
+                    } else if t.is_punct(',') && depth <= 0 {
+                        break;
+                    }
+                    if t.kind == TokKind::Ident && t.text.starts_with("Atomic") {
+                        is_atomic = true;
+                    }
+                    m += 1;
+                }
+                if is_atomic {
+                    out.push(AtomicField {
+                        strukt: strukt.clone(),
+                        field,
+                    });
+                }
+                k = m + 1;
+            }
+            i = close;
         }
     }
     out

@@ -8,13 +8,55 @@
 //! storms against the stalled server. Roots are the dispatch entry
 //! points themselves (`dispatch_msg` and every `handle_*`); the
 //! dispatcher *loop* is deliberately not a root — parking in
-//! `recv_timeout` while idle is its job. Spawned-closure bodies are
-//! excluded (they block their own thread, not the dispatcher).
+//! `recv_timeout` while idle is its job.
+//!
+//! Reachability is over a name-based call graph of the audited files:
+//! same-name functions are merged, which over-approximates toward
+//! finding. A `spawn(…)` argument runs on another thread, so nothing
+//! inside one — blocking call or callee — belongs to the spawning
+//! function.
 
 use crate::diag::Diagnostic;
-use crate::ir;
-use crate::parser::SourceFile;
-use std::collections::BTreeMap;
+use crate::lexer::{Tok, TokKind};
+use crate::parser::{functions, matching_close, SourceFile};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
+
+/// Calls that park the calling thread.
+const BLOCKING_PRIMS: &[&str] = &["sleep", "recv_timeout", "wait", "wait_for"];
+
+/// What one function definition does on its caller's thread.
+struct FnFacts {
+    file: PathBuf,
+    callees: BTreeSet<String>,
+    /// `(primitive, line)` of each direct blocking call.
+    blocking: Vec<(String, u32)>,
+}
+
+fn facts_of(f: &SourceFile, body: (usize, usize)) -> FnFacts {
+    let toks: &[Tok] = &f.toks;
+    let mut facts = FnFacts {
+        file: f.path.clone(),
+        callees: BTreeSet::new(),
+        blocking: Vec::new(),
+    };
+    let (mut i, end) = (body.0, body.1.min(toks.len()));
+    while i + 1 < end {
+        let t = &toks[i];
+        if t.kind == TokKind::Ident && toks[i + 1].is_punct('(') {
+            if t.is_ident("spawn") {
+                i = matching_close(toks, i + 1, '(', ')');
+                continue;
+            }
+            if BLOCKING_PRIMS.contains(&t.text.as_str()) {
+                facts.blocking.push((t.text.clone(), t.line));
+            }
+            facts.callees.insert(t.text.clone());
+        }
+        i += 1;
+    }
+    facts
+}
 
 /// Is `name` a dispatcher root?
 fn is_root(name: &str) -> bool {
@@ -23,30 +65,36 @@ fn is_root(name: &str) -> bool {
 
 /// Run the rule over `files`.
 pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
-    let ir = ir::extract(files, &[]);
-    let callees = ir.callees();
-    let roots: Vec<&str> = ir
-        .fns
-        .iter()
-        .map(|(n, _)| n.as_str())
-        .filter(|n| is_root(n))
-        .collect();
-    if roots.is_empty() {
-        return Vec::new();
+    let mut fns: Vec<(String, FnFacts)> = Vec::new();
+    for f in files {
+        for func in functions(&f.toks) {
+            fns.push((func.name, facts_of(f, func.body)));
+        }
     }
-    // Which root reaches each function (first one wins, for the message).
-    let mut reached_from: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut callees: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (name, facts) in &fns {
+        let of_name = callees.entry(name).or_default();
+        of_name.extend(facts.callees.iter().map(String::as_str));
+    }
+    // Which root reaches each function (a root itself; otherwise the
+    // first root that gets there, for the message).
+    let roots: Vec<&str> = callees.keys().copied().filter(|n| is_root(n)).collect();
+    let mut reached_from: BTreeMap<&str, &str> = roots.iter().map(|r| (*r, *r)).collect();
     for root in roots {
-        for f in ir::closure([root], &callees) {
-            reached_from.entry(f).or_insert(root);
+        let mut work: Vec<&str> = callees[root].iter().copied().collect();
+        while let Some(name) = work.pop() {
+            if !reached_from.contains_key(name) {
+                reached_from.insert(name, root);
+                work.extend(callees.get(name).into_iter().flatten());
+            }
         }
     }
     let mut out = Vec::new();
-    for (name, fi) in &ir.fns {
+    for (name, facts) in &fns {
         let Some(root) = reached_from.get(name.as_str()) else {
             continue;
         };
-        for (prim, line) in &fi.blocking {
+        for (prim, line) in &facts.blocking {
             let via = if name == root {
                 String::new()
             } else {
@@ -54,7 +102,7 @@ pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
             };
             out.push(Diagnostic::new(
                 "blocking-in-dispatcher",
-                &fi.file,
+                &facts.file,
                 *line,
                 format!("`{name}`{via} calls blocking `{prim}` on the dispatcher thread"),
                 "move the blocking work to a worker thread or make it event-driven \
@@ -100,7 +148,10 @@ mod tests {
 
     #[test]
     fn spawned_closures_are_exempt() {
-        let d = lint("fn handle_migrate(x: &X) { spawn(move || { sleep(D); }); }");
+        let d = lint(
+            "fn handle_migrate(x: &X) { spawn(move || { sleep(D); settle(x); }); }\n\
+             fn settle(x: &X) { x.rx.recv_timeout(D); }",
+        );
         assert!(d.is_empty(), "{d:?}");
     }
 }

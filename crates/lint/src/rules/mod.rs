@@ -4,10 +4,4 @@
 
 pub mod atomic_ordering;
 pub mod blocking;
-pub mod dispatch;
-pub mod epoch_fence;
-pub mod guard_send;
-pub mod lock_order;
 pub mod metrics_discipline;
-pub mod panic_hygiene;
-pub mod protocol;

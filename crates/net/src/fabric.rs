@@ -170,10 +170,13 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
         } else {
             let (tx, rx) = unbounded::<Scheduled<M>>();
             let inboxes_clone = inboxes.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "construction-time: a fabric without its timer wheel cannot run at all"
+            )]
             let handle = std::thread::Builder::new()
                 .name("gt-net-wheel".into())
                 .spawn(move || wheel_loop(rx, inboxes_clone))
-                // gt-lint: allow(panic, "construction-time: a fabric without its timer wheel cannot run at all")
                 .expect("spawn timer wheel");
             (Some(tx), Some(handle))
         };

@@ -225,8 +225,10 @@ impl Running {
     /// Where the front door actually listens (ephemeral TCP ports
     /// resolved).
     pub fn local_addr(&self) -> &SocketAddrSpec {
-        // gt-lint: allow(panic, "door is Some until stop() consumes it")
-        self.door.as_ref().expect("front door running").local_addr()
+        self.door
+            .as_ref()
+            .expect("door is Some until stop() consumes it")
+            .local_addr()
     }
 
     /// Stop the front door and (standalone) shut the cluster down.

@@ -1,10 +1,10 @@
 //! Multi-tenant traversal demo: eight concurrent travels — a mix of
 //! short interactive probes and deep scans — on one GraphTrek cluster
-//! with admission control, weighted fair cross-travel scheduling, and a
-//! per-travel cache reservation. Prints a per-tenant accounting table
+//! with admission control and the merging queue's weighted fair
+//! cross-travel scheduling. Prints a per-tenant accounting table
 //! (time-to-admit, latency, I/O splits, queue residency), then an A/B
-//! run showing what fair scheduling buys a short travel stuck behind a
-//! deep scan compared to arrival-order draining.
+//! run of the two request queues: what the merging queue buys a short
+//! travel stuck behind a deep scan compared to the plain FIFO queue.
 //!
 //! ```sh
 //! cargo run --release --example multi_tenant
@@ -50,9 +50,7 @@ fn main() {
     let cluster = Cluster::build(
         &g,
         ClusterConfig::new(&dir, n_servers),
-        EngineConfig::new(EngineKind::GraphTrek)
-            .max_concurrent_travels(6)
-            .cache_reserve_per_travel(1024),
+        EngineConfig::new(EngineKind::GraphTrek).max_concurrent_travels(6),
     )
     .expect("cluster");
 
@@ -92,9 +90,11 @@ fn main() {
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 
-    // A/B: a 1-hop probe submitted behind a deep scan, fair two-level
-    // scheduling vs arrival-order draining, identical injected slowness
-    // on the scan's deep steps.
+    // A/B: a 1-hop probe submitted behind a deep scan, on the merging
+    // queue (least-served travel first, smallest step within it) and on
+    // the FIFO queue Async-GT uses (`force_merging_queue(false)`: the
+    // probe waits out the scan's backlog in arrival order). Identical
+    // injected slowness on the scan's deep steps.
     println!("\nshort-travel latency behind a deep scan (straggler-slowed):");
     let probe_src = random_vertex(&rmat, 7);
     let faults = FaultPlan {
@@ -110,12 +110,12 @@ fn main() {
             .collect(),
     };
     let mut latency = Vec::new();
-    for (tag, fair) in [("fair", true), ("arrival-order", false)] {
+    for (tag, merging) in [("merging queue", true), ("FIFO queue", false)] {
         let dir =
-            std::env::temp_dir().join(format!("graphtrek-mt-ab-{}-{tag}", std::process::id()));
+            std::env::temp_dir().join(format!("graphtrek-mt-ab-{}-{merging}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let mut ecfg = EngineConfig::new(EngineKind::GraphTrek).workers(1);
-        if !fair {
+        if !merging {
             ecfg = ecfg.force_merging_queue(false);
         }
         let cluster = Cluster::build(&g, ClusterConfig::new(&dir, 2), ecfg.faults(faults.clone()))
@@ -140,7 +140,7 @@ fn main() {
     }
     if latency[1] > latency[0] {
         println!(
-            "  fair scheduling cut the probe's latency {:.1}x",
+            "  the merging queue cut the probe's latency {:.1}x",
             latency[1].as_secs_f64() / latency[0].as_secs_f64()
         );
     }
