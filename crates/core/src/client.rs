@@ -29,7 +29,7 @@ use crate::frontdoor::Backend;
 use crate::lang::Plan;
 use crate::lockorder::assert_none_held;
 use crate::message::{Msg, ProgressSnapshot, TravelOutcome};
-use crate::TravelId;
+use crate::{ticket_of, TravelId};
 use gt_net::RecvError;
 use gt_transport::Conduit;
 use parking_lot::{Condvar, Mutex};
@@ -76,8 +76,9 @@ struct Slot {
 #[derive(Default)]
 struct PortState {
     slots: BTreeMap<u64, Slot>,
-    /// Cancelled travels; a `wait` on one reports
-    /// [`TravelError::Cancelled`] instead of running out its timeout.
+    /// Cancelled travels, by their ticket's id; a `wait` on any
+    /// incarnation of one reports [`TravelError::Cancelled`] instead of
+    /// running out its timeout.
     cancelled: BTreeSet<TravelId>,
     /// Some waiter is inside the conduit's receive.
     pumping: bool,
@@ -149,7 +150,8 @@ impl ClientPort {
     /// endpoints `0..n_servers` of the same fabric or mesh. Travel and
     /// request ids are minted as `id_base + 1, id_base + 2, …`: `0` for a
     /// cluster's only client, `endpoint << 48` where several ports in
-    /// different processes share the servers.
+    /// different processes share the servers — below bit 56 either way,
+    /// where a re-drive's attempt starts ([`TravelId`]).
     pub fn new(ep: Conduit<Msg>, n_servers: usize, id_base: u64) -> ClientPort {
         ClientPort {
             ep,
@@ -201,6 +203,13 @@ impl ClientPort {
     /// ([`ClientPort::await_done`]), is aborted or is cancelled.
     pub(crate) fn open_travel(&self) -> TravelId {
         let travel = self.mint();
+        self.open(travel);
+        travel
+    }
+
+    /// Hold the slot of `travel` — a minted id, or the next incarnation of
+    /// one — open.
+    pub(crate) fn open(&self, travel: TravelId) {
         let mut st = self.state.lock();
         st.slots.entry(travel).or_default().open = true;
         while st.slots.len() > MAX_TRACKED {
@@ -208,7 +217,6 @@ impl ClientPort {
             let Some((&key, _)) = idle else { break };
             st.slots.remove(&key);
         }
-        travel
     }
 
     /// Pump until `pick` yields (`Ok(Some)`), `deadline` passes
@@ -277,13 +285,6 @@ impl ClientPort {
             .ok_or_else(ClusterError::slice_timeout)
     }
 
-    /// The oldest reply already filed under `key` that `take` accepts, if
-    /// any: [`ClientPort::await_reply`] without the waiting, for a caller
-    /// whose own wait loop pumps.
-    pub(crate) fn try_reply<R>(&self, key: u64, take: impl Fn(Msg) -> Result<R, Msg>) -> Option<R> {
-        self.state.lock().take(key, &take).map(|(r, _)| r)
-    }
-
     /// Ship a travel to its coordinator.
     pub(crate) fn submit(
         &self,
@@ -311,8 +312,9 @@ impl ClientPort {
         deadline: Instant,
     ) -> Result<Option<(TravelOutcome, Instant)>, ClusterError> {
         let done = self.pump_until(deadline, |st| {
-            if st.cancelled.contains(&travel) {
-                return Some(Err(TravelError::Cancelled { travel }));
+            let ticket = ticket_of(travel);
+            if st.cancelled.contains(&ticket) {
+                return Some(Err(TravelError::Cancelled { travel: ticket }));
             }
             let hit = st.take(travel, &|m| match m {
                 Msg::TravelDone { outcome, .. } => Ok(outcome),
@@ -355,7 +357,7 @@ impl ClientPort {
     /// [`TravelError::Cancelled`].
     pub(crate) fn mark_cancelled(&self, travel: TravelId) {
         let mut st = self.state.lock();
-        st.cancelled.insert(travel);
+        st.cancelled.insert(ticket_of(travel));
         while st.cancelled.len() > MAX_TRACKED {
             st.cancelled.pop_first();
         }

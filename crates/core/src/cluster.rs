@@ -20,8 +20,8 @@
 //! touches the port and the stores. What it decides
 //! with lives in sans-I/O machines under `cluster/` — [`travels`] (one
 //! entry per travel: admission, coordinator routing, snapshot pins, the
-//! re-home of an orphaned travel), [`rehome`] (successor choice and the
-//! handoff round) and [`healer`] — which it steps under one lock that is
+//! re-home of an orphaned travel), [`rehome`] (successor choice) and
+//! [`healer`] — which it steps under one lock that is
 //! never held across a send. `cluster/placement.rs` is shell too: the
 //! sequential placement orchestration and the healer thread.
 
@@ -40,14 +40,14 @@ use crate::lockorder::{OrderedMutex, Rank};
 use crate::message::{Msg, ProgressSnapshot};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, TravelMetrics};
 use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
-use crate::TravelId;
+use crate::{ticket_of, TravelId};
 use gt_graph::storage::load_replicated;
 use gt_graph::{EdgeCutPartitioner, GraphPartition, InMemoryGraph, VertexId};
 use gt_kvstore::{Store, StoreConfig};
 use gt_net::{Fabric, NetStats};
 use gt_placement::{PlacementMap, SharedPlacement};
 use gt_transport::{Conduit, MeshConfig, SocketAddrSpec, SocketMesh};
-use rehome::{ring_pick, Cause, Host, Round};
+use rehome::{ring_pick, Cause, Host};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,9 +62,8 @@ const RESUBMIT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Cap on the resubmission backoff.
 const RESUBMIT_BACKOFF_CAP: Duration = Duration::from_millis(500);
 /// The slice a blocked [`Cluster::wait`] waits in. Between slices it
-/// steps its travel's entry: a lost coordinator is re-homed, an
-/// unconfirmed handoff re-nudged or given up. Deadlines do not depend on
-/// it.
+/// steps its travel's entry: a lost coordinator is re-homed, a silent
+/// re-drive probed or given up. Deadlines do not depend on it.
 const FAILOVER_CHECK_EVERY: Duration = Duration::from_millis(50);
 
 /// A socket path no other cluster in this process (or a concurrent test
@@ -175,7 +174,7 @@ pub struct ClusterState {
     partitioner: EdgeCutPartitioner,
     engine: EngineConfig,
     /// Everything known about each travel — admission slot, coordinator
-    /// route, snapshot pin, handoff in flight — and each server's
+    /// route, snapshot pin, live incarnation — and each server's
     /// incarnation number. A leaf lock: held for one step of the machine,
     /// never across a send, a store call or another lock.
     travels: OrderedMutex<Travels>,
@@ -347,7 +346,7 @@ impl Cluster {
             });
         }
         let self_heal = detection.is_some();
-        let table = Travels::new(n, ecfg.max_concurrent_travels, client.id());
+        let table = Travels::new(n, ecfg.max_concurrent_travels);
         let inner = Arc::new_cyclic(|me: &std::sync::Weak<ClusterState>| ClusterState {
             slots,
             fabric,
@@ -637,12 +636,6 @@ impl ClusterState {
         self.travels.lock().on_give_up(travel, seq, now)
     }
 
-    fn send_round(&self, round: Round) -> Result<(), ClusterError> {
-        round
-            .into_iter()
-            .try_for_each(|(to, msg)| self.port.send(to, msg))
-    }
-
     /// Travels currently admitted and not yet observed complete. Useful
     /// for asserting no ticket leaks after a multi-tenant run.
     pub fn active_travels(&self) -> usize {
@@ -659,10 +652,11 @@ impl ClusterState {
     /// The wait runs in short slices; between slices the client checks
     /// the travel's current coordinator. If that server crashed (or
     /// crash-restarted) since the travel was routed, the travel is
-    /// **failed over**: every server fences a bumped travel-epoch and a
-    /// successor server runs the traversal from its sources again —
-    /// transparently to this call, which keeps waiting for the same
-    /// `TravelDone` and, slice by slice, for the successor's confirmation.
+    /// **failed over**: the incarnation that lost its coordinator is
+    /// aborted everywhere and a successor server runs the plan from its
+    /// sources again under a fresh travel id — transparently to this
+    /// call, which waits for the live incarnation's `TravelDone` and,
+    /// slice by slice, probes a re-drive that shows no sign of life.
     ///
     /// On timeout the travel is abandoned: an abort is broadcast so the
     /// servers drop its state, and its admission slot is released so
@@ -674,8 +668,9 @@ impl ClusterState {
         let travel = ticket.travel;
         let deadline = Instant::now() + timeout;
         loop {
+            let live = self.travels.lock().live_id(travel);
             let slice = deadline.min(Instant::now() + FAILOVER_CHECK_EVERY);
-            match self.port.await_done(travel, slice)? {
+            match self.port.await_done(live, slice)? {
                 Some((outcome, received)) => {
                     let mut r = TravelResult::from_outcome(
                         outcome,
@@ -715,32 +710,24 @@ impl ClusterState {
         (0..self.slots.len()).map(host).collect()
     }
 
-    /// A wait slice of `travel` expired at `now`: take the successor's
-    /// confirmation if it arrived, re-home the travel if its coordinator's
-    /// host is gone, re-nudge an unconfirmed handoff or give it up. The
-    /// error is why the travel cannot be saved.
+    /// A wait slice of `travel` expired at `now`: re-home the travel if its
+    /// coordinator's host is gone, probe a re-drive that has shown no sign
+    /// of life or give it up. The error is why the travel cannot be saved.
     fn between_slices(&self, travel: TravelId, now: Instant) -> Result<(), ClusterError> {
-        let confirmed = self.port.try_reply(travel, |m| match m {
-            Msg::RecoverDone { epoch, .. } => Ok(epoch),
-            other => Err(other),
-        });
         let hosts = self.hosts();
-        let (lost, nudge) = {
+        let (lost, probe) = {
             let mut table = self.travels.lock();
-            if let Some(epoch) = confirmed {
-                table.on_recover_done(travel, epoch);
-            }
-            // In this order: a travel just found orphaned has no handoff
-            // to step.
-            (
-                table.orphaned(travel, &hosts),
-                table.tick(travel, &hosts, now),
-            )
+            // In this order: a travel just found orphaned has no re-drive
+            // to probe.
+            (table.orphaned(travel, &hosts), table.tick(travel, now))
         };
         match lost {
-            None => self.send_round(nudge.map_err(ClusterError::Travel)?),
-            // No epoch fencing without reliable delivery: the travel is
-            // unrecoverable in place.
+            None => match probe.map_err(ClusterError::Travel)? {
+                Some(redrive) => self.probe(redrive),
+                None => Ok(()),
+            },
+            // The failover lanes run with reliable delivery on; without
+            // it a lost coordinator stays a typed, prompt error.
             Some(_) if !self.engine.reliable_delivery_enabled() => {
                 Err(ClusterError::Travel(TravelError::CoordinatorLost {
                     travel,
@@ -750,6 +737,22 @@ impl ClusterState {
         }
     }
 
+    /// Ask a re-driven incarnation's coordinator for the progress report
+    /// the paper already has (§IV-C), behind a repeat of the `Submit` —
+    /// dropped by a server that has it, so any answer means the role is
+    /// held; silence for one slice leaves the travel unconfirmed.
+    fn probe(&self, redrive: Dispatch) -> Result<(), ClusterError> {
+        let (live, coordinator) = (redrive.travel, redrive.coordinator);
+        self.dispatch(redrive)?;
+        let answer = self
+            .port
+            .query_progress(live, coordinator, FAILOVER_CHECK_EVERY);
+        if answer.is_ok() {
+            self.travels.lock().on_confirmed(live);
+        }
+        Ok(())
+    }
+
     /// Best-effort progress fetch for a travel being given up on; `None`
     /// when the coordinator is unreachable. The reply wait is capped at
     /// 250 ms *and* the caller's own timeout: this query fires after the
@@ -757,21 +760,21 @@ impl ClusterState {
     /// not overshoot by a fresh quarter-second window when the
     /// coordinator is up but unresponsive (e.g. network-isolated).
     fn try_progress_snapshot(&self, ticket: &Ticket, budget: Duration) -> Option<ProgressSnapshot> {
-        let coordinator = self.coordinator_of(ticket);
+        let (live, coordinator) = self.route_of(ticket);
         if self.server_crashed(coordinator) {
             return None;
         }
         let patience = budget.min(Duration::from_millis(250));
-        self.port
-            .query_progress(ticket.travel, coordinator, patience)
-            .ok()
+        self.port.query_progress(live, coordinator, patience).ok()
     }
 
     /// Move a travel's coordinator role off `from` (DESIGN.md §8): gather
-    /// the facts for [`Travels::on_rehome`], which picks the successor and
-    /// builds the round; `wait`'s slices see the handoff through. A lost
-    /// host is restarted first: its shard is needed to finish the
-    /// traversal, and the handoff barrier spans every server.
+    /// the facts for [`Travels::on_rehome`], which picks the successor,
+    /// then do what a timed-out `submit_opts` does — abort the superseded
+    /// incarnation everywhere, submit the plan again under a fresh id;
+    /// `wait`'s slices see the re-drive through. A lost host is restarted
+    /// first: its shard is needed to finish the traversal, and the abort
+    /// must reach the revived incarnation too.
     fn rehome(&self, travel: TravelId, from: usize, cause: Cause) -> Result<(), ClusterError> {
         if cause == Cause::HostLost {
             let restart_deadline = Instant::now() + Duration::from_secs(5);
@@ -790,24 +793,27 @@ impl ClusterState {
             }
         }
         let (hosts, now) = (self.hosts(), Instant::now());
-        let round = {
+        let step = {
             let mut table = self.travels.lock();
             table.on_rehome(travel, from, cause, &hosts, now)
         };
-        let round = round.map_err(ClusterError::Travel)?;
-        let moved = !round.is_empty();
-        self.send_round(round)?;
-        if moved {
-            self.fabric.stats().record_handoff();
-        }
-        Ok(())
+        let Some((superseded, redrive)) = step.map_err(ClusterError::Travel)? else {
+            return Ok(());
+        };
+        self.port.abort(superseded);
+        let successor = &self.slots[redrive.coordinator].metrics;
+        successor.failovers.fetch_add(1, Ordering::Relaxed);
+        self.fabric.stats().record_handoff();
+        self.port.open(redrive.travel);
+        self.dispatch(redrive)
     }
 
     /// Give up on a travel: abort it everywhere, free its admission slot
     /// (dispatching queued submissions into the capacity), and forget its
     /// bookkeeping.
     fn abandon(&self, travel: TravelId) {
-        self.port.abort(travel);
+        let live = self.travels.lock().live_id(travel);
+        self.port.abort(live);
         let freed = self.give_up(travel);
         self.settle(freed);
     }
@@ -824,31 +830,39 @@ impl ClusterState {
     /// a `wait` on the ticket reports [`TravelError::Cancelled`].
     pub fn cancel(&self, ticket: &Ticket) -> Result<bool, ClusterError> {
         let travel = ticket.travel;
-        let started = !self.travels.lock().on_cancel(travel);
+        let (started, live) = {
+            let mut table = self.travels.lock();
+            (!table.on_cancel(travel), table.live_id(travel))
+        };
         if started {
-            self.port.cancel_travel(travel)?;
+            self.port.cancel_travel(live)?;
             let freed = self.give_up(travel);
             self.settle(freed);
         }
         // Last, so a concurrent `wait()` on this ticket reports
         // `TravelError::Cancelled` only once the slot is free.
-        self.port.mark_cancelled(travel);
+        self.port.mark_cancelled(live);
         Ok(started)
     }
 
     /// Query the coordinator's progress estimate for an in-flight travel
     /// (§IV-C's progress reporting).
     pub fn progress(&self, ticket: &Ticket) -> Result<ProgressSnapshot, ClusterError> {
-        let coordinator = self.coordinator_of(ticket);
+        let (live, coordinator) = self.route_of(ticket);
         self.port
-            .query_progress(ticket.travel, coordinator, PROGRESS_DEADLINE)
+            .query_progress(live, coordinator, PROGRESS_DEADLINE)
     }
 
-    /// Where the travel's coordinator role lives now (a failover moves it
-    /// off the server the ticket was issued for).
-    fn coordinator_of(&self, ticket: &Ticket) -> usize {
-        let current = self.travels.lock().host_of(ticket.travel);
-        current.unwrap_or(ticket.coordinator)
+    /// The id the travel's live incarnation runs under and where its
+    /// coordinator role lives now (a failover moves both off what the
+    /// ticket was issued for).
+    fn route_of(&self, ticket: &Ticket) -> (TravelId, usize) {
+        let table = self.travels.lock();
+        let host = table.host_of(ticket.travel);
+        (
+            table.live_id(ticket.travel),
+            host.unwrap_or(ticket.coordinator),
+        )
     }
 
     /// Ingest vertices and edges into the live cluster (§I: "live
@@ -1019,22 +1033,28 @@ impl ClusterState {
         self.slots[0].partition.lock().store().current_seq()
     }
 
-    /// One travel's counters aggregated across every server (concurrent
-    /// multi-tenant accounting: I/O splits, queue residency).
+    /// One travel's counters aggregated across every server and every
+    /// incarnation it ran under (concurrent multi-tenant accounting: I/O
+    /// splits, queue residency).
     pub fn travel_metrics(&self, ticket: &Ticket) -> TravelMetrics {
         let mut agg = TravelMetrics::default();
         for s in &self.slots {
-            agg.merge(&s.metrics.travel_snapshot(ticket.travel));
+            for (t, m) in s.metrics.travel_snapshots() {
+                if ticket_of(t) == ticket.travel {
+                    agg.merge(&m);
+                }
+            }
         }
         agg
     }
 
-    /// Counters for every tracked travel, aggregated across servers.
+    /// Counters for every tracked travel, by its ticket's id, aggregated
+    /// across servers and incarnations.
     pub fn all_travel_metrics(&self) -> BTreeMap<TravelId, TravelMetrics> {
         let mut out: BTreeMap<TravelId, TravelMetrics> = BTreeMap::new();
         for s in &self.slots {
             for (t, m) in s.metrics.travel_snapshots() {
-                out.entry(t).or_default().merge(&m);
+                out.entry(ticket_of(t)).or_default().merge(&m);
             }
         }
         out
@@ -1084,5 +1104,57 @@ impl ClusterState {
                 h.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gt_graph::{Edge, Props, Vertex};
+
+    /// The shell's order in a re-home: the lost host is restarted *before*
+    /// the superseded incarnation is aborted, so the revived server fences
+    /// it like everyone else. The other way round the abort dies in the
+    /// crashed server's inbox, and a copy of the old `Submit` that arrives
+    /// after the restart (the client re-sends the `Submit` of a re-drive
+    /// it has no answer for) is hosted and run again.
+    #[test]
+    fn the_revived_host_fences_the_incarnation_that_died_with_it() {
+        let mut g = InMemoryGraph::new();
+        for v in 0..12u64 {
+            g.add_vertex(Vertex::new(v, "File", Props::new()));
+            g.add_edge(Edge::new(v, "next", (v + 1) % 12, Props::new()));
+        }
+        let dir = std::env::temp_dir().join(format!("gt-rehome-order-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let engine = EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true);
+        let cluster = Cluster::build(&g, ClusterConfig::new(&dir, 3), engine).expect("cluster");
+        // Travel 1 is coordinated by server 1; starving server 0 keeps it
+        // in flight until the crash.
+        cluster.isolate_server(0, true);
+        let q = GTravel::v([0u64]).e("next").e("next").e("next");
+        let plan = Arc::new(q.compile().expect("plan"));
+        let ticket = cluster.start_plan(plan.clone()).expect("started");
+        std::thread::sleep(Duration::from_millis(50));
+        cluster.crash_server(1).expect("crashed");
+        cluster.isolate_server(0, false);
+        let got = cluster
+            .wait(&ticket, Duration::from_secs(30))
+            .expect("re-driven");
+        assert_eq!(got.failovers, 1);
+        // A late copy of the first incarnation's `Submit` reaches the
+        // revived server 1.
+        let superseded = ticket.travel;
+        cluster.port.submit(superseded, 1, plan).expect("fabric up");
+        let report = cluster
+            .port
+            .query_progress(superseded, 1, PROGRESS_DEADLINE)
+            .expect("server 1 answers");
+        assert_eq!(
+            report.created, 0,
+            "server 1 hosts the aborted incarnation again"
+        );
+        cluster.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -125,9 +125,9 @@ impl ClusterState {
         let hosted = self.travels.lock().hosted_alive(&hosts);
         for (travel, coordinator) in hosted {
             // Best-effort: the map flip above is already durable, so a
-            // handoff that cannot start must not fail the promotion. Each
-            // travel's `Cluster::wait` sees its handoff through (re-nudge
-            // while the revived slot is still booting, give up at the
+            // re-drive that cannot start must not fail the promotion. Each
+            // travel's `Cluster::wait` sees its re-drive through (probing
+            // while the revived slot is still booting, giving up at the
             // deadline).
             let _ = self.rehome(travel, coordinator, Cause::Shed);
         }

@@ -1,42 +1,47 @@
 //! Everything the client knows about its travels, as one sans-I/O machine.
 //!
-//! A travel has one entry from [`Travels::on_start`] until somebody waited
-//! for it, gave it up or cancelled it:
+//! A travel has one entry, under its ticket's id, from
+//! [`Travels::on_start`] until somebody waited for it, gave it up or
+//! cancelled it:
 //!
 //! ```text
-//! Queued ──admit──▶ Running ──host gone──▶ Orphaned ──on_rehome──▶ Handing
+//! Queued ──admit──▶ Running ──host gone──▶ Orphaned ──on_rehome──▶ Resubmitted
 //!                      ▲  └────── on_rehome(Shed) ──────────────▶    │ ▲
-//!                      └──────────── on_recover_done ────────────────┘ │
-//!                                       successor gone ▶ Orphaned ─────┘
+//!                      └───────────── on_confirmed ─────────────────┘ │
+//!                                      successor gone ▶ Orphaned ─────┘
 //!      any live state ──on_done──▶ Done ──on_waited──▶ (removed)
 //! ```
 //!
-//! The entry holds the admission slot, the plan a successor is seeded
-//! with, the snapshot view pinned on the stores and where the coordinator
-//! role lives; retiring the travel is removing the entry. The shell
-//! (`cluster.rs`) gathers the facts a step needs — the clock, which
-//! servers are crashed — steps the table under one lock that is never held
-//! across a send, and carries out what comes back.
+//! The entry holds the admission slot, the plan as dispatched, the
+//! snapshot view pinned on the stores, where the coordinator role lives
+//! and how many failovers the travel survived — which is also the attempt
+//! its live incarnation runs under ([`crate::incarnation`]): a re-home
+//! resubmits the plan under the next attempt's id and the superseded
+//! incarnation's completion, should it still arrive, is not the travel's.
+//! Retiring the travel is removing the entry. The shell (`cluster.rs`)
+//! gathers the facts a step needs — the clock, which servers are crashed —
+//! steps the table under one lock that is never held across a send, and
+//! carries out what comes back.
 
-use super::rehome::{round, successor_of, Cause, Host, Round};
+use super::rehome::{successor_of, Cause, Host};
 use super::TravelError;
 use crate::client::MAX_TRACKED;
 use crate::lang::Plan;
-use crate::TravelId;
+use crate::{incarnation, ticket_of, TravelId, MAX_ATTEMPT};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a handoff waits for the successor's
-/// [`RecoverDone`](crate::message::Msg::RecoverDone) before the travel is
-/// failed with `FailoverStalled`.
+/// How long a re-driven incarnation may show no sign of life before the
+/// travel is failed with `FailoverStalled`.
 pub(super) const RECOVER_DEADLINE: Duration = Duration::from_secs(3);
-/// While a handoff is unconfirmed, its round is re-sent at this period
-/// (covers a successor that was isolated when the first one arrived).
+/// Until it has shown one, its coordinator is probed at this period (and
+/// the `Submit` re-sent: the successor may have been isolated when the
+/// first one arrived).
 pub(super) const RECOVER_RENUDGE: Duration = Duration::from_millis(500);
 
-/// Ship a travel to its coordinator, after pinning `pin` (its snapshot
-/// view, with snapshot isolation on) on every store.
+/// Ship a travel to its coordinator under the id `travel`, after pinning
+/// `pin` (its snapshot view, with snapshot isolation on) on every store.
 #[derive(Debug)]
 pub(super) struct Dispatch {
     pub(super) travel: TravelId,
@@ -55,21 +60,20 @@ pub(super) struct Freed {
 }
 
 /// A coordinator role as it was given out: to incarnation `incarnation`
-/// of `host`, under travel-epoch `tepoch`. An incarnation mismatch later
-/// means the host crashed and restarted — the ledger it hosted died with
-/// it even though the server looks alive again.
+/// of `host`. An incarnation mismatch later means the host crashed and
+/// restarted — the ledger it hosted died with it even though the server
+/// looks alive again.
 #[derive(Debug, Clone, Copy)]
 struct Role {
     host: usize,
     incarnation: u64,
-    tepoch: u64,
 }
 
-/// An unconfirmed handoff: when to give up, when to re-send the round.
+/// A re-drive nobody has answered for: when to give up, when to probe next.
 #[derive(Debug)]
-struct Handoff {
+struct Probe {
     deadline: Instant,
-    next_nudge: Instant,
+    next: Instant,
 }
 
 /// Where a live travel's coordinator role is.
@@ -81,15 +85,15 @@ enum State {
     /// The host is gone and one shell thread — the one `orphaned`
     /// answered — is restarting it.
     Orphaned(Role),
-    /// The handoff round went out; the role's host has not confirmed.
-    Handing(Role, Handoff),
+    /// Resubmitted to the role's host, which has shown no sign of life.
+    Resubmitted(Role, Probe),
 }
 
 impl State {
     /// The role, while some server has it — confirmed or not.
     fn hosted(&self) -> Option<Role> {
         match self {
-            State::Running(role) | State::Handing(role, _) => Some(*role),
+            State::Running(role) | State::Resubmitted(role, _) => Some(*role),
             State::Queued(_) | State::Orphaned(_) => None,
         }
     }
@@ -98,8 +102,8 @@ impl State {
 /// The part of an entry that goes when the completion is observed.
 #[derive(Debug)]
 struct Live {
-    /// As dispatched: carries the snapshot stamp, so a successor seeded
-    /// with it re-reads the same view.
+    /// As dispatched: carries the snapshot stamp, so a re-drive of it
+    /// re-reads the same view.
     plan: Arc<Plan>,
     /// The view pinned on the stores at dispatch.
     view: Option<u64>,
@@ -111,6 +115,7 @@ struct Entry {
     submitted: Instant,
     /// `None` while the travel waits in the queue.
     admitted: Option<Instant>,
+    /// Also the attempt the live incarnation runs under.
     failovers: u32,
     /// `None` is the `Done` state: what is left is what `wait` reads.
     live: Option<Live>,
@@ -121,8 +126,6 @@ struct Entry {
 pub(super) struct Travels {
     /// `max_concurrent_travels`; 0 admits everything.
     limit: usize,
-    /// This client's endpoint id: where a successor reports to.
-    client: usize,
     /// Incarnation of each server: 0 at first boot, +1 per restart.
     incarnation: Vec<u64>,
     entries: BTreeMap<TravelId, Entry>,
@@ -163,7 +166,6 @@ fn admit(
     live.state = State::Running(Role {
         host: coordinator,
         incarnation: incarnation[coordinator],
-        tepoch: 0,
     });
     e.admitted = Some(now);
     Some(Dispatch {
@@ -175,10 +177,9 @@ fn admit(
 }
 
 impl Travels {
-    pub(super) fn new(n_servers: usize, limit: usize, client: usize) -> Self {
+    pub(super) fn new(n_servers: usize, limit: usize) -> Self {
         Travels {
             limit,
-            client,
             incarnation: vec![0; n_servers],
             entries: BTreeMap::new(),
             queue: VecDeque::new(),
@@ -200,10 +201,17 @@ impl Travels {
     pub(super) fn host_of(&self, travel: TravelId) -> Option<usize> {
         match &self.entries.get(&travel)?.live.as_ref()?.state {
             State::Queued(coordinator) => Some(*coordinator),
-            State::Running(role) | State::Orphaned(role) | State::Handing(role, _) => {
+            State::Running(role) | State::Orphaned(role) | State::Resubmitted(role, _) => {
                 Some(role.host)
             }
         }
+    }
+
+    /// The id the travel's live incarnation runs under: the ticket's own
+    /// until a failover, and for a travel nothing is known of.
+    pub(super) fn live_id(&self, travel: TravelId) -> TravelId {
+        let attempt = self.entries.get(&travel).map_or(0, |e| e.failovers);
+        incarnation(travel, attempt)
     }
 
     fn has_room(&self) -> bool {
@@ -280,15 +288,16 @@ impl Travels {
         }
     }
 
-    /// A `TravelDone` was received — whether or not anyone waits for it.
-    /// The slot and the pins go now; the entry stays, as `Done`, for a
-    /// later `wait` to read.
-    pub(super) fn on_done(
-        &mut self,
-        travel: TravelId,
-        seq_now: Option<u64>,
-        now: Instant,
-    ) -> Freed {
+    /// A `TravelDone` of incarnation `id` was received — whether or not
+    /// anyone waits for it. The slot and the pins go now; the entry stays,
+    /// as `Done`, for a later `wait` to read. A superseded incarnation's
+    /// completion (it raced the abort) is not the travel's: the re-drive
+    /// owns the result.
+    pub(super) fn on_done(&mut self, id: TravelId, seq_now: Option<u64>, now: Instant) -> Freed {
+        let travel = ticket_of(id);
+        if self.live_id(travel) != id {
+            return Freed::default();
+        }
         let live = self.entries.get_mut(&travel).and_then(|e| e.live.take());
         match live {
             Some(live) => self.vacate(travel, live, seq_now, now),
@@ -347,8 +356,8 @@ impl Travels {
     }
 
     /// Between wait slices: is the host of the travel's coordinator role
-    /// gone (a successor that dies mid-handoff loses it again, under the
-    /// epoch the handoff installed)? Answers `Some(host)` once per loss —
+    /// gone (a successor that dies before it answered loses it again)?
+    /// Answers `Some(host)` once per loss —
     /// to the caller that must now gather the facts and
     /// [`Travels::on_rehome`] — and claims the travel for it, so a
     /// concurrent second asker gets `None`.
@@ -371,14 +380,15 @@ impl Travels {
         self.entries.iter().filter_map(hosted).collect()
     }
 
-    /// Move the coordinator role off `from`. The shell gathered the
-    /// facts: `hosts` is the servers as they are now (after the restart,
-    /// for a lost host). Builds the one handoff round
-    /// under the bumped travel-epoch. Empty — nothing happens — unless the
-    /// entry is still where the facts were gathered for: orphaned off
-    /// `from` for [`Cause::HostLost`], hosted by `from` (a handoff still
-    /// in flight is superseded) for [`Cause::Shed`], which also stays put
-    /// when no server is eligible.
+    /// Move the coordinator role off `from`: supersede the live
+    /// incarnation and resubmit the plan, as dispatched, to a successor
+    /// under the next attempt's id. The shell gathered the facts: `hosts`
+    /// is the servers as they are now (after the restart, for a lost
+    /// host). Answers the superseded id, to abort everywhere, and the
+    /// re-drive's dispatch. `None` — nothing happens — unless the entry is
+    /// still where the facts were gathered for: orphaned off `from` for
+    /// [`Cause::HostLost`], hosted by `from` (answered for or not) for
+    /// [`Cause::Shed`], which also stays put when no server is eligible.
     pub(super) fn on_rehome(
         &mut self,
         travel: TravelId,
@@ -386,101 +396,104 @@ impl Travels {
         cause: Cause,
         hosts: &[Host],
         now: Instant,
-    ) -> Result<Round, TravelError> {
+    ) -> Result<Option<(TravelId, Dispatch)>, TravelError> {
         let Some(e) = self.entries.get_mut(&travel) else {
-            return Ok(Round::new()); // waited for, or given up
+            return Ok(None); // waited for, or given up
         };
         let Some(live) = e.live.as_mut() else {
-            return Ok(Round::new()); // finished: nothing to re-drive
+            return Ok(None); // finished: nothing to re-drive
         };
         let old = match (&live.state, cause) {
             (State::Orphaned(role), Cause::HostLost) => Some(*role),
             (state, Cause::Shed) => state.hosted(),
             _ => None,
         };
-        let Some(old) = old.filter(|role| role.host == from) else {
-            return Ok(Round::new());
-        };
-        let Some(host) = successor_of(from, cause, hosts) else {
+        if old.is_none_or(|role| role.host != from) {
+            return Ok(None);
+        }
+        // Out of attempts is out of places to go.
+        let successor = successor_of(from, cause, hosts).filter(|_| e.failovers < MAX_ATTEMPT);
+        let Some(host) = successor else {
             return match cause {
                 Cause::HostLost => Err(TravelError::CoordinatorLost { travel }),
-                Cause::Shed => Ok(Round::new()),
+                Cause::Shed => Ok(None),
             };
         };
+        let superseded = incarnation(travel, e.failovers);
+        e.failovers += 1;
         let role = Role {
             host,
             incarnation: self.incarnation[host],
-            tepoch: old.tepoch + 1,
         };
-        let handoff = Handoff {
+        let probe = Probe {
             deadline: now + RECOVER_DEADLINE,
-            next_nudge: now + RECOVER_RENUDGE,
+            next: now + RECOVER_RENUDGE,
         };
-        live.state = State::Handing(role, handoff);
-        e.failovers += 1;
-        Ok(round(
-            travel,
-            role.tepoch,
-            host,
-            &live.plan,
-            self.client,
-            hosts,
-        ))
+        live.state = State::Resubmitted(role, probe);
+        Ok(Some((superseded, redrive(travel, e.failovers, host, live))))
     }
 
-    /// The successor confirmed a takeover under `epoch`. Only the handoff
-    /// in flight counts: an older epoch's confirmation was superseded.
-    pub(super) fn on_recover_done(&mut self, travel: TravelId, epoch: u64) {
+    /// Incarnation `id` answered a probe: its coordinator has the role.
+    /// Only the live incarnation's answer counts.
+    pub(super) fn on_confirmed(&mut self, id: TravelId) {
+        let travel = ticket_of(id);
+        if self.live_id(travel) != id {
+            return;
+        }
         if let Some(state) = state_of(&mut self.entries, travel) {
-            match state {
-                State::Handing(role, _) if epoch >= role.tepoch => *state = State::Running(*role),
-                _ => {}
+            if let State::Resubmitted(role, _) = state {
+                *state = State::Running(*role);
             }
         }
     }
 
-    /// A wait slice expired at `now`: the round of an unconfirmed handoff
-    /// to re-send if it is due (duplicates are epoch-fenced on the
-    /// servers), `FailoverStalled` at its deadline.
+    /// A wait slice expired at `now`: the re-drive to send again and probe
+    /// if it has shown no sign of life and a probe is due (the `Submit` is
+    /// idempotent on a server), `FailoverStalled` at its deadline.
     pub(super) fn tick(
         &mut self,
         travel: TravelId,
-        hosts: &[Host],
         now: Instant,
-    ) -> Result<Round, TravelError> {
-        let live = self.entries.get_mut(&travel).and_then(|e| e.live.as_mut());
-        let Some(Live {
-            plan,
-            state: State::Handing(role, h),
-            ..
-        }) = live
-        else {
-            return Ok(Round::new());
+    ) -> Result<Option<Dispatch>, TravelError> {
+        let Some(e) = self.entries.get_mut(&travel) else {
+            return Ok(None);
         };
-        if now >= h.deadline {
+        let Some(live) = e.live.as_mut() else {
+            return Ok(None);
+        };
+        let State::Resubmitted(role, probe) = &mut live.state else {
+            return Ok(None);
+        };
+        if now >= probe.deadline {
             return Err(TravelError::FailoverStalled { travel });
         }
-        if now < h.next_nudge {
-            return Ok(Round::new());
+        if now < probe.next {
+            return Ok(None);
         }
-        h.next_nudge = now + RECOVER_RENUDGE;
-        Ok(round(
-            travel,
-            role.tepoch,
-            role.host,
-            plan,
-            self.client,
-            hosts,
-        ))
+        probe.next = now + RECOVER_RENUDGE;
+        let host = role.host;
+        Ok(Some(redrive(travel, e.failovers, host, live)))
+    }
+}
+
+/// The dispatch of `travel`'s re-drive under `attempt`: the plan as first
+/// dispatched, whose view stays pinned.
+fn redrive(travel: TravelId, attempt: u32, host: usize, live: &Live) -> Dispatch {
+    Dispatch {
+        travel: incarnation(travel, attempt),
+        coordinator: host,
+        plan: live.plan.clone(),
+        pin: None,
     }
 }
 
 #[cfg(test)]
 impl Travels {
-    /// `(coordinator, travel-epoch)` of a travel that is `Running`.
-    pub(super) fn running(&self, travel: TravelId) -> Option<(usize, u64)> {
-        match self.entries.get(&travel)?.live.as_ref()?.state {
-            State::Running(role) => Some((role.host, role.tepoch)),
+    /// `(coordinator, attempt)` of a travel that is `Running`.
+    pub(super) fn running(&self, travel: TravelId) -> Option<(usize, u32)> {
+        let e = self.entries.get(&travel)?;
+        match e.live.as_ref()?.state {
+            State::Running(role) => Some((role.host, e.failovers)),
             _ => None,
         }
     }
@@ -490,9 +503,7 @@ impl Travels {
 mod tests {
     use super::*;
     use crate::lang::GTravel;
-    use crate::message::Msg;
 
-    const CLIENT: usize = 3;
     const UP: Host = Host {
         crashed: false,
         decommissioned: false,
@@ -513,7 +524,7 @@ mod tests {
 
     /// Three servers; travel `t` is coordinated by server `t % 3`.
     fn table(limit: usize) -> Travels {
-        Travels::new(3, limit, CLIENT)
+        Travels::new(3, limit)
     }
 
     fn start(t: &mut Travels, travel: TravelId, now: Instant) -> Option<Dispatch> {
@@ -524,34 +535,39 @@ mod tests {
         freed.admitted.iter().map(|d| d.travel).collect()
     }
 
-    /// A round as `(to, what, travel-epoch)`.
-    fn wire(round: Result<Round, TravelError>) -> Vec<(usize, &'static str, u64)> {
-        let sent = |(to, m): (usize, Msg)| match m {
-            Msg::CoordRecover { epoch, client, .. } => {
-                assert_eq!(client, CLIENT);
-                (to, "recover", epoch)
-            }
-            Msg::CoordHandoff { epoch, .. } => (to, "handoff", epoch),
-            Msg::CoordHandoffAck { epoch, .. } => (to, "ack", epoch),
-            other => panic!("unexpected {other:?}"),
-        };
-        round.expect("a round").into_iter().map(sent).collect()
+    /// A re-home as `(superseded id, fresh id, successor)`.
+    type Step = Result<Option<(TravelId, Dispatch)>, TravelError>;
+    fn moved(step: Step) -> (TravelId, TravelId, usize) {
+        let (superseded, d) = step.expect("no verdict").expect("a re-drive");
+        assert_eq!(d.pin, None, "the view stays pinned: no second pin");
+        (superseded, d.travel, d.coordinator)
     }
 
-    fn nothing(round: Result<Round, TravelError>) -> bool {
-        round.expect("no verdict").is_empty()
+    fn nothing(step: Step) -> bool {
+        step.expect("no verdict").is_none()
     }
 
-    /// Travel 1 runs on server 1, which dies and is restarted; the role
-    /// is handed to server 2 under travel-epoch 1 at `now`.
-    fn handing(now: Instant) -> Travels {
+    /// A probe as `(incarnation, coordinator)`.
+    fn probed(step: Result<Option<Dispatch>, TravelError>) -> Option<(TravelId, usize)> {
+        let d = step.expect("no verdict")?;
+        Some((d.travel, d.coordinator))
+    }
+
+    /// Travel 1 under its `attempt`-th re-drive.
+    fn at(attempt: u32) -> TravelId {
+        incarnation(1, attempt)
+    }
+
+    /// Travel 1 runs on server 1, which dies and is restarted; the travel
+    /// is re-driven on server 2 at `now`.
+    fn redriven(now: Instant) -> Travels {
         let mut t = table(0);
         start(&mut t, 1, now);
         assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), Some(1));
         t.on_restart(1);
-        let round = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, now);
-        assert!(!nothing(round));
-        assert_eq!(t.host_of(1), Some(2));
+        let step = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, now);
+        assert_eq!(moved(step), (1, at(1), 2));
+        assert_eq!((t.host_of(1), t.live_id(1)), (Some(2), at(1)));
         t
     }
 
@@ -622,8 +638,7 @@ mod tests {
         for cause in [Cause::Shed, Cause::HostLost] {
             assert!(nothing(t.on_rehome(1, 1, cause, &ALL_UP, t0)));
         }
-        // A duplicate completion (a failover can produce one) frees
-        // nothing twice.
+        // A duplicate completion frees nothing twice.
         t.on_done(1, None, t0);
         assert_eq!(t.active(), 1);
         // The entry waits for its reader, once.
@@ -640,9 +655,9 @@ mod tests {
         for travel in 1..=cap {
             start(&mut t, travel, t0);
         }
-        // Travel 4 is mid-handoff, 3 and 6 finished unwaited, the rest run.
+        // Travel 4 is mid-re-drive, 3 and 6 finished unwaited, the rest run.
         assert_eq!(t.orphaned(4, &[UP, DOWN, UP]), Some(1));
-        wire(t.on_rehome(4, 1, Cause::HostLost, &ALL_UP, t0));
+        moved(t.on_rehome(4, 1, Cause::HostLost, &ALL_UP, t0));
         t.on_done(6, None, t0);
         t.on_done(3, None, t0);
         let known = |t: &Travels, travel| t.entries.contains_key(&travel);
@@ -659,7 +674,7 @@ mod tests {
         start(&mut t, cap + 3, t0);
         assert_eq!(t.entries.len(), MAX_TRACKED + 1);
         assert_eq!(t.host_of(1), Some(1));
-        assert_eq!(t.host_of(4), Some(2), "the handoff survived too");
+        assert_eq!(t.host_of(4), Some(2), "the re-drive survived too");
         assert_eq!(t.active(), MAX_TRACKED + 1);
     }
 
@@ -678,21 +693,20 @@ mod tests {
             (1, vec![41]),
             "views to re-pin: dispatched ones"
         );
-        // The re-home seeds the successor with the stamped plan and asks
-        // for nothing but sends: no second pin.
+        // The re-drive resubmits the stamped plan and asks for no second
+        // pin.
         assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), Some(1));
-        let round = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, t0);
-        let seeded = round.unwrap().into_iter().find_map(|(_, m)| match m {
-            Msg::CoordRecover { plan, .. } => plan.snapshot,
-            _ => None,
-        });
-        assert_eq!(seeded, Some(41));
-        let freed = t.on_done(1, Some(50), t0);
+        let step = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, t0);
+        let (_, redrive) = step.unwrap().unwrap();
+        assert_eq!((redrive.pin, redrive.plan.snapshot), (None, Some(41)));
+        // Whichever incarnation finishes, the view is unpinned once.
+        assert_eq!(t.on_done(1, Some(50), t0).unpin, None, "superseded");
+        let freed = t.on_done(at(1), Some(50), t0);
         assert_eq!(freed.unpin, Some(41));
         let d = &freed.admitted[0];
         assert_eq!((d.travel, d.pin, d.plan.snapshot), (2, Some(7), Some(50)));
         assert_eq!(old.snapshot, None, "the caller's plan is not written to");
-        assert_eq!(t.on_done(1, Some(50), t0).unpin, None, "unpinned once");
+        assert_eq!(t.on_done(at(1), Some(50), t0).unpin, None, "unpinned once");
         // A dispatch that fails gives back the slot and the pin.
         let freed = t.on_give_up(2, Some(50), t0);
         assert_eq!((freed.unpin, t.active()), (Some(7), 0));
@@ -714,18 +728,11 @@ mod tests {
         assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), None);
         assert!(t.hosted_alive(&ALL_UP).is_empty());
         assert!(nothing(t.on_rehome(1, 1, Cause::Shed, &ALL_UP, t0)));
-        assert!(nothing(t.tick(1, &ALL_UP, t0 + ms(9000))));
+        assert_eq!(probed(t.tick(1, t0 + ms(9000))), None);
         // Facts gathered for another host do not apply.
         assert!(nothing(t.on_rehome(1, 0, Cause::HostLost, &ALL_UP, t0)));
-        // Server 0 went down meanwhile: the round acknowledges on its behalf.
-        let round = t.on_rehome(1, 1, Cause::HostLost, &[DOWN, UP, UP], t0);
-        let want = vec![
-            (2, "recover", 1),
-            (2, "ack", 1),
-            (1, "handoff", 1),
-            (2, "handoff", 1),
-        ];
-        assert_eq!(wire(round), want);
+        let step = t.on_rehome(1, 1, Cause::HostLost, &[DOWN, UP, UP], t0);
+        assert_eq!(moved(step), (1, at(1), 2));
         assert_eq!(t.host_of(1), Some(2));
         assert!(nothing(t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, t0)));
         // A host that crashed *and came back* hosts nothing any more,
@@ -742,80 +749,112 @@ mod tests {
     }
 
     #[test]
-    fn an_unconfirmed_handoff_is_renudged_every_500ms_and_stalls_at_3s() {
+    fn a_superseded_incarnation_cannot_complete_or_confirm_the_travel() {
         let t0 = Instant::now();
-        let mut t = handing(t0);
-        assert!(nothing(t.tick(1, &ALL_UP, t0 + ms(499))));
-        let round = vec![
-            (2, "recover", 1),
-            (0, "handoff", 1),
-            (1, "handoff", 1),
-            (2, "handoff", 1),
-        ];
-        assert_eq!(wire(t.tick(1, &ALL_UP, t0 + ms(500))), round);
-        assert!(nothing(t.tick(1, &ALL_UP, t0 + ms(999))));
-        // The round is rebuilt from the servers as they are at the nudge.
-        let nudge = wire(t.tick(1, &[DOWN, UP, UP], t0 + ms(1040)));
-        assert_eq!(nudge[1], (2, "ack", 1));
-        assert!(nothing(t.tick(1, &ALL_UP, t0 + ms(1539))));
-        assert_eq!(wire(t.tick(1, &ALL_UP, t0 + ms(1540))), round);
-        let stalled = t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE);
+        let mut t = redriven(t0);
+        // The dead coordinator's `TravelDone` was already on the wire.
+        let freed = t.on_done(1, None, t0);
+        assert_eq!((freed.unpin, t.active()), (None, 1));
+        assert_eq!(t.on_waited(1), None, "the travel is still live");
+        t.on_confirmed(1);
+        assert_eq!(t.running(1), None);
+        // The re-drive's own answers count, once.
+        t.on_confirmed(at(1));
+        assert_eq!(t.running(1), Some((2, 1)));
+        t.on_done(at(1), None, t0);
+        assert_eq!(t.active(), 0);
+        t.on_done(at(1), None, t0);
+        assert_eq!(t.active(), 0, "the slot is freed once");
+        assert_eq!(t.on_waited(1), Some((1, Duration::ZERO)));
+        // With the entry gone the ticket's own id is all that is known.
+        assert_eq!(t.live_id(1), 1);
+    }
+
+    #[test]
+    fn a_silent_redrive_is_probed_every_500ms_and_stalls_at_3s() {
+        let t0 = Instant::now();
+        let mut t = redriven(t0);
+        assert_eq!(probed(t.tick(1, t0 + ms(499))), None);
+        assert_eq!(probed(t.tick(1, t0 + ms(500))), Some((at(1), 2)));
+        assert_eq!(probed(t.tick(1, t0 + ms(999))), None);
+        assert_eq!(probed(t.tick(1, t0 + ms(1040))), Some((at(1), 2)));
+        assert_eq!(probed(t.tick(1, t0 + ms(1539))), None);
+        assert_eq!(probed(t.tick(1, t0 + ms(1540))), Some((at(1), 2)));
+        let stalled = t.tick(1, t0 + RECOVER_DEADLINE);
         assert_eq!(
             stalled.unwrap_err(),
             TravelError::FailoverStalled { travel: 1 }
         );
-        // Confirmed in time, there is nothing to nudge or give up.
-        let mut t = handing(t0);
-        t.on_recover_done(1, 1);
+        // Answered in time, there is nothing to probe or give up.
+        let mut t = redriven(t0);
+        t.on_confirmed(at(1));
         assert_eq!(t.running(1), Some((2, 1)));
-        assert!(nothing(t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE)));
-        t.on_done(1, None, t0);
+        assert_eq!(probed(t.tick(1, t0 + RECOVER_DEADLINE)), None);
+        t.on_done(at(1), None, t0);
         assert_eq!(t.on_waited(1), Some((1, Duration::ZERO)));
     }
 
     #[test]
-    fn a_newer_handoff_supersedes_one_in_flight_and_its_confirmation() {
+    fn a_newer_redrive_supersedes_one_nobody_answered_for() {
         let t0 = Instant::now();
-        let mut t = handing(t0);
-        // A promotion re-drives the travel while server 2 is still taking
-        // over: the role moves on, under the next epoch.
+        let mut t = redriven(t0);
+        // A promotion sheds the travel while server 2 has yet to answer:
+        // the role moves on, under the next attempt.
         assert_eq!(t.hosted_alive(&ALL_UP), vec![(1, 2)]);
-        let sends = wire(t.on_rehome(1, 2, Cause::Shed, &ALL_UP, t0 + ms(100)));
-        assert_eq!(sends[0], (0, "recover", 2));
-        assert!(sends[1..].iter().all(|s| (s.1, s.2) == ("handoff", 2)));
-        // Server 2's confirmation of epoch 1 is about a role it no longer
-        // holds.
-        t.on_recover_done(1, 1);
+        let step = t.on_rehome(1, 2, Cause::Shed, &ALL_UP, t0 + ms(100));
+        assert_eq!(moved(step), (at(1), at(2), 0));
+        // Server 2's answer is about an incarnation that is aborted.
+        t.on_confirmed(at(1));
         assert_eq!(t.running(1), None);
         assert_eq!(t.host_of(1), Some(0));
-        // The deadline and the nudges belong to the newer handoff.
-        assert_eq!(wire(t.tick(1, &ALL_UP, t0 + ms(600)))[0], (0, "recover", 2));
-        let at_the_old_deadline = t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE);
-        assert_eq!(wire(at_the_old_deadline)[0], (0, "recover", 2));
-        t.on_recover_done(1, 2);
+        // The deadline and the probes belong to the newer re-drive.
+        assert_eq!(probed(t.tick(1, t0 + ms(600))), Some((at(2), 0)));
+        let at_the_old_deadline = t.tick(1, t0 + RECOVER_DEADLINE);
+        assert_eq!(probed(at_the_old_deadline), Some((at(2), 0)));
+        t.on_confirmed(at(2));
         assert_eq!(t.running(1), Some((0, 2)));
         // A running travel sheds the same way.
-        let sends = wire(t.on_rehome(1, 0, Cause::Shed, &ALL_UP, t0));
-        assert_eq!(sends[0], (1, "recover", 3));
-        t.on_done(1, None, t0);
+        let step = t.on_rehome(1, 0, Cause::Shed, &ALL_UP, t0);
+        assert_eq!(moved(step), (at(2), at(3), 1));
+        t.on_done(at(3), None, t0);
         assert_eq!(t.on_waited(1).map(|w| w.0), Some(3));
     }
 
     #[test]
-    fn a_successor_dying_mid_handoff_is_noticed_at_the_next_slice() {
+    fn a_successor_dying_before_it_answered_is_noticed_at_the_next_slice() {
         let t0 = Instant::now();
-        let mut t = handing(t0);
+        let mut t = redriven(t0);
         // No deadline involved: the very next look at the servers.
         assert_eq!(t.orphaned(1, &ALL_UP), None);
         assert_eq!(t.orphaned(1, &[UP, UP, DOWN]), Some(2));
         assert_eq!(t.orphaned(1, &[UP, UP, DOWN]), None);
         t.on_restart(2);
-        let round = t.on_rehome(1, 2, Cause::HostLost, &ALL_UP, t0 + ms(50));
-        assert_eq!(wire(round)[0], (0, "recover", 2), "on from where it died");
-        // Whatever the dead successor managed to confirm is void.
-        t.on_recover_done(1, 1);
+        let step = t.on_rehome(1, 2, Cause::HostLost, &ALL_UP, t0 + ms(50));
+        assert_eq!(moved(step), (at(1), at(2), 0), "on from where it died");
+        // Whatever the dead successor managed to answer is void.
+        t.on_confirmed(at(1));
         assert_eq!(t.running(1), None);
-        t.on_recover_done(1, 2);
+        t.on_confirmed(at(2));
         assert_eq!(t.running(1), Some((0, 2)));
+    }
+
+    #[test]
+    fn a_ticket_out_of_attempts_is_lost_not_wrapped() {
+        let t0 = Instant::now();
+        let mut t = table(0);
+        start(&mut t, 1, t0);
+        for attempt in 1..=MAX_ATTEMPT {
+            let host = t.host_of(1).unwrap();
+            let (_, fresh, _) = moved(t.on_rehome(1, host, Cause::Shed, &ALL_UP, t0));
+            assert_eq!((fresh, ticket_of(fresh)), (at(attempt), 1));
+        }
+        let host = t.host_of(1).unwrap();
+        assert!(nothing(t.on_rehome(1, host, Cause::Shed, &ALL_UP, t0)));
+        assert_eq!(t.orphaned(1, &[DOWN; 3]), Some(host));
+        let lost = t.on_rehome(1, host, Cause::HostLost, &ALL_UP, t0);
+        assert_eq!(
+            lost.unwrap_err(),
+            TravelError::CoordinatorLost { travel: 1 }
+        );
     }
 }

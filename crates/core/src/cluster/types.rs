@@ -129,10 +129,10 @@ pub enum TravelError {
         /// The cancelled travel.
         travel: TravelId,
     },
-    /// A coordinator failover was started but the successor never
-    /// confirmed recovery within the deadline (e.g. it is isolated).
+    /// A coordinator failover resubmitted the travel but the successor
+    /// showed no sign of life within the deadline (e.g. it is isolated).
     /// Surfaced instead of letting the client's whole-travel timeout run
-    /// out on a handoff that is going nowhere.
+    /// out on a re-drive that is going nowhere.
     FailoverStalled {
         /// The travel whose recovery stalled.
         travel: TravelId,

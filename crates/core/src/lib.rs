@@ -124,7 +124,29 @@ pub use lang::{GTravel, Plan};
 pub use {gt_placement, gt_transport};
 
 /// Identifier of one traversal (assigned by the submitting client).
+///
+/// Bits 56–61 carry the *attempt*: a travel re-driven after a coordinator
+/// failover runs under `ticket | attempt << 56` — to every server a travel
+/// it has never heard of — while the client keeps addressing it by the
+/// ticket's id, attempt 0 (DESIGN.md §8). Minted ids stay below bit 56
+/// (`endpoint << 48 | counter`), reply keys that are not travels sit at
+/// bit 62 and above.
 pub type TravelId = u64;
+
+const ATTEMPT_SHIFT: u32 = 56;
+/// Failovers one ticket survives: the attempt field is six bits wide.
+pub(crate) const MAX_ATTEMPT: u32 = 63;
+
+/// The id the client knows incarnation `id` by.
+pub(crate) fn ticket_of(id: TravelId) -> TravelId {
+    id & !(u64::from(MAX_ATTEMPT) << ATTEMPT_SHIFT)
+}
+
+/// The id `ticket` runs under after `attempt` failovers.
+pub(crate) fn incarnation(ticket: TravelId, attempt: u32) -> TravelId {
+    debug_assert!(attempt <= MAX_ATTEMPT && ticket == ticket_of(ticket));
+    ticket | u64::from(attempt) << ATTEMPT_SHIFT
+}
 
 /// Identifier of one *traversal execution* — the unit of status tracing:
 /// "we consider this whole procedure on a specific server as one traversal

@@ -48,7 +48,7 @@ pub enum Rank {
     // One server's shell (`server.rs`, `Shared`).
     /// Travels finished here; the fence for stray messages.
     Retired = 10,
-    /// Reliable delivery and both epoch fences.
+    /// Reliable delivery and the peer-incarnation fence.
     Relay = 40,
     /// Ingests awaiting replica write acks.
     PendingIngest = 65,
@@ -60,8 +60,6 @@ pub enum Rank {
     Barrier = 80,
     /// Hosted coordinator state.
     Coords = 90,
-    /// Takeovers run as successor.
-    Recovery = 100,
 }
 
 #[cfg(debug_assertions)]

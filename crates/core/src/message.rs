@@ -295,11 +295,6 @@ pub enum Msg {
         from: usize,
         /// Sender's incarnation; bumped on every restart.
         epoch: u64,
-        /// Travel-epoch the sender believes the travel runs under;
-        /// bumped by coordinator failover. Receivers drop relays
-        /// stamped with an older travel-epoch (stale work from the
-        /// pre-failover execution tree).
-        tepoch: u64,
         /// Per-`(travel, to)` sequence number, starting at 1.
         seq: u64,
         /// Transmission attempt (1 = first send). Folded into the chaos
@@ -308,75 +303,16 @@ pub enum Msg {
         /// The wrapped data-plane message.
         inner: Box<Msg>,
     },
-    /// Server → server: cumulative-free ack for one relayed message of one
-    /// stream generation.
+    /// Server → server: cumulative-free ack for one relayed message.
     RelayAck {
         /// Travel of the acked message.
         travel: TravelId,
         /// Acking server.
         server: usize,
-        /// Travel-epoch of the acked frame, echoed so the sender retires
-        /// only a pending message of that stream generation: a handoff
-        /// restarts numbering at 1, and a late ack for the old
-        /// generation's `seq` must not cancel the new one's retransmits.
-        tepoch: u64,
         /// Sequence number being acked.
         seq: u64,
         /// Attempt the ack answers (chaos-key uniqueness only).
         attempt: u64,
-    },
-
-    // --------------------------------------------- coordinator failover
-    /// Failover orchestrator → successor server: take over coordinating
-    /// this travel under a bumped travel-epoch. The successor waits for
-    /// every server's [`Msg::CoordHandoffAck`], then runs the plan from
-    /// its sources again.
-    CoordRecover {
-        /// Travel id.
-        travel: TravelId,
-        /// Bumped travel-epoch the successor hosts under.
-        epoch: u64,
-        /// The plan.
-        plan: Arc<Plan>,
-        /// Client endpoint awaiting `TravelDone`.
-        client: usize,
-    },
-    /// Failover orchestrator → every server: travel `travel` is now
-    /// coordinated by `coordinator` under `epoch`. Receivers clear their
-    /// per-travel transient state (stale work from the old execution
-    /// tree), record the travel-epoch fence, and tell the successor so
-    /// with [`Msg::CoordHandoffAck`].
-    CoordHandoff {
-        /// Travel id.
-        travel: TravelId,
-        /// Bumped travel-epoch.
-        epoch: u64,
-        /// Successor coordinator server id.
-        coordinator: usize,
-    },
-    /// Server → successor coordinator: this server fenced `epoch` for
-    /// `travel` and holds nothing of the superseded execution tree any
-    /// more, so a re-driven visit may reach it. Epoch-fenced: the
-    /// successor ignores acks for older travel-epochs.
-    CoordHandoffAck {
-        /// Travel id.
-        travel: TravelId,
-        /// Travel-epoch this ack answers.
-        epoch: u64,
-        /// Acknowledging server.
-        server: usize,
-    },
-
-    /// Successor coordinator → failover orchestrator (client): recovery
-    /// of `travel` under `epoch` is complete — every server acknowledged
-    /// the handoff and the travel was re-driven. Bounds the orchestrator's
-    /// wait; without it the client would fall back to its whole-travel
-    /// timeout when a handoff stalls.
-    RecoverDone {
-        /// Travel id.
-        travel: TravelId,
-        /// Travel-epoch the recovery ran under.
-        epoch: u64,
     },
 
     // --------------------------------------- placement & shard migration
@@ -568,8 +504,7 @@ impl Msg {
         match self {
             Msg::TravelDone { travel, .. }
             | Msg::ProgressReport { travel, .. }
-            | Msg::CancelAck { travel, .. }
-            | Msg::RecoverDone { travel, .. } => Traffic::Reply(*travel),
+            | Msg::CancelAck { travel, .. } => Traffic::Reply(*travel),
             Msg::IngestAck { req, .. } | Msg::VertexReply { req, .. } => Traffic::Reply(*req),
             Msg::PlacementAck { version, .. } => Traffic::Reply(PLACEMENT_KEYS | *version),
             Msg::CopyApplied { mig, .. } => Traffic::Reply(*mig),
@@ -621,9 +556,6 @@ impl Msg {
             | Msg::SyncOrigin { .. }
             | Msg::Ingest { .. }
             | Msg::GetVertex { .. }
-            | Msg::CoordRecover { .. }
-            | Msg::CoordHandoff { .. }
-            | Msg::CoordHandoffAck { .. }
             | Msg::PlacementUpdate { .. }
             | Msg::ReplicateWrite { .. }
             | Msg::ReplicateAck { .. }
@@ -694,12 +626,8 @@ impl WireSize for Msg {
             Msg::VertexReply { vertex, .. } => {
                 16 + vertex.as_ref().map_or(0, |v| 16 + v.props.len() * 24)
             }
-            Msg::CoordRecover { plan, .. } => 28 + plan.wire_size(),
-            Msg::CoordHandoff { .. } => 28,
-            Msg::CoordHandoffAck { .. } => 28,
-            Msg::Relay { inner, .. } => 48 + inner.wire_size(),
-            Msg::RelayAck { .. } => 36,
-            Msg::RecoverDone { .. } => 20,
+            Msg::Relay { inner, .. } => 40 + inner.wire_size(),
+            Msg::RelayAck { .. } => 28,
             Msg::PlacementUpdate { map, .. } => {
                 20 + map
                     .entries
@@ -790,7 +718,6 @@ mod tests {
             travel: 3,
             from: 1,
             epoch: 0,
-            tepoch: 0,
             seq: 5,
             attempt: 1,
             inner: Box::new(Msg::Results {
@@ -802,7 +729,6 @@ mod tests {
             travel: 3,
             from: 1,
             epoch: 0,
-            tepoch: 0,
             seq: 5,
             attempt: 2,
             inner: Box::new(Msg::Results {
@@ -813,7 +739,6 @@ mod tests {
         let ack = Msg::RelayAck {
             travel: 3,
             server: 2,
-            tepoch: 0,
             seq: 5,
             attempt: 1,
         };
@@ -858,24 +783,8 @@ mod tests {
             travel: 3,
             items: vec![],
         };
-        assert_eq!(relay.wire_size(), 48 + inner.wire_size());
-        assert_eq!(ack.wire_size(), 36);
-        // Failover control messages stay chaos-exempt (they model the
-        // orchestrator's out-of-band channel, like Crash/Shutdown).
-        let handoff = Msg::CoordHandoff {
-            travel: 3,
-            epoch: 1,
-            coordinator: 2,
-        };
-        assert_eq!(handoff.chaos_key(), None);
-        assert!(handoff.wire_size() > 0);
-        let handoff_ack = Msg::CoordHandoffAck {
-            travel: 3,
-            epoch: 1,
-            server: 0,
-        };
-        assert_eq!(handoff_ack.chaos_key(), None);
-        assert!(handoff_ack.wire_size() > 0);
+        assert_eq!(relay.wire_size(), 40 + inner.wire_size());
+        assert_eq!(ack.wire_size(), 28);
     }
 
     #[test]
@@ -899,7 +808,6 @@ mod tests {
                 travel: 9,
                 from: 0,
                 epoch: 0,
-                tepoch: 0,
                 seq: 1,
                 attempt: 1,
                 inner: Box::new(chunk),

@@ -80,7 +80,7 @@ macro_rules! counters {
             /// The failover-specific subset of [`Self::fault_counters`]:
             /// counters that must stay zero on a healthy cluster even when
             /// reliable delivery itself is enabled (retries/redeliveries
-            /// are legitimate under load; a takeover never is).
+            /// are legitimate under load; a failover never is).
             pub fn failover_counters(&self) -> [(&'static str, u64); counters!(@count $($($failover)?)*)] {
                 [$($(counters!(@entry self, $name, $failover),)?)*]
             }
@@ -154,11 +154,9 @@ counters! {
         crashes: AtomicU64 => u64 [fault,],
         /// Restart-and-recovery cycles this server completed.
         recoveries: AtomicU64 => u64 [fault,],
-        /// Coordinator failovers this server absorbed as the successor.
+        /// Coordinator failovers this server absorbed as the successor
+        /// (credited by the client that resubmitted the travel to it).
         failovers: AtomicU64 => u64 [fault, failover,],
-        /// Relayed messages discarded by travel-epoch fencing (stale work
-        /// from a pre-failover execution tree).
-        stale_travel_epoch_dropped: AtomicU64 => u64 [fault, failover,],
         /// Placement-map installs accepted by this server (epoch-fenced; a
         /// stale map is rejected and not counted).
         placement_updates: AtomicU64 => u64 [placement,],

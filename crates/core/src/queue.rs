@@ -77,9 +77,11 @@ pub struct RequestState {
     pub plan: Arc<Plan>,
     /// Coordinator server id.
     pub coordinator: usize,
-    /// Travel-epoch this execution was admitted under; its flush is
-    /// stamped with it so output of a superseded (pre-failover) execution
-    /// is fenced at the receivers.
+    /// Always 0 and read by nobody: a failover's re-drive runs under a
+    /// fresh travel id, so there is no travel-epoch to stamp. The field
+    /// stays because the benchmark harness builds this struct by literal
+    /// (`benchmark/src/replay.rs`) and its files are frozen; it goes with
+    /// the next PR that may touch them (ROADMAP item 4).
     pub tepoch: u64,
     /// Protocol flavour.
     pub mode: ReqMode,

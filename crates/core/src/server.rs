@@ -14,12 +14,12 @@
 //! This file is the shell: the threads, the [`Shared`] wiring with its
 //! ranked locks, the dispatcher loop and the one `Msg` dispatch table
 //! ([`handle_msg`]). Every protocol with state of its own is a machine in a
-//! submodule — [`relay`], [`detector`], [`barrier`], [`recovery`], [`copy`]
-//! — a plain struct with no thread, lock, endpoint or clock inside,
-//! stepped as `(state, input, now) → Output` by the shell, which alone
-//! owns the locks, the endpoint, the partition and the clock (DESIGN.md
-//! §16). [`coord`] and [`ingest`] are the shell side of the coordinator
-//! role and of the write path.
+//! submodule — [`relay`], [`detector`], [`barrier`], [`copy`] — a plain
+//! struct with no thread, lock, endpoint or clock inside, stepped as
+//! `(state, input, now) → Output` by the shell, which alone owns the
+//! locks, the endpoint, the partition and the clock (DESIGN.md §16).
+//! [`coord`] and [`ingest`] are the shell side of the coordinator role and
+//! of the write path.
 //!
 //! The same server code runs all three engines; the differences are the
 //! queue policy, the traversal-affiliate cache capacity, and whether a
@@ -30,10 +30,9 @@ mod barrier;
 mod coord;
 mod copy;
 mod detector;
-pub(crate) mod effect;
+mod effect;
 mod ingest;
-pub(crate) mod recovery;
-pub(crate) mod relay;
+mod relay;
 mod visit;
 
 pub use detector::DetectionConfig;
@@ -54,9 +53,8 @@ use gt_graph::GraphPartition;
 use gt_net::RecvError;
 use gt_placement::SharedPlacement;
 use gt_transport::Conduit;
-use recovery::Recovery;
 use relay::Relay;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -72,25 +70,6 @@ const MAX_RETIRED_TRAVELS: usize = 4096;
 /// off the loop blocks indefinitely — the chaos-free fast path pays
 /// nothing.
 const RELAY_TICK: Duration = Duration::from_millis(2);
-
-/// Bound on travels a machine buffers early arrivals for while their seed
-/// (a `SyncStart`, a `CoordRecover`) is still on its way.
-const MAX_UNSEEDED_TRAVELS: usize = 32;
-
-/// Keep at most [`MAX_UNSEEDED_TRAVELS`] unseeded entries in a machine's
-/// per-travel map, evicting the oldest travel ids first: this reclaims
-/// buffers for travels this server never starts.
-fn evict_unseeded<V>(map: &mut BTreeMap<TravelId, V>, unseeded: impl Fn(&V) -> bool) {
-    let n = map.values().filter(|v| unseeded(v)).count();
-    let mut excess = n.saturating_sub(MAX_UNSEEDED_TRAVELS);
-    if excess > 0 {
-        map.retain(|_, v| {
-            let evict = excess > 0 && unseeded(v);
-            excess -= evict as usize;
-            !evict
-        });
-    }
-}
 
 /// Everything needed to spawn one backend server.
 pub struct ServerArgs {
@@ -189,7 +168,8 @@ struct Shared {
     /// in-flight messages for them are dropped instead of re-creating
     /// queue or cache state that nothing would ever clean up again.
     retired: OrderedMutex<BTreeSet<TravelId>>,
-    /// Reliable delivery and both fences. One rank for the whole machine:
+    /// Reliable delivery and the peer-incarnation fence. One rank for the
+    /// whole machine:
     /// every step is a few map operations, and the chaos and failover
     /// suites show no contention that splitting its maps back out would
     /// relieve.
@@ -202,8 +182,6 @@ struct Shared {
     /// Per-travel synchronous-engine step buffers.
     barrier: OrderedMutex<barrier::SyncBarrier>,
     coords: OrderedMutex<HashMap<TravelId, CoordState>>,
-    /// Takeovers on this server (as successor).
-    recovery: OrderedMutex<Recovery>,
 }
 
 impl Shared {
@@ -225,15 +203,6 @@ impl Shared {
 
     fn is_retired(&self, travel: TravelId) -> bool {
         self.retired.lock().contains(&travel)
-    }
-
-    /// Travel-epoch this server believes `travel` runs under (0 until a
-    /// failover handoff bumps it). Lock-free no-op with reliability off.
-    fn travel_epoch_of(&self, travel: TravelId) -> u64 {
-        if !self.reliable {
-            return 0;
-        }
-        self.relay.lock().epoch_of(travel)
     }
 }
 
@@ -278,7 +247,6 @@ fn build(args: ServerArgs) -> Arc<Shared> {
         tokens: OrderedMutex::new(Rank::Tokens, visit::TokenRegistry::default()),
         barrier: OrderedMutex::new(Rank::Barrier, barrier::SyncBarrier::default()),
         coords: OrderedMutex::new(Rank::Coords, HashMap::new()),
-        recovery: OrderedMutex::new(Rank::Recovery, Recovery::new(args.n_servers)),
     })
 }
 
@@ -396,12 +364,11 @@ fn absorb_detector_traffic(
     }
 }
 
-/// Send a data-plane message for `travel` to server `to`, stamped with
-/// the travel-epoch `tepoch` the sender executed under. With the reliable
-/// layer on it goes through the [`Relay`] (sequenced, retransmitted until
-/// acked); otherwise it goes out raw, exactly as before the chaos layer
-/// existed.
-fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, tepoch: u64, msg: Msg) {
+/// Send a data-plane message for `travel` to server `to`. With the
+/// reliable layer on it goes through the [`Relay`] (sequenced,
+/// retransmitted until acked); otherwise it goes out raw, exactly as
+/// before the chaos layer existed.
+fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, msg: Msg) {
     // SeqCst pairs with the crash path's SeqCst store: once the kill is
     // ordered, no thread of the dying incarnation slips another message
     // out (a Relaxed load could see the flag late and leak a send from a
@@ -414,7 +381,7 @@ fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, tepoch: u64, msg: 
         return;
     }
     let now = Instant::now();
-    let step = sh.relay.lock().on_send(to, travel, tepoch, msg, now);
+    let step = sh.relay.lock().on_send(to, travel, msg, now);
     // The send itself happens outside the lock: two workers may invert
     // their wire order, which the receiver's reorder buffer absorbs.
     perform(sh, step);
@@ -431,27 +398,25 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
         Msg::Shutdown => return LoopCtl::Shutdown,
         Msg::Crash => return LoopCtl::Crash,
         // The fence: the travel finished, was aborted or was cancelled on
-        // this server, and a stray message that would queue work, fill a
-        // cache partition, register a token or buffer a step or a handoff
-        // ack for it is dropped — nothing would ever clean that state up
-        // again. (`Relay`, `CoordHandoff` and `CoordRecover` hand the
-        // verdict to their machine instead: those still have to answer. The
-        // coordinator's tracing and barrier reports need no fence: the
-        // abort that retires a travel removes its `coords` entry, and they
-        // are no-ops without one.)
-        Msg::SourceScan { travel, .. }
+        // this server, and a stray message that would host it again, queue
+        // work, fill a cache partition, register a token or buffer a step
+        // for it is dropped — nothing would ever clean that state up
+        // again. (`Relay` hands the verdict to its machine instead: it
+        // still has to ack. The coordinator's tracing and barrier reports
+        // need no fence: the abort that retires a travel removes its
+        // `coords` entry, and they are no-ops without one.)
+        Msg::Submit { travel, .. }
+        | Msg::SourceScan { travel, .. }
         | Msg::Visit { travel, .. }
         | Msg::OriginSatisfied { travel, .. }
         | Msg::SyncStart { travel, .. }
         | Msg::SyncFrontier { travel, .. }
         | Msg::SyncOrigin { travel, .. }
-        | Msg::CoordHandoffAck { travel, .. }
             if sh.is_retired(travel) => {}
         Msg::Relay {
             travel,
             from,
             epoch,
-            tepoch,
             seq,
             attempt,
             inner,
@@ -460,16 +425,15 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             let step = sh
                 .relay
                 .lock()
-                .on_frame(travel, from, epoch, tepoch, seq, attempt, *inner, retired);
+                .on_frame(travel, from, epoch, seq, attempt, *inner, retired);
             return perform(sh, step);
         }
         Msg::RelayAck {
             travel,
             server,
-            tepoch,
             seq,
             ..
-        } => sh.relay.lock().on_ack(travel, server, tepoch, seq),
+        } => sh.relay.lock().on_ack(travel, server, seq),
         Msg::Submit {
             travel,
             plan,
@@ -533,30 +497,6 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             sent,
             origin_sent,
         } => coord::handle_sync_step_done(sh, travel, depth, server, &sent, &origin_sent),
-        Msg::CoordRecover {
-            travel,
-            epoch,
-            plan,
-            client,
-        } => coord::handle_recover(sh, travel, epoch, plan, client),
-        Msg::CoordHandoff {
-            travel,
-            epoch,
-            coordinator,
-        } => {
-            // Failover step 2, broadcast to every server.
-            let retired = sh.is_retired(travel);
-            let step = sh
-                .relay
-                .lock()
-                .on_handoff(travel, epoch, coordinator, retired);
-            return perform(sh, step);
-        }
-        Msg::CoordHandoffAck {
-            travel,
-            epoch,
-            server,
-        } => coord::handle_handoff_ack(sh, travel, epoch, server),
         Msg::Abort { travel } => handle_abort(sh, travel),
         Msg::Cancel { travel, client } => {
             // Cluster-wide cancellation: same cleanup as an abort,
@@ -645,7 +585,6 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
         | Msg::CancelAck { .. }
         | Msg::IngestAck { .. }
         | Msg::VertexReply { .. }
-        | Msg::RecoverDone { .. }
         | Msg::PlacementAck { .. }
         | Msg::CopyApplied { .. }
         | Msg::Heartbeat { .. }
@@ -655,25 +594,18 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
     LoopCtl::Continue
 }
 
-/// Drop what a travel's executions left on this server: queued work, its
-/// cache partition, pending returns, step buffers. An abort ends the
-/// travel with this; a failover handoff clears the superseded execution
-/// tree with it before the successor's re-drive arrives.
-fn forget_executions(sh: &Arc<Shared>, travel: TravelId) {
+/// The travel is over here (finished, abandoned, cancelled or superseded
+/// by its re-drive): queued work, its cache partition, pending returns,
+/// step buffers and every machine's state for it go, and stray messages
+/// for it are fenced from now on.
+fn handle_abort(sh: &Arc<Shared>, travel: TravelId) {
     sh.queue.clear_travel(travel);
     sh.cache.forget_travel(travel);
     sh.tokens.lock().forget(travel);
     sh.barrier.lock().forget(travel);
-}
-
-/// The travel is over here (finished, abandoned or cancelled): every
-/// machine forgets it and stray messages for it are fenced from now on.
-fn handle_abort(sh: &Arc<Shared>, travel: TravelId) {
-    forget_executions(sh, travel);
     sh.coords.lock().remove(&travel);
     if sh.reliable {
         sh.relay.lock().forget(travel);
-        sh.recovery.lock().forget(travel);
     }
     sh.mark_retired(travel);
 }
@@ -747,9 +679,17 @@ mod tests {
             assert!(!sh.tokens.lock().holds(T), "origin token");
             assert!(!sh.barrier.lock().holds(T), "step buffer");
             assert!(!sh.coords.lock().contains_key(&T), "coordinator state");
-            assert!(!sh.recovery.lock().holds(T), "handoff barrier");
             assert_eq!(self.peer.pending(), 0, "message to the peer");
             assert_eq!(self.client.pending(), 0, "message to the client");
+        }
+
+        /// What the coordinator state hosted for `travel` has traced.
+        fn progress(&self, travel: TravelId) -> crate::message::ProgressSnapshot {
+            match self.sh.coords.lock().get(&travel) {
+                Some(CoordState::Async(l)) => l.progress(),
+                Some(CoordState::Sync(s)) => s.outcome().progress,
+                None => panic!("travel {travel:#x} is not hosted"),
+            }
         }
     }
 
@@ -844,15 +784,158 @@ mod tests {
     }
 
     #[test]
-    fn a_late_handoff_ack_is_fenced() {
-        // Unfenced it is buffered as an ack ahead of its seed.
-        let ack = Msg::CoordHandoffAck {
+    fn a_late_submit_is_fenced() {
+        // Unfenced it hosts the travel again — a ledger nobody finishes —
+        // and dispatches its source. (The client re-sends the `Submit` of a
+        // re-drive it has no sign of life from; the copy may arrive after
+        // the travel finished here.)
+        let submit = Msg::Submit {
             travel: T,
-            epoch: 1,
-            server: PEER,
+            plan: plan(),
+            client: CLIENT,
         };
+        late_after_abort("submit", EngineConfig::new(EngineKind::GraphTrek), submit);
+    }
+
+    #[test]
+    fn a_repeated_submit_does_not_restart_the_travel() {
+        for kind in [EngineKind::GraphTrek, EngineKind::Sync] {
+            let rig = Rig::new(&format!("resubmit-{kind:?}"), EngineConfig::new(kind));
+            let submit = || Msg::Submit {
+                travel: T,
+                plan: Arc::new(GTravel::v_all().e("x").compile().expect("plan")),
+                client: CLIENT,
+            };
+            rig.deliver(submit());
+            assert!(rig.peer.pending() > 0, "{kind:?}: the source went out");
+            while rig.peer.try_recv().is_some() {}
+            // One tracing report in, so a fresh ledger would show.
+            rig.deliver(Msg::ExecCreated {
+                travel: T,
+                exec: exec(),
+                depth: 1,
+            });
+            let traced = rig.progress(T);
+            rig.deliver(submit());
+            assert_eq!(rig.peer.pending(), 0, "{kind:?}: dispatched again");
+            assert_eq!(rig.progress(T), traced, "{kind:?}: ledger replaced");
+        }
+    }
+
+    /// A failover aborts the incarnation that lost its coordinator and
+    /// runs the plan again under a fresh id, which this server may
+    /// coordinate. Whatever of the old one is still in flight finds it
+    /// retired: nothing is queued, cached, registered or buffered, and
+    /// the re-drive's ledger — other map key, same server — is not
+    /// written to.
+    #[test]
+    fn stragglers_of_a_superseded_incarnation_leave_the_redrive_alone() {
+        let redrive = crate::incarnation(T, 1);
+        let visit = || Msg::Visit {
+            travel: T,
+            depth: 1,
+            exec: exec(),
+            plan: plan(),
+            coordinator: 0,
+            items: vec![(VertexId(1), Vec::new())],
+        };
+        let stragglers: Vec<(EngineKind, Msg)> = vec![
+            (EngineKind::GraphTrek, visit()),
+            (
+                EngineKind::GraphTrek,
+                Msg::SourceScan {
+                    travel: T,
+                    plan: Arc::new(GTravel::v_all().e("x").compile().expect("plan")),
+                    coordinator: 0,
+                    exec: exec(),
+                },
+            ),
+            (
+                EngineKind::GraphTrek,
+                Msg::ExecCreated {
+                    travel: T,
+                    exec: exec(),
+                    depth: 1,
+                },
+            ),
+            (
+                EngineKind::GraphTrek,
+                Msg::ExecTerminated {
+                    travel: T,
+                    exec: exec(),
+                    children: vec![(ExecId::new(PEER, 2), 2)],
+                },
+            ),
+            (
+                EngineKind::GraphTrek,
+                Msg::Results {
+                    travel: T,
+                    items: vec![(1, VertexId(5))],
+                },
+            ),
+            (
+                EngineKind::Sync,
+                Msg::SyncFrontier {
+                    travel: T,
+                    depth: 1,
+                    items: vec![(VertexId(1), Vec::new())],
+                },
+            ),
+            (
+                EngineKind::Sync,
+                Msg::SyncStepDone {
+                    travel: T,
+                    depth: 0,
+                    server: PEER,
+                    sent: Vec::new(),
+                    origin_sent: Vec::new(),
+                },
+            ),
+        ];
+        for (i, (kind, straggler)) in stragglers.into_iter().enumerate() {
+            let rig = Rig::new(&format!("straggler-{i}"), EngineConfig::new(kind));
+            rig.deliver(Msg::Abort { travel: T });
+            rig.deliver(Msg::Submit {
+                travel: redrive,
+                plan: plan(),
+                client: CLIENT,
+            });
+            while rig.peer.try_recv().is_some() {}
+            let traced = rig.progress(redrive);
+            rig.deliver(straggler);
+            rig.assert_no_trace_of_the_travel();
+            assert_eq!(
+                rig.progress(redrive),
+                traced,
+                "case {i}: the re-drive's ledger moved"
+            );
+        }
+        // Relay-framed, the straggler is acked — its sender stops
+        // retransmitting — and not delivered.
         let reliable = EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true);
-        late_after_abort("handoff-ack", reliable, ack);
+        let rig = Rig::new("straggler-framed", reliable);
+        rig.deliver(Msg::Abort { travel: T });
+        rig.deliver(Msg::Relay {
+            travel: T,
+            from: PEER,
+            epoch: 0,
+            seq: 1,
+            attempt: 1,
+            inner: Box::new(visit()),
+        });
+        let acked = rig.peer.try_recv().map(|env| env.msg);
+        assert!(
+            matches!(
+                acked,
+                Some(Msg::RelayAck {
+                    travel: T,
+                    seq: 1,
+                    ..
+                })
+            ),
+            "{acked:?}"
+        );
+        rig.assert_no_trace_of_the_travel();
     }
 
     /// The coordinator's barrier report needs no fence of its own: the

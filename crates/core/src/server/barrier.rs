@@ -4,13 +4,13 @@
 //! then the step fires exactly once.
 //!
 //! A peer's `SyncFrontier` rides a different link than the controller's
-//! `SyncStart`, so nothing orders them — and right after a failover every
-//! server lacks buffers (a restarted one starts fresh, the handoff clears
-//! every survivor's), so the data routinely arrives first. A buffer whose
+//! `SyncStart`, so nothing orders them — and a failover's re-drive is a
+//! travel no server has buffers for yet, so the data routinely arrives
+//! first. A buffer whose
 //! expectation has not arrived yet is simply an unarmed buffer: early
 //! traffic lands in the same place as timely traffic. Unarmed travels are
-//! bounded by [`evict_unseeded`](super::evict_unseeded), which reclaims
-//! buffers for travels this server never starts.
+//! bounded ([`MAX_UNSTARTED_TRAVELS`]), which reclaims buffers for travels
+//! this server never starts.
 
 use crate::lang::Plan;
 use crate::message::SyncExpect;
@@ -91,6 +91,10 @@ pub(super) enum Fire {
     },
 }
 
+/// Bound on travels buffered for while their `SyncStart` is still on its
+/// way.
+const MAX_UNSTARTED_TRAVELS: usize = 32;
+
 /// Every sync travel's buffers on one server.
 #[derive(Default)]
 pub(super) struct SyncBarrier {
@@ -146,7 +150,7 @@ impl SyncBarrier {
         fb.add(items);
         // Only `on_start` arms a buffer, so an unstarted travel cannot fire.
         let Some((plan, coordinator)) = &tb.start else {
-            super::evict_unseeded(&mut self.travels, |tb| tb.start.is_none());
+            self.evict_unstarted();
             return None;
         };
         fb.fire().map(|items| Fire::Frontier {
@@ -162,7 +166,7 @@ impl SyncBarrier {
         let tb = self.travels.entry(travel).or_default();
         tb.origin.add(tokens.iter().copied());
         let Some((_, coordinator)) = &tb.start else {
-            super::evict_unseeded(&mut self.travels, |tb| tb.start.is_none());
+            self.evict_unstarted();
             return None;
         };
         let (depth, coordinator) = (tb.origin_depth, *coordinator);
@@ -173,8 +177,22 @@ impl SyncBarrier {
         })
     }
 
-    /// The travel finished, was aborted, or is being re-driven: its
-    /// buffers (armed or not) describe work nobody waits for any more.
+    /// Keep at most [`MAX_UNSTARTED_TRAVELS`] unarmed travels, evicting
+    /// the oldest travel ids first.
+    fn evict_unstarted(&mut self) {
+        let unstarted = self.travels.values().filter(|tb| tb.start.is_none());
+        let mut excess = unstarted.count().saturating_sub(MAX_UNSTARTED_TRAVELS);
+        if excess > 0 {
+            self.travels.retain(|_, tb| {
+                let evict = excess > 0 && tb.start.is_none();
+                excess -= evict as usize;
+                !evict
+            });
+        }
+    }
+
+    /// The travel finished or was aborted: its buffers (armed or not)
+    /// describe work nobody waits for any more.
     pub(super) fn forget(&mut self, travel: TravelId) {
         self.travels.remove(&travel);
     }
@@ -279,7 +297,7 @@ mod tests {
         let mut b = SyncBarrier::default();
         b.on_frontier(T, 1, items(&[10]));
         b.forget(T);
-        // A re-drive's SyncStart must not count the pre-handoff item.
+        // A later SyncStart must not count the forgotten item.
         assert!(b
             .on_start(T, plan(), 0, 1, SyncExpect::Vertices(1))
             .is_none());
@@ -290,7 +308,7 @@ mod tests {
     fn unstarted_travels_are_bounded_oldest_first() {
         let mut b = SyncBarrier::default();
         b.on_start(1, plan(), 0, 1, SyncExpect::Vertices(9));
-        for t in 2..=(2 + super::super::MAX_UNSEEDED_TRAVELS as u64) {
+        for t in 2..=(2 + MAX_UNSTARTED_TRAVELS as u64) {
             b.on_frontier(t, 1, items(&[t]));
         }
         // One over the cap: the oldest unstarted travel went; the started

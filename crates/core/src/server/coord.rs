@@ -1,16 +1,16 @@
 //! The coordinator role on the shell side: hosting a travel's ledger (or
 //! the synchronous controller), feeding it the tracing reports,
-//! dispatching the source, finishing — and, after a failover, stepping the
-//! [`Recovery`](super::recovery::Recovery) machine and carrying out the
-//! re-drive it decides on.
+//! dispatching the source, finishing. A failover's re-drive arrives as
+//! the `Submit` of a travel this server has never heard of.
 
-use super::{alloc_exec, perform, send_travel, Shared};
+use super::{alloc_exec, send_travel, Shared};
 use crate::coordinator::{CoordState, SyncState, TravelLedger};
 use crate::engine::EngineKind;
 use crate::lang::{Plan, Source};
 use crate::message::{Msg, SyncExpect, TravelOutcome};
 use crate::{Tokens, TravelId};
 use gt_graph::VertexId;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Apply one tracing report to `travel`'s hosted asynchronous ledger.
@@ -61,25 +61,22 @@ pub(super) fn maybe_finish_async(sh: &Arc<Shared>, travel: TravelId) {
     }
 }
 
-/// The submitting client decided this server coordinates `travel`.
+/// The submitting client decided this server coordinates `travel`:
+/// install coordinator state and run it from its source. A repeat — the
+/// client re-sends the `Submit` of a re-drive it has no sign of life from
+/// — finds the travel hosted and changes nothing.
 pub(super) fn handle_submit(sh: &Arc<Shared>, travel: TravelId, plan: Arc<Plan>, client: usize) {
-    let tepoch = sh.travel_epoch_of(travel);
-    start_travel(sh, travel, plan, client, tepoch);
-}
-
-/// Install coordinator state for `travel` under `tepoch` and run it from
-/// its source — a fresh submission, or a failover's re-drive (then
-/// `tepoch` is the bumped travel-epoch).
-pub(super) fn start_travel(
-    sh: &Arc<Shared>,
-    travel: TravelId,
-    plan: Arc<Plan>,
-    client: usize,
-    tepoch: u64,
-) {
-    if matches!(sh.engine_kind, EngineKind::Sync) {
-        let state = SyncState::new(plan.clone(), client, sh.n_servers);
-        sh.coords.lock().insert(travel, CoordState::Sync(state));
+    let sync = matches!(sh.engine_kind, EngineKind::Sync);
+    let state = if sync {
+        CoordState::Sync(SyncState::new(plan.clone(), client, sh.n_servers))
+    } else {
+        CoordState::Async(TravelLedger::new(plan.clone(), client))
+    };
+    match sh.coords.lock().entry(travel) {
+        Entry::Occupied(_) => return,
+        Entry::Vacant(slot) => slot.insert(state),
+    };
+    if sync {
         for s in 0..sh.n_servers {
             let start = Msg::SyncStart {
                 travel,
@@ -88,19 +85,17 @@ pub(super) fn start_travel(
                 depth: 0,
                 expect: SyncExpect::ScanSource,
             };
-            send_travel(sh, s, travel, tepoch, start);
+            send_travel(sh, s, travel, start);
         }
         return;
     }
-    let ledger = TravelLedger::new(plan.clone(), client);
-    sh.coords.lock().insert(travel, CoordState::Async(ledger));
-    dispatch_travel_source(sh, travel, &plan, tepoch);
+    dispatch_travel_source(sh, travel, &plan);
 }
 
 /// Asynchronous source dispatch from the coordinator — targeted for
 /// explicit ids ("the coordinator first learns that userA is stored in
 /// server 2 … then sends the request"), broadcast scan otherwise.
-fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>, tepoch: u64) {
+fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>) {
     let root = || {
         let exec = alloc_exec(sh);
         coord_event(sh, travel, |l| l.exec_created(exec, 0));
@@ -125,7 +120,7 @@ fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>, 
                     coordinator: sh.id,
                     items,
                 };
-                send_travel(sh, owner, travel, tepoch, visit);
+                send_travel(sh, owner, travel, visit);
             }
             if !any {
                 // Degenerate: no owned sources at all; finish immediately.
@@ -142,7 +137,7 @@ fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>, 
                     coordinator: sh.id,
                     exec: root(),
                 };
-                send_travel(sh, s, travel, tepoch, scan);
+                send_travel(sh, s, travel, scan);
             }
         }
     }
@@ -179,7 +174,6 @@ pub(super) fn handle_sync_step_done(
     };
     match action {
         Ok((plan, next)) => {
-            let tepoch = sh.travel_epoch_of(travel);
             for (srv, depth, expect) in next {
                 let start = Msg::SyncStart {
                     travel,
@@ -188,34 +182,9 @@ pub(super) fn handle_sync_step_done(
                     depth,
                     expect,
                 };
-                send_travel(sh, srv, travel, tepoch, start);
+                send_travel(sh, srv, travel, start);
             }
         }
         Err((client, outcome)) => finish_travel(sh, travel, client, outcome),
     }
-}
-
-// ------------------------------------------------------ takeover
-
-/// Become the successor coordinator for an orphaned travel (failover step
-/// 1): open the handoff barrier.
-pub(super) fn handle_recover(
-    sh: &Arc<Shared>,
-    travel: TravelId,
-    epoch: u64,
-    plan: Arc<Plan>,
-    client: usize,
-) {
-    let (retired, fenced) = (sh.is_retired(travel), sh.travel_epoch_of(travel));
-    let step = sh
-        .recovery
-        .lock()
-        .on_seed(travel, epoch, plan, client, retired, fenced);
-    perform(sh, step);
-}
-
-/// One server acknowledged the handoff (failover step 3).
-pub(super) fn handle_handoff_ack(sh: &Arc<Shared>, travel: TravelId, epoch: u64, server: usize) {
-    let step = sh.recovery.lock().on_ack(travel, epoch, server);
-    perform(sh, step);
 }

@@ -1,38 +1,20 @@
 //! The contract between the protocol machines and the shell: effects as
 //! data, and the one interpreter that carries them out.
 
-use super::{coord, forget_executions, handle_msg, LoopCtl, Shared};
-use crate::lang::Plan;
+use super::{handle_msg, LoopCtl, Shared};
 use crate::message::Msg;
-use crate::TravelId;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// What a step of a protocol machine asks of the shell, in the order it
 /// must happen. The machines decide; only the shell acts ([`perform`]) — it
-/// owns the endpoint, the counters, the handlers and whatever lives behind
-/// another lock.
+/// owns the endpoint, the counters and the handlers.
 #[derive(Debug)]
 pub(crate) enum Effect {
     /// Put this message on the wire to this endpoint.
     Send(usize, Msg),
     /// Hand a relayed message to the protocol handlers.
     Deliver(Msg),
-    /// First sight of a handoff's travel-epoch: the travel's executions on
-    /// this server belong to a superseded tree and must go before the
-    /// successor `coordinator`'s re-drive arrives.
-    NewGeneration {
-        travel: TravelId,
-        coordinator: usize,
-    },
-    /// A takeover's barrier closed: install fresh coordinator state under
-    /// `epoch` and run the traversal from its source again.
-    Redrive {
-        travel: TravelId,
-        plan: Arc<Plan>,
-        client: usize,
-        epoch: u64,
-    },
     /// Add to a counter.
     Count(Counter, u64),
 }
@@ -44,11 +26,9 @@ pub(crate) enum Counter {
     RelayRetries,
     RelayAbandoned,
     StaleEpochDropped,
-    StaleTravelEpochDropped,
     Redeliveries,
     HeartbeatsSent,
     SuspicionsRaised,
-    Failovers,
 }
 
 /// Carry out a machine step, effect by effect. Only a delivery can end
@@ -61,34 +41,15 @@ pub(super) fn perform(sh: &Arc<Shared>, step: Vec<Effect>) -> LoopCtl {
                 LoopCtl::Continue => {}
                 other => return other,
             },
-            Effect::NewGeneration {
-                travel,
-                coordinator,
-            } => {
-                forget_executions(sh, travel);
-                if sh.id != coordinator {
-                    sh.coords.lock().remove(&travel);
-                }
-            }
-            Effect::Redrive {
-                travel,
-                plan,
-                client,
-                epoch,
-            } => coord::start_travel(sh, travel, plan, client, epoch),
             Effect::Count(counter, n) => {
                 let (m, order) = (&sh.metrics, Ordering::Relaxed);
                 match counter {
                     Counter::RelayRetries => m.relay_retries.fetch_add(n, order),
                     Counter::RelayAbandoned => m.relay_abandoned.fetch_add(n, order),
                     Counter::StaleEpochDropped => m.stale_epoch_dropped.fetch_add(n, order),
-                    Counter::StaleTravelEpochDropped => {
-                        m.stale_travel_epoch_dropped.fetch_add(n, order)
-                    }
                     Counter::Redeliveries => m.redeliveries.fetch_add(n, order),
                     Counter::HeartbeatsSent => m.heartbeats_sent.fetch_add(n, order),
                     Counter::SuspicionsRaised => m.suspicions_raised.fetch_add(n, order),
-                    Counter::Failovers => m.failovers.fetch_add(n, order),
                 };
             }
         }

@@ -1,16 +1,13 @@
 //! Reliable delivery as a sans-I/O machine: sequenced streams with
 //! retransmission on the sending side, in-order exactly-once delivery on
-//! the receiving side, and the two fences that keep failover honest.
+//! the receiving side, and the peer-incarnation fence.
 //!
-//! Streams are per `(travel, peer)` and *generational*: every coordinator
-//! handoff bumps the travel-epoch and restarts the sender's numbering at 1,
-//! so a generation is named by the travel-epoch its frames are stamped
-//! with. The receiver's cursor belongs to one generation; frames of an
-//! older one are acked and dropped without touching it, and an ack retires
-//! only a pending message of the generation it echoes. Without either half
-//! a pre-failover straggler can consume, or cancel the retransmission of, a
-//! sequence number the live generation is using — already acked or no
-//! longer retried, the live message is lost and the travel wedges.
+//! Streams are per `(travel, peer)`, numbered from 1, and live as long as
+//! the travel does on this server. A coordinator failover needs nothing
+//! from this layer: the re-drive runs under a fresh travel id, so its
+//! streams, cursors and pending entries are other map keys than the
+//! superseded incarnation's, whose frames a receiver that retired it acks
+//! and drops.
 
 use super::effect::{Counter, Effect};
 use crate::message::Msg;
@@ -33,10 +30,6 @@ const MAX_ATTEMPTS: u64 = 32;
 /// One unacked outgoing message awaiting acknowledgment or retransmission.
 struct Pending {
     msg: Msg,
-    /// Travel-epoch the message was sent under: its stream generation, and
-    /// the stamp every retransmission carries so the receiver's failover
-    /// fence judges the original send.
-    tepoch: u64,
     attempts: u64,
     next_retry: Instant,
 }
@@ -47,21 +40,16 @@ struct Pending {
 /// (`Results` before `ExecTerminated` on the same link) under drop and
 /// reorder chaos.
 struct InStream {
-    /// Generation the cursor and everything buffered belong to.
-    gen: u64,
     next_seq: u64,
     buffered: BTreeMap<u64, Msg>,
 }
 
 /// One server's reliable-delivery state.
 #[derive(Default)]
-pub(crate) struct Relay {
+pub(super) struct Relay {
     me: usize,
     /// This incarnation's epoch, stamped on every frame.
     epoch: u64,
-    /// Current travel-epoch per travel (only populated by failover
-    /// handoffs); frames stamped below it carry pre-failover work.
-    travel_epoch: HashMap<TravelId, u64>,
     /// Highest incarnation seen per peer; frames below it are fenced off.
     peer_epoch: HashMap<usize, u64>,
     /// Next sequence number per `(travel, destination)` stream.
@@ -72,7 +60,7 @@ pub(crate) struct Relay {
 }
 
 impl Relay {
-    pub(crate) fn new(me: usize, epoch: u64) -> Self {
+    pub(super) fn new(me: usize, epoch: u64) -> Self {
         Relay {
             me,
             epoch,
@@ -80,46 +68,26 @@ impl Relay {
         }
     }
 
-    /// Travel-epoch this server believes `travel` runs under (0 until a
-    /// handoff bumps it).
-    pub(crate) fn epoch_of(&self, travel: TravelId) -> u64 {
-        self.travel_epoch.get(&travel).copied().unwrap_or(0)
-    }
-
-    fn frame(&self, travel: TravelId, tepoch: u64, seq: u64, attempt: u64, inner: Msg) -> Msg {
+    fn frame(&self, travel: TravelId, seq: u64, attempt: u64, inner: Msg) -> Msg {
         Msg::Relay {
             travel,
             from: self.me,
             epoch: self.epoch,
-            tepoch,
             seq,
             attempt,
             inner: Box::new(inner),
         }
     }
 
-    /// Send `msg` for `travel` to `to`, stamped with the travel-epoch
-    /// `tepoch` the sender executed under: sequenced and registered for
+    /// Send `msg` for `travel` to `to`: sequenced and registered for
     /// retransmission until acked.
-    ///
-    /// A send stamped *below* the travel's epoch is refused outright (a
-    /// worker flushing a superseded execution after the handoff reset this
-    /// travel's streams): the receiver would fence the payload anyway, but
-    /// letting it claim a sequence number of the new generation would leave
-    /// the receiver waiting on that number forever once it drops the
-    /// payload.
     pub(super) fn on_send(
         &mut self,
         to: usize,
         travel: TravelId,
-        tepoch: u64,
         msg: Msg,
         now: Instant,
     ) -> Vec<Effect> {
-        let mut step = Vec::new();
-        if tepoch < self.epoch_of(travel) {
-            return step;
-        }
         let ctr = self.next_seq.entry((travel, to)).or_insert(1);
         let seq = *ctr;
         *ctr += 1;
@@ -127,13 +95,11 @@ impl Relay {
             (travel, to, seq),
             Pending {
                 msg: msg.clone(),
-                tepoch,
                 attempts: 1,
                 next_retry: now + RETRY_BASE,
             },
         );
-        step.push(Effect::Send(to, self.frame(travel, tepoch, seq, 1, msg)));
-        step
+        vec![Effect::Send(to, self.frame(travel, seq, 1, msg))]
     }
 
     /// Receive one frame: fence a stale incarnation, ack, dedupe, and
@@ -148,7 +114,6 @@ impl Relay {
         travel: TravelId,
         from: usize,
         epoch: u64,
-        tepoch: u64,
         seq: u64,
         attempt: u64,
         inner: Msg,
@@ -174,7 +139,6 @@ impl Relay {
         let ack = Msg::RelayAck {
             travel,
             server: self.me,
-            tepoch,
             seq,
             attempt,
         };
@@ -188,55 +152,24 @@ impl Relay {
             .in_streams
             .entry((travel, from))
             .or_insert_with(|| InStream {
-                gen: tepoch,
                 next_seq: 1,
                 buffered: BTreeMap::new(),
             });
-        if tepoch < st.gen {
-            // Straggler of a superseded generation (a pre-handoff
-            // retransmit the sender has not yet purged). Acked above, but
-            // it must not touch the cursor: at the head it would consume a
-            // sequence number the live generation is about to use, in the
-            // buffer it would squat on one.
-            step.push(Effect::Count(Counter::StaleTravelEpochDropped, 1));
-            return step;
-        }
-        if tepoch > st.gen {
-            // The sender restarted its stream for a bumped travel-epoch:
-            // open the new generation, discarding buffered stragglers of
-            // the old one.
-            st.gen = tepoch;
-            st.next_seq = 1;
-            st.buffered.clear();
-        }
         if seq < st.next_seq || st.buffered.contains_key(&seq) {
             step.push(Effect::Count(Counter::Redeliveries, 1));
             return step;
         }
         st.buffered.insert(seq, inner);
-        // The failover fence: a generation older than the travel's epoch
-        // (this server heard the handoff, the sender not yet) describes a
-        // superseded execution. Its frames were acked and are popped in
-        // order, so the stream keeps seq continuity across the failover,
-        // but they must not reach the protocol handlers.
-        let superseded = st.gen < self.travel_epoch.get(&travel).copied().unwrap_or(0);
         while let Some(m) = st.buffered.remove(&st.next_seq) {
             st.next_seq += 1;
-            step.push(if superseded {
-                Effect::Count(Counter::StaleTravelEpochDropped, 1)
-            } else {
-                Effect::Deliver(m)
-            });
+            step.push(Effect::Deliver(m));
         }
         step
     }
 
-    /// The peer acknowledged `seq` of generation `tepoch`.
-    pub(super) fn on_ack(&mut self, travel: TravelId, server: usize, tepoch: u64, seq: u64) {
-        let key = (travel, server, seq);
-        if self.pending.get(&key).is_some_and(|p| p.tepoch == tepoch) {
-            self.pending.remove(&key);
-        }
+    /// The peer acknowledged `seq` of `travel`'s stream to it.
+    pub(super) fn on_ack(&mut self, travel: TravelId, server: usize, seq: u64) {
+        self.pending.remove(&(travel, server, seq));
     }
 
     /// Resend every pending message whose retry deadline passed, with
@@ -260,7 +193,7 @@ impl Relay {
                 .unwrap_or(RETRY_CAP)
                 .min(RETRY_CAP);
             p.next_retry = now + backoff;
-            resend.push((to, travel, p.tepoch, seq, p.attempts, p.msg.clone()));
+            resend.push((to, travel, seq, p.attempts, p.msg.clone()));
         }
         if !dead.is_empty() {
             step.push(Effect::Count(Counter::RelayAbandoned, dead.len() as u64));
@@ -271,68 +204,19 @@ impl Relay {
         if !resend.is_empty() {
             step.push(Effect::Count(Counter::RelayRetries, resend.len() as u64));
         }
-        for (to, travel, tepoch, seq, attempt, msg) in resend {
-            step.push(Effect::Send(
-                to,
-                self.frame(travel, tepoch, seq, attempt, msg),
-            ));
+        for (to, travel, seq, attempt, msg) in resend {
+            step.push(Effect::Send(to, self.frame(travel, seq, attempt, msg)));
         }
-        step
-    }
-
-    /// A failover re-homed `travel` onto `coordinator` under travel-epoch
-    /// `epoch`: fence the old epoch, restart the travel's outgoing streams
-    /// at sequence 1 (dropping the old generation's unacked messages — the
-    /// receivers would fence their payloads anyway), and acknowledge to the
-    /// successor. The ack is a raw send: the handoff protocol *is* the
-    /// recovery path, so it rides neither the lossy relay layer nor the
-    /// travel-epoch fence.
-    ///
-    /// A re-nudged duplicate answers again but resets nothing — by then
-    /// the successor's re-drive may have queued fresh work, and clearing
-    /// it again would strand live execs. A retired travel has nothing to
-    /// clear; it still answers, so the successor's barrier cannot stall.
-    pub(crate) fn on_handoff(
-        &mut self,
-        travel: TravelId,
-        epoch: u64,
-        coordinator: usize,
-        retired: bool,
-    ) -> Vec<Effect> {
-        let mut step = Vec::new();
-        if !retired {
-            let cur = self.travel_epoch.entry(travel).or_insert(0);
-            if epoch < *cur {
-                return step; // out-of-date handoff from a superseded failover
-            }
-            if epoch > *cur {
-                *cur = epoch;
-                self.next_seq.retain(|&(t, _), _| t != travel);
-                self.pending.retain(|&(t, _, _), _| t != travel);
-                step.push(Effect::NewGeneration {
-                    travel,
-                    coordinator,
-                });
-            }
-        }
-        let server = self.me;
-        let ack = Msg::CoordHandoffAck {
-            travel,
-            epoch,
-            server,
-        };
-        step.push(Effect::Send(coordinator, ack));
         step
     }
 
     /// The travel finished or was aborted here: pending retransmits stop,
-    /// receive streams forget their cursors, the epoch fence follows it
-    /// out (a resubmission gets a new travel id).
+    /// receive streams forget their cursors (a resubmission and a
+    /// failover's re-drive get a new travel id).
     pub(super) fn forget(&mut self, travel: TravelId) {
         self.next_seq.retain(|&(t, _), _| t != travel);
         self.pending.retain(|&(t, _, _), _| t != travel);
         self.in_streams.retain(|&(t, _), _| t != travel);
-        self.travel_epoch.remove(&travel);
     }
 }
 
@@ -368,30 +252,33 @@ mod tests {
         }
     }
 
-    /// Feed one wire message into `r` as arriving from its sender.
-    fn feed(r: &mut Relay, frame: &Msg) -> Step {
+    /// Feed one wire message into `r` as arriving from its sender;
+    /// `retired` is the shell's verdict on the frame's travel.
+    fn feed_as(r: &mut Relay, frame: &Msg, retired: bool) -> Step {
         split(match frame.clone() {
             Msg::Relay {
                 travel,
                 from,
                 epoch,
-                tepoch,
                 seq,
                 attempt,
                 inner,
-            } => r.on_frame(travel, from, epoch, tepoch, seq, attempt, *inner, false),
+            } => r.on_frame(travel, from, epoch, seq, attempt, *inner, retired),
             Msg::RelayAck {
                 travel,
                 server,
-                tepoch,
                 seq,
                 ..
             } => {
-                r.on_ack(travel, server, tepoch, seq);
+                r.on_ack(travel, server, seq);
                 Vec::new()
             }
             other => panic!("not relay traffic: {other:?}"),
         })
+    }
+
+    fn feed(r: &mut Relay, frame: &Msg) -> Step {
+        feed_as(r, frame, false)
     }
 
     fn delivered(step: &Step) -> Vec<u64> {
@@ -416,7 +303,7 @@ mod tests {
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
         let f: Vec<Msg> = (1..=3)
-            .map(|n| only_frame(a.on_send(1, T, 0, results(n), now)))
+            .map(|n| only_frame(a.on_send(1, T, results(n), now)))
             .collect();
         // Frame 1 is dropped; 3 then 2 arrive and wait behind the gap.
         assert!(delivered(&feed(&mut b, &f[2])).is_empty());
@@ -450,9 +337,9 @@ mod tests {
         let now = Instant::now();
         let mut b = Relay::new(1, 0);
         let mut old = Relay::new(0, 0);
-        let stale = only_frame(old.on_send(1, T, 0, results(1), now));
+        let stale = only_frame(old.on_send(1, T, results(1), now));
         let mut new = Relay::new(0, 1);
-        let fresh = only_frame(new.on_send(1, T, 0, results(2), now));
+        let fresh = only_frame(new.on_send(1, T, results(2), now));
         // The restarted incarnation's seq 1 is delivered although the old
         // incarnation never got its own seq 1 through.
         assert_eq!(delivered(&feed(&mut b, &fresh)), vec![2]);
@@ -462,90 +349,21 @@ mod tests {
     }
 
     #[test]
-    fn a_handoff_restarts_numbering_and_fences_the_old_generation() {
+    fn an_ack_for_a_superseded_incarnation_cannot_retire_the_redrives_frame() {
+        // PR 16's wedge, under fresh ids: the re-drive numbers its stream
+        // from 1 like the incarnation it supersedes did, and a delayed ack
+        // for the old seq 1 must not cancel the retransmission of the new
+        // one. `pending` is keyed by travel, and the ids differ.
         let now = Instant::now();
+        let redrive = crate::incarnation(T, 1);
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let old1 = only_frame(a.on_send(1, T, 0, results(1), now));
-        let old2 = only_frame(a.on_send(1, T, 0, results(2), now));
-        assert_eq!(delivered(&feed(&mut b, &old1)), vec![1]);
-        // Both ends hear the handoff; the sender's unacked frames go.
-        let h = split(a.on_handoff(T, 1, 2, false));
-        assert_eq!(
-            h.effects
-                .iter()
-                .filter(|e| matches!(e, Effect::NewGeneration { .. }))
-                .count(),
-            1
-        );
-        assert!(a.pending.is_empty());
-        b.on_handoff(T, 1, 2, false);
-        // A re-nudged duplicate answers again without a second reset.
-        let again = split(a.on_handoff(T, 1, 2, false));
-        assert_eq!(again.send.len(), 1);
-        assert!(again.effects.is_empty());
-        // An older handoff is ignored outright.
-        assert!(split(a.on_handoff(T, 0, 2, false)).send.is_empty());
-        // The new generation starts at seq 1 and is delivered although the
-        // receiver's old cursor stood at 2.
-        let new1 = only_frame(a.on_send(1, T, 1, results(10), now));
-        assert!(matches!(
-            new1,
-            Msg::Relay {
-                seq: 1,
-                tepoch: 1,
-                ..
-            }
-        ));
-        assert_eq!(delivered(&feed(&mut b, &new1)), vec![10]);
-        // The old generation's straggler is acked, dropped, and leaves the
-        // cursor alone: the next live frame still delivers.
-        let late = feed(&mut b, &old2);
-        assert_eq!(late.send.len(), 1);
-        assert_eq!(late.counted(Counter::StaleTravelEpochDropped), 1);
-        let new2 = only_frame(a.on_send(1, T, 1, results(11), now));
-        assert_eq!(delivered(&feed(&mut b, &new2)), vec![11]);
-    }
-
-    #[test]
-    fn a_payload_stamped_before_the_handoff_is_fenced_after_the_pop() {
-        // The receiver heard the handoff, the sender (slow to hand off) is
-        // still sending generation 0: the stream keeps moving, the
-        // payloads do not reach the handlers.
-        let now = Instant::now();
-        let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let f = only_frame(a.on_send(1, T, 0, results(1), now));
-        b.on_handoff(T, 1, 2, false);
-        let got = feed(&mut b, &f);
-        assert_eq!(got.send.len(), 1);
-        assert!(delivered(&got).is_empty());
-        assert_eq!(got.counted(Counter::StaleTravelEpochDropped), 1);
-    }
-
-    #[test]
-    fn a_stale_tepoch_send_is_refused_and_claims_no_sequence_number() {
-        let now = Instant::now();
-        let mut a = Relay::new(0, 0);
-        a.on_handoff(T, 1, 2, false);
-        let refused = split(a.on_send(1, T, 0, results(1), now));
-        assert!(refused.send.is_empty());
-        assert!(a.pending.is_empty());
-        let live = only_frame(a.on_send(1, T, 1, results(2), now));
-        assert!(matches!(live, Msg::Relay { seq: 1, .. }));
-    }
-
-    #[test]
-    fn an_ack_of_an_older_generation_does_not_cancel_the_live_retransmit() {
-        // Fails at the parent commit, where acks carried no generation:
-        // the old generation's ack for seq 1 retired the new generation's
-        // seq 1, and with its first send lost nothing ever resent it.
-        let now = Instant::now();
-        let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let old = only_frame(a.on_send(1, T, 0, results(1), now));
+        let old = only_frame(a.on_send(1, T, results(1), now));
         let (_, old_ack) = feed(&mut b, &old).send.remove(0);
-        // The ack is delayed past the handoff and the new generation's
-        // first send, which the link drops.
-        a.on_handoff(T, 1, 2, false);
-        let _lost = split(a.on_send(1, T, 1, results(2), now));
+        // The superseded incarnation is aborted here; the re-drive's first
+        // send is lost, and then the old ack arrives.
+        a.forget(T);
+        let lost = only_frame(a.on_send(1, redrive, results(2), now));
+        assert!(matches!(lost, Msg::Relay { seq: 1, .. }));
         feed(&mut a, &old_ack);
         assert_eq!(a.pending.len(), 1, "the live seq 1 must stay pending");
         let retry = split(a.tick(now + RETRY_BASE));
@@ -559,7 +377,7 @@ mod tests {
         // on a lossy link, every time.
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let first = only_frame(a.on_send(1, T, 0, results(1), now));
+        let first = only_frame(a.on_send(1, T, results(1), now));
         let retry = split(a.tick(now + RETRY_BASE));
         let ack_of = |b: &mut Relay, frame: &Msg| feed(b, frame).send.remove(0).1;
         assert!(matches!(
@@ -576,7 +394,7 @@ mod tests {
     fn backoff_doubles_to_the_cap_and_the_last_attempt_is_abandoned() {
         let t0 = Instant::now();
         let mut a = Relay::new(0, 0);
-        a.on_send(1, T, 0, results(1), t0);
+        a.on_send(1, T, results(1), t0);
         let mut now = t0;
         let mut gaps = Vec::new();
         let mut attempts = vec![1u64];
@@ -609,39 +427,23 @@ mod tests {
     fn retired_travels_ack_without_growing_state_and_forget_drops_everything() {
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let f = only_frame(a.on_send(1, T, 0, created(ExecId::new(0, 1)), now));
-        if let Msg::Relay { inner, .. } = f {
-            let step = split(b.on_frame(T, 0, 0, 0, 1, 1, *inner, true));
-            assert_eq!(step.send.len(), 1);
-            assert!(step.effects.is_empty());
-        }
+        let f = only_frame(a.on_send(1, T, created(ExecId::new(0, 1)), now));
+        let step = feed_as(&mut b, &f, true);
+        assert_eq!(step.send.len(), 1);
+        assert!(step.effects.is_empty());
         assert!(b.in_streams.is_empty());
-        let h = split(b.on_handoff(T, 1, 0, true));
-        assert!(matches!(
-            h.send[0],
-            (
-                0,
-                Msg::CoordHandoffAck {
-                    epoch: 1,
-                    server: 1,
-                    ..
-                }
-            )
-        ));
-        assert_eq!(b.epoch_of(T), 0, "a retired travel is not re-fenced");
-        a.on_handoff(T, 1, 0, false);
-        a.on_send(1, T, 1, created(ExecId::new(0, 2)), now);
         a.forget(T);
         assert!(a.pending.is_empty() && a.next_seq.is_empty());
-        assert_eq!(a.epoch_of(T), 0);
     }
 
     /// Two relays back to back over a link that drops, duplicates and
-    /// delays, with handoffs reaching the two ends at different times.
-    /// Checked per generation: what reached the handlers is a
-    /// duplicate-free, in-order subsequence of what was sent; once the link
-    /// heals, everything sent since the last handoff has been delivered
-    /// and nothing stays pending.
+    /// delays, carrying an incarnation of a travel and — from a random
+    /// moment on — its re-drive, while the abort of the superseded one
+    /// reaches the two ends at different times (a worker may still flush
+    /// under it afterwards, numbered from 1 again). Whatever reached the
+    /// handlers was sent and reached them once; once the link heals,
+    /// everything sent under the re-drive's id has been delivered, in
+    /// order, and nothing stays pending.
     fn run_link_model(base: u64, case: u64) {
         use rand::{Rng, SeedableRng};
         let seed = base ^ case;
@@ -650,14 +452,16 @@ mod tests {
         let t0 = Instant::now();
         let mut now = t0;
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
+        let redrive = crate::incarnation(T, 1);
         // In flight: (due, to_b, message).
         let mut wire: Vec<(Instant, bool, Msg)> = Vec::new();
-        let mut epoch = 0u64;
-        let mut sent: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let mut got: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let mut sent: BTreeMap<TravelId, Vec<u64>> = BTreeMap::new();
+        let mut got: BTreeMap<TravelId, Vec<u64>> = BTreeMap::new();
         let mut next_tag = 0u64;
-        let mut pending_handoff_b: Option<(Instant, u64)> = None;
         let lossy_until = t0 + Duration::from_millis(rng.gen_range(50..400));
+        let failover = t0 + Duration::from_millis(rng.gen_range(0..50));
+        let abort_at_a = failover + Duration::from_millis(rng.gen_range(0..30));
+        let abort_at_b = failover + Duration::from_millis(rng.gen_range(0..30));
 
         let put = |wire: &mut Vec<(Instant, bool, Msg)>,
                    rng: &mut rand::rngs::SmallRng,
@@ -680,33 +484,25 @@ mod tests {
             now += Duration::from_millis(1);
             let lossy = now < lossy_until;
             if lossy && rng.gen_bool(0.5) {
-                // A worker flushes under the epoch it was admitted at,
-                // which may be one handoff behind.
-                let stamp = if epoch > 0 && rng.gen_bool(0.1) {
-                    epoch - 1
+                // A worker flushes under the id it was admitted with: past
+                // the failover mostly the re-drive's, now and then still
+                // the superseded incarnation's.
+                let travel = if now >= failover && rng.gen_bool(0.9) {
+                    redrive
                 } else {
-                    epoch
+                    T
                 };
                 next_tag += 1;
-                let step = split(a.on_send(1, T, stamp, results(next_tag), now));
-                if !step.send.is_empty() {
-                    sent.entry(stamp).or_default().push(next_tag);
-                }
-                for (_, m) in step.send {
+                sent.entry(travel).or_default().push(next_tag);
+                for (_, m) in split(a.on_send(1, travel, results(next_tag), now)).send {
                     put(&mut wire, &mut rng, now, true, m);
                 }
             }
-            if lossy && rng.gen_bool(0.01) {
-                epoch += 1;
-                a.on_handoff(T, epoch, 1, false);
-                let lag = Duration::from_millis(rng.gen_range(0..30));
-                pending_handoff_b = Some((now + lag, epoch));
+            if now == abort_at_a {
+                a.forget(T);
             }
-            if let Some((due, e)) = pending_handoff_b {
-                if due <= now {
-                    b.on_handoff(T, e, 1, false);
-                    pending_handoff_b = None;
-                }
+            if now == abort_at_b {
+                b.forget(T);
             }
             for (_, m) in split(a.tick(now)).send {
                 put(&mut wire, &mut rng, now, true, m);
@@ -721,12 +517,12 @@ mod tests {
             });
             for (to_b, m) in due {
                 if to_b {
-                    let gen = match &m {
-                        Msg::Relay { tepoch, .. } => *tepoch,
+                    let travel = match &m {
+                        Msg::Relay { travel, .. } => *travel,
                         other => panic!("only frames travel a→b: {other:?}"),
                     };
-                    let step = feed(&mut b, &m);
-                    got.entry(gen).or_default().extend(delivered(&step));
+                    let step = feed_as(&mut b, &m, travel == T && now >= abort_at_b);
+                    got.entry(travel).or_default().extend(delivered(&step));
                     for (_, ack) in step.send {
                         put(&mut wire, &mut rng, now, false, ack);
                     }
@@ -739,26 +535,26 @@ mod tests {
             }
         }
         assert!(a.pending.is_empty(), "{at}: pending never drained");
-        for (gen, tags) in &got {
-            let all = &sent[gen];
-            let mut it = all.iter();
+        for (travel, tags) in &got {
+            let all = &sent[travel];
+            let mut once = std::collections::BTreeSet::new();
             for t in tags {
                 assert!(
-                    it.any(|s| s == t),
-                    "{at}: generation {gen} delivered {tags:?} out of {all:?}"
+                    all.contains(t) && once.insert(t),
+                    "{at}: travel {travel:#x} delivered {tags:?} out of {all:?}"
                 );
             }
         }
         assert_eq!(
-            got.get(&epoch).cloned().unwrap_or_default(),
-            sent.get(&epoch).cloned().unwrap_or_default(),
-            "{at}: the live generation must arrive complete and in order"
+            got.get(&redrive).cloned().unwrap_or_default(),
+            sent.get(&redrive).cloned().unwrap_or_default(),
+            "{at}: the re-drive must arrive complete and in order"
         );
     }
 
     proptest::proptest! {
         #[test]
-        fn two_relays_deliver_each_generation_in_order_exactly_once(case in proptest::prelude::any::<u64>()) {
+        fn two_relays_deliver_each_travel_in_order_exactly_once(case in proptest::prelude::any::<u64>()) {
             let base: u64 = std::env::var("GT_CHAOS_SEED")
                 .ok()
                 .and_then(|s| s.parse().ok())

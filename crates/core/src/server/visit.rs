@@ -186,7 +186,7 @@ fn enqueue_execution(
         exec,
         plan,
         coordinator,
-        tepoch: sh.travel_epoch_of(travel),
+        tepoch: 0,
         mode,
         remaining: AtomicUsize::new(items.len()),
         out: Mutex::new(RequestOutput {
@@ -226,22 +226,15 @@ fn release_and_report(
     tokens: &[u64],
     tail: Msg,
 ) {
-    let tepoch = sh.travel_epoch_of(travel);
     let released = sh.tokens.lock().release(travel, tokens);
     if !released.is_empty() {
         sh.metrics
             .results_sent
             .fetch_add(released.len() as u64, Ordering::Relaxed);
         let items = released;
-        send_travel(
-            sh,
-            coordinator,
-            travel,
-            tepoch,
-            Msg::Results { travel, items },
-        );
+        send_travel(sh, coordinator, travel, Msg::Results { travel, items });
     }
-    send_travel(sh, coordinator, travel, tepoch, tail);
+    send_travel(sh, coordinator, travel, tail);
 }
 
 pub(super) fn handle_origin_satisfied(
@@ -639,7 +632,7 @@ fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
             .push(t.id);
     }
     let sync = req.mode == ReqMode::SyncStep;
-    let send = |to: usize, msg: Msg| send_travel(sh, to, travel, req.tepoch, msg);
+    let send = |to: usize, msg: Msg| send_travel(sh, to, travel, msg);
     let mut children: Vec<(ExecId, u16)> = Vec::new();
     let mut child = |depth: u16| {
         let exec = alloc_exec(sh);

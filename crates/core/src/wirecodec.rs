@@ -496,7 +496,7 @@ macro_rules! wire_table {
 /// nests one level (an envelope around a data-plane message), so anything
 /// deeper in an inbound frame is malformed by construction.
 const MAX_RELAY_DEPTH: u32 = 4;
-const T_RELAY: u8 = 22;
+const T_RELAY: u8 = 55;
 
 wire_table! {
     Msg, |out, r| {
@@ -521,11 +521,12 @@ wire_table! {
         // 19–20 are retired (`IngestAck`/`GetVertex` with the replica-read
         // barrier fields; re-issued slimmer as 47–48); they stay unassigned.
         21 => VertexReply { req, vertex },
-        // 23–26 are retired (`RelayAck` without its stream generation,
-        // `CoordHandoff` with the unread `restarted`; re-issued as 50–51;
-        // `CoordRecover` with the ledger stream and `ReAnnounce` with the
-        // sent-journal; re-issued bare as 53–54).
-        27 => RecoverDone { travel, epoch },
+        // 22–27 are retired: `Relay` with a travel-epoch (re-issued
+        // without as 55), `RelayAck` before it carried one (the frame that
+        // did is 50, retired as well; re-issued without as 56), and the
+        // takeover protocol — `CoordRecover`, `CoordHandoff`, `ReAnnounce`,
+        // `RecoverDone`, and their later forms 51, 53 and 54 — which has
+        // no successor: a failover's re-drive is a `Submit`.
         28 => PlacementUpdate { map, client },
         29 => PlacementAck { version, server },
         // 30 is retired (`ReplicateWrite` with its write sequence;
@@ -548,19 +549,16 @@ wire_table! {
         47 => IngestAck { req, applied },
         48 => GetVertex { req, client, vertex },
         49 => ReplicateWrite { req, origin, seq, vertices, edges },
-        50 => RelayAck { travel, server, tepoch, seq, attempt },
-        51 => CoordHandoff { travel, epoch, coordinator },
+        // 50–51 and 53–54 are retired (see 22–27).
         52 => Heartbeat { from, seq },
-        53 => CoordRecover { travel, epoch, plan, client },
-        54 => CoordHandoffAck { travel, epoch, server },
+        56 => RelayAck { travel, server, seq, attempt },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.
-        T_RELAY => Relay { travel, from, epoch, tepoch, seq, attempt, inner }: put {
+        T_RELAY => Relay { travel, from, epoch, seq, attempt, inner }: put {
             travel.put(out);
             from.put(out);
             epoch.put(out);
-            tepoch.put(out);
             seq.put(out);
             attempt.put(out);
             put_msg(inner, out);
@@ -584,7 +582,6 @@ fn get_relay(r: &mut Reader<'_>, depth: u32) -> Option<Msg> {
         travel: Wire::get(r)?,
         from: Wire::get(r)?,
         epoch: Wire::get(r)?,
-        tepoch: Wire::get(r)?,
         seq: Wire::get(r)?,
         attempt: Wire::get(r)?,
         inner: Box::new(match r.u8().ok()? {

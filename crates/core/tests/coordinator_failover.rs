@@ -1,13 +1,13 @@
 //! Coordinator-failover suite: travels must survive the death of the
 //! server hosting their status-tracing ledger (§IV-C).
 //!
-//! A failover is a restart under a fence. When the client's `wait()`
-//! observes the coordinator dead (scripted [`CrashPoint::coordinator`] or
-//! explicit `crash_server`), it re-homes the travel: every server fences
-//! a bumped travel-epoch and drops the superseded execution tree, and
-//! once all have acknowledged a successor runs the traversal from its
-//! sources again — finishing with exactly the oracle's result, under the
-//! same travel id, without a resubmission.
+//! A failover is a resubmission the caller does not see. When the
+//! client's `wait()` observes the coordinator dead (scripted
+//! [`CrashPoint::coordinator`] or explicit `crash_server`), it re-homes
+//! the travel: the incarnation that lost its coordinator is aborted on
+//! every server and a successor runs the plan from its sources again
+//! under a fresh travel id — finishing with exactly the oracle's result,
+//! on the same ticket, admission slot and snapshot, with `restarts == 0`.
 
 mod common;
 
@@ -23,7 +23,7 @@ use std::time::Duration;
 /// 3-server cluster the first travel is coordinated by server 1. Kill it
 /// after it has absorbed a handful of status-tracing events: the client
 /// must fail the travel over and still deliver the oracle's result —
-/// same travel id, zero resubmissions.
+/// same ticket, zero resubmissions the caller sees.
 #[test]
 fn coordinator_crash_mid_travel_fails_over_on_all_engines() {
     let g = random_graph(11, 50, None);
@@ -284,9 +284,9 @@ fn cancelled_travel_reports_typed_cancellation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Without the reliable-delivery layer there is no travel-epoch fence to
-/// re-drive under, so a dead coordinator is unrecoverable: `wait` must fail fast
-/// with `CoordinatorLost` instead of burning its whole timeout.
+/// Without the reliable-delivery layer a dead coordinator is not re-driven
+/// (DESIGN.md §8, "not covered"): `wait` must fail fast with
+/// `CoordinatorLost` instead of burning its whole timeout.
 #[test]
 fn coordinator_loss_without_reliability_is_typed() {
     let g = random_graph(13, 40, None);
@@ -337,7 +337,7 @@ fn progress_reroutes_to_successor_after_failover() {
     let q = mixed_query();
     let dir = tmp("reroute");
     // Drop 100% of the relayed data plane so the travel outlives the
-    // failover (the control plane — recover/handoff/ack and progress
+    // failover (the control plane — abort, submit and progress
     // queries — is raw and keeps flowing), then kill the
     // coordinator explicitly.
     let plan = ChaosPlan {
@@ -377,7 +377,7 @@ fn progress_reroutes_to_successor_after_failover() {
 
 /// Admission bookkeeping survives a failover: a queued travel's
 /// `admit_wait` keeps measuring from its original submission, and the
-/// failed-over travel's slot is accounted under the same travel id
+/// failed-over travel's slot is accounted under the same ticket
 /// (releasing normally on completion).
 #[test]
 fn admission_timestamps_survive_failover() {
@@ -411,6 +411,51 @@ fn admission_timestamps_survive_failover() {
     );
     assert_eq!(cluster.active_travels(), 0);
     assert_eq!(cluster.pending_travels(), 0);
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Cancelling *after* a failover cancels the re-drive — the incarnation
+/// that is live — and the error still names the ticket's travel, not the
+/// id the re-drive runs under.
+#[test]
+fn cancel_after_a_failover_reports_the_tickets_travel() {
+    let g = random_graph(31, 40, None);
+    let q = mixed_query();
+    let dir = tmp("cancel-after-failover");
+    // Drop 100% of the relayed data plane so neither incarnation can
+    // finish; the raw control plane keeps flowing.
+    let plan = ChaosPlan {
+        drop: 1.0,
+        ..ChaosPlan::lossy(31)
+    };
+    let cluster = Cluster::build(
+        &g,
+        ClusterConfig::new(&dir, 3),
+        EngineConfig::new(EngineKind::GraphTrek).chaos(plan),
+    )
+    .unwrap();
+    let ticket = cluster.start(&q).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    cluster.crash_server(1).unwrap();
+    let waiter = std::thread::scope(|s| {
+        let waiter = s.spawn(|| cluster.wait(&ticket, Duration::from_secs(30)));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while cluster.net_stats().handoffs() == 0 {
+            assert!(std::time::Instant::now() < deadline, "never failed over");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(cluster.cancel(&ticket).unwrap(), "the travel had started");
+        waiter.join().expect("waiter panicked")
+    });
+    assert!(
+        matches!(
+            waiter,
+            Err(ClusterError::Travel(TravelError::Cancelled { travel })) if travel == ticket.travel()
+        ),
+        "expected the ticket's cancellation, got {waiter:?}"
+    );
+    assert_eq!(cluster.active_travels(), 0);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -484,12 +484,13 @@ fn a_long_travel_fails_over() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A successor that is unreachable (isolated) can never acknowledge the
-/// handoff: the orchestration re-nudges for `RECOVER_DEADLINE`, then
-/// surfaces a typed `FailoverStalled` instead of silently burning the
-/// client's whole travel timeout.
+/// A successor that is unreachable (isolated) never shows a sign of life
+/// of the re-drive submitted to it: the client probes it (re-sending the
+/// `Submit`) for `RECOVER_DEADLINE`, then surfaces a typed
+/// `FailoverStalled` instead of silently burning the client's whole
+/// travel timeout.
 #[test]
-fn unacknowledged_handoff_surfaces_failover_stalled() {
+fn a_silent_successor_surfaces_failover_stalled() {
     let g = random_graph(59, 40, None);
     let q = mixed_query();
     let dir = tmp("stalled");
@@ -500,7 +501,7 @@ fn unacknowledged_handoff_surfaces_failover_stalled() {
     )
     .unwrap();
     // Travel 1: coordinator 1, successor-to-be 2. Isolating 2 both
-    // stalls the travel and swallows the recover/handoff rounds.
+    // stalls the travel and swallows the re-drive's `Submit` and probes.
     cluster.isolate_server(2, true);
     let ticket = cluster.start(&q).unwrap();
     std::thread::sleep(Duration::from_millis(50));

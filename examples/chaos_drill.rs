@@ -142,8 +142,8 @@ fn main() {
     println!("per-server coordinator-failover counters:");
     for (id, m) in cluster.metrics().into_iter().enumerate() {
         println!(
-            "  server {id}: failovers={} stale_travel_epoch_dropped={} relay_abandoned={}",
-            m.failovers, m.stale_travel_epoch_dropped, m.relay_abandoned
+            "  server {id}: failovers={} relay_abandoned={}",
+            m.failovers, m.relay_abandoned
         );
     }
     let net = cluster.net_stats();
