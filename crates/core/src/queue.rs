@@ -50,8 +50,11 @@ pub enum ReqMode {
 /// belonging to it has been processed.
 #[derive(Debug, Default)]
 pub struct RequestOutput {
-    /// Next-step vertices per owning server, with merged origin tokens.
-    pub dst_by_owner: HashMap<usize, HashMap<VertexId, BTreeSet<Token>>>,
+    /// Next-step vertices by owning server (indexed by server id): one
+    /// `(vertex, origin tokens)` entry per routed edge, appended as the
+    /// visits fan out. The flush sorts each share by vertex and merges a
+    /// vertex's entries into one, its tokens the sorted union of theirs.
+    pub dst_by_owner: Vec<Vec<(VertexId, Tokens)>>,
     /// Origin tokens satisfied by paths completing in this execution.
     pub satisfied: BTreeSet<Token>,
     /// Returned vertices produced directly by this execution.

@@ -938,6 +938,67 @@ mod tests {
         rig.assert_no_trace_of_the_travel();
     }
 
+    /// Two fan-outs of one execution reach the same vertex with different
+    /// `rtn()` tokens: the flushed `Visit` names it once, with the sorted
+    /// union of their tokens, and its items ascend by vertex.
+    #[test]
+    fn a_flushed_share_names_each_vertex_once_with_its_tokens_united() {
+        use gt_graph::{Edge, Props, Vertex};
+        let rig = Rig::new("token-union", EngineConfig::new(EngineKind::GraphTrek));
+        let sh = &rig.sh;
+        let owned_by = |server: usize| {
+            (0u64..)
+                .map(VertexId)
+                .filter(move |v| sh.placement.primary_of_vid(*v) == server)
+        };
+        let (a, b) = {
+            let mut local = owned_by(0);
+            (local.next().expect("a"), local.next().expect("b"))
+        };
+        let d: Vec<VertexId> = owned_by(PEER).take(3).collect();
+        // `a` reaches d0 and d2, `b` reaches d0 and d1: appended as the
+        // pops fan out, the peer's share reads d0 d2 d0 d1.
+        for (src, dst) in [(a, d[0]), (a, d[2]), (b, d[0]), (b, d[1])] {
+            let edge = Edge::new(src.0, "x", dst.0, Props::new());
+            sh.partition.put_edge(&edge).expect("edge");
+        }
+        for v in [a, b] {
+            let vertex = Vertex::new(v.0, "N", Props::new());
+            sh.partition.put_vertex(&vertex).expect("vertex");
+        }
+        let plan = GTravel::v([a.0, b.0]).rtn().e("x").compile();
+        rig.deliver(Msg::Visit {
+            travel: T,
+            depth: 0,
+            exec: exec(),
+            plan: Arc::new(plan.expect("plan")),
+            coordinator: PEER,
+            items: vec![(a, Vec::new()), (b, Vec::new())],
+        });
+        sh.queue.close();
+        visit::worker_loop(sh);
+        let shares: Vec<Vec<(VertexId, crate::Tokens)>> =
+            std::iter::from_fn(|| rig.peer.try_recv())
+                .filter_map(|env| match env.msg {
+                    Msg::Visit {
+                        depth: 1, items, ..
+                    } => Some(items),
+                    _ => None,
+                })
+                .collect();
+        let [items] = shares.as_slice() else {
+            panic!("one share for the peer, got {shares:?}");
+        };
+        let vertices: Vec<VertexId> = items.iter().map(|(v, _)| *v).collect();
+        assert_eq!(vertices, d, "each vertex once, ascending");
+        let (ta, tb) = (&items[2].1, &items[1].1);
+        assert_eq!((ta.len(), tb.len()), (1, 1), "{items:?}");
+        assert_ne!(ta, tb, "one token per source");
+        let mut union = [ta[0], tb[0]];
+        union.sort();
+        assert_eq!(items[0].1, union, "d0 carries both tokens, sorted");
+    }
+
     /// The coordinator's barrier report needs no fence of its own: the
     /// abort that retires a travel takes its `coords` entry along.
     #[test]

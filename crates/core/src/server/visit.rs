@@ -573,7 +573,7 @@ impl Step<'_> {
     }
 
     /// Route every (matching) edge's destination to its owner's share of
-    /// the next step.
+    /// the next step, all of them under one read of the placement map.
     fn fan_out(
         &self,
         sh: &Arc<Shared>,
@@ -584,26 +584,48 @@ impl Step<'_> {
         let tokens = self.outgoing_tokens(sh);
         let mut out = self.req.out.lock();
         out.tally.merge(&tally);
-        let mut emit = |dst: VertexId| {
-            let owner = sh.placement.primary_of_vid(dst);
-            out.dst_by_owner
-                .entry(owner)
-                .or_default()
-                .entry(dst)
-                .or_default()
-                .extend(tokens.iter().copied());
+        let shares = &mut out.dst_by_owner;
+        let emit = |owner: usize, dst: VertexId| {
+            if shares.len() <= owner {
+                shares.resize_with(owner + 1, Vec::new);
+            }
+            shares[owner].push((dst, Tokens::clone(&tokens)));
         };
         match scan {
             EdgeScan::Dsts(dsts) => {
                 // `process_parts` scans with props whenever a step on
                 // this label filters on them.
                 debug_assert!(hop.edge_filters.is_empty());
-                dsts.iter().copied().for_each(emit)
+                sh.placement.for_each_primary(dsts.iter().copied(), emit)
             }
-            EdgeScan::Full(edges) => edges
-                .iter()
-                .filter(|(_, eprops)| hop.edge_filters.matches(eprops))
-                .for_each(|(dst, _)| emit(*dst)),
+            EdgeScan::Full(edges) => sh.placement.for_each_primary(
+                edges
+                    .iter()
+                    .filter(|(_, eprops)| hop.edge_filters.matches(eprops))
+                    .map(|(dst, _)| *dst),
+                emit,
+            ),
+        }
+    }
+}
+
+/// Sort one owner's share by vertex and merge the entries of a vertex
+/// reached along several edges into one carrying the sorted union of
+/// their tokens: the (vertex, token-set) pairs a frame carries, in
+/// ascending vertex order.
+fn merge_share(items: &mut Vec<(VertexId, Tokens)>) {
+    items.sort_unstable_by_key(|(v, _)| *v);
+    items.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1.append(&mut later.1);
+        }
+        same
+    });
+    for (_, tokens) in items.iter_mut() {
+        if tokens.len() > 1 {
+            tokens.sort_unstable();
+            tokens.dedup();
         }
     }
 }
@@ -649,14 +671,14 @@ fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
     };
     let depth = req.depth + 1;
     let mut sent: Vec<(usize, u64)> = Vec::new();
-    for (owner, map) in out.dst_by_owner {
-        if sync {
-            sent.push((owner, map.len() as u64));
+    for (owner, mut items) in out.dst_by_owner.into_iter().enumerate() {
+        if items.is_empty() {
+            continue;
         }
-        let items: Vec<(VertexId, Tokens)> = map
-            .into_iter()
-            .map(|(v, toks)| (v, toks.into_iter().collect()))
-            .collect();
+        merge_share(&mut items);
+        if sync {
+            sent.push((owner, items.len() as u64));
+        }
         sh.metrics
             .requests_dispatched
             .fetch_add(1, Ordering::Relaxed);

@@ -137,8 +137,8 @@ impl GraphPartition {
         if props.get(CREATED_SEQ_PROP).is_none() {
             let created = self
                 .edges
-                .get_at(&key, ReadView::LATEST)?
-                .and_then(|old| codec::decode_props(&old))
+                .get_with(&key, Some(ReadView::LATEST), codec::decode_props)?
+                .flatten()
                 .and_then(|p| p.get(CREATED_SEQ_PROP).cloned())
                 .unwrap_or(PropValue::Int(seq as i64));
             props.set(CREATED_SEQ_PROP, created);
@@ -154,11 +154,16 @@ impl GraphPartition {
         self.get_vertex_at(id, ReadView::LATEST)
     }
 
-    /// Fetch a vertex as visible at `view`.
+    /// Fetch a vertex as visible at `view`, decoded from the stored
+    /// record in place.
     pub fn get_vertex_at(&self, id: VertexId, view: ReadView) -> Result<Option<Vertex>> {
+        let key = codec::vertex_key(id);
         Ok(self
-            .vertex_record(id, view)?
-            .and_then(|data| codec::decode_vertex(id, &data)))
+            .verts
+            .get_with(&key, self.kv_view(view), |data| {
+                codec::decode_vertex(id, data)
+            })?
+            .flatten())
     }
 
     /// Whether vertex `id` is visible at `view`: the same storage read,
@@ -167,20 +172,17 @@ impl GraphPartition {
     /// step needs. A record `get_vertex_at` would reject is absent here
     /// too.
     pub fn has_vertex_at(&self, id: VertexId, view: ReadView) -> Result<bool> {
-        Ok(self
-            .vertex_record(id, view)?
-            .is_some_and(|data| codec::vertex_well_formed(&data)))
+        let key = codec::vertex_key(id);
+        let found = self
+            .verts
+            .get_with(&key, self.kv_view(view), codec::vertex_well_formed)?;
+        Ok(found == Some(true))
     }
 
-    /// The stored record of vertex `id` as visible at `view` (the view
-    /// only matters to a versioned store).
-    fn vertex_record(&self, id: VertexId, view: ReadView) -> Result<Option<bytes::Bytes>> {
-        let key = codec::vertex_key(id);
-        if self.store.versioning_enabled() {
-            self.verts.get_at(&key, view)
-        } else {
-            self.verts.get(&key)
-        }
+    /// The kvstore view a read at `view` takes: a versioned store resolves
+    /// user keys against it, an unversioned one reads its keys as stored.
+    fn kv_view(&self, view: ReadView) -> Option<ReadView> {
+        self.store.versioning_enabled().then_some(view)
     }
 
     /// Outgoing edges of `src` carrying `label`, as `(dst, props)` pairs
@@ -198,13 +200,14 @@ impl GraphPartition {
     ) -> Result<Vec<(VertexId, Props)>> {
         let prefix = codec::edge_label_prefix(src, label);
         let mut out = Vec::new();
-        for (k, v) in self.scan_edges(&prefix, view)? {
-            if let (Some((_, _, dst)), Some(props)) =
-                (codec::decode_edge_key(&k), codec::decode_props(&v))
-            {
-                out.push((dst, props));
-            }
-        }
+        self.edges
+            .scan_prefix_with(&prefix, self.kv_view(view), |k, v| {
+                if let (Some((_, _, dst)), Some(props)) =
+                    (codec::split_edge_key(k), codec::decode_props(v))
+                {
+                    out.push((dst, props));
+                }
+            })?;
         Ok(out)
     }
 
@@ -219,12 +222,14 @@ impl GraphPartition {
         view: ReadView,
     ) -> Result<Vec<VertexId>> {
         let prefix = codec::edge_label_prefix(src, label);
-        Ok(self
-            .scan_edges(&prefix, view)?
-            .into_iter()
-            .filter(|(_, v)| codec::props_well_formed(v))
-            .filter_map(|(k, _)| codec::split_edge_key(&k).map(|(_, _, dst)| dst))
-            .collect())
+        let mut out = Vec::new();
+        self.edges
+            .scan_prefix_with(&prefix, self.kv_view(view), |k, v| {
+                if codec::props_well_formed(v) {
+                    out.extend(codec::split_edge_key(k).map(|(_, _, dst)| dst));
+                }
+            })?;
+        Ok(out)
     }
 
     /// Every outgoing edge of `src`, all labels.
@@ -240,22 +245,15 @@ impl GraphPartition {
     ) -> Result<Vec<(String, VertexId, Props)>> {
         let prefix = codec::edge_src_prefix(src);
         let mut out = Vec::new();
-        for (k, v) in self.scan_edges(&prefix, view)? {
-            if let (Some((_, label, dst)), Some(props)) =
-                (codec::decode_edge_key(&k), codec::decode_props(&v))
-            {
-                out.push((label, dst, props));
-            }
-        }
+        self.edges
+            .scan_prefix_with(&prefix, self.kv_view(view), |k, v| {
+                if let (Some((_, label, dst)), Some(props)) =
+                    (codec::split_edge_key(k), codec::decode_props(v))
+                {
+                    out.push((label.to_string(), dst, props));
+                }
+            })?;
         Ok(out)
-    }
-
-    fn scan_edges(&self, prefix: &[u8], view: ReadView) -> Result<Vec<(Vec<u8>, bytes::Bytes)>> {
-        if self.store.versioning_enabled() {
-            self.edges.scan_prefix_at(prefix, view)
-        } else {
-            self.edges.scan_prefix(prefix)
-        }
     }
 
     /// Ids of every local vertex with the given type, ascending.
@@ -265,16 +263,7 @@ impl GraphPartition {
 
     /// Ids of every local vertex with the given type visible at `view`.
     pub fn vertices_of_type_at(&self, vtype: &str, view: ReadView) -> Result<Vec<VertexId>> {
-        let ns = self.type_ns(vtype)?;
-        let entries = if self.store.versioning_enabled() {
-            ns.scan_prefix_at(b"", view)?
-        } else {
-            ns.scan_prefix(b"")?
-        };
-        Ok(entries
-            .into_iter()
-            .filter_map(|(k, _)| k.as_slice().try_into().ok().map(VertexId::from_be_bytes))
-            .collect())
+        self.ids_in(&self.type_ns(vtype)?, view)
     }
 
     /// Ids of every local vertex, ascending.
@@ -284,15 +273,16 @@ impl GraphPartition {
 
     /// Ids of every local vertex visible at `view`, ascending.
     pub fn all_vertex_ids_at(&self, view: ReadView) -> Result<Vec<VertexId>> {
-        let entries = if self.store.versioning_enabled() {
-            self.verts.scan_prefix_at(b"", view)?
-        } else {
-            self.verts.scan_prefix(b"")?
-        };
-        Ok(entries
-            .into_iter()
-            .filter_map(|(k, _)| k.as_slice().try_into().ok().map(VertexId::from_be_bytes))
-            .collect())
+        self.ids_in(&self.verts, view)
+    }
+
+    /// The vertex ids keying namespace `ns` at `view`, ascending.
+    fn ids_in(&self, ns: &Namespace, view: ReadView) -> Result<Vec<VertexId>> {
+        let mut out = Vec::new();
+        ns.scan_prefix_with(b"", self.kv_view(view), |k, _| {
+            out.extend(k.try_into().ok().map(VertexId::from_be_bytes));
+        })?;
+        Ok(out)
     }
 
     /// Bulk-load vertices and edges with batched writes. With snapshot

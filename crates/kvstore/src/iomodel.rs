@@ -172,6 +172,52 @@ impl IoStats {
     }
 }
 
+/// One read's accesses: each is charged to the I/O model as it happens
+/// and counted locally; the counts reach the tree's [`IoStats`] once, when
+/// the tally is dropped — the same kinds and counts a per-access
+/// [`IoStats::record`] would give, for four atomic adds per read instead
+/// of two per row.
+pub(crate) struct Tally<'a> {
+    io: &'a IoProfile,
+    stats: &'a IoStats,
+    counts: [u64; 3],
+    bytes: u64,
+}
+
+impl<'a> Tally<'a> {
+    /// Charge `io` and count into `stats`.
+    pub(crate) fn new(io: &'a IoProfile, stats: &'a IoStats) -> Self {
+        Tally {
+            io,
+            stats,
+            counts: [0; 3],
+            bytes: 0,
+        }
+    }
+
+    /// One access of `kind` returning `bytes` bytes.
+    pub(crate) fn access(&mut self, kind: AccessKind, bytes: usize) {
+        self.io.charge(kind);
+        self.counts[kind as usize] += 1;
+        self.bytes += bytes as u64;
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        let s = self.stats;
+        let [warm, cold, seq] = self.counts;
+        for (counter, n) in [(&s.warm, warm), (&s.cold, cold), (&s.sequential, seq)] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        if self.bytes > 0 {
+            s.bytes_read.fetch_add(self.bytes, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Plain-value copy of [`IoStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStatsSnapshot {
@@ -241,5 +287,25 @@ mod tests {
         assert_eq!(snap.bytes_read, 115);
         assert_eq!(snap.bytes_written, 64);
         assert_eq!(snap.total_accesses(), 3);
+    }
+
+    #[test]
+    fn a_tally_lands_what_record_would_have() {
+        let (by_row, tallied) = (IoStats::default(), IoStats::default());
+        let io = IoProfile::free();
+        let accesses = [
+            (AccessKind::Cold, 100),
+            (AccessKind::Warm, 10),
+            (AccessKind::Sequential, 5),
+            (AccessKind::Sequential, 0),
+        ];
+        let mut tally = Tally::new(&io, &tallied);
+        for (kind, bytes) in accesses {
+            by_row.record(kind, bytes);
+            tally.access(kind, bytes);
+        }
+        assert_eq!(tallied.snapshot(), IoStatsSnapshot::default());
+        drop(tally);
+        assert_eq!(tallied.snapshot(), by_row.snapshot());
     }
 }

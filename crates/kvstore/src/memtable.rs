@@ -4,15 +4,103 @@
 //! flushed to an immutable [`segment`](crate::segment) once it exceeds the
 //! configured size. Deletes are recorded as tombstones (`None`) so they can
 //! shadow older segment entries until compaction drops them.
+//!
+//! Keys are [`MemKey`]s: a key of up to [`INLINE_KEY`] bytes lives inside
+//! the B-tree node itself, so a lookup or a prefix scan compares bytes that
+//! are already in the node instead of chasing one heap pointer per key.
 
+use crate::iomodel::{AccessKind, Tally};
 use bytes::Bytes;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::borrow::Borrow;
+use std::collections::btree_map::{self, BTreeMap};
+use std::ops::{Bound, Deref};
+
+/// Longest key the memtable holds inline, inside its map's nodes. A
+/// versioned `link` edge key (`src | len | "link" | dst | !seq`) is 29
+/// bytes; 38 fills a 40-byte key beside its length byte and enum tag.
+pub const INLINE_KEY: usize = 38;
+
+/// A memtable key: inline up to [`INLINE_KEY`] bytes, on the heap above.
+/// Orders, compares and borrows exactly like the `[u8]` it holds.
+pub(crate) enum MemKey {
+    /// `bytes[..len]` is the key.
+    Inline {
+        /// Key length, at most [`INLINE_KEY`].
+        len: u8,
+        /// Key bytes, zero-padded.
+        bytes: [u8; INLINE_KEY],
+    },
+    /// A key longer than [`INLINE_KEY`].
+    Heap(Box<[u8]>),
+}
+
+impl MemKey {
+    /// A key holding a copy of `key`.
+    pub(crate) fn new(key: &[u8]) -> MemKey {
+        if key.len() <= INLINE_KEY {
+            let mut bytes = [0u8; INLINE_KEY];
+            bytes[..key.len()].copy_from_slice(key);
+            MemKey::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            MemKey::Heap(key.into())
+        }
+    }
+
+    /// The key's bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        match self {
+            MemKey::Inline { len, bytes } => &bytes[..*len as usize],
+            MemKey::Heap(b) => b,
+        }
+    }
+}
+
+impl Deref for MemKey {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl Borrow<[u8]> for MemKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for MemKey {
+    fn eq(&self, other: &MemKey) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for MemKey {}
+
+impl PartialOrd for MemKey {
+    fn partial_cmp(&self, other: &MemKey) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MemKey {
+    fn cmp(&self, other: &MemKey) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::fmt::Debug for MemKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MemKey({:?})", self.as_bytes())
+    }
+}
 
 /// Sorted map of key → value-or-tombstone with byte-size accounting.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    entries: BTreeMap<Vec<u8>, Option<Bytes>>,
+    entries: BTreeMap<MemKey, Option<Bytes>>,
     approx_bytes: usize,
 }
 
@@ -25,13 +113,13 @@ impl MemTable {
     /// Insert or overwrite a key.
     pub fn put(&mut self, key: Vec<u8>, value: Bytes) {
         self.account(&key, Some(&value));
-        self.entries.insert(key, Some(value));
+        self.entries.insert(MemKey::new(&key), Some(value));
     }
 
     /// Record a tombstone for a key.
     pub fn delete(&mut self, key: Vec<u8>) {
         self.account(&key, None);
-        self.entries.insert(key, None);
+        self.entries.insert(MemKey::new(&key), None);
     }
 
     fn account(&mut self, key: &[u8], value: Option<&Bytes>) {
@@ -42,25 +130,40 @@ impl MemTable {
 
     /// Look up a key. `Some(None)` means "deleted here" (tombstone);
     /// `None` means "not present in this memtable, check older data".
-    pub fn get(&self, key: &[u8]) -> Option<Option<Bytes>> {
-        self.entries.get(key).cloned()
+    pub fn get(&self, key: &[u8]) -> Option<Option<&Bytes>> {
+        self.entries.get(key).map(Option::as_ref)
     }
 
     /// Ordered iteration over entries whose key starts with `prefix`,
-    /// tombstones included.
-    pub fn scan_prefix<'a>(
+    /// tombstones included — the owned-row reference reads use it.
+    #[cfg(test)]
+    pub(crate) fn scan_prefix<'a>(
         &'a self,
         prefix: &'a [u8],
     ) -> impl Iterator<Item = (&'a [u8], Option<&'a Bytes>)> + 'a {
         self.entries
             .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_slice(), v.as_ref()))
+            .map(|(k, v)| (k.as_bytes(), v.as_ref()))
+    }
+
+    /// A read cursor over the entries under `prefix`, positioned on the
+    /// first one (see [`MemCursor`]).
+    pub(crate) fn cursor<'a>(&'a self, prefix: &'a [u8], tally: &mut Tally) -> MemCursor<'a> {
+        let mut c = MemCursor {
+            rows: self
+                .entries
+                .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded)),
+            prefix,
+            head: None,
+        };
+        c.advance(tally);
+        c
     }
 
     /// All entries in key order (used by flush).
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&Bytes>)> {
-        self.entries.iter().map(|(k, v)| (k.as_slice(), v.as_ref()))
+        self.entries.iter().map(|(k, v)| (k.as_bytes(), v.as_ref()))
     }
 
     /// Approximate resident size in bytes.
@@ -85,6 +188,33 @@ impl MemTable {
     }
 }
 
+/// The memtable's layer of a read: the rows under a prefix, borrowed from
+/// the map, each charged as one warm access when the cursor reaches it.
+pub(crate) struct MemCursor<'a> {
+    rows: btree_map::Range<'a, MemKey, Option<Bytes>>,
+    prefix: &'a [u8],
+    head: Option<(&'a [u8], Option<&'a Bytes>)>,
+}
+
+impl<'a> MemCursor<'a> {
+    /// The row the cursor is on; `None` once past the prefix.
+    pub(crate) fn head(&self) -> Option<(&'a [u8], Option<&'a Bytes>)> {
+        self.head
+    }
+
+    /// Step to the next row under the prefix.
+    pub(crate) fn advance(&mut self, tally: &mut Tally) {
+        self.head = self
+            .rows
+            .next()
+            .filter(|(k, _)| k.starts_with(self.prefix))
+            .map(|(k, v)| (k.as_bytes(), v.as_ref()));
+        if let Some((_, v)) = self.head {
+            tally.access(AccessKind::Warm, v.map_or(0, |b| b.len()));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +228,7 @@ mod tests {
         let mut m = MemTable::new();
         assert!(m.is_empty());
         m.put(b"k1".to_vec(), b("v1"));
-        assert_eq!(m.get(b"k1"), Some(Some(b("v1"))));
+        assert_eq!(m.get(b"k1"), Some(Some(&b("v1"))));
         assert_eq!(m.get(b"k2"), None);
         m.delete(b"k1".to_vec());
         assert_eq!(m.get(b"k1"), Some(None)); // tombstone
@@ -110,7 +240,7 @@ mod tests {
         let mut m = MemTable::new();
         m.put(b"k".to_vec(), b("old"));
         m.put(b"k".to_vec(), b("new"));
-        assert_eq!(m.get(b"k"), Some(Some(b("new"))));
+        assert_eq!(m.get(b"k"), Some(Some(&b("new"))));
         assert_eq!(m.len(), 1);
     }
 
@@ -157,5 +287,39 @@ mod tests {
         m.put(b"a".to_vec(), b("1"));
         let keys: Vec<_> = m.scan_prefix(b"").map(|(k, _)| k.to_vec()).collect();
         assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec()]);
+    }
+
+    #[test]
+    fn mem_keys_order_like_their_bytes_across_the_inline_bound() {
+        assert_eq!(std::mem::size_of::<MemKey>(), 40);
+        let at = |n: usize, last: u8| {
+            let mut k = vec![b'k'; n];
+            if let Some(l) = k.last_mut() {
+                *l = last;
+            }
+            k
+        };
+        let keys = [
+            Vec::new(),
+            at(INLINE_KEY - 1, b'a'),
+            at(INLINE_KEY, b'a'),
+            at(INLINE_KEY, b'z'),
+            at(INLINE_KEY + 1, b'a'),
+            at(INLINE_KEY + 1, b'k'),
+            at(2 * INLINE_KEY, b'a'),
+        ];
+        for a in &keys {
+            let ka = MemKey::new(a);
+            assert_eq!(ka.as_bytes(), a.as_slice());
+            assert_eq!(
+                matches!(ka, MemKey::Inline { .. }),
+                a.len() <= INLINE_KEY,
+                "len {}",
+                a.len()
+            );
+            for b in &keys {
+                assert_eq!(ka.cmp(&MemKey::new(b)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 }

@@ -26,7 +26,9 @@
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::error::{Error, Result};
-use crate::iomodel::{AccessKind, IoProfile, IoStats};
+use crate::iomodel::{AccessKind, Tally};
+#[cfg(test)]
+use crate::iomodel::{IoProfile, IoStats};
 use bytes::Bytes;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -299,13 +301,11 @@ impl Segment {
         tree: u64,
         slot: usize,
         cache: &BlockCache,
-        io: &IoProfile,
-        stats: &IoStats,
+        tally: &mut Tally,
         first_in_chain: bool,
     ) -> Result<(Run, AccessKind)> {
         if let Some(run) = cache.get(tree, self.id, slot as u64) {
-            io.charge(AccessKind::Warm);
-            stats.record(AccessKind::Warm, 0);
+            tally.access(AccessKind::Warm, 0);
             return Ok((run, AccessKind::Warm));
         }
         let e = &self.index[slot];
@@ -316,8 +316,7 @@ impl Segment {
         } else {
             AccessKind::Sequential
         };
-        io.charge(kind);
-        stats.record(kind, buf.len());
+        tally.access(kind, buf.len());
         let run = Arc::new(decode_run(
             &buf,
             e.run_len,
@@ -327,8 +326,147 @@ impl Segment {
         Ok((run, kind))
     }
 
-    /// Point lookup. `Some(None)` is a tombstone.
-    pub fn get(
+    /// Point lookup: the run holding `key` and its index there (the entry
+    /// may be a tombstone); `None` when the segment has no such key.
+    pub(crate) fn lookup(
+        &self,
+        tree: u64,
+        key: &[u8],
+        cache: &BlockCache,
+        tally: &mut Tally,
+    ) -> Result<Option<(Run, usize)>> {
+        if !self.bloom.may_contain(key) {
+            return Ok(None);
+        }
+        let Some(slot) = self.run_for(key) else {
+            return Ok(None);
+        };
+        let (run, _) = self.load_run(tree, slot, cache, tally, true)?;
+        Ok(run
+            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+            .ok()
+            .map(|i| (run, i)))
+    }
+
+    /// A read cursor over the entries under `prefix`, tombstones included,
+    /// positioned on the first one (see [`SegCursor`]).
+    pub(crate) fn cursor<'a>(
+        &'a self,
+        tree: u64,
+        prefix: &'a [u8],
+        cache: &'a BlockCache,
+        tally: &mut Tally,
+    ) -> Result<SegCursor<'a>> {
+        // First run that could contain keys >= prefix.
+        let slot = match self
+            .index
+            .binary_search_by(|e| e.first_key.as_slice().cmp(prefix))
+        {
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
+        };
+        let mut c = SegCursor {
+            seg: self,
+            tree,
+            prefix,
+            cache,
+            slot,
+            run: None,
+            idx: 0,
+            first: true,
+        };
+        c.settle(tally)?;
+        Ok(c)
+    }
+}
+
+/// A segment's layer of a read: the entries under a prefix, borrowed from
+/// the cached runs they live in. Runs are loaded as the cursor reaches
+/// them — the first cold, later ones sequential, a cached one warm — and
+/// each entry of a run that came from disk is charged one sequential
+/// access when the cursor reaches it (a cached run is memory-speed).
+/// Drained to the end, a cursor pays exactly what a full prefix scan of
+/// the segment pays.
+pub(crate) struct SegCursor<'a> {
+    seg: &'a Segment,
+    tree: u64,
+    prefix: &'a [u8],
+    cache: &'a BlockCache,
+    /// The run being read, or the next one to load.
+    slot: usize,
+    /// The loaded run and how it was loaded; `None` between runs and at
+    /// the end.
+    run: Option<(Run, AccessKind)>,
+    /// The current entry of `run`.
+    idx: usize,
+    /// No run loaded yet: the next load is the positioned (cold) read.
+    first: bool,
+}
+
+impl SegCursor<'_> {
+    /// The entry the cursor is on; `None` once past the prefix.
+    pub(crate) fn head(&self) -> Option<(&[u8], Option<&Bytes>)> {
+        let (run, _) = self.run.as_ref()?;
+        let (k, v) = &run[self.idx];
+        Some((k, v.as_ref()))
+    }
+
+    /// Step to the next entry under the prefix.
+    pub(crate) fn advance(&mut self, tally: &mut Tally) -> Result<()> {
+        self.idx += 1;
+        self.settle(tally)
+    }
+
+    /// Move to the first entry at or after `idx` that is under the prefix,
+    /// loading runs as needed, and charge it; or clear `run` at the end.
+    fn settle(&mut self, tally: &mut Tally) -> Result<()> {
+        let n_runs = self.seg.index.len();
+        loop {
+            if let Some((run, kind)) = &self.run {
+                let ran_out = loop {
+                    match run.get(self.idx) {
+                        Some((k, _)) if k.as_slice() < self.prefix => self.idx += 1,
+                        Some((k, v)) if k.starts_with(self.prefix) => {
+                            // Per-key continuation cost models the disk
+                            // scanning adjacent entries; a run served from
+                            // the block cache is memory-speed, so only
+                            // disk-loaded runs pay it.
+                            if *kind != AccessKind::Warm {
+                                let bytes = v.as_ref().map_or(0, |b| b.len());
+                                tally.access(AccessKind::Sequential, bytes);
+                            }
+                            return Ok(());
+                        }
+                        // Past the prefix: nothing further can match.
+                        Some(_) => break false,
+                        None => break true,
+                    }
+                };
+                self.run = None;
+                self.slot = if ran_out { self.slot + 1 } else { n_runs };
+            }
+            // If the next run starts beyond the prefix range, stop.
+            if self.slot >= n_runs || past_prefix(&self.seg.index[self.slot].first_key, self.prefix)
+            {
+                self.slot = n_runs;
+                return Ok(());
+            }
+            let loaded = self
+                .seg
+                .load_run(self.tree, self.slot, self.cache, tally, self.first)?;
+            self.first = false;
+            self.run = Some(loaded);
+            self.idx = 0;
+        }
+    }
+}
+
+#[cfg(test)]
+impl Segment {
+    /// Point lookup. `Some(None)` is a tombstone. The parent commit's
+    /// owned-row read, kept as the reference [`Segment::lookup`] and the
+    /// tree's visitors are tested against.
+    pub(crate) fn get(
         &self,
         tree: u64,
         key: &[u8],
@@ -342,7 +480,7 @@ impl Segment {
         let Some(slot) = self.run_for(key) else {
             return Ok(None);
         };
-        let (run, _) = self.load_run(tree, slot, cache, io, stats, true)?;
+        let (run, _) = self.load_run(tree, slot, cache, &mut Tally::new(io, stats), true)?;
         match run.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
             Ok(i) => Ok(Some(run[i].1.clone())),
             Err(_) => Ok(None),
@@ -350,8 +488,9 @@ impl Segment {
     }
 
     /// Ordered scan of all entries whose key starts with `prefix`,
-    /// tombstones included, appended to `out` as (key, value) pairs.
-    pub fn scan_prefix(
+    /// tombstones included, appended to `out` as (key, value) pairs — the
+    /// owned-row reference for [`SegCursor`].
+    pub(crate) fn scan_prefix(
         &self,
         tree: u64,
         prefix: &[u8],
@@ -363,6 +502,7 @@ impl Segment {
         if self.index.is_empty() {
             return Ok(());
         }
+        let tally = &mut Tally::new(io, stats);
         // First run that could contain keys >= prefix.
         let start = match self
             .index
@@ -378,7 +518,7 @@ impl Segment {
             if past_prefix(&self.index[slot].first_key, prefix) {
                 break;
             }
-            let (run, load_kind) = self.load_run(tree, slot, cache, io, stats, first)?;
+            let (run, load_kind) = self.load_run(tree, slot, cache, tally, first)?;
             first = false;
             let mut run_done = false;
             for (k, v) in run.iter() {
@@ -389,12 +529,8 @@ impl Segment {
                     run_done = true;
                     break;
                 }
-                // Per-key continuation cost models the disk scanning
-                // adjacent entries; a run served from the block cache is
-                // memory-speed, so only disk-loaded runs pay it.
                 if load_kind != AccessKind::Warm {
-                    io.charge(AccessKind::Sequential);
-                    stats.record(AccessKind::Sequential, v.as_ref().map_or(0, |b| b.len()));
+                    tally.access(AccessKind::Sequential, v.as_ref().map_or(0, |b| b.len()));
                 }
                 out.push((k.clone(), v.clone()));
             }

@@ -11,15 +11,14 @@
 use crate::batch::{BatchOp, WriteBatch};
 use crate::cache::BlockCache;
 use crate::error::Result;
-use crate::iomodel::{AccessKind, IoProfile, IoStats};
-use crate::memtable::MemTable;
-use crate::segment::{Segment, SegmentBuilder};
+use crate::iomodel::{AccessKind, IoProfile, IoStats, Tally};
+use crate::memtable::{MemCursor, MemKey, MemTable};
+use crate::segment::{SegCursor, Segment, SegmentBuilder};
 use crate::version::{self, ReadView, VersionState};
 use crate::wal;
 use crate::wal::Wal;
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -197,21 +196,10 @@ impl Tree {
         &self.name
     }
 
-    /// Point lookup; `None` when absent or deleted.
+    /// Point lookup; `None` when absent or deleted. A collector over
+    /// the read [`Tree::get_with`] makes.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        let inner = self.inner.read();
-        if let Some(hit) = inner.memtable.get(key) {
-            self.io.charge(AccessKind::Warm);
-            self.stats
-                .record(AccessKind::Warm, hit.as_ref().map_or(0, |b| b.len()));
-            return Ok(hit);
-        }
-        for seg in &inner.segments {
-            if let Some(hit) = seg.get(self.cache_tag, key, &self.cache, &self.io, &self.stats)? {
-                return Ok(hit);
-            }
-        }
-        Ok(None)
+        self.read_point(key, None, Bytes::clone)
     }
 
     /// Insert or overwrite one key.
@@ -276,42 +264,160 @@ impl Tree {
 
     /// Versioned point lookup: the newest version of `ukey` with
     /// `stamp <= view.seq`; `None` when absent at (or deleted as of)
-    /// that view.
+    /// that view. A collector over the read [`Tree::get_with`] makes.
     pub fn get_at(&self, ukey: &[u8], view: ReadView) -> Result<Option<Bytes>> {
-        let inner = self.inner.read();
-        let versions = self.raw_rows(&inner, ukey, &self.io)?;
-        drop(inner);
-        let mut winner: Option<(u64, Option<Bytes>)> = None;
-        let mut saw_newer = false;
-        for (k, v) in versions {
-            if k.len() != ukey.len() + version::SUFFIX_LEN {
-                continue; // a longer user key sharing the prefix
-            }
-            let Some((_, seq)) = version::split_suffixed(&k) else {
-                continue;
-            };
-            if seq > view.seq {
-                saw_newer = true;
-                continue;
-            }
-            if winner.as_ref().is_none_or(|(w, _)| seq > *w) {
-                winner = Some((seq, v));
-            }
-        }
-        self.note_stale_read(saw_newer);
-        Ok(winner.and_then(|(_, v)| v))
+        self.read_point(ukey, Some(view), Bytes::clone)
+    }
+
+    /// Ordered scan of all live entries whose key starts with `prefix`.
+    /// A collector over the read [`Tree::scan_prefix_with`] makes.
+    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Bytes)>> {
+        self.collect_prefix(prefix, None)
     }
 
     /// Versioned ordered scan: for every user key starting with
     /// `prefix`, the newest version with `stamp <= view.seq`, suffix
-    /// stripped; tombstone winners are dropped.
+    /// stripped; tombstone winners are dropped. A collector over the read
+    /// [`Tree::scan_prefix_with`] makes.
     pub fn scan_prefix_at(&self, prefix: &[u8], view: ReadView) -> Result<Vec<(Vec<u8>, Bytes)>> {
+        self.collect_prefix(prefix, Some(view))
+    }
+
+    fn collect_prefix(
+        &self,
+        prefix: &[u8],
+        view: Option<ReadView>,
+    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+        let mut out = Vec::new();
+        self.read_prefix(prefix, view, |k, v| out.push((k.to_vec(), v.clone())))?;
+        Ok(out)
+    }
+
+    /// Point read handing the value to `f` where it lies — in the
+    /// memtable or in a cached segment run — instead of copying it out;
+    /// `Ok(None)` when the key is absent or deleted, and then `f` is not
+    /// called. With `view: None` `key` is read as stored (an unversioned
+    /// tree's key, or a versioned tree's full internal key); with
+    /// `Some(view)` it is a user key resolved against the view, as
+    /// [`Tree::get_at`] does. Storage is touched and charged exactly as by
+    /// [`Tree::get`] / [`Tree::get_at`].
+    ///
+    /// `f` runs under the tree's read lock: it must not call back into
+    /// the store (a write to this tree would deadlock on the lock).
+    pub fn get_with<R>(
+        &self,
+        key: &[u8],
+        view: Option<ReadView>,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>> {
+        self.read_point(key, view, |v| f(v))
+    }
+
+    /// Ordered scan handing every live entry under `prefix` to `f` as
+    /// `(key, value)` where it lies, in key order. With `view: None` keys
+    /// are read as stored; with `Some(view)` each user key's newest
+    /// version the view sees is handed over with its suffix stripped, as
+    /// [`Tree::scan_prefix_at`] does. Storage is touched and charged
+    /// exactly as by [`Tree::scan_prefix`] / [`Tree::scan_prefix_at`].
+    ///
+    /// `f` runs under the tree's read lock: it must not call back into
+    /// the store (a write to this tree would deadlock on the lock).
+    pub fn scan_prefix_with(
+        &self,
+        prefix: &[u8],
+        view: Option<ReadView>,
+        mut f: impl FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        self.read_prefix(prefix, view, |k, v| f(k, v))
+    }
+
+    /// The one point read: [`Tree::get_with`] handing over the stored
+    /// `Bytes`, which a collector clones — a reference count, not a copy.
+    fn read_point<R>(
+        &self,
+        key: &[u8],
+        view: Option<ReadView>,
+        f: impl FnOnce(&Bytes) -> R,
+    ) -> Result<Option<R>> {
         let inner = self.inner.read();
-        let rows = self.raw_rows(&inner, prefix, &self.io)?;
+        let mut tally = Tally::new(&self.io, &self.stats);
+        let Some(view) = view else {
+            if let Some(hit) = inner.memtable.get(key) {
+                tally.access(AccessKind::Warm, hit.map_or(0, |b| b.len()));
+                return Ok(hit.map(f));
+            }
+            for seg in &inner.segments {
+                if let Some((run, i)) = seg.lookup(self.cache_tag, key, &self.cache, &mut tally)? {
+                    return Ok(run[i].1.as_ref().map(f));
+                }
+            }
+            return Ok(None);
+        };
+        // The versions of `key` are the rows under it exactly one suffix
+        // longer, newest first (inverted suffix): the first one the view
+        // sees decides. Rows after it are still read — and charged — as
+        // the owned read did.
+        let exact = key.len() + version::SUFFIX_LEN;
+        let (mut f, mut out, mut saw_newer) = (Some(f), None, false);
+        self.layers(&inner.segments, Some(&inner.memtable), key, &mut tally)?
+            .visit(&mut tally, |k, v| {
+                if k.len() != exact || f.is_none() {
+                    return; // a longer user key sharing the prefix, or decided
+                }
+                let Some((_, seq)) = version::split_suffixed(k) else {
+                    return;
+                };
+                if seq > view.seq {
+                    saw_newer = true;
+                } else {
+                    out = v.zip(f.take()).map(|(v, f)| f(v));
+                }
+            })?;
         drop(inner);
-        let (out, saw_newer) = resolve_at(rows, view);
         self.note_stale_read(saw_newer);
         Ok(out)
+    }
+
+    /// The one prefix read: [`Tree::scan_prefix_with`] handing over the
+    /// stored `Bytes`.
+    fn read_prefix(
+        &self,
+        prefix: &[u8],
+        view: Option<ReadView>,
+        mut f: impl FnMut(&[u8], &Bytes),
+    ) -> Result<()> {
+        let inner = self.inner.read();
+        let mut tally = Tally::new(&self.io, &self.stats);
+        let layers = self.layers(&inner.segments, Some(&inner.memtable), prefix, &mut tally)?;
+        let Some(view) = view else {
+            return layers.visit(&mut tally, |k, v| {
+                if let Some(v) = v {
+                    f(k, v)
+                }
+            });
+        };
+        // Versions of one user key are adjacent with the newest first
+        // (inverted suffix), so the first visible entry per group wins.
+        let (mut resolved, mut saw_newer) = (None::<MemKey>, false);
+        layers.visit(&mut tally, |k, v| {
+            let Some((ukey, seq)) = version::split_suffixed(k) else {
+                return;
+            };
+            if resolved.as_deref() == Some(ukey) {
+                return; // this group already resolved
+            }
+            if seq > view.seq {
+                saw_newer = true;
+                return;
+            }
+            resolved = Some(MemKey::new(ukey));
+            if let Some(v) = v {
+                f(ukey, v)
+            }
+        })?;
+        drop(inner);
+        self.note_stale_read(saw_newer);
+        Ok(())
     }
 
     /// Credit `stale_seq_reads` when a versioned read skipped a version
@@ -324,70 +430,33 @@ impl Tree {
         }
     }
 
-    /// Raw rows under `prefix` from every layer that holds any, oldest
-    /// layer first (segments oldest to newest, then the memtable), each
-    /// layer in key order. This is the only place a scan touches storage,
-    /// so the I/O-model charges and [`IoStats`] of a scan are decided
-    /// here, whatever is done with the rows afterwards.
-    fn scan_layers(
-        &self,
-        inner: &TreeInner,
-        prefix: &[u8],
-        io: &IoProfile,
-    ) -> Result<Vec<Vec<RawRow>>> {
-        let mut layers = Vec::new();
-        for seg in inner.segments.iter().rev() {
-            let mut rows = Vec::new();
-            seg.scan_prefix(
+    /// The layers of a read — `segments` oldest to newest, then
+    /// `memtable` — that hold rows under `prefix`, each as a cursor on its
+    /// first row. Opening a cursor reads (and charges) what a prefix scan
+    /// of its layer reads before its first row.
+    fn layers<'a>(
+        &'a self,
+        segments: &'a [Arc<Segment>],
+        memtable: Option<&'a MemTable>,
+        prefix: &'a [u8],
+        tally: &mut Tally,
+    ) -> Result<Layers<'a>> {
+        let mut layers = Layers {
+            older: Vec::new(),
+            newest: None,
+        };
+        for seg in segments.iter().rev() {
+            layers.push(Layer::Seg(seg.cursor(
                 self.cache_tag,
                 prefix,
                 &self.cache,
-                io,
-                &self.stats,
-                &mut rows,
-            )?;
-            if !rows.is_empty() {
-                layers.push(rows);
-            }
+                tally,
+            )?));
         }
-        let mem: Vec<RawRow> = inner
-            .memtable
-            .scan_prefix(prefix)
-            .map(|(k, v)| {
-                io.charge(AccessKind::Warm);
-                self.stats
-                    .record(AccessKind::Warm, v.map_or(0, |b| b.len()));
-                (k.to_vec(), v.cloned())
-            })
-            .collect();
-        if !mem.is_empty() {
-            layers.push(mem);
+        if let Some(m) = memtable {
+            layers.push(Layer::Mem(m.cursor(prefix, tally)));
         }
         Ok(layers)
-    }
-
-    /// Raw view of the tree under `prefix` — full internal keys in key
-    /// order, tombstones included, newer layers shadowing older ones.
-    ///
-    /// When at most one layer holds rows under the prefix (a loaded,
-    /// read-mostly tree: everything in the memtable, or everything in one
-    /// segment) nothing can shadow anything, so that layer's rows are the
-    /// answer as they stand. Otherwise the layers go through
-    /// [`merge_raw`].
-    fn raw_rows(&self, inner: &TreeInner, prefix: &[u8], io: &IoProfile) -> Result<Vec<RawRow>> {
-        let mut layers = self.scan_layers(inner, prefix, io)?;
-        if layers.len() > 1 {
-            return Ok(merge_raw(layers));
-        }
-        Ok(layers.pop().unwrap_or_default())
-    }
-
-    /// Ordered scan of all live entries whose key starts with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Bytes)>> {
-        let inner = self.inner.read();
-        let rows = self.raw_rows(&inner, prefix, &self.io)?;
-        drop(inner);
-        Ok(resolve_live(rows))
     }
 
     /// Flush the memtable to a new segment (no-op when empty).
@@ -460,48 +529,30 @@ impl Tree {
                 return Ok(());
             }
         }
-        // Newest-wins merge of all segments.
-        let mut merged: BTreeMap<Vec<u8>, Option<Bytes>> = BTreeMap::new();
-        let mut scratch = Vec::new();
+        // Newest-wins merge of all segments (the memtable is not part of
+        // it). With versioning on, keep only the newest version of each
+        // user key (its stamped key intact, so `as_of` that seq still
+        // resolves); shadowed versions and tombstone winners drop. With no
+        // pinned view this is exactly the unversioned contract.
         // Compaction is maintenance I/O, not a modeled query access: use a
         // free profile so experiments are not distorted by setup work.
         let free = IoProfile::free();
-        for seg in inner.segments.iter().rev() {
-            scratch.clear();
-            seg.scan_prefix(
-                self.cache_tag,
-                b"",
-                &self.cache,
-                &free,
-                &self.stats,
-                &mut scratch,
-            )?;
-            for (k, v) in scratch.drain(..) {
-                merged.insert(k, v);
-            }
-        }
-        // With versioning on, keep only the newest version of each user
-        // key (its stamped key intact, so `as_of` that seq still
-        // resolves); shadowed versions and tombstone winners drop. With
-        // no pinned view this is exactly the unversioned contract.
-        if self.version.is_some() {
-            let mut newest_of: Option<Vec<u8>> = None;
-            merged.retain(|k, _| match version::split_suffixed(k) {
-                Some((ukey, _)) => {
+        let mut tally = Tally::new(&free, &self.stats);
+        let versioned = self.version.is_some();
+        let mut live: Vec<(Vec<u8>, Bytes)> = Vec::new();
+        let mut newest_of: Option<MemKey> = None;
+        self.layers(&inner.segments, None, b"", &mut tally)?
+            .visit(&mut tally, |k, v| {
+                if let Some((ukey, _)) = version::split_suffixed(k).filter(|_| versioned) {
                     if newest_of.as_deref() == Some(ukey) {
-                        false
-                    } else {
-                        newest_of = Some(ukey.to_vec());
-                        true
+                        return;
                     }
+                    newest_of = Some(MemKey::new(ukey));
                 }
-                None => true,
-            });
-        }
-        let live: Vec<(&Vec<u8>, &Bytes)> = merged
-            .iter()
-            .filter_map(|(k, v)| v.as_ref().map(|v| (k, v)))
-            .collect();
+                if let Some(v) = v {
+                    live.push((k.to_vec(), v.clone()));
+                }
+            })?;
         let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
         let final_path = self.dir.join(format!("seg-{id}.sst"));
         let tmp_path = self.dir.join(format!("seg-{id}.sst.tmp"));
@@ -516,7 +567,7 @@ impl Tree {
         }
         let mut builder =
             SegmentBuilder::create(&tmp_path, live.len(), self.cfg.bloom_bits_per_key)?;
-        for (k, v) in live {
+        for (k, v) in &live {
             builder.add(k, Some(v))?;
         }
         drop(builder.finish(id)?);
@@ -535,31 +586,13 @@ impl Tree {
     /// compaction: shard-migration snapshot export must not distort the
     /// modeled query cost.
     pub fn export_all(&self) -> Result<Vec<(Vec<u8>, Bytes)>> {
-        let inner = self.inner.read();
-        let mut merged: BTreeMap<Vec<u8>, Option<Bytes>> = BTreeMap::new();
-        let mut scratch = Vec::new();
-        let free = IoProfile::free();
-        for seg in inner.segments.iter().rev() {
-            scratch.clear();
-            seg.scan_prefix(
-                self.cache_tag,
-                b"",
-                &self.cache,
-                &free,
-                &self.stats,
-                &mut scratch,
-            )?;
-            for (k, v) in scratch.drain(..) {
-                merged.insert(k, v);
+        let mut out = Vec::new();
+        self.export(|k, v| {
+            if let Some(v) = v {
+                out.push((k.to_vec(), v.clone()));
             }
-        }
-        for (k, v) in inner.memtable.scan_prefix(b"") {
-            merged.insert(k.to_vec(), v.cloned());
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect())
+        })?;
+        Ok(out)
     }
 
     /// Every entry of the namespace as raw internal keys — all versions
@@ -568,9 +601,18 @@ impl Tree {
     /// arrive intact on the target or a pinned mid-travel view would
     /// resolve differently there. Maintenance I/O (free profile).
     pub fn export_raw(&self) -> Result<Vec<(Vec<u8>, Option<Bytes>)>> {
+        let mut out = Vec::new();
+        self.export(|k, v| out.push((k.to_vec(), v.cloned())))?;
+        Ok(out)
+    }
+
+    /// The newest-wins raw view of the whole tree, read as maintenance.
+    fn export(&self, emit: impl FnMut(&[u8], Option<&Bytes>)) -> Result<()> {
         let inner = self.inner.read();
         let free = IoProfile::free();
-        self.raw_rows(&inner, b"", &free)
+        let mut tally = Tally::new(&free, &self.stats);
+        self.layers(&inner.segments, Some(&inner.memtable), b"", &mut tally)?
+            .visit(&mut tally, emit)
     }
 
     /// Receiving side of [`Tree::export_raw`]: build one immutable
@@ -698,61 +740,100 @@ impl Tree {
     }
 }
 
-/// One raw row of a layer: full internal key, `None` = tombstone.
-type RawRow = (Vec<u8>, Option<Bytes>);
+/// One layer's cursor in a read.
+enum Layer<'a> {
+    Mem(MemCursor<'a>),
+    Seg(SegCursor<'a>),
+}
 
-/// Newest-wins merge of per-layer rows (oldest layer first) into one
-/// key-ordered raw view. The general scan path, and the reference the
-/// single-layer shortcut in [`Tree::raw_rows`] is tested against.
-fn merge_raw(layers: Vec<Vec<RawRow>>) -> Vec<RawRow> {
-    let mut merged: BTreeMap<Vec<u8>, Option<Bytes>> = BTreeMap::new();
-    for layer in layers {
-        merged.extend(layer);
+impl Layer<'_> {
+    fn head(&self) -> Option<(&[u8], Option<&Bytes>)> {
+        match self {
+            Layer::Mem(c) => c.head(),
+            Layer::Seg(c) => c.head(),
+        }
     }
-    merged.into_iter().collect()
+
+    fn advance(&mut self, tally: &mut Tally) -> Result<()> {
+        match self {
+            Layer::Mem(c) => c.advance(tally),
+            Layer::Seg(c) => c.advance(tally)?,
+        }
+        Ok(())
+    }
 }
 
-/// Unversioned resolution of a raw view: drop the tombstones.
-fn resolve_live(rows: Vec<RawRow>) -> Vec<(Vec<u8>, Bytes)> {
-    rows.into_iter()
-        .filter_map(|(k, v)| v.map(|v| (k, v)))
-        .collect()
+/// The layers of one read that hold rows, oldest first. The newest is
+/// kept apart so that a read whose rows all live in one layer — a loaded,
+/// read-mostly tree: everything in the memtable, or everything in one
+/// segment — allocates nothing and merges nothing.
+struct Layers<'a> {
+    older: Vec<Layer<'a>>,
+    newest: Option<Layer<'a>>,
 }
 
-/// Versioned resolution of a raw view against `view`: per user key the
-/// newest version with `stamp <= view.seq`, suffix stripped, tombstone
-/// winners dropped. Also reports whether any newer version was skipped.
-fn resolve_at(rows: Vec<RawRow>, view: ReadView) -> (Vec<(Vec<u8>, Bytes)>, bool) {
-    let mut out: Vec<(Vec<u8>, Bytes)> = Vec::with_capacity(rows.len());
-    let mut saw_newer = false;
-    // Versions of one user key are adjacent with the newest first
-    // (inverted suffix), so the first visible entry per group wins.
-    let mut resolved: Option<Vec<u8>> = None;
-    for (mut k, v) in rows {
-        let Some((ukey, seq)) = version::split_suffixed(&k) else {
-            continue;
-        };
-        if resolved.as_deref() == Some(ukey) {
-            continue; // this group already resolved
-        }
-        if seq > view.seq {
-            saw_newer = true;
-            continue;
-        }
-        let ukey_len = ukey.len();
-        match &mut resolved {
-            Some(r) => {
-                r.clear();
-                r.extend_from_slice(ukey);
+impl<'a> Layers<'a> {
+    /// Add the next-newer layer, if it holds any row.
+    fn push(&mut self, layer: Layer<'a>) {
+        if layer.head().is_some() {
+            if let Some(older) = self.newest.replace(layer) {
+                self.older.push(older);
             }
-            None => resolved = Some(ukey.to_vec()),
-        }
-        if let Some(v) = v {
-            k.truncate(ukey_len);
-            out.push((k, v));
         }
     }
-    (out, saw_newer)
+
+    /// How many layers hold rows.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.older.len() + usize::from(self.newest.is_some())
+    }
+
+    /// Hand every raw row to `emit` in key order — full internal keys,
+    /// tombstones as `None` — with the newest layer's row where layers
+    /// share a key, draining (and so charging) every layer to its end.
+    fn visit(self, tally: &mut Tally, mut emit: impl FnMut(&[u8], Option<&Bytes>)) -> Result<()> {
+        let Layers {
+            older: mut layers,
+            newest,
+        } = self;
+        let Some(mut newest) = newest else {
+            return Ok(());
+        };
+        if layers.is_empty() {
+            // One layer holds a key once and nothing can shadow it.
+            while let Some((k, v)) = newest.head() {
+                emit(k, v);
+                newest.advance(tally)?;
+            }
+            return Ok(());
+        }
+        layers.push(newest);
+        let mut key: Vec<u8> = Vec::new();
+        loop {
+            // The smallest head key; of the layers holding it, the newest.
+            let mut win: Option<(usize, &[u8])> = None;
+            for (i, layer) in layers.iter().enumerate() {
+                if let Some((k, _)) = layer.head() {
+                    if win.is_none_or(|(_, w)| k <= w) {
+                        win = Some((i, k));
+                    }
+                }
+            }
+            let Some((i, _)) = win else {
+                return Ok(());
+            };
+            if let Some((k, v)) = layers[i].head() {
+                emit(k, v);
+                key.clear();
+                key.extend_from_slice(k);
+            }
+            for layer in layers.iter_mut() {
+                if layer.head().is_some_and(|(k, _)| k == key.as_slice()) {
+                    layer.advance(tally)?;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1327,7 +1408,7 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
-    // ---- single-layer scan shortcut == layered merge -----------------
+    // ---- the visitors == the parent's owned-row reads -----------------
 
     #[derive(Debug, Clone)]
     enum LayerOp {
@@ -1379,12 +1460,180 @@ mod tests {
         out
     }
 
+    /// Every key of 0..=3 bytes over the key alphabet: the point reads.
+    fn all_keys() -> Vec<Vec<u8>> {
+        let mut out = all_prefixes();
+        for p in all_prefixes().into_iter().filter(|p| p.len() == 2) {
+            out.extend((b'a'..=b'c').map(|c| [p.as_slice(), &[c]].concat()));
+        }
+        out
+    }
+
+    // The parent commit's owned-row reads, kept as the reference the
+    // visitors are held to: every layer's rows copied out (`scan_layers`),
+    // merged through a `BTreeMap` (`merge_raw`), then resolved.
+
+    /// One raw row of a layer: full internal key, `None` = tombstone.
+    type RawRow = (Vec<u8>, Option<Bytes>);
+
+    /// Newest-wins merge of per-layer rows (oldest layer first) into one
+    /// key-ordered raw view.
+    fn merge_raw(layers: Vec<Vec<RawRow>>) -> Vec<RawRow> {
+        let mut merged: std::collections::BTreeMap<Vec<u8>, Option<Bytes>> =
+            std::collections::BTreeMap::new();
+        for layer in layers {
+            merged.extend(layer);
+        }
+        merged.into_iter().collect()
+    }
+
+    /// Unversioned resolution of a raw view: drop the tombstones.
+    fn resolve_live(rows: Vec<RawRow>) -> Vec<(Vec<u8>, Bytes)> {
+        rows.into_iter()
+            .filter_map(|(k, v)| v.map(|v| (k, v)))
+            .collect()
+    }
+
+    /// Versioned resolution of a raw view against `view`: per user key the
+    /// newest version with `stamp <= view.seq`, suffix stripped, tombstone
+    /// winners dropped. Also reports whether any newer version was skipped.
+    fn resolve_at(rows: Vec<RawRow>, view: ReadView) -> (Vec<(Vec<u8>, Bytes)>, bool) {
+        let mut out: Vec<(Vec<u8>, Bytes)> = Vec::with_capacity(rows.len());
+        let mut saw_newer = false;
+        let mut resolved: Option<Vec<u8>> = None;
+        for (mut k, v) in rows {
+            let Some((ukey, seq)) = version::split_suffixed(&k) else {
+                continue;
+            };
+            if resolved.as_deref() == Some(ukey) {
+                continue;
+            }
+            if seq > view.seq {
+                saw_newer = true;
+                continue;
+            }
+            let ukey_len = ukey.len();
+            resolved = Some(ukey.to_vec());
+            if let Some(v) = v {
+                k.truncate(ukey_len);
+                out.push((k, v));
+            }
+        }
+        (out, saw_newer)
+    }
+
     impl Tree {
+        /// Raw rows under `prefix` from every layer that holds any, oldest
+        /// layer first, each layer in key order, charged per row.
+        fn scan_layers(&self, prefix: &[u8]) -> Vec<Vec<RawRow>> {
+            let inner = self.inner.read();
+            let mut layers = Vec::new();
+            for seg in inner.segments.iter().rev() {
+                let mut rows = Vec::new();
+                seg.scan_prefix(
+                    self.cache_tag,
+                    prefix,
+                    &self.cache,
+                    &self.io,
+                    &self.stats,
+                    &mut rows,
+                )
+                .unwrap();
+                if !rows.is_empty() {
+                    layers.push(rows);
+                }
+            }
+            let mem: Vec<RawRow> = inner
+                .memtable
+                .scan_prefix(prefix)
+                .map(|(k, v)| {
+                    self.io.charge(AccessKind::Warm);
+                    self.stats
+                        .record(AccessKind::Warm, v.map_or(0, |b| b.len()));
+                    (k.to_vec(), v.cloned())
+                })
+                .collect();
+            if !mem.is_empty() {
+                layers.push(mem);
+            }
+            layers
+        }
+
         /// The scan as it would be if every read took the layered merge.
         fn merged_rows(&self, prefix: &[u8]) -> Vec<RawRow> {
-            let inner = self.inner.read();
-            merge_raw(self.scan_layers(&inner, prefix, &self.io).unwrap())
+            merge_raw(self.scan_layers(prefix))
         }
+
+        fn owned_get(&self, key: &[u8]) -> Option<Bytes> {
+            let inner = self.inner.read();
+            if let Some(hit) = inner.memtable.get(key) {
+                self.io.charge(AccessKind::Warm);
+                self.stats
+                    .record(AccessKind::Warm, hit.map_or(0, |b| b.len()));
+                return hit.cloned();
+            }
+            for seg in &inner.segments {
+                if let Some(hit) = seg
+                    .get(self.cache_tag, key, &self.cache, &self.io, &self.stats)
+                    .unwrap()
+                {
+                    return hit;
+                }
+            }
+            None
+        }
+
+        fn owned_get_at(&self, ukey: &[u8], view: ReadView) -> Option<Bytes> {
+            let mut winner: Option<(u64, Option<Bytes>)> = None;
+            let mut saw_newer = false;
+            for (k, v) in self.merged_rows(ukey) {
+                if k.len() != ukey.len() + version::SUFFIX_LEN {
+                    continue;
+                }
+                let Some((_, seq)) = version::split_suffixed(&k) else {
+                    continue;
+                };
+                if seq > view.seq {
+                    saw_newer = true;
+                    continue;
+                }
+                if winner.as_ref().is_none_or(|(w, _)| seq > *w) {
+                    winner = Some((seq, v));
+                }
+            }
+            self.note_stale_read(saw_newer);
+            winner.and_then(|(_, v)| v)
+        }
+
+        fn owned_scan_at(&self, prefix: &[u8], view: ReadView) -> Vec<(Vec<u8>, Bytes)> {
+            let (out, saw_newer) = resolve_at(self.merged_rows(prefix), view);
+            self.note_stale_read(saw_newer);
+            out
+        }
+
+        /// The read counters one read moves: warm, cold and sequential
+        /// accesses, bytes read, stale-view reads.
+        fn read_counters(&self) -> [u64; 5] {
+            let s = self.io_stats();
+            let stale = self
+                .version
+                .as_ref()
+                .map_or(0, |v| v.stats_snapshot().stale_seq_reads);
+            [s.warm, s.cold, s.sequential, s.bytes_read, stale]
+        }
+    }
+
+    /// `read` from an emptied block cache, then again warm: what each pass
+    /// returned and the counters it moved.
+    fn cold_then_warm<T>(t: &Tree, read: impl Fn() -> T) -> [(T, [u64; 5]); 2] {
+        t.cache.clear();
+        let pass = || {
+            let before = t.read_counters();
+            let out = read();
+            let after = t.read_counters();
+            (out, std::array::from_fn(|i| after[i] - before[i]))
+        };
+        [pass(), pass()]
     }
 
     use proptest::prelude::*;
@@ -1406,6 +1655,19 @@ mod tests {
             for prefix in all_prefixes() {
                 let want = resolve_live(t.merged_rows(&prefix));
                 prop_assert_eq!(t.scan_prefix(&prefix).unwrap(), want, "prefix {:?}", prefix);
+                // Rows and what reading them cost, cold and warm.
+                prop_assert_eq!(
+                    cold_then_warm(&t, || t.scan_prefix(&prefix).unwrap()),
+                    cold_then_warm(&t, || resolve_live(t.merged_rows(&prefix))),
+                    "prefix {:?}", prefix
+                );
+            }
+            for key in all_keys() {
+                prop_assert_eq!(
+                    cold_then_warm(&t, || t.get(&key).unwrap()),
+                    cold_then_warm(&t, || t.owned_get(&key)),
+                    "key {:?}", key
+                );
             }
             std::fs::remove_dir_all(dir).ok();
         }
@@ -1436,6 +1698,11 @@ mod tests {
                         want,
                         "prefix {:?} view {:?}", prefix, view
                     );
+                    prop_assert_eq!(
+                        cold_then_warm(&t, || t.scan_prefix_at(&prefix, view).unwrap()),
+                        cold_then_warm(&t, || t.owned_scan_at(&prefix, view)),
+                        "prefix {:?} view {:?}", prefix, view
+                    );
                     // A whole user key as the prefix is the point read.
                     let want_get = t
                         .merged_rows(&prefix)
@@ -1446,6 +1713,13 @@ mod tests {
                         .max_by_key(|(s, _)| *s)
                         .and_then(|(_, v)| v);
                     prop_assert_eq!(t.get_at(&prefix, view).unwrap(), want_get);
+                }
+                for key in all_keys() {
+                    prop_assert_eq!(
+                        cold_then_warm(&t, || t.get_at(&key, view).unwrap()),
+                        cold_then_warm(&t, || t.owned_get_at(&key, view)),
+                        "key {:?} view {:?}", key, view
+                    );
                 }
             }
             std::fs::remove_dir_all(dir).ok();
@@ -1464,7 +1738,10 @@ mod tests {
         t.put(b"b1".to_vec(), Bytes::from_static(b"y2")).unwrap();
         let layers = |prefix: &[u8]| {
             let inner = t.inner.read();
-            t.scan_layers(&inner, prefix, &t.io).unwrap().len()
+            let mut tally = Tally::new(&t.io, &t.stats);
+            t.layers(&inner.segments, Some(&inner.memtable), prefix, &mut tally)
+                .unwrap()
+                .len()
         };
         assert_eq!(layers(b"a"), 1, "only the segment holds a-keys");
         assert_eq!(layers(b"b"), 2, "memtable shadows the segment");

@@ -216,7 +216,8 @@ impl PlacementMap {
 /// A process-shared placement map behind a leaf-only `RwLock`: every
 /// method acquires and releases internally, never exposing a guard, so
 /// the lock can be read from any point of the server/cluster lock order
-/// without joining it.
+/// without joining it (a callback run under the guard, as
+/// [`SharedPlacement::for_each_primary`]'s, may not touch the placement).
 #[derive(Debug)]
 pub struct SharedPlacement {
     map: RwLock<PlacementMap>,
@@ -283,6 +284,21 @@ impl SharedPlacement {
             buckets[m.primary_of(m.partition_of(vid))].push(vid);
         }
         buckets
+    }
+
+    /// Call `f(primary, vid)` for each of `vids`, all routed by one read
+    /// of the map: one lock acquisition for a whole fan-out, and every
+    /// destination of it routed by the same map version. `f` runs under
+    /// the read guard, so it must not touch the placement itself.
+    pub fn for_each_primary(
+        &self,
+        vids: impl IntoIterator<Item = VertexId>,
+        mut f: impl FnMut(usize, VertexId),
+    ) {
+        let m = self.map.read();
+        for vid in vids {
+            f(m.primary_of(m.partition_of(vid)), vid);
+        }
     }
 
     /// Has `server` been decommissioned?
@@ -419,6 +435,12 @@ mod tests {
         let buckets = shared.group_by_primary(vids.iter().copied());
         assert_eq!(buckets.len(), 4);
         assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 200);
+        let mut routed = Vec::new();
+        shared.for_each_primary(vids.iter().copied(), |s, vid| routed.push((s, vid)));
+        assert_eq!(routed.len(), 200);
+        for (s, vid) in routed {
+            assert!(buckets[s].contains(&vid));
+        }
         for (s, bucket) in buckets.iter().enumerate() {
             for vid in bucket {
                 assert_eq!(shared.primary_of_vid(*vid), s);
