@@ -95,26 +95,50 @@ impl TraversalCache {
     /// one lock acquisition. Returns the requests still to be served —
     /// first visits as they came, re-visits narrowed to their unseen
     /// tokens — and how many were abandoned as redundant.
+    ///
+    /// A batch that fits under the capacity resolves the travel's entries
+    /// once and bumps the length once; one that could cross it takes the
+    /// per-item path, so every verdict and every eviction is the one
+    /// [`TraversalCache::observe`] would have made item by item.
     pub fn observe_many(
         &self,
         travel: TravelId,
         step: u16,
-        items: Vec<(VertexId, Tokens)>,
+        mut items: Vec<(VertexId, Tokens)>,
     ) -> (Vec<(VertexId, Tokens)>, u64) {
         if self.capacity == 0 {
             return (items, 0);
         }
         let mut map = self.inner.lock();
-        let mut kept = Vec::with_capacity(items.len());
         let mut redundant = 0u64;
-        for (v, tokens) in items {
-            match self.observe_locked(&mut map, travel, step, v, &tokens) {
-                CacheDecision::FirstVisit => kept.push((v, tokens)),
-                CacheDecision::Redundant => redundant += 1,
-                CacheDecision::NewTokens(new) => kept.push((v, new)),
+        let mut keep = |tokens: &mut Tokens, decision| match decision {
+            CacheDecision::FirstVisit => true,
+            CacheDecision::Redundant => {
+                redundant += 1;
+                false
             }
+            CacheDecision::NewTokens(new) => {
+                *tokens = new;
+                true
+            }
+        };
+        if self.len() + items.len() > self.capacity {
+            items.retain_mut(|(v, tokens)| {
+                let decision = self.observe_locked(&mut map, travel, step, *v, tokens);
+                keep(tokens, decision)
+            });
+        } else {
+            let entries = &mut map.entry(travel).or_default().entries;
+            let mut inserted = 0;
+            items.retain_mut(|(v, tokens)| {
+                let (decision, new) = decide(entries, step, *v, tokens);
+                inserted += usize::from(new);
+                keep(tokens, decision)
+            });
+            self.len
+                .fetch_add(inserted, std::sync::atomic::Ordering::Relaxed);
         }
-        (kept, redundant)
+        (items, redundant)
     }
 
     fn observe_locked(
@@ -126,29 +150,14 @@ impl TraversalCache {
         tokens: &Tokens,
     ) -> CacheDecision {
         let entries = &mut map.entry(travel).or_default().entries;
-        match entries.get_mut(&(step, vertex)) {
-            Some(seen) => {
-                let new: Tokens = tokens
-                    .iter()
-                    .copied()
-                    .filter(|t| !seen.contains(t))
-                    .collect();
-                if new.is_empty() {
-                    CacheDecision::Redundant
-                } else {
-                    seen.extend(new.iter().copied());
-                    CacheDecision::NewTokens(new)
-                }
-            }
-            None => {
-                entries.insert((step, vertex), tokens.iter().copied().collect());
-                let total = self.len.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                if total > self.capacity {
-                    self.evict_locked(map, travel, (step, vertex));
-                }
-                CacheDecision::FirstVisit
+        let (decision, inserted) = decide(entries, step, vertex, tokens);
+        if inserted {
+            let total = self.len.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            if total > self.capacity {
+                self.evict_locked(map, travel, (step, vertex));
             }
         }
+        decision
     }
 
     /// Evict smallest-step triples, preferring the inserting travel, and
@@ -227,6 +236,35 @@ impl TraversalCache {
     }
 }
 
+/// The verdict on one request against one travel's entries, inserting
+/// the triple on a first visit (the second value says it was inserted).
+fn decide(
+    entries: &mut BTreeMap<(u16, VertexId), BTreeSet<Token>>,
+    step: u16,
+    vertex: VertexId,
+    tokens: &Tokens,
+) -> (CacheDecision, bool) {
+    match entries.get_mut(&(step, vertex)) {
+        Some(seen) => {
+            let new: Tokens = tokens
+                .iter()
+                .copied()
+                .filter(|t| !seen.contains(t))
+                .collect();
+            if new.is_empty() {
+                (CacheDecision::Redundant, false)
+            } else {
+                seen.extend(new.iter().copied());
+                (CacheDecision::NewTokens(new), false)
+            }
+        }
+        None => {
+            entries.insert((step, vertex), tokens.iter().copied().collect());
+            (CacheDecision::FirstVisit, true)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +333,7 @@ mod tests {
             ]
         );
         let many = TraversalCache::new(100, 0);
-        let (kept, redundant) = many.observe_many(9, 3, items);
+        let (kept, redundant) = many.observe_many(9, 3, items.clone());
         assert_eq!(
             kept,
             vec![
@@ -306,6 +344,42 @@ mod tests {
         );
         assert_eq!(redundant, 1);
         assert_eq!(many.len(), one.len());
+        // Batches that cross the capacity, beside another travel's
+        // entries: the same verdicts, evictions and length as item by item,
+        // and the same survivors after.
+        for capacity in [3, 5, 6, 8] {
+            let one = TraversalCache::new(capacity, 0);
+            let many = TraversalCache::new(capacity, 0);
+            for c in [&one, &many] {
+                c.observe(4, 1, VertexId(9), &vec![]);
+                c.observe(4, 2, VertexId(9), &vec![]);
+            }
+            for (step, batch) in [(1, &items), (2, &items), (3, &items)] {
+                let mut kept = Vec::new();
+                let mut redundant = 0;
+                for (v, t) in batch.iter() {
+                    match one.observe(9, step, *v, t) {
+                        CacheDecision::FirstVisit => kept.push((*v, t.clone())),
+                        CacheDecision::Redundant => redundant += 1,
+                        CacheDecision::NewTokens(new) => kept.push((*v, new)),
+                    }
+                }
+                let got = many.observe_many(9, step, batch.clone());
+                assert_eq!(got, (kept, redundant), "capacity {capacity}, step {step}");
+                assert_eq!(many.len(), one.len(), "capacity {capacity}, step {step}");
+            }
+            for travel in [4, 9] {
+                for step in 1..=3 {
+                    for v in [1, 2, 9] {
+                        assert_eq!(
+                            many.observe(travel, step, VertexId(v), &vec![tok(0, 1)]),
+                            one.observe(travel, step, VertexId(v), &vec![tok(0, 1)]),
+                            "capacity {capacity}: ({travel}, {step}, {v}) evicted differently"
+                        );
+                    }
+                }
+            }
+        }
         // Disabled cache: everything passes through untouched.
         let off = TraversalCache::new(0, 0);
         let (kept, redundant) = off.observe_many(9, 3, vec![(VertexId(1), vec![]); 2]);

@@ -9,15 +9,19 @@
 //! Similarly, a graph traversal does not finish unless all the executions
 //! created are marked as terminated in the coordinator server."
 //!
-//! Because creation reports and termination reports from *different*
-//! servers race on independent links, a termination may arrive for an
-//! execution the coordinator has not seen created yet. The ledger keeps
-//! such events as *orphans*: the traversal is complete only when every
-//! created execution is terminated **and** no orphan termination remains
-//! unmatched — i.e. the created and terminated sets are equal — which is
-//! exactly the paper's condition evaluated race-safely (terminations carry
-//! the children list, so the sets can only become equal once the whole
-//! execution tree has quiesced).
+//! Both events arrive in one kind of report: an execution's termination
+//! names the children it created (and carries the vertices it returned),
+//! so an execution is registered by its parent's report and terminated by
+//! its own. The two come from *different* servers and race on independent
+//! links, so a termination may arrive for an execution the coordinator has
+//! not seen created yet. The ledger keeps such events as *orphans*: the
+//! traversal is complete only when every created execution is terminated
+//! **and** no orphan termination remains unmatched — i.e. the created and
+//! terminated sets are equal — which is exactly the paper's condition
+//! evaluated race-safely (the sets can only become equal once the whole
+//! execution tree has quiesced). Each report also names the server that
+//! ran the execution, so a finished travel is retired on exactly the
+//! servers that hosted it.
 //!
 //! # Interaction with the fault-injecting transport
 //!
@@ -45,6 +49,8 @@ pub struct TravelLedger {
     pub plan: Arc<Plan>,
     /// Client endpoint awaiting `TravelDone`.
     pub client: usize,
+    /// Servers that reported running an execution of this travel.
+    hosts: BTreeSet<usize>,
     created: HashSet<ExecId>,
     terminated: HashSet<ExecId>,
     /// Terminations that arrived before their creation report.
@@ -66,6 +72,7 @@ impl TravelLedger {
         TravelLedger {
             plan,
             client,
+            hosts: BTreeSet::new(),
             created: HashSet::new(),
             terminated: HashSet::new(),
             orphans: HashSet::new(),
@@ -81,7 +88,7 @@ impl TravelLedger {
     /// Record an execution-creation event.
     pub fn exec_created(&mut self, exec: ExecId, depth: u16) {
         if !self.created.insert(exec) {
-            return; // duplicate (e.g. eager report + termination children)
+            return; // duplicate (a redelivered termination's children)
         }
         self.created_total += 1;
         self.depth_of.insert(exec, depth);
@@ -117,6 +124,26 @@ impl TravelLedger {
         for &(depth, v) in items {
             self.results.entry(depth).or_default().insert(v);
         }
+    }
+
+    /// Apply one execution's report: the vertices it returned, the
+    /// server it ran on, and its termination with the children it
+    /// registers.
+    pub fn report(
+        &mut self,
+        exec: ExecId,
+        children: &[(ExecId, u16)],
+        results: &[(u16, VertexId)],
+        server: usize,
+    ) {
+        self.add_results(results);
+        self.hosts.insert(server);
+        self.exec_terminated(exec, children);
+    }
+
+    /// Servers that ran an execution of this travel, in id order.
+    pub fn hosts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.hosts.iter().copied()
     }
 
     /// The traversal-complete condition.
@@ -310,17 +337,19 @@ mod tests {
         assert!(!l.is_done());
         l.exec_created(eid(0, 1), 0); // root
         assert!(!l.is_done());
-        // Root terminates creating two children.
-        l.exec_terminated(eid(0, 1), &[(eid(1, 1), 1), (eid(2, 1), 1)]);
+        // Root terminates on server 1 creating two children; both run on
+        // server 2.
+        l.report(eid(0, 1), &[(eid(1, 1), 1), (eid(2, 1), 1)], &[], 1);
         assert!(!l.is_done());
-        l.exec_terminated(eid(1, 1), &[]);
+        l.report(eid(1, 1), &[], &[(1, VertexId(4))], 2);
         assert!(!l.is_done());
-        l.exec_terminated(eid(2, 1), &[]);
+        l.report(eid(2, 1), &[], &[], 2);
         assert!(l.is_done());
         let p = l.progress();
         assert_eq!(p.created, 3);
         assert_eq!(p.terminated, 3);
         assert_eq!(p.outstanding(), 0);
+        assert_eq!(l.hosts().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

@@ -90,8 +90,8 @@ impl FaultPlan {
 /// data-plane traversal messages (`Visit`, `SourceScan`, `SyncFrontier`);
 /// counting them gives a workload-relative trigger that lands mid-travel
 /// regardless of graph size. With `coordinator_events` set, the counter
-/// instead runs over the coordinator-role tracing messages
-/// (`ExecCreated`, `ExecTerminated`, `Results`, `SyncStepDone`), so the
+/// instead runs over the coordinator-role reports (`ExecTerminated`,
+/// `SyncStepDone`) — one per execution, or per server and step — so the
 /// crash reliably lands on a server while it is *hosting a ledger* — the
 /// failover path's target. A crash point fires at most once per plan — a
 /// restarted server does not re-arm it.

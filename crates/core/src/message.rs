@@ -2,9 +2,14 @@
 //! servers.
 //!
 //! One enum covers both engines: the asynchronous flow (`Visit` fan-out
-//! with `ExecCreated`/`ExecTerminated` tracing, §IV-B/§IV-C) and the
-//! synchronous baseline's controller protocol (`SyncStart` barriers with
-//! server-to-server `SyncFrontier` data flow, §VI). Messages are plain
+//! with `ExecTerminated` tracing, §IV-B/§IV-C) and the synchronous
+//! baseline's controller protocol (`SyncStart` barriers with
+//! server-to-server `SyncFrontier` data flow, §VI). §IV-C finishes an
+//! execution once it "has registered all its downstream executions … and
+//! has reported its own termination": that is one event, and it is one
+//! message — the termination names the children it created and carries
+//! the vertices it returned, so a flush sends its shares and then exactly
+//! one report to the coordinator. Messages are plain
 //! values — the "network" is [`gt_net`]'s simulated fabric — but each
 //! reports an approximate [`WireSize`] so the bandwidth model can charge
 //! transmission cost.
@@ -152,17 +157,9 @@ pub enum Msg {
         /// Vertices with their accumulated origin tokens.
         items: Vec<(VertexId, Tokens)>,
     },
-    /// Server → coordinator: a downstream execution was created (§IV-C).
-    ExecCreated {
-        /// Travel id.
-        travel: TravelId,
-        /// The new execution.
-        exec: ExecId,
-        /// Depth it will run at.
-        depth: u16,
-    },
     /// Server → coordinator: an execution finished; its children are
-    /// registered atomically with the termination (§IV-C).
+    /// registered atomically with the termination (§IV-C), and the
+    /// vertices it returned ride along.
     ExecTerminated {
         /// Travel id.
         travel: TravelId,
@@ -170,6 +167,11 @@ pub enum Msg {
         exec: ExecId,
         /// Executions it spawned, with their depths.
         children: Vec<(ExecId, u16)>,
+        /// Returned vertices it produced (depth-tagged).
+        results: Vec<(u16, VertexId)>,
+        /// The server that ran it (the coordinator retires the travel
+        /// on the servers that hosted it).
+        server: usize,
     },
     /// Final-step server → origin owner: these pending-return tokens had a
     /// path reach the end of the chain (§IV-D).
@@ -182,13 +184,6 @@ pub enum Msg {
         coordinator: usize,
         /// Token ids local to the receiving server.
         tokens: Vec<u64>,
-    },
-    /// Any server → coordinator: returned vertices (depth-tagged).
-    Results {
-        /// Travel id.
-        travel: TravelId,
-        /// (depth, vertex) pairs.
-        items: Vec<(u16, VertexId)>,
     },
 
     // ---------------------------------------------------- sync traversal
@@ -234,6 +229,8 @@ pub enum Msg {
         sent: Vec<(usize, u64)>,
         /// Origin tokens satisfied per owner server.
         origin_sent: Vec<(usize, u64)>,
+        /// Returned vertices this server produced in the step.
+        results: Vec<(u16, VertexId)>,
     },
 
     // ------------------------------------------- online metadata updates
@@ -487,8 +484,7 @@ pub(crate) enum Traffic {
     Lossy(u64),
     /// Carries frontier vertices entering at this depth.
     Frontier(u16),
-    /// A status-tracing report or returned vertices on their way to the
-    /// coordinator.
+    /// A status-tracing report on its way to the coordinator.
     Tracing,
     /// A sync step's barrier report.
     StepDone,
@@ -540,9 +536,7 @@ impl Msg {
             }
             Msg::Visit { depth, .. } | Msg::SyncFrontier { depth, .. } => Traffic::Frontier(*depth),
             Msg::SourceScan { .. } => Traffic::Frontier(0),
-            Msg::ExecCreated { .. } | Msg::ExecTerminated { .. } | Msg::Results { .. } => {
-                Traffic::Tracing
-            }
+            Msg::ExecTerminated { .. } => Traffic::Tracing,
             Msg::SyncStepDone { .. } => Traffic::StepDone,
             // Listed explicitly so a new variant fails to compile here
             // instead of being silently dropped at the client or
@@ -600,18 +594,21 @@ impl WireSize for Msg {
                 // The plan rides along but is tiny next to the items.
                 40 + plan.wire_size() + items.iter().map(|(_, t)| 8 + t.len() * 10).sum::<usize>()
             }
-            Msg::ExecCreated { .. } => 28,
-            Msg::ExecTerminated { children, .. } => 28 + children.len() * 10,
+            Msg::ExecTerminated {
+                children, results, ..
+            } => 40 + (children.len() + results.len()) * 10,
             Msg::OriginSatisfied { tokens, .. } => 36 + tokens.len() * 8,
-            Msg::Results { items, .. } => 16 + items.len() * 10,
             Msg::SyncStart { plan, .. } => 36 + plan.wire_size(),
             Msg::SyncFrontier { items, .. } => {
                 20 + items.iter().map(|(_, t)| 8 + t.len() * 10).sum::<usize>()
             }
             Msg::SyncOrigin { tokens, .. } => 16 + tokens.len() * 8,
             Msg::SyncStepDone {
-                sent, origin_sent, ..
-            } => 28 + (sent.len() + origin_sent.len()) * 12,
+                sent,
+                origin_sent,
+                results,
+                ..
+            } => 32 + (sent.len() + origin_sent.len()) * 12 + results.len() * 10,
             Msg::Ingest {
                 vertices, edges, ..
             } => {
@@ -712,6 +709,16 @@ mod tests {
         assert!(Msg::Shutdown.wire_size() < 16);
     }
 
+    fn report() -> Msg {
+        Msg::ExecTerminated {
+            travel: 3,
+            exec: ExecId::new(1, 1),
+            children: vec![],
+            results: vec![],
+            server: 1,
+        }
+    }
+
     #[test]
     fn only_relays_and_heartbeats_carry_chaos_keys() {
         let relay = Msg::Relay {
@@ -720,10 +727,7 @@ mod tests {
             epoch: 0,
             seq: 5,
             attempt: 1,
-            inner: Box::new(Msg::Results {
-                travel: 3,
-                items: vec![],
-            }),
+            inner: Box::new(report()),
         };
         let retry = Msg::Relay {
             travel: 3,
@@ -731,10 +735,7 @@ mod tests {
             epoch: 0,
             seq: 5,
             attempt: 2,
-            inner: Box::new(Msg::Results {
-                travel: 3,
-                items: vec![],
-            }),
+            inner: Box::new(report()),
         };
         let ack = Msg::RelayAck {
             travel: 3,
@@ -779,11 +780,7 @@ mod tests {
         assert_eq!(Msg::Crash.chaos_key(), None);
         assert_eq!(Msg::Shutdown.chaos_key(), None);
         // The envelope charges for its header plus the payload.
-        let inner = Msg::Results {
-            travel: 3,
-            items: vec![],
-        };
-        assert_eq!(relay.wire_size(), 40 + inner.wire_size());
+        assert_eq!(relay.wire_size(), 40 + report().wire_size());
         assert_eq!(ack.wire_size(), 28);
     }
 

@@ -109,6 +109,68 @@ pub struct WorkItem {
     pub req: Arc<RequestState>,
 }
 
+/// The parts queued for one entry, and what a pop returns for one vertex.
+/// The first part is held inline and only a second one moves them to the
+/// heap: nearly every entry only ever holds one (≈ 99 % of pops on
+/// `fanout_uds`), so a push and its pop allocate nothing of their own. An
+/// empty `Parts` is the merging queue's place-holder. Reads as a slice of
+/// its parts in arrival order.
+#[derive(Debug, Default)]
+pub struct Parts(PartsRepr);
+
+#[derive(Debug, Default)]
+enum PartsRepr {
+    #[default]
+    Empty,
+    One(WorkItem),
+    Many(Vec<WorkItem>),
+}
+
+impl Parts {
+    /// Add a part after the ones already held.
+    fn push(&mut self, item: WorkItem) {
+        self.0 = match std::mem::take(&mut self.0) {
+            PartsRepr::Empty => PartsRepr::One(item),
+            PartsRepr::One(first) => PartsRepr::Many(vec![first, item]),
+            PartsRepr::Many(mut parts) => {
+                parts.push(item);
+                PartsRepr::Many(parts)
+            }
+        };
+    }
+
+    /// Move every part of `other` after the ones held, leaving `other`
+    /// empty.
+    fn append(&mut self, other: &mut Parts) {
+        match std::mem::take(&mut other.0) {
+            PartsRepr::Empty => {}
+            PartsRepr::One(item) => self.push(item),
+            PartsRepr::Many(parts) => parts.into_iter().for_each(|item| self.push(item)),
+        }
+    }
+}
+
+impl std::ops::Deref for Parts {
+    type Target = [WorkItem];
+    fn deref(&self) -> &[WorkItem] {
+        match &self.0 {
+            PartsRepr::Empty => &[],
+            PartsRepr::One(item) => std::slice::from_ref(item),
+            PartsRepr::Many(parts) => parts,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Parts {
+    fn deref_mut(&mut self) -> &mut [WorkItem] {
+        match &mut self.0 {
+            PartsRepr::Empty => &mut [],
+            PartsRepr::One(item) => std::slice::from_mut(item),
+            PartsRepr::Many(parts) => parts,
+        }
+    }
+}
+
 /// Queue behaviour shared by both policies.
 pub trait RequestQueue: Send + Sync {
     /// Enqueue a batch of vertex requests; returns the number of vertex
@@ -116,8 +178,9 @@ pub trait RequestQueue: Send + Sync {
     /// queue-length high-water mark from it without a second lock).
     fn push_many(&self, items: Vec<WorkItem>) -> usize;
     /// Blocking pop. Returns every queued part for one chosen vertex
-    /// (always a single part for FIFO); `None` once closed and drained.
-    fn pop(&self) -> Option<Vec<WorkItem>>;
+    /// (for FIFO, every part of one entry); `None` once closed and
+    /// drained.
+    fn pop(&self) -> Option<Parts>;
     /// Close the queue; blocked and future pops return `None` after the
     /// queue drains.
     fn close(&self);
@@ -146,7 +209,7 @@ struct FifoInner {
     /// coalesces into the same entry instead of queuing again — only
     /// re-arrivals after the entry was processed become the redundant
     /// visits of §V-A.
-    items: HashMap<(TravelId, u16, VertexId), Vec<WorkItem>>,
+    items: HashMap<(TravelId, u16, VertexId), Parts>,
     live: usize,
     closed: bool,
 }
@@ -176,7 +239,7 @@ impl RequestQueue for FifoQueue {
                     e.get_mut().push(item);
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(vec![item]);
+                    e.insert(Parts(PartsRepr::One(item)));
                     g.order.push_back(key);
                 }
             }
@@ -188,7 +251,7 @@ impl RequestQueue for FifoQueue {
         live
     }
 
-    fn pop(&self) -> Option<Vec<WorkItem>> {
+    fn pop(&self) -> Option<Parts> {
         let mut g = self.inner.lock();
         loop {
             while let Some(key) = g.order.pop_front() {
@@ -265,7 +328,7 @@ struct TravelQ {
     /// anyway, instead of waiting for its own depth's sweep to reload the
     /// run. On `deep_cold`, dropping these place-holders costs +70 % cold
     /// reads per travel (300 → 509) and 10 % of the travel rate.
-    slots: BTreeMap<(u16, VertexId), Vec<WorkItem>>,
+    slots: BTreeMap<(u16, VertexId), Parts>,
     /// Weighted virtual service this travel has received (0 = uninitialized;
     /// a fresh entry joins at the queue's virtual floor).
     vservice: u64,
@@ -274,6 +337,14 @@ struct TravelQ {
 }
 
 impl TravelQ {
+    /// Queue `item` behind the parts already at its `(depth, vertex)`.
+    fn put(&mut self, item: WorkItem) {
+        self.slots
+            .entry((item.depth, item.vertex))
+            .or_default()
+            .push(item);
+    }
+
     /// Take the next vertex in pick order with every part queued for it:
     /// the slot at the smallest `(depth, vertex)`, then — execution
     /// merging — whatever the same vertex has queued at each deeper depth
@@ -281,7 +352,7 @@ impl TravelQ {
     /// then a lookup), so one storage access serves them all. Place-holders
     /// with nothing to serve are dropped on the way; `None` once no slot is
     /// left.
-    fn take_next(&mut self) -> Option<Vec<WorkItem>> {
+    fn take_next(&mut self) -> Option<Parts> {
         loop {
             let ((mut depth, vertex), mut parts) = self.slots.pop_first()?;
             while let Some((&(deeper, _), _)) = self
@@ -340,23 +411,27 @@ impl MergingQueue {
 impl RequestQueue for MergingQueue {
     fn push_many(&self, items: Vec<WorkItem>) -> usize {
         let mut g = self.inner.lock();
-        let vfloor = g.vfloor;
-        g.live += items.len();
-        for item in items {
-            let tq = g.travels.entry(item.req.travel).or_default();
+        let inner = &mut *g;
+        inner.live += items.len();
+        // One travel lookup per run of same-travel items: a batch is one
+        // execution's, so nearly always a single run.
+        let mut items = items.into_iter().peekable();
+        while let Some(first) = items.next() {
+            let travel = first.req.travel;
+            let tq = inner.travels.entry(travel).or_default();
             if tq.weight == 0 {
                 // Fresh (or re-entrant) travel: join at the virtual floor
                 // with a weight derived from its plan's length, scaled by
                 // the tenant priority the front door stamped on the plan
                 // (1 when no QoS gate is in play).
-                tq.weight = weight_for_depth(item.req.plan.depth())
-                    * u64::from(item.req.plan.qos_weight.max(1));
-                tq.vservice = vfloor;
+                tq.weight = weight_for_depth(first.req.plan.depth())
+                    * u64::from(first.req.plan.qos_weight.max(1));
+                tq.vservice = inner.vfloor;
             }
-            tq.slots
-                .entry((item.depth, item.vertex))
-                .or_default()
-                .push(item);
+            tq.put(first);
+            while let Some(item) = items.next_if(|item| item.req.travel == travel) {
+                tq.put(item);
+            }
         }
         let live = g.live;
         drop(g);
@@ -364,7 +439,7 @@ impl RequestQueue for MergingQueue {
         live
     }
 
-    fn pop(&self) -> Option<Vec<WorkItem>> {
+    fn pop(&self) -> Option<Parts> {
         let mut g = self.inner.lock();
         loop {
             // Level 1 — cross-travel pick: least virtual service, ties
@@ -415,7 +490,7 @@ impl RequestQueue for MergingQueue {
     fn clear_travel(&self, travel: TravelId) {
         let mut g = self.inner.lock();
         if let Some(tq) = g.travels.remove(&travel) {
-            let removed: usize = tq.slots.values().map(Vec::len).sum();
+            let removed: usize = tq.slots.values().map(|parts| parts.len()).sum();
             g.live -= removed;
         }
     }
@@ -604,6 +679,53 @@ mod tests {
     }
 
     #[test]
+    fn push_many_of_mixed_travels_is_push_per_item() {
+        // A batch whose runs switch travels (and return to one) queues
+        // exactly what pushing its items one at a time does.
+        let (a, b, c) = (
+            req_with_hops(1, 1, 5, 1),
+            req(2, 0, 5),
+            req_with_hops(3, 2, 5, 4),
+        );
+        let batch = || {
+            vec![
+                item(&a, 4),
+                item(&a, 2),
+                item(&b, 7),
+                item(&a, 4),
+                item(&c, 1),
+                item(&c, 7),
+                item(&b, 3),
+            ]
+        };
+        let drain = |q: &MergingQueue| {
+            let mut out = Vec::new();
+            while !q.pop_is_empty_nonblocking() {
+                let parts = q.pop().unwrap();
+                out.push(
+                    parts
+                        .iter()
+                        .map(|p| (p.req.travel, p.depth, p.vertex))
+                        .collect::<Vec<_>>(),
+                );
+            }
+            out
+        };
+        let (batched, one_by_one) = (MergingQueue::new(), MergingQueue::new());
+        // A travel already queued, so the batch's newcomers join at a
+        // virtual floor above zero.
+        for q in [&batched, &one_by_one] {
+            q.push_many(vec![item(&c, 9), item(&c, 8)]);
+            q.pop().unwrap();
+        }
+        assert_eq!(batched.push_many(batch()), 8);
+        for it in batch() {
+            one_by_one.push_many(vec![it]);
+        }
+        assert_eq!(drain(&batched), drain(&one_by_one));
+    }
+
+    #[test]
     fn fair_pick_alternates_across_equal_travels() {
         // Two travels with equal weights and equal backlogs must share
         // service turn-about instead of one draining the other's tail.
@@ -657,7 +779,7 @@ mod tests {
         let drain = |q: &MergingQueue| -> Vec<(TravelId, u16, VertexId)> {
             let mut out = Vec::new();
             while !q.pop_is_empty_nonblocking() {
-                for p in q.pop().unwrap() {
+                for p in q.pop().unwrap().iter() {
                     out.push((p.req.travel, p.depth, p.vertex));
                 }
             }
@@ -750,7 +872,7 @@ mod tests {
         let pop_into = |out: &mut String| {
             let parts = q.pop().unwrap();
             let _ = write!(out, "t{}", parts[0].req.travel);
-            for p in &parts {
+            for p in parts.iter() {
                 assert_eq!(p.req.travel, parts[0].req.travel);
                 let _ = write!(out, " {}:{}#{}", p.depth, p.vertex.0, p.tokens[0].id);
             }

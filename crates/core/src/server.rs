@@ -453,20 +453,13 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             coordinator,
             items,
         } => visit::handle_visit(sh, travel, depth, exec, plan, coordinator, items),
-        Msg::ExecCreated {
-            travel,
-            exec,
-            depth,
-        } => coord::coord_event(sh, travel, |l| l.exec_created(exec, depth)),
         Msg::ExecTerminated {
             travel,
             exec,
             children,
-        } => {
-            coord::coord_event(sh, travel, |l| l.exec_terminated(exec, &children));
-            coord::maybe_finish_async(sh, travel);
-        }
-        Msg::Results { travel, items } => coord::coord_results(sh, travel, &items),
+            results,
+            server,
+        } => coord::coord_event(sh, travel, |l| l.report(exec, &children, &results, server)),
         Msg::OriginSatisfied {
             travel,
             exec,
@@ -496,7 +489,8 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             server,
             sent,
             origin_sent,
-        } => coord::handle_sync_step_done(sh, travel, depth, server, &sent, &origin_sent),
+            results,
+        } => coord::handle_sync_step_done(sh, travel, depth, server, &sent, &origin_sent, &results),
         Msg::Abort { travel } => handle_abort(sh, travel),
         Msg::Cancel { travel, client } => {
             // Cluster-wide cancellation: same cleanup as an abort,
@@ -671,6 +665,22 @@ mod tests {
             assert_eq!(handle_msg(&self.sh, msg), LoopCtl::Continue);
         }
 
+        /// Deliver what the server sent itself until its inbox is empty.
+        fn pump(&self) {
+            while let Some(env) = self.sh.ep.try_recv() {
+                self.deliver(env.msg);
+            }
+        }
+
+        /// A vertex id whose primary is `server`.
+        fn owned_by(&self, server: usize) -> VertexId {
+            let placement = &self.sh.placement;
+            (0u64..)
+                .map(VertexId)
+                .find(|v| placement.primary_of_vid(*v) == server)
+                .expect("every server owns a partition")
+        }
+
         /// Nothing on this server remembers `T`, and nothing left it.
         fn assert_no_trace_of_the_travel(&self) {
             let sh = &self.sh;
@@ -810,10 +820,12 @@ mod tests {
             assert!(rig.peer.pending() > 0, "{kind:?}: the source went out");
             while rig.peer.try_recv().is_some() {}
             // One tracing report in, so a fresh ledger would show.
-            rig.deliver(Msg::ExecCreated {
+            rig.deliver(Msg::ExecTerminated {
                 travel: T,
                 exec: exec(),
-                depth: 1,
+                children: vec![(ExecId::new(PEER, 2), 2)],
+                results: Vec::new(),
+                server: PEER,
             });
             let traced = rig.progress(T);
             rig.deliver(submit());
@@ -852,25 +864,12 @@ mod tests {
             ),
             (
                 EngineKind::GraphTrek,
-                Msg::ExecCreated {
-                    travel: T,
-                    exec: exec(),
-                    depth: 1,
-                },
-            ),
-            (
-                EngineKind::GraphTrek,
                 Msg::ExecTerminated {
                     travel: T,
                     exec: exec(),
                     children: vec![(ExecId::new(PEER, 2), 2)],
-                },
-            ),
-            (
-                EngineKind::GraphTrek,
-                Msg::Results {
-                    travel: T,
-                    items: vec![(1, VertexId(5))],
+                    results: vec![(1, VertexId(5))],
+                    server: PEER,
                 },
             ),
             (
@@ -889,6 +888,7 @@ mod tests {
                     server: PEER,
                     sent: Vec::new(),
                     origin_sent: Vec::new(),
+                    results: vec![(1, VertexId(5))],
                 },
             ),
         ];
@@ -999,6 +999,115 @@ mod tests {
         assert_eq!(items[0].1, union, "d0 carries both tokens, sorted");
     }
 
+    /// A flush sends its shares and then one message to the coordinator:
+    /// the termination, naming the children it created, carrying the
+    /// vertices it returned and the server it ran on (§IV-C).
+    #[test]
+    fn a_flush_sends_its_shares_then_one_report() {
+        use crate::queue::{ReqMode, RequestOutput, RequestState};
+        let rig = Rig::new("one-report", EngineConfig::new(EngineKind::GraphTrek));
+        let req = RequestState {
+            travel: T,
+            depth: 0,
+            exec: exec(),
+            plan: plan(),
+            coordinator: PEER,
+            tepoch: 0,
+            mode: ReqMode::Async,
+            remaining: std::sync::atomic::AtomicUsize::new(0),
+            out: parking_lot::Mutex::new(RequestOutput {
+                dst_by_owner: vec![
+                    vec![(VertexId(3), Vec::new())],
+                    vec![(VertexId(4), Vec::new())],
+                ],
+                results: vec![(1, VertexId(9))],
+                ..RequestOutput::default()
+            }),
+        };
+        visit::flush_request(&rig.sh, &req);
+        let own: Vec<Msg> = std::iter::from_fn(|| rig.sh.ep.try_recv())
+            .map(|env| env.msg)
+            .collect();
+        let to_peer: Vec<Msg> = std::iter::from_fn(|| rig.peer.try_recv())
+            .map(|env| env.msg)
+            .collect();
+        let [Msg::Visit {
+            exec: own_child, ..
+        }] = own.as_slice()
+        else {
+            panic!("server 0's share: {own:?}");
+        };
+        let [Msg::Visit {
+            exec: peer_child, ..
+        }, Msg::ExecTerminated {
+            travel,
+            exec,
+            children,
+            results,
+            server,
+        }] = to_peer.as_slice()
+        else {
+            panic!("the coordinator's share, then one report: {to_peer:?}");
+        };
+        assert_eq!((*travel, *exec, *server), (T, req.exec, 0));
+        assert_eq!(children, &[(*own_child, 1), (*peer_child, 1)]);
+        assert_eq!(results, &[(1, VertexId(9))]);
+    }
+
+    /// A finished travel is retired where it ran: on the coordinator at
+    /// once, and by an `Abort` on each other server that reported hosting
+    /// one of its executions. A server that hosted nothing hears nothing.
+    #[test]
+    fn a_finished_travel_is_retired_only_where_it_ran() {
+        let rig = Rig::new("retire-here", EngineConfig::new(EngineKind::GraphTrek));
+        let travel_done = |rig: &Rig| {
+            let done = rig.client.try_recv().map(|env| env.msg);
+            assert!(
+                matches!(done, Some(Msg::TravelDone { travel: T, .. })),
+                "{done:?}"
+            );
+        };
+        // Every execution ran on the coordinator, server 0.
+        let local = rig.owned_by(0);
+        rig.deliver(Msg::Submit {
+            travel: T,
+            plan: Arc::new(GTravel::v([local.0]).e("x").compile().expect("plan")),
+            client: CLIENT,
+        });
+        rig.pump(); // the source `Visit`, queued
+        rig.sh.queue.close();
+        visit::worker_loop(&rig.sh);
+        rig.pump(); // its report, which finishes the travel
+        travel_done(&rig);
+        assert_eq!(rig.sh.ep.pending(), 0, "an `Abort` to itself");
+        rig.assert_no_trace_of_the_travel();
+
+        // The only execution ran on the peer.
+        let rig = Rig::new("retire-there", EngineConfig::new(EngineKind::GraphTrek));
+        let remote = rig.owned_by(PEER);
+        rig.deliver(Msg::Submit {
+            travel: T,
+            plan: Arc::new(GTravel::v([remote.0]).e("x").compile().expect("plan")),
+            client: CLIENT,
+        });
+        let source = rig.peer.try_recv().map(|env| env.msg);
+        let Some(Msg::Visit { exec, .. }) = source else {
+            panic!("the source goes to its owner: {source:?}");
+        };
+        rig.deliver(Msg::ExecTerminated {
+            travel: T,
+            exec,
+            children: Vec::new(),
+            results: Vec::new(),
+            server: PEER,
+        });
+        travel_done(&rig);
+        let abort = rig.peer.try_recv().map(|env| env.msg);
+        assert!(matches!(abort, Some(Msg::Abort { travel: T })), "{abort:?}");
+        assert_eq!(rig.sh.ep.pending(), 0, "an `Abort` to itself");
+        rig.assert_no_trace_of_the_travel();
+    }
+
     /// The coordinator's barrier report needs no fence of its own: the
     /// abort that retires a travel takes its `coords` entry along.
     #[test]
@@ -1019,6 +1128,7 @@ mod tests {
                 server,
                 sent: Vec::new(),
                 origin_sent: Vec::new(),
+                results: Vec::new(),
             });
         }
         rig.assert_no_trace_of_the_travel();

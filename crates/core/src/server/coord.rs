@@ -7,57 +7,41 @@ use super::{alloc_exec, send_travel, Shared};
 use crate::coordinator::{CoordState, SyncState, TravelLedger};
 use crate::engine::EngineKind;
 use crate::lang::{Plan, Source};
-use crate::message::{Msg, SyncExpect, TravelOutcome};
+use crate::message::{Msg, SyncExpect};
 use crate::{Tokens, TravelId};
 use gt_graph::VertexId;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-/// Apply one tracing report to `travel`'s hosted asynchronous ledger.
-/// No-op when this server doesn't host one for `travel`.
+/// Apply one tracing event to `travel`'s hosted asynchronous ledger, and
+/// finish the travel if that was its last outstanding execution. No-op
+/// when this server doesn't host one for `travel`.
 pub(super) fn coord_event(
     sh: &Arc<Shared>,
     travel: TravelId,
     apply: impl FnOnce(&mut TravelLedger),
 ) {
-    if let Some(CoordState::Async(l)) = sh.coords.lock().get_mut(&travel) {
-        apply(l);
-    }
-}
-
-/// A `Results` report reached the coordinator, whichever engine it hosts
-/// the travel for.
-pub(super) fn coord_results(sh: &Arc<Shared>, travel: TravelId, items: &[(u16, VertexId)]) {
-    match sh.coords.lock().get_mut(&travel) {
-        Some(CoordState::Sync(s)) => s.add_results(items),
-        Some(CoordState::Async(l)) => l.add_results(items),
-        None => {}
-    }
-}
-
-/// The travel is over: release per-travel state on every server, then
-/// notify the client.
-fn finish_travel(sh: &Arc<Shared>, travel: TravelId, client: usize, outcome: TravelOutcome) {
-    for s in 0..sh.n_servers {
-        sh.send(s, Msg::Abort { travel });
-    }
-    sh.send(client, Msg::TravelDone { travel, outcome });
-}
-
-/// Complete an asynchronous traversal if its ledger says so.
-pub(super) fn maybe_finish_async(sh: &Arc<Shared>, travel: TravelId) {
     let finished = {
         let mut coords = sh.coords.lock();
-        match coords.get(&travel) {
-            Some(CoordState::Async(l)) if l.is_done() => match coords.remove(&travel) {
-                Some(CoordState::Async(l)) => Some((l.client, l.outcome())),
-                _ => None,
-            },
-            _ => None,
+        let Some(CoordState::Async(l)) = coords.get_mut(&travel) else {
+            return;
+        };
+        apply(l);
+        if !l.is_done() {
+            return;
         }
+        coords.remove(&travel)
     };
-    if let Some((client, outcome)) = finished {
-        finish_travel(sh, travel, client, outcome);
+    if let Some(CoordState::Async(l)) = finished {
+        // Retire the travel where it ran: here at once, on every other
+        // server that reported hosting an execution by an `Abort`. A
+        // server that hosted nothing holds nothing to release.
+        super::handle_abort(sh, travel);
+        for s in l.hosts().filter(|&s| s != sh.id) {
+            sh.send(s, Msg::Abort { travel });
+        }
+        let outcome = l.outcome();
+        sh.send(l.client, Msg::TravelDone { travel, outcome });
     }
 }
 
@@ -126,7 +110,6 @@ fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>) 
                 // Degenerate: no owned sources at all; finish immediately.
                 let exec = root();
                 coord_event(sh, travel, |l| l.exec_terminated(exec, &[]));
-                maybe_finish_async(sh, travel);
             }
         }
         Source::All => {
@@ -152,6 +135,7 @@ pub(super) fn handle_sync_step_done(
     server: usize,
     sent: &[(usize, u64)],
     origin_sent: &[(usize, u64)],
+    results: &[(u16, VertexId)],
 ) {
     let action = {
         let mut coords = sh.coords.lock();
@@ -160,6 +144,7 @@ pub(super) fn handle_sync_step_done(
         let Some(CoordState::Sync(state)) = coords.get_mut(&travel) else {
             return;
         };
+        state.add_results(results);
         if !state.step_done(server, depth, sent, origin_sent) {
             return; // barrier not yet reached
         }
@@ -185,6 +170,13 @@ pub(super) fn handle_sync_step_done(
                 send_travel(sh, srv, travel, start);
             }
         }
-        Err((client, outcome)) => finish_travel(sh, travel, client, outcome),
+        Err((client, outcome)) => {
+            // Every server ran step 0 of a synchronous travel, so
+            // retiring it stays a broadcast.
+            for s in 0..sh.n_servers {
+                sh.send(s, Msg::Abort { travel });
+            }
+            sh.send(client, Msg::TravelDone { travel, outcome });
+        }
     }
 }

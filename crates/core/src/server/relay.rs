@@ -35,10 +35,11 @@ struct Pending {
 }
 
 /// Receiver-side cursor of one `(travel, sender)` stream: deliver strictly
-/// in sequence order, holding out-of-order arrivals until the gap fills.
-/// In-order delivery is what preserves the protocol's FIFO-dependent pairs
-/// (`Results` before `ExecTerminated` on the same link) under drop and
-/// reorder chaos.
+/// in sequence order, holding out-of-order arrivals until the gap fills,
+/// so a stream keeps the FIFO order of a plain link under drop and reorder
+/// chaos. The tracing protocol pairs nothing across messages any more: an
+/// execution's returned vertices ride its one termination report, and the
+/// ledger takes reports in any order (§IV-C).
 struct InStream {
     next_seq: u64,
     buffered: BTreeMap<u64, Msg>,
@@ -229,26 +230,22 @@ mod tests {
 
     const T: TravelId = 7;
 
-    fn results(n: u64) -> Msg {
-        Msg::Results {
+    /// An execution's report, tagged `n` by the vertex it returns.
+    fn report(n: u64) -> Msg {
+        Msg::ExecTerminated {
             travel: T,
-            items: vec![(1, VertexId(n))],
+            exec: ExecId::new(0, n),
+            children: vec![],
+            results: vec![(1, VertexId(n))],
+            server: 0,
         }
     }
 
-    fn created(exec: ExecId) -> Msg {
-        Msg::ExecCreated {
-            travel: T,
-            exec,
-            depth: 1,
-        }
-    }
-
-    /// The payload tag of a `Results` message built by [`results`].
+    /// The tag of a report built by [`report`].
     fn tag(m: &Msg) -> u64 {
         match m {
-            Msg::Results { items, .. } => items[0].1 .0,
-            other => panic!("not a results payload: {other:?}"),
+            Msg::ExecTerminated { results, .. } => results[0].1 .0,
+            other => panic!("not a report: {other:?}"),
         }
     }
 
@@ -303,7 +300,7 @@ mod tests {
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
         let f: Vec<Msg> = (1..=3)
-            .map(|n| only_frame(a.on_send(1, T, results(n), now)))
+            .map(|n| only_frame(a.on_send(1, T, report(n), now)))
             .collect();
         // Frame 1 is dropped; 3 then 2 arrive and wait behind the gap.
         assert!(delivered(&feed(&mut b, &f[2])).is_empty());
@@ -337,9 +334,9 @@ mod tests {
         let now = Instant::now();
         let mut b = Relay::new(1, 0);
         let mut old = Relay::new(0, 0);
-        let stale = only_frame(old.on_send(1, T, results(1), now));
+        let stale = only_frame(old.on_send(1, T, report(1), now));
         let mut new = Relay::new(0, 1);
-        let fresh = only_frame(new.on_send(1, T, results(2), now));
+        let fresh = only_frame(new.on_send(1, T, report(2), now));
         // The restarted incarnation's seq 1 is delivered although the old
         // incarnation never got its own seq 1 through.
         assert_eq!(delivered(&feed(&mut b, &fresh)), vec![2]);
@@ -357,12 +354,12 @@ mod tests {
         let now = Instant::now();
         let redrive = crate::incarnation(T, 1);
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let old = only_frame(a.on_send(1, T, results(1), now));
+        let old = only_frame(a.on_send(1, T, report(1), now));
         let (_, old_ack) = feed(&mut b, &old).send.remove(0);
         // The superseded incarnation is aborted here; the re-drive's first
         // send is lost, and then the old ack arrives.
         a.forget(T);
-        let lost = only_frame(a.on_send(1, redrive, results(2), now));
+        let lost = only_frame(a.on_send(1, redrive, report(2), now));
         assert!(matches!(lost, Msg::Relay { seq: 1, .. }));
         feed(&mut a, &old_ack);
         assert_eq!(a.pending.len(), 1, "the live seq 1 must stay pending");
@@ -377,7 +374,7 @@ mod tests {
         // on a lossy link, every time.
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let first = only_frame(a.on_send(1, T, results(1), now));
+        let first = only_frame(a.on_send(1, T, report(1), now));
         let retry = split(a.tick(now + RETRY_BASE));
         let ack_of = |b: &mut Relay, frame: &Msg| feed(b, frame).send.remove(0).1;
         assert!(matches!(
@@ -394,7 +391,7 @@ mod tests {
     fn backoff_doubles_to_the_cap_and_the_last_attempt_is_abandoned() {
         let t0 = Instant::now();
         let mut a = Relay::new(0, 0);
-        a.on_send(1, T, results(1), t0);
+        a.on_send(1, T, report(1), t0);
         let mut now = t0;
         let mut gaps = Vec::new();
         let mut attempts = vec![1u64];
@@ -427,7 +424,7 @@ mod tests {
     fn retired_travels_ack_without_growing_state_and_forget_drops_everything() {
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let f = only_frame(a.on_send(1, T, created(ExecId::new(0, 1)), now));
+        let f = only_frame(a.on_send(1, T, report(1), now));
         let step = feed_as(&mut b, &f, true);
         assert_eq!(step.send.len(), 1);
         assert!(step.effects.is_empty());
@@ -494,7 +491,7 @@ mod tests {
                 };
                 next_tag += 1;
                 sent.entry(travel).or_default().push(next_tag);
-                for (_, m) in split(a.on_send(1, travel, results(next_tag), now)).send {
+                for (_, m) in split(a.on_send(1, travel, report(next_tag), now)).send {
                     put(&mut wire, &mut rng, now, true, m);
                 }
             }

@@ -15,7 +15,7 @@ use super::{alloc_exec, send_travel, Shared};
 use crate::lang::{vertex_matches, Plan, Source};
 use crate::message::Msg;
 use crate::metrics::TravelMetrics;
-use crate::queue::{ReqMode, RequestOutput, RequestState, WorkItem};
+use crate::queue::{Parts, ReqMode, RequestOutput, RequestState, WorkItem};
 use crate::{ExecId, Token, Tokens, TravelId};
 use gt_graph::{Props, VertexId};
 use gt_kvstore::ReadView;
@@ -215,26 +215,20 @@ fn enqueue_execution(
     sh.metrics.observe_queue_len(sh.queue.push_many(work));
 }
 
-/// Release satisfied origin tokens and report the released vertices, then
-/// `tail`, to the coordinator. The tail follows the results on the same
-/// ordered stream, so the coordinator cannot complete before seeing them
-/// (under chaos the reliable layer restores the FIFO guarantee).
-fn release_and_report(
-    sh: &Arc<Shared>,
-    travel: TravelId,
-    coordinator: usize,
-    tokens: &[u64],
-    tail: Msg,
-) {
+/// Release satisfied origin tokens: the vertices they were registered for
+/// are returned (§IV-D), on the report the caller sends.
+fn release(sh: &Arc<Shared>, travel: TravelId, tokens: &[u64]) -> Vec<(u16, VertexId)> {
     let released = sh.tokens.lock().release(travel, tokens);
-    if !released.is_empty() {
+    count_results(sh, &released);
+    released
+}
+
+fn count_results(sh: &Arc<Shared>, results: &[(u16, VertexId)]) {
+    if !results.is_empty() {
         sh.metrics
             .results_sent
-            .fetch_add(released.len() as u64, Ordering::Relaxed);
-        let items = released;
-        send_travel(sh, coordinator, travel, Msg::Results { travel, items });
+            .fetch_add(results.len() as u64, Ordering::Relaxed);
     }
-    send_travel(sh, coordinator, travel, tail);
 }
 
 pub(super) fn handle_origin_satisfied(
@@ -245,13 +239,14 @@ pub(super) fn handle_origin_satisfied(
     tokens: &[u64],
 ) {
     // The synthetic execution covering the release terminates with it.
-    let children = Vec::new();
-    let tail = Msg::ExecTerminated {
+    let report = Msg::ExecTerminated {
         travel,
         exec,
-        children,
+        children: Vec::new(),
+        results: release(sh, travel, tokens),
+        server: sh.id,
     };
-    release_and_report(sh, travel, coordinator, tokens, tail);
+    send_travel(sh, coordinator, travel, report);
 }
 
 // ------------------------------------------------------ sync engine
@@ -285,14 +280,15 @@ fn run_sync_step(sh: &Arc<Shared>, travel: TravelId, fire: Option<Fire>) {
             coordinator,
             tokens,
         }) => {
-            let tail = Msg::SyncStepDone {
+            let report = Msg::SyncStepDone {
                 travel,
                 depth,
                 server: sh.id,
                 sent: Vec::new(),
                 origin_sent: Vec::new(),
+                results: release(sh, travel, &tokens),
             };
-            release_and_report(sh, travel, coordinator, &tokens, tail);
+            send_travel(sh, coordinator, travel, report);
         }
     }
 }
@@ -401,7 +397,7 @@ fn scan_edges(
 /// (counted as combined visits). Nearly every pop is a single part, for
 /// which all of this degenerates to one step on borrowed tokens: nothing
 /// is regrouped or cloned.
-fn process_parts(sh: &Arc<Shared>, mut parts: Vec<WorkItem>) {
+fn process_parts(sh: &Arc<Shared>, mut parts: Parts) {
     let popped_at = Instant::now();
     // Both queues hand the parts over shallowest depth first; the stable
     // sort (a no-op on sorted input) makes the run-grouping below hold for
@@ -630,13 +626,14 @@ fn merge_share(items: &mut Vec<(VertexId, Tokens)>) {
     }
 }
 
-/// Flush a completed execution: dispatch its accumulated output and report
-/// the tracing events (§IV-B/C for async, the step-done protocol for
-/// sync). The two flavours walk the output the same way; an asynchronous
-/// flush names each downstream share a child execution and registers the
-/// children with its own termination, a synchronous one counts what it
-/// sent where for the controller's barrier arithmetic.
-fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
+/// Flush a completed execution: dispatch its accumulated output, then
+/// send its one report to the coordinator (§IV-B/C for async, the
+/// step-done protocol for sync). The two flavours walk the output the same
+/// way; an asynchronous flush names each downstream share a child
+/// execution and registers the children with its own termination, a
+/// synchronous one counts what it sent where for the controller's barrier
+/// arithmetic. Either report carries the execution's returned vertices.
+pub(super) fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
     let out = std::mem::take(&mut *req.out.lock());
     let travel = req.travel;
     // The execution's visits accumulated their per-travel accounting in
@@ -659,14 +656,6 @@ fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
     let mut child = |depth: u16| {
         let exec = alloc_exec(sh);
         children.push((exec, depth));
-        send(
-            req.coordinator,
-            Msg::ExecCreated {
-                travel,
-                exec,
-                depth,
-            },
-        );
         exec
     };
     let depth = req.depth + 1;
@@ -716,15 +705,8 @@ fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
         };
         send(owner, satisfied);
     }
-    if !out.results.is_empty() {
-        sh.metrics
-            .results_sent
-            .fetch_add(out.results.len() as u64, Ordering::Relaxed);
-        let items = out.results;
-        send(req.coordinator, Msg::Results { travel, items });
-    }
-    // The report goes last, after the results on the same stream; a
-    // termination registers its children atomically (§IV-C).
+    count_results(sh, &out.results);
+    let results = out.results;
     let report = if sync {
         Msg::SyncStepDone {
             travel,
@@ -732,12 +714,15 @@ fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
             server: sh.id,
             sent,
             origin_sent,
+            results,
         }
     } else {
         Msg::ExecTerminated {
             travel,
             exec: req.exec,
             children,
+            results,
+            server: sh.id,
         }
     };
     send(req.coordinator, report);

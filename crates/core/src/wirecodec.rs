@@ -509,14 +509,13 @@ wire_table! {
         7 => CancelAck { travel, server },
         8 => SourceScan { travel, plan, coordinator, exec },
         9 => Visit { travel, depth, exec, plan, coordinator, items },
-        10 => ExecCreated { travel, exec, depth },
-        11 => ExecTerminated { travel, exec, children },
+        // 10, 11, 13 and 17 are retired: the eager `ExecCreated`, the
+        // separate `Results`, and `ExecTerminated` / `SyncStepDone`
+        // without the results they now carry (re-issued as 57 and 58).
         12 => OriginSatisfied { travel, exec, coordinator, tokens },
-        13 => Results { travel, items },
         14 => SyncStart { travel, plan, coordinator, depth, expect },
         15 => SyncFrontier { travel, depth, items },
         16 => SyncOrigin { travel, tokens },
-        17 => SyncStepDone { travel, depth, server, sent, origin_sent },
         18 => Ingest { req, client, vertices, edges },
         // 19–20 are retired (`IngestAck`/`GetVertex` with the replica-read
         // barrier fields; re-issued slimmer as 47–48); they stay unassigned.
@@ -552,6 +551,8 @@ wire_table! {
         // 50–51 and 53–54 are retired (see 22–27).
         52 => Heartbeat { from, seq },
         56 => RelayAck { travel, server, seq, attempt },
+        57 => ExecTerminated { travel, exec, children, results, server },
+        58 => SyncStepDone { travel, depth, server, sent, origin_sent, results },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.

@@ -443,6 +443,7 @@ fn migration_cutover_racing_coordinator_failover_is_deterministic() {
     let want = oracle_map(&random_graph(4242, 50, None), &mixed_query());
     let (a, fa, ca) = run("race-a");
     let (b, fb, cb) = run("race-b");
+    assert_eq!((ca, fa), (1, 1), "the crash point must land mid-travel");
     assert_eq!(a, want, "raced run must still match the oracle");
     assert_eq!(a, b, "same seed must reproduce the same result");
     assert_eq!(fa, fb, "same seed must reproduce the same failover count");

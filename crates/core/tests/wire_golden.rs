@@ -109,25 +109,18 @@ fn msgs() -> Vec<Msg> {
                 (VertexId(2), vec![Token { owner: 1, id: 42 }]),
             ],
         },
-        Msg::ExecCreated {
-            travel: 5,
-            exec: ExecId::new(1, 9),
-            depth: 2,
-        },
         Msg::ExecTerminated {
             travel: 5,
             exec: ExecId::new(1, 9),
             children: vec![(ExecId::new(2, 1), 3)],
+            results: vec![(1, VertexId(10))],
+            server: 1,
         },
         Msg::OriginSatisfied {
             travel: 5,
             exec: ExecId::new(2, 2),
             coordinator: 0,
             tokens: vec![7, 8],
-        },
-        Msg::Results {
-            travel: 5,
-            items: vec![(1, VertexId(10))],
         },
         Msg::SyncStart {
             travel: 6,
@@ -165,6 +158,7 @@ fn msgs() -> Vec<Msg> {
             server: 2,
             sent: vec![(0, 5), (1, 6)],
             origin_sent: vec![(2, 1)],
+            results: vec![(2, VertexId(11))],
         },
         Msg::Ingest {
             req: 9,
@@ -192,9 +186,12 @@ fn msgs() -> Vec<Msg> {
             epoch: 2,
             seq: 4,
             attempt: 1,
-            inner: Box::new(Msg::Results {
+            inner: Box::new(Msg::ExecTerminated {
                 travel: 5,
-                items: vec![(1, VertexId(10))],
+                exec: ExecId::new(1, 9),
+                children: vec![],
+                results: vec![(1, VertexId(10))],
+                server: 1,
             }),
         },
         Msg::RelayAck {
@@ -450,16 +447,27 @@ fn retired_tags_stay_unassigned() {
     let (_, retired) = golden_lines();
     assert_eq!(
         retired.len(),
-        19,
+        23,
         "tags 41-44, then 19, 20 and 30, then 23, 25 and 38, then 24, 26 and 32, \
          then 22 and 50 (`Relay`, `RelayAck` with a travel-epoch) and the takeover's \
-         53, 51, 54 and 27"
+         53, 51, 54 and 27, then the tracing reports 10, 11, 13 and 17"
     );
     for line in retired {
         let (label, frame) = line.split_once(' ').expect("label, then hex");
         assert!(
             Msg::decode(&unhex(frame)).is_none(),
             "{label}: a frame of a retired variant decodes again, so its tag was reused"
+        );
+        // Carried inside a live envelope, the retired frame is rejected
+        // as well: a relayed report from an older peer is a counted drop.
+        let mut relayed = vec![55];
+        for field in [5u64, 1, 0, 1, 1] {
+            relayed.extend_from_slice(&field.to_le_bytes());
+        }
+        relayed.extend_from_slice(&unhex(frame));
+        assert!(
+            Msg::decode(&relayed).is_none(),
+            "{label}: a relayed frame of a retired variant decodes again"
         );
     }
 }
@@ -487,16 +495,13 @@ fn malformed_bytes_decode_to_none() {
     buf.push(7);
     assert!(Msg::decode(&buf).is_none());
     // A hostile length prefix larger than the buffer is rejected before
-    // allocation (tag 13 is `Results { travel, items }`).
-    let mut buf = vec![13];
+    // allocation (tag 16 is `SyncOrigin { travel, tokens }`).
+    let mut buf = vec![16];
     buf.extend_from_slice(&5u64.to_le_bytes());
     buf.extend_from_slice(&u32::MAX.to_le_bytes());
     assert!(Msg::decode(&buf).is_none());
     // Relay nesting beyond the engine's single level is rejected.
-    let mut deep = Msg::Results {
-        travel: 1,
-        items: vec![],
-    };
+    let mut deep = Msg::Abort { travel: 1 };
     for _ in 0..10 {
         deep = Msg::Relay {
             travel: 1,
