@@ -39,7 +39,7 @@ use crate::lang::{GTravel, Plan};
 use crate::lockorder::{OrderedMutex, Rank};
 use crate::message::{Msg, ProgressSnapshot};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, TravelMetrics};
-use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
+use crate::server::{spawn, ServerArgs, ServerHandle};
 use crate::{ticket_of, TravelId};
 use gt_graph::storage::load_replicated;
 use gt_graph::{EdgeCutPartitioner, GraphPartition, InMemoryGraph, VertexId};
@@ -185,8 +185,8 @@ pub struct ClusterState {
     replication: usize,
     /// Whether this cluster owns durable storage.
     durability: DurabilityLevel,
-    /// Failure-detector tuning handed to every server incarnation.
-    detection: Option<DetectionConfig>,
+    /// Whether every server incarnation runs the failure detector.
+    self_healing: bool,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -244,7 +244,7 @@ impl Cluster {
             ecfg,
             store_cfgs,
             map,
-            ccfg.detection,
+            ccfg.self_healing,
         )
     }
 
@@ -263,7 +263,7 @@ impl Cluster {
     ) -> Result<Cluster, ClusterError> {
         let n = partitions.len();
         let map = PlacementMap::initial(n, 1);
-        Self::assemble(partitions, partitioner, ecfg, vec![None; n], map, None)
+        Self::assemble(partitions, partitioner, ecfg, vec![None; n], map, false)
     }
 
     /// Shared constructor: wire a chaos-aware fabric, spawn epoch-0
@@ -275,7 +275,7 @@ impl Cluster {
         ecfg: EngineConfig,
         store_cfgs: Vec<Option<StoreConfig>>,
         map: PlacementMap,
-        detection: Option<DetectionConfig>,
+        self_healing: bool,
     ) -> Result<Cluster, ClusterError> {
         let n = partitions.len();
         let replication = map.replicas_of(0).len() + 1;
@@ -334,7 +334,7 @@ impl Cluster {
                 metrics: None,
                 crash_after: ecfg.chaos.crash_for(id),
                 placement: placement.clone(),
-                detection: detection.clone(),
+                self_healing,
             });
             slots.push(ServerSlot {
                 endpoint,
@@ -345,7 +345,6 @@ impl Cluster {
                 placement,
             });
         }
-        let self_heal = detection.is_some();
         let table = Travels::new(n, ecfg.max_concurrent_travels);
         let inner = Arc::new_cyclic(|me: &std::sync::Weak<ClusterState>| ClusterState {
             slots,
@@ -368,14 +367,14 @@ impl Cluster {
             placement: Arc::new(SharedPlacement::new(map)),
             replication,
             durability,
-            detection,
+            self_healing,
             // The table is a leaf, so it ranks above the slot locks a
             // restart holds (`handle`, `partition`) when it asks for the
             // views to re-pin.
             travels: OrderedMutex::new(Rank::Travels, table),
         });
         let heal_stop = Arc::new(AtomicBool::new(false));
-        let healer = if self_heal {
+        let healer = if self_healing {
             let state = inner.clone();
             let stop = heal_stop.clone();
             Some(
@@ -527,7 +526,7 @@ impl ClusterState {
             metrics: Some(slot.metrics.clone()),
             crash_after: None,
             placement: slot.placement.clone(),
-            detection: self.detection.clone(),
+            self_healing: self.self_healing,
         }));
         Ok(())
     }

@@ -334,15 +334,15 @@ impl ClusterState {
 }
 
 /// The self-healing loop, run on the `gt-healer` thread whenever the
-/// cluster was built with a [`DetectionConfig`](crate::server::DetectionConfig).
+/// cluster was built with [`ClusterConfig::self_healing`](super::ClusterConfig::self_healing).
 /// It shares the client port with the foreground API as one more waiter,
 /// listening for the servers' suspicion reports for as long as it runs:
 ///
-/// 1. drain `Suspect` reports from the servers' phi-accrual detectors,
-///    ground-truth each against the actual crash state, and answer with
-///    the [`Healer`]'s `SuspectAck` verdict (a false suspicion resets the
-///    reporter's inter-arrival window and bumps its `false_suspicions`
-///    counter);
+/// 1. drain `Suspect` reports from the servers' silence-timeout
+///    detectors, ground-truth each against the actual crash state, and
+///    answer with the [`Healer`]'s `SuspectAck` verdict (a false suspicion
+///    sends the reporter's record of that peer back to the cold floor and
+///    bumps its `false_suspicions` counter);
 /// 2. heal confirmed-dead servers (promotion, falling back to restart);
 /// 3. periodically scan for under-replicated partitions and re-replicate
 ///    them to the least-loaded live non-holders.

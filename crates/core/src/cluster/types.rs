@@ -3,7 +3,6 @@
 
 use crate::lang::LangError;
 use crate::message::{ProgressSnapshot, TravelOutcome};
-use crate::server::DetectionConfig;
 use crate::TravelId;
 use gt_graph::VertexId;
 use gt_kvstore::IoProfile;
@@ -33,11 +32,12 @@ pub struct ClusterConfig {
     /// `1..=n_servers`. At 1 (the default) the cluster behaves exactly
     /// like the unreplicated seed.
     pub replication: usize,
-    /// Failure-detector tuning. `None` (the default) keeps the whole
-    /// self-healing layer dormant: no heartbeats, no healer thread, every
+    /// Self-healing: failure detection, automatic promotion, background
+    /// re-replication. `false` (the default) keeps the whole layer
+    /// dormant: no heartbeats, no healer thread, every
     /// [`crate::metrics::MetricsSnapshot::self_heal_counters`] entry
     /// stays zero.
-    pub detection: Option<DetectionConfig>,
+    pub self_healing: bool,
 }
 
 impl ClusterConfig {
@@ -51,7 +51,7 @@ impl ClusterConfig {
             seal_cold: false,
             memtable_bytes: 8 << 20,
             replication: 1,
-            detection: None,
+            self_healing: false,
         }
     }
 
@@ -80,14 +80,9 @@ impl ClusterConfig {
     }
 
     /// Builder-style: turn on self-healing (failure detection, automatic
-    /// promotion, background re-replication) with default detector tuning.
-    pub fn self_healing(self) -> Self {
-        self.detection(DetectionConfig::default())
-    }
-
-    /// Builder-style: self-healing with explicit detector tuning.
-    pub fn detection(mut self, cfg: DetectionConfig) -> Self {
-        self.detection = Some(cfg);
+    /// promotion, background re-replication).
+    pub fn self_healing(mut self) -> Self {
+        self.self_healing = true;
         self
     }
 }

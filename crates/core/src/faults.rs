@@ -270,21 +270,6 @@ impl ChaosPlan {
     }
 }
 
-/// Sleep for `d`, spinning only when the duration is below OS timer
-/// granularity. An interfered thread must release the CPU (the straggler
-/// models *I/O* interference, not compute), so genuine sleep is the
-/// default.
-pub fn sleep_exact(d: Duration) {
-    if d >= Duration::from_micros(100) {
-        std::thread::sleep(d);
-        return;
-    }
-    let start = std::time::Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
-    }
-}
-
 #[derive(Debug)]
 struct FaultSlot {
     step: u16,

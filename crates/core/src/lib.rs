@@ -112,7 +112,6 @@ pub mod prelude {
     pub use crate::lang::{GTravel, Plan};
     pub use crate::metrics::TravelMetrics;
     pub use crate::parse::parse as parse_gtravel;
-    pub use crate::server::DetectionConfig;
     pub use gt_graph::{Cond, FilterSet, PropFilter, PropValue, VertexId};
 }
 

@@ -418,21 +418,22 @@ pub enum Msg {
 
     // ------------------------------------------------- self-healing layer
     /// Server → server: liveness beacon from the failure detector. Sent
-    /// raw, never relayed — losing one is exactly the signal the
-    /// phi-accrual estimator is built to absorb — but it carries a chaos
-    /// key, so injected drop/delay/duplication hits heartbeats like any
-    /// data-plane message (false-positive suppression is tested against
-    /// real jitter, not a chaos-exempt side channel).
+    /// raw, never relayed — a lost or late one is what the silence floors
+    /// are sized to absorb — but it carries a chaos key, so injected
+    /// drop/delay/duplication hits heartbeats like any data-plane message
+    /// (false-positive suppression is tested against real jitter, not a
+    /// chaos-exempt side channel). Rides the control lane, so a backlog
+    /// of data at the receiver cannot make a live peer look silent.
     Heartbeat {
         /// Sending server.
         from: usize,
         /// Monotonic per-sender beacon number (chaos-key uniqueness).
         seq: u64,
     },
-    /// Monitor server → healer (client endpoint): peer `suspect`'s phi
-    /// value crossed the suspicion threshold. Re-sent periodically while
-    /// the suspicion stands, so a lost report cannot strand a dead
-    /// primary.
+    /// Monitor server → healer (client endpoint): peer `suspect` has been
+    /// silent past its floor (8 heartbeat periods once its record is warm,
+    /// 24 before). Re-sent periodically while the suspicion stands, so a
+    /// lost report cannot strand a dead primary.
     Suspect {
         /// Reporting monitor server.
         from: usize,
@@ -441,8 +442,8 @@ pub enum Msg {
     },
     /// Healer → monitor server: verdict on a suspicion, from ground
     /// truth. `confirmed = false` is a false positive — the monitor
-    /// counts it and resets its inter-arrival window for that peer so the
-    /// estimator re-learns the link's real jitter.
+    /// counts it and sends its record of that peer back to the cold floor,
+    /// so the next accusation needs 24 silent periods, not 8.
     SuspectAck {
         /// The server that was suspected.
         suspect: usize,
@@ -663,13 +664,25 @@ impl WireSize for Msg {
     }
 
     fn traffic_class(&self) -> gt_net::TrafficClass {
+        use gt_net::TrafficClass;
         match self {
+            // The control lane, received before any queued data (DESIGN.md
+            // §8): what a deadline answers or what retires a travel, and
+            // the failure detector's inputs. Everything else is data —
+            // replies, `Shutdown` and `Crash`, placement and copy flows.
+            Msg::Submit { .. }
+            | Msg::Abort { .. }
+            | Msg::Cancel { .. }
+            | Msg::ProgressQuery { .. }
+            | Msg::Heartbeat { .. }
+            | Msg::SuspectAck { .. } => TrafficClass::Control,
             // Partition-copy chunks (migration and re-replication) ride
             // the bulk bandwidth lane so live travels aren't starved; a
-            // relayed chunk inherits the class of its payload.
-            Msg::CopyData { .. } => gt_net::TrafficClass::Bulk,
+            // relayed message inherits the class of its payload (the
+            // relay sequences only data).
+            Msg::CopyData { .. } => TrafficClass::Bulk,
             Msg::Relay { inner, .. } => inner.traffic_class(),
-            _ => gt_net::TrafficClass::Interactive,
+            _ => TrafficClass::Interactive,
         }
     }
 
@@ -819,8 +832,77 @@ mod tests {
         );
         assert_eq!(
             Msg::Heartbeat { from: 0, seq: 1 }.traffic_class(),
-            TrafficClass::Interactive
+            TrafficClass::Control
         );
+    }
+
+    #[test]
+    fn the_control_lane_holds_exactly_the_census() {
+        use gt_net::TrafficClass;
+        let plan = Arc::new(GTravel::v([1u64]).e("x").compile().unwrap());
+        let control = [
+            Msg::Submit {
+                travel: 3,
+                plan: plan.clone(),
+                client: 2,
+            },
+            Msg::Abort { travel: 3 },
+            Msg::Cancel {
+                travel: 3,
+                client: 2,
+            },
+            Msg::ProgressQuery {
+                travel: 3,
+                client: 2,
+            },
+            Msg::Heartbeat { from: 0, seq: 1 },
+            Msg::SuspectAck {
+                suspect: 1,
+                confirmed: false,
+            },
+        ];
+        for m in &control {
+            assert_eq!(m.traffic_class(), TrafficClass::Control, "{m:?}");
+        }
+        // Data, among them the ones whose position a test or a fence
+        // relies on: replies, the scripted stop and kill, placement and
+        // copy control, and what the relay sequences.
+        let data = [
+            Msg::ProgressReport {
+                travel: 3,
+                snapshot: ProgressSnapshot::default(),
+            },
+            Msg::Suspect {
+                from: 0,
+                suspect: 1,
+            },
+            Msg::RelayAck {
+                travel: 3,
+                server: 2,
+                seq: 5,
+                attempt: 1,
+            },
+            Msg::Shutdown,
+            Msg::Crash,
+            Msg::CopyCutover { mig: 4 },
+            Msg::Ingest {
+                req: 1,
+                client: 2,
+                vertices: vec![],
+                edges: vec![],
+            },
+            Msg::Relay {
+                travel: 3,
+                from: 1,
+                epoch: 0,
+                seq: 5,
+                attempt: 1,
+                inner: Box::new(report()),
+            },
+        ];
+        for m in &data {
+            assert_ne!(m.traffic_class(), TrafficClass::Control, "{m:?}");
+        }
     }
 
     #[test]

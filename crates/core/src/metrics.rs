@@ -171,10 +171,10 @@ counters! {
         heartbeats_sent: AtomicU64 => u64 [self_heal,],
         /// Heartbeat messages this server received from peers.
         heartbeats_recv: AtomicU64 => u64 [self_heal,],
-        /// Suspicions this server raised (phi crossed the threshold).
+        /// Suspicions this server raised (a peer silent past its floor).
         suspicions_raised: AtomicU64 => u64 [self_heal,],
         /// Suspicions the healer rejected because the peer was in fact alive
-        /// (delay-induced false positives; the detector window then resets).
+        /// (delay-induced false positives; the peer's record goes cold).
         false_suspicions: AtomicU64 => u64 [self_heal,],
         /// Automatic promotions executed by the self-healing loop on behalf
         /// of partitions this server now primaries (no client involvement).

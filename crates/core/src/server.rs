@@ -35,8 +35,6 @@ mod ingest;
 mod relay;
 mod visit;
 
-pub use detector::DetectionConfig;
-
 use crate::cache::TraversalCache;
 use crate::coordinator::CoordState;
 use crate::engine::{EngineConfig, EngineKind};
@@ -64,11 +62,11 @@ use std::time::{Duration, Instant};
 /// only concern recent travels.
 const MAX_RETIRED_TRAVELS: usize = 4096;
 
-/// Dispatcher wake-up granularity when the reliable-delivery layer is on:
-/// the receive loop uses a timed receive at this period so retransmission
-/// deadlines are checked even while the inbox is quiet. With reliability
-/// off the loop blocks indefinitely — the chaos-free fast path pays
-/// nothing.
+/// Dispatcher wake-up granularity when the reliable-delivery layer or the
+/// failure detector is on: the receive loop uses a timed receive at this
+/// period so retransmission and heartbeat deadlines are checked even while
+/// the inbox is quiet. With both off the loop blocks indefinitely — the
+/// chaos-free fast path pays nothing.
 const RELAY_TICK: Duration = Duration::from_millis(2);
 
 /// Everything needed to spawn one backend server.
@@ -98,9 +96,9 @@ pub struct ServerArgs {
     /// This server's view of the versioned placement map (updated only by
     /// epoch-fenced [`Msg::PlacementUpdate`] broadcasts).
     pub placement: Arc<SharedPlacement>,
-    /// Failure-detector tuning; `None` (the default cluster config)
-    /// disables the detector entirely.
-    pub detection: Option<DetectionConfig>,
+    /// Run the failure detector (heartbeats, suspicions to the healer);
+    /// `false` (the default cluster config) keeps it fully dormant.
+    pub self_healing: bool,
 }
 
 /// Handle to a running server's threads and instrumentation.
@@ -255,9 +253,9 @@ fn build(args: ServerArgs) -> Arc<Shared> {
     clippy::expect_used,
     reason = "construction-time: a server that cannot spawn threads cannot run"
 )]
-pub fn spawn(mut args: ServerArgs) -> ServerHandle {
+pub fn spawn(args: ServerArgs) -> ServerHandle {
     let (id, n_workers) = (args.id, args.engine.workers_per_server);
-    let detection = args.detection.take();
+    let self_healing = args.self_healing;
     let shared = build(args);
     let mut workers = Vec::with_capacity(n_workers);
     for w in 0..n_workers {
@@ -272,7 +270,7 @@ pub fn spawn(mut args: ServerArgs) -> ServerHandle {
     let sh = shared.clone();
     let dispatcher = std::thread::Builder::new()
         .name(format!("gt-s{id}-dispatch"))
-        .spawn(move || dispatcher_loop(&sh, detection))
+        .spawn(move || dispatcher_loop(&sh, self_healing))
         .expect("spawn dispatcher");
     ServerHandle {
         metrics: shared.metrics.clone(),
@@ -285,28 +283,19 @@ pub fn spawn(mut args: ServerArgs) -> ServerHandle {
 
 // ===================================================== dispatcher side
 
-fn dispatcher_loop(sh: &Arc<Shared>, detection: Option<DetectionConfig>) {
+fn dispatcher_loop(sh: &Arc<Shared>, self_healing: bool) {
     // The failure detector lives on this thread's stack — no lock rank, no
-    // sharing — so its traffic is absorbed here, before dispatch. `None`
-    // keeps it fully dormant.
-    let mut detector = detection.map(|cfg| Detector::new(cfg, sh.id, sh.n_servers, Instant::now()));
+    // sharing — so its traffic is absorbed here, before dispatch. Off, it
+    // is fully dormant.
+    let mut detector = self_healing.then(|| Detector::new(sh.id, sh.n_servers, Instant::now()));
     // Timed receive so retransmission and heartbeat deadlines run while
     // the inbox is quiet; with neither layer on, the loop just blocks.
-    let tick = match &detector {
-        Some(d) => Some((d.period() / 2).clamp(Duration::from_micros(500), RELAY_TICK)),
-        None => sh.reliable.then_some(RELAY_TICK),
-    };
+    let tick = (sh.reliable || detector.is_some()).then_some(RELAY_TICK);
     let ctl = loop {
-        let received = match tick {
-            Some(tick) => match sh.ep.recv_timeout(tick) {
-                Ok(env) => Some(env.msg),
-                Err(RecvError::Timeout) => None,
-                Err(RecvError::Closed) => break LoopCtl::Shutdown,
-            },
-            None => match sh.ep.recv() {
-                Ok(env) => Some(env.msg),
-                Err(_) => break LoopCtl::Shutdown,
-            },
+        let received = match tick.map_or_else(|| sh.ep.recv(), |t| sh.ep.recv_timeout(t)) {
+            Ok(env) => Some(env.msg),
+            Err(RecvError::Timeout) => None,
+            Err(RecvError::Closed) => break LoopCtl::Shutdown,
         };
         let msg = match (received, detector.as_mut()) {
             (Some(msg), Some(det)) => absorb_detector_traffic(sh, det, msg, Instant::now()),
@@ -650,7 +639,7 @@ mod tests {
                 metrics: None,
                 crash_after: None,
                 placement: Arc::new(SharedPlacement::new(PlacementMap::initial(2, 1))),
-                detection: None,
+                self_healing: false,
             });
             Rig {
                 sh,
@@ -1132,6 +1121,51 @@ mod tests {
             });
         }
         rig.assert_no_trace_of_the_travel();
+    }
+
+    /// A probe and a heartbeat that arrive behind a backlog of frontier
+    /// data are received before any of it — they ride the control lane —
+    /// and the probe is answered at once.
+    #[test]
+    fn a_probe_and_a_heartbeat_overtake_ten_thousand_queued_visits() {
+        let rig = Rig::new("control-lane", EngineConfig::new(EngineKind::GraphTrek));
+        let plan = plan();
+        for i in 0..10_000u64 {
+            let visit = Msg::Visit {
+                travel: T,
+                depth: 1,
+                exec: ExecId::new(PEER, i + 1),
+                plan: plan.clone(),
+                coordinator: PEER,
+                items: vec![(VertexId(i), Vec::new())],
+            };
+            rig.peer.send(0, visit).expect("visit");
+        }
+        let query = Msg::ProgressQuery {
+            travel: T,
+            client: CLIENT,
+        };
+        rig.client.send(0, query).expect("query");
+        let beat = Msg::Heartbeat { from: PEER, seq: 1 };
+        rig.peer.send(0, beat).expect("heartbeat");
+        assert_eq!(rig.sh.ep.pending(), 10_002);
+        let first = rig.sh.ep.recv().expect("first").msg;
+        assert!(
+            matches!(first, Msg::ProgressQuery { travel: T, .. }),
+            "{first:?}"
+        );
+        let second = rig.sh.ep.recv().expect("second").msg;
+        assert!(
+            matches!(second, Msg::Heartbeat { from: PEER, .. }),
+            "{second:?}"
+        );
+        rig.deliver(first);
+        let report = rig.client.try_recv().map(|env| env.msg);
+        assert!(
+            matches!(report, Some(Msg::ProgressReport { travel: T, .. })),
+            "{report:?}"
+        );
+        assert_eq!(rig.sh.ep.pending(), 10_000, "the visits wait their turn");
     }
 
     /// The one gate on "no ranked guard is alive where a message leaves".

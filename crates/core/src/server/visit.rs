@@ -429,7 +429,7 @@ fn process_parts(sh: &Arc<Shared>, mut parts: Parts) {
     // Transient-straggler injection (Fig. 11): one delay per vertex access.
     if let Some(d) = sh.faults.charge(min_depth) {
         sh.metrics.injected_delays.fetch_add(1, Ordering::Relaxed);
-        crate::faults::sleep_exact(d);
+        gt_kvstore::iomodel::charge_duration(d);
     }
     // One real vertex access serves all merged parts.
     let needs_record = parts

@@ -1,5 +1,5 @@
-//! Self-healing placement suite: phi-accrual failure detection over the
-//! fabric, epoch-fenced automatic promotion and background
+//! Self-healing placement suite: silence-timeout failure detection over
+//! the fabric, epoch-fenced automatic promotion and background
 //! re-replication — proven by chaos convergence.
 //!
 //! The contract under test: with `ClusterConfig::self_healing()`, a

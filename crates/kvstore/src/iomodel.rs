@@ -89,9 +89,9 @@ impl IoProfile {
         }
     }
 
-    /// Block the calling thread for the cost of `kind`, busy-spinning for
-    /// sub-50µs costs (OS sleep granularity would otherwise quantize the
-    /// model) and sleeping for larger ones.
+    /// Block the calling thread for the cost of `kind`
+    /// ([`charge_duration`]: busy-spinning below 5 µs, where OS sleep
+    /// granularity would quantize the model, sleeping otherwise).
     pub fn charge(&self, kind: AccessKind) {
         let d = self.cost(kind);
         charge_duration(d);

@@ -2,6 +2,7 @@
 
 use crate::chaos::ChaosConfig;
 use crate::config::NetConfig;
+use crate::inbox::Inbox;
 use crate::stats::NetStats;
 use crate::WireSize;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -39,7 +40,7 @@ pub enum SendError {
 pub enum RecvError {
     /// No message arrived within the timeout.
     Timeout,
-    /// The fabric was shut down and the queue is drained.
+    /// The transport was shut down and the inbox is drained.
     Closed,
 }
 
@@ -89,7 +90,7 @@ impl<M> Ord for Scheduled<M> {
 struct Shared<M> {
     cfg: NetConfig,
     chaos: ChaosConfig,
-    inboxes: Vec<Sender<Envelope<M>>>,
+    inboxes: Vec<Arc<Inbox<M>>>,
     /// Input to the timer-wheel thread (None when the model is instant).
     wheel_tx: Option<Sender<Scheduled<M>>>,
     stats: Arc<NetStats>,
@@ -102,12 +103,10 @@ struct Shared<M> {
 
 /// One addressable party on the fabric (a backend server or a client).
 ///
-/// Cloning is cheap and shares the same inbox (crossbeam channels are
-/// MPMC): a server's dispatcher thread receives while its worker threads
-/// send through clones.
+/// Cloning is cheap and shares the same inbox: a server's dispatcher
+/// thread receives while its worker threads send through clones.
 pub struct Endpoint<M> {
     id: usize,
-    rx: Receiver<Envelope<M>>,
     shared: Arc<Shared<M>>,
 }
 
@@ -115,7 +114,6 @@ impl<M> Clone for Endpoint<M> {
     fn clone(&self) -> Self {
         Endpoint {
             id: self.id,
-            rx: self.rx.clone(),
             shared: self.shared.clone(),
         }
     }
@@ -127,11 +125,11 @@ impl<M> std::fmt::Debug for Endpoint<M> {
     }
 }
 
-/// The fabric itself; owns the delivery thread. Dropping it stops
-/// delivery (endpoints then see [`RecvError::Closed`] once drained).
+/// The fabric itself: isolation and counters. Delivery runs on a thread of
+/// its own that outlives this handle while an endpoint does; endpoints
+/// share the inboxes, so they never see [`RecvError::Closed`].
 pub struct Fabric<M> {
     shared: Arc<Shared<M>>,
-    wheel: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<M> std::fmt::Debug for Fabric<M> {
@@ -155,18 +153,14 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
         cfg: NetConfig,
         chaos: ChaosConfig,
     ) -> (Fabric<M>, Vec<Endpoint<M>>) {
-        let mut inboxes = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            inboxes.push(tx);
-            rxs.push(rx);
-        }
+        let inboxes: Vec<Arc<Inbox<M>>> = (0..n).map(|_| Arc::default()).collect();
         let stats = Arc::new(NetStats::new(n));
         // Chaos delays and duplicate-copy offsets need the wheel even
-        // under the instant model.
-        let (wheel_tx, wheel_handle) = if cfg.is_instant() && !chaos.needs_wheel() {
-            (None, None)
+        // under the instant model. Its thread is detached: it drains and
+        // exits once the fabric and every endpoint, which hold its input,
+        // are gone.
+        let wheel_tx = if cfg.is_instant() && !chaos.needs_wheel() {
+            None
         } else {
             let (tx, rx) = unbounded::<Scheduled<M>>();
             let inboxes_clone = inboxes.clone();
@@ -174,11 +168,11 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
                 clippy::expect_used,
                 reason = "construction-time: a fabric without its timer wheel cannot run at all"
             )]
-            let handle = std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name("gt-net-wheel".into())
                 .spawn(move || wheel_loop(rx, inboxes_clone))
                 .expect("spawn timer wheel");
-            (Some(tx), Some(handle))
+            Some(tx)
         };
         let now = Instant::now();
         let shared = Arc::new(Shared {
@@ -192,22 +186,13 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
             rng: Mutex::new(SmallRng::seed_from_u64(cfg.seed)),
             seq: std::sync::atomic::AtomicU64::new(0),
         });
-        let endpoints = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(id, rx)| Endpoint {
+        let endpoints = (0..n)
+            .map(|id| Endpoint {
                 id,
-                rx,
                 shared: shared.clone(),
             })
             .collect();
-        (
-            Fabric {
-                shared,
-                wheel: wheel_handle,
-            },
-            endpoints,
-        )
+        (Fabric { shared }, endpoints)
     }
 
     /// Isolate (or reconnect) an endpoint: while isolated, every message
@@ -223,20 +208,7 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
     }
 }
 
-impl<M> Drop for Fabric<M> {
-    fn drop(&mut self) {
-        // Disconnect the wheel input and join so scheduled messages either
-        // flush or are dropped deterministically.
-        if let Some(h) = self.wheel.take() {
-            // Dropping the only non-wheel Sender ends the loop after the
-            // heap drains; the Sender lives in `shared`, so replace it.
-            // (Endpoints hold `shared` too, so instead we just detach.)
-            drop(h); // detach: endpoints may outlive the fabric handle
-        }
-    }
-}
-
-fn wheel_loop<M: Send>(rx: Receiver<Scheduled<M>>, inboxes: Vec<Sender<Envelope<M>>>) {
+fn wheel_loop<M: WireSize>(rx: Receiver<Scheduled<M>>, inboxes: Vec<Arc<Inbox<M>>>) {
     let mut heap: BinaryHeap<Reverse<Scheduled<M>>> = BinaryHeap::new();
     loop {
         // Deliver everything due.
@@ -248,8 +220,7 @@ fn wheel_loop<M: Send>(rx: Receiver<Scheduled<M>>, inboxes: Vec<Sender<Envelope<
             let Some(Reverse(item)) = heap.pop() else {
                 break;
             };
-            // A receiver may be gone during shutdown; ignore.
-            let _ = inboxes[item.env.to].send(item.env);
+            let _ = inboxes[item.env.to].push(item.env);
         }
         // Wait for the next deadline or new input.
         let wait = heap
@@ -267,7 +238,7 @@ fn wheel_loop<M: Send>(rx: Receiver<Scheduled<M>>, inboxes: Vec<Sender<Envelope<
                         if item.deliver_at > now {
                             std::thread::sleep(item.deliver_at - now);
                         }
-                        let _ = inboxes[item.env.to].send(item.env);
+                        let _ = inboxes[item.env.to].push(item.env);
                     }
                     return;
                 }
@@ -347,7 +318,7 @@ impl<M: Send + WireSize + Clone + 'static> Endpoint<M> {
         match &sh.wheel_tx {
             // No wheel ⇒ chaos can only be dropping (needs_wheel() covers
             // dup/delay), so plain instant delivery is exact.
-            None => sh.inboxes[to].send(env).map_err(|_| SendError::Closed),
+            None => sh.inboxes[to].push(env),
             Some(wheel) => {
                 let delay = {
                     let mut rng = sh.rng.lock();
@@ -403,27 +374,24 @@ impl<M: Send + WireSize + Clone + 'static> Endpoint<M> {
         }
     }
 
-    /// Block until a message arrives.
+    /// Block until a message arrives, control lane first.
     pub fn recv(&self) -> Result<Envelope<M>, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Closed)
+        self.shared.inboxes[self.id].recv()
     }
 
-    /// Block up to `timeout` for a message.
+    /// Block up to `timeout` for a message, control lane first.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Closed,
-        })
+        self.shared.inboxes[self.id].recv_timeout(timeout)
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive, control lane first.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.rx.try_recv().ok()
+        self.shared.inboxes[self.id].try_recv()
     }
 
-    /// Number of messages waiting in this endpoint's inbox.
+    /// Number of messages waiting in this endpoint's inbox (both lanes).
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.shared.inboxes[self.id].pending()
     }
 }
 

@@ -31,7 +31,8 @@
 //!   plus a per-byte transmission cost ([`NetConfig`]).
 //! * **Per-link FIFO ordering** — like a ZeroMQ/TCP connection, messages
 //!   between a given (from, to) pair are never reordered, even when
-//!   jitter would suggest otherwise.
+//!   jitter would suggest otherwise; at the receiver, a control message
+//!   overtakes queued data ([`Inbox`]), and FIFO holds within each lane.
 //! * **Asynchronous, non-blocking sends** — a sender never waits for the
 //!   receiver; delivery happens on a dedicated timer thread.
 //! * **Fault injection** — any endpoint can be isolated (its traffic
@@ -47,24 +48,29 @@
 pub mod chaos;
 pub mod config;
 pub mod fabric;
+pub mod inbox;
 pub mod stats;
 
 pub use chaos::{chaos_key_of, ChaosConfig, ChaosDecision};
 pub use config::NetConfig;
 pub use fabric::{Endpoint, Envelope, Fabric, RecvError, SendError};
+pub use inbox::Inbox;
 pub use stats::NetStats;
 
-/// Bandwidth class of a message, selecting which per-byte cost the fabric
-/// charges. Interactive traffic (frontier relays, control plane) rides the
-/// fast `per_byte` rate; bulk transfers (shard-migration snapshot chunks)
-/// are charged the slower `bulk_per_byte` rate, modelling a streaming lane
-/// that does not contend with the latency-sensitive path.
+/// Class of a message: which [`Inbox`] lane it is queued on (control,
+/// drained first, or data) and which per-byte cost the fabric charges.
+/// Bulk transfers (shard-migration snapshot chunks) are charged the slower
+/// `bulk_per_byte` rate, modelling a streaming lane that does not contend
+/// with the latency-sensitive path; the other two the fast `per_byte`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficClass {
-    /// Latency-sensitive traversal/control traffic (the default).
+    /// Latency-sensitive data: traversal traffic and replies (the default).
     Interactive,
     /// Throughput-oriented background transfer (snapshot shipping).
     Bulk,
+    /// Answered by a deadline or retiring state: received ahead of every
+    /// queued data message, charged the interactive rate.
+    Control,
 }
 
 /// Implemented by message types so the fabric can model transmission cost.
@@ -81,8 +87,9 @@ pub trait WireSize {
         None
     }
 
-    /// Which bandwidth lane this message occupies. Defaults to
-    /// [`TrafficClass::Interactive`]; bulk-transfer payloads override.
+    /// Which bandwidth rate and inbox lane this message takes. Defaults to
+    /// [`TrafficClass::Interactive`]; bulk-transfer payloads and control
+    /// messages override.
     fn traffic_class(&self) -> TrafficClass {
         TrafficClass::Interactive
     }

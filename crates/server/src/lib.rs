@@ -366,7 +366,7 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
                 metrics: None,
                 crash_after: None,
                 placement: Arc::new(SharedPlacement::new(map)),
-                detection: None,
+                self_healing: false,
             });
             // Several processes' ports share the servers: each mints ids in
             // its own endpoint's range.

@@ -32,13 +32,13 @@
 //! single-process "loopback mesh" measures true kernel round-trips.
 //!
 //! Inbound: an accept loop spawns one reader thread per connection;
-//! frames are routed to per-endpoint inboxes by their `to` field.
+//! frames are routed to per-endpoint inboxes by their `to` field, where a
+//! control message overtakes queued data ([`gt_net::Inbox`]).
 //! Inbound connections are read-only (the mesh never replies on them),
 //! so a connection is a one-way pipe exactly like a fabric link.
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use gt_net::{Envelope, NetStats, RecvError, SendError};
-use parking_lot::RwLock;
+use crossbeam_channel::{unbounded, Receiver, Sender};
+use gt_net::{Envelope, Inbox, NetStats, RecvError, SendError, WireSize};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -302,9 +302,9 @@ impl Write for Stream {
 
 struct MeshShared<M> {
     cfg: MeshConfig,
-    /// Local endpoint inboxes; cleared on close so receivers observe
+    /// Local endpoint inboxes; closed on close so receivers observe
     /// `Closed` once drained.
-    inboxes: RwLock<HashMap<usize, Sender<Envelope<M>>>>,
+    inboxes: HashMap<usize, Arc<Inbox<M>>>,
     /// One outbox per process (pre-framed bytes); the empty frame is the
     /// shutdown wake-up.
     outboxes: Vec<Sender<Vec<u8>>>,
@@ -341,7 +341,7 @@ impl<M> std::fmt::Debug for SocketMesh<M> {
 /// fabric endpoints.
 pub struct SocketEndpoint<M> {
     id: usize,
-    rx: Receiver<Envelope<M>>,
+    inbox: Arc<Inbox<M>>,
     shared: Arc<MeshShared<M>>,
 }
 
@@ -349,7 +349,7 @@ impl<M> Clone for SocketEndpoint<M> {
     fn clone(&self) -> Self {
         SocketEndpoint {
             id: self.id,
-            rx: self.rx.clone(),
+            inbox: self.inbox.clone(),
             shared: self.shared.clone(),
         }
     }
@@ -363,7 +363,7 @@ impl<M> std::fmt::Debug for SocketEndpoint<M> {
     }
 }
 
-impl<M: Send + WireCodec + 'static> SocketMesh<M> {
+impl<M: Send + WireCodec + WireSize + 'static> SocketMesh<M> {
     /// Bind this process's listener, spawn the accept loop and one writer
     /// per process, and return endpoints for every id homed here (in
     /// ascending id order).
@@ -379,13 +379,12 @@ impl<M: Send + WireCodec + 'static> SocketMesh<M> {
         let (listener, actual) = Listener::bind(&cfg.processes[cfg.me])?;
         cfg.processes[cfg.me] = actual;
 
-        let mut inboxes = HashMap::new();
-        let mut rxs = Vec::new();
-        for &e in &cfg.local_ids() {
-            let (tx, rx) = unbounded();
-            inboxes.insert(e, tx);
-            rxs.push((e, rx));
-        }
+        let local: Vec<(usize, Arc<Inbox<M>>)> = cfg
+            .local_ids()
+            .into_iter()
+            .map(|e| (e, Arc::default()))
+            .collect();
+        let inboxes = local.iter().cloned().collect();
 
         let mut outboxes = Vec::with_capacity(cfg.processes.len());
         let mut out_rxs = Vec::with_capacity(cfg.processes.len());
@@ -398,7 +397,7 @@ impl<M: Send + WireCodec + 'static> SocketMesh<M> {
         let stats = Arc::new(NetStats::new(cfg.n_endpoints));
         let shared = Arc::new(MeshShared {
             cfg,
-            inboxes: RwLock::new(inboxes),
+            inboxes,
             outboxes,
             stats,
             closed: AtomicBool::new(false),
@@ -423,11 +422,11 @@ impl<M: Send + WireCodec + 'static> SocketMesh<M> {
         let mesh = SocketMesh {
             shared: shared.clone(),
         };
-        let endpoints = rxs
+        let endpoints = local
             .into_iter()
-            .map(|(id, rx)| SocketEndpoint {
+            .map(|(id, inbox)| SocketEndpoint {
                 id,
-                rx,
+                inbox,
                 shared: shared.clone(),
             })
             .collect();
@@ -456,7 +455,9 @@ fn close_shared<M>(shared: &MeshShared<M>) {
     if shared.closed.swap(true, Ordering::SeqCst) {
         return;
     }
-    shared.inboxes.write().clear();
+    for inbox in shared.inboxes.values() {
+        inbox.close();
+    }
     // Wake every writer with the empty shutdown frame.
     for tx in &shared.outboxes {
         let _ = tx.send(Vec::new());
@@ -503,27 +504,25 @@ impl<M: Send + WireCodec + 'static> SocketEndpoint<M> {
             .map_err(|_| SendError::Closed)
     }
 
-    /// Block until a message arrives (or the mesh closes).
+    /// Block until a message arrives (or the mesh closes), control lane
+    /// first.
     pub fn recv(&self) -> Result<Envelope<M>, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Closed)
+        self.inbox.recv()
     }
 
-    /// Block up to `timeout` for a message.
+    /// Block up to `timeout` for a message, control lane first.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Closed,
-        })
+        self.inbox.recv_timeout(timeout)
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive, control lane first.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.rx.try_recv().ok()
+        self.inbox.try_recv()
     }
 
-    /// Messages waiting in this endpoint's inbox.
+    /// Messages waiting in this endpoint's inbox (both lanes).
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.inbox.pending()
     }
 
     /// Traffic counters of the hosting process's mesh.
@@ -613,7 +612,10 @@ fn write_frames(s: &mut impl Write, frames: &[u8]) -> Result<(), usize> {
 }
 
 /// Accept loop: one reader thread per inbound connection.
-fn accept_loop<M: Send + WireCodec + 'static>(listener: Listener, shared: Arc<MeshShared<M>>) {
+fn accept_loop<M: Send + WireCodec + WireSize + 'static>(
+    listener: Listener,
+    shared: Arc<MeshShared<M>>,
+) {
     loop {
         let stream = listener.accept();
         if shared.closed.load(Ordering::SeqCst) {
@@ -633,7 +635,7 @@ fn accept_loop<M: Send + WireCodec + 'static>(listener: Listener, shared: Arc<Me
 }
 
 /// Inbound side: parse frames off one connection, route to local inboxes.
-fn reader_loop<M: Send + WireCodec + 'static>(stream: Stream, shared: Arc<MeshShared<M>>) {
+fn reader_loop<M: WireCodec + WireSize>(stream: Stream, shared: Arc<MeshShared<M>>) {
     let mut stream = BufReader::with_capacity(IO_CHUNK, stream);
     let mut header = [0u8; 4];
     let mut body: Vec<u8> = Vec::new();
@@ -658,8 +660,8 @@ fn reader_loop<M: Send + WireCodec + 'static>(stream: Stream, shared: Arc<MeshSh
             shared.stats.record_drop();
             continue;
         };
-        let delivered = match shared.inboxes.read().get(&to) {
-            Some(tx) => tx.send(Envelope { from, to, msg }).is_ok(),
+        let delivered = match shared.inboxes.get(&to) {
+            Some(inbox) => inbox.push(Envelope { from, to, msg }).is_ok(),
             None => false,
         };
         if !delivered {
@@ -853,6 +855,56 @@ mod tests {
                     .expect("recv in time");
                 assert_eq!(env.msg, vec![round ^ i as u8; n], "round {round} frame {i}");
             }
+        }
+        mesh.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Control when odd, data when even.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Laned(u64);
+
+    impl WireSize for Laned {
+        fn wire_size(&self) -> usize {
+            8
+        }
+        fn traffic_class(&self) -> gt_net::TrafficClass {
+            if self.0 % 2 == 1 {
+                gt_net::TrafficClass::Control
+            } else {
+                gt_net::TrafficClass::Interactive
+            }
+        }
+    }
+
+    impl WireCodec for Laned {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(buf: &[u8]) -> Option<Self> {
+            u64::decode(buf).map(Laned)
+        }
+    }
+
+    #[test]
+    fn a_control_frame_overtakes_queued_data_on_a_uds_mesh() {
+        let dir = std::env::temp_dir().join(format!("gt-mesh-lanes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let cfg = MeshConfig::single_process(2, SocketAddrSpec::Uds(dir.join("lanes.sock")));
+        let (mesh, eps) = SocketMesh::<Laned>::start(cfg).expect("start uds mesh");
+        const DATA: u64 = 1000;
+        for i in 0..DATA {
+            eps[0].send(1, Laned(2 * i)).expect("send");
+        }
+        eps[0].send(1, Laned(1)).expect("send");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while eps[1].pending() < DATA as usize + 1 {
+            assert!(std::time::Instant::now() < deadline, "frames not delivered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(eps[1].recv().expect("recv").msg, Laned(1));
+        for i in 0..DATA {
+            assert_eq!(eps[1].try_recv().map(|e| e.msg), Some(Laned(2 * i)));
         }
         mesh.close();
         let _ = std::fs::remove_dir_all(&dir);

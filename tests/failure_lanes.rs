@@ -1,15 +1,20 @@
 //! The failure lanes, one smoke test each, where the tier-1 gate runs
 //! them: a lossy interconnect, a coordinator crash, a replica promotion
 //! and a travel beside live ingest — every result checked against the
-//! single-threaded oracle. The suites under `crates/core/tests/` cover
-//! each lane in depth.
+//! single-threaded oracle — and the control lane that keeps a probe or a
+//! heartbeat from waiting behind queued data. The suites under
+//! `crates/core/tests/` cover each lane in depth.
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
 use common::{mixed_query, oracle_map, random_graph, tmp};
+use graphtrek::message::Msg;
+use graphtrek::ExecId;
 use graphtrek_suite::prelude::*;
-use std::time::Duration;
+use gt_net::{Fabric, NetConfig};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[test]
 fn lossy_links_leave_every_engine_on_the_oracle() {
@@ -155,4 +160,47 @@ fn an_admitted_travel_does_not_see_a_later_acked_ingest() {
     assert_eq!(cluster.submit(&q).unwrap().by_depth, want_after);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A server's inbox holds a thousand frontier messages when a progress
+/// probe and a heartbeat land behind them: the two are received first, in
+/// the order sent, and the data follows in its own order.
+#[test]
+fn a_probe_and_a_heartbeat_overtake_queued_frontier_data() {
+    let (_fabric, eps) = Fabric::<Msg>::new(3, NetConfig::cluster());
+    let (server, peer, client) = (&eps[0], &eps[1], &eps[2]);
+    let plan = Arc::new(GTravel::v([1u64]).e("link").compile().unwrap());
+    const QUEUED: u64 = 1000;
+    for i in 0..QUEUED {
+        let visit = Msg::Visit {
+            travel: 1,
+            depth: 1,
+            exec: ExecId::new(1, i + 1),
+            plan: plan.clone(),
+            coordinator: 1,
+            items: vec![(VertexId(i), Vec::new())],
+        };
+        peer.send(0, visit).unwrap();
+    }
+    let probe = Msg::ProgressQuery {
+        travel: 1,
+        client: 2,
+    };
+    client.send(0, probe).unwrap();
+    peer.send(0, Msg::Heartbeat { from: 1, seq: 1 }).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.pending() < QUEUED as usize + 2 {
+        assert!(Instant::now() < deadline, "the fabric never delivered");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let first = server.recv().unwrap().msg;
+    assert!(matches!(first, Msg::ProgressQuery { .. }), "{first:?}");
+    let second = server.recv().unwrap().msg;
+    assert!(matches!(second, Msg::Heartbeat { .. }), "{second:?}");
+    for i in 0..QUEUED {
+        match server.try_recv().map(|env| env.msg) {
+            Some(Msg::Visit { items, .. }) => assert_eq!(items[0].0, VertexId(i)),
+            other => panic!("visit {i}: {other:?}"),
+        }
+    }
 }

@@ -300,7 +300,7 @@ fn bare_client_port_drives_a_travel_over_a_uds_mesh() {
                 metrics: None,
                 crash_after: None,
                 placement: Arc::new(SharedPlacement::new(map.clone())),
-                detection: None,
+                self_healing: false,
             })
         })
         .collect();
