@@ -29,9 +29,12 @@ pub enum AccessKind {
 
 /// Latency charged per access class.
 ///
-/// All latencies are wall-clock sleeps performed by the calling thread,
-/// which is the thread of the traversal worker that issued the storage
-/// request — matching a synchronous `pread` on the paper's backend servers.
+/// A read's accesses are summed, not waited out one by one: the calling
+/// thread — the traversal worker that issued the storage request, as a
+/// synchronous `pread` on the paper's backend servers would — waits out
+/// the sum in one [`charge_duration`] when the read ends, and earlier only
+/// where a run it loaded from disk is about to become visible to other
+/// readers through the block cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoProfile {
     /// Cost of a cold random read (disk seek + first block).
@@ -88,14 +91,6 @@ impl IoProfile {
             AccessKind::Sequential => self.sequential_read,
         }
     }
-
-    /// Block the calling thread for the cost of `kind`
-    /// ([`charge_duration`]: busy-spinning below 5 µs, where OS sleep
-    /// granularity would quantize the model, sleeping otherwise).
-    pub fn charge(&self, kind: AccessKind) {
-        let d = self.cost(kind);
-        charge_duration(d);
-    }
 }
 
 impl Default for IoProfile {
@@ -109,8 +104,11 @@ impl Default for IoProfile {
 /// Sleeping (rather than busy-spinning) is essential to the simulation:
 /// a thread "waiting on disk" must release the CPU so other simulated
 /// servers can run — especially on low-core-count hosts where dozens of
-/// server threads share a core. Only sub-5µs costs are spun, where OS
-/// sleep granularity would round them up by an order of magnitude.
+/// server threads share a core. Only sub-5µs waits are spun, where OS
+/// sleep granularity would round them up by an order of magnitude. The
+/// floor applies to what one wait pays — a read's summed accesses or one
+/// straggler delay — not to each access, so a run of 4 µs sequential rows
+/// is one sleep, not a spin per row.
 pub fn charge_duration(d: Duration) {
     if d.is_zero() {
         return;
@@ -172,16 +170,21 @@ impl IoStats {
     }
 }
 
-/// One read's accesses: each is charged to the I/O model as it happens
-/// and counted locally; the counts reach the tree's [`IoStats`] once, when
-/// the tally is dropped — the same kinds and counts a per-access
-/// [`IoStats::record`] would give, for four atomic adds per read instead
-/// of two per row.
+/// One read's accesses, counted and costed locally. The modelled cost is
+/// owed until [`Tally::pay`] waits it out in one [`charge_duration`]: a
+/// segment pays before a run it loaded from disk enters the block cache
+/// (so no other reader sees the run before its load is paid), and the
+/// drop pays the rest, under the tree's read lock. The counts reach the
+/// tree's [`IoStats`] once, at the drop — the same kinds and counts a
+/// per-access [`IoStats::record`] would give, for four atomic adds per
+/// read instead of two per row.
 pub(crate) struct Tally<'a> {
     io: &'a IoProfile,
     stats: &'a IoStats,
     counts: [u64; 3],
     bytes: u64,
+    /// Modelled cost of the accesses since the last payment.
+    owed: Duration,
 }
 
 impl<'a> Tally<'a> {
@@ -192,19 +195,26 @@ impl<'a> Tally<'a> {
             stats,
             counts: [0; 3],
             bytes: 0,
+            owed: Duration::ZERO,
         }
     }
 
     /// One access of `kind` returning `bytes` bytes.
     pub(crate) fn access(&mut self, kind: AccessKind, bytes: usize) {
-        self.io.charge(kind);
+        self.owed += self.io.cost(kind);
         self.counts[kind as usize] += 1;
         self.bytes += bytes as u64;
+    }
+
+    /// Wait out everything owed so far.
+    pub(crate) fn pay(&mut self) {
+        charge_duration(std::mem::take(&mut self.owed));
     }
 }
 
 impl Drop for Tally<'_> {
     fn drop(&mut self) {
+        self.pay();
         let s = self.stats;
         let [warm, cold, seq] = self.counts;
         for (counter, n) in [(&s.warm, warm), (&s.cold, cold), (&s.sequential, seq)] {
@@ -248,9 +258,10 @@ mod tests {
     fn free_profile_charges_nothing() {
         let p = IoProfile::free();
         assert!(p.is_free());
+        let stats = IoStats::default();
         let t = std::time::Instant::now();
         for _ in 0..10_000 {
-            p.charge(AccessKind::Cold);
+            Tally::new(&p, &stats).access(AccessKind::Cold, 0);
         }
         assert!(t.elapsed() < Duration::from_millis(50));
     }

@@ -373,6 +373,8 @@ impl Tree {
                     out = v.zip(f.take()).map(|(v, f)| f(v));
                 }
             })?;
+        // The read's modelled I/O is waited out under the read lock.
+        drop(tally);
         drop(inner);
         self.note_stale_read(saw_newer);
         Ok(out)
@@ -415,6 +417,7 @@ impl Tree {
                 f(ukey, v)
             }
         })?;
+        drop(tally);
         drop(inner);
         self.note_stale_read(saw_newer);
         Ok(())
@@ -1543,13 +1546,12 @@ mod tests {
                     layers.push(rows);
                 }
             }
+            let mut tally = Tally::new(&self.io, &self.stats);
             let mem: Vec<RawRow> = inner
                 .memtable
                 .scan_prefix(prefix)
                 .map(|(k, v)| {
-                    self.io.charge(AccessKind::Warm);
-                    self.stats
-                        .record(AccessKind::Warm, v.map_or(0, |b| b.len()));
+                    tally.access(AccessKind::Warm, v.map_or(0, |b| b.len()));
                     (k.to_vec(), v.cloned())
                 })
                 .collect();
@@ -1567,9 +1569,8 @@ mod tests {
         fn owned_get(&self, key: &[u8]) -> Option<Bytes> {
             let inner = self.inner.read();
             if let Some(hit) = inner.memtable.get(key) {
-                self.io.charge(AccessKind::Warm);
-                self.stats
-                    .record(AccessKind::Warm, hit.map_or(0, |b| b.len()));
+                Tally::new(&self.io, &self.stats)
+                    .access(AccessKind::Warm, hit.map_or(0, |b| b.len()));
                 return hit.cloned();
             }
             for seg in &inner.segments {
