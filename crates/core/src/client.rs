@@ -2,13 +2,13 @@
 //!
 //! In the paper a client hands a GTravel to a coordinator server and waits
 //! for the status-traced completion (§IV-C). [`ClientPort`] is that role
-//! over a [`Conduit`], for both deployment shapes: the in-process
-//! [`crate::cluster::ClusterState`] embeds one (and adds what only it can
-//! know: admission, routing, failover), and a `gt-server` mesh node serves
-//! its front door from one directly.
+//! over one [`Endpoint`], whichever link carries it, for both deployment
+//! shapes: the in-process [`crate::cluster::ClusterState`] embeds one (and
+//! adds what only it can know: admission, routing, failover), and a
+//! `gt-server` mesh node serves its front door from one directly.
 //!
 //! Any number of threads may wait on one port. There is no receiver
-//! thread: whoever waits pumps the conduit, for everybody.
+//! thread: whoever waits pumps the endpoint, for everybody.
 //!
 //! * **Delivery.** A client-bound message is filed under
 //!   [`Msg::client_key`] into the slot of that key.
@@ -18,7 +18,7 @@
 //!   around a request. A reply with no slot is dropped, so an answer that
 //!   arrives after its asker gave up cannot accumulate.
 //! * **Wake rule.** Exactly one waiter at a time receives from the
-//!   conduit; the others park on a condvar with their own deadlines. The
+//!   endpoint; the others park on a condvar with their own deadlines. The
 //!   pumping waiter wakes them after every delivery and when it leaves,
 //!   so a reply read by another thread is noticed at once and some parked
 //!   waiter always takes the pump over. A lone waiter never touches the
@@ -30,8 +30,7 @@ use crate::lang::Plan;
 use crate::lockorder::assert_none_held;
 use crate::message::{Msg, ProgressSnapshot, TravelOutcome};
 use crate::{ticket_of, TravelId};
-use gt_net::RecvError;
-use gt_transport::Conduit;
+use gt_net::{Endpoint, RecvError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,11 +79,11 @@ struct PortState {
     /// incarnation of one reports [`TravelError::Cancelled`] instead of
     /// running out its timeout.
     cancelled: BTreeSet<TravelId>,
-    /// Some waiter is inside the conduit's receive.
+    /// Some waiter is inside the endpoint's receive.
     pumping: bool,
     /// Waiters parked on the condvar.
     parked: usize,
-    /// The conduit reported [`RecvError::Closed`].
+    /// The endpoint reported [`RecvError::Closed`].
     closed: bool,
 }
 
@@ -135,7 +134,7 @@ impl Drop for Listening<'_> {
 
 /// One client endpoint (see the module docs).
 pub struct ClientPort {
-    ep: Conduit<Msg>,
+    ep: Endpoint<Msg>,
     n_servers: usize,
     next_id: AtomicU64,
     state: Mutex<PortState>,
@@ -152,7 +151,7 @@ impl ClientPort {
     /// cluster's only client, `endpoint << 48` where several ports in
     /// different processes share the servers — below bit 56 either way,
     /// where a re-drive's attempt starts ([`TravelId`]).
-    pub fn new(ep: Conduit<Msg>, n_servers: usize, id_base: u64) -> ClientPort {
+    pub fn new(ep: Endpoint<Msg>, n_servers: usize, id_base: u64) -> ClientPort {
         ClientPort {
             ep,
             n_servers,
@@ -220,7 +219,7 @@ impl ClientPort {
     }
 
     /// Pump until `pick` yields (`Ok(Some)`), `deadline` passes
-    /// (`Ok(None)`) or the conduit closes.
+    /// (`Ok(None)`) or the endpoint closes.
     fn pump_until<R>(
         &self,
         deadline: Instant,
@@ -442,7 +441,7 @@ mod tests {
         let (fabric, mut eps) = Fabric::new(2, NetConfig::instant());
         let client = eps.pop().expect("endpoint 1");
         let server = eps.pop().expect("endpoint 0");
-        let port = ClientPort::new(Conduit::Fabric(client), 1, 0);
+        let port = ClientPort::new(client, 1, 0);
         (fabric, server, port)
     }
 
@@ -628,7 +627,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("gt-port-{}.sock", std::process::id()));
         let cfg = MeshConfig::single_process(2, SocketAddrSpec::Uds(path));
         let (mesh, mut eps) = SocketMesh::<Msg>::start(cfg).expect("mesh starts");
-        let port = &ClientPort::new(Conduit::Socket(eps.pop().expect("endpoint 1")), 1, 0);
+        let port = &ClientPort::new(eps.pop().expect("endpoint 1"), 1, 0);
         let keys = [port.mint(), port.mint(), port.mint()];
         let _listening: Vec<_> = keys.iter().map(|&k| port.listen(k)).collect();
         std::thread::scope(|s| {

@@ -9,7 +9,7 @@
 //! traversal is executed among backend servers and returns the status and
 //! results to the coordinator."
 //!
-//! [`Cluster::submit_opts`] implements the paper's v1 failure handling:
+//! [`ClusterState::submit_opts`] implements the paper's v1 failure handling:
 //! if no completion arrives within the timeout (a silent failure — e.g. a
 //! crashed or isolated server), the traversal is aborted and restarted
 //! from scratch (§IV-C: "this failure will simply cause the traversal to
@@ -44,9 +44,9 @@ use crate::{ticket_of, TravelId};
 use gt_graph::storage::load_replicated;
 use gt_graph::{EdgeCutPartitioner, GraphPartition, InMemoryGraph, VertexId};
 use gt_kvstore::{Store, StoreConfig};
-use gt_net::{Fabric, NetStats};
+use gt_net::{Endpoint, Fabric, Link};
 use gt_placement::{PlacementMap, SharedPlacement};
-use gt_transport::{Conduit, MeshConfig, SocketAddrSpec, SocketMesh};
+use gt_transport::{MeshConfig, SocketAddrSpec, SocketMesh};
 use rehome::{ring_pick, Cause, Host};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -57,11 +57,11 @@ use travels::{Dispatch, Freed, Travels};
 pub use types::{ClusterConfig, ClusterError, DurabilityLevel, TravelError, TravelResult};
 
 /// Base pause between timeout-driven resubmissions in
-/// [`Cluster::submit_opts`] (doubled per attempt, capped).
+/// [`ClusterState::submit_opts`] (doubled per attempt, capped).
 const RESUBMIT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Cap on the resubmission backoff.
 const RESUBMIT_BACKOFF_CAP: Duration = Duration::from_millis(500);
-/// The slice a blocked [`Cluster::wait`] waits in. Between slices it
+/// The slice a blocked [`ClusterState::wait`] waits in. Between slices it
 /// steps its travel's entry: a lost coordinator is re-homed, a silent
 /// re-drive probed or given up. Deadlines do not depend on it.
 const FAILOVER_CHECK_EVERY: Duration = Duration::from_millis(50);
@@ -74,52 +74,16 @@ fn unique_uds_path() -> PathBuf {
     std::env::temp_dir().join(format!("gt-{}-{n}.sock", std::process::id()))
 }
 
-/// The cluster's hold on whatever moves its messages: the simulated
-/// in-process fabric, or a socket mesh whose frames cross real TCP/UDS
-/// connections through the binary wire codec.
-enum NetHandle {
-    Sim(Fabric<Msg>),
-    Sock(SocketMesh<Msg>),
-}
-
-impl NetHandle {
-    /// Traffic counters (byte/message matrix, drops, handoffs).
-    fn stats(&self) -> Arc<NetStats> {
-        match self {
-            NetHandle::Sim(f) => f.stats(),
-            NetHandle::Sock(m) => m.stats(),
-        }
-    }
-
-    /// Cut (or heal) one endpoint's links. Only the simulated fabric can
-    /// do this; a socket mesh has no partition injector, so the call is
-    /// a no-op there (tests that isolate run on the in-process fabric).
-    fn isolate(&self, id: usize, isolated: bool) {
-        match self {
-            NetHandle::Sim(f) => f.isolate(id, isolated),
-            NetHandle::Sock(_) => {}
-        }
-    }
-
-    /// Tear down socket threads. The simulated fabric needs no shutdown
-    /// (endpoints close when dropped).
-    fn close(&self) {
-        if let NetHandle::Sock(m) = self {
-            m.close();
-        }
-    }
-}
-
 /// One backend server's fixed cluster-side state. The running threads
 /// live in `handle`; everything else survives a crash so
-/// [`Cluster::restart_server`] can respawn the server at the same fabric
+/// [`ClusterState::restart_server`] can respawn the server at the same fabric
 /// address with the same instrumentation and (when the cluster owns the
 /// storage) a store reopened from the same directory — replaying its WAL.
 struct ServerSlot {
-    /// The server's transport endpoint (fabric or socket mesh).
-    /// Endpoints are handles onto a shared inbox, so keeping a clone here
-    /// lets a restarted incarnation keep receiving at the old address.
-    endpoint: Conduit<Msg>,
+    /// The server's endpoint (fabric or socket mesh). Endpoints are
+    /// handles onto a shared inbox, so keeping a clone here lets a
+    /// restarted incarnation keep receiving at the old address.
+    endpoint: Endpoint<Msg>,
     /// Instrumentation, shared across incarnations (crash/recovery
     /// counts accumulate).
     metrics: Arc<ServerMetrics>,
@@ -165,7 +129,9 @@ impl std::ops::Deref for Cluster {
 /// The shared body of a running cluster (see [`Cluster`]).
 pub struct ClusterState {
     slots: Vec<ServerSlot>,
-    fabric: NetHandle,
+    /// The carrier: the simulated fabric, or a socket mesh whose frames
+    /// cross real TCP/UDS connections through the binary wire codec.
+    link: Arc<dyn Link<Msg>>,
     /// The client endpoint: every send to a server and every wait for a
     /// reply goes through it. Travel, request and flow ids are minted
     /// from its one counter, sequentially from 1 (chaos schedules are a
@@ -255,7 +221,7 @@ impl Cluster {
     /// Such a cluster is [`DurabilityLevel::Ephemeral`]: it owns no
     /// storage, so crashed servers cannot reopen a store and nothing is
     /// replicated. Check
-    /// [`Cluster::durability_warning`] before relying on crash recovery.
+    /// [`ClusterState::durability_warning`] before relying on crash recovery.
     pub fn from_partitions(
         partitions: Vec<Arc<GraphPartition>>,
         partitioner: EdgeCutPartitioner,
@@ -284,14 +250,8 @@ impl Cluster {
         } else {
             DurabilityLevel::Ephemeral
         };
-        let (fabric, mut endpoints) = match ecfg.transport {
-            TransportKind::InProc => {
-                let (fabric, eps) = Fabric::with_chaos(n + 1, ecfg.net, ecfg.chaos.net_chaos(n));
-                (
-                    NetHandle::Sim(fabric),
-                    eps.into_iter().map(Conduit::Fabric).collect::<Vec<_>>(),
-                )
-            }
+        let mut endpoints = match ecfg.transport {
+            TransportKind::InProc => Fabric::with_chaos(n + 1, ecfg.net, ecfg.chaos.net_chaos(n)).1,
             kind @ (TransportKind::Tcp | TransportKind::Uds) => {
                 // Chaos injection (loss/dup/reorder schedules, scripted
                 // crash points keyed to fabric delivery) lives in the
@@ -305,17 +265,15 @@ impl Cluster {
                     TransportKind::Tcp => SocketAddrSpec::Tcp("127.0.0.1:0".into()),
                     _ => SocketAddrSpec::Uds(unique_uds_path()),
                 };
-                let (mesh, eps) = SocketMesh::start(MeshConfig::single_process(n + 1, addr))
-                    .map_err(|e| ClusterError::Recovery(format!("socket transport: {e}")))?;
-                (
-                    NetHandle::Sock(mesh),
-                    eps.into_iter().map(Conduit::Socket).collect::<Vec<_>>(),
-                )
+                SocketMesh::start(MeshConfig::single_process(n + 1, addr))
+                    .map_err(|e| ClusterError::Recovery(format!("socket transport: {e}")))?
+                    .1
             }
         };
         let client = endpoints
             .pop()
             .ok_or_else(|| ClusterError::Recovery("fabric returned no client endpoint".into()))?;
+        let link = client.link().clone();
         let mut slots = Vec::with_capacity(n);
         for (id, ((partition, endpoint), store_cfg)) in partitions
             .into_iter()
@@ -348,7 +306,7 @@ impl Cluster {
         let table = Travels::new(n, ecfg.max_concurrent_travels);
         let inner = Arc::new_cyclic(|me: &std::sync::Weak<ClusterState>| ClusterState {
             slots,
-            fabric,
+            link,
             // Every observed completion frees an admission slot, whichever
             // travel the receiving waiter is after: queued submissions
             // make progress while the client blocks on a different travel.
@@ -414,7 +372,7 @@ impl Cluster {
             h.join().expect("healer panicked");
         }
         self.inner.shutdown_servers();
-        self.inner.fabric.close();
+        self.inner.link.close();
     }
 }
 
@@ -423,14 +381,14 @@ impl Drop for ClusterState {
         // Last reference gone (covers clusters dropped without an
         // explicit `shutdown`): stop any socket-transport threads so the
         // process does not accumulate writer/reader threads per test.
-        self.fabric.close();
+        self.link.close();
     }
 }
 
 impl ClusterState {
     /// Whether server `id` has executed a crash (scripted via
     /// [`crate::faults::CrashPoint`] or injected with
-    /// [`Cluster::crash_server`]) and not yet been restarted.
+    /// [`ClusterState::crash_server`]) and not yet been restarted.
     pub fn server_crashed(&self, id: usize) -> bool {
         self.slots[id]
             .handle
@@ -444,7 +402,7 @@ impl ClusterState {
     /// to die. The server stops mid-whatever-it-was-doing: queued work,
     /// caches, token registries and relay streams are all lost; only the
     /// on-disk store (when the cluster owns one) and the fabric address
-    /// survive for [`Cluster::restart_server`].
+    /// survive for [`ClusterState::restart_server`].
     pub fn crash_server(&self, id: usize) -> Result<(), ClusterError> {
         self.port.send(id, Msg::Crash)?;
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -542,9 +500,9 @@ impl ClusterState {
     }
 
     /// The *initial* hash partitioner. Only valid for inspecting vertex
-    /// placement on a static cluster — after a [`Cluster::migrate`],
-    /// [`Cluster::promote`] or [`Cluster::rebalance`] the authoritative
-    /// routing lives in [`Cluster::placement`].
+    /// placement on a static cluster — after a [`ClusterState::migrate`],
+    /// [`ClusterState::promote`] or [`ClusterState::rebalance`] the authoritative
+    /// routing lives in [`ClusterState::placement`].
     pub fn partitioner(&self) -> EdgeCutPartitioner {
         self.partitioner
     }
@@ -802,7 +760,6 @@ impl ClusterState {
         self.port.abort(superseded);
         let successor = &self.slots[redrive.coordinator].metrics;
         successor.failovers.fetch_add(1, Ordering::Relaxed);
-        self.fabric.stats().record_handoff();
         self.port.open(redrive.travel);
         self.dispatch(redrive)
     }
@@ -1084,12 +1041,12 @@ impl ClusterState {
     /// Isolate (or reconnect) one server — its traffic is silently
     /// dropped, the paper's silent-failure scenario.
     pub fn isolate_server(&self, id: usize, isolated: bool) {
-        self.fabric.isolate(id, isolated);
+        self.link.isolate(id, isolated);
     }
 
     /// Fabric traffic counters.
     pub fn net_stats(&self) -> Arc<gt_net::NetStats> {
-        self.fabric.stats()
+        self.link.stats()
     }
 
     /// Server-side half of [`Cluster::shutdown`]: stop every server and

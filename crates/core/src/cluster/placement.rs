@@ -89,7 +89,7 @@ impl ClusterState {
     /// every unfinished travel coordinated by a *live* server is re-driven
     /// so its frontier work lost with the dead shard is re-issued against
     /// the promoted copies. Travels coordinated by `dead` itself recover
-    /// through the regular [`Cluster::wait`] failover path.
+    /// through the regular [`ClusterState::wait`] failover path.
     ///
     /// After the map flips, the dead slot is revived as a *data-less
     /// worker*: it primaries nothing and replicates nothing, but the
@@ -145,7 +145,7 @@ impl ClusterState {
     }
 
     /// The one partition-copy flow under live traffic, behind both
-    /// [`Cluster::migrate`] (`Move`: the cutover flips the primary to
+    /// [`ClusterState::migrate`] (`Move`: the cutover flips the primary to
     /// `to`) and the healer's re-replication (`Replica`: the cutover adds
     /// `to` to the replica set). Two acknowledged phases — bulk snapshot,
     /// then the sealed delta of writes that raced it — then the map edit,

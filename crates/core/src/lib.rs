@@ -116,8 +116,9 @@ pub mod prelude {
 }
 
 pub use cluster::{Cluster, ClusterConfig, TravelResult};
-// Their types appear in this crate's signatures (`Conduit`,
-// `SocketAddrSpec`; `PlacementMap`, `SharedPlacement`).
+// Their types appear in this crate's signatures (`Endpoint`, which
+// `gt_transport` re-exports from `gt_net`, and `SocketAddrSpec`;
+// `PlacementMap`, `SharedPlacement`).
 pub use engine::{EngineConfig, EngineKind};
 pub use lang::{GTravel, Plan};
 pub use {gt_placement, gt_transport};

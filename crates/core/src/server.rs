@@ -48,9 +48,8 @@ use copy::{CopyRoute, CopyTrap};
 use detector::Detector;
 use effect::perform;
 use gt_graph::GraphPartition;
-use gt_net::RecvError;
+use gt_net::{Endpoint, RecvError};
 use gt_placement::SharedPlacement;
-use gt_transport::Conduit;
 use relay::Relay;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,7 +77,7 @@ pub struct ServerArgs {
     /// This server's graph shard.
     pub partition: Arc<GraphPartition>,
     /// Transport endpoint (in-process fabric or socket mesh).
-    pub endpoint: Conduit<Msg>,
+    pub endpoint: Endpoint<Msg>,
     /// Engine configuration (shared across the cluster).
     pub engine: EngineConfig,
     /// This incarnation's epoch: 0 at first boot, bumped on every
@@ -143,7 +142,7 @@ struct Shared {
     n_servers: usize,
     engine_kind: EngineKind,
     partition: Arc<GraphPartition>,
-    ep: Conduit<Msg>,
+    ep: Endpoint<Msg>,
     queue: Arc<dyn RequestQueue>,
     cache: TraversalCache,
     metrics: Arc<ServerMetrics>,
@@ -184,7 +183,7 @@ struct Shared {
 
 impl Shared {
     /// Put `msg` on the wire to endpoint `to`: the one place a server's
-    /// messages leave. A closed conduit is a peer (or the cluster) going
+    /// messages leave. A closed endpoint is a peer (or the cluster) going
     /// away; there is nobody left to tell.
     fn send(&self, to: usize, msg: Msg) {
         assert_none_held("a server's send");
@@ -633,7 +632,7 @@ mod tests {
                 id: 0,
                 n_servers: 2,
                 partition: Arc::new(GraphPartition::open(store).expect("partition")),
-                endpoint: Conduit::Fabric(eps.pop().expect("endpoint 0")),
+                endpoint: eps.pop().expect("endpoint 0"),
                 engine,
                 epoch: 0,
                 metrics: None,

@@ -20,7 +20,7 @@
 //!   then the value; vertices and props reuse their storage encodings
 //!   (`gt_graph::codec`) verbatim so there is one byte-level truth per
 //!   type.
-//! * **The table** ([`wire_table!`]) lists each enum variant once, as
+//! * **The table** (`wire_table!`) lists each enum variant once, as
 //!   `tag => Variant { fields in wire order }`; encode and decode are both
 //!   generated from that row. A row is written by hand only where the
 //!   format is not the fields in sequence.

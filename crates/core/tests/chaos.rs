@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{oracle_map, random_graph, tmp};
+use common::{failovers, oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
 use rand::rngs::SmallRng;
@@ -597,7 +597,11 @@ fn chaos_off_means_zero_overhead_counters() {
     assert_eq!(net.chaos_dropped(), 0);
     assert_eq!(net.chaos_duplicated(), 0);
     assert_eq!(net.chaos_delayed(), 0);
-    assert_eq!(net.handoffs(), 0, "no coordinator handoff with chaos off");
+    assert_eq!(
+        failovers(&cluster),
+        0,
+        "no coordinator handoff with chaos off"
+    );
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,12 +2,18 @@
 //! and uses a subset, hence the `dead_code` allowance).
 #![allow(dead_code)]
 
+use graphtrek::cluster::ClusterState;
 use graphtrek::oracle;
 use graphtrek::prelude::{GTravel, PropFilter};
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+/// Coordinator failovers the cluster's servers absorbed as successors.
+pub fn failovers(cluster: &ClusterState) -> u64 {
+    cluster.metrics().iter().map(|m| m.failovers).sum()
+}
 
 /// A fresh scratch directory path for cluster `name` of this test process.
 pub fn tmp(name: &str) -> std::path::PathBuf {

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{mixed_query, oracle_map, random_graph, tmp};
+use common::{failovers, mixed_query, oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
 use std::time::Duration;
 
@@ -51,7 +51,7 @@ fn coordinator_crash_mid_travel_fails_over_on_all_engines() {
         assert_eq!(m[1].crashes, 1, "{kind:?}: crash point must fire");
         // Successor of server 1 is server 2 (next live server).
         assert_eq!(m[2].failovers, 1, "{kind:?}: server 2 must take over");
-        assert_eq!(cluster.net_stats().handoffs(), 1);
+        assert_eq!(failovers(&cluster), 1);
         cluster.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -90,7 +90,7 @@ fn coordinator_crash_during_result_assembly_recovers() {
         assert_eq!(m[1].crashes, 1, "{kind:?}: the crash point must fire");
         assert_eq!(got.failovers, 1, "{kind:?}: mid-travel, so one failover");
         assert_eq!(m[2].failovers, 1, "{kind:?}: server 2 must take over");
-        assert_eq!(cluster.net_stats().handoffs(), 1);
+        assert_eq!(failovers(&cluster), 1);
         cluster.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -127,7 +127,7 @@ fn double_failover_survives_on_all_engines() {
         assert_eq!(m[2].crashes, 1, "{kind:?}: second crash fires");
         assert_eq!(got.failovers, 2, "{kind:?}: two failovers");
         assert_eq!(m[0].failovers, 1, "{kind:?}: server 0 hosts the second");
-        assert_eq!(cluster.net_stats().handoffs(), 2);
+        assert_eq!(failovers(&cluster), 2);
         cluster.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -433,7 +433,7 @@ fn cancel_after_a_failover_reports_the_tickets_travel() {
     let waiter = std::thread::scope(|s| {
         let waiter = s.spawn(|| cluster.wait(&ticket, Duration::from_secs(30)));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while cluster.net_stats().handoffs() == 0 {
+        while failovers(&cluster) == 0 {
             assert!(std::time::Instant::now() < deadline, "never failed over");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -490,7 +490,7 @@ fn no_crash_means_zero_failover_counters() {
             );
         }
     }
-    assert_eq!(cluster.net_stats().handoffs(), 0);
+    assert_eq!(failovers(&cluster), 0);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

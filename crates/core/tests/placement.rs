@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{mixed_query, oracle_map, random_graph, tmp};
+use common::{failovers, mixed_query, oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
 use gt_graph::{Edge, Props, Vertex};
 use std::time::Duration;
@@ -147,11 +147,7 @@ fn promotion_leaves_finished_unwaited_travels_alone() {
     }
     cluster.crash_server(2).unwrap();
     cluster.promote(2).unwrap();
-    assert_eq!(
-        cluster.net_stats().handoffs(),
-        0,
-        "a finished travel was handed off"
-    );
+    assert_eq!(failovers(&cluster), 0, "a finished travel was handed off");
     let failovers: Vec<u64> = cluster.metrics().iter().map(|m| m.failovers).collect();
     assert_eq!(failovers, vec![0, 0, 0], "a finished travel was taken over");
     cluster.shutdown();
@@ -257,7 +253,7 @@ fn coordinator_crash_while_a_peer_is_isolated_recovers_at_rf_1_and_2() {
                 .unwrap_or_else(|e| panic!("rf {rf} {kind:?}: the re-drive must finish: {e}"));
             assert_eq!(got.by_depth, want, "rf {rf} {kind:?} diverged");
             assert_eq!(got.failovers, 1, "rf {rf} {kind:?}: one failover");
-            assert_eq!(cluster.net_stats().handoffs(), 1);
+            assert_eq!(failovers(&cluster), 1);
             cluster.shutdown();
             std::fs::remove_dir_all(&dir).ok();
         }

@@ -11,7 +11,7 @@
 //!   are mapped into key-value pairs in separate namespaces", §VI). Each
 //!   namespace is its own LSM tree (WAL + memtable + sorted segments).
 //! * **Sorted, prefix-scannable storage** — "the attributes and the
-//!   connected edges of a vertex [are] sequentially stored for better scan
+//!   connected edges of a vertex \[are\] sequentially stored for better scan
 //!   performance" (§VI). [`Tree::scan_prefix`] performs a merged
 //!   ordered scan over the memtable and all on-disk segments.
 //! * **Write-ahead logging** with CRC-protected atomic batches, memtable

@@ -1,7 +1,9 @@
-//! Endpoints, envelopes, and the delivery timer wheel.
+//! The simulated carrier: a [`Link`] with a latency model, a chaos shim
+//! and the delivery timer wheel.
 
 use crate::chaos::ChaosConfig;
 use crate::config::NetConfig;
+use crate::endpoint::{Endpoint, Envelope, Link, SendError};
 use crate::inbox::Inbox;
 use crate::stats::NetStats;
 use crate::WireSize;
@@ -14,55 +16,6 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A delivered message with its source address.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
-    /// Sending endpoint id.
-    pub from: usize,
-    /// Receiving endpoint id.
-    pub to: usize,
-    /// Payload.
-    pub msg: M,
-}
-
-/// Error returned by [`Endpoint::send`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
-    /// Destination id is out of range.
-    UnknownEndpoint,
-    /// The fabric was shut down.
-    Closed,
-}
-
-/// Error returned by the receive functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// No message arrived within the timeout.
-    Timeout,
-    /// The transport was shut down and the inbox is drained.
-    Closed,
-}
-
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SendError::UnknownEndpoint => write!(f, "unknown endpoint"),
-            SendError::Closed => write!(f, "fabric closed"),
-        }
-    }
-}
-impl std::error::Error for SendError {}
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvError::Timeout => write!(f, "receive timed out"),
-            RecvError::Closed => write!(f, "fabric closed"),
-        }
-    }
-}
-impl std::error::Error for RecvError {}
 
 struct Scheduled<M> {
     deliver_at: Instant,
@@ -101,33 +54,10 @@ struct Shared<M> {
     seq: std::sync::atomic::AtomicU64,
 }
 
-/// One addressable party on the fabric (a backend server or a client).
-///
-/// Cloning is cheap and shares the same inbox: a server's dispatcher
-/// thread receives while its worker threads send through clones.
-pub struct Endpoint<M> {
-    id: usize,
-    shared: Arc<Shared<M>>,
-}
-
-impl<M> Clone for Endpoint<M> {
-    fn clone(&self) -> Self {
-        Endpoint {
-            id: self.id,
-            shared: self.shared.clone(),
-        }
-    }
-}
-
-impl<M> std::fmt::Debug for Endpoint<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Endpoint").field("id", &self.id).finish()
-    }
-}
-
 /// The fabric itself: isolation and counters. Delivery runs on a thread of
 /// its own that outlives this handle while an endpoint does; endpoints
-/// share the inboxes, so they never see [`RecvError::Closed`].
+/// share the inboxes, so they never see
+/// [`RecvError::Closed`](crate::RecvError::Closed).
 pub struct Fabric<M> {
     shared: Arc<Shared<M>>,
 }
@@ -187,10 +117,7 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
             seq: std::sync::atomic::AtomicU64::new(0),
         });
         let endpoints = (0..n)
-            .map(|id| Endpoint {
-                id,
-                shared: shared.clone(),
-            })
+            .map(|id| Endpoint::new(id, shared.inboxes[id].clone(), shared.clone()))
             .collect();
         (Fabric { shared }, endpoints)
     }
@@ -199,7 +126,7 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
     /// to or from it is silently dropped — the "silent failure" condition
     /// the traversal status tracing must detect.
     pub fn isolate(&self, id: usize, isolated: bool) {
-        self.shared.isolated[id].store(isolated, Ordering::Relaxed);
+        self.shared.isolate(id, isolated);
     }
 
     /// Traffic counters.
@@ -251,103 +178,82 @@ fn wheel_loop<M: WireSize>(rx: Receiver<Scheduled<M>>, inboxes: Vec<Arc<Inbox<M>
     }
 }
 
-impl<M: Send + WireSize + Clone + 'static> Endpoint<M> {
-    /// This endpoint's address.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Number of endpoints on the fabric.
-    pub fn n_endpoints(&self) -> usize {
-        self.shared.inboxes.len()
-    }
-
-    /// Traffic counters for the fabric this endpoint is attached to
-    /// (shared with [`Fabric::stats`]).
-    pub fn stats(&self) -> Arc<NetStats> {
-        self.shared.stats.clone()
-    }
-
-    /// Send `msg` to endpoint `to`. Never blocks on the receiver.
-    pub fn send(&self, to: usize, msg: M) -> Result<(), SendError> {
-        let sh = &self.shared;
-        if to >= sh.inboxes.len() {
+impl<M: Send + WireSize + Clone + 'static> Link<M> for Shared<M> {
+    fn send(&self, from: usize, to: usize, msg: M) -> Result<(), SendError> {
+        if to >= self.inboxes.len() {
             return Err(SendError::UnknownEndpoint);
         }
-        if sh.isolated[self.id].load(Ordering::Relaxed) || sh.isolated[to].load(Ordering::Relaxed) {
-            sh.stats.record_drop();
+        if self.isolated[from].load(Ordering::Relaxed) || self.isolated[to].load(Ordering::Relaxed)
+        {
+            self.stats.record_drop();
             return Ok(()); // silently dropped, like a dead peer
         }
         // Seeded fault injection: a keyed message on an in-scope link gets
         // its fate from the pure decision function (drop / duplicate /
         // delay). Keyless messages (control plane, client links) pass
         // through untouched.
-        let decision = if sh.chaos.applies_to_link(self.id, to) {
-            msg.chaos_key().map(|k| sh.chaos.decide(k))
+        let decision = if self.chaos.applies_to_link(from, to) {
+            msg.chaos_key().map(|k| self.chaos.decide(k))
         } else {
             None
         };
         if let Some(d) = &decision {
             if d.drop {
-                sh.stats.record_chaos_drop();
+                self.stats.record_chaos_drop();
                 return Ok(()); // lost on the wire
             }
         }
         let size = msg.wire_size();
-        sh.stats.record(self.id, to, size);
+        self.stats.record(from, to, size);
         let bulk = msg.traffic_class() == crate::TrafficClass::Bulk;
         if bulk {
-            sh.stats.record_bulk(size);
+            self.stats.record_bulk(size);
         }
-        let env = Envelope {
-            from: self.id,
-            to,
-            msg,
-        };
+        let env = Envelope { from, to, msg };
         let dup_env = match &decision {
             Some(d) if d.duplicate => {
-                sh.stats.record_chaos_dup();
+                self.stats.record_chaos_dup();
                 Some(env.clone())
             }
             _ => None,
         };
         let extra = decision.map(|d| d.extra_delay).unwrap_or(Duration::ZERO);
         if !extra.is_zero() {
-            sh.stats.record_chaos_delay();
+            self.stats.record_chaos_delay();
         }
-        match &sh.wheel_tx {
+        match &self.wheel_tx {
             // No wheel ⇒ chaos can only be dropping (needs_wheel() covers
             // dup/delay), so plain instant delivery is exact.
-            None => sh.inboxes[to].push(env),
+            None => self.inboxes[to].push(env),
             Some(wheel) => {
                 let delay = {
-                    let mut rng = sh.rng.lock();
-                    let jitter_ns = if sh.cfg.jitter.is_zero() {
+                    let mut rng = self.rng.lock();
+                    let jitter_ns = if self.cfg.jitter.is_zero() {
                         0
                     } else {
-                        rng.gen_range(0..=sh.cfg.jitter.as_nanos() as u64)
+                        rng.gen_range(0..=self.cfg.jitter.as_nanos() as u64)
                     };
                     let per_byte = if bulk {
-                        sh.cfg.bulk_per_byte
+                        self.cfg.bulk_per_byte
                     } else {
-                        sh.cfg.per_byte
+                        self.cfg.per_byte
                     };
-                    sh.cfg.latency + Duration::from_nanos(jitter_ns) + per_byte * (size as u32)
+                    self.cfg.latency + Duration::from_nanos(jitter_ns) + per_byte * (size as u32)
                 };
                 let mut deliver_at = Instant::now() + delay + extra;
                 // A chaos-delayed message with `reorder` on skips the FIFO
                 // floor: later sends on the link may overtake it. Without
                 // `reorder` the extra delay stalls the whole link instead.
-                let bypass_floor = sh.chaos.reorder && !extra.is_zero();
+                let bypass_floor = self.chaos.reorder && !extra.is_zero();
                 if !bypass_floor {
-                    let mut floors = sh.link_floor.lock();
-                    let slot = self.id * sh.inboxes.len() + to;
+                    let mut floors = self.link_floor.lock();
+                    let slot = from * self.inboxes.len() + to;
                     if deliver_at < floors[slot] {
                         deliver_at = floors[slot] + Duration::from_nanos(1);
                     }
                     floors[slot] = deliver_at;
                 }
-                let seq = sh.seq.fetch_add(1, Ordering::Relaxed);
+                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
                 wheel
                     .send(Scheduled {
                         deliver_at,
@@ -360,7 +266,7 @@ impl<M: Send + WireSize + Clone + 'static> Endpoint<M> {
                     // arrive out of order, which is exactly the hazard the
                     // receive-side dedupe must absorb.
                     let dd = decision.map(|d| d.dup_delay).unwrap_or_default();
-                    let seq = sh.seq.fetch_add(1, Ordering::Relaxed);
+                    let seq = self.seq.fetch_add(1, Ordering::Relaxed);
                     wheel
                         .send(Scheduled {
                             deliver_at: deliver_at + dd,
@@ -374,25 +280,19 @@ impl<M: Send + WireSize + Clone + 'static> Endpoint<M> {
         }
     }
 
-    /// Block until a message arrives, control lane first.
-    pub fn recv(&self) -> Result<Envelope<M>, RecvError> {
-        self.shared.inboxes[self.id].recv()
+    fn n_endpoints(&self) -> usize {
+        self.inboxes.len()
     }
 
-    /// Block up to `timeout` for a message, control lane first.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        self.shared.inboxes[self.id].recv_timeout(timeout)
+    fn stats(&self) -> Arc<NetStats> {
+        self.stats.clone()
     }
 
-    /// Non-blocking receive, control lane first.
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.shared.inboxes[self.id].try_recv()
+    fn isolate(&self, id: usize, isolated: bool) {
+        self.isolated[id].store(isolated, Ordering::Relaxed);
     }
 
-    /// Number of messages waiting in this endpoint's inbox (both lanes).
-    pub fn pending(&self) -> usize {
-        self.shared.inboxes[self.id].pending()
-    }
+    fn close(&self) {}
 }
 
 #[cfg(test)]
@@ -410,12 +310,6 @@ mod tests {
             assert_eq!(env.msg, i);
             assert_eq!(env.from, 0);
         }
-    }
-
-    #[test]
-    fn unknown_endpoint_rejected() {
-        let (_fabric, eps) = Fabric::<u64>::new(2, NetConfig::instant());
-        assert_eq!(eps[0].send(5, 1), Err(SendError::UnknownEndpoint));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the data lane. One lock and one condvar over both, because a receiver
 //! must block on "either lane non-empty" and there is no `select`.
 
-use crate::fabric::{Envelope, RecvError, SendError};
+use crate::endpoint::{Envelope, RecvError, SendError};
 use crate::{TrafficClass, WireSize};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;

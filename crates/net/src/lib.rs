@@ -24,8 +24,9 @@
 //! network transmission protocol" (§VI) over the Fusion cluster's
 //! InfiniBand fabric. This crate is that substrate for the in-process
 //! reproduction: a set of [`Endpoint`]s (one per simulated backend server,
-//! plus clients) exchanging typed messages through a [`Fabric`] that
-//! models network behaviour:
+//! plus clients) exchanging typed messages. An endpoint receives from its
+//! [`Inbox`] and sends through its carrier's [`Link`]; the [`Fabric`] is
+//! the simulated link, and it models network behaviour:
 //!
 //! * **Latency** — configurable base one-way latency plus bounded jitter
 //!   plus a per-byte transmission cost ([`NetConfig`]).
@@ -47,13 +48,15 @@
 
 pub mod chaos;
 pub mod config;
+pub mod endpoint;
 pub mod fabric;
 pub mod inbox;
 pub mod stats;
 
 pub use chaos::{chaos_key_of, ChaosConfig, ChaosDecision};
 pub use config::NetConfig;
-pub use fabric::{Endpoint, Envelope, Fabric, RecvError, SendError};
+pub use endpoint::{Endpoint, Envelope, Link, RecvError, SendError};
+pub use fabric::Fabric;
 pub use inbox::Inbox;
 pub use stats::NetStats;
 

@@ -12,7 +12,6 @@ pub struct NetStats {
     chaos_dropped: AtomicU64,
     chaos_duplicated: AtomicU64,
     chaos_delayed: AtomicU64,
-    handoffs: AtomicU64,
     bulk_messages: AtomicU64,
     bulk_bytes: AtomicU64,
 }
@@ -28,7 +27,6 @@ impl NetStats {
             chaos_dropped: AtomicU64::new(0),
             chaos_duplicated: AtomicU64::new(0),
             chaos_delayed: AtomicU64::new(0),
-            handoffs: AtomicU64::new(0),
             bulk_messages: AtomicU64::new(0),
             bulk_bytes: AtomicU64::new(0),
         }
@@ -103,17 +101,6 @@ impl NetStats {
     /// Messages delayed by chaos injection.
     pub fn chaos_delayed(&self) -> u64 {
         self.chaos_delayed.load(Ordering::Relaxed)
-    }
-
-    /// Record one role handoff orchestrated over the fabric (e.g. a
-    /// coordinator failover re-homing a travel's ledger).
-    pub fn record_handoff(&self) {
-        self.handoffs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Role handoffs orchestrated over the fabric.
-    pub fn handoffs(&self) -> u64 {
-        self.handoffs.load(Ordering::Relaxed)
     }
 
     /// Record one bulk-class message (in addition to the per-link record).

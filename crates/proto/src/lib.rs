@@ -12,7 +12,8 @@
 //!
 //! Every message is one frame: `[len: u32 LE][payload: len bytes]`, with
 //! the payload starting at a one-byte message tag. Frames above
-//! [`MAX_FRAME`] are rejected without allocation. See [`read_frame`] /
+//! [`MAX_FRAME`] are rejected without allocation, and a payload's buffer
+//! grows only as its bytes arrive. See [`read_frame`] /
 //! [`write_frame`].
 //!
 //! ## Version negotiation
@@ -41,6 +42,9 @@ pub const MIN_PROTOCOL_VERSION: u16 = 1;
 /// Upper bound on one frame's payload (16 MiB): results are vertex-id
 /// tables, not graph data, so anything bigger is a malformed peer.
 pub const MAX_FRAME: usize = 16 << 20;
+
+/// What [`read_frame`] reserves before a payload's bytes arrive.
+const READ_CHUNK: usize = 64 << 10;
 
 /// Negotiate against this build's supported range: the answer for a
 /// `Hello{version}` is `Ok(min(version, PROTOCOL_VERSION))` when the
@@ -690,8 +694,12 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
             ProtoError::Oversize(len).to_string(),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The payload grows as its bytes arrive: a prefix alone commits at
+    // most one chunk, whatever length it claims.
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    if r.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(Some(payload))
 }
 

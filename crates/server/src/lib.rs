@@ -27,7 +27,7 @@ use gt_graph::storage::{load_replicated, GraphPartition};
 use gt_graph::{Edge, InMemoryGraph, PropValue, Props, Vertex};
 use gt_kvstore::{IoProfile, Store, StoreConfig};
 use gt_placement::{PlacementMap, SharedPlacement};
-use gt_transport::{Conduit, MeshConfig, SocketAddrSpec, SocketMesh};
+use gt_transport::{MeshConfig, SocketAddrSpec, SocketMesh};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -360,7 +360,7 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
                 id: p,
                 n_servers: n,
                 partition: Arc::new(partition),
-                endpoint: Conduit::Socket(server_ep),
+                endpoint: server_ep,
                 engine: EngineConfig::new(cfg.engine),
                 epoch: 0,
                 metrics: None,
@@ -371,7 +371,7 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
             // Several processes' ports share the servers: each mints ids in
             // its own endpoint's range.
             let id_base = (agent_ep.id() as u64) << 48;
-            let agent = Arc::new(ClientPort::new(Conduit::Socket(agent_ep), n, id_base));
+            let agent = Arc::new(ClientPort::new(agent_ep, n, id_base));
             let door = FrontDoor::serve(agent, cfg.listen.clone(), cfg.qos.clone())
                 .map_err(ServeError::Io)?;
             Ok(Running {

@@ -38,7 +38,7 @@
 //! so a connection is a one-way pipe exactly like a fabric link.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use gt_net::{Envelope, Inbox, NetStats, RecvError, SendError, WireSize};
+use gt_net::{Endpoint, Envelope, Inbox, Link, NetStats, SendError, WireSize};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -337,32 +337,6 @@ impl<M> std::fmt::Debug for SocketMesh<M> {
     }
 }
 
-/// One local endpoint of a [`SocketMesh`]. Clones share the inbox, like
-/// fabric endpoints.
-pub struct SocketEndpoint<M> {
-    id: usize,
-    inbox: Arc<Inbox<M>>,
-    shared: Arc<MeshShared<M>>,
-}
-
-impl<M> Clone for SocketEndpoint<M> {
-    fn clone(&self) -> Self {
-        SocketEndpoint {
-            id: self.id,
-            inbox: self.inbox.clone(),
-            shared: self.shared.clone(),
-        }
-    }
-}
-
-impl<M> std::fmt::Debug for SocketEndpoint<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SocketEndpoint")
-            .field("id", &self.id)
-            .finish()
-    }
-}
-
 impl<M: Send + WireCodec + WireSize + 'static> SocketMesh<M> {
     /// Bind this process's listener, spawn the accept loop and one writer
     /// per process, and return endpoints for every id homed here (in
@@ -372,9 +346,7 @@ impl<M: Send + WireCodec + WireSize + 'static> SocketMesh<M> {
     /// the actually-bound port so single-process meshes can use ephemeral
     /// ports. Remote processes need not be up yet: frames queue in the
     /// writer until their listener appears.
-    pub fn start(
-        mut cfg: MeshConfig,
-    ) -> Result<(SocketMesh<M>, Vec<SocketEndpoint<M>>), MeshError> {
+    pub fn start(mut cfg: MeshConfig) -> Result<(SocketMesh<M>, Vec<Endpoint<M>>), MeshError> {
         cfg.validate()?;
         let (listener, actual) = Listener::bind(&cfg.processes[cfg.me])?;
         cfg.processes[cfg.me] = actual;
@@ -424,11 +396,7 @@ impl<M: Send + WireCodec + WireSize + 'static> SocketMesh<M> {
         };
         let endpoints = local
             .into_iter()
-            .map(|(id, inbox)| SocketEndpoint {
-                id,
-                inbox,
-                shared: shared.clone(),
-            })
+            .map(|(id, inbox)| Endpoint::new(id, inbox, shared.clone()))
             .collect();
         Ok((mesh, endpoints))
     }
@@ -447,87 +415,61 @@ impl<M: Send + WireCodec + WireSize + 'static> SocketMesh<M> {
     /// inboxes drain then report `Closed`, and the accept/writer threads
     /// exit. Idempotent.
     pub fn close(&self) {
-        close_shared(&self.shared);
+        self.shared.close();
     }
 }
 
-fn close_shared<M>(shared: &MeshShared<M>) {
-    if shared.closed.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    for inbox in shared.inboxes.values() {
-        inbox.close();
-    }
-    // Wake every writer with the empty shutdown frame.
-    for tx in &shared.outboxes {
-        let _ = tx.send(Vec::new());
-    }
-    // Wake the accept loop; it checks `closed` after each accept.
-    let _ = Stream::connect(&shared.cfg.processes[shared.cfg.me]);
-    if let SocketAddrSpec::Uds(p) = &shared.cfg.processes[shared.cfg.me] {
-        let _ = std::fs::remove_file(p);
-    }
-}
-
-impl<M: Send + WireCodec + 'static> SocketEndpoint<M> {
-    /// This endpoint's mesh-wide address.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Total endpoints across all processes.
-    pub fn n_endpoints(&self) -> usize {
-        self.shared.cfg.n_endpoints
-    }
-
+impl<M: Send + WireCodec + 'static> Link<M> for MeshShared<M> {
     /// Encode and enqueue `msg` for endpoint `to`. Never blocks on the
     /// network: frames queue in the writer for `to`'s process and survive
     /// reconnects.
-    pub fn send(&self, to: usize, msg: M) -> Result<(), SendError> {
-        let sh = &self.shared;
-        if to >= sh.cfg.n_endpoints {
+    fn send(&self, from: usize, to: usize, msg: M) -> Result<(), SendError> {
+        if to >= self.cfg.n_endpoints {
             return Err(SendError::UnknownEndpoint);
         }
-        if sh.closed.load(Ordering::SeqCst) {
+        if self.closed.load(Ordering::SeqCst) {
             return Err(SendError::Closed);
         }
         let mut frame = Vec::with_capacity(64);
         frame.extend_from_slice(&[0u8; 4]); // length placeholder
-        frame.extend_from_slice(&(self.id as u32).to_le_bytes());
+        frame.extend_from_slice(&(from as u32).to_le_bytes());
         frame.extend_from_slice(&(to as u32).to_le_bytes());
         msg.encode(&mut frame);
         let len = (frame.len() - 4) as u32;
         frame[0..4].copy_from_slice(&len.to_le_bytes());
-        sh.stats.record(self.id, to, frame.len());
-        sh.outboxes[sh.cfg.home[to]]
+        self.stats.record(from, to, frame.len());
+        self.outboxes[self.cfg.home[to]]
             .send(frame)
             .map_err(|_| SendError::Closed)
     }
 
-    /// Block until a message arrives (or the mesh closes), control lane
-    /// first.
-    pub fn recv(&self) -> Result<Envelope<M>, RecvError> {
-        self.inbox.recv()
+    fn n_endpoints(&self) -> usize {
+        self.cfg.n_endpoints
     }
 
-    /// Block up to `timeout` for a message, control lane first.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        self.inbox.recv_timeout(timeout)
+    fn stats(&self) -> Arc<NetStats> {
+        self.stats.clone()
     }
 
-    /// Non-blocking receive, control lane first.
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.inbox.try_recv()
-    }
+    /// No partition injector on real sockets.
+    fn isolate(&self, _id: usize, _isolated: bool) {}
 
-    /// Messages waiting in this endpoint's inbox (both lanes).
-    pub fn pending(&self) -> usize {
-        self.inbox.pending()
-    }
-
-    /// Traffic counters of the hosting process's mesh.
-    pub fn stats(&self) -> Arc<NetStats> {
-        self.shared.stats.clone()
+    fn close(&self) {
+        if self.closed.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for inbox in self.inboxes.values() {
+            inbox.close();
+        }
+        // Wake every writer with the empty shutdown frame.
+        for tx in &self.outboxes {
+            let _ = tx.send(Vec::new());
+        }
+        // Wake the accept loop; it checks `closed` after each accept.
+        let _ = Stream::connect(&self.cfg.processes[self.cfg.me]);
+        if let SocketAddrSpec::Uds(p) = &self.cfg.processes[self.cfg.me] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }
 
@@ -650,9 +592,13 @@ fn reader_loop<M: WireCodec + WireSize>(stream: Stream, shared: Arc<MeshShared<M
         if !(8..=MAX_FRAME).contains(&len) {
             return; // malformed peer; closing forces it to reconnect
         }
-        body.resize(len, 0);
-        if stream.read_exact(&mut body).is_err() {
-            return;
+        // The body grows as its bytes arrive: a prefix alone commits at
+        // most one chunk, whatever length it claims.
+        body.clear();
+        body.reserve(len.min(IO_CHUNK));
+        match (&mut stream).take(len as u64).read_to_end(&mut body) {
+            Ok(n) if n == len => {}
+            _ => return, // short body: the peer died mid-frame
         }
         let from = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
         let to = u32::from_le_bytes([body[4], body[5], body[6], body[7]]) as usize;
@@ -673,38 +619,12 @@ fn reader_loop<M: WireCodec + WireSize>(stream: Stream, shared: Arc<MeshShared<M
     }
 }
 
-impl<M: Send + WireCodec + 'static> crate::Transport<M> for SocketEndpoint<M> {
-    fn id(&self) -> usize {
-        SocketEndpoint::id(self)
-    }
-    fn n_endpoints(&self) -> usize {
-        SocketEndpoint::n_endpoints(self)
-    }
-    fn send(&self, to: usize, msg: M) -> Result<(), SendError> {
-        SocketEndpoint::send(self, to, msg)
-    }
-    fn recv(&self) -> Result<Envelope<M>, RecvError> {
-        SocketEndpoint::recv(self)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        SocketEndpoint::recv_timeout(self, timeout)
-    }
-    fn try_recv(&self) -> Option<Envelope<M>> {
-        SocketEndpoint::try_recv(self)
-    }
-    fn pending(&self) -> usize {
-        SocketEndpoint::pending(self)
-    }
-    fn stats(&self) -> Arc<NetStats> {
-        SocketEndpoint::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gt_net::RecvError;
 
-    fn tcp_mesh(n: usize) -> (SocketMesh<u64>, Vec<SocketEndpoint<u64>>) {
+    fn tcp_mesh(n: usize) -> (SocketMesh<u64>, Vec<Endpoint<u64>>) {
         let cfg = MeshConfig::single_process(n, SocketAddrSpec::Tcp("127.0.0.1:0".into()));
         SocketMesh::start(cfg).expect("start tcp mesh")
     }
@@ -860,56 +780,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Control when odd, data when even.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Laned(u64);
-
-    impl WireSize for Laned {
-        fn wire_size(&self) -> usize {
-            8
-        }
-        fn traffic_class(&self) -> gt_net::TrafficClass {
-            if self.0 % 2 == 1 {
-                gt_net::TrafficClass::Control
-            } else {
-                gt_net::TrafficClass::Interactive
-            }
-        }
-    }
-
-    impl WireCodec for Laned {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-        fn decode(buf: &[u8]) -> Option<Self> {
-            u64::decode(buf).map(Laned)
-        }
-    }
-
-    #[test]
-    fn a_control_frame_overtakes_queued_data_on_a_uds_mesh() {
-        let dir = std::env::temp_dir().join(format!("gt-mesh-lanes-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let cfg = MeshConfig::single_process(2, SocketAddrSpec::Uds(dir.join("lanes.sock")));
-        let (mesh, eps) = SocketMesh::<Laned>::start(cfg).expect("start uds mesh");
-        const DATA: u64 = 1000;
-        for i in 0..DATA {
-            eps[0].send(1, Laned(2 * i)).expect("send");
-        }
-        eps[0].send(1, Laned(1)).expect("send");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while eps[1].pending() < DATA as usize + 1 {
-            assert!(std::time::Instant::now() < deadline, "frames not delivered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(eps[1].recv().expect("recv").msg, Laned(1));
-        for i in 0..DATA {
-            assert_eq!(eps[1].try_recv().map(|e| e.msg), Some(Laned(2 * i)));
-        }
-        mesh.close();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn close_makes_sends_fail_and_recv_report_closed() {
         let (mesh, eps) = tcp_mesh(2);
@@ -928,13 +798,6 @@ mod tests {
             }
         }
         assert!(saw_closed);
-    }
-
-    #[test]
-    fn unknown_endpoint_rejected() {
-        let (mesh, eps) = tcp_mesh(1);
-        assert_eq!(eps[0].send(9, 1u64), Err(SendError::UnknownEndpoint));
-        mesh.close();
     }
 
     #[test]

@@ -140,7 +140,8 @@ fn main() {
         );
     }
     println!("per-server coordinator-failover counters:");
-    for (id, m) in cluster.metrics().into_iter().enumerate() {
+    let metrics = cluster.metrics();
+    for (id, m) in metrics.iter().enumerate() {
         println!(
             "  server {id}: failovers={} relay_abandoned={}",
             m.failovers, m.relay_abandoned
@@ -152,7 +153,7 @@ fn main() {
         net.chaos_dropped(),
         net.chaos_duplicated(),
         net.chaos_delayed(),
-        net.handoffs()
+        metrics.iter().map(|m| m.failovers).sum::<u64>()
     );
 
     cluster.shutdown();

@@ -6,7 +6,7 @@ use graphtrek_suite::graphtrek::client::ClientPort;
 use graphtrek_suite::graphtrek::engine::TransportKind;
 use graphtrek_suite::graphtrek::frontdoor::Backend;
 use graphtrek_suite::graphtrek::gt_placement::{PlacementMap, SharedPlacement};
-use graphtrek_suite::graphtrek::gt_transport::{Conduit, MeshConfig, SocketAddrSpec, SocketMesh};
+use graphtrek_suite::graphtrek::gt_transport::{MeshConfig, SocketAddrSpec, SocketMesh};
 use graphtrek_suite::graphtrek::server::{spawn, ServerArgs};
 use graphtrek_suite::prelude::*;
 use gt_graph::storage::{load_replicated, GraphPartition};
@@ -294,7 +294,7 @@ fn bare_client_port_drives_a_travel_over_a_uds_mesh() {
                 id,
                 n_servers: n,
                 partition: Arc::new(partition),
-                endpoint: Conduit::Socket(endpoint),
+                endpoint,
                 engine: EngineConfig::new(EngineKind::GraphTrek),
                 epoch: 0,
                 metrics: None,
@@ -305,7 +305,7 @@ fn bare_client_port_drives_a_travel_over_a_uds_mesh() {
         })
         .collect();
     let id_base = (client.id() as u64) << 48;
-    let port = ClientPort::new(Conduit::Socket(client), n, id_base);
+    let port = ClientPort::new(client, n, id_base);
     let ticket = port.begin(plan).unwrap();
     assert_eq!(ticket.travel(), id_base + 1);
     let got = port.wait(&ticket, Duration::from_secs(30)).unwrap();
