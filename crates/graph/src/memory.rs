@@ -54,14 +54,6 @@ impl InMemoryGraph {
             .map_or(&[], |v| v.as_slice())
     }
 
-    /// All outgoing edges of `src`, grouped by label in label order.
-    pub fn all_edges_from(
-        &self,
-        src: VertexId,
-    ) -> impl Iterator<Item = (&String, &Vec<(VertexId, Props)>)> {
-        self.adjacency.get(&src).into_iter().flat_map(|m| m.iter())
-    }
-
     /// Ids of every vertex with the given type, in ascending id order.
     pub fn vertices_of_type(&self, vtype: &str) -> Vec<VertexId> {
         let mut ids: Vec<VertexId> = self

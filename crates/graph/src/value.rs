@@ -47,16 +47,6 @@ impl PropValue {
         }
     }
 
-    /// Short tag used in diagnostics and the wire codec.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            PropValue::Int(_) => "int",
-            PropValue::Float(_) => "float",
-            PropValue::Str(_) => "str",
-            PropValue::Bool(_) => "bool",
-        }
-    }
-
     /// The integer payload if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
         match self {

@@ -665,58 +665,6 @@ impl Tree {
         Ok(())
     }
 
-    /// Import a snapshot chunk directly as one immutable segment,
-    /// bypassing the WAL and memtable — the receiving side of a shard
-    /// migration. Pairs need not be sorted; later duplicates within the
-    /// chunk lose to earlier ones after the stable sort. Entries already
-    /// present in the memtable still shadow the imported segment.
-    pub fn import_bulk(&self, mut pairs: Vec<(Vec<u8>, Bytes)>) -> Result<()> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs.dedup_by(|a, b| a.0 == b.0);
-        if let Some(vs) = &self.version {
-            // Imported keys arrive pre-stamped (migration ships raw
-            // internal keys); fold their stamps into the clock and the
-            // sidecar so they stay authoritative after a restart.
-            let mut max_seq = 0u64;
-            for (k, _) in &pairs {
-                if let Some((_, seq)) = version::split_suffixed(k) {
-                    max_seq = max_seq.max(seq);
-                }
-            }
-            vs.observe_seq(max_seq);
-            self.max_stamped.fetch_max(max_seq, Ordering::Relaxed);
-            std::fs::write(
-                self.dir.join("clock"),
-                self.max_stamped.load(Ordering::Relaxed).to_le_bytes(),
-            )?;
-        }
-        let mut inner = self.inner.write();
-        let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
-        let final_path = self.dir.join(format!("seg-{id}.sst"));
-        let tmp_path = self.dir.join(format!("seg-{id}.sst.tmp"));
-        let mut builder =
-            SegmentBuilder::create(&tmp_path, pairs.len(), self.cfg.bloom_bits_per_key)?;
-        let mut written = 0usize;
-        for (k, v) in &pairs {
-            builder.add(k, Some(v))?;
-            written += k.len() + v.len();
-        }
-        drop(builder.finish(id)?);
-        std::fs::rename(&tmp_path, &final_path)?;
-        let seg = Segment::open(&final_path, id)?;
-        self.stats.record_write(written);
-        inner.segments.insert(0, Arc::new(seg));
-        if self.cfg.auto_compact_segments > 0
-            && inner.segments.len() >= self.cfg.auto_compact_segments
-        {
-            self.compact_locked(&mut inner)?;
-        }
-        Ok(())
-    }
-
     /// Number of on-disk segments (diagnostics).
     pub fn n_segments(&self) -> usize {
         self.inner.read().segments.len()
@@ -1059,7 +1007,8 @@ mod tests {
         assert!(dump.windows(2).all(|w| w[0].0 < w[1].0));
 
         let (dst, ddir) = open_tmp("exp-dst");
-        dst.import_bulk(dump).unwrap();
+        dst.import_raw(dump.into_iter().map(|(k, v)| (k, Some(v))).collect())
+            .unwrap();
         assert_eq!(
             dst.get(b"k0001").unwrap(),
             Some(Bytes::from_static(b"newer"))
@@ -1072,37 +1021,6 @@ mod tests {
         assert_eq!(dst.memtable_len(), 0, "import must bypass the memtable");
         std::fs::remove_dir_all(sdir).ok();
         std::fs::remove_dir_all(ddir).ok();
-    }
-
-    #[test]
-    fn import_bulk_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("gtkv-tree-impreopen-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = TreeConfig::default();
-        {
-            let t = Tree::open(
-                "ns",
-                0,
-                dir.clone(),
-                Arc::new(BlockCache::new(64)),
-                IoProfile::free(),
-                cfg.clone(),
-            )
-            .unwrap();
-            t.import_bulk(vec![(b"a".to_vec(), Bytes::from_static(b"1"))])
-                .unwrap();
-        }
-        let t = Tree::open(
-            "ns",
-            0,
-            dir.clone(),
-            Arc::new(BlockCache::new(64)),
-            IoProfile::free(),
-            cfg,
-        )
-        .unwrap();
-        assert_eq!(t.get(b"a").unwrap(), Some(Bytes::from_static(b"1")));
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -70,10 +70,9 @@ impl ChaosConfig {
         self.scope == 0 || (self.drop_prob <= 0.0 && self.dup_prob <= 0.0 && self.delay_prob <= 0.0)
     }
 
-    /// Whether delivery may need the timer wheel (anything that schedules
-    /// a message into the future: delays, or duplicate copies which are
-    /// offset so they can arrive out of order).
-    pub fn needs_wheel(&self) -> bool {
+    /// Whether a message may arrive later than it is sent: delays, or
+    /// duplicate copies, which are offset so they can arrive out of order.
+    pub fn delays_delivery(&self) -> bool {
         !self.is_off() && (self.delay_prob > 0.0 || self.dup_prob > 0.0)
     }
 
@@ -199,7 +198,7 @@ mod tests {
     fn off_config_is_inert() {
         let c = ChaosConfig::off();
         assert!(c.is_off());
-        assert!(!c.needs_wheel());
+        assert!(!c.delays_delivery());
         assert!(!c.applies_to_link(0, 1));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! An endpoint receives from its own [`Inbox`] and sends through the
 //! carrier's [`Link`]. The receive side is the same on every carrier (the
-//! fabric's wheel and the mesh's readers both push into inboxes); only
+//! fabric's senders and the mesh's readers both push into inboxes); only
 //! the send side differs, and that difference is one trait object.
 
 use crate::inbox::Inbox;
@@ -148,7 +148,8 @@ impl<M> Endpoint<M> {
         self.inbox.try_recv()
     }
 
-    /// Number of messages waiting in this endpoint's inbox (both lanes).
+    /// Number of due messages waiting in this endpoint's inbox (both
+    /// lanes).
     pub fn pending(&self) -> usize {
         self.inbox.pending()
     }

@@ -1,5 +1,7 @@
-//! The simulated carrier: a [`Link`] with a latency model, a chaos shim
-//! and the delivery timer wheel.
+//! The simulated carrier: a [`Link`] with a latency model and a chaos
+//! shim. A delayed message is pushed onto its receiver's [`Inbox`] at once,
+//! with the time it is due ([`Inbox::push_at`]); the inbox holds it back
+//! until then.
 
 use crate::chaos::ChaosConfig;
 use crate::config::NetConfig;
@@ -7,56 +9,29 @@ use crate::endpoint::{Endpoint, Envelope, Link, SendError};
 use crate::inbox::Inbox;
 use crate::stats::NetStats;
 use crate::WireSize;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Scheduled<M> {
-    deliver_at: Instant,
-    seq: u64,
-    env: Envelope<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
-
 struct Shared<M> {
     cfg: NetConfig,
     chaos: ChaosConfig,
+    /// A message may arrive later than it is sent: the model has latency,
+    /// or chaos delays or duplicates. Decided once, at construction.
+    timed: bool,
     inboxes: Vec<Arc<Inbox<M>>>,
-    /// Input to the timer-wheel thread (None when the model is instant).
-    wheel_tx: Option<Sender<Scheduled<M>>>,
     stats: Arc<NetStats>,
     isolated: Vec<AtomicBool>,
     /// Per-link floor for the next delivery time, enforcing FIFO order.
     link_floor: Mutex<Vec<Instant>>,
     rng: Mutex<SmallRng>,
-    seq: std::sync::atomic::AtomicU64,
 }
 
-/// The fabric itself: isolation and counters. Delivery runs on a thread of
-/// its own that outlives this handle while an endpoint does; endpoints
-/// share the inboxes, so they never see
+/// The fabric itself: isolation and counters. Endpoints share the inboxes
+/// and the link, so dropping this handle stops nothing and they never see
 /// [`RecvError::Closed`](crate::RecvError::Closed).
 pub struct Fabric<M> {
     shared: Arc<Shared<M>>,
@@ -84,37 +59,16 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
         chaos: ChaosConfig,
     ) -> (Fabric<M>, Vec<Endpoint<M>>) {
         let inboxes: Vec<Arc<Inbox<M>>> = (0..n).map(|_| Arc::default()).collect();
-        let stats = Arc::new(NetStats::new(n));
-        // Chaos delays and duplicate-copy offsets need the wheel even
-        // under the instant model. Its thread is detached: it drains and
-        // exits once the fabric and every endpoint, which hold its input,
-        // are gone.
-        let wheel_tx = if cfg.is_instant() && !chaos.needs_wheel() {
-            None
-        } else {
-            let (tx, rx) = unbounded::<Scheduled<M>>();
-            let inboxes_clone = inboxes.clone();
-            #[expect(
-                clippy::expect_used,
-                reason = "construction-time: a fabric without its timer wheel cannot run at all"
-            )]
-            std::thread::Builder::new()
-                .name("gt-net-wheel".into())
-                .spawn(move || wheel_loop(rx, inboxes_clone))
-                .expect("spawn timer wheel");
-            Some(tx)
-        };
         let now = Instant::now();
         let shared = Arc::new(Shared {
             cfg,
             chaos,
+            timed: !cfg.is_instant() || chaos.delays_delivery(),
             inboxes,
-            wheel_tx,
-            stats,
+            stats: Arc::new(NetStats::new(n)),
             isolated: (0..n).map(|_| AtomicBool::new(false)).collect(),
             link_floor: Mutex::new(vec![now; n * n]),
             rng: Mutex::new(SmallRng::seed_from_u64(cfg.seed)),
-            seq: std::sync::atomic::AtomicU64::new(0),
         });
         let endpoints = (0..n)
             .map(|id| Endpoint::new(id, shared.inboxes[id].clone(), shared.clone()))
@@ -132,49 +86,6 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
     /// Traffic counters.
     pub fn stats(&self) -> Arc<NetStats> {
         self.shared.stats.clone()
-    }
-}
-
-fn wheel_loop<M: WireSize>(rx: Receiver<Scheduled<M>>, inboxes: Vec<Arc<Inbox<M>>>) {
-    let mut heap: BinaryHeap<Reverse<Scheduled<M>>> = BinaryHeap::new();
-    loop {
-        // Deliver everything due.
-        let now = Instant::now();
-        while let Some(Reverse(top)) = heap.peek() {
-            if top.deliver_at > now {
-                break;
-            }
-            let Some(Reverse(item)) = heap.pop() else {
-                break;
-            };
-            let _ = inboxes[item.env.to].push(item.env);
-        }
-        // Wait for the next deadline or new input.
-        let wait = heap
-            .peek()
-            .map(|Reverse(top)| top.deliver_at.saturating_duration_since(Instant::now()));
-        match wait {
-            Some(d) if d.is_zero() => continue,
-            Some(d) => match rx.recv_timeout(d) {
-                Ok(item) => heap.push(Reverse(item)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Flush the remaining heap respecting deadlines.
-                    while let Some(Reverse(item)) = heap.pop() {
-                        let now = Instant::now();
-                        if item.deliver_at > now {
-                            std::thread::sleep(item.deliver_at - now);
-                        }
-                        let _ = inboxes[item.env.to].push(item.env);
-                    }
-                    return;
-                }
-            },
-            None => match rx.recv() {
-                Ok(item) => heap.push(Reverse(item)),
-                Err(_) => return,
-            },
-        }
     }
 }
 
@@ -221,63 +132,48 @@ impl<M: Send + WireSize + Clone + 'static> Link<M> for Shared<M> {
         if !extra.is_zero() {
             self.stats.record_chaos_delay();
         }
-        match &self.wheel_tx {
-            // No wheel ⇒ chaos can only be dropping (needs_wheel() covers
-            // dup/delay), so plain instant delivery is exact.
-            None => self.inboxes[to].push(env),
-            Some(wheel) => {
-                let delay = {
-                    let mut rng = self.rng.lock();
-                    let jitter_ns = if self.cfg.jitter.is_zero() {
-                        0
-                    } else {
-                        rng.gen_range(0..=self.cfg.jitter.as_nanos() as u64)
-                    };
-                    let per_byte = if bulk {
-                        self.cfg.bulk_per_byte
-                    } else {
-                        self.cfg.per_byte
-                    };
-                    self.cfg.latency + Duration::from_nanos(jitter_ns) + per_byte * (size as u32)
-                };
-                let mut deliver_at = Instant::now() + delay + extra;
-                // A chaos-delayed message with `reorder` on skips the FIFO
-                // floor: later sends on the link may overtake it. Without
-                // `reorder` the extra delay stalls the whole link instead.
-                let bypass_floor = self.chaos.reorder && !extra.is_zero();
-                if !bypass_floor {
-                    let mut floors = self.link_floor.lock();
-                    let slot = from * self.inboxes.len() + to;
-                    if deliver_at < floors[slot] {
-                        deliver_at = floors[slot] + Duration::from_nanos(1);
-                    }
-                    floors[slot] = deliver_at;
-                }
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                wheel
-                    .send(Scheduled {
-                        deliver_at,
-                        seq,
-                        env,
-                    })
-                    .map_err(|_| SendError::Closed)?;
-                if let Some(denv) = dup_env {
-                    // Duplicate copies never consult the floor — a dup may
-                    // arrive out of order, which is exactly the hazard the
-                    // receive-side dedupe must absorb.
-                    let dd = decision.map(|d| d.dup_delay).unwrap_or_default();
-                    let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                    wheel
-                        .send(Scheduled {
-                            deliver_at: deliver_at + dd,
-                            seq,
-                            env: denv,
-                        })
-                        .map_err(|_| SendError::Closed)?;
-                }
-                Ok(())
-            }
+        if !self.timed {
+            // Untimed ⇒ chaos can only be dropping (`delays_delivery`
+            // covers dup and delay), so delivering now is exact.
+            return self.inboxes[to].push(env);
         }
+        let delay = {
+            let mut rng = self.rng.lock();
+            let jitter_ns = if self.cfg.jitter.is_zero() {
+                0
+            } else {
+                rng.gen_range(0..=self.cfg.jitter.as_nanos() as u64)
+            };
+            let per_byte = if bulk {
+                self.cfg.bulk_per_byte
+            } else {
+                self.cfg.per_byte
+            };
+            self.cfg.latency + Duration::from_nanos(jitter_ns) + per_byte * (size as u32)
+        };
+        let mut deliver_at = Instant::now() + delay + extra;
+        // A chaos-delayed message with `reorder` on skips the FIFO floor:
+        // later sends on the link may overtake it. Without `reorder` the
+        // extra delay stalls the whole link instead.
+        let bypass_floor = self.chaos.reorder && !extra.is_zero();
+        if !bypass_floor {
+            let mut floors = self.link_floor.lock();
+            let slot = from * self.inboxes.len() + to;
+            if deliver_at < floors[slot] {
+                deliver_at = floors[slot] + Duration::from_nanos(1);
+            }
+            floors[slot] = deliver_at;
+        }
+        let inbox = &self.inboxes[to];
+        inbox.push_at(env, deliver_at)?;
+        if let Some(denv) = dup_env {
+            // Duplicate copies never consult the floor — a dup may arrive
+            // out of order, which is exactly the hazard the receive-side
+            // dedupe must absorb.
+            let dd = decision.map(|d| d.dup_delay).unwrap_or_default();
+            inbox.push_at(denv, deliver_at + dd)?;
+        }
+        Ok(())
     }
 
     fn n_endpoints(&self) -> usize {

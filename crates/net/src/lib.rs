@@ -35,14 +35,15 @@
 //!   jitter would suggest otherwise; at the receiver, a control message
 //!   overtakes queued data ([`Inbox`]), and FIFO holds within each lane.
 //! * **Asynchronous, non-blocking sends** — a sender never waits for the
-//!   receiver; delivery happens on a dedicated timer thread.
+//!   receiver; a delayed message waits in the receiver's [`Inbox`] until
+//!   it is due, so delivery needs no thread of its own.
 //! * **Fault injection** — any endpoint can be isolated (its traffic
 //!   silently dropped), which the engine's status-tracing tests use to
 //!   exercise silent-failure detection (§IV-C).
 //! * **Counters** — per-link message/byte counts for the evaluation
 //!   harness.
 //!
-//! Messages are plain Rust values (the "wire" is an in-process channel),
+//! Messages are plain Rust values (the "wire" is the receiver's inbox),
 //! but every message type reports a [`WireSize`] so the bandwidth model
 //! has something to charge.
 

@@ -305,11 +305,6 @@ impl SharedPlacement {
     pub fn is_decommissioned(&self, server: usize) -> bool {
         self.map.read().is_decommissioned(server)
     }
-
-    /// Does `server` hold a copy (primary or replica) of `vid`'s partition?
-    pub fn holds_vid(&self, server: usize, vid: VertexId) -> bool {
-        self.map.read().holds(server, vid)
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! The engine's servers exchange [`gt_net::Envelope`]s through
 //! [`Endpoint`]s: each receives from its own inbox and sends through its
 //! carrier's [`Link`]. `gt-net`'s simulated [`Fabric`](gt_net::Fabric)
-//! (latency model, chaos shim, timer wheel) is one link; this crate adds
+//! (latency model, chaos shim, due-time delivery) is one link; this crate adds
 //! the other, a real socket mesh ([`socket::SocketMesh`]) speaking
 //! length-prefixed frames over TCP or Unix domain sockets, so a cluster
 //! can run as N OS processes. Server and cluster code hold an `Endpoint`
@@ -13,7 +13,7 @@
 //!
 //! Messages crossing a socket must serialize: the [`WireCodec`] trait is
 //! the (dependency-free) binary codec contract. The in-process fabric
-//! never invokes it — values move by channel.
+//! never invokes it — values move straight into the receiver's inbox.
 
 pub mod socket;
 

@@ -361,7 +361,7 @@ impl<M: Send + WireCodec + WireSize + 'static> SocketMesh<M> {
         let mut outboxes = Vec::with_capacity(cfg.processes.len());
         let mut out_rxs = Vec::with_capacity(cfg.processes.len());
         for _ in 0..cfg.processes.len() {
-            let (tx, rx) = unbounded::<Vec<u8>>();
+            let (tx, rx) = unbounded();
             outboxes.push(tx);
             out_rxs.push(rx);
         }
