@@ -18,7 +18,7 @@ use crate::metrics::TravelMetrics;
 use crate::queue::{Parts, ReqMode, RequestOutput, RequestState, WorkItem};
 use crate::{ExecId, Token, Tokens, TravelId};
 use gt_graph::{Props, VertexId};
-use gt_kvstore::ReadView;
+use gt_kvstore::{IoScope, ReadView};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -397,6 +397,11 @@ fn scan_edges(
 /// (counted as combined visits). Nearly every pop is a single part, for
 /// which all of this degenerates to one step on borrowed tokens: nothing
 /// is regrouped or cloned.
+///
+/// The pop's modelled I/O is waited out once, at its end, and the parts'
+/// executions are ticked only after that wait: an execution the pop
+/// completes flushes its `Visit`s and report no earlier than the pop's
+/// storage access would have finished.
 fn process_parts(sh: &Arc<Shared>, mut parts: Parts) {
     let popped_at = Instant::now();
     // Both queues hand the parts over shallowest depth first; the stable
@@ -426,10 +431,13 @@ fn process_parts(sh: &Arc<Shared>, mut parts: Parts) {
             .sum(),
         queue_popped: parts.len() as u64,
     };
+    // The straggler delay, the vertex read and every label's scan owe
+    // their modelled I/O to one scope.
+    let io = IoScope::enter();
     // Transient-straggler injection (Fig. 11): one delay per vertex access.
     if let Some(d) = sh.faults.charge(min_depth) {
         sh.metrics.injected_delays.fetch_add(1, Ordering::Relaxed);
-        gt_kvstore::iomodel::charge_duration(d);
+        io.owe(d);
     }
     // One real vertex access serves all merged parts.
     let needs_record = parts
@@ -501,10 +509,12 @@ fn process_parts(sh: &Arc<Shared>, mut parts: Parts) {
         } else {
             step.complete(sh, std::mem::take(&mut tally));
         }
-        for part in group {
-            if part.req.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                flush_request(sh, &part.req);
-            }
+    }
+    // The pop's one wait: no execution it completes flushes before it.
+    drop(io);
+    for part in parts.iter() {
+        if part.req.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            flush_request(sh, &part.req);
         }
     }
 }

@@ -6,7 +6,7 @@ mod common;
 
 use common::tmp;
 use graphtrek::prelude::*;
-use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
+use gt_graph::{Edge, InMemoryGraph, Props, Vertex, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -145,6 +145,60 @@ fn straggler_injection_charges_delays() {
     assert_eq!(m[2].injected_delays, 0);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_chain_travel_takes_its_critical_paths_modelled_io() {
+    // v0 → v1 → … → v5 from a cold start, no block cache: each hop reads
+    // its vertex and scans its edges from disk, each a 20 ms cold read, and
+    // a hop can only start once the one before it has sent its `Visit`. A
+    // worker waits out its pop's I/O before that pop's output leaves, so
+    // the travel takes at least the chain's 6 vertex reads + 5 edge scans.
+    const HOPS: u64 = 5;
+    let mut g = InMemoryGraph::new();
+    for v in 0..=HOPS {
+        g.add_vertex(Vertex::new(v, "N", Props::new()));
+        if v > 0 {
+            g.add_edge(Edge::new(v - 1, "next", v, Props::new()));
+        }
+    }
+    let cold = Duration::from_millis(20);
+    let io = gt_kvstore::IoProfile {
+        cold_read: cold,
+        ..gt_kvstore::IoProfile::free()
+    };
+    let mut q = GTravel::v([0]);
+    for _ in 0..HOPS {
+        q = q.e("next");
+    }
+    // The vertex reads and edge scans on the critical path.
+    let path_reads = 2 * HOPS + 1;
+    let critical_path = cold * path_reads as u32;
+    for kind in EngineKind::all() {
+        let dir = tmp(&format!("chain-io-{kind:?}"));
+        let cluster = Cluster::build(
+            &g,
+            ClusterConfig::new(&dir, 3)
+                .io(io)
+                .block_cache_runs(0)
+                .seal_cold(true),
+            EngineConfig::new(kind),
+        )
+        .unwrap();
+        let cold_reads = || cluster.io_stats().iter().map(|s| s.cold).sum::<u64>();
+        let before = cold_reads();
+        let t = std::time::Instant::now();
+        let r = cluster.submit(&q).unwrap();
+        let took = t.elapsed();
+        assert_eq!(r.vertices, vec![VertexId::from(HOPS)], "{kind:?}");
+        assert!(cold_reads() - before >= path_reads, "{kind:?}");
+        assert!(
+            took >= critical_path,
+            "{kind:?}: {took:?} < {critical_path:?} of modelled I/O on the critical path"
+        );
+        cluster.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

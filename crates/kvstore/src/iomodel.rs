@@ -9,9 +9,18 @@
 //! zero-cost for unit tests, "local disk" and "shared parallel FS (GPFS)"
 //! presets for the benchmark harness (the paper reports GPFS numbers, with
 //! local disks ~10% faster).
+//!
+//! A modelled read does not sleep through its accesses: it adds their
+//! cost to an [`IoScope`]'s I/O clock, and the thread waits once, when
+//! the outermost scope ends, until that clock. The traversal engine holds
+//! one scope per worker pop, so a vertex visit — its vertex read and its
+//! edge scans, in two trees — is one wait (the paper's one local storage
+//! access per merged visit, §V-B).
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Classification of a single storage access, used to pick the charged cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +41,8 @@ pub enum AccessKind {
 /// A read's accesses are summed, not waited out one by one: the calling
 /// thread — the traversal worker that issued the storage request, as a
 /// synchronous `pread` on the paper's backend servers would — waits out
-/// the sum in one [`charge_duration`] when the read ends, and earlier only
-/// where a run it loaded from disk is about to become visible to other
-/// readers through the block cache.
+/// the sum of everything its [`IoScope`] owes in one wait when the scope
+/// ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoProfile {
     /// Cost of a cold random read (disk seek + first block).
@@ -99,17 +107,17 @@ impl Default for IoProfile {
     }
 }
 
-/// Realize a modeled latency by sleeping.
+/// Wait out `d` of modelled latency on the calling thread.
 ///
 /// Sleeping (rather than busy-spinning) is essential to the simulation:
 /// a thread "waiting on disk" must release the CPU so other simulated
 /// servers can run — especially on low-core-count hosts where dozens of
 /// server threads share a core. Only sub-5µs waits are spun, where OS
 /// sleep granularity would round them up by an order of magnitude. The
-/// floor applies to what one wait pays — a read's summed accesses or one
-/// straggler delay — not to each access, so a run of 4 µs sequential rows
-/// is one sleep, not a spin per row.
-pub fn charge_duration(d: Duration) {
+/// floor applies to what one wait pays — everything an [`IoScope`] owes,
+/// by the time it ends — not to each access, so a run of 4 µs sequential
+/// rows is one sleep, not a spin per row.
+fn charge_duration(d: Duration) {
     if d.is_zero() {
         return;
     }
@@ -117,9 +125,89 @@ pub fn charge_duration(d: Duration) {
         std::thread::sleep(d);
         return;
     }
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     while start.elapsed() < d {
         std::hint::spin_loop();
+    }
+}
+
+thread_local! {
+    /// The calling thread's open scopes: how deeply nested, and the clock
+    /// time its owed I/O completes at (`None` while nothing was owed).
+    static SCOPE: Cell<(u32, Option<Instant>)> = const { Cell::new((0, None)) };
+}
+
+/// One wait for all the modelled I/O a thread does while it is held.
+///
+/// The scope keeps an I/O clock: each payment ([`IoScope::owe`], and a
+/// read's payments through its `Tally`) starts no earlier than now and
+/// adds what it owes, because the thread's I/O is serial. A run a read
+/// loads from disk enters the block cache at once, stamped with the clock
+/// time its load completes: another reader that looks for it before then
+/// misses, and this scope's own later reads — which happen after it, on
+/// the clock — find it. The outermost scope waits once, when it ends,
+/// until the clock: a sleep, or a spin under 5 µs.
+///
+/// Scopes nest: one entered while another is held joins it, and only the
+/// outermost waits. A read outside any scope is a scope of one, so a
+/// caller groups reads — across trees and stores — by holding one. Free
+/// I/O owes nothing, reads no clock and never waits.
+#[derive(Debug)]
+pub struct IoScope {
+    /// The state is the thread's: a scope stays on the thread that
+    /// entered it.
+    _thread: PhantomData<*const ()>,
+}
+
+impl IoScope {
+    /// Open a scope, or join the one the thread already holds.
+    pub fn enter() -> IoScope {
+        SCOPE.with(|s| {
+            let (depth, clock) = s.get();
+            s.set((depth + 1, clock));
+        });
+        IoScope {
+            _thread: PhantomData,
+        }
+    }
+
+    /// Owe `d` more of modelled latency, after everything owed so far and
+    /// no earlier than now; returns the clock time it is paid off at, the
+    /// scope's clock (`None` while nothing was owed).
+    pub fn owe(&self, d: Duration) -> Option<Instant> {
+        SCOPE.with(|s| {
+            let (depth, clock) = s.get();
+            if d.is_zero() {
+                return clock;
+            }
+            let now = Instant::now();
+            let paid = clock.map_or(now, |c| c.max(now)) + d;
+            s.set((depth, Some(paid)));
+            Some(paid)
+        })
+    }
+
+    /// The scope's clock: when the I/O owed so far completes.
+    pub(crate) fn clock(&self) -> Option<Instant> {
+        SCOPE.with(|s| s.get().1)
+    }
+}
+
+impl Drop for IoScope {
+    fn drop(&mut self) {
+        let until = SCOPE.with(|s| match s.get() {
+            (1, clock) => {
+                s.set((0, None));
+                clock
+            }
+            (depth, clock) => {
+                s.set((depth - 1, clock));
+                None
+            }
+        });
+        if let Some(until) = until {
+            charge_duration(until.saturating_duration_since(Instant::now()));
+        }
     }
 }
 
@@ -170,14 +258,15 @@ impl IoStats {
     }
 }
 
-/// One read's accesses, counted and costed locally. The modelled cost is
-/// owed until [`Tally::pay`] waits it out in one [`charge_duration`]: a
-/// segment pays before a run it loaded from disk enters the block cache
-/// (so no other reader sees the run before its load is paid), and the
-/// drop pays the rest, under the tree's read lock. The counts reach the
-/// tree's [`IoStats`] once, at the drop — the same kinds and counts a
-/// per-access [`IoStats::record`] would give, for four atomic adds per
-/// read instead of two per row.
+/// One read's accesses, counted and costed locally, inside its own
+/// [`IoScope`] (which joins any the caller holds). The modelled cost is
+/// owed until [`Tally::pay`] moves it onto the scope's clock: a segment
+/// pays before a run it loaded from disk enters the block cache (the run
+/// is stamped with the clock time its load completes), and the drop pays
+/// the rest. Nothing waits until the outermost scope ends. The counts
+/// reach the tree's [`IoStats`] once, at the drop — the same kinds and
+/// counts a per-access [`IoStats::record`] would give, for four atomic
+/// adds per read instead of two per row.
 pub(crate) struct Tally<'a> {
     io: &'a IoProfile,
     stats: &'a IoStats,
@@ -185,6 +274,7 @@ pub(crate) struct Tally<'a> {
     bytes: u64,
     /// Modelled cost of the accesses since the last payment.
     owed: Duration,
+    scope: IoScope,
 }
 
 impl<'a> Tally<'a> {
@@ -196,6 +286,7 @@ impl<'a> Tally<'a> {
             counts: [0; 3],
             bytes: 0,
             owed: Duration::ZERO,
+            scope: IoScope::enter(),
         }
     }
 
@@ -206,9 +297,16 @@ impl<'a> Tally<'a> {
         self.bytes += bytes as u64;
     }
 
-    /// Wait out everything owed so far.
-    pub(crate) fn pay(&mut self) {
-        charge_duration(std::mem::take(&mut self.owed));
+    /// Move everything owed so far onto the scope's clock; returns the
+    /// clock time it completes at (`None` while nothing was owed).
+    pub(crate) fn pay(&mut self) -> Option<Instant> {
+        self.scope.owe(std::mem::take(&mut self.owed))
+    }
+
+    /// The clock time the read's paid I/O completes at: a run stamped no
+    /// later than this is one the read can find in the block cache.
+    pub(crate) fn clock(&self) -> Option<Instant> {
+        self.scope.clock()
     }
 }
 
@@ -241,13 +339,6 @@ pub struct IoStatsSnapshot {
     pub bytes_read: u64,
     /// Bytes written to durable media.
     pub bytes_written: u64,
-}
-
-impl IoStatsSnapshot {
-    /// Total accesses of any kind.
-    pub fn total_accesses(&self) -> u64 {
-        self.warm + self.cold + self.sequential
-    }
 }
 
 #[cfg(test)]
@@ -285,6 +376,47 @@ mod tests {
     }
 
     #[test]
+    fn free_io_sets_no_clock() {
+        let (io, stats) = (IoProfile::free(), IoStats::default());
+        let mut tally = Tally::new(&io, &stats);
+        tally.access(AccessKind::Cold, 10);
+        assert_eq!(tally.pay(), None);
+        assert_eq!(tally.clock(), None);
+    }
+
+    #[test]
+    fn only_the_outermost_scope_waits() {
+        let d = Duration::from_millis(100);
+        let t = Instant::now();
+        let outer = IoScope::enter();
+        {
+            let inner = IoScope::enter();
+            inner.owe(d);
+        }
+        assert!(t.elapsed() < d, "the inner scope waited");
+        let paid = outer.clock().unwrap();
+        drop(outer);
+        assert!(Instant::now() >= paid && t.elapsed() >= d);
+        assert_eq!(
+            IoScope::enter().clock(),
+            None,
+            "the clock ends with the scope"
+        );
+    }
+
+    #[test]
+    fn a_payment_starts_no_earlier_than_now() {
+        let scope = IoScope::enter();
+        let first = scope.owe(Duration::from_micros(10)).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        let before = Instant::now();
+        let second = scope.owe(Duration::from_micros(10)).unwrap();
+        assert!(second >= before + Duration::from_micros(10));
+        assert!(second > first + Duration::from_millis(1));
+        assert_eq!(scope.owe(Duration::ZERO), Some(second));
+    }
+
+    #[test]
     fn stats_record_and_snapshot() {
         let s = IoStats::default();
         s.record(AccessKind::Cold, 100);
@@ -297,7 +429,6 @@ mod tests {
         assert_eq!(snap.sequential, 1);
         assert_eq!(snap.bytes_read, 115);
         assert_eq!(snap.bytes_written, 64);
-        assert_eq!(snap.total_accesses(), 3);
     }
 
     #[test]

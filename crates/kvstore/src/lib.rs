@@ -50,7 +50,7 @@ pub mod wal;
 
 pub use batch::WriteBatch;
 pub use error::{Error, Result};
-pub use iomodel::{AccessKind, IoProfile, IoStats};
+pub use iomodel::{AccessKind, IoProfile, IoScope, IoStats};
 pub use store::{Store, StoreConfig};
 pub use tree::Tree;
 pub use version::{ReadView, VersionState, VersionStatsSnapshot};

@@ -21,8 +21,10 @@
 //! positioned read, sequential for follow-on runs and per-key scan
 //! continuation — this is what makes high-degree vertices genuinely more
 //! expensive to visit, the load-imbalance mechanism the paper's evaluation
-//! turns on (§VII-A). The read waits out what it owes before a run it
-//! loaded enters the cache, and the rest when it ends.
+//! turns on (§VII-A). The read waits for none of it: the cost goes onto
+//! its [`IoScope`](crate::iomodel::IoScope)'s clock, and a run it loaded
+//! enters the cache at once, stamped with the clock time its load
+//! completes — no other reader finds it earlier.
 
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
@@ -305,7 +307,7 @@ impl Segment {
         tally: &mut Tally,
         first_in_chain: bool,
     ) -> Result<(Run, AccessKind)> {
-        if let Some(run) = cache.get(tree, self.id, slot as u64) {
+        if let Some(run) = cache.get(tree, self.id, slot as u64, tally.clock()) {
             tally.access(AccessKind::Warm, 0);
             return Ok((run, AccessKind::Warm));
         }
@@ -323,10 +325,10 @@ impl Segment {
             e.run_len,
             &self.path.display().to_string(),
         )?);
-        // A concurrent reader may find the run in the cache only once its
-        // load — and everything this read touched before it — is paid.
-        tally.pay();
-        cache.insert(tree, self.id, slot as u64, run.clone());
+        // The load completes after everything this read touched before
+        // it: a concurrent reader finds the run only from then on.
+        let ready_at = tally.pay();
+        cache.insert(tree, self.id, slot as u64, run.clone(), ready_at);
         Ok((run, kind))
     }
 
@@ -763,9 +765,9 @@ mod tests {
     fn a_scan_waits_out_its_io_without_holding_the_cpu() {
         // 200 scans owe 77.6 ms, 53.6 ms of it in 4 µs sequential
         // accesses; spun one by one they keep the CPU for all of that
-        // (70 ms of thread CPU on a 2-vCPU VM). Paid in five sleeps a
-        // scan, the thread is charged the scan's own work and the sleeps'
-        // system time: 10–33 ms there, debug or release.
+        // (70 ms of thread CPU on a 2-vCPU VM). Paid in one sleep a scan,
+        // the thread is charged the scan's own work and the sleep's
+        // system time.
         let (seg, cache, io) = four_run_prefix("cpu");
         let stats = IoStats::default();
         let before = thread_cpu();
@@ -778,6 +780,33 @@ mod tests {
             cpu < spun,
             "{cpu:?} of CPU: the {spun:?} of sequential accesses were spun"
         );
+    }
+
+    /// Voluntary context switches of the calling thread so far.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches() -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_cold_scan_waits_once() {
+        // The scan loads four runs from disk; its 388 µs of modelled I/O
+        // is one sleep when it ends, not one before each run it loads.
+        let (seg, cache, io) = four_run_prefix("one-wait");
+        let stats = IoStats::default();
+        let before = voluntary_switches();
+        assert_eq!(drain(&seg, &cache, &io, &stats), 64);
+        let switches = voluntary_switches() - before;
+        assert!(switches <= 2, "{switches} voluntary switches for one scan");
+        assert_eq!(stats.snapshot().cold, 1);
     }
 
     #[test]
@@ -820,6 +849,11 @@ mod tests {
         });
         let s = stats.snapshot();
         assert_eq!((s.cold, s.warm), (2, 0), "B counted warm: {s:?}");
+        // Both reads waited out their loads, so the run's completion time
+        // has passed: the same lookup now finds it.
+        assert!(read().unwrap().is_some());
+        let s = stats.snapshot();
+        assert_eq!((s.cold, s.warm), (2, 1), "C counted cold: {s:?}");
     }
 
     #[test]

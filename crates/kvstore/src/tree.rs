@@ -339,8 +339,10 @@ impl Tree {
         view: Option<ReadView>,
         f: impl FnOnce(&Bytes) -> R,
     ) -> Result<Option<R>> {
-        let inner = self.inner.read();
+        // Declared first, so dropped last: a read outside any scope waits
+        // out its modelled I/O after the read lock is released.
         let mut tally = Tally::new(&self.io, &self.stats);
+        let inner = self.inner.read();
         let Some(view) = view else {
             if let Some(hit) = inner.memtable.get(key) {
                 tally.access(AccessKind::Warm, hit.map_or(0, |b| b.len()));
@@ -373,9 +375,9 @@ impl Tree {
                     out = v.zip(f.take()).map(|(v, f)| f(v));
                 }
             })?;
-        // The read's modelled I/O is waited out under the read lock.
-        drop(tally);
+        // Unlock before the tally's scope waits, if it is the outermost.
         drop(inner);
+        drop(tally);
         self.note_stale_read(saw_newer);
         Ok(out)
     }
@@ -388,8 +390,8 @@ impl Tree {
         view: Option<ReadView>,
         mut f: impl FnMut(&[u8], &Bytes),
     ) -> Result<()> {
-        let inner = self.inner.read();
         let mut tally = Tally::new(&self.io, &self.stats);
+        let inner = self.inner.read();
         let layers = self.layers(&inner.segments, Some(&inner.memtable), prefix, &mut tally)?;
         let Some(view) = view else {
             return layers.visit(&mut tally, |k, v| {
@@ -417,8 +419,8 @@ impl Tree {
                 f(ukey, v)
             }
         })?;
-        drop(tally);
         drop(inner);
+        drop(tally);
         self.note_stale_read(saw_newer);
         Ok(())
     }
@@ -680,11 +682,6 @@ impl Tree {
         self.stats.snapshot()
     }
 
-    /// The I/O cost profile this tree charges.
-    pub fn io_profile(&self) -> IoProfile {
-        self.io
-    }
-
     /// The shared block cache (e.g. to clear it for cold-start runs).
     pub fn cache(&self) -> &Arc<BlockCache> {
         &self.cache
@@ -790,8 +787,13 @@ impl<'a> Layers<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iomodel::IoScope;
 
     fn open_tmp(name: &str) -> (Tree, PathBuf) {
+        open_tmp_io(name, IoProfile::free())
+    }
+
+    fn open_tmp_io(name: &str, io: IoProfile) -> (Tree, PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "gtkv-tree-{}-{name}-{:?}",
             std::process::id(),
@@ -806,7 +808,7 @@ mod tests {
             0,
             dir.clone(),
             Arc::new(BlockCache::new(64)),
-            IoProfile::free(),
+            io,
             TreeConfig {
                 memtable_bytes: 1 << 16,
                 ..TreeConfig::default()
@@ -1641,6 +1643,60 @@ mod tests {
                     );
                 }
             }
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    /// What one read returned: a point read's value or a scan's rows.
+    #[derive(Debug, PartialEq)]
+    enum ReadOut {
+        Get(Option<Bytes>),
+        Scan(Vec<(Vec<u8>, Bytes)>),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+        #[test]
+        fn reads_in_one_scope_equal_reads_one_by_one(
+            ops in layer_ops(),
+            reads in proptest::collection::vec((proptest::bool::weighted(0.5), 0usize..40), 1..24usize),
+        ) {
+            // A modelled profile, so that runs are stamped with the clock
+            // time their loads complete and the scope's own later reads
+            // must find them while another reader would not.
+            let io = IoProfile {
+                cold_read: std::time::Duration::from_micros(20),
+                warm_read: std::time::Duration::ZERO,
+                sequential_read: std::time::Duration::from_micros(1),
+            };
+            let (t, dir) = open_tmp_io("prop-scope", io);
+            for op in ops {
+                match op {
+                    LayerOp::Put(k, v) => t.put(k, Bytes::from(v)).unwrap(),
+                    LayerOp::Delete(k) => t.delete(k).unwrap(),
+                    LayerOp::Flush => t.flush().unwrap(),
+                }
+            }
+            let (keys, prefixes) = (all_keys(), all_prefixes());
+            let read_all = || -> Vec<ReadOut> {
+                reads
+                    .iter()
+                    .map(|&(point, i)| {
+                        if point {
+                            ReadOut::Get(t.get(&keys[i % keys.len()]).unwrap())
+                        } else {
+                            ReadOut::Scan(t.scan_prefix(&prefixes[i % prefixes.len()]).unwrap())
+                        }
+                    })
+                    .collect()
+            };
+            let one_by_one = cold_then_warm(&t, read_all);
+            let in_one_scope = cold_then_warm(&t, || {
+                let _scope = IoScope::enter();
+                read_all()
+            });
+            prop_assert_eq!(in_one_scope, one_by_one);
             std::fs::remove_dir_all(dir).ok();
         }
     }
