@@ -53,7 +53,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use travels::{Dispatch, Freed, Travels};
+use travels::{Dispatch, Freed, Tick, Travels, HOST_CHECK_EVERY};
 pub use types::{ClusterConfig, ClusterError, DurabilityLevel, TravelError, TravelResult};
 
 /// Base pause between timeout-driven resubmissions in
@@ -61,10 +61,6 @@ pub use types::{ClusterConfig, ClusterError, DurabilityLevel, TravelError, Trave
 const RESUBMIT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Cap on the resubmission backoff.
 const RESUBMIT_BACKOFF_CAP: Duration = Duration::from_millis(500);
-/// The slice a blocked [`ClusterState::wait`] waits in. Between slices it
-/// steps its travel's entry: a lost coordinator is re-homed, a silent
-/// re-drive probed or given up. Deadlines do not depend on it.
-const FAILOVER_CHECK_EVERY: Duration = Duration::from_millis(50);
 
 /// A socket path no other cluster in this process (or a concurrent test
 /// process) is using: pid plus a process-wide counter.
@@ -115,7 +111,7 @@ pub struct Cluster {
     inner: Arc<ClusterState>,
     /// The healer thread (self-healing clusters only).
     healer: Option<std::thread::JoinHandle<()>>,
-    /// Tells the healer to exit at its next receive slice.
+    /// Tells the healer to exit at its next report or scan.
     heal_stop: Arc<AtomicBool>,
 }
 
@@ -606,14 +602,14 @@ impl ClusterState {
 
     /// Wait for a started traversal (up to `timeout`).
     ///
-    /// The wait runs in short slices; between slices the client checks
-    /// the travel's current coordinator. If that server crashed (or
-    /// crash-restarted) since the travel was routed, the travel is
-    /// **failed over**: the incarnation that lost its coordinator is
+    /// Each turn waits until the travel's next deadline, then steps its
+    /// entry, which checks the coordinator every 50 ms. If that server
+    /// crashed (or crash-restarted) since the travel was routed, the travel
+    /// is **failed over**: the incarnation that lost its coordinator is
     /// aborted everywhere and a successor server runs the plan from its
-    /// sources again under a fresh travel id — transparently to this
-    /// call, which waits for the live incarnation's `TravelDone` and,
-    /// slice by slice, probes a re-drive that shows no sign of life.
+    /// sources again under a fresh travel id — transparently to this call,
+    /// which waits for the live incarnation's `TravelDone` and probes a
+    /// re-drive that shows no sign of life.
     ///
     /// On timeout the travel is abandoned: an abort is broadcast so the
     /// servers drop its state, and its admission slot is released so
@@ -625,9 +621,11 @@ impl ClusterState {
         let travel = ticket.travel;
         let deadline = Instant::now() + timeout;
         loop {
-            let live = self.travels.lock().live_id(travel);
-            let slice = deadline.min(Instant::now() + FAILOVER_CHECK_EVERY);
-            match self.port.await_done(live, slice)? {
+            let table = self.travels.lock();
+            let (live, due) = (table.live_id(travel), table.next_deadline(travel));
+            drop(table);
+            let until = due.unwrap_or(deadline).min(deadline);
+            match self.port.await_done(live, until)? {
                 Some((outcome, received)) => {
                     let mut r = TravelResult::from_outcome(
                         outcome,
@@ -640,7 +638,7 @@ impl ClusterState {
                 }
                 None => {
                     let now = Instant::now();
-                    let gave_up = match self.between_slices(travel, now) {
+                    let gave_up = match self.step_travel(travel, now) {
                         Err(ClusterError::Travel(why)) => Some(why),
                         Err(_) => Some(TravelError::CoordinatorLost { travel }),
                         Ok(()) if now >= deadline => Some(TravelError::Timeout {
@@ -667,43 +665,36 @@ impl ClusterState {
         (0..self.slots.len()).map(host).collect()
     }
 
-    /// A wait slice of `travel` expired at `now`: re-home the travel if its
-    /// coordinator's host is gone, probe a re-drive that has shown no sign
-    /// of life or give it up. The error is why the travel cannot be saved.
-    fn between_slices(&self, travel: TravelId, now: Instant) -> Result<(), ClusterError> {
+    /// A wait of `travel` timed out at `now`: tick its entry, then re-home
+    /// it off a lost host, probe a silent re-drive or give it up. The error
+    /// is why the travel cannot be saved.
+    fn step_travel(&self, travel: TravelId, now: Instant) -> Result<(), ClusterError> {
         let hosts = self.hosts();
-        let (lost, probe) = {
-            let mut table = self.travels.lock();
-            // In this order: a travel just found orphaned has no re-drive
-            // to probe.
-            (table.orphaned(travel, &hosts), table.tick(travel, now))
-        };
-        match lost {
-            None => match probe.map_err(ClusterError::Travel)? {
-                Some(redrive) => self.probe(redrive),
-                None => Ok(()),
-            },
+        let tick = self.travels.lock().tick(travel, &hosts, now);
+        match tick.map_err(ClusterError::Travel)? {
+            Tick::Idle => Ok(()),
+            Tick::Probe(redrive) => self.probe(redrive),
             // The failover lanes run with reliable delivery on; without
             // it a lost coordinator stays a typed, prompt error.
-            Some(_) if !self.engine.reliable_delivery_enabled() => {
+            Tick::Orphaned(_) if !self.engine.reliable_delivery_enabled() => {
                 Err(ClusterError::Travel(TravelError::CoordinatorLost {
                     travel,
                 }))
             }
-            Some(host) => self.rehome(travel, host, Cause::HostLost),
+            Tick::Orphaned(host) => self.rehome(travel, host, Cause::HostLost),
         }
     }
 
     /// Ask a re-driven incarnation's coordinator for the progress report
     /// the paper already has (§IV-C), behind a repeat of the `Submit` —
     /// dropped by a server that has it, so any answer means the role is
-    /// held; silence for one slice leaves the travel unconfirmed.
+    /// held; a host-check interval of silence leaves it unconfirmed.
     fn probe(&self, redrive: Dispatch) -> Result<(), ClusterError> {
         let (live, coordinator) = (redrive.travel, redrive.coordinator);
         self.dispatch(redrive)?;
         let answer = self
             .port
-            .query_progress(live, coordinator, FAILOVER_CHECK_EVERY);
+            .query_progress(live, coordinator, HOST_CHECK_EVERY);
         if answer.is_ok() {
             self.travels.lock().on_confirmed(live);
         }
@@ -729,7 +720,7 @@ impl ClusterState {
     /// the facts for [`Travels::on_rehome`], which picks the successor,
     /// then do what a timed-out `submit_opts` does — abort the superseded
     /// incarnation everywhere, submit the plan again under a fresh id;
-    /// `wait`'s slices see the re-drive through. A lost host is restarted
+    /// `wait`'s turns see the re-drive through. A lost host is restarted
     /// first: its shard is needed to finish the traversal, and the abort
     /// must reach the revived incarnation too.
     fn rehome(&self, travel: TravelId, from: usize, cause: Cause) -> Result<(), ClusterError> {

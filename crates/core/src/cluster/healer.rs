@@ -1,7 +1,7 @@
 //! The healer's decisions as a sans-I/O machine: what to answer a
 //! suspicion report, when to scan for missing replicas. The `gt-healer`
-//! thread (`placement.rs`) receives the reports, knows which servers
-//! really are down, and does the healing.
+//! thread (`placement.rs`) waits for the reports until the next scan's
+//! deadline, knows which servers really are down, and does the healing.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -42,14 +42,14 @@ impl Healer {
         self.healed.insert(server, now);
     }
 
-    /// Whether a replication scan is due at `now`; answering yes starts
-    /// the next period.
-    pub(super) fn scan_due(&mut self, now: Instant) -> bool {
-        let due = now.saturating_duration_since(self.last_scan) >= REREPLICATE_SCAN_EVERY;
-        if due {
-            self.last_scan = now;
-        }
-        due
+    /// When the next replication scan is due.
+    pub(super) fn next_deadline(&self) -> Instant {
+        self.last_scan + REREPLICATE_SCAN_EVERY
+    }
+
+    /// A replication scan started at `now`: the next period starts with it.
+    pub(super) fn on_scanned(&mut self, now: Instant) {
+        self.last_scan = now;
     }
 }
 
@@ -79,13 +79,14 @@ mod tests {
     }
 
     #[test]
-    fn scans_come_once_per_period() {
+    fn scans_come_once_per_period_from_the_last_scan() {
         let t0 = Instant::now();
         let mut h = Healer::new(t0);
-        assert!(!h.scan_due(t0 + REREPLICATE_SCAN_EVERY - Duration::from_millis(1)));
-        let first = t0 + REREPLICATE_SCAN_EVERY;
-        assert!(h.scan_due(first));
-        assert!(!h.scan_due(first), "the period restarts at the scan");
-        assert!(h.scan_due(first + REREPLICATE_SCAN_EVERY));
+        assert_eq!(h.next_deadline(), t0 + REREPLICATE_SCAN_EVERY);
+        // A late scan moves the period with it, and the deadline past it.
+        let late = h.next_deadline() + Duration::from_millis(7);
+        h.on_scanned(late);
+        assert_eq!(h.next_deadline(), late + REREPLICATE_SCAN_EVERY);
+        assert!(h.next_deadline() > late);
     }
 }

@@ -48,7 +48,7 @@ pub(super) fn successor_of(from: usize, cause: Cause, hosts: &[Host]) -> Option<
 
 #[cfg(test)]
 mod tests {
-    use super::super::travels::{Dispatch, Freed, Travels, RECOVER_DEADLINE};
+    use super::super::travels::{Dispatch, Freed, Tick, Travels, RECOVER_DEADLINE};
     use super::super::TravelError;
     use super::*;
     use crate::lang::GTravel;
@@ -108,7 +108,6 @@ mod tests {
 
     const T: TravelId = 1;
     const N: usize = 3;
-    const SLICE: Duration = Duration::from_millis(50);
 
     /// One backend server, as far as a re-drive involves it: what
     /// `handle_msg` does with a `Submit` and an `Abort`, and when a travel
@@ -305,15 +304,14 @@ mod tests {
                 servers[victim].crashed = true;
             }
 
-            // The caller's `wait`: the live incarnation's slot, then —
-            // between slices — the table.
+            // The caller's `wait`: the live incarnation's slot, then — at
+            // the table's own deadline for the travel — a tick.
             let live = table.live_id(T);
             if filed == Some(live) {
                 surfaced.push(live);
                 table.on_waited(T).expect("done, so there to be read");
                 break 'run;
             }
-            let since = now.duration_since(t0).as_millis() as u64;
             if promotion.is_some_and(|when| when <= now) {
                 // `promote`: re-drive what a live server coordinates.
                 promotion = None;
@@ -321,52 +319,51 @@ mod tests {
                 if let Some(&(_, host)) = table.hosted_alive(&facts).first() {
                     rehome!(host, Cause::Shed);
                 }
-            } else if since.is_multiple_of(SLICE.as_millis() as u64) {
+            } else if table.next_deadline(T).is_some_and(|due| due <= now) {
                 let facts = hosts(&servers);
-                if let Some(host) = table.orphaned(T, &facts) {
-                    // `restart_server`: a fresh incarnation, an emptied
-                    // inbox — and only then the abort, so the revived
-                    // server fences the superseded incarnation too.
-                    table.on_restart(host);
-                    servers[host] = Server {
-                        booted: Some(now),
-                        ..Server::default()
-                    };
-                    wire.retain(|&(_, m)| {
-                        !matches!(m, Wire::Submit(to, _) | Wire::Abort(to, _) if to == host)
-                    });
-                    rehome!(host, Cause::HostLost);
-                } else {
-                    match table.tick(T, now) {
-                        Ok(None) => {}
-                        // `probe`: the `Submit` again and, on the same
-                        // link behind it, the progress query.
-                        Ok(Some(d)) => {
-                            let (to, id) = (d.coordinator, d.travel);
-                            let lossy = now < lossy_until;
-                            if reachable(to, &servers) && !(lossy && rng.gen_bool(0.2)) {
-                                let finishes = now + Duration::from_millis(rng.gen_range(20..600));
-                                servers[to].submit(id, finishes);
-                                if !(lossy && rng.gen_bool(0.2)) {
-                                    table.on_confirmed(id);
-                                }
+                match table.tick(T, &facts, now) {
+                    Ok(Tick::Idle) => {}
+                    Ok(Tick::Orphaned(host)) => {
+                        // `restart_server`: a fresh incarnation, an emptied
+                        // inbox — and only then the abort, so the revived
+                        // server fences the superseded incarnation too.
+                        table.on_restart(host);
+                        servers[host] = Server {
+                            booted: Some(now),
+                            ..Server::default()
+                        };
+                        wire.retain(|&(_, m)| {
+                            !matches!(m, Wire::Submit(to, _) | Wire::Abort(to, _) if to == host)
+                        });
+                        rehome!(host, Cause::HostLost);
+                    }
+                    // `probe`: the `Submit` again and, on the same link
+                    // behind it, the progress query.
+                    Ok(Tick::Probe(d)) => {
+                        let (to, id) = (d.coordinator, d.travel);
+                        let lossy = now < lossy_until;
+                        if reachable(to, &servers) && !(lossy && rng.gen_bool(0.2)) {
+                            let finishes = now + Duration::from_millis(rng.gen_range(20..600));
+                            servers[to].submit(id, finishes);
+                            if !(lossy && rng.gen_bool(0.2)) {
+                                table.on_confirmed(id);
                             }
                         }
-                        Err(TravelError::FailoverStalled { travel }) => {
-                            // `abandon`.
-                            assert_eq!(travel, T, "{at}: errors speak the ticket's id");
-                            assert_eq!(
-                                isolated,
-                                table.host_of(T),
-                                "{at}: stalled on a reachable server"
-                            );
-                            let was = table.active();
-                            settle!(table.on_give_up(T, Some(50), now), was);
-                            stalled = true;
-                            break 'run;
-                        }
-                        Err(other) => panic!("{at}: {other}"),
                     }
+                    Err(TravelError::FailoverStalled { travel }) => {
+                        // `abandon`.
+                        assert_eq!(travel, T, "{at}: errors speak the ticket's id");
+                        assert_eq!(
+                            isolated,
+                            table.host_of(T),
+                            "{at}: stalled on a reachable server"
+                        );
+                        let was = table.active();
+                        settle!(table.on_give_up(T, Some(50), now), was);
+                        stalled = true;
+                        break 'run;
+                    }
+                    Err(other) => panic!("{at}: {other}"),
                 }
             }
         }

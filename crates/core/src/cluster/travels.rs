@@ -39,6 +39,8 @@ pub(super) const RECOVER_DEADLINE: Duration = Duration::from_secs(3);
 /// the `Submit` re-sent: the successor may have been isolated when the
 /// first one arrived).
 pub(super) const RECOVER_RENUDGE: Duration = Duration::from_millis(500);
+/// How often a live travel's host is checked: the client hears of no crash.
+pub(super) const HOST_CHECK_EVERY: Duration = Duration::from_millis(50);
 
 /// Ship a travel to its coordinator under the id `travel`, after pinning
 /// `pin` (its snapshot view, with snapshot isolation on) on every store.
@@ -76,14 +78,24 @@ struct Probe {
     next: Instant,
 }
 
+/// What a [`Travels::tick`] asks of the shell.
+#[derive(Debug)]
+pub(super) enum Tick {
+    Idle,
+    /// The role's host is gone: restart it, then [`Travels::on_rehome`].
+    Orphaned(usize),
+    /// Send the silent re-drive again, and probe it.
+    Probe(Dispatch),
+}
+
 /// Where a live travel's coordinator role is.
 #[derive(Debug)]
 enum State {
     /// Parked in the admission queue, for the coordinator chosen at start.
     Queued(usize),
     Running(Role),
-    /// The host is gone and one shell thread — the one `orphaned`
-    /// answered — is restarting it.
+    /// The host is gone and one shell thread — the one a tick answered
+    /// `Orphaned` — is restarting it.
     Orphaned(Role),
     /// Resubmitted to the role's host, which has shown no sign of life.
     Resubmitted(Role, Probe),
@@ -108,6 +120,8 @@ struct Live {
     /// The view pinned on the stores at dispatch.
     view: Option<u64>,
     state: State,
+    /// When the tick next looks at the role's host.
+    next_check: Instant,
 }
 
 #[derive(Debug)]
@@ -233,6 +247,7 @@ impl Travels {
             plan,
             view: None,
             state,
+            next_check: now + HOST_CHECK_EVERY,
         });
         let mut e = Entry {
             submitted: now,
@@ -350,32 +365,12 @@ impl Travels {
         (self.incarnation[server], views)
     }
 
-    /// Whether the incarnation of a server a role was given to is still up.
-    fn alive(&self, role: Role, hosts: &[Host]) -> bool {
-        !hosts[role.host].crashed && self.incarnation[role.host] == role.incarnation
-    }
-
-    /// Between wait slices: is the host of the travel's coordinator role
-    /// gone (a successor that dies before it answered loses it again)?
-    /// Answers `Some(host)` once per loss —
-    /// to the caller that must now gather the facts and
-    /// [`Travels::on_rehome`] — and claims the travel for it, so a
-    /// concurrent second asker gets `None`.
-    pub(super) fn orphaned(&mut self, travel: TravelId, hosts: &[Host]) -> Option<usize> {
-        let role = state_of(&mut self.entries, travel)?.hosted()?;
-        if self.alive(role, hosts) {
-            return None;
-        }
-        *state_of(&mut self.entries, travel)? = State::Orphaned(role);
-        Some(role.host)
-    }
-
     /// Live travels whose coordinator role sits on a live server, with
     /// that server: the ones a replica promotion re-drives.
     pub(super) fn hosted_alive(&self, hosts: &[Host]) -> Vec<(TravelId, usize)> {
         let hosted = |(&travel, e): (&TravelId, &Entry)| {
             let role = e.live.as_ref()?.state.hosted()?;
-            self.alive(role, hosts).then_some((travel, role.host))
+            alive(&self.incarnation, role, hosts).then_some((travel, role.host))
         };
         self.entries.iter().filter_map(hosted).collect()
     }
@@ -447,33 +442,56 @@ impl Travels {
         }
     }
 
-    /// A wait slice expired at `now`: the re-drive to send again and probe
-    /// if it has shown no sign of life and a probe is due (the `Submit` is
-    /// idempotent on a server), `FailoverStalled` at its deadline.
+    /// When `tick` next has work for `travel`; `None` once done or gone.
+    pub(super) fn next_deadline(&self, travel: TravelId) -> Option<Instant> {
+        let live = self.entries.get(&travel)?.live.as_ref()?;
+        Some(match &live.state {
+            State::Resubmitted(_, p) => live.next_check.min(p.next).min(p.deadline),
+            _ => live.next_check,
+        })
+    }
+
+    /// `travel`'s deadline passed at `now`, `hosts` the servers as they are:
+    /// a due host check finding the host gone claims the travel for this
+    /// caller; a silent re-drive is probed when due, stalled at its deadline.
     pub(super) fn tick(
         &mut self,
         travel: TravelId,
+        hosts: &[Host],
         now: Instant,
-    ) -> Result<Option<Dispatch>, TravelError> {
+    ) -> Result<Tick, TravelError> {
         let Some(e) = self.entries.get_mut(&travel) else {
-            return Ok(None);
+            return Ok(Tick::Idle);
         };
         let Some(live) = e.live.as_mut() else {
-            return Ok(None);
+            return Ok(Tick::Idle);
         };
+        if now >= live.next_check {
+            live.next_check = now + HOST_CHECK_EVERY;
+            let hosted = live.state.hosted();
+            if let Some(role) = hosted.filter(|&r| !alive(&self.incarnation, r, hosts)) {
+                live.state = State::Orphaned(role);
+                return Ok(Tick::Orphaned(role.host));
+            }
+        }
         let State::Resubmitted(role, probe) = &mut live.state else {
-            return Ok(None);
+            return Ok(Tick::Idle);
         };
         if now >= probe.deadline {
             return Err(TravelError::FailoverStalled { travel });
         }
         if now < probe.next {
-            return Ok(None);
+            return Ok(Tick::Idle);
         }
         probe.next = now + RECOVER_RENUDGE;
         let host = role.host;
-        Ok(Some(redrive(travel, e.failovers, host, live)))
+        Ok(Tick::Probe(redrive(travel, e.failovers, host, live)))
     }
+}
+
+/// Whether the incarnation of a server a role was given to is still up.
+fn alive(incarnation: &[u64], role: Role, hosts: &[Host]) -> bool {
+    !hosts[role.host].crashed && incarnation[role.host] == role.incarnation
 }
 
 /// The dispatch of `travel`'s re-drive under `attempt`: the plan as first
@@ -548,9 +566,21 @@ mod tests {
     }
 
     /// A probe as `(incarnation, coordinator)`.
-    fn probed(step: Result<Option<Dispatch>, TravelError>) -> Option<(TravelId, usize)> {
-        let d = step.expect("no verdict")?;
-        Some((d.travel, d.coordinator))
+    fn probed(step: Result<Tick, TravelError>) -> Option<(TravelId, usize)> {
+        match step.expect("no verdict") {
+            Tick::Probe(d) => Some((d.travel, d.coordinator)),
+            Tick::Idle | Tick::Orphaned(_) => None,
+        }
+    }
+
+    /// A tick at the travel's next host check, with the servers as
+    /// `hosts`: the host it found gone, if it did.
+    fn orphaned(t: &mut Travels, travel: TravelId, hosts: &[Host]) -> Option<usize> {
+        let at = t.entries.get(&travel)?.live.as_ref()?.next_check;
+        match t.tick(travel, hosts, at) {
+            Ok(Tick::Orphaned(host)) => Some(host),
+            _ => None,
+        }
     }
 
     /// Travel 1 under its `attempt`-th re-drive.
@@ -563,7 +593,7 @@ mod tests {
     fn redriven(now: Instant) -> Travels {
         let mut t = table(0);
         start(&mut t, 1, now);
-        assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), Some(1));
+        assert_eq!(orphaned(&mut t, 1, &[UP, DOWN, UP]), Some(1));
         t.on_restart(1);
         let step = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, now);
         assert_eq!(moved(step), (1, at(1), 2));
@@ -634,7 +664,7 @@ mod tests {
         // failover — whoever asks, whatever the servers look like.
         assert_eq!(t.host_of(1), None);
         assert_eq!(t.hosted_alive(&ALL_UP), vec![(2, 2)]);
-        assert_eq!(t.orphaned(1, &[DOWN; 3]), None);
+        assert_eq!(orphaned(&mut t, 1, &[DOWN; 3]), None);
         for cause in [Cause::Shed, Cause::HostLost] {
             assert!(nothing(t.on_rehome(1, 1, cause, &ALL_UP, t0)));
         }
@@ -656,7 +686,7 @@ mod tests {
             start(&mut t, travel, t0);
         }
         // Travel 4 is mid-re-drive, 3 and 6 finished unwaited, the rest run.
-        assert_eq!(t.orphaned(4, &[UP, DOWN, UP]), Some(1));
+        assert_eq!(orphaned(&mut t, 4, &[UP, DOWN, UP]), Some(1));
         moved(t.on_rehome(4, 1, Cause::HostLost, &ALL_UP, t0));
         t.on_done(6, None, t0);
         t.on_done(3, None, t0);
@@ -695,7 +725,7 @@ mod tests {
         );
         // The re-drive resubmits the stamped plan and asks for no second
         // pin.
-        assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), Some(1));
+        assert_eq!(orphaned(&mut t, 1, &[UP, DOWN, UP]), Some(1));
         let step = t.on_rehome(1, 1, Cause::HostLost, &ALL_UP, t0);
         let (_, redrive) = step.unwrap().unwrap();
         assert_eq!((redrive.pin, redrive.plan.snapshot), (None, Some(41)));
@@ -721,14 +751,14 @@ mod tests {
         let t0 = Instant::now();
         let mut t = table(0);
         start(&mut t, 1, t0);
-        assert_eq!(t.orphaned(1, &ALL_UP), None);
-        assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), Some(1));
+        assert_eq!(orphaned(&mut t, 1, &ALL_UP), None);
+        assert_eq!(orphaned(&mut t, 1, &[UP, DOWN, UP]), Some(1));
         // The caller that was told is gathering the facts: a concurrent
         // waiter, a promotion and the clock all leave the travel alone.
-        assert_eq!(t.orphaned(1, &[UP, DOWN, UP]), None);
+        assert_eq!(orphaned(&mut t, 1, &[UP, DOWN, UP]), None);
         assert!(t.hosted_alive(&ALL_UP).is_empty());
         assert!(nothing(t.on_rehome(1, 1, Cause::Shed, &ALL_UP, t0)));
-        assert_eq!(probed(t.tick(1, t0 + ms(9000))), None);
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(9000))), None);
         // Facts gathered for another host do not apply.
         assert!(nothing(t.on_rehome(1, 0, Cause::HostLost, &ALL_UP, t0)));
         let step = t.on_rehome(1, 1, Cause::HostLost, &[DOWN, UP, UP], t0);
@@ -739,7 +769,7 @@ mod tests {
         // however alive it looks.
         start(&mut t, 2, t0);
         t.on_restart(2);
-        assert_eq!(t.orphaned(2, &ALL_UP), Some(2));
+        assert_eq!(orphaned(&mut t, 2, &ALL_UP), Some(2));
         // Nobody left to host it: the travel is lost.
         let lost = t.on_rehome(2, 2, Cause::HostLost, &[DOWN; 3], t0);
         assert_eq!(
@@ -774,13 +804,13 @@ mod tests {
     fn a_silent_redrive_is_probed_every_500ms_and_stalls_at_3s() {
         let t0 = Instant::now();
         let mut t = redriven(t0);
-        assert_eq!(probed(t.tick(1, t0 + ms(499))), None);
-        assert_eq!(probed(t.tick(1, t0 + ms(500))), Some((at(1), 2)));
-        assert_eq!(probed(t.tick(1, t0 + ms(999))), None);
-        assert_eq!(probed(t.tick(1, t0 + ms(1040))), Some((at(1), 2)));
-        assert_eq!(probed(t.tick(1, t0 + ms(1539))), None);
-        assert_eq!(probed(t.tick(1, t0 + ms(1540))), Some((at(1), 2)));
-        let stalled = t.tick(1, t0 + RECOVER_DEADLINE);
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(499))), None);
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(500))), Some((at(1), 2)));
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(999))), None);
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(1040))), Some((at(1), 2)));
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(1539))), None);
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(1540))), Some((at(1), 2)));
+        let stalled = t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE);
         assert_eq!(
             stalled.unwrap_err(),
             TravelError::FailoverStalled { travel: 1 }
@@ -789,9 +819,50 @@ mod tests {
         let mut t = redriven(t0);
         t.on_confirmed(at(1));
         assert_eq!(t.running(1), Some((2, 1)));
-        assert_eq!(probed(t.tick(1, t0 + RECOVER_DEADLINE)), None);
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE)), None);
         t.on_done(at(1), None, t0);
         assert_eq!(t.on_waited(1), Some((1, Duration::ZERO)));
+    }
+
+    #[test]
+    fn nothing_is_due_before_next_deadline_and_a_tick_moves_it_past_now() {
+        let t0 = Instant::now();
+        let mut t = table(0);
+        start(&mut t, 1, t0);
+        // The host check runs at its deadline, not a moment before.
+        let due = t.next_deadline(1).unwrap();
+        assert_eq!(due, t0 + HOST_CHECK_EVERY);
+        let early = due - Duration::from_micros(1);
+        assert!(matches!(t.tick(1, &[UP, DOWN, UP], early), Ok(Tick::Idle)));
+        assert!(matches!(t.tick(1, &ALL_UP, due), Ok(Tick::Idle)));
+        assert!(t.next_deadline(1).unwrap() > due);
+        // A re-drive nobody answers for, stepped deadline by deadline with
+        // its host dying each time just too early to be noticed: every
+        // step is due at its deadline and nothing before it, until the
+        // stall.
+        let mut t = redriven(t0);
+        let (mut probes, mut last) = (0, t0);
+        loop {
+            let due = t.next_deadline(1).expect("live");
+            assert!(due > last, "the deadline moved past the last tick");
+            let early = due - Duration::from_micros(1);
+            assert!(matches!(t.tick(1, &[UP, UP, DOWN], early), Ok(Tick::Idle)));
+            match t.tick(1, &ALL_UP, due) {
+                Ok(Tick::Idle) => {}
+                Ok(Tick::Probe(_)) => probes += 1,
+                Ok(Tick::Orphaned(host)) => panic!("{host} is up"),
+                Err(stalled) => {
+                    assert_eq!(stalled, TravelError::FailoverStalled { travel: 1 });
+                    assert_eq!(due, t0 + RECOVER_DEADLINE);
+                    break;
+                }
+            }
+            last = due;
+        }
+        assert_eq!(probes, 5, "one every {RECOVER_RENUDGE:?} before the stall");
+        // Done is done: no deadline, nothing to tick.
+        t.on_done(at(1), None, t0);
+        assert_eq!(t.next_deadline(1), None);
     }
 
     #[test]
@@ -808,8 +879,8 @@ mod tests {
         assert_eq!(t.running(1), None);
         assert_eq!(t.host_of(1), Some(0));
         // The deadline and the probes belong to the newer re-drive.
-        assert_eq!(probed(t.tick(1, t0 + ms(600))), Some((at(2), 0)));
-        let at_the_old_deadline = t.tick(1, t0 + RECOVER_DEADLINE);
+        assert_eq!(probed(t.tick(1, &ALL_UP, t0 + ms(600))), Some((at(2), 0)));
+        let at_the_old_deadline = t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE);
         assert_eq!(probed(at_the_old_deadline), Some((at(2), 0)));
         t.on_confirmed(at(2));
         assert_eq!(t.running(1), Some((0, 2)));
@@ -821,13 +892,13 @@ mod tests {
     }
 
     #[test]
-    fn a_successor_dying_before_it_answered_is_noticed_at_the_next_slice() {
+    fn a_successor_dying_before_it_answered_is_noticed_at_the_next_host_check() {
         let t0 = Instant::now();
         let mut t = redriven(t0);
         // No deadline involved: the very next look at the servers.
-        assert_eq!(t.orphaned(1, &ALL_UP), None);
-        assert_eq!(t.orphaned(1, &[UP, UP, DOWN]), Some(2));
-        assert_eq!(t.orphaned(1, &[UP, UP, DOWN]), None);
+        assert_eq!(orphaned(&mut t, 1, &ALL_UP), None);
+        assert_eq!(orphaned(&mut t, 1, &[UP, UP, DOWN]), Some(2));
+        assert_eq!(orphaned(&mut t, 1, &[UP, UP, DOWN]), None);
         t.on_restart(2);
         let step = t.on_rehome(1, 2, Cause::HostLost, &ALL_UP, t0 + ms(50));
         assert_eq!(moved(step), (at(1), at(2), 0), "on from where it died");
@@ -850,7 +921,7 @@ mod tests {
         }
         let host = t.host_of(1).unwrap();
         assert!(nothing(t.on_rehome(1, host, Cause::Shed, &ALL_UP, t0)));
-        assert_eq!(t.orphaned(1, &[DOWN; 3]), Some(host));
+        assert_eq!(orphaned(&mut t, 1, &[DOWN; 3]), Some(host));
         let lost = t.on_rehome(1, host, Cause::HostLost, &ALL_UP, t0);
         assert_eq!(
             lost.unwrap_err(),

@@ -2,8 +2,8 @@
 //! silence timeout per peer, suspicions to the healer.
 //!
 //! The dispatcher owns one [`Detector`] on its stack — no lock, no sharing
-//! — and steps it with each heartbeat, each verdict and, every loop turn,
-//! the clock reading it took; nothing in here sends or reads a clock.
+//! — and steps it with each heartbeat, each verdict and, at its deadline,
+//! the clock reading its turn took; nothing in here sends or reads a clock.
 
 use super::effect::{Counter, Effect};
 use crate::message::Msg;
@@ -106,6 +106,11 @@ impl Detector {
         p.suspected = false;
         p.intervals = 0;
         p.last = Some(now);
+    }
+
+    /// The next beat: the earliest time `tick` does anything.
+    pub(super) fn next_deadline(&self) -> Instant {
+        self.last_beat + HEARTBEAT_EVERY
     }
 
     /// Once per heartbeat period: beat to every peer, then judge every
@@ -229,6 +234,28 @@ mod tests {
         assert_eq!(step.counted(Counter::HeartbeatsSent), 2);
         // Half a period later nothing happens.
         assert!(r.det.tick(r.now + BEAT / 2).is_empty());
+    }
+
+    #[test]
+    fn nothing_happens_before_next_deadline_and_a_tick_moves_it_past_now() {
+        // Irregular ticks for ten seconds: peer 2 beats throughout, peer 1
+        // never, so raises and re-reports are among what a tick may emit.
+        let mut r = Rig::new();
+        let mut emitted = 0;
+        for i in 0..4_000u64 {
+            r.now += Duration::from_micros(500 + (i * 7919) % 4_000);
+            r.det.on_heartbeat(2, r.now);
+            let due = r.det.next_deadline();
+            let step = r.det.tick(r.now);
+            if r.now < due {
+                assert!(step.is_empty(), "emitted before its deadline");
+            } else {
+                assert!(!step.is_empty(), "a beat is due at the deadline");
+                emitted += 1;
+            }
+            assert!(r.det.next_deadline() > r.now);
+        }
+        assert!(emitted > 1_000, "{emitted} beats");
     }
 
     #[test]

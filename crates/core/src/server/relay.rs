@@ -57,6 +57,7 @@ pub(super) struct Relay {
     next_seq: HashMap<(TravelId, usize), u64>,
     /// `(travel, destination, seq)` → unacked message.
     pending: BTreeMap<(TravelId, usize, u64), Pending>,
+    earliest: Option<Instant>,
     in_streams: HashMap<(TravelId, usize), InStream>,
 }
 
@@ -100,6 +101,7 @@ impl Relay {
                 next_retry: now + RETRY_BASE,
             },
         );
+        self.earliest = self.earliest.into_iter().chain([now + RETRY_BASE]).min();
         vec![Effect::Send(to, self.frame(travel, seq, 1, msg))]
     }
 
@@ -173,6 +175,11 @@ impl Relay {
         self.pending.remove(&(travel, server, seq));
     }
 
+    /// Never after the earliest pending retry; only `on_send` and `tick` move it.
+    pub(super) fn next_deadline(&self) -> Option<Instant> {
+        self.earliest
+    }
+
     /// Resend every pending message whose retry deadline passed, with
     /// capped exponential backoff; messages out of attempts are dropped.
     pub(super) fn tick(&mut self, now: Instant) -> Vec<Effect> {
@@ -208,6 +215,7 @@ impl Relay {
         for (to, travel, seq, attempt, msg) in resend {
             step.push(Effect::Send(to, self.frame(travel, seq, attempt, msg)));
         }
+        self.earliest = self.pending.values().map(|p| p.next_retry).min();
         step
     }
 
@@ -398,7 +406,7 @@ mod tests {
         loop {
             // Step to the pending message's own deadline: nothing fires a
             // moment earlier, exactly one thing fires on it.
-            let due = a.pending.values().next().unwrap().next_retry;
+            let due = a.next_deadline().expect("a message is pending");
             assert!(split(a.tick(due - Duration::from_micros(1)))
                 .send
                 .is_empty());
@@ -431,6 +439,76 @@ mod tests {
         assert!(b.in_streams.is_empty());
         a.forget(T);
         assert!(a.pending.is_empty() && a.next_seq.is_empty());
+    }
+
+    /// One input of the deadline model test.
+    #[derive(Debug, Clone)]
+    enum Input {
+        Send(usize, TravelId),
+        /// Ack the pending entry at this index (mod their number).
+        Ack(usize),
+        Forget(TravelId),
+        /// Advance the clock this many milliseconds and tick.
+        Tick(u64),
+        /// Tick this many microseconds (at least one) before the deadline.
+        TickEarly(u64),
+    }
+
+    fn input() -> impl proptest::strategy::Strategy<Value = Input> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (1usize..3, 0u64..3).prop_map(|(to, t)| Input::Send(to, t)),
+            any::<usize>().prop_map(Input::Ack),
+            (0u64..3).prop_map(Input::Forget),
+            (0u64..600).prop_map(Input::Tick),
+            (1u64..10_000).prop_map(Input::TickEarly),
+        ]
+    }
+
+    proptest::proptest! {
+        /// `next_deadline` is what the dispatcher sleeps until: a tick
+        /// before it emits nothing, a tick leaves it in the future, and no
+        /// pending retry is ever due before it.
+        #[test]
+        fn next_deadline_bounds_every_retry(inputs in proptest::collection::vec(input(), 0..80)) {
+            let t0 = Instant::now();
+            let mut now = t0;
+            let mut r = Relay::new(0, 0);
+            let mut tag = 0;
+            for input in inputs {
+                match input {
+                    Input::Send(to, travel) => {
+                        tag += 1;
+                        r.on_send(to, travel, report(tag), now);
+                    }
+                    Input::Ack(i) => {
+                        let keys: Vec<_> = r.pending.keys().copied().collect();
+                        if !keys.is_empty() {
+                            let (travel, to, seq) = keys[i % keys.len()];
+                            r.on_ack(travel, to, seq);
+                        }
+                    }
+                    Input::Forget(travel) => r.forget(travel),
+                    Input::Tick(ms) => {
+                        now += Duration::from_millis(ms);
+                        r.tick(now);
+                        proptest::prop_assert!(r.next_deadline().is_none_or(|d| d > now));
+                    }
+                    Input::TickEarly(us) => {
+                        if let Some(due) = r.next_deadline() {
+                            let early = due - Duration::from_micros(us);
+                            if early >= now {
+                                proptest::prop_assert!(r.tick(early).is_empty());
+                            }
+                        }
+                    }
+                }
+                let deadline = r.next_deadline();
+                for p in r.pending.values() {
+                    proptest::prop_assert!(deadline.is_some_and(|d| d <= p.next_retry));
+                }
+            }
+        }
     }
 
     /// Two relays back to back over a link that drops, duplicates and

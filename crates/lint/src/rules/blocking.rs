@@ -2,13 +2,13 @@
 //! dispatcher must not block.
 //!
 //! The dispatcher thread is the server's only consumer of its fabric
-//! inbox: a `sleep`, `recv_timeout`, or condvar `wait` anywhere in a
+//! inbox: a `sleep`, a `recv*` or a condvar `wait` anywhere in a
 //! `handle_*`/`dispatch_msg` call chain stalls every message behind it —
 //! including the relay acks whose absence then triggers retransmission
 //! storms against the stalled server. Roots are the dispatch entry
 //! points themselves (`dispatch_msg` and every `handle_*`); the
 //! dispatcher *loop* is deliberately not a root — parking in
-//! `recv_timeout` while idle is its job.
+//! `recv_until` until a message or a machine deadline is its job.
 //!
 //! Reachability is over a name-based call graph of the audited files:
 //! same-name functions are merged, which over-approximates toward
@@ -23,7 +23,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 /// Calls that park the calling thread.
-const BLOCKING_PRIMS: &[&str] = &["sleep", "recv_timeout", "wait", "wait_for"];
+const BLOCKING_PRIMS: &[&str] = &[
+    "sleep",
+    "recv",
+    "recv_timeout",
+    "recv_until",
+    "wait",
+    "wait_for",
+];
 
 /// What one function definition does on its caller's thread.
 struct FnFacts {
@@ -138,9 +145,24 @@ mod tests {
     }
 
     #[test]
+    fn every_blocking_primitive_fires_once() {
+        for prim in BLOCKING_PRIMS {
+            let d = lint(&format!(
+                "fn handle_x(x: &X) {{ park(x); }}\n\
+                 fn park(x: &X) {{ x.ep.{prim}(D); }}"
+            ));
+            assert_eq!(d.len(), 1, "{prim}: {d:?}");
+            assert!(
+                d[0].message.contains(&format!("blocking `{prim}`")),
+                "{d:?}"
+            );
+        }
+    }
+
+    #[test]
     fn dispatcher_loop_is_not_a_root() {
         let d = lint(
-            "fn dispatcher_loop(rx: &Rx) { let m = rx.recv_timeout(D); }\n\
+            "fn dispatcher_loop(ep: &Ep) { let m = ep.recv_until(D); }\n\
              fn unrelated() { sleep(D); }",
         );
         assert!(d.is_empty(), "{d:?}");
