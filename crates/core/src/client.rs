@@ -246,7 +246,7 @@ impl ClientPort {
             }
             st.pumping = true;
             drop(st);
-            let got = self.ep.recv_timeout(left);
+            let got = self.ep.recv_until(Some(deadline));
             let received = Instant::now();
             if let Ok(env) = &got {
                 if let Msg::TravelDone { travel, .. } = &env.msg {

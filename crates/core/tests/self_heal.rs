@@ -246,6 +246,34 @@ fn delayed_heartbeats_never_demote_live_servers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A freshly built cluster that has carried no traffic at all still
+/// heartbeats: its detectors run from the start, so a crash before the
+/// first travel or ingest is detected and healed like any other.
+#[test]
+fn a_crash_in_a_cluster_that_never_carried_traffic_heals() {
+    let g = random_graph(29, 40, None);
+    let q = heal_query();
+    let want = oracle_map(&g, &q);
+    let dir = tmp("idle-crash");
+    let cluster = Cluster::build(
+        &g,
+        ClusterConfig::new(&dir, 3).replication(2).self_healing(),
+        EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
+    )
+    .unwrap();
+    cluster.crash_server(1).unwrap();
+    assert!(
+        cluster.await_self_heal(Duration::from_secs(30)),
+        "no convergence after crashing a server of an idle cluster"
+    );
+    let m = cluster.metrics();
+    assert!(m.iter().map(|s| s.auto_promotions).sum::<u64>() > 0);
+    let got = cluster.submit(&q).unwrap();
+    assert_eq!(got.by_depth, want, "post-heal travel diverged");
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // Dormancy: detection off + static cluster ⇒ the subsystem is free
 // ---------------------------------------------------------------------
