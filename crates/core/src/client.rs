@@ -11,10 +11,10 @@
 //! thread: whoever waits pumps the endpoint, for everybody.
 //!
 //! * **Delivery.** A client-bound message is filed under
-//!   [`Msg::client_key`] into the slot of that key.
+//!   `Msg::client_key` into the slot of that key.
 //! * **Drop rule.** A slot exists only while someone has declared interest
-//!   in the key — a travel between [`ClientPort::open_travel`] and its
-//!   completion, abort or cancellation, or a [`ClientPort::listen`] guard
+//!   in the key — a travel between `ClientPort::open_travel` and its
+//!   completion, abort or cancellation, or a `ClientPort::listen` guard
 //!   around a request. A reply with no slot is dropped, so an answer that
 //!   arrives after its asker gave up cannot accumulate.
 //! * **Wake rule.** Exactly one waiter at a time receives from the

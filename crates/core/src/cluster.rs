@@ -18,10 +18,10 @@
 //! This file is the **shell**: stores, threads, crash/restart, the public
 //! API, and the one place on the client side that reads the clock and
 //! touches the port and the stores. What it decides
-//! with lives in sans-I/O machines under `cluster/` — [`travels`] (one
+//! with lives in sans-I/O machines under `cluster/` — `travels` (one
 //! entry per travel: admission, coordinator routing, snapshot pins, the
-//! re-home of an orphaned travel), [`rehome`] (successor choice) and
-//! [`healer`] — which it steps under one lock that is
+//! re-home of an orphaned travel), `rehome` (successor choice) and
+//! `healer` — which it steps under one lock that is
 //! never held across a send. `cluster/placement.rs` is shell too: the
 //! sequential placement orchestration and the healer thread.
 

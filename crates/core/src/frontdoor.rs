@@ -36,7 +36,7 @@ use crate::cluster::{ClusterError, ClusterState, TravelError, TravelResult};
 use crate::lang::Plan;
 use crate::message::ProgressSnapshot;
 use crate::qos::{Admission, QosConfig, QosGate};
-use gt_proto::{negotiate, read_frame, send_server, ClientMsg, ServerMsg, WireError, WireProgress};
+use gt_proto::{negotiate, read_frame, send_server, ClientMsg, ServerMsg, WireError};
 use gt_transport::{Listener, SocketAddrSpec, Stream};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -332,20 +332,12 @@ fn wire_error(e: &ClusterError) -> WireError {
             last_progress,
         }) => WireError::Timeout {
             attempts: *attempts,
-            last_progress: last_progress.as_ref().map(wire_progress),
+            last_progress: last_progress.clone(),
         },
         ClusterError::Travel(TravelError::CoordinatorLost { .. }) => WireError::CoordinatorLost,
         ClusterError::Travel(TravelError::Cancelled { .. }) => WireError::Cancelled,
         ClusterError::Travel(TravelError::FailoverStalled { .. }) => WireError::FailoverStalled,
         other => WireError::Server(other.to_string()),
-    }
-}
-
-fn wire_progress(p: &ProgressSnapshot) -> WireProgress {
-    WireProgress {
-        created: p.created,
-        terminated: p.terminated,
-        outstanding_by_depth: p.outstanding_by_depth.clone(),
     }
 }
 
@@ -391,7 +383,7 @@ impl<B: Backend> Conn<B> {
                         .iter()
                         .map(|(d, vs)| (*d, vs.iter().map(|v| v.0).collect()))
                         .collect(),
-                    progress: wire_progress(&r.progress),
+                    progress: r.progress,
                     elapsed_us: r.elapsed.as_micros() as u64,
                 });
             }
@@ -533,10 +525,7 @@ fn serve_conn<B: Backend>(
                 Some(t) => {
                     let c = conn.clone();
                     let job = Box::new(move || match c.backend.progress(&t) {
-                        Ok(p) => c.reply(&ServerMsg::Progress {
-                            id,
-                            progress: wire_progress(&p),
-                        }),
+                        Ok(p) => c.reply(&ServerMsg::Progress { id, progress: p }),
                         Err(e) => c.error(id, wire_error(&e)),
                     });
                     if waiters.run(job).is_err() {

@@ -148,20 +148,6 @@ impl Plan {
         }
     }
 
-    /// Rough serialized size, for the network bandwidth model.
-    pub fn wire_size(&self) -> usize {
-        let filters = |f: &FilterSet| f.0.len() * 32;
-        let mut n = 24 + filters(&self.source_filters);
-        n += 8 * (self.as_of.is_some() as usize + self.snapshot.is_some() as usize);
-        if let Source::Ids(ids) = &self.source {
-            n += ids.len() * 8;
-        }
-        for s in &self.steps {
-            n += 16 + s.edge_label.len() + filters(&s.edge_filters) + filters(&s.vertex_filters);
-        }
-        n
-    }
-
     /// If the source is "all vertices of one type", the type name.
     /// Lets the engine use the per-type namespace index instead of a
     /// full vertex scan.
@@ -601,24 +587,5 @@ mod tests {
             .unwrap();
         assert_eq!(p.steps[0].vertex_filters.len(), 1);
         assert!(p.source_filters.is_empty());
-    }
-
-    #[test]
-    fn wire_size_counts_temporal_bounds() {
-        let plain = GTravel::v([1u64]).e("a").compile().unwrap();
-        let bounded = GTravel::v([1u64]).as_of(3).e("a").compile().unwrap();
-        assert!(bounded.wire_size() > plain.wire_size());
-    }
-
-    #[test]
-    fn wire_size_grows_with_plan() {
-        let small = GTravel::v([1u64]).e("a").compile().unwrap();
-        let big = GTravel::v((0..100u64).collect::<Vec<_>>())
-            .e("a")
-            .e("b")
-            .e("c")
-            .compile()
-            .unwrap();
-        assert!(big.wire_size() > small.wire_size());
     }
 }

@@ -12,7 +12,7 @@
 //!   gotten lucky ([`OrderedMutex::lock`]);
 //! * **no guard leaves with a message** — where a server or a client puts
 //!   a message on the wire, or blocks for one, the thread holds no ranked
-//!   lock at all ([`assert_none_held`]): a guard held across a send
+//!   lock at all (`assert_none_held`): a guard held across a send
 //!   couples the lock order to the peer's backpressure, the cross-node
 //!   deadlock shape no per-process order can rule out.
 //!

@@ -11,34 +11,18 @@
 //! the vertices it returned, so a flush sends its shares and then exactly
 //! one report to the coordinator. Messages are plain
 //! values — the "network" is [`gt_net`]'s simulated fabric — but each
-//! reports an approximate [`WireSize`] so the bandwidth model can charge
-//! transmission cost.
+//! implements [`WireCodec`], so the bandwidth model charges the bytes the
+//! socket carrier would write.
 
 use crate::lang::Plan;
 use crate::{ExecId, Tokens, TravelId};
 use gt_graph::VertexId;
-use gt_net::WireSize;
+use gt_net::WireCodec;
 use std::sync::Arc;
 
-/// Per-step progress estimate (§IV-C: "the count of current unfinished
-/// traversal executions in each step can still help users estimate the
-/// remaining work and time").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProgressSnapshot {
-    /// Executions created so far.
-    pub created: u64,
-    /// Executions terminated so far.
-    pub terminated: u64,
-    /// Outstanding (created − terminated) executions per step.
-    pub outstanding_by_depth: Vec<(u16, u64)>,
-}
-
-impl ProgressSnapshot {
-    /// Total outstanding executions.
-    pub fn outstanding(&self) -> u64 {
-        self.created.saturating_sub(self.terminated)
-    }
-}
+/// Per-step progress estimate (§IV-C). One type for the engine and the
+/// front door's protocol, so a snapshot crosses the door unconverted.
+pub use gt_proto::WireProgress as ProgressSnapshot;
 
 /// Final outcome of a traversal, delivered to the client.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -574,93 +558,21 @@ impl Msg {
     }
 }
 
-impl WireSize for Msg {
-    fn wire_size(&self) -> usize {
-        match self {
-            Msg::Submit { plan, .. } => 24 + plan.wire_size(),
-            Msg::Abort { .. } => 12,
-            Msg::Cancel { .. } => 20,
-            Msg::CancelAck { .. } => 20,
-            Msg::ProgressQuery { .. } => 20,
-            Msg::ProgressReport { snapshot, .. } => 28 + snapshot.outstanding_by_depth.len() * 10,
-            Msg::TravelDone { outcome, .. } => {
-                20 + outcome
-                    .by_depth
-                    .iter()
-                    .map(|(_, v)| 2 + v.len() * 8)
-                    .sum::<usize>()
-            }
-            Msg::SourceScan { plan, .. } => 32 + plan.wire_size(),
-            Msg::Visit { items, plan, .. } => {
-                // The plan rides along but is tiny next to the items.
-                40 + plan.wire_size() + items.iter().map(|(_, t)| 8 + t.len() * 10).sum::<usize>()
-            }
-            Msg::ExecTerminated {
-                children, results, ..
-            } => 40 + (children.len() + results.len()) * 10,
-            Msg::OriginSatisfied { tokens, .. } => 36 + tokens.len() * 8,
-            Msg::SyncStart { plan, .. } => 36 + plan.wire_size(),
-            Msg::SyncFrontier { items, .. } => {
-                20 + items.iter().map(|(_, t)| 8 + t.len() * 10).sum::<usize>()
-            }
-            Msg::SyncOrigin { tokens, .. } => 16 + tokens.len() * 8,
-            Msg::SyncStepDone {
-                sent,
-                origin_sent,
-                results,
-                ..
-            } => 32 + (sent.len() + origin_sent.len()) * 12 + results.len() * 10,
-            Msg::Ingest {
-                vertices, edges, ..
-            } => {
-                24 + vertices
-                    .iter()
-                    .map(|v| 16 + v.props.len() * 24)
-                    .sum::<usize>()
-                    + edges.iter().map(|e| 24 + e.props.len() * 24).sum::<usize>()
-            }
-            Msg::IngestAck { .. } => 12,
-            Msg::GetVertex { .. } => 20,
-            Msg::VertexReply { vertex, .. } => {
-                16 + vertex.as_ref().map_or(0, |v| 16 + v.props.len() * 24)
-            }
-            Msg::Relay { inner, .. } => 40 + inner.wire_size(),
-            Msg::RelayAck { .. } => 28,
-            Msg::PlacementUpdate { map, .. } => {
-                20 + map
-                    .entries
-                    .iter()
-                    .map(|e| 8 + e.replicas.len() * 8)
-                    .sum::<usize>()
-                    + map.decommissioned.len()
-            }
-            Msg::PlacementAck { .. } => 20,
-            Msg::ReplicateWrite {
-                vertices, edges, ..
-            } => {
-                24 + vertices
-                    .iter()
-                    .map(|v| 16 + v.props.len() * 24)
-                    .sum::<usize>()
-                    + edges.iter().map(|e| 24 + e.props.len() * 24).sum::<usize>()
-            }
-            Msg::ReplicateAck { .. } => 20,
-            Msg::CopyBegin { .. } => 32,
-            Msg::CopyData { pairs, .. } => {
-                28 + pairs
-                    .iter()
-                    .map(|(ns, k, v)| 12 + ns.len() + k.len() + v.as_ref().map_or(0, Vec::len))
-                    .sum::<usize>()
-            }
-            Msg::CopyApplied { .. } => 24,
-            Msg::CopyCutover { .. } => 12,
-            Msg::CopyFinish { .. } => 12,
-            Msg::Heartbeat { .. } => 12,
-            Msg::Suspect { .. } => 16,
-            Msg::SuspectAck { .. } => 12,
-            Msg::Crash => 4,
-            Msg::Shutdown => 4,
-        }
+/// The encoding is the wire table's (`wirecodec.rs`); the lane and the
+/// chaos identity are this module's classification.
+impl WireCodec for Msg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        crate::wirecodec::put_msg(self, out);
+        debug_assert_eq!(out.len() - start, self.encoded_len(), "{self:?}");
+    }
+
+    fn decode(buf: &[u8]) -> Option<Msg> {
+        crate::wirecodec::get_msg(buf)
+    }
+
+    fn encoded_len(&self) -> usize {
+        crate::wirecodec::msg_len(self)
     }
 
     fn traffic_class(&self) -> gt_net::TrafficClass {
@@ -698,29 +610,6 @@ impl WireSize for Msg {
 mod tests {
     use super::*;
     use crate::lang::GTravel;
-
-    #[test]
-    fn wire_sizes_scale_with_payload() {
-        let plan = Arc::new(GTravel::v([1u64]).e("x").compile().unwrap());
-        let small = Msg::Visit {
-            travel: 1,
-            depth: 0,
-            exec: ExecId::new(0, 1),
-            plan: plan.clone(),
-            coordinator: 0,
-            items: vec![(VertexId(1), vec![])],
-        };
-        let big = Msg::Visit {
-            travel: 1,
-            depth: 0,
-            exec: ExecId::new(0, 1),
-            plan,
-            coordinator: 0,
-            items: (0..100).map(|i| (VertexId(i), vec![])).collect(),
-        };
-        assert!(big.wire_size() > small.wire_size());
-        assert!(Msg::Shutdown.wire_size() < 16);
-    }
 
     fn report() -> Msg {
         Msg::ExecTerminated {
@@ -792,9 +681,6 @@ mod tests {
         assert_eq!(Msg::CopyCutover { mig: 4 }.chaos_key(), None);
         assert_eq!(Msg::Crash.chaos_key(), None);
         assert_eq!(Msg::Shutdown.chaos_key(), None);
-        // The envelope charges for its header plus the payload.
-        assert_eq!(relay.wire_size(), 40 + report().wire_size());
-        assert_eq!(ack.wire_size(), 28);
     }
 
     #[test]
@@ -812,7 +698,6 @@ mod tests {
                 purpose,
             };
             assert_eq!(chunk.traffic_class(), TrafficClass::Bulk);
-            assert!(chunk.wire_size() > 40, "chunk charges for its payload");
             // A relayed chunk inherits the class.
             let relayed = Msg::Relay {
                 travel: 9,

@@ -7,18 +7,18 @@
 //!   requests into a local queue and replies to the ancestor servers
 //!   before processing these requests"), control messages are handled
 //!   inline, and coordinator-role messages update this server's ledgers;
-//! * a **worker pool** draining the queue ([`visit`]): each pop visits one
+//! * a **worker pool** draining the queue (`visit`): each pop visits one
 //!   vertex for every execution waiting on it, and an execution flushes
 //!   its output downstream when its last vertex request completes.
 //!
-//! This file is the shell: the threads, the [`Shared`] wiring with its
+//! This file is the shell: the threads, the `Shared` wiring with its
 //! ranked locks, the dispatcher loop and the one `Msg` dispatch table
-//! ([`handle_msg`]). Every protocol with state of its own is a machine in a
-//! submodule — [`relay`], [`detector`], [`barrier`], [`copy`] — a plain
+//! (`handle_msg`). Every protocol with state of its own is a machine in a
+//! submodule — `relay`, `detector`, `barrier`, `copy` — a plain
 //! struct with no thread, lock, endpoint or clock inside, stepped as
 //! `(state, input, now) → Output` by the shell, which alone owns the
 //! locks, the endpoint, the partition and the clock (DESIGN.md §16).
-//! [`coord`] and [`ingest`] are the shell side of the coordinator role and
+//! `coord` and `ingest` are the shell side of the coordinator role and
 //! of the write path.
 //!
 //! The same server code runs all three engines; the differences are the

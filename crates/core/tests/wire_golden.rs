@@ -3,9 +3,10 @@
 //! The corpus holds at least one sample of every [`Msg`] variant and
 //! every front-door [`ClientMsg`]/[`ServerMsg`]. Over it: the encodings
 //! equal the bytes recorded in `golden/wire.txt` (mixed version meshes
-//! keep decoding), every sample round-trips, every strict prefix of every
-//! frame is rejected, and spliced or random byte strings never panic a
-//! decoder.
+//! keep decoding), every sample round-trips, every `Msg`'s `encoded_len`
+//! (what the fabric charges) is its encoding's length, every strict
+//! prefix of every frame is rejected, and spliced or random byte strings
+//! never panic a decoder.
 //!
 //! A deliberate format change regenerates the golden lines from the
 //! failing assertion's output; a retired variant's last line moves under
@@ -439,6 +440,15 @@ fn every_variant_round_trips() {
             "{} did not survive its codec",
             s.label
         );
+    }
+}
+
+/// The fabric charges `encoded_len` and the mesh ships `to_bytes`, so
+/// the two agree on every variant, `Relay` included.
+#[test]
+fn encoded_len_is_the_length_of_the_encoding() {
+    for m in msgs() {
+        assert_eq!(m.encoded_len(), m.to_bytes().len(), "{m:?}");
     }
 }
 

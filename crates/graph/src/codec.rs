@@ -38,6 +38,15 @@ fn encode_value(v: &PropValue, out: &mut Vec<u8>) {
     }
 }
 
+/// How many bytes [`encode_value`] appends.
+fn value_len(v: &PropValue) -> usize {
+    1 + match v {
+        PropValue::Int(_) | PropValue::Float(_) => 8,
+        PropValue::Str(s) => 4 + s.len(),
+        PropValue::Bool(_) => 1,
+    }
+}
+
 fn decode_value(data: &[u8], pos: &mut usize) -> Option<PropValue> {
     let tag = *data.get(*pos)?;
     *pos += 1;
@@ -107,6 +116,14 @@ pub fn encode_props(props: &Props) -> Vec<u8> {
     out
 }
 
+/// How many bytes [`encode_props`] produces, counted without encoding.
+pub fn props_len(props: &Props) -> usize {
+    2 + props
+        .iter()
+        .map(|(k, v)| 2 + k.len() + value_len(v))
+        .sum::<usize>()
+}
+
 /// Decode a property map (inverse of [`encode_props`]).
 pub fn decode_props(data: &[u8]) -> Option<Props> {
     let mut pos = 0usize;
@@ -154,6 +171,11 @@ pub fn encode_vertex(v: &Vertex) -> Bytes {
     out.extend_from_slice(v.vtype.as_bytes());
     out.extend_from_slice(&props);
     Bytes::from(out)
+}
+
+/// How many bytes [`encode_vertex`] produces, counted without encoding.
+pub fn vertex_len(v: &Vertex) -> usize {
+    2 + v.vtype.len() + props_len(&v.props)
 }
 
 /// Decode a vertex record given its id.
@@ -246,12 +268,14 @@ mod tests {
     fn props_roundtrip() {
         let p = sample_props();
         let enc = encode_props(&p);
+        assert_eq!(props_len(&p), enc.len());
         assert_eq!(decode_props(&enc), Some(p));
     }
 
     #[test]
     fn empty_props_roundtrip() {
         let p = Props::new();
+        assert_eq!(props_len(&p), encode_props(&p).len());
         assert_eq!(decode_props(&encode_props(&p)), Some(p));
     }
 
@@ -274,6 +298,7 @@ mod tests {
     fn vertex_roundtrip() {
         let v = Vertex::new(77u64, "File", sample_props());
         let enc = encode_vertex(&v);
+        assert_eq!(vertex_len(&v), enc.len());
         assert_eq!(decode_vertex(VertexId(77), &enc), Some(v));
     }
 

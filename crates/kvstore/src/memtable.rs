@@ -5,7 +5,7 @@
 //! configured size. Deletes are recorded as tombstones (`None`) so they can
 //! shadow older segment entries until compaction drops them.
 //!
-//! Keys are [`MemKey`]s: a key of up to [`INLINE_KEY`] bytes lives inside
+//! Keys are `MemKey`s: a key of up to [`INLINE_KEY`] bytes lives inside
 //! the B-tree node itself, so a lookup or a prefix scan compares bytes that
 //! are already in the node instead of chasing one heap pointer per key.
 

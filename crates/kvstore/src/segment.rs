@@ -16,7 +16,7 @@
 //!
 //! At open time only the sparse index, the bloom filter and the max key are
 //! resident; point reads and scans fetch entry *runs* from disk through the
-//! shared [`BlockCache`](crate::cache::BlockCache). Every run fetch charges
+//! shared [`BlockCache`]. Every run fetch charges
 //! the tree's [`IoProfile`](crate::iomodel::IoProfile): cold for the initial
 //! positioned read, sequential for follow-on runs and per-key scan
 //! continuation — this is what makes high-degree vertices genuinely more

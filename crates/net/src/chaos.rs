@@ -7,7 +7,7 @@
 //! with the same seed realize the same fault schedule for the same
 //! messages no matter how the sending threads interleave (the
 //! FoundationDB-style simulation discipline). Message identity comes from
-//! [`crate::WireSize::chaos_key`]: a message with no key (control-plane
+//! [`crate::WireCodec::chaos_key`]: a message with no key (control-plane
 //! traffic, client links) is exempt from chaos.
 //!
 //! Retransmissions must carry a *different* key (e.g. an attempt counter
@@ -139,7 +139,7 @@ fn scale_delay(h: u64, max: Duration) -> Duration {
 }
 
 /// Mix a set of identity fields into one chaos key. Message types use
-/// this to implement [`crate::WireSize::chaos_key`].
+/// this to implement [`crate::WireCodec::chaos_key`].
 pub fn chaos_key_of(fields: &[u64]) -> u64 {
     let mut acc = 0x6A09_E667_F3BC_C909u64; // sqrt(2) fractional bits
     for &f in fields {

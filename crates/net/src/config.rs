@@ -4,7 +4,7 @@ use std::time::Duration;
 
 /// Latency/bandwidth model applied to every message.
 ///
-/// One-way delivery delay = `latency + U[0, jitter] + wire_size * per_byte`,
+/// One-way delivery delay = `latency + U[0, jitter] + encoded_len * per_byte`,
 /// floored so per-link FIFO order is preserved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {

@@ -8,7 +8,7 @@ use crate::config::NetConfig;
 use crate::endpoint::{Endpoint, Envelope, Link, SendError};
 use crate::inbox::Inbox;
 use crate::stats::NetStats;
-use crate::WireSize;
+use crate::WireCodec;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +45,7 @@ impl<M> std::fmt::Debug for Fabric<M> {
     }
 }
 
-impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
+impl<M: Send + WireCodec + Clone + 'static> Fabric<M> {
     /// Build a fabric with `n` endpoints under the given network model.
     pub fn new(n: usize, cfg: NetConfig) -> (Fabric<M>, Vec<Endpoint<M>>) {
         Self::with_chaos(n, cfg, ChaosConfig::off())
@@ -89,7 +89,7 @@ impl<M: Send + WireSize + Clone + 'static> Fabric<M> {
     }
 }
 
-impl<M: Send + WireSize + Clone + 'static> Link<M> for Shared<M> {
+impl<M: Send + WireCodec + Clone + 'static> Link<M> for Shared<M> {
     fn send(&self, from: usize, to: usize, msg: M) -> Result<(), SendError> {
         if to >= self.inboxes.len() {
             return Err(SendError::UnknownEndpoint);
@@ -114,7 +114,7 @@ impl<M: Send + WireSize + Clone + 'static> Link<M> for Shared<M> {
                 return Ok(()); // lost on the wire
             }
         }
-        let size = msg.wire_size();
+        let size = msg.encoded_len();
         self.stats.record(from, to, size);
         let bulk = msg.traffic_class() == crate::TrafficClass::Bulk;
         if bulk {
@@ -328,8 +328,14 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Chunk(Vec<u8>);
 
-    impl WireSize for Chunk {
-        fn wire_size(&self) -> usize {
+    impl WireCodec for Chunk {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(buf: &[u8]) -> Option<Self> {
+            Vec::decode(buf).map(Chunk)
+        }
+        fn encoded_len(&self) -> usize {
             self.0.len()
         }
         fn traffic_class(&self) -> crate::TrafficClass {
@@ -370,8 +376,14 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Keyed(u64);
 
-    impl WireSize for Keyed {
-        fn wire_size(&self) -> usize {
+    impl WireCodec for Keyed {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(buf: &[u8]) -> Option<Self> {
+            u64::decode(buf).map(Keyed)
+        }
+        fn encoded_len(&self) -> usize {
             8
         }
         fn chaos_key(&self) -> Option<u64> {
@@ -383,9 +395,15 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct KeyedChunk(u64);
 
-    impl WireSize for KeyedChunk {
-        fn wire_size(&self) -> usize {
-            64
+    impl WireCodec for KeyedChunk {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(buf: &[u8]) -> Option<Self> {
+            u64::decode(buf).map(KeyedChunk)
+        }
+        fn encoded_len(&self) -> usize {
+            8
         }
         fn chaos_key(&self) -> Option<u64> {
             Some(self.0)

@@ -13,7 +13,7 @@
 //! a receiver must block on "either lane non-empty" and there is no `select`.
 
 use crate::endpoint::{Envelope, RecvError, SendError};
-use crate::{TrafficClass, WireSize};
+use crate::{TrafficClass, WireCodec};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -161,7 +161,7 @@ impl<M> Inbox<M> {
     }
 }
 
-impl<M: WireSize> Inbox<M> {
+impl<M: WireCodec> Inbox<M> {
     /// Queue `env` on its lane; `Closed` after [`Inbox::close`].
     pub fn push(&self, env: Envelope<M>) -> Result<(), SendError> {
         let mut lanes = self.lanes.lock();
@@ -197,7 +197,7 @@ impl<M: WireSize> Inbox<M> {
     }
 }
 
-fn is_control<M: WireSize>(env: &Envelope<M>) -> bool {
+fn is_control<M: WireCodec>(env: &Envelope<M>) -> bool {
     match env.msg.traffic_class() {
         TrafficClass::Control => true,
         TrafficClass::Interactive | TrafficClass::Bulk => false,
@@ -213,8 +213,14 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Tagged(u64);
 
-    impl WireSize for Tagged {
-        fn wire_size(&self) -> usize {
+    impl WireCodec for Tagged {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(buf: &[u8]) -> Option<Self> {
+            u64::decode(buf).map(Tagged)
+        }
+        fn encoded_len(&self) -> usize {
             8
         }
         fn traffic_class(&self) -> TrafficClass {

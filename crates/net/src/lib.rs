@@ -44,8 +44,8 @@
 //!   harness.
 //!
 //! Messages are plain Rust values (the "wire" is the receiver's inbox),
-//! but every message type reports a [`WireSize`] so the bandwidth model
-//! has something to charge.
+//! but every message type implements [`WireCodec`], and the bandwidth
+//! model charges the bytes its encoding would take.
 
 pub mod chaos;
 pub mod config;
@@ -77,10 +77,32 @@ pub enum TrafficClass {
     Control,
 }
 
-/// Implemented by message types so the fabric can model transmission cost.
-pub trait WireSize {
-    /// Approximate serialized size in bytes.
-    fn wire_size(&self) -> usize;
+/// What a carrier needs of a message: its binary form, and the two
+/// classifiers that pick its inbox lane and its fate under chaos.
+///
+/// Encoding is infallible (append to a buffer); decoding is total over
+/// arbitrary bytes and returns `None` on malformed input — a socket peer
+/// can send garbage, and a decode failure must be a counted drop, never a
+/// panic. The socket mesh ships the encoding; the fabric moves the value
+/// itself and charges its bandwidth model [`WireCodec::encoded_len`]
+/// bytes, so both carriers count the same payload.
+pub trait WireCodec: Sized {
+    /// Append this value's binary form to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Decode a value from exactly `buf`. `None` if malformed.
+    fn decode(buf: &[u8]) -> Option<Self>;
+
+    /// How many bytes [`WireCodec::encode`] appends, computed without
+    /// encoding.
+    fn encoded_len(&self) -> usize;
+
+    /// Convenience: encode into a fresh buffer.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode(&mut out);
+        out
+    }
 
     /// Stable identity of this message for seeded fault injection: the
     /// chaos layer's fate decision is a pure function of `(seed, key)`,
@@ -99,20 +121,29 @@ pub trait WireSize {
     }
 }
 
-impl WireSize for Vec<u8> {
-    fn wire_size(&self) -> usize {
+// --- minimal codecs used by carrier-level tests and benchmarks ----------
+
+impl WireCodec for Vec<u8> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    fn decode(buf: &[u8]) -> Option<Self> {
+        Some(buf.to_vec())
+    }
+    fn encoded_len(&self) -> usize {
         self.len()
     }
 }
 
-impl WireSize for String {
-    fn wire_size(&self) -> usize {
-        self.len()
+impl WireCodec for u64 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
     }
-}
-
-impl WireSize for u64 {
-    fn wire_size(&self) -> usize {
+    fn decode(buf: &[u8]) -> Option<Self> {
+        let arr: [u8; 8] = buf.try_into().ok()?;
+        Some(u64::from_le_bytes(arr))
+    }
+    fn encoded_len(&self) -> usize {
         8
     }
 }

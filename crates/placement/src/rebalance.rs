@@ -27,7 +27,7 @@ const IMBALANCE_FACTOR: f64 = 1.25;
 /// Plan migrations that (a) evacuate every partition primaried by a
 /// decommissioned server and (b) move primaries from overloaded to
 /// underloaded active servers until no server exceeds the mean load by
-/// more than [`IMBALANCE_FACTOR`]. `loads[s]` is the observed load of
+/// more than `IMBALANCE_FACTOR`. `loads[s]` is the observed load of
 /// server `s`; a server's load is attributed evenly to the partitions it
 /// primaries. Deterministic: ties break toward lower server/partition
 /// ids. Returns an empty plan when the cluster is already balanced.

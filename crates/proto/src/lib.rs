@@ -95,16 +95,25 @@ pub struct SubmitOpts {
     pub deadline_ms: Option<u64>,
 }
 
-/// Progress totals as they cross the wire (mirrors the engine's
-/// `ProgressSnapshot` without depending on it).
+/// Per-step progress estimate (§IV-C: "the count of current unfinished
+/// traversal executions in each step can still help users estimate the
+/// remaining work and time"). The engine uses this type itself, as
+/// `graphtrek::message::ProgressSnapshot`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireProgress {
     /// Executions created so far.
     pub created: u64,
     /// Executions terminated so far.
     pub terminated: u64,
-    /// Outstanding executions per step.
+    /// Outstanding (created − terminated) executions per step.
     pub outstanding_by_depth: Vec<(u16, u64)>,
+}
+
+impl WireProgress {
+    /// Total outstanding executions.
+    pub fn outstanding(&self) -> u64 {
+        self.created.saturating_sub(self.terminated)
+    }
 }
 
 /// Why a travel failed, as it crosses the wire. Mirrors the engine's
@@ -269,8 +278,8 @@ const ET_THROTTLED: u8 = 6;
 const ET_SERVER: u8 = 7;
 
 /// Bounds-checked little-endian cursor over a payload: the one reader
-/// every GraphTrek wire format decodes through (these frames, the
-/// server-to-server message codec, the coordinator's ledger blobs). The
+/// every GraphTrek wire format decodes through (these frames and the
+/// server-to-server message codec). The
 /// field accessors and the `put_*` writers are `#[inline]` because the
 /// message codec, in another crate, calls them once per field.
 pub struct Reader<'a> {

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `len` counts everything after itself (so `len >= 8`); the payload is
-//! the [`WireCodec`](crate::WireCodec) encoding of the message. Frames
+//! the [`WireCodec`] encoding of the message. Frames
 //! above [`MAX_FRAME`] bytes or that fail to decode are counted as drops
 //! and the rest of the stream is still consumed — a misbehaving peer
 //! cannot panic a server.
@@ -38,7 +38,7 @@
 //! so a connection is a one-way pipe exactly like a fabric link.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use gt_net::{Endpoint, Envelope, Inbox, Link, NetStats, SendError, WireSize};
+use gt_net::{Endpoint, Envelope, Inbox, Link, NetStats, SendError, WireCodec};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -47,8 +47,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crate::WireCodec;
 
 /// Upper bound on a single frame (length prefix value). Frames claiming
 /// more are treated as a malformed peer and the connection is dropped.
@@ -337,7 +335,7 @@ impl<M> std::fmt::Debug for SocketMesh<M> {
     }
 }
 
-impl<M: Send + WireCodec + WireSize + 'static> SocketMesh<M> {
+impl<M: Send + WireCodec + 'static> SocketMesh<M> {
     /// Bind this process's listener, spawn the accept loop and one writer
     /// per process, and return endpoints for every id homed here (in
     /// ascending id order).
@@ -554,10 +552,7 @@ fn write_frames(s: &mut impl Write, frames: &[u8]) -> Result<(), usize> {
 }
 
 /// Accept loop: one reader thread per inbound connection.
-fn accept_loop<M: Send + WireCodec + WireSize + 'static>(
-    listener: Listener,
-    shared: Arc<MeshShared<M>>,
-) {
+fn accept_loop<M: Send + WireCodec + 'static>(listener: Listener, shared: Arc<MeshShared<M>>) {
     loop {
         let stream = listener.accept();
         if shared.closed.load(Ordering::SeqCst) {
@@ -577,7 +572,7 @@ fn accept_loop<M: Send + WireCodec + WireSize + 'static>(
 }
 
 /// Inbound side: parse frames off one connection, route to local inboxes.
-fn reader_loop<M: WireCodec + WireSize>(stream: Stream, shared: Arc<MeshShared<M>>) {
+fn reader_loop<M: WireCodec>(stream: Stream, shared: Arc<MeshShared<M>>) {
     let mut stream = BufReader::with_capacity(IO_CHUNK, stream);
     let mut header = [0u8; 4];
     let mut body: Vec<u8> = Vec::new();
@@ -652,12 +647,12 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("uds-rt.sock");
         let cfg = MeshConfig::single_process(2, SocketAddrSpec::Uds(path.clone()));
-        let (mesh, eps) = SocketMesh::<String>::start(cfg).expect("start uds mesh");
-        eps[1].send(0, "hello".to_string()).expect("send");
+        let (mesh, eps) = SocketMesh::<Vec<u8>>::start(cfg).expect("start uds mesh");
+        eps[1].send(0, b"hello".to_vec()).expect("send");
         let env = eps[0]
             .recv_timeout(Duration::from_secs(5))
             .expect("recv in time");
-        assert_eq!(env.msg, "hello");
+        assert_eq!(env.msg, b"hello");
         assert_eq!(env.from, 1);
         mesh.close();
         assert!(!path.exists(), "socket file unlinked on close");

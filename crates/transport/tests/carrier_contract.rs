@@ -2,17 +2,21 @@
 //! endpoint pair of each: the simulated fabric and a UDS socket mesh.
 
 use gt_net::{Fabric, NetConfig, TrafficClass};
-use gt_transport::{
-    Endpoint, MeshConfig, SendError, SocketAddrSpec, SocketMesh, WireCodec, WireSize,
-};
+use gt_transport::{Endpoint, MeshConfig, SendError, SocketAddrSpec, SocketMesh, WireCodec};
 use std::time::{Duration, Instant};
 
 /// Control when odd, data when even.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Laned(u64);
 
-impl WireSize for Laned {
-    fn wire_size(&self) -> usize {
+impl WireCodec for Laned {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(buf: &[u8]) -> Option<Self> {
+        u64::decode(buf).map(Laned)
+    }
+    fn encoded_len(&self) -> usize {
         8
     }
     fn traffic_class(&self) -> TrafficClass {
@@ -21,15 +25,6 @@ impl WireSize for Laned {
         } else {
             TrafficClass::Interactive
         }
-    }
-}
-
-impl WireCodec for Laned {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(buf: &[u8]) -> Option<Self> {
-        u64::decode(buf).map(Laned)
     }
 }
 
@@ -85,18 +80,64 @@ fn check(carrier: &str, eps: &[Endpoint<Laned>]) {
     assert_eq!(to.pending(), 0, "{carrier}");
 }
 
-#[test]
-fn every_carrier_keeps_the_endpoint_contract() {
-    let dir = std::env::temp_dir().join(format!("gt-carrier-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let uds = MeshConfig::single_process(2, SocketAddrSpec::Uds(dir.join("contract.sock")));
-    let carriers = [
+/// An endpoint pair of each carrier; the mesh's socket goes in a fresh
+/// scratch directory, removed with [`cleanup`].
+fn carriers<M: WireCodec + Clone + Send + 'static>(
+    name: &str,
+) -> Vec<(&'static str, Vec<Endpoint<M>>)> {
+    std::fs::create_dir_all(dir(name)).unwrap();
+    let uds = MeshConfig::single_process(2, SocketAddrSpec::Uds(dir(name).join("mesh.sock")));
+    vec![
         ("fabric", Fabric::new(2, NetConfig::instant()).1),
         ("uds mesh", SocketMesh::start(uds).unwrap().1),
-    ];
-    for (carrier, eps) in &carriers {
+    ]
+}
+
+fn dir(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("gt-carrier-{}-{name}", std::process::id()))
+}
+
+fn cleanup(name: &str) {
+    let _ = std::fs::remove_dir_all(dir(name));
+}
+
+#[test]
+fn every_carrier_keeps_the_endpoint_contract() {
+    for (carrier, eps) in &carriers::<Laned>("contract") {
         check(carrier, eps);
         eps[0].link().close();
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    cleanup("contract");
+}
+
+/// The mesh's frame header: length, sender and receiver, a `u32` each.
+const FRAME_HEADER: u64 = 12;
+
+/// Both carriers count what the codec writes: the fabric the encoded
+/// message, the mesh that plus its frame header.
+#[test]
+fn both_carriers_count_the_bytes_the_codec_writes() {
+    let msgs: Vec<Vec<u8>> = (0..300).map(|n| vec![7u8; n * 13 % 257]).collect();
+    let encoded: u64 = msgs.iter().map(|m| m.to_bytes().len() as u64).sum();
+    let mut bytes = Vec::new();
+    for (carrier, eps) in &carriers::<Vec<u8>>("parity") {
+        for m in &msgs {
+            eps[0].send(1, m.clone()).unwrap();
+        }
+        for m in &msgs {
+            let env = eps[1].recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(&env.msg, m, "{carrier}");
+        }
+        let stats = eps[0].link().stats();
+        assert_eq!(stats.total_messages(), msgs.len() as u64, "{carrier}");
+        bytes.push(stats.total_bytes());
+        eps[0].link().close();
+    }
+    assert_eq!(bytes[0], encoded, "the fabric charges the encoded length");
+    assert_eq!(
+        bytes[1],
+        bytes[0] + FRAME_HEADER * msgs.len() as u64,
+        "the mesh adds one frame header per message"
+    );
+    cleanup("parity");
 }
