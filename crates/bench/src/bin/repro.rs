@@ -2,14 +2,16 @@
 //!
 //! ```text
 //! repro <experiment…> [--quick] [--scale N] [--degree D] [--repeats R]
-//!       [--servers 2,4,8,16,32] [--out DIR]
+//!       [--servers 2,4,8,16,32] [--out DIR] [--check]
 //!
 //! experiments: table1 fig7 fig8 fig9 fig10 fig11 table2 table3 ablation all
 //! ```
 //!
 //! Results are printed as paper-style tables and also written as JSON to
 //! `--out` (default `bench_results/`). `EXPERIMENTS.md` records a full
-//! run's paper-vs-measured comparison.
+//! run's paper-vs-measured comparison. `--check` (with `ablation` and
+//! `fig11` among the experiments) asserts the shapes that comparison
+//! argues from and exits non-zero if one does not hold.
 
 use graphtrek::prelude::*;
 use gt_bench::{fig11_faults, measure, rmat_query, scratch, Campaign, LoadedCluster, RunRecord};
@@ -22,10 +24,12 @@ fn main() {
     let mut experiments: Vec<String> = Vec::new();
     let mut campaign = Campaign::default_small();
     let mut out_dir = PathBuf::from("bench_results");
+    let mut check = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => campaign = Campaign::tiny(),
+            "--check" => check = true,
             "--scale" => {
                 i += 1;
                 campaign.rmat_scale = args[i].parse().expect("--scale N");
@@ -60,7 +64,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: repro <table1|fig7|fig8|fig9|fig10|fig11|table2|table3|ablation|all>…\n\
-                     flags: --quick --scale N --degree D --repeats R --servers a,b,c --darshan-divisor N --out DIR"
+                     flags: --quick --scale N --degree D --repeats R --servers a,b,c --darshan-divisor N --out DIR --check"
                 );
                 return;
             }
@@ -86,6 +90,7 @@ fn main() {
         campaign.repeats
     );
 
+    let (mut ablation_runs, mut fig11_runs) = (None, None);
     for exp in &experiments {
         match exp.as_str() {
             "table1" => table1(&campaign, &out_dir),
@@ -93,13 +98,72 @@ fn main() {
             "fig8" => rmat_figure("fig8", 2, &campaign, &out_dir),
             "fig9" => rmat_figure("fig9", 4, &campaign, &out_dir),
             "fig10" => rmat_figure("fig10", 8, &campaign, &out_dir),
-            "fig11" => fig11(&campaign, &out_dir),
+            "fig11" => fig11_runs = Some(fig11(&campaign, &out_dir)),
             "table2" => table2(&campaign, &out_dir),
             "table3" => table3(&campaign, &out_dir),
-            "ablation" => ablation(&campaign, &out_dir),
+            "ablation" => ablation_runs = Some(ablation(&campaign, &out_dir)),
             other => eprintln!("unknown experiment {other:?} (see --help)"),
         }
     }
+    if check {
+        let failed = check_shapes(ablation_runs.as_deref(), fig11_runs.as_deref());
+        if failed > 0 {
+            eprintln!("shape check: {failed} shape(s) do not hold");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The shapes EXPERIMENTS.md's fidelity table argues from, asserted on
+/// this run's records; prints one line per shape and answers how many do
+/// not hold. Shapes, not counts: a count moves with the graph the seed
+/// draws, a shape should not. The 2-server GraphTrek / Sync-GT near-tie
+/// (deviation 2) is left out.
+fn check_shapes(ablation: Option<&[RunRecord]>, fig11: Option<&[RunRecord]>) -> usize {
+    println!("\n=== Shape check ===");
+    let mut failed = 0;
+    let mut shape = |holds: bool, what: String| {
+        println!("  [{}] {what}", if holds { "ok" } else { "FAIL" });
+        failed += usize::from(!holds);
+    };
+    match ablation {
+        Some([sync, none, cache, merge, both]) => {
+            let [s, c, b] = [sync, cache, both].map(|r| r.totals.real_io);
+            shape(
+                s == c,
+                format!("ablation: +cache real I/O {c} == Sync-GT's {s}"),
+            );
+            // The time order alone misses a GraphTrek without its cache:
+            // it runs as fast as +merge, and at 4 servers about as fast as
+            // Sync-GT, within run-to-run spread.
+            shape(
+                b < s,
+                format!("ablation: both real I/O {b} < Sync-GT's {s}"),
+            );
+            let ms = [none, cache, merge, both].map(|r| r.mean_ms);
+            shape(
+                ms.windows(2).all(|w| w[0] > w[1]),
+                format!("ablation: none > +cache > +merge > both ({ms:.1?} ms)"),
+            );
+        }
+        _ => shape(false, "ablation: run it with five variants".into()),
+    }
+    // `rmat_sweep` runs Sync-GT, then GraphTrek, per server count.
+    let mut compared = 0;
+    for pair in fig11.unwrap_or_default().chunks(2) {
+        let [sync, gt] = pair else { continue };
+        let (n, s, g) = (sync.servers, sync.mean_ms, gt.mean_ms);
+        if n > 2 {
+            compared += 1;
+            let what =
+                format!("fig11: GraphTrek ahead of Sync-GT at {n} servers ({g:.1} < {s:.1} ms)");
+            shape(g < s, what);
+        }
+    }
+    if compared == 0 {
+        shape(false, "fig11: run it on more than 2 servers".into());
+    }
+    failed
 }
 
 fn save(out_dir: &std::path::Path, name: &str, records: &[RunRecord]) {
@@ -293,7 +357,7 @@ fn rmat_figure(name: &str, steps: u16, campaign: &Campaign, out_dir: &std::path:
 }
 
 /// Fig. 11 — 8-step traversal with simulated external stragglers.
-fn fig11(campaign: &Campaign, out_dir: &std::path::Path) {
+fn fig11(campaign: &Campaign, out_dir: &std::path::Path) -> Vec<RunRecord> {
     println!("\n=== Fig. 11: 8-step traversal with external stragglers ===");
     println!(
         "  (three stragglers, {:?} delay x {} vertex accesses, steps 1/3/7)",
@@ -326,6 +390,7 @@ fn fig11(campaign: &Campaign, out_dir: &std::path::Path) {
         }
     }
     save(out_dir, "fig11", &records);
+    records
 }
 
 /// Table II — statistics of the (synthetic) rich-metadata graph.
@@ -414,7 +479,7 @@ fn table3(campaign: &Campaign, out_dir: &std::path::Path) {
 
 /// Ablation — decompose GraphTrek's gain into its two optimizations
 /// (extends §VII-A's Async-GT comparison).
-fn ablation(campaign: &Campaign, out_dir: &std::path::Path) {
+fn ablation(campaign: &Campaign, out_dir: &std::path::Path) -> Vec<RunRecord> {
     println!("\n=== Ablation: GraphTrek optimizations, 8-step RMAT-1 ===");
     let rmat = campaign.rmat1();
     let g = gt_rmat::generate(&rmat);
@@ -457,4 +522,5 @@ fn ablation(campaign: &Campaign, out_dir: &std::path::Path) {
     }
     loaded.cleanup();
     save(out_dir, "ablation", &records);
+    records
 }

@@ -130,8 +130,8 @@ impl ClusterState {
     }
 
     /// Migrate one partition's primary role to `to`: snapshot transfer
-    /// from the current primary's store segments, mutation delta
-    /// catch-up, then an epoch-bumped cutover that re-routes traffic —
+    /// from the current primary's store segments with every later write
+    /// forwarded, then an epoch-bumped cutover that re-routes traffic —
     /// including the frontiers of travels already in flight. The source
     /// keeps its (now stale, never again written) copy, so stragglers
     /// routed under the old map still read correct data.
@@ -142,9 +142,9 @@ impl ClusterState {
     /// The one partition-copy flow under live traffic, behind both
     /// [`ClusterState::migrate`] (`Move`: the cutover flips the primary to
     /// `to`) and the healer's re-replication (`Replica`: the cutover adds
-    /// `to` to the replica set). Two acknowledged phases — bulk snapshot,
-    /// then the sealed delta of writes that raced it — then the map edit,
-    /// broadcast, and release of both ends.
+    /// `to` to the replica set). One acknowledged phase — the bulk
+    /// snapshot, with every write after it forwarded until the finish —
+    /// then the map edit, broadcast, and release of both ends.
     fn copy_partition(
         &self,
         partition: usize,
@@ -179,12 +179,6 @@ impl ClusterState {
         let mig = self.port.mint();
         let _listening = self.port.listen(mig);
         let deadline = Instant::now() + patience;
-        let applied = |phase: u8| {
-            self.port.await_reply(mig, deadline, move |m| match m {
-                Msg::CopyApplied { phase: p, .. } if p == phase => Ok(()),
-                other => Err(other),
-            })
-        };
         self.port.send(
             from,
             Msg::CopyBegin {
@@ -195,12 +189,12 @@ impl ClusterState {
                 purpose,
             },
         )?;
-        // Phase 0: bulk snapshot applied on the target.
-        applied(0)?;
-        // Phase 1: source seals the delta trap and ships writes that
-        // raced the snapshot.
-        self.port.send(from, Msg::CopyCutover { mig })?;
-        applied(1)?;
+        // The snapshot applied on the target; the source forwards every
+        // later write behind it on the same link.
+        self.port.await_reply(mig, deadline, |m| match m {
+            Msg::CopyApplied { .. } => Ok(()),
+            other => Err(other),
+        })?;
         // Cutover: edit the map and broadcast. In-flight frontiers and
         // writes route by the new map as soon as each server installs it.
         let mut map = self.placement.snapshot();

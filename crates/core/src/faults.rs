@@ -135,21 +135,18 @@ impl CrashPoint {
 /// A [`CrashPoint`] armed on its server for one incarnation.
 pub(crate) struct CrashTrigger {
     point: CrashPoint,
-    counted: AtomicU64,
+    counted: u64,
 }
 
 impl CrashTrigger {
     pub(crate) fn armed(point: CrashPoint) -> Self {
-        CrashTrigger {
-            point,
-            counted: AtomicU64::new(0),
-        }
+        CrashTrigger { point, counted: 0 }
     }
 
     /// Check an arriving message against the trigger; true when the
     /// server must die *instead of* processing it (the message is lost
     /// with the server, like a process kill mid-receive).
-    pub(crate) fn fires(&self, msg: &Msg) -> bool {
+    pub(crate) fn fires(&mut self, msg: &Msg) -> bool {
         let qualifies = match msg.traffic() {
             // Step-scoped trigger: frontier traffic at or past the step.
             Traffic::Frontier(depth) => !self.point.coordinator_events && depth >= self.point.step,
@@ -162,11 +159,8 @@ impl CrashTrigger {
         if !qualifies {
             return false;
         }
-        let n = self
-            .counted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
-        n >= self.point.after_messages.max(1)
+        self.counted += 1;
+        self.counted >= self.point.after_messages.max(1)
     }
 }
 

@@ -2,8 +2,12 @@
 //!
 //! Every shared lock in the server and cluster layers is an
 //! [`OrderedMutex`] carrying a [`Rank`], its position in one process-wide
-//! total order, and debug builds `debug_assert!` two things about the
-//! ranks a thread holds:
+//! total order. State that only one thread touches takes no lock at all:
+//! a server's dispatcher thread owns its coordinator ledgers, step
+//! buffers, outgoing copies, pending ingests and retired-travel fence
+//! outright, so the table ranks only what two threads share — five locks,
+//! two of them (`Relay`, `Tokens`) on a server. Debug builds
+//! `debug_assert!` two things about the ranks a thread holds:
 //!
 //! * **order** — each acquisition's rank is strictly greater than every
 //!   rank the thread already holds, so any execution that could deadlock
@@ -22,8 +26,8 @@
 //! which a static pass over names cannot (DESIGN.md §9).
 //!
 //! Release builds compile the bookkeeping away: `OrderedMutex<T>` is a
-//! `parking_lot::Mutex<T>` plus its rank, `lock()` is a plain forwarding
-//! call and `assert_none_held` is empty.
+//! `parking_lot::Mutex<T>`, `lock()` is a plain forwarding call and
+//! `assert_none_held` is empty.
 
 use parking_lot::{Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
@@ -45,21 +49,13 @@ pub enum Rank {
     Partition = 7,
     /// The client's per-travel table.
     Travels = 8,
-    // One server's shell (`server.rs`, `Shared`).
-    /// Travels finished here; the fence for stray messages.
-    Retired = 10,
+    // One server's shell (`server.rs`, `Shared`): what its workers and
+    // its dispatcher both touch. What only the dispatcher touches lives
+    // on the dispatcher thread's stack, with no lock.
     /// Reliable delivery and the peer-incarnation fence.
     Relay = 40,
-    /// Ingests awaiting replica write acks.
-    PendingIngest = 65,
-    /// Outgoing partition copies.
-    Copy = 66,
     /// Pending `rtn()` returns.
     Tokens = 70,
-    /// Synchronous-engine step buffers.
-    Barrier = 80,
-    /// Hosted coordinator state.
-    Coords = 90,
 }
 
 #[cfg(debug_assertions)]
@@ -92,6 +88,7 @@ pub(crate) fn assert_none_held(at: &str) {
 /// thread; debug builds assert this on every `lock()`.
 #[derive(Debug)]
 pub struct OrderedMutex<T> {
+    #[cfg(debug_assertions)]
     rank: Rank,
     inner: Mutex<T>,
 }
@@ -110,7 +107,10 @@ impl<T> OrderedMutex<T> {
     /// mutexes may share a rank (one per server slot, say); two of them may
     /// then never be held together.
     pub const fn new(rank: Rank, value: T) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = rank;
         OrderedMutex {
+            #[cfg(debug_assertions)]
             rank,
             inner: Mutex::new(value),
         }
@@ -140,35 +140,6 @@ impl<T> OrderedMutex<T> {
             rank: self.rank,
             guard,
         }
-    }
-
-    /// Try to acquire without blocking. A successful `try_lock` still
-    /// participates in the held-lock bookkeeping but is exempt from the
-    /// ordering assertion: it cannot block, so it cannot deadlock.
-    pub fn try_lock(&self) -> Option<OrderedGuard<'_, T>> {
-        let guard = self.inner.try_lock()?;
-        #[cfg(debug_assertions)]
-        HELD.with(|held| held.borrow_mut().push(self.rank));
-        Some(OrderedGuard {
-            #[cfg(debug_assertions)]
-            rank: self.rank,
-            guard,
-        })
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-
-    /// The lock's position in the global order (for diagnostics).
-    pub fn rank(&self) -> Rank {
-        self.rank
     }
 }
 
@@ -203,7 +174,7 @@ mod tests {
 
     #[test]
     fn in_order_acquisition_is_fine() {
-        let a = OrderedMutex::new(Rank::Retired, 0u32);
+        let a = OrderedMutex::new(Rank::Travels, 0u32);
         let b = OrderedMutex::new(Rank::Relay, 0u32);
         let ga = a.lock();
         let gb = b.lock();
@@ -212,7 +183,7 @@ mod tests {
 
     #[test]
     fn reacquire_after_release_is_fine() {
-        let a = OrderedMutex::new(Rank::Retired, 0u32);
+        let a = OrderedMutex::new(Rank::Travels, 0u32);
         let b = OrderedMutex::new(Rank::Relay, 0u32);
         {
             let _gb = b.lock();
@@ -227,14 +198,6 @@ mod tests {
         let m = OrderedMutex::new(Rank::Tokens, Vec::new());
         m.lock().push(7u8);
         assert_eq!(*m.lock(), vec![7u8]);
-        assert_eq!(m.into_inner(), vec![7u8]);
-    }
-
-    #[test]
-    fn try_lock_contended_returns_none() {
-        let m = OrderedMutex::new(Rank::Tokens, ());
-        let _g = m.lock();
-        assert!(m.try_lock().is_none());
     }
 
     // The violation test only exists in debug builds: in release builds the
@@ -243,15 +206,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn out_of_order_acquisition_panics() {
-        let a = OrderedMutex::new(Rank::Retired, ());
+        let a = OrderedMutex::new(Rank::Travels, ());
         let b = OrderedMutex::new(Rank::Relay, ());
         let _gb = b.lock();
-        let _ga = a.lock(); // rank 10 while holding rank 40: must panic
+        let _ga = a.lock(); // rank 8 while holding rank 40: must panic
     }
 
     #[test]
     fn nothing_held_passes_the_send_check() {
-        let a = OrderedMutex::new(Rank::Retired, ());
+        let a = OrderedMutex::new(Rank::Travels, ());
         drop(a.lock());
         assert_none_held("a test send");
     }

@@ -338,9 +338,9 @@ pub enum Msg {
         server: usize,
     },
     /// Copy orchestrator (client) → source primary: start copying
-    /// `partition` to server `to` — stream the snapshot, then buffer a
-    /// mutation delta until cutover. One flow serves both live migration
-    /// and replica restoration; `purpose` says which.
+    /// `partition` to server `to` — stream the snapshot, then forward
+    /// every later write to it until `CopyFinish`. One flow serves both
+    /// live migration and replica restoration; `purpose` says which.
     CopyBegin {
         /// Flow id (drawn from the travel-id namespace).
         mig: TravelId,
@@ -366,7 +366,7 @@ pub enum Msg {
         /// tombstone version (versioned stores ship deletes too, so a
         /// pinned snapshot resolves identically on the target).
         pairs: Vec<(String, Vec<u8>, Option<Vec<u8>>)>,
-        /// 0 = snapshot, 1 = delta.
+        /// 0 = snapshot, 1 = a write forwarded after it.
         phase: u8,
         /// Final chunk of this phase.
         last: bool,
@@ -375,20 +375,12 @@ pub enum Msg {
         /// Why the partition is copied (selects the target's counters).
         purpose: CopyPurpose,
     },
-    /// Target → client: every chunk of `phase` has been applied.
+    /// Target → client: every chunk of the snapshot has been applied.
     CopyApplied {
         /// Flow id.
         mig: TravelId,
-        /// Phase that completed (0 = snapshot, 1 = delta).
-        phase: u8,
         /// Reporting (target) server.
         server: usize,
-    },
-    /// Client → source server: stop buffering, seal and ship the delta
-    /// as phase-1 chunks.
-    CopyCutover {
-        /// Flow id.
-        mig: TravelId,
     },
     /// Client → source and target: the new placement map is live; drop
     /// all copy state for `mig`.
@@ -540,7 +532,6 @@ impl Msg {
             | Msg::ReplicateAck { .. }
             | Msg::CopyBegin { .. }
             | Msg::CopyData { .. }
-            | Msg::CopyCutover { .. }
             | Msg::CopyFinish { .. }
             | Msg::SuspectAck { .. }
             | Msg::Crash
@@ -678,7 +669,14 @@ mod tests {
             .chaos_key(),
             None
         );
-        assert_eq!(Msg::CopyCutover { mig: 4 }.chaos_key(), None);
+        assert_eq!(
+            Msg::CopyFinish {
+                mig: 4,
+                purpose: CopyPurpose::Move
+            }
+            .chaos_key(),
+            None
+        );
         assert_eq!(Msg::Crash.chaos_key(), None);
         assert_eq!(Msg::Shutdown.chaos_key(), None);
     }
@@ -712,7 +710,11 @@ mod tests {
         // The flow's control plane and everything else stay interactive.
         assert_eq!(Msg::Crash.traffic_class(), TrafficClass::Interactive);
         assert_eq!(
-            Msg::CopyCutover { mig: 9 }.traffic_class(),
+            Msg::CopyFinish {
+                mig: 9,
+                purpose: CopyPurpose::Move
+            }
+            .traffic_class(),
             TrafficClass::Interactive
         );
         assert_eq!(
@@ -769,7 +771,10 @@ mod tests {
             },
             Msg::Shutdown,
             Msg::Crash,
-            Msg::CopyCutover { mig: 4 },
+            Msg::CopyFinish {
+                mig: 4,
+                purpose: CopyPurpose::Move,
+            },
             Msg::Ingest {
                 req: 1,
                 client: 2,

@@ -11,12 +11,13 @@
 //!   vertex for every execution waiting on it, and an execution flushes
 //!   its output downstream when its last vertex request completes.
 //!
-//! This file is the shell: the threads, the `Shared` wiring with its
-//! ranked locks, the dispatcher loop and the one `Msg` dispatch table
-//! (`handle_msg`). Every protocol with state of its own is a machine in a
-//! submodule — `relay`, `detector`, `barrier`, `copy` — a plain
-//! struct with no thread, lock, endpoint or clock inside, stepped as
-//! `(state, input, now) → Output` by the shell, which alone owns the
+//! This file is the shell: the threads, the `Shared` wiring the workers
+//! and the dispatcher both touch (with its two ranked locks), the
+//! dispatcher thread's own `Dispatcher` state and its one `Msg` dispatch
+//! table (`handle_msg`). Every protocol with state of its own is a
+//! machine in a submodule — `relay`, `detector`, `barrier`, `copy` — a
+//! plain struct with no thread, lock, endpoint or clock inside, stepped
+//! as `(state, input, now) → Output` by the shell, which alone owns the
 //! locks, the endpoint, the partition and the clock (DESIGN.md §16).
 //! `coord` and `ingest` are the shell side of the coordinator role and
 //! of the write path.
@@ -130,6 +131,8 @@ enum LoopCtl {
     Crash,
 }
 
+/// What the workers and the dispatcher both touch. Everything only the
+/// dispatcher thread touches is a field of its [`Dispatcher`] instead.
 struct Shared {
     id: usize,
     n_servers: usize,
@@ -147,31 +150,19 @@ struct Shared {
     /// Flipped once on crash; gates late worker sends and tells the
     /// cluster the threads are gone.
     crashed: Arc<AtomicBool>,
-    crash_trigger: Option<CrashTrigger>,
     /// This server's placement-map view (see [`ServerArgs::placement`]).
     /// Leaf `RwLock` internally — readable from any lock rank.
     placement: Arc<SharedPlacement>,
     // Ranked locks, in `lockorder::Rank` order: acquisitions within a
     // thread must be in strictly increasing rank, and none is held where a
     // message leaves (`Shared::send`).
-    /// Travels aborted/cancelled/completed on this server: stray
-    /// in-flight messages for them are dropped instead of re-creating
-    /// queue or cache state that nothing would ever clean up again.
-    retired: OrderedMutex<BTreeSet<TravelId>>,
     /// Reliable delivery and the peer-incarnation fence. One rank for the
     /// whole machine:
     /// every step is a few map operations, and the chaos and failover
     /// suites show no contention that splitting its maps back out would
     /// relieve.
     relay: OrderedMutex<Relay>,
-    /// req id → ingest awaiting replica write acks.
-    pending_ingest: OrderedMutex<HashMap<u64, ingest::PendingIngest>>,
-    /// Outgoing partition copies (source side).
-    copy: OrderedMutex<CopyTrap>,
     tokens: OrderedMutex<visit::TokenRegistry>,
-    /// Per-travel synchronous-engine step buffers.
-    barrier: OrderedMutex<barrier::SyncBarrier>,
-    coords: OrderedMutex<HashMap<TravelId, CoordState>>,
 }
 
 impl Shared {
@@ -182,18 +173,28 @@ impl Shared {
         assert_none_held("a server's send");
         let _ = self.ep.send(to, msg);
     }
+}
 
-    fn mark_retired(&self, travel: TravelId) {
-        let mut r = self.retired.lock();
-        r.insert(travel);
-        while r.len() > MAX_RETIRED_TRAVELS {
-            r.pop_first();
-        }
-    }
-
-    fn is_retired(&self, travel: TravelId) -> bool {
-        self.retired.lock().contains(&travel)
-    }
+/// The dispatcher thread's own state: the machines and tables that only
+/// handlers reached from [`Dispatcher::handle_msg`] read or write. The
+/// thread owns it, so none of it takes a lock, and a crashed server's
+/// copy drops when the thread exits.
+struct Dispatcher {
+    sh: Arc<Shared>,
+    /// The failure detector; `None` keeps it fully dormant.
+    detector: Option<Detector>,
+    crash_trigger: Option<CrashTrigger>,
+    /// Travels aborted/cancelled/completed on this server: stray
+    /// in-flight messages for them are dropped instead of re-creating
+    /// queue or cache state that nothing would ever clean up again.
+    retired: BTreeSet<TravelId>,
+    /// req id → ingest awaiting replica write acks.
+    pending_ingest: HashMap<u64, ingest::PendingIngest>,
+    /// Outgoing partition copies (source side).
+    copy: CopyTrap,
+    /// Per-travel synchronous-engine step buffers.
+    barrier: barrier::SyncBarrier,
+    coords: HashMap<TravelId, CoordState>,
 }
 
 fn alloc_exec(sh: &Arc<Shared>) -> ExecId {
@@ -201,7 +202,7 @@ fn alloc_exec(sh: &Arc<Shared>) -> ExecId {
 }
 
 /// A server's state, before any thread runs on it.
-fn build(args: ServerArgs) -> Arc<Shared> {
+fn build(args: ServerArgs) -> Dispatcher {
     let queue: Arc<dyn RequestQueue> = if args.engine.merging_queue_enabled() {
         Arc::new(MergingQueue::new())
     } else {
@@ -212,7 +213,7 @@ fn build(args: ServerArgs) -> Arc<Shared> {
     // byte = epoch).
     debug_assert!(args.epoch < (1 << 8), "epoch exceeds counter headroom");
     let ctr_seed = (args.epoch << 40) | 1;
-    Arc::new(Shared {
+    let sh = Arc::new(Shared {
         id: args.id,
         n_servers: args.n_servers,
         engine_kind: args.engine.kind,
@@ -228,16 +229,21 @@ fn build(args: ServerArgs) -> Arc<Shared> {
         token_ctr: AtomicU64::new(ctr_seed),
         reliable: args.engine.reliable_delivery_enabled(),
         crashed: Arc::new(AtomicBool::new(false)),
-        crash_trigger: args.crash_after.map(CrashTrigger::armed),
         placement: args.placement,
-        retired: OrderedMutex::new(Rank::Retired, BTreeSet::new()),
         relay: OrderedMutex::new(Rank::Relay, Relay::new(args.id, args.epoch)),
-        pending_ingest: OrderedMutex::new(Rank::PendingIngest, HashMap::new()),
-        copy: OrderedMutex::new(Rank::Copy, CopyTrap::default()),
         tokens: OrderedMutex::new(Rank::Tokens, visit::TokenRegistry::default()),
-        barrier: OrderedMutex::new(Rank::Barrier, barrier::SyncBarrier::default()),
-        coords: OrderedMutex::new(Rank::Coords, HashMap::new()),
-    })
+    });
+    let detect = || Detector::new(args.id, args.n_servers, Instant::now());
+    Dispatcher {
+        sh,
+        detector: args.self_healing.then(detect),
+        crash_trigger: args.crash_after.map(CrashTrigger::armed),
+        retired: BTreeSet::new(),
+        pending_ingest: HashMap::new(),
+        copy: CopyTrap::default(),
+        barrier: barrier::SyncBarrier::default(),
+        coords: HashMap::new(),
+    }
 }
 
 /// Spawn a server's dispatcher and worker threads.
@@ -247,8 +253,8 @@ fn build(args: ServerArgs) -> Arc<Shared> {
 )]
 pub fn spawn(args: ServerArgs) -> ServerHandle {
     let (id, n_workers) = (args.id, args.engine.workers_per_server);
-    let self_healing = args.self_healing;
-    let shared = build(args);
+    let dispatch = build(args);
+    let shared = dispatch.sh.clone();
     let mut workers = Vec::with_capacity(n_workers);
     for w in 0..n_workers {
         let sh = shared.clone();
@@ -259,10 +265,9 @@ pub fn spawn(args: ServerArgs) -> ServerHandle {
                 .expect("spawn worker"),
         );
     }
-    let sh = shared.clone();
     let dispatcher = std::thread::Builder::new()
         .name(format!("gt-s{id}-dispatch"))
-        .spawn(move || dispatcher_loop(&sh, self_healing))
+        .spawn(move || dispatch.run())
         .expect("spawn dispatcher");
     ServerHandle {
         metrics: shared.metrics.clone(),
@@ -270,90 +275,6 @@ pub fn spawn(args: ServerArgs) -> ServerHandle {
         crashed: shared.crashed.clone(),
         dispatcher,
         workers,
-    }
-}
-
-// ===================================================== dispatcher side
-
-fn dispatcher_loop(sh: &Arc<Shared>, self_healing: bool) {
-    // The failure detector lives on this thread's stack — no lock rank, no
-    // sharing — so its traffic is absorbed here, before dispatch. Off, it
-    // is fully dormant.
-    let mut detector = self_healing.then(|| Detector::new(sh.id, sh.n_servers, Instant::now()));
-    // One receive per turn, until a message or the earliest machine deadline.
-    let mut deadline = detector.as_ref().map(Detector::next_deadline);
-    let ctl = loop {
-        let received = match sh.ep.recv_until(deadline) {
-            Ok(env) => Some(env.msg),
-            Err(RecvError::Timeout) => None,
-            Err(RecvError::Closed) => break LoopCtl::Shutdown,
-        };
-        let now = (sh.reliable || detector.is_some()).then(Instant::now);
-        let msg = match (received, detector.as_mut(), now) {
-            (Some(msg), Some(det), Some(now)) => absorb_detector_traffic(sh, det, msg, now),
-            (received, _, _) => received,
-        };
-        if let Some(msg) = msg {
-            match handle_msg(sh, msg) {
-                LoopCtl::Continue => {}
-                other => break other,
-            }
-        }
-        if let Some(now) = now {
-            deadline = tick_due(sh, detector.as_mut(), now);
-        }
-    };
-    if ctl == LoopCtl::Crash {
-        // Abrupt death: the queued work vanishes with the process; the
-        // workers exit on the closed queue; `Shared` (cache, tokens,
-        // coordinator ledgers, relay state) drops with the threads.
-        sh.crashed.store(true, Ordering::SeqCst);
-        sh.metrics.crashes.fetch_add(1, Ordering::Relaxed);
-        sh.queue.clear_all();
-    }
-    sh.queue.close();
-}
-
-/// Tick each timed machine due by `now`; answers the earliest deadline left.
-fn tick_due(sh: &Arc<Shared>, det: Option<&mut Detector>, now: Instant) -> Option<Instant> {
-    let (step, relay_next) = if sh.reliable {
-        let mut relay = sh.relay.lock();
-        let due = relay.next_deadline().is_some_and(|at| at <= now);
-        (due.then(|| relay.tick(now)), relay.next_deadline())
-    } else {
-        (None, None)
-    };
-    perform(sh, step.unwrap_or_default());
-    let det_next = det.map(|det| {
-        if det.next_deadline() <= now {
-            perform(sh, det.tick(now));
-        }
-        det.next_deadline()
-    });
-    relay_next.into_iter().chain(det_next).min()
-}
-
-/// Feed heartbeats and verdicts to the detector; anything else passes.
-fn absorb_detector_traffic(
-    sh: &Arc<Shared>,
-    det: &mut Detector,
-    msg: Msg,
-    now: Instant,
-) -> Option<Msg> {
-    match msg {
-        Msg::Heartbeat { from, .. } => {
-            sh.metrics.heartbeats_recv.fetch_add(1, Ordering::Relaxed);
-            det.on_heartbeat(from, now);
-            None
-        }
-        Msg::SuspectAck { suspect, confirmed } => {
-            if !confirmed {
-                sh.metrics.false_suspicions.fetch_add(1, Ordering::Relaxed);
-            }
-            det.on_verdict(suspect, confirmed, now);
-            None
-        }
-        other => Some(other),
     }
 }
 
@@ -375,238 +296,344 @@ fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, msg: Msg) {
     }
     let now = Instant::now();
     let mut relay = sh.relay.lock();
-    let (before, step) = (relay.next_deadline(), relay.on_send(to, travel, msg, now));
+    let (before, frame) = (relay.next_deadline(), relay.on_send(to, travel, msg, now));
     let earlier = relay.next_deadline() != before;
     drop(relay);
     // The send itself happens outside the lock: two workers may invert
     // their wire order, which the receiver's reorder buffer absorbs.
-    perform(sh, step);
+    sh.send(to, frame);
     if earlier {
         sh.ep.wake(); // the dispatcher may sleep until a later retry, or none
     }
 }
 
-/// The one dispatch table: every `Msg` variant, by name — no catch-all,
-/// so a new variant fails to compile here until it has an arm.
-#[deny(clippy::wildcard_enum_match_arm)]
-fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
-    if sh.crash_trigger.as_ref().is_some_and(|t| t.fires(&msg)) {
-        return LoopCtl::Crash;
-    }
-    match msg {
-        Msg::Shutdown => return LoopCtl::Shutdown,
-        Msg::Crash => return LoopCtl::Crash,
-        // The fence: the travel finished, was aborted or was cancelled on
-        // this server, and a stray message that would host it again, queue
-        // work, fill a cache partition, register a token or buffer a step
-        // for it is dropped — nothing would ever clean that state up
-        // again. (`Relay` hands the verdict to its machine instead: it
-        // still has to ack. The coordinator's tracing and barrier reports
-        // need no fence: the abort that retires a travel removes its
-        // `coords` entry, and they are no-ops without one.)
-        Msg::Submit { travel, .. }
-        | Msg::SourceScan { travel, .. }
-        | Msg::Visit { travel, .. }
-        | Msg::OriginSatisfied { travel, .. }
-        | Msg::SyncStart { travel, .. }
-        | Msg::SyncFrontier { travel, .. }
-        | Msg::SyncOrigin { travel, .. }
-            if sh.is_retired(travel) => {}
-        Msg::Relay {
-            travel,
-            from,
-            epoch,
-            seq,
-            attempt,
-            inner,
-        } => {
-            let retired = sh.is_retired(travel);
-            let step = sh
-                .relay
-                .lock()
-                .on_frame(travel, from, epoch, seq, attempt, *inner, retired);
-            return perform(sh, step);
-        }
-        Msg::RelayAck {
-            travel,
-            server,
-            seq,
-            ..
-        } => sh.relay.lock().on_ack(travel, server, seq),
-        Msg::Submit {
-            travel,
-            plan,
-            client,
-        } => coord::handle_submit(sh, travel, plan, client),
-        Msg::SourceScan {
-            travel,
-            plan,
-            coordinator,
-            exec,
-        } => visit::handle_source_scan(sh, travel, plan, coordinator, exec),
-        Msg::Visit {
-            travel,
-            depth,
-            exec,
-            plan,
-            coordinator,
-            items,
-        } => visit::handle_visit(sh, travel, depth, exec, plan, coordinator, items),
-        Msg::ExecTerminated {
-            travel,
-            exec,
-            children,
-            results,
-            server,
-        } => coord::coord_event(sh, travel, |l| l.report(exec, &children, &results, server)),
-        Msg::OriginSatisfied {
-            travel,
-            exec,
-            coordinator,
-            tokens,
-        } => visit::handle_origin_satisfied(sh, travel, exec, coordinator, &tokens),
-        Msg::SyncStart {
-            travel,
-            plan,
-            coordinator,
-            depth,
-            expect,
-        } => visit::handle_sync(sh, travel, |b| {
-            b.on_start(travel, plan, coordinator, depth, expect)
-        }),
-        Msg::SyncFrontier {
-            travel,
-            depth,
-            items,
-        } => visit::handle_sync(sh, travel, |b| b.on_frontier(travel, depth, items)),
-        Msg::SyncOrigin { travel, tokens } => {
-            visit::handle_sync(sh, travel, |b| b.on_origin(travel, &tokens))
-        }
-        Msg::SyncStepDone {
-            travel,
-            depth,
-            server,
-            sent,
-            origin_sent,
-            results,
-        } => coord::handle_sync_step_done(sh, travel, depth, server, &sent, &origin_sent, &results),
-        Msg::Abort { travel } => handle_abort(sh, travel),
-        Msg::Cancel { travel, client } => {
-            // Cluster-wide cancellation: same cleanup as an abort,
-            // but acknowledged so the client can retire the travel's
-            // admission slot once every server has complied.
-            handle_abort(sh, travel);
-            let server = sh.id;
-            sh.send(client, Msg::CancelAck { travel, server });
-        }
-        Msg::Ingest {
-            req,
-            client,
-            vertices,
-            edges,
-        } => ingest::handle_ingest(sh, req, client, vertices, edges),
-        Msg::PlacementUpdate { map, client } => {
-            // Version fence inside install(): a late (stale) map can
-            // never roll routing backwards. Ack the *requested* version
-            // either way so the orchestrator's barrier converges.
-            let version = map.version;
-            if sh.placement.install((*map).clone()) {
-                sh.metrics.placement_updates.fetch_add(1, Ordering::Relaxed);
+// ===================================================== dispatcher side
+
+impl Dispatcher {
+    /// The dispatcher thread: one receive per turn, until a message or the
+    /// earliest machine deadline, then one [`Dispatcher::dispatch_one`] and
+    /// the ticks that came due.
+    fn run(mut self) {
+        let mut deadline = self.detector.as_ref().map(Detector::next_deadline);
+        let ctl = loop {
+            let received = match self.sh.ep.recv_until(deadline) {
+                Ok(env) => Some(env.msg),
+                Err(RecvError::Timeout) => None,
+                Err(RecvError::Closed) => break LoopCtl::Shutdown,
+            };
+            let now = (self.sh.reliable || self.detector.is_some()).then(Instant::now);
+            if let Some(msg) = received {
+                match self.dispatch_one(msg, now) {
+                    LoopCtl::Continue => {}
+                    other => break other,
+                }
             }
-            let server = sh.id;
-            sh.send(client, Msg::PlacementAck { version, server });
+            if let Some(now) = now {
+                deadline = self.tick_due(now);
+            }
+        };
+        let sh = &self.sh;
+        if ctl == LoopCtl::Crash {
+            // Abrupt death: the queued work vanishes with the process; the
+            // workers exit on the closed queue; `Shared` (cache, tokens,
+            // relay state) drops with the threads, this thread's own state
+            // (coordinator ledgers, step buffers, copies) with it.
+            sh.crashed.store(true, Ordering::SeqCst);
+            sh.metrics.crashes.fetch_add(1, Ordering::Relaxed);
+            sh.queue.clear_all();
         }
-        Msg::ReplicateWrite {
-            req,
-            origin,
-            seq,
-            vertices,
-            edges,
-        } => ingest::handle_replicate_write(sh, req, origin, seq, &vertices, &edges),
-        Msg::ReplicateAck { req, .. } => ingest::handle_replicate_ack(sh, req),
-        Msg::CopyBegin {
-            mig,
-            partition,
-            to,
-            client,
-            purpose,
-        } => {
-            let route = CopyRoute {
+        sh.queue.close();
+    }
+
+    /// Take one received message: the failure detector absorbs its own
+    /// traffic, everything else goes to [`Dispatcher::handle_msg`]. `now`
+    /// is the turn's clock reading, present when a timed machine is on.
+    fn dispatch_one(&mut self, msg: Msg, now: Option<Instant>) -> LoopCtl {
+        let (Some(det), Some(now)) = (self.detector.as_mut(), now) else {
+            return self.handle_msg(msg);
+        };
+        let metrics = &self.sh.metrics;
+        match msg {
+            Msg::Heartbeat { from, .. } => {
+                metrics.heartbeats_recv.fetch_add(1, Ordering::Relaxed);
+                det.on_heartbeat(from, now);
+            }
+            Msg::SuspectAck { suspect, confirmed } => {
+                if !confirmed {
+                    metrics.false_suspicions.fetch_add(1, Ordering::Relaxed);
+                }
+                det.on_verdict(suspect, confirmed, now);
+            }
+            other => return self.handle_msg(other),
+        }
+        LoopCtl::Continue
+    }
+
+    /// Tick each timed machine due by `now`; answers the earliest deadline left.
+    fn tick_due(&mut self, now: Instant) -> Option<Instant> {
+        let (step, relay_next) = if self.sh.reliable {
+            let mut relay = self.sh.relay.lock();
+            let due = relay.next_deadline().is_some_and(|at| at <= now);
+            (due.then(|| relay.tick(now)), relay.next_deadline())
+        } else {
+            (None, None)
+        };
+        perform(self, step.unwrap_or_default());
+        let det_step = match self.detector.as_mut() {
+            Some(det) if det.next_deadline() <= now => det.tick(now),
+            _ => Vec::new(),
+        };
+        perform(self, det_step);
+        let det_next = self.detector.as_ref().map(Detector::next_deadline);
+        relay_next.into_iter().chain(det_next).min()
+    }
+
+    fn mark_retired(&mut self, travel: TravelId) {
+        self.retired.insert(travel);
+        while self.retired.len() > MAX_RETIRED_TRAVELS {
+            self.retired.pop_first();
+        }
+    }
+
+    fn is_retired(&self, travel: TravelId) -> bool {
+        self.retired.contains(&travel)
+    }
+
+    /// The one dispatch table: every `Msg` variant, by name — no catch-all,
+    /// so a new variant fails to compile here until it has an arm.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    fn handle_msg(&mut self, msg: Msg) -> LoopCtl {
+        if self.crash_trigger.as_mut().is_some_and(|t| t.fires(&msg)) {
+            return LoopCtl::Crash;
+        }
+        match msg {
+            Msg::Shutdown => return LoopCtl::Shutdown,
+            Msg::Crash => return LoopCtl::Crash,
+            // The fence: the travel finished, was aborted or was cancelled on
+            // this server, and a stray message that would host it again, queue
+            // work, fill a cache partition, register a token or buffer a step
+            // for it is dropped — nothing would ever clean that state up
+            // again. (`Relay` hands the verdict to its machine instead: it
+            // still has to ack. The coordinator's tracing and barrier reports
+            // need no fence: the abort that retires a travel removes its
+            // `coords` entry, and they are no-ops without one.)
+            Msg::Submit { travel, .. }
+            | Msg::SourceScan { travel, .. }
+            | Msg::Visit { travel, .. }
+            | Msg::OriginSatisfied { travel, .. }
+            | Msg::SyncStart { travel, .. }
+            | Msg::SyncFrontier { travel, .. }
+            | Msg::SyncOrigin { travel, .. }
+                if self.is_retired(travel) => {}
+            Msg::Relay {
+                travel,
+                from,
+                epoch,
+                seq,
+                attempt,
+                inner,
+            } => {
+                let retired = self.is_retired(travel);
+                let step = self
+                    .sh
+                    .relay
+                    .lock()
+                    .on_frame(travel, from, epoch, seq, attempt, *inner, retired);
+                return perform(self, step);
+            }
+            Msg::RelayAck {
+                travel,
+                server,
+                seq,
+                ..
+            } => self.sh.relay.lock().on_ack(travel, server, seq),
+            Msg::Submit {
+                travel,
+                plan,
+                client,
+            } => coord::handle_submit(self, travel, plan, client),
+            Msg::SourceScan {
+                travel,
+                plan,
+                coordinator,
+                exec,
+            } => visit::handle_source_scan(&self.sh, travel, plan, coordinator, exec),
+            Msg::Visit {
+                travel,
+                depth,
+                exec,
+                plan,
+                coordinator,
+                items,
+            } => visit::handle_visit(&self.sh, travel, depth, exec, plan, coordinator, items),
+            Msg::ExecTerminated {
+                travel,
+                exec,
+                children,
+                results,
+                server,
+            } => coord::coord_event(self, travel, |l| {
+                l.report(exec, &children, &results, server)
+            }),
+            Msg::OriginSatisfied {
+                travel,
+                exec,
+                coordinator,
+                tokens,
+            } => visit::handle_origin_satisfied(&self.sh, travel, exec, coordinator, &tokens),
+            Msg::SyncStart {
+                travel,
+                plan,
+                coordinator,
+                depth,
+                expect,
+            } => visit::handle_sync(self, travel, |b| {
+                b.on_start(travel, plan, coordinator, depth, expect)
+            }),
+            Msg::SyncFrontier {
+                travel,
+                depth,
+                items,
+            } => visit::handle_sync(self, travel, |b| b.on_frontier(travel, depth, items)),
+            Msg::SyncOrigin { travel, tokens } => {
+                visit::handle_sync(self, travel, |b| b.on_origin(travel, &tokens))
+            }
+            Msg::SyncStepDone {
+                travel,
+                depth,
+                server,
+                sent,
+                origin_sent,
+                results,
+            } => coord::handle_sync_step_done(
+                self,
+                travel,
+                depth,
+                server,
+                &sent,
+                &origin_sent,
+                &results,
+            ),
+            Msg::Abort { travel } => self.handle_abort(travel),
+            Msg::Cancel { travel, client } => {
+                // Cluster-wide cancellation: same cleanup as an abort,
+                // but acknowledged so the client can retire the travel's
+                // admission slot once every server has complied.
+                self.handle_abort(travel);
+                let server = self.sh.id;
+                self.sh.send(client, Msg::CancelAck { travel, server });
+            }
+            Msg::Ingest {
+                req,
+                client,
+                vertices,
+                edges,
+            } => ingest::handle_ingest(self, req, client, vertices, edges),
+            Msg::PlacementUpdate { map, client } => {
+                // Version fence inside install(): a late (stale) map can
+                // never roll routing backwards. Ack the *requested* version
+                // either way so the orchestrator's barrier converges.
+                let (sh, version) = (&self.sh, map.version);
+                if sh.placement.install((*map).clone()) {
+                    sh.metrics.placement_updates.fetch_add(1, Ordering::Relaxed);
+                }
+                let server = sh.id;
+                sh.send(client, Msg::PlacementAck { version, server });
+            }
+            Msg::ReplicateWrite {
+                req,
+                origin,
+                seq,
+                vertices,
+                edges,
+            } => ingest::handle_replicate_write(&self.sh, req, origin, seq, &vertices, &edges),
+            Msg::ReplicateAck { req, .. } => ingest::handle_replicate_ack(self, req),
+            Msg::CopyBegin {
                 mig,
                 partition,
                 to,
                 client,
                 purpose,
-            };
-            ingest::handle_copy_begin(sh, route);
+            } => {
+                let route = CopyRoute {
+                    mig,
+                    partition,
+                    to,
+                    client,
+                    purpose,
+                };
+                ingest::handle_copy_begin(self, route);
+            }
+            Msg::CopyData {
+                mig,
+                pairs,
+                phase,
+                last,
+                client,
+                purpose,
+                ..
+            } => ingest::handle_copy_data(&self.sh, mig, pairs, phase, last, client, purpose),
+            Msg::CopyFinish { mig, purpose } => ingest::handle_copy_finish(self, mig, purpose),
+            Msg::GetVertex {
+                req,
+                client,
+                vertex,
+            } => {
+                // Low-latency point query (§I: permission checks etc.).
+                let found = self.sh.partition.get_vertex(vertex).ok().flatten();
+                let vertex = found.map(Box::new);
+                self.sh.send(client, Msg::VertexReply { req, vertex });
+            }
+            Msg::ProgressQuery { travel, client } => {
+                let snapshot = match self.coords.get(&travel) {
+                    Some(CoordState::Async(l)) => l.progress(),
+                    Some(CoordState::Sync(s)) => s.outcome().progress,
+                    None => Default::default(),
+                };
+                self.sh
+                    .send(client, Msg::ProgressReport { travel, snapshot });
+            }
+            // Client-facing replies never arrive at servers. Detector traffic
+            // is absorbed by `dispatch_one` (Heartbeat, SuspectAck) or
+            // addressed to the healer at the client endpoint (Suspect), so
+            // none of it reaches this handler either.
+            Msg::TravelDone { .. }
+            | Msg::ProgressReport { .. }
+            | Msg::CancelAck { .. }
+            | Msg::IngestAck { .. }
+            | Msg::VertexReply { .. }
+            | Msg::PlacementAck { .. }
+            | Msg::CopyApplied { .. }
+            | Msg::Heartbeat { .. }
+            | Msg::Suspect { .. }
+            | Msg::SuspectAck { .. } => {}
         }
-        Msg::CopyData {
-            mig,
-            pairs,
-            phase,
-            last,
-            client,
-            purpose,
-            ..
-        } => ingest::handle_copy_data(sh, mig, pairs, phase, last, client, purpose),
-        Msg::CopyCutover { mig } => ingest::handle_copy_cutover(sh, mig),
-        Msg::CopyFinish { mig, purpose } => ingest::handle_copy_finish(sh, mig, purpose),
-        Msg::GetVertex {
-            req,
-            client,
-            vertex,
-        } => {
-            // Low-latency point query (§I: permission checks etc.).
-            let found = sh.partition.get_vertex(vertex).ok().flatten();
-            let vertex = found.map(Box::new);
-            sh.send(client, Msg::VertexReply { req, vertex });
-        }
-        Msg::ProgressQuery { travel, client } => {
-            let snapshot = match sh.coords.lock().get(&travel) {
-                Some(CoordState::Async(l)) => l.progress(),
-                Some(CoordState::Sync(s)) => s.outcome().progress,
-                None => Default::default(),
-            };
-            sh.send(client, Msg::ProgressReport { travel, snapshot });
-        }
-        // Client-facing replies never arrive at servers. Detector traffic
-        // is absorbed by the dispatcher before dispatch (Heartbeat,
-        // SuspectAck) or addressed to the healer at the client endpoint
-        // (Suspect), so none of it reaches this handler either.
-        Msg::TravelDone { .. }
-        | Msg::ProgressReport { .. }
-        | Msg::CancelAck { .. }
-        | Msg::IngestAck { .. }
-        | Msg::VertexReply { .. }
-        | Msg::PlacementAck { .. }
-        | Msg::CopyApplied { .. }
-        | Msg::Heartbeat { .. }
-        | Msg::Suspect { .. }
-        | Msg::SuspectAck { .. } => {}
+        LoopCtl::Continue
     }
-    LoopCtl::Continue
-}
 
-/// The travel is over here (finished, abandoned, cancelled or superseded
-/// by its re-drive): queued work, its cache partition, pending returns,
-/// step buffers and every machine's state for it go, and stray messages
-/// for it are fenced from now on.
-fn handle_abort(sh: &Arc<Shared>, travel: TravelId) {
-    sh.queue.clear_travel(travel);
-    sh.cache.forget_travel(travel);
-    sh.tokens.lock().forget(travel);
-    sh.barrier.lock().forget(travel);
-    sh.coords.lock().remove(&travel);
-    if sh.reliable {
-        sh.relay.lock().forget(travel);
+    /// The travel is over here (finished, abandoned, cancelled or superseded
+    /// by its re-drive): queued work, its cache partition, pending returns,
+    /// step buffers and every machine's state for it go, and stray messages
+    /// for it are fenced from now on.
+    fn handle_abort(&mut self, travel: TravelId) {
+        let sh = &self.sh;
+        sh.queue.clear_travel(travel);
+        sh.cache.forget_travel(travel);
+        sh.tokens.lock().forget(travel);
+        if sh.reliable {
+            sh.relay.lock().forget(travel);
+        }
+        self.barrier.forget(travel);
+        self.coords.remove(&travel);
+        self.mark_retired(travel);
     }
-    sh.mark_retired(travel);
 }
 
 #[cfg(test)]
 mod tests {
     //! The shell stepped by hand: `build` without `spawn`, so no thread
-    //! runs and `handle_msg` is called like the dispatcher would.
+    //! runs and the test owns the [`Dispatcher`], calling `dispatch_one`
+    //! like its thread would.
 
     use super::*;
     use crate::lang::{GTravel, Plan};
@@ -624,6 +651,7 @@ mod tests {
     /// Server 0 of two on an instant fabric, its shard empty; the test
     /// holds the peer's and the client's endpoints.
     struct Rig {
+        d: Dispatcher,
         sh: Arc<Shared>,
         peer: Endpoint<Msg>,
         client: Endpoint<Msg>,
@@ -639,7 +667,7 @@ mod tests {
             let (fabric, mut eps) = Fabric::new(3, NetConfig::instant());
             let client = eps.pop().expect("endpoint 2");
             let peer = eps.pop().expect("endpoint 1");
-            let sh = build(ServerArgs {
+            let d = build(ServerArgs {
                 id: 0,
                 n_servers: 2,
                 partition: Arc::new(GraphPartition::open(store).expect("partition")),
@@ -652,7 +680,8 @@ mod tests {
                 self_healing: false,
             });
             Rig {
-                sh,
+                sh: d.sh.clone(),
+                d,
                 peer,
                 client,
                 _fabric: fabric,
@@ -660,12 +689,12 @@ mod tests {
             }
         }
 
-        fn deliver(&self, msg: Msg) {
-            assert_eq!(handle_msg(&self.sh, msg), LoopCtl::Continue);
+        fn deliver(&mut self, msg: Msg) {
+            assert_eq!(self.d.dispatch_one(msg, None), LoopCtl::Continue);
         }
 
         /// Deliver what the server sent itself until its inbox is empty.
-        fn pump(&self) {
+        fn pump(&mut self) {
             while let Some(env) = self.sh.ep.try_recv() {
                 self.deliver(env.msg);
             }
@@ -686,15 +715,15 @@ mod tests {
             assert_eq!(sh.queue.len(), 0, "queued work");
             assert_eq!(sh.cache.len(), 0, "cache partition");
             assert!(!sh.tokens.lock().holds(T), "origin token");
-            assert!(!sh.barrier.lock().holds(T), "step buffer");
-            assert!(!sh.coords.lock().contains_key(&T), "coordinator state");
+            assert!(!self.d.barrier.holds(T), "step buffer");
+            assert!(!self.d.coords.contains_key(&T), "coordinator state");
             assert_eq!(self.peer.pending(), 0, "message to the peer");
             assert_eq!(self.client.pending(), 0, "message to the client");
         }
 
         /// What the coordinator state hosted for `travel` has traced.
         fn progress(&self, travel: TravelId) -> crate::message::ProgressSnapshot {
-            match self.sh.coords.lock().get(&travel) {
+            match self.d.coords.get(&travel) {
                 Some(CoordState::Async(l)) => l.progress(),
                 Some(CoordState::Sync(s)) => s.outcome().progress,
                 None => panic!("travel {travel:#x} is not hosted"),
@@ -720,7 +749,7 @@ mod tests {
     /// arrives after the `Abort` that retired its travel and must leave
     /// nothing behind. Each fails with its variant taken out of the arm.
     fn late_after_abort(tag: &str, engine: EngineConfig, late: Msg) {
-        let rig = Rig::new(tag, engine);
+        let mut rig = Rig::new(tag, engine);
         rig.deliver(Msg::Abort { travel: T });
         rig.deliver(late);
         rig.assert_no_trace_of_the_travel();
@@ -809,7 +838,7 @@ mod tests {
     #[test]
     fn a_repeated_submit_does_not_restart_the_travel() {
         for kind in [EngineKind::GraphTrek, EngineKind::Sync] {
-            let rig = Rig::new(&format!("resubmit-{kind:?}"), EngineConfig::new(kind));
+            let mut rig = Rig::new(&format!("resubmit-{kind:?}"), EngineConfig::new(kind));
             let submit = || Msg::Submit {
                 travel: T,
                 plan: Arc::new(GTravel::v_all().e("x").compile().expect("plan")),
@@ -892,7 +921,7 @@ mod tests {
             ),
         ];
         for (i, (kind, straggler)) in stragglers.into_iter().enumerate() {
-            let rig = Rig::new(&format!("straggler-{i}"), EngineConfig::new(kind));
+            let mut rig = Rig::new(&format!("straggler-{i}"), EngineConfig::new(kind));
             rig.deliver(Msg::Abort { travel: T });
             rig.deliver(Msg::Submit {
                 travel: redrive,
@@ -912,7 +941,7 @@ mod tests {
         // Relay-framed, the straggler is acked — its sender stops
         // retransmitting — and not delivered.
         let reliable = EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true);
-        let rig = Rig::new("straggler-framed", reliable);
+        let mut rig = Rig::new("straggler-framed", reliable);
         rig.deliver(Msg::Abort { travel: T });
         rig.deliver(Msg::Relay {
             travel: T,
@@ -943,8 +972,9 @@ mod tests {
     #[test]
     fn a_flushed_share_names_each_vertex_once_with_its_tokens_united() {
         use gt_graph::{Edge, Props, Vertex};
-        let rig = Rig::new("token-union", EngineConfig::new(EngineKind::GraphTrek));
-        let sh = &rig.sh;
+        let mut rig = Rig::new("token-union", EngineConfig::new(EngineKind::GraphTrek));
+        let shared = rig.sh.clone();
+        let sh = &shared;
         let owned_by = |server: usize| {
             (0u64..)
                 .map(VertexId)
@@ -1058,7 +1088,7 @@ mod tests {
     /// one of its executions. A server that hosted nothing hears nothing.
     #[test]
     fn a_finished_travel_is_retired_only_where_it_ran() {
-        let rig = Rig::new("retire-here", EngineConfig::new(EngineKind::GraphTrek));
+        let mut rig = Rig::new("retire-here", EngineConfig::new(EngineKind::GraphTrek));
         let travel_done = |rig: &Rig| {
             let done = rig.client.try_recv().map(|env| env.msg);
             assert!(
@@ -1082,7 +1112,7 @@ mod tests {
         rig.assert_no_trace_of_the_travel();
 
         // The only execution ran on the peer.
-        let rig = Rig::new("retire-there", EngineConfig::new(EngineKind::GraphTrek));
+        let mut rig = Rig::new("retire-there", EngineConfig::new(EngineKind::GraphTrek));
         let remote = rig.owned_by(PEER);
         rig.deliver(Msg::Submit {
             travel: T,
@@ -1111,13 +1141,13 @@ mod tests {
     /// abort that retires a travel takes its `coords` entry along.
     #[test]
     fn a_late_step_done_finds_no_controller() {
-        let rig = Rig::new("step-done", EngineConfig::new(EngineKind::Sync));
+        let mut rig = Rig::new("step-done", EngineConfig::new(EngineKind::Sync));
         rig.deliver(Msg::Submit {
             travel: T,
             plan: plan(),
             client: CLIENT,
         });
-        assert!(rig.sh.coords.lock().contains_key(&T));
+        assert!(rig.d.coords.contains_key(&T));
         while rig.peer.try_recv().is_some() {} // the step-0 `SyncStart`
         rig.deliver(Msg::Abort { travel: T });
         for server in 0..2 {
@@ -1138,7 +1168,7 @@ mod tests {
     /// and the probe is answered at once.
     #[test]
     fn a_probe_and_a_heartbeat_overtake_ten_thousand_queued_visits() {
-        let rig = Rig::new("control-lane", EngineConfig::new(EngineKind::GraphTrek));
+        let mut rig = Rig::new("control-lane", EngineConfig::new(EngineKind::GraphTrek));
         let plan = plan();
         for i in 0..10_000u64 {
             let visit = Msg::Visit {
@@ -1176,6 +1206,47 @@ mod tests {
             "{report:?}"
         );
         assert_eq!(rig.sh.ep.pending(), 10_000, "the visits wait their turn");
+    }
+
+    /// A copy forwards every write from its begin: the peer receives the
+    /// snapshot's last chunk and then the ingested row, and nothing more
+    /// is asked of the client than the begin.
+    #[test]
+    fn a_write_after_a_copy_begins_is_forwarded_behind_the_snapshot() {
+        use crate::message::CopyPurpose;
+        use gt_graph::{Props, Vertex};
+        let mut rig = Rig::new("copy-forward", EngineConfig::new(EngineKind::GraphTrek));
+        let v = rig.owned_by(0);
+        let partition = rig.sh.placement.partition_of_vid(v);
+        rig.deliver(Msg::CopyBegin {
+            mig: 9,
+            partition,
+            to: PEER,
+            client: CLIENT,
+            purpose: CopyPurpose::Move,
+        });
+        rig.deliver(Msg::Ingest {
+            req: 1,
+            client: CLIENT,
+            vertices: vec![Vertex::new(v.0, "N", Props::new())],
+            edges: Vec::new(),
+        });
+        let to_peer: Vec<(u8, bool, usize)> = std::iter::from_fn(|| rig.peer.try_recv())
+            .map(|env| match env.msg {
+                Msg::CopyData {
+                    mig: 9,
+                    phase,
+                    last,
+                    pairs,
+                    ..
+                } => (phase, last, pairs.len()),
+                other => panic!("not a chunk of the copy: {other:?}"),
+            })
+            .collect();
+        let [(0, true, 0), (1, false, rows)] = to_peer.as_slice() else {
+            panic!("the empty snapshot's last chunk, then the write: {to_peer:?}");
+        };
+        assert!(*rows > 0, "the forwarded write carries its rows");
     }
 
     /// The one gate on "no ranked guard is alive where a message leaves".

@@ -3,12 +3,12 @@
 //! dispatching the source, finishing. A failover's re-drive arrives as
 //! the `Submit` of a travel this server has never heard of.
 
-use super::{alloc_exec, send_travel, Shared};
+use super::{alloc_exec, send_travel, Dispatcher};
 use crate::coordinator::{CoordState, SyncState, TravelLedger};
 use crate::engine::EngineKind;
 use crate::lang::{Plan, Source};
 use crate::message::{Msg, SyncExpect};
-use crate::{Tokens, TravelId};
+use crate::{ExecId, Tokens, TravelId};
 use gt_graph::VertexId;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -17,26 +17,23 @@ use std::sync::Arc;
 /// finish the travel if that was its last outstanding execution. No-op
 /// when this server doesn't host one for `travel`.
 pub(super) fn coord_event(
-    sh: &Arc<Shared>,
+    d: &mut Dispatcher,
     travel: TravelId,
     apply: impl FnOnce(&mut TravelLedger),
 ) {
-    let finished = {
-        let mut coords = sh.coords.lock();
-        let Some(CoordState::Async(l)) = coords.get_mut(&travel) else {
-            return;
-        };
-        apply(l);
-        if !l.is_done() {
-            return;
-        }
-        coords.remove(&travel)
+    let Some(CoordState::Async(l)) = d.coords.get_mut(&travel) else {
+        return;
     };
-    if let Some(CoordState::Async(l)) = finished {
+    apply(l);
+    if !l.is_done() {
+        return;
+    }
+    if let Some(CoordState::Async(l)) = d.coords.remove(&travel) {
         // Retire the travel where it ran: here at once, on every other
         // server that reported hosting an execution by an `Abort`. A
         // server that hosted nothing holds nothing to release.
-        super::handle_abort(sh, travel);
+        d.handle_abort(travel);
+        let sh = &d.sh;
         for s in l.hosts().filter(|&s| s != sh.id) {
             sh.send(s, Msg::Abort { travel });
         }
@@ -49,14 +46,15 @@ pub(super) fn coord_event(
 /// install coordinator state and run it from its source. A repeat — the
 /// client re-sends the `Submit` of a re-drive it has no sign of life from
 /// — finds the travel hosted and changes nothing.
-pub(super) fn handle_submit(sh: &Arc<Shared>, travel: TravelId, plan: Arc<Plan>, client: usize) {
+pub(super) fn handle_submit(d: &mut Dispatcher, travel: TravelId, plan: Arc<Plan>, client: usize) {
+    let sh = &d.sh;
     let sync = matches!(sh.engine_kind, EngineKind::Sync);
     let state = if sync {
         CoordState::Sync(SyncState::new(plan.clone(), client, sh.n_servers))
     } else {
         CoordState::Async(TravelLedger::new(plan.clone(), client))
     };
-    match sh.coords.lock().entry(travel) {
+    match d.coords.entry(travel) {
         Entry::Occupied(_) => return,
         Entry::Vacant(slot) => slot.insert(state),
     };
@@ -73,21 +71,23 @@ pub(super) fn handle_submit(sh: &Arc<Shared>, travel: TravelId, plan: Arc<Plan>,
         }
         return;
     }
-    dispatch_travel_source(sh, travel, &plan);
+    dispatch_travel_source(d, travel, &plan);
+}
+
+/// A fresh root execution of `travel`, created in its ledger.
+fn root_exec(d: &mut Dispatcher, travel: TravelId) -> ExecId {
+    let exec = alloc_exec(&d.sh);
+    coord_event(d, travel, |l| l.exec_created(exec, 0));
+    exec
 }
 
 /// Asynchronous source dispatch from the coordinator — targeted for
 /// explicit ids ("the coordinator first learns that userA is stored in
 /// server 2 … then sends the request"), broadcast scan otherwise.
-fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>) {
-    let root = || {
-        let exec = alloc_exec(sh);
-        coord_event(sh, travel, |l| l.exec_created(exec, 0));
-        exec
-    };
+fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>) {
     match &plan.source {
         Source::Ids(ids) => {
-            let buckets = sh.placement.group_by_primary(ids.iter().copied());
+            let buckets = d.sh.placement.group_by_primary(ids.iter().copied());
             let mut any = false;
             for (owner, vids) in buckets.into_iter().enumerate() {
                 if vids.is_empty() {
@@ -99,28 +99,28 @@ fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>) 
                 let visit = Msg::Visit {
                     travel,
                     depth: 0,
-                    exec: root(),
+                    exec: root_exec(d, travel),
                     plan: plan.clone(),
-                    coordinator: sh.id,
+                    coordinator: d.sh.id,
                     items,
                 };
-                send_travel(sh, owner, travel, visit);
+                send_travel(&d.sh, owner, travel, visit);
             }
             if !any {
                 // Degenerate: no owned sources at all; finish immediately.
-                let exec = root();
-                coord_event(sh, travel, |l| l.exec_terminated(exec, &[]));
+                let exec = root_exec(d, travel);
+                coord_event(d, travel, |l| l.exec_terminated(exec, &[]));
             }
         }
         Source::All => {
-            for s in 0..sh.n_servers {
+            for s in 0..d.sh.n_servers {
                 let scan = Msg::SourceScan {
                     travel,
                     plan: plan.clone(),
-                    coordinator: sh.id,
-                    exec: root(),
+                    coordinator: d.sh.id,
+                    exec: root_exec(d, travel),
                 };
-                send_travel(sh, s, travel, scan);
+                send_travel(&d.sh, s, travel, scan);
             }
         }
     }
@@ -129,7 +129,7 @@ fn dispatch_travel_source(sh: &Arc<Shared>, travel: TravelId, plan: &Arc<Plan>) 
 /// A server finished its part of a synchronous step; when the whole step
 /// has, the controller arms the next one or finishes the travel.
 pub(super) fn handle_sync_step_done(
-    sh: &Arc<Shared>,
+    d: &mut Dispatcher,
     travel: TravelId,
     depth: u16,
     server: usize,
@@ -137,46 +137,36 @@ pub(super) fn handle_sync_step_done(
     origin_sent: &[(usize, u64)],
     results: &[(u16, VertexId)],
 ) {
-    let action = {
-        let mut coords = sh.coords.lock();
-        // No entry: the travel finished or was aborted here, and a late
-        // barrier report has nothing left to advance.
-        let Some(CoordState::Sync(state)) = coords.get_mut(&travel) else {
-            return;
-        };
-        state.add_results(results);
-        if !state.step_done(server, depth, sent, origin_sent) {
-            return; // barrier not yet reached
-        }
-        let next = state.advance();
-        if next.is_empty() {
-            let done = (state.client, state.outcome());
-            coords.remove(&travel);
-            Err(done)
-        } else {
-            Ok((state.plan.clone(), next))
-        }
+    // No entry: the travel finished or was aborted here, and a late
+    // barrier report has nothing left to advance.
+    let Some(CoordState::Sync(state)) = d.coords.get_mut(&travel) else {
+        return;
     };
-    match action {
-        Ok((plan, next)) => {
-            for (srv, depth, expect) in next {
-                let start = Msg::SyncStart {
-                    travel,
-                    plan: plan.clone(),
-                    coordinator: sh.id,
-                    depth,
-                    expect,
-                };
-                send_travel(sh, srv, travel, start);
-            }
+    state.add_results(results);
+    if !state.step_done(server, depth, sent, origin_sent) {
+        return; // barrier not yet reached
+    }
+    let next = state.advance();
+    let sh = &d.sh;
+    if next.is_empty() {
+        let (client, outcome) = (state.client, state.outcome());
+        d.coords.remove(&travel);
+        // Every server ran step 0 of a synchronous travel, so
+        // retiring it stays a broadcast.
+        for s in 0..sh.n_servers {
+            sh.send(s, Msg::Abort { travel });
         }
-        Err((client, outcome)) => {
-            // Every server ran step 0 of a synchronous travel, so
-            // retiring it stays a broadcast.
-            for s in 0..sh.n_servers {
-                sh.send(s, Msg::Abort { travel });
-            }
-            sh.send(client, Msg::TravelDone { travel, outcome });
-        }
+        sh.send(client, Msg::TravelDone { travel, outcome });
+        return;
+    }
+    for (srv, depth, expect) in next {
+        let start = Msg::SyncStart {
+            travel,
+            plan: state.plan.clone(),
+            coordinator: sh.id,
+            depth,
+            expect,
+        };
+        send_travel(sh, srv, travel, start);
     }
 }

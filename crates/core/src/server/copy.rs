@@ -1,15 +1,13 @@
-//! The source side of a live partition copy as a sans-I/O machine: the
-//! delta trap that catches writes landing while the snapshot ships, and
-//! the chunking of exported rows into `CopyData` messages.
+//! The source side of a live partition copy as a sans-I/O machine: which
+//! writes each outgoing flow forwards, and the chunking of exported rows
+//! into `CopyData` messages.
 //!
-//! One flow serves live migration and replica restoration. The trap is
-//! registered *before* the snapshot export so a concurrent write can never
-//! fall between them — a write captured by both is applied twice on the
-//! target, and the second apply is an idempotent upsert. Before the
-//! cutover seals the trap, touched vertices accumulate as a delta (the
-//! phase-1 catch-up exports them); after sealing, each write is forwarded
-//! at once, so nothing lands in the gap between the delta phase and
-//! `CopyFinish`.
+//! One flow serves live migration and replica restoration. The flow is
+//! registered as its snapshot is exported, on the dispatcher thread that
+//! also applies every ingest, so no write falls between the two: each
+//! later write to the flow's partition is forwarded to the target at once,
+//! behind the snapshot's chunks on the same link, until `CopyFinish`. A
+//! write the target receives twice is an idempotent upsert.
 
 use crate::message::{CopyPurpose, Msg};
 use crate::TravelId;
@@ -17,7 +15,7 @@ use gt_graph::storage::RawTriple;
 use gt_graph::VertexId;
 use std::collections::{BTreeSet, HashMap};
 
-/// Snapshot/delta rows per [`Msg::CopyData`] chunk.
+/// Snapshot/forwarded rows per [`Msg::CopyData`] chunk.
 const CHUNK_ROWS: usize = 512;
 
 /// Where one copy flow's chunks go and what they are stamped with.
@@ -31,65 +29,37 @@ pub(super) struct CopyRoute {
     pub(super) purpose: CopyPurpose,
 }
 
-struct Flow {
-    route: CopyRoute,
-    delta: BTreeSet<VertexId>,
-    sealed: bool,
-}
-
 /// Every outgoing copy flow of one server.
 #[derive(Default)]
 pub(super) struct CopyTrap {
-    flows: HashMap<TravelId, Flow>,
+    flows: HashMap<TravelId, CopyRoute>,
 }
 
 impl CopyTrap {
-    /// Phase 0 begins: start trapping writes to the flow's partition.
+    /// The flow begins: forward writes to its partition from now on.
     pub(super) fn on_begin(&mut self, route: CopyRoute) {
-        self.flows.insert(
-            route.mig,
-            Flow {
-                route,
-                delta: BTreeSet::new(),
-                sealed: false,
-            },
-        );
+        self.flows.insert(route.mig, route);
     }
 
-    /// A local write touched these vertices. Returns, per sealed flow
-    /// whose partition it hit, the vertices to export and forward now;
-    /// unsealed flows just remember theirs.
+    /// A local write touched these vertices. Returns, per flow whose
+    /// partition it hit, the vertices to export and forward now.
     pub(super) fn on_write(
         &mut self,
         touched: &BTreeSet<VertexId>,
         partition_of: impl Fn(VertexId) -> usize,
     ) -> Vec<(CopyRoute, BTreeSet<VertexId>)> {
         let mut forward = Vec::new();
-        for flow in self.flows.values_mut() {
+        for route in self.flows.values() {
             let hit: BTreeSet<VertexId> = touched
                 .iter()
                 .copied()
-                .filter(|&v| partition_of(v) == flow.route.partition)
+                .filter(|&v| partition_of(v) == route.partition)
                 .collect();
-            if hit.is_empty() {
-                continue;
-            }
-            if flow.sealed {
-                forward.push((flow.route, hit));
-            } else {
-                flow.delta.extend(hit);
+            if !hit.is_empty() {
+                forward.push((*route, hit));
             }
         }
         forward
-    }
-
-    /// Phase 1 (cutover): seal the trap and hand over every vertex written
-    /// since the snapshot export. `None` for a flow this server is not the
-    /// source of.
-    pub(super) fn on_cutover(&mut self, mig: TravelId) -> Option<(CopyRoute, BTreeSet<VertexId>)> {
-        let flow = self.flows.get_mut(&mig)?;
-        flow.sealed = true;
-        Some((flow.route, std::mem::take(&mut flow.delta)))
     }
 
     /// The flow is over; true if this server was its source.
@@ -99,22 +69,17 @@ impl CopyTrap {
 }
 
 /// Cut exported rows into [`CHUNK_ROWS`]-sized `CopyData` messages for the
-/// flow's target. With `mark_last` the final chunk carries `last = true`
-/// (an empty export still ships one empty last chunk, so the target always
-/// acks the phase); without it none does — post-seal forwards expect no
-/// ack.
-pub(super) fn chunks(
-    route: CopyRoute,
-    rows: Vec<RawTriple>,
-    phase: u8,
-    mark_last: bool,
-) -> Vec<(usize, Msg)> {
+/// flow's target. A `snapshot` ships as phase 0 and its final chunk
+/// carries `last = true` (an empty export still ships one empty last
+/// chunk, so the target always acks it); a forwarded write ships as phase
+/// 1 and expects no ack.
+pub(super) fn chunks(route: CopyRoute, rows: Vec<RawTriple>, snapshot: bool) -> Vec<(usize, Msg)> {
     let mut chunks: Vec<Vec<RawTriple>> = Vec::new();
     let mut it = rows.into_iter().peekable();
     while it.peek().is_some() {
         chunks.push(it.by_ref().take(CHUNK_ROWS).collect());
     }
-    if chunks.is_empty() && mark_last {
+    if chunks.is_empty() && snapshot {
         chunks.push(Vec::new());
     }
     let n = chunks.len();
@@ -126,8 +91,8 @@ pub(super) fn chunks(
                 mig: route.mig,
                 partition: route.partition,
                 pairs,
-                phase,
-                last: mark_last && i + 1 == n,
+                phase: u8::from(!snapshot),
+                last: snapshot && i + 1 == n,
                 client: route.client,
                 purpose: route.purpose,
             };
@@ -160,38 +125,37 @@ mod tests {
     }
 
     #[test]
-    fn writes_before_the_seal_accumulate_and_after_it_are_forwarded() {
+    fn every_write_after_the_begin_is_forwarded_until_the_finish() {
         let mut trap = CopyTrap::default();
+        assert!(trap.on_write(&vids(&[2]), parity).is_empty(), "no flow yet");
         trap.on_begin(route(1, 0));
-        // Before the seal: only the flow's partition is remembered.
-        assert!(trap.on_write(&vids(&[2, 3, 4]), parity).is_empty());
-        assert!(trap.on_write(&vids(&[4, 6]), parity).is_empty());
+        // Only the flow's partition is forwarded, and nothing is kept.
+        assert_eq!(
+            trap.on_write(&vids(&[2, 3, 4]), parity),
+            vec![(route(1, 0), vids(&[2, 4]))]
+        );
         assert!(trap.on_write(&vids(&[5]), parity).is_empty());
-        let (r, delta) = trap.on_cutover(1).unwrap();
-        assert_eq!(r, route(1, 0));
-        assert_eq!(delta, vids(&[2, 4, 6]));
-        // After it: each write comes straight back out, nothing is kept.
         assert_eq!(
             trap.on_write(&vids(&[7, 8]), parity),
             vec![(route(1, 0), vids(&[8]))]
         );
-        assert_eq!(trap.on_cutover(1).unwrap().1, vids(&[]));
         // The source's finish is told apart from the target's.
         assert!(trap.on_finish(1));
         assert!(!trap.on_finish(1));
-        assert!(trap.on_cutover(1).is_none());
         assert!(trap.on_write(&vids(&[8]), parity).is_empty());
     }
 
     #[test]
-    fn concurrent_flows_each_trap_their_own_partition() {
+    fn concurrent_flows_each_forward_their_own_partition() {
         let mut trap = CopyTrap::default();
         trap.on_begin(route(1, 0));
         trap.on_begin(route(2, 1));
-        trap.on_cutover(2);
-        let forwarded = trap.on_write(&vids(&[2, 3]), parity);
-        assert_eq!(forwarded, vec![(route(2, 1), vids(&[3]))]);
-        assert_eq!(trap.on_cutover(1).unwrap().1, vids(&[2]));
+        let mut forwarded = trap.on_write(&vids(&[2, 3]), parity);
+        forwarded.sort_by_key(|(r, _)| r.mig);
+        assert_eq!(
+            forwarded,
+            vec![(route(1, 0), vids(&[2])), (route(2, 1), vids(&[3]))]
+        );
     }
 
     fn rows(n: usize) -> Vec<RawTriple> {
@@ -220,17 +184,17 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_phase_still_ships_one_last_chunk_and_forwards_ship_none() {
-        assert_eq!(shape(&chunks(route(1, 0), rows(0), 1, true)), [(0, true)]);
-        assert!(chunks(route(1, 0), rows(0), 1, false).is_empty());
+    fn an_empty_snapshot_still_ships_one_last_chunk_and_forwards_ship_none() {
+        assert_eq!(shape(&chunks(route(1, 0), rows(0), true)), [(0, true)]);
+        assert!(chunks(route(1, 0), rows(0), false).is_empty());
         assert_eq!(
-            shape(&chunks(route(1, 0), rows(CHUNK_ROWS + 1), 0, true)),
+            shape(&chunks(route(1, 0), rows(CHUNK_ROWS + 1), true)),
             [(CHUNK_ROWS, false), (1, true)]
         );
         assert_eq!(
-            shape(&chunks(route(1, 0), rows(CHUNK_ROWS), 0, true)),
+            shape(&chunks(route(1, 0), rows(CHUNK_ROWS), true)),
             [(CHUNK_ROWS, true)]
         );
-        assert_eq!(shape(&chunks(route(1, 0), rows(3), 1, false)), [(3, false)]);
+        assert_eq!(shape(&chunks(route(1, 0), rows(3), false)), [(3, false)]);
     }
 }

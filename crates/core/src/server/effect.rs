@@ -1,10 +1,9 @@
 //! The contract between the protocol machines and the shell: effects as
 //! data, and the one interpreter that carries them out.
 
-use super::{handle_msg, LoopCtl, Shared};
+use super::{Dispatcher, LoopCtl};
 use crate::message::Msg;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// What a step of a protocol machine asks of the shell, in the order it
 /// must happen. The machines decide; only the shell acts ([`perform`]) — it
@@ -31,18 +30,18 @@ pub(crate) enum Counter {
     SuspicionsRaised,
 }
 
-/// Carry out a machine step, effect by effect. Only a delivery can end
-/// the dispatcher loop.
-pub(super) fn perform(sh: &Arc<Shared>, step: Vec<Effect>) -> LoopCtl {
+/// Carry out a machine step, effect by effect, on the dispatcher thread.
+/// Only a delivery can end the dispatcher loop.
+pub(super) fn perform(d: &mut Dispatcher, step: Vec<Effect>) -> LoopCtl {
     for effect in step {
         match effect {
-            Effect::Send(to, msg) => sh.send(to, msg),
-            Effect::Deliver(msg) => match handle_msg(sh, msg) {
+            Effect::Send(to, msg) => d.sh.send(to, msg),
+            Effect::Deliver(msg) => match d.handle_msg(msg) {
                 LoopCtl::Continue => {}
                 other => return other,
             },
             Effect::Count(counter, n) => {
-                let (m, order) = (&sh.metrics, Ordering::Relaxed);
+                let (m, order) = (&d.sh.metrics, Ordering::Relaxed);
                 match counter {
                     Counter::RelayRetries => m.relay_retries.fetch_add(n, order),
                     Counter::RelayAbandoned => m.relay_abandoned.fetch_add(n, order),

@@ -4,7 +4,7 @@
 //! [`CopyTrap`](super::copy::CopyTrap) machine.
 
 use super::copy::{self, CopyRoute};
-use super::Shared;
+use super::{Dispatcher, Shared};
 use crate::message::{CopyPurpose, Msg};
 use crate::TravelId;
 use gt_graph::VertexId;
@@ -54,7 +54,7 @@ fn apply_batch(
 /// installed* placement map — after a migration cutover the new primary
 /// is a holder, so a stale-routed write still reaches it.
 pub(super) fn handle_ingest(
-    sh: &Arc<Shared>,
+    d: &mut Dispatcher,
     req: u64,
     client: usize,
     vertices: Vec<gt_graph::Vertex>,
@@ -63,6 +63,7 @@ pub(super) fn handle_ingest(
     // Under snapshot isolation the whole batch is stamped with one
     // sequence number, so a travel's view sees either all of an acked
     // batch or none of it — never a torn half.
+    let sh = &d.sh;
     let seq = sh.partition.store().alloc_seq();
     let applied = apply_batch(sh, seq, &vertices, &edges);
     let touched: BTreeSet<VertexId> = vertices
@@ -81,17 +82,16 @@ pub(super) fn handle_ingest(
             applied,
             remaining: fan.len(),
         };
-        sh.pending_ingest.lock().insert(req, pending);
+        d.pending_ingest.insert(req, pending);
     }
-    // Route the write into any in-flight outbound copy of a partition it
-    // touches: trapped before the cutover, forwarded at once after it.
+    // Forward the write to every in-flight outbound copy of a partition
+    // it touches.
     if !touched.is_empty() {
-        let forward = sh
+        let forward = d
             .copy
-            .lock()
             .on_write(&touched, |v| sh.placement.partition_of_vid(v));
         for (route, vids) in forward {
-            ship_copy_rows(sh, route, |v| vids.contains(&v), 1, false);
+            ship_copy_rows(sh, route, |v| vids.contains(&v), false);
         }
     }
     if fan.is_empty() {
@@ -135,9 +135,8 @@ pub(super) fn handle_replicate_write(
 }
 
 /// One holder confirmed; the last confirmation releases the client's ack.
-pub(super) fn handle_replicate_ack(sh: &Arc<Shared>, req: u64) {
-    let mut pending = sh.pending_ingest.lock();
-    let Some(p) = pending.get_mut(&req) else {
+pub(super) fn handle_replicate_ack(d: &mut Dispatcher, req: u64) {
+    let Some(p) = d.pending_ingest.get_mut(&req) else {
         return; // duplicate ack
     };
     p.remaining = p.remaining.saturating_sub(1);
@@ -145,21 +144,23 @@ pub(super) fn handle_replicate_ack(sh: &Arc<Shared>, req: u64) {
         return;
     }
     let (client, applied) = (p.client, p.applied);
-    pending.remove(&req);
-    drop(pending);
-    sh.send(client, Msg::IngestAck { req, applied });
+    d.pending_ingest.remove(&req);
+    d.sh.send(client, Msg::IngestAck { req, applied });
 }
 
-/// Source side, phase 0: arm the delta trap, then stream a snapshot of
-/// the partition to the target.
-pub(super) fn handle_copy_begin(sh: &Arc<Shared>, route: CopyRoute) {
-    sh.copy.lock().on_begin(route);
+/// Source side: stream a snapshot of the partition to the target, and
+/// forward every later ingest that touches it from now on. Ingests run
+/// on this thread too, so none lands between the two.
+pub(super) fn handle_copy_begin(d: &mut Dispatcher, route: CopyRoute) {
+    d.copy.on_begin(route);
+    let sh = &d.sh;
     let in_partition = |v| sh.placement.partition_of_vid(v) == route.partition;
-    ship_copy_rows(sh, route, in_partition, 0, true);
+    ship_copy_rows(sh, route, in_partition, true);
 }
 
-/// Target side: apply a snapshot (phase 0, bulk segment import) or delta
-/// (phase 1, memtable upsert) chunk.
+/// Target side: apply a snapshot (phase 0, bulk segment import) or
+/// forwarded-write (phase 1, memtable upsert) chunk; the snapshot's last
+/// chunk is acknowledged.
 pub(super) fn handle_copy_data(
     sh: &Arc<Shared>,
     mig: TravelId,
@@ -173,25 +174,16 @@ pub(super) fn handle_copy_data(
     let _ = sh.partition.import_raw(pairs, phase == 0);
     if last {
         let server = sh.id;
-        sh.send(client, Msg::CopyApplied { mig, phase, server });
-    }
-}
-
-/// Source side, phase 1: seal the trap and ship every vertex written
-/// since the snapshot export.
-pub(super) fn handle_copy_cutover(sh: &Arc<Shared>, mig: TravelId) {
-    let sealed = sh.copy.lock().on_cutover(mig);
-    if let Some((route, delta)) = sealed {
-        ship_copy_rows(sh, route, |v| delta.contains(&v), 1, true);
+        sh.send(client, Msg::CopyApplied { mig, server });
     }
 }
 
 /// The orchestrator finishes both ends of the flow; only the target
 /// (which has no source-side entry to clean up) counts a restored
 /// replica.
-pub(super) fn handle_copy_finish(sh: &Arc<Shared>, mig: TravelId, purpose: CopyPurpose) {
-    if !sh.copy.lock().on_finish(mig) && purpose == CopyPurpose::Replica {
-        sh.metrics.rereplications.fetch_add(1, Ordering::Relaxed);
+pub(super) fn handle_copy_finish(d: &mut Dispatcher, mig: TravelId, purpose: CopyPurpose) {
+    if !d.copy.on_finish(mig) && purpose == CopyPurpose::Replica {
+        d.sh.metrics.rereplications.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -207,16 +199,16 @@ fn count_copy_chunks(sh: &Arc<Shared>, purpose: CopyPurpose, outbound: bool, n: 
 }
 
 /// Export the rows of every vertex `select` picks and ship them to the
-/// flow's target as `CopyData` chunks on the bulk traffic class.
+/// flow's target as `CopyData` chunks on the bulk traffic class: the
+/// `snapshot`, or a forwarded write.
 fn ship_copy_rows(
     sh: &Arc<Shared>,
     route: CopyRoute,
     select: impl Fn(VertexId) -> bool,
-    phase: u8,
-    mark_last: bool,
+    snapshot: bool,
 ) {
     let rows = sh.partition.export_where(select).unwrap_or_default();
-    let chunks = copy::chunks(route, rows, phase, mark_last);
+    let chunks = copy::chunks(route, rows, snapshot);
     count_copy_chunks(sh, route.purpose, true, chunks.len() as u64);
     for (to, chunk) in chunks {
         sh.send(to, chunk);

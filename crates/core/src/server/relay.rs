@@ -82,14 +82,8 @@ impl Relay {
     }
 
     /// Send `msg` for `travel` to `to`: sequenced and registered for
-    /// retransmission until acked.
-    pub(super) fn on_send(
-        &mut self,
-        to: usize,
-        travel: TravelId,
-        msg: Msg,
-        now: Instant,
-    ) -> Vec<Effect> {
+    /// retransmission until acked. Answers the frame to put on the wire.
+    pub(super) fn on_send(&mut self, to: usize, travel: TravelId, msg: Msg, now: Instant) -> Msg {
         let ctr = self.next_seq.entry((travel, to)).or_insert(1);
         let seq = *ctr;
         *ctr += 1;
@@ -102,7 +96,7 @@ impl Relay {
             },
         );
         self.earliest = self.earliest.into_iter().chain([now + RETRY_BASE]).min();
-        vec![Effect::Send(to, self.frame(travel, seq, 1, msg))]
+        self.frame(travel, seq, 1, msg)
     }
 
     /// Receive one frame: fence a stale incarnation, ack, dedupe, and
@@ -296,20 +290,11 @@ mod tests {
             .collect()
     }
 
-    /// One frame out of a single-send step.
-    fn only_frame(step: Vec<Effect>) -> Msg {
-        let mut step = split(step);
-        assert_eq!(step.send.len(), 1);
-        step.send.remove(0).1
-    }
-
     #[test]
     fn drop_dup_and_reorder_still_deliver_in_order_exactly_once() {
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let f: Vec<Msg> = (1..=3)
-            .map(|n| only_frame(a.on_send(1, T, report(n), now)))
-            .collect();
+        let f: Vec<Msg> = (1..=3).map(|n| a.on_send(1, T, report(n), now)).collect();
         // Frame 1 is dropped; 3 then 2 arrive and wait behind the gap.
         assert!(delivered(&feed(&mut b, &f[2])).is_empty());
         assert!(delivered(&feed(&mut b, &f[1])).is_empty());
@@ -342,9 +327,9 @@ mod tests {
         let now = Instant::now();
         let mut b = Relay::new(1, 0);
         let mut old = Relay::new(0, 0);
-        let stale = only_frame(old.on_send(1, T, report(1), now));
+        let stale = old.on_send(1, T, report(1), now);
         let mut new = Relay::new(0, 1);
-        let fresh = only_frame(new.on_send(1, T, report(2), now));
+        let fresh = new.on_send(1, T, report(2), now);
         // The restarted incarnation's seq 1 is delivered although the old
         // incarnation never got its own seq 1 through.
         assert_eq!(delivered(&feed(&mut b, &fresh)), vec![2]);
@@ -362,12 +347,12 @@ mod tests {
         let now = Instant::now();
         let redrive = crate::incarnation(T, 1);
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let old = only_frame(a.on_send(1, T, report(1), now));
+        let old = a.on_send(1, T, report(1), now);
         let (_, old_ack) = feed(&mut b, &old).send.remove(0);
         // The superseded incarnation is aborted here; the re-drive's first
         // send is lost, and then the old ack arrives.
         a.forget(T);
-        let lost = only_frame(a.on_send(1, redrive, report(2), now));
+        let lost = a.on_send(1, redrive, report(2), now);
         assert!(matches!(lost, Msg::Relay { seq: 1, .. }));
         feed(&mut a, &old_ack);
         assert_eq!(a.pending.len(), 1, "the live seq 1 must stay pending");
@@ -382,7 +367,7 @@ mod tests {
         // on a lossy link, every time.
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let first = only_frame(a.on_send(1, T, report(1), now));
+        let first = a.on_send(1, T, report(1), now);
         let retry = split(a.tick(now + RETRY_BASE));
         let ack_of = |b: &mut Relay, frame: &Msg| feed(b, frame).send.remove(0).1;
         assert!(matches!(
@@ -432,7 +417,7 @@ mod tests {
     fn retired_travels_ack_without_growing_state_and_forget_drops_everything() {
         let now = Instant::now();
         let (mut a, mut b) = (Relay::new(0, 0), Relay::new(1, 0));
-        let f = only_frame(a.on_send(1, T, report(1), now));
+        let f = a.on_send(1, T, report(1), now);
         let step = feed_as(&mut b, &f, true);
         assert_eq!(step.send.len(), 1);
         assert!(step.effects.is_empty());
@@ -569,9 +554,8 @@ mod tests {
                 };
                 next_tag += 1;
                 sent.entry(travel).or_default().push(next_tag);
-                for (_, m) in split(a.on_send(1, travel, report(next_tag), now)).send {
-                    put(&mut wire, &mut rng, now, true, m);
-                }
+                let frame = a.on_send(1, travel, report(next_tag), now);
+                put(&mut wire, &mut rng, now, true, frame);
             }
             if now == abort_at_a {
                 a.forget(T);

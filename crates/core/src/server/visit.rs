@@ -11,7 +11,7 @@
 //! which messages a flush sends.
 
 use super::barrier::{Fire, SyncBarrier};
-use super::{alloc_exec, send_travel, Shared};
+use super::{alloc_exec, send_travel, Dispatcher, Shared};
 use crate::lang::{vertex_matches, Plan, Source};
 use crate::message::Msg;
 use crate::metrics::TravelMetrics;
@@ -254,12 +254,12 @@ pub(super) fn handle_origin_satisfied(
 /// Feed one sync-engine input (`SyncStart`, `SyncFrontier`, `SyncOrigin`)
 /// to the travel's step barrier and run the step it releases, if any.
 pub(super) fn handle_sync(
-    sh: &Arc<Shared>,
+    d: &mut Dispatcher,
     travel: TravelId,
     input: impl FnOnce(&mut SyncBarrier) -> Option<Fire>,
 ) {
-    let fire = input(&mut sh.barrier.lock());
-    run_sync_step(sh, travel, fire);
+    let fire = input(&mut d.barrier);
+    run_sync_step(&d.sh, travel, fire);
 }
 
 fn run_sync_step(sh: &Arc<Shared>, travel: TravelId, fire: Option<Fire>) {

@@ -616,8 +616,9 @@ wire_table! {
         // 32 is retired (ledger replication, gone with the durable ledger).
         33 => CopyBegin { mig, partition, to, client, purpose },
         34 => CopyData { mig, partition, phase, last, client, purpose, pairs },
-        35 => CopyApplied { mig, phase, server },
-        36 => CopyCutover { mig },
+        // 35–36 are retired (`CopyApplied` with its phase, re-issued
+        // without as 59, and `CopyCutover`, which has no successor: a copy
+        // forwards every write from its begin, so there is no delta phase).
         37 => CopyFinish { mig, purpose },
         // 38 is retired (`Heartbeat` with the unread `load`; re-issued
         // as 52).
@@ -635,6 +636,7 @@ wire_table! {
         56 => RelayAck { travel, server, seq, attempt },
         57 => ExecTerminated { travel, exec, children, results, server },
         58 => SyncStepDone { travel, depth, server, sent, origin_sent, results },
+        59 => CopyApplied { mig, server },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.

@@ -3,7 +3,7 @@
 //! The versioned placement map replaces the implicit `hash % n` routing:
 //! every partition has a primary plus `rf - 1` replicas, graph mutations
 //! fan out synchronously to the replica set, and partitions move between
-//! live servers via snapshot + delta + epoch-bumped cutover — all while
+//! live servers via snapshot + forwarded writes + epoch-bumped cutover — all while
 //! traversals are in flight.
 
 mod common;
@@ -159,7 +159,7 @@ fn promotion_leaves_finished_unwaited_travels_alone() {
 // ---------------------------------------------------------------------
 
 /// Drain a live non-coordinator server while a travel is in flight: its
-/// partitions migrate away (snapshot + delta + cutover re-routing the
+/// partitions migrate away (snapshot + forwarded writes + cutover re-routing the
 /// frontier), the travel completes with the oracle's result, and the
 /// drained server ends up primarying nothing. Follow-up travels —
 /// including ones whose id hashes onto the drained server — still work.

@@ -245,12 +245,7 @@ fn msgs() -> Vec<Msg> {
             client: 3,
             purpose: CopyPurpose::Replica,
         },
-        Msg::CopyApplied {
-            mig: 20,
-            phase: 1,
-            server: 2,
-        },
-        Msg::CopyCutover { mig: 20 },
+        Msg::CopyApplied { mig: 20, server: 2 },
         Msg::CopyFinish {
             mig: 20,
             purpose: CopyPurpose::Replica,
@@ -457,10 +452,11 @@ fn retired_tags_stay_unassigned() {
     let (_, retired) = golden_lines();
     assert_eq!(
         retired.len(),
-        23,
+        25,
         "tags 41-44, then 19, 20 and 30, then 23, 25 and 38, then 24, 26 and 32, \
          then 22 and 50 (`Relay`, `RelayAck` with a travel-epoch) and the takeover's \
-         53, 51, 54 and 27, then the tracing reports 10, 11, 13 and 17"
+         53, 51, 54 and 27, then the tracing reports 10, 11, 13 and 17, then the \
+         copy's 35 and 36 (`CopyApplied` with a phase, `CopyCutover`)"
     );
     for line in retired {
         let (label, frame) = line.split_once(' ').expect("label, then hex");

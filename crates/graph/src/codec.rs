@@ -227,11 +227,6 @@ pub fn edge_label_prefix(src: VertexId, label: &str) -> Vec<u8> {
     out
 }
 
-/// Prefix covering every edge of `src` regardless of label.
-pub fn edge_src_prefix(src: VertexId) -> [u8; 8] {
-    src.to_be_bytes()
-}
-
 /// Split an edge key into `(src, label, dst)` without copying the label.
 pub fn split_edge_key(key: &[u8]) -> Option<(VertexId, &str, VertexId)> {
     if key.len() < 17 {
@@ -310,7 +305,6 @@ mod tests {
             Some((VertexId(5), "read".to_string(), VertexId(9)))
         );
         assert!(k.starts_with(&edge_label_prefix(VertexId(5), "read")));
-        assert!(k.starts_with(&edge_src_prefix(VertexId(5))));
         assert!(!k.starts_with(&edge_label_prefix(VertexId(5), "run")));
     }
 

@@ -232,30 +232,6 @@ impl GraphPartition {
         Ok(out)
     }
 
-    /// Every outgoing edge of `src`, all labels.
-    pub fn all_edges_out(&self, src: VertexId) -> Result<Vec<(String, VertexId, Props)>> {
-        self.all_edges_out_at(src, ReadView::LATEST)
-    }
-
-    /// Every outgoing edge of `src`, as visible at `view`.
-    pub fn all_edges_out_at(
-        &self,
-        src: VertexId,
-        view: ReadView,
-    ) -> Result<Vec<(String, VertexId, Props)>> {
-        let prefix = codec::edge_src_prefix(src);
-        let mut out = Vec::new();
-        self.edges
-            .scan_prefix_with(&prefix, self.kv_view(view), |k, v| {
-                if let (Some((_, label, dst)), Some(props)) =
-                    (codec::split_edge_key(k), codec::decode_props(v))
-                {
-                    out.push((label.to_string(), dst, props));
-                }
-            })?;
-        Ok(out)
-    }
-
     /// Ids of every local vertex with the given type, ascending.
     pub fn vertices_of_type(&self, vtype: &str) -> Result<Vec<VertexId>> {
         self.vertices_of_type_at(vtype, ReadView::LATEST)
@@ -264,11 +240,6 @@ impl GraphPartition {
     /// Ids of every local vertex with the given type visible at `view`.
     pub fn vertices_of_type_at(&self, vtype: &str, view: ReadView) -> Result<Vec<VertexId>> {
         self.ids_in(&self.type_ns(vtype)?, view)
-    }
-
-    /// Ids of every local vertex, ascending.
-    pub fn all_vertex_ids(&self) -> Result<Vec<VertexId>> {
-        self.all_vertex_ids_at(ReadView::LATEST)
     }
 
     /// Ids of every local vertex visible at `view`, ascending.
@@ -544,8 +515,6 @@ mod tests {
         assert!(reads.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(p.edges_out(VertexId(1), "run").unwrap().len(), 1);
         assert_eq!(p.edges_out(VertexId(1), "write").unwrap().len(), 0);
-        let all = p.all_edges_out(VertexId(1)).unwrap();
-        assert_eq!(all.len(), 6);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -577,7 +546,7 @@ mod tests {
         );
         assert_eq!(p.vertices_of_type("User").unwrap(), vec![VertexId(1)]);
         assert!(p.vertices_of_type("Missing").unwrap().is_empty());
-        assert_eq!(p.all_vertex_ids().unwrap().len(), 3);
+        assert_eq!(p.all_vertex_ids_at(ReadView::LATEST).unwrap().len(), 3);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -630,7 +599,7 @@ mod tests {
         }
         let total: usize = parts
             .iter()
-            .map(|p| p.all_vertex_ids().unwrap().len())
+            .map(|p| p.all_vertex_ids_at(ReadView::LATEST).unwrap().len())
             .sum();
         assert_eq!(total, 40);
         for d in dirs {

@@ -154,13 +154,6 @@ impl Store {
         Ok(tree)
     }
 
-    /// Names of all namespaces opened so far in this process.
-    pub fn open_namespaces(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.trees.lock().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Names of every namespace of this store, whether opened in this
     /// process or only present on disk — the union a shard migration must
     /// enumerate to ship a complete snapshot.
@@ -216,11 +209,6 @@ impl Store {
             agg.bytes_written += s.bytes_written;
         }
         agg
-    }
-
-    /// The configured I/O model.
-    pub fn io_profile(&self) -> IoProfile {
-        self.cfg.io
     }
 
     /// Whether snapshot versioning is on for this store.
@@ -307,7 +295,6 @@ mod tests {
         a.put(b"k".to_vec(), Bytes::from_static(b"from-a")).unwrap();
         assert_eq!(b.get(b"k").unwrap(), None);
         assert_eq!(a.get(b"k").unwrap(), Some(Bytes::from_static(b"from-a")));
-        assert_eq!(s.open_namespaces(), vec!["alpha", "beta"]);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -367,7 +354,6 @@ mod tests {
         let s = Store::open(StoreConfig::new(&dir)).unwrap();
         s.namespace("beta").unwrap();
         assert_eq!(s.list_namespaces(), vec!["alpha", "beta"]);
-        assert_eq!(s.open_namespaces(), vec!["beta"]);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -428,7 +428,8 @@ impl<M: Send + WireCodec + 'static> Link<M> for MeshShared<M> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(SendError::Closed);
         }
-        let mut frame = Vec::with_capacity(64);
+        // Sized once: the 12-byte header, then the encoding.
+        let mut frame = Vec::with_capacity(12 + msg.encoded_len());
         frame.extend_from_slice(&[0u8; 4]); // length placeholder
         frame.extend_from_slice(&(from as u32).to_le_bytes());
         frame.extend_from_slice(&(to as u32).to_le_bytes());
