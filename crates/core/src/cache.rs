@@ -41,6 +41,10 @@ struct TravelEntries {
     entries: BTreeMap<(u16, VertexId), BTreeSet<Token>>,
 }
 
+/// Triples a server's cache holds (the "preallocated cache"), whichever
+/// engine runs with it on.
+pub const CACHE_CAPACITY: usize = 1 << 16;
+
 /// The per-server traversal-affiliate cache.
 pub struct TraversalCache {
     inner: Mutex<HashMap<TravelId, TravelEntries>>,

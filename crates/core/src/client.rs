@@ -4,7 +4,7 @@
 //! for the status-traced completion (§IV-C). [`ClientPort`] is that role
 //! over one [`Endpoint`], whichever link carries it, for both deployment
 //! shapes: the in-process [`crate::cluster::ClusterState`] embeds one (and
-//! adds what only it can know: admission, routing, failover), and a
+//! adds what only it can know: routing, snapshot pins, failover), and a
 //! `gt-server` mesh node serves its front door from one directly.
 //!
 //! Any number of threads may wait on one port. There is no receiver
@@ -140,8 +140,8 @@ pub struct ClientPort {
     state: Mutex<PortState>,
     cv: Condvar,
     /// Called, outside the port's lock, for every `TravelDone` received —
-    /// whether or not anyone still waits for it — with its receive time.
-    on_travel_done: Box<dyn Fn(TravelId, Instant) + Send + Sync>,
+    /// whether or not anyone still waits for it.
+    on_travel_done: Box<dyn Fn(TravelId) + Send + Sync>,
 }
 
 impl ClientPort {
@@ -158,15 +158,12 @@ impl ClientPort {
             next_id: AtomicU64::new(id_base + 1),
             state: Mutex::new(PortState::default()),
             cv: Condvar::new(),
-            on_travel_done: Box::new(|_, _| {}),
+            on_travel_done: Box::new(|_| {}),
         }
     }
 
     /// Builder-style: observe every completion the port receives.
-    pub(crate) fn on_travel_done(
-        mut self,
-        f: impl Fn(TravelId, Instant) + Send + Sync + 'static,
-    ) -> Self {
+    pub(crate) fn on_travel_done(mut self, f: impl Fn(TravelId) + Send + Sync + 'static) -> Self {
         self.on_travel_done = Box::new(f);
         self
     }
@@ -250,7 +247,7 @@ impl ClientPort {
             let received = Instant::now();
             if let Ok(env) = &got {
                 if let Msg::TravelDone { travel, .. } = &env.msg {
-                    (self.on_travel_done)(*travel, received);
+                    (self.on_travel_done)(*travel);
                 }
             }
             st = self.state.lock();
@@ -515,7 +512,7 @@ mod tests {
         let (fabric, server, port) = rig();
         let completions = Arc::new(AtomicUsize::new(0));
         let seen = completions.clone();
-        let port = port.on_travel_done(move |_, _| {
+        let port = port.on_travel_done(move |_| {
             seen.fetch_add(1, Ordering::Relaxed);
         });
         const ROUNDS: u64 = 10_000;
@@ -551,7 +548,7 @@ mod tests {
         assert_eq!(
             completions.load(Ordering::Relaxed),
             ROUNDS as usize,
-            "a dropped completion must still be observed (it frees an admission slot)"
+            "a dropped completion must still be observed (it retires the travel)"
         );
         drop(fabric);
     }

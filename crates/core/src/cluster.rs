@@ -19,8 +19,8 @@
 //! API, and the one place on the client side that reads the clock and
 //! touches the port and the stores. What it decides
 //! with lives in sans-I/O machines under `cluster/` — `travels` (one
-//! entry per travel: admission, coordinator routing, snapshot pins, the
-//! re-home of an orphaned travel), `rehome` (successor choice) and
+//! entry per travel: coordinator routing, snapshot pins, the re-home of
+//! an orphaned travel), `rehome` (successor choice) and
 //! `healer` — which it steps under one lock that is
 //! never held across a send. `cluster/placement.rs` is shell too: the
 //! sequential placement orchestration and the healer thread.
@@ -53,7 +53,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use travels::{Dispatch, Freed, Tick, Travels, HOST_CHECK_EVERY};
+use travels::{Dispatch, Tick, Travels, HOST_CHECK_EVERY};
 pub use types::{ClusterConfig, ClusterError, DurabilityLevel, TravelError, TravelResult};
 
 /// Base pause between timeout-driven resubmissions in
@@ -135,8 +135,8 @@ pub struct ClusterState {
     port: ClientPort,
     partitioner: EdgeCutPartitioner,
     engine: EngineConfig,
-    /// Everything known about each travel — admission slot, coordinator
-    /// route, snapshot pin, live incarnation — and each server's
+    /// Everything known about each travel — coordinator route, snapshot
+    /// pin, live incarnation — and each server's
     /// incarnation number. A leaf lock: held for one step of the machine,
     /// never across a send, a store call or another lock.
     travels: OrderedMutex<Travels>,
@@ -299,20 +299,19 @@ impl Cluster {
                 placement,
             });
         }
-        let table = Travels::new(n, ecfg.max_concurrent_travels);
+        let table = Travels::new(n);
         let inner = Arc::new_cyclic(|me: &std::sync::Weak<ClusterState>| ClusterState {
             slots,
             link,
-            // Every observed completion frees an admission slot, whichever
-            // travel the receiving waiter is after: queued submissions
-            // make progress while the client blocks on a different travel.
+            // Every observed completion retires its travel's live part and
+            // unpins its view, whichever travel the receiving waiter is
+            // after: a travel nobody waits for holds no pin.
             port: ClientPort::new(client, n, 0).on_travel_done({
                 let me = me.clone();
-                move |travel, received| {
+                move |travel| {
                     if let Some(cluster) = me.upgrade() {
-                        let seq = cluster.seq_now();
-                        let freed = cluster.travels.lock().on_done(travel, seq, received);
-                        cluster.settle(freed);
+                        let view = cluster.travels.lock().on_done(travel);
+                        cluster.unpin(view);
                     }
                 }
             }),
@@ -524,11 +523,9 @@ impl ClusterState {
             let mut table = self.travels.lock();
             table.on_start(travel, plan, coordinator, seq, now)
         };
-        if let Some(d) = dispatch {
-            if let Err(e) = self.dispatch(d) {
-                self.abandon(travel);
-                return Err(e);
-            }
+        if let Err(e) = self.dispatch(dispatch) {
+            self.abandon(travel);
+            return Err(e);
         }
         Ok(Ticket {
             travel,
@@ -539,7 +536,7 @@ impl ClusterState {
     }
 
     /// With snapshot isolation on: the cluster-wide sequence a travel
-    /// admitted now freezes its read view at.
+    /// started now freezes its read view at.
     fn seq_now(&self) -> Option<u64> {
         self.engine.snapshot_isolation.then(|| self.current_seq())
     }
@@ -561,43 +558,18 @@ impl ClusterState {
         self.port.submit(d.travel, d.coordinator, d.plan)
     }
 
-    /// Carry out what a travel leaving its admission slot asked for. A
-    /// queued submission that cannot be dispatched into the capacity gives
-    /// back its slot and its pins in turn.
-    fn settle(&self, freed: Freed) {
-        let (mut next, mut failed) = (Some(freed), Vec::new());
-        while let Some(freed) = next {
-            if let Some(view) = freed.unpin {
-                // The travel is finished (done, timed out, or cancelled):
-                // compaction may reclaim versions its snapshot held.
-                self.on_every_store(|store| store.unpin_view(view));
-            }
-            for d in freed.admitted {
-                let travel = d.travel;
-                if self.dispatch(d).is_err() {
-                    self.port.abort(travel);
-                    failed.push(self.give_up(travel));
-                }
-            }
-            next = failed.pop();
+    /// A travel is finished (done, timed out, or cancelled): compaction
+    /// may reclaim versions its snapshot held.
+    fn unpin(&self, view: Option<u64>) {
+        if let Some(view) = view {
+            self.on_every_store(|store| store.unpin_view(view));
         }
     }
 
-    /// Forget a travel in the table; the caller settles what that frees.
-    fn give_up(&self, travel: TravelId) -> Freed {
-        let (seq, now) = (self.seq_now(), Instant::now());
-        self.travels.lock().on_give_up(travel, seq, now)
-    }
-
-    /// Travels currently admitted and not yet observed complete. Useful
-    /// for asserting no ticket leaks after a multi-tenant run.
+    /// Travels started and not yet observed complete. Useful for
+    /// asserting no ticket leaks after a multi-tenant run.
     pub fn active_travels(&self) -> usize {
         self.travels.lock().active()
-    }
-
-    /// Travels parked in the admission queue.
-    pub fn pending_travels(&self) -> usize {
-        self.travels.lock().pending()
     }
 
     /// Wait for a started traversal (up to `timeout`).
@@ -612,10 +584,9 @@ impl ClusterState {
     /// re-drive that shows no sign of life.
     ///
     /// On timeout the travel is abandoned: an abort is broadcast so the
-    /// servers drop its state, and its admission slot is released so
-    /// queued co-tenants (or a caller's resubmission) can run. A travel
-    /// whose completion is permanently lost must not pin a concurrency
-    /// slot forever. The [`TravelError::Timeout`] carries the
+    /// servers drop its state, and its entry and snapshot pin are
+    /// released — a travel whose completion is permanently lost must not
+    /// hold either forever. The [`TravelError::Timeout`] carries the
     /// coordinator's last reachable progress estimate.
     pub fn wait(&self, ticket: &Ticket, timeout: Duration) -> Result<TravelResult, ClusterError> {
         let travel = ticket.travel;
@@ -632,8 +603,7 @@ impl ClusterState {
                         received.saturating_duration_since(ticket.started),
                         ticket.restarts,
                     );
-                    let waited = self.travels.lock().on_waited(travel);
-                    (r.failovers, r.admit_wait) = waited.unwrap_or_default();
+                    r.failovers = self.travels.lock().on_waited(travel).unwrap_or_default();
                     return Ok(r);
                 }
                 None => {
@@ -755,41 +725,32 @@ impl ClusterState {
         self.dispatch(redrive)
     }
 
-    /// Give up on a travel: abort it everywhere, free its admission slot
-    /// (dispatching queued submissions into the capacity), and forget its
-    /// bookkeeping.
+    /// Give up on a travel: abort it everywhere, unpin its view and forget
+    /// its bookkeeping.
     fn abandon(&self, travel: TravelId) {
         let live = self.travels.lock().live_id(travel);
         self.port.abort(live);
-        let freed = self.give_up(travel);
-        self.settle(freed);
+        let view = self.travels.lock().on_give_up(travel);
+        self.unpin(view);
     }
 
     /// Cancel a started traversal cluster-wide.
     ///
-    /// If the travel is still parked in the admission queue it is simply
-    /// removed and `Ok(false)` is returned ("never started"). Otherwise a
-    /// [`Msg::Cancel`] is broadcast; every server aborts the travel's
+    /// A [`Msg::Cancel`] is broadcast; every server aborts the travel's
     /// executions, drops its scheduling-queue entries and cache
     /// partition, marks the id retired (so stray in-flight requests are
-    /// ignored), and acknowledges. Once all servers have acknowledged the
-    /// admission slot is released and `Ok(true)` is returned. Either way
-    /// a `wait` on the ticket reports [`TravelError::Cancelled`].
-    pub fn cancel(&self, ticket: &Ticket) -> Result<bool, ClusterError> {
-        let travel = ticket.travel;
-        let (started, live) = {
-            let mut table = self.travels.lock();
-            (!table.on_cancel(travel), table.live_id(travel))
-        };
-        if started {
-            self.port.cancel_travel(live)?;
-            let freed = self.give_up(travel);
-            self.settle(freed);
-        }
+    /// ignored), and acknowledges. Once all servers have acknowledged,
+    /// the travel's entry and snapshot pin are released, and a `wait` on
+    /// the ticket reports [`TravelError::Cancelled`].
+    pub fn cancel(&self, ticket: &Ticket) -> Result<(), ClusterError> {
+        let live = self.travels.lock().live_id(ticket.travel);
+        self.port.cancel_travel(live)?;
+        let view = self.travels.lock().on_give_up(ticket.travel);
+        self.unpin(view);
         // Last, so a concurrent `wait()` on this ticket reports
-        // `TravelError::Cancelled` only once the slot is free.
+        // `TravelError::Cancelled` only once the travel is released.
         self.port.mark_cancelled(live);
-        Ok(started)
+        Ok(())
     }
 
     /// Query the coordinator's progress estimate for an in-flight travel
@@ -931,7 +892,7 @@ impl ClusterState {
                 }
                 Err(e) if e.is_timeout() && attempts < max_restarts => {
                     // `wait` already aborted the travel everywhere and
-                    // freed its slot. Back off (capped exponential)
+                    // forgot it. Back off (capped exponential)
                     // before resubmitting with a fresh travel id — under
                     // a crash the cluster needs a moment to recover, and
                     // hammering it with instant retries just feeds the

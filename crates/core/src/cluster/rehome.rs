@@ -48,7 +48,7 @@ pub(super) fn successor_of(from: usize, cause: Cause, hosts: &[Host]) -> Option<
 
 #[cfg(test)]
 mod tests {
-    use super::super::travels::{Dispatch, Freed, Tick, Travels, RECOVER_DEADLINE};
+    use super::super::travels::{Dispatch, Tick, Travels, RECOVER_DEADLINE};
     use super::super::TravelError;
     use super::*;
     use crate::lang::GTravel;
@@ -152,9 +152,9 @@ mod tests {
     /// just before, and one server may sit behind a partition for good.
     /// However it goes: the caller gets one completion, the live
     /// incarnation's, or `FailoverStalled` with the successor cut off;
-    /// the admission slot is freed once and the view unpinned once; every
-    /// reachable server has every superseded incarnation fenced. Never
-    /// stuck. (~5 500 schedules/s in a debug build on this host.)
+    /// the travel stops counting as active once and its view is unpinned
+    /// once; every reachable server has every superseded incarnation
+    /// fenced. Never stuck. (~5 500 schedules/s in a debug build on this host.)
     fn run_failover_model(base: u64, case: u64) {
         use rand::{Rng, SeedableRng};
         let at = format!("GT_CHAOS_SEED={base} reproduces this run; case {case:#x}");
@@ -162,7 +162,7 @@ mod tests {
         let t0 = Instant::now();
         let plan = Arc::new(GTravel::v([1u64]).e("a").compile().unwrap());
         let mut servers: Vec<Server> = (0..N).map(|_| Server::default()).collect();
-        let mut table = Travels::new(N, 1);
+        let mut table = Travels::new(N);
 
         let lossy_until = t0 + Duration::from_millis(rng.gen_range(50..400));
         let isolated: Option<usize> = rng.gen_bool(0.2).then(|| rng.gen_range(0..N));
@@ -204,13 +204,12 @@ mod tests {
                 }
             }};
         }
-        // `settle`: what leaving the admission slot asked for.
+        // `unpin`: what the travel's live part leaving asked for.
         macro_rules! settle {
-            ($freed:expr, $was_active:expr) => {{
-                let freed: Freed = $freed;
-                unpins += freed.unpin.is_some() as u32;
+            ($unpin:expr, $was_active:expr) => {{
+                let unpin: Option<u64> = $unpin;
+                unpins += unpin.is_some() as u32;
                 freed_slots += ($was_active - table.active()) as u32;
-                assert!(freed.admitted.is_empty(), "{at}: nothing was queued");
             }};
         }
         // `dispatch`, and `rehome` after the facts are in.
@@ -241,7 +240,7 @@ mod tests {
             }};
         }
 
-        let d = table.on_start(T, plan, 1, Some(41), t0).expect("room");
+        let d = table.on_start(T, plan, 1, Some(41), t0);
         dispatch!(d);
         'run: while now < horizon {
             now += Duration::from_millis(1);
@@ -267,7 +266,7 @@ mod tests {
                     Wire::Done(id) => {
                         // The port's callback, then its drop rule.
                         let was = table.active();
-                        settle!(table.on_done(id, Some(50), now), was);
+                        settle!(table.on_done(id), was);
                         if table.active() < was {
                             vacated_by = Some(id);
                         }
@@ -359,7 +358,7 @@ mod tests {
                             "{at}: stalled on a reachable server"
                         );
                         let was = table.active();
-                        settle!(table.on_give_up(T, Some(50), now), was);
+                        settle!(table.on_give_up(T), was);
                         stalled = true;
                         break 'run;
                     }
@@ -382,7 +381,7 @@ mod tests {
         assert_eq!(
             vacated_by,
             surfaced.first().copied(),
-            "{at}: the slot and the view go with the completion the caller gets"
+            "{at}: the live part and the view go with the completion the caller gets"
         );
         assert_eq!(
             (pins, unpins),
@@ -392,7 +391,7 @@ mod tests {
         assert_eq!(
             (freed_slots, table.active()),
             (1, 0),
-            "{at}: the slot is freed once"
+            "{at}: the travel stops counting as active once"
         );
         for (s, srv) in servers.iter().enumerate() {
             // Aborted since this incarnation booted — the one that died

@@ -1,34 +1,35 @@
 //! Everything the client knows about its travels, as one sans-I/O machine.
 //!
 //! A travel has one entry, under its ticket's id, from
-//! [`Travels::on_start`] until somebody waited for it, gave it up or
-//! cancelled it:
+//! [`Travels::on_start`] — which dispatches it at once — until somebody
+//! waited for it, gave it up or cancelled it:
 //!
 //! ```text
-//! Queued ──admit──▶ Running ──host gone──▶ Orphaned ──on_rehome──▶ Resubmitted
-//!                      ▲  └────── on_rehome(Shed) ──────────────▶    │ ▲
-//!                      └───────────── on_confirmed ─────────────────┘ │
-//!                                      successor gone ▶ Orphaned ─────┘
+//! on_start ──▶ Running ──host gone──▶ Orphaned ──on_rehome──▶ Resubmitted
+//!                 ▲  └────── on_rehome(Shed) ──────────────▶    │ ▲
+//!                 └───────────── on_confirmed ─────────────────┘ │
+//!                                 successor gone ▶ Orphaned ─────┘
 //!      any live state ──on_done──▶ Done ──on_waited──▶ (removed)
 //! ```
 //!
-//! The entry holds the admission slot, the plan as dispatched, the
-//! snapshot view pinned on the stores, where the coordinator role lives
-//! and how many failovers the travel survived — which is also the attempt
-//! its live incarnation runs under ([`crate::incarnation`]): a re-home
-//! resubmits the plan under the next attempt's id and the superseded
-//! incarnation's completion, should it still arrive, is not the travel's.
-//! Retiring the travel is removing the entry. The shell (`cluster.rs`)
-//! gathers the facts a step needs — the clock, which servers are crashed —
-//! steps the table under one lock that is never held across a send, and
-//! carries out what comes back.
+//! The entry holds the plan as dispatched, the snapshot view pinned on
+//! the stores, where the coordinator role lives and how many failovers
+//! the travel survived — which is also the attempt its live incarnation
+//! runs under ([`crate::incarnation`]): a re-home resubmits the plan
+//! under the next attempt's id and the superseded incarnation's
+//! completion, should it still arrive, is not the travel's. Concurrent
+//! travels are kept apart in the servers' queues, not here. Retiring the
+//! travel is removing the entry. The shell (`cluster.rs`) gathers the
+//! facts a step needs — the clock, which servers are crashed — steps the
+//! table under one lock that is never held across a send, and carries
+//! out what comes back.
 
 use super::rehome::{successor_of, Cause, Host};
 use super::TravelError;
 use crate::client::MAX_TRACKED;
 use crate::lang::Plan;
 use crate::{incarnation, ticket_of, TravelId, MAX_ATTEMPT};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,15 +51,6 @@ pub(super) struct Dispatch {
     pub(super) coordinator: usize,
     pub(super) plan: Arc<Plan>,
     pub(super) pin: Option<u64>,
-}
-
-/// What a travel leaving its admission slot asks of the shell: release
-/// `unpin` on every store, dispatch the queued travels `admitted` into the
-/// freed capacity (oldest first).
-#[derive(Debug, Default)]
-pub(super) struct Freed {
-    pub(super) unpin: Option<u64>,
-    pub(super) admitted: Vec<Dispatch>,
 }
 
 /// A coordinator role as it was given out: to incarnation `incarnation`
@@ -91,8 +83,6 @@ pub(super) enum Tick {
 /// Where a live travel's coordinator role is.
 #[derive(Debug)]
 enum State {
-    /// Parked in the admission queue, for the coordinator chosen at start.
-    Queued(usize),
     Running(Role),
     /// The host is gone and one shell thread — the one a tick answered
     /// `Orphaned` — is restarting it.
@@ -102,11 +92,17 @@ enum State {
 }
 
 impl State {
+    fn role(&self) -> Role {
+        match self {
+            State::Running(role) | State::Orphaned(role) | State::Resubmitted(role, _) => *role,
+        }
+    }
+
     /// The role, while some server has it — confirmed or not.
     fn hosted(&self) -> Option<Role> {
         match self {
             State::Running(role) | State::Resubmitted(role, _) => Some(*role),
-            State::Queued(_) | State::Orphaned(_) => None,
+            State::Orphaned(_) => None,
         }
     }
 }
@@ -126,9 +122,6 @@ struct Live {
 
 #[derive(Debug)]
 struct Entry {
-    submitted: Instant,
-    /// `None` while the travel waits in the queue.
-    admitted: Option<Instant>,
     /// Also the attempt the live incarnation runs under.
     failovers: u32,
     /// `None` is the `Done` state: what is left is what `wait` reads.
@@ -138,87 +131,31 @@ struct Entry {
 /// The per-travel table (see the module docs).
 #[derive(Debug)]
 pub(super) struct Travels {
-    /// `max_concurrent_travels`; 0 admits everything.
-    limit: usize,
     /// Incarnation of each server: 0 at first boot, +1 per restart.
     incarnation: Vec<u64>,
     entries: BTreeMap<TravelId, Entry>,
-    /// Queued travels, oldest first.
-    queue: VecDeque<TravelId>,
-    /// Entries holding an admission slot: dispatched, completion not seen.
-    in_flight: usize,
 }
 
 fn state_of(entries: &mut BTreeMap<TravelId, Entry>, travel: TravelId) -> Option<&mut State> {
     Some(&mut entries.get_mut(&travel)?.live.as_mut()?.state)
 }
 
-/// `Queued` → `Running`: freeze the snapshot (with snapshot isolation on,
-/// `seq_now` is the cluster-wide sequence) and hand out the dispatch.
-fn admit(
-    e: &mut Entry,
-    travel: TravelId,
-    incarnation: &[u64],
-    seq_now: Option<u64>,
-    now: Instant,
-) -> Option<Dispatch> {
-    let live = e.live.as_mut()?;
-    let State::Queued(coordinator) = live.state else {
-        return None;
-    };
-    if let Some(seq) = seq_now {
-        // The stamp lives in the plan, and the plan rides every
-        // coordinator message, so a re-homed travel re-reads the same
-        // snapshot with no extra plumbing.
-        if live.plan.snapshot.is_none() {
-            let mut p = (*live.plan).clone();
-            p.snapshot = Some(seq);
-            live.plan = Arc::new(p);
-        }
-        live.view = live.plan.view_seq();
-    }
-    live.state = State::Running(Role {
-        host: coordinator,
-        incarnation: incarnation[coordinator],
-    });
-    e.admitted = Some(now);
-    Some(Dispatch {
-        travel,
-        coordinator,
-        plan: live.plan.clone(),
-        pin: live.view,
-    })
-}
-
 impl Travels {
-    pub(super) fn new(n_servers: usize, limit: usize) -> Self {
+    pub(super) fn new(n_servers: usize) -> Self {
         Travels {
-            limit,
             incarnation: vec![0; n_servers],
             entries: BTreeMap::new(),
-            queue: VecDeque::new(),
-            in_flight: 0,
         }
     }
 
-    /// Travels admitted and not yet observed complete.
+    /// Travels dispatched and not yet observed complete.
     pub(super) fn active(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Travels parked in the admission queue.
-    pub(super) fn pending(&self) -> usize {
-        self.queue.len()
+        self.entries.values().filter(|e| e.live.is_some()).count()
     }
 
     /// Where the travel's coordinator role lives now, while it is live.
     pub(super) fn host_of(&self, travel: TravelId) -> Option<usize> {
-        match &self.entries.get(&travel)?.live.as_ref()?.state {
-            State::Queued(coordinator) => Some(*coordinator),
-            State::Running(role) | State::Orphaned(role) | State::Resubmitted(role, _) => {
-                Some(role.host)
-            }
-        }
+        Some(self.entries.get(&travel)?.live.as_ref()?.state.role().host)
     }
 
     /// The id the travel's live incarnation runs under: the ticket's own
@@ -228,41 +165,44 @@ impl Travels {
         incarnation(travel, attempt)
     }
 
-    fn has_room(&self) -> bool {
-        self.limit == 0 || self.in_flight < self.limit
-    }
-
-    /// A new travel for `coordinator`: dispatched at once below the
-    /// admission limit, queued behind the others at it.
+    /// A new travel for `coordinator`, dispatched at once. With snapshot
+    /// isolation on, `seq_now` is the cluster-wide sequence its read view
+    /// freezes at.
     pub(super) fn on_start(
         &mut self,
         travel: TravelId,
-        plan: Arc<Plan>,
+        mut plan: Arc<Plan>,
         coordinator: usize,
         seq_now: Option<u64>,
         now: Instant,
-    ) -> Option<Dispatch> {
-        let state = State::Queued(coordinator);
-        let live = Some(Live {
-            plan,
-            view: None,
-            state,
+    ) -> Dispatch {
+        let mut view = None;
+        if let Some(seq) = seq_now {
+            // The stamp lives in the plan, and the plan rides every
+            // coordinator message, so a re-homed travel re-reads the same
+            // snapshot with no extra plumbing.
+            if plan.snapshot.is_none() {
+                let mut p = (*plan).clone();
+                p.snapshot = Some(seq);
+                plan = Arc::new(p);
+            }
+            view = plan.view_seq();
+        }
+        let role = Role {
+            host: coordinator,
+            incarnation: self.incarnation[coordinator],
+        };
+        let live = Live {
+            plan: plan.clone(),
+            view,
+            state: State::Running(role),
             next_check: now + HOST_CHECK_EVERY,
-        });
-        let mut e = Entry {
-            submitted: now,
-            admitted: None,
+        };
+        let entry = Entry {
             failovers: 0,
-            live,
+            live: Some(live),
         };
-        let dispatch = if self.has_room() {
-            self.in_flight += 1;
-            admit(&mut e, travel, &self.incarnation, seq_now, now)
-        } else {
-            self.queue.push_back(travel);
-            None
-        };
-        self.entries.insert(travel, e);
+        self.entries.insert(travel, entry);
         // One cap: finished travels nobody waits for go, oldest first; a
         // live travel is never dropped.
         while self.entries.len() > MAX_TRACKED {
@@ -270,90 +210,42 @@ impl Travels {
             let Some((&oldest, _)) = done else { break };
             self.entries.remove(&oldest);
         }
-        dispatch
-    }
-
-    /// The live part leaves: give back its slot or its place in the
-    /// queue, admit queued travels into whatever capacity is free.
-    fn vacate(
-        &mut self,
-        travel: TravelId,
-        live: Live,
-        seq_now: Option<u64>,
-        now: Instant,
-    ) -> Freed {
-        match live.state {
-            State::Queued(_) => self.queue.retain(|&t| t != travel),
-            _ => self.in_flight -= 1,
-        }
-        let mut admitted = Vec::new();
-        while self.has_room() {
-            let Some(next) = self.queue.pop_front() else {
-                break;
-            };
-            let e = self.entries.get_mut(&next);
-            if let Some(d) = e.and_then(|e| admit(e, next, &self.incarnation, seq_now, now)) {
-                self.in_flight += 1;
-                admitted.push(d);
-            }
-        }
-        Freed {
-            unpin: live.view,
-            admitted,
+        Dispatch {
+            travel,
+            coordinator,
+            plan,
+            pin: view,
         }
     }
 
     /// A `TravelDone` of incarnation `id` was received — whether or not
-    /// anyone waits for it. The slot and the pins go now; the entry stays,
-    /// as `Done`, for a later `wait` to read. A superseded incarnation's
-    /// completion (it raced the abort) is not the travel's: the re-drive
-    /// owns the result.
-    pub(super) fn on_done(&mut self, id: TravelId, seq_now: Option<u64>, now: Instant) -> Freed {
+    /// anyone waits for it. The live part goes now, answering the view to
+    /// unpin; the entry stays, as `Done`, for a later `wait` to read. A
+    /// superseded incarnation's completion (it raced the abort) is not the
+    /// travel's: the re-drive owns the result.
+    pub(super) fn on_done(&mut self, id: TravelId) -> Option<u64> {
         let travel = ticket_of(id);
         if self.live_id(travel) != id {
-            return Freed::default();
+            return None;
         }
-        let live = self.entries.get_mut(&travel).and_then(|e| e.live.take());
-        match live {
-            Some(live) => self.vacate(travel, live, seq_now, now),
-            None => Freed::default(), // given up meanwhile, or a duplicate
-        }
+        // `None` when given up meanwhile, or a duplicate.
+        self.entries.get_mut(&travel)?.live.take()?.view
     }
 
     /// `wait` took the completion, the entry's last reader: the failovers
-    /// the travel survived and the time it spent queued.
-    pub(super) fn on_waited(&mut self, travel: TravelId) -> Option<(u32, Duration)> {
+    /// the travel survived.
+    pub(super) fn on_waited(&mut self, travel: TravelId) -> Option<u32> {
         if self.entries.get(&travel)?.live.is_some() {
             return None;
         }
-        let e = self.entries.remove(&travel)?;
-        let admitted = e.admitted.unwrap_or(e.submitted);
-        Some((e.failovers, admitted.saturating_duration_since(e.submitted)))
-    }
-
-    /// A cancellation: true when the travel was still queued — it never
-    /// started, so removing it here is all there is to do.
-    pub(super) fn on_cancel(&mut self, travel: TravelId) -> bool {
-        let queued = matches!(state_of(&mut self.entries, travel), Some(State::Queued(_)));
-        if queued {
-            self.entries.remove(&travel);
-            self.queue.retain(|&t| t != travel);
-        }
-        queued
+        Some(self.entries.remove(&travel)?.failovers)
     }
 
     /// The travel is over for the client (timed out, cancelled on every
-    /// server, failover impossible, dispatch failed): forget it.
-    pub(super) fn on_give_up(
-        &mut self,
-        travel: TravelId,
-        seq_now: Option<u64>,
-        now: Instant,
-    ) -> Freed {
-        match self.entries.remove(&travel).and_then(|e| e.live) {
-            Some(live) => self.vacate(travel, live, seq_now, now),
-            None => Freed::default(),
-        }
+    /// server, failover impossible, dispatch failed): forget it, answering
+    /// the view to unpin.
+    pub(super) fn on_give_up(&mut self, travel: TravelId) -> Option<u64> {
+        self.entries.remove(&travel)?.live?.view
     }
 
     /// Server `server` was restarted: its next incarnation number, and
@@ -541,16 +433,12 @@ mod tests {
     }
 
     /// Three servers; travel `t` is coordinated by server `t % 3`.
-    fn table(limit: usize) -> Travels {
-        Travels::new(3, limit)
+    fn table() -> Travels {
+        Travels::new(3)
     }
 
-    fn start(t: &mut Travels, travel: TravelId, now: Instant) -> Option<Dispatch> {
+    fn start(t: &mut Travels, travel: TravelId, now: Instant) -> Dispatch {
         t.on_start(travel, plan(), travel as usize % 3, None, now)
-    }
-
-    fn admitted(freed: &Freed) -> Vec<TravelId> {
-        freed.admitted.iter().map(|d| d.travel).collect()
     }
 
     /// A re-home as `(superseded id, fresh id, successor)`.
@@ -591,7 +479,7 @@ mod tests {
     /// Travel 1 runs on server 1, which dies and is restarted; the travel
     /// is re-driven on server 2 at `now`.
     fn redriven(now: Instant) -> Travels {
-        let mut t = table(0);
+        let mut t = table();
         start(&mut t, 1, now);
         assert_eq!(orphaned(&mut t, 1, &[UP, DOWN, UP]), Some(1));
         t.on_restart(1);
@@ -602,63 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn admission_is_fifo_at_the_limit_and_absent_at_zero() {
-        let t0 = Instant::now();
-        let mut t = table(1);
-        let d = start(&mut t, 1, t0).expect("below the limit: dispatched at once");
-        assert_eq!((d.travel, d.coordinator, d.pin), (1, 1, None));
-        assert!(start(&mut t, 2, t0).is_none() && start(&mut t, 3, t0).is_none());
-        assert_eq!((t.active(), t.pending()), (1, 2));
-        assert_eq!(t.host_of(2), Some(2), "chosen at start, kept in the queue");
-        let freed = t.on_done(1, None, t0 + ms(5));
-        assert_eq!(admitted(&freed), vec![2]);
-        assert_eq!(freed.admitted[0].coordinator, 2);
-        assert_eq!((t.active(), t.pending()), (1, 1));
-        assert_eq!(admitted(&t.on_done(2, None, t0 + ms(9))), vec![3]);
-        // Queue time is measured from the submission, through the wait.
-        assert_eq!(t.on_waited(1), Some((0, Duration::ZERO)));
-        assert_eq!(t.on_waited(2), Some((0, ms(5))));
-        assert_eq!(t.on_waited(3), None, "not finished yet");
-        assert!(admitted(&t.on_done(3, None, t0 + ms(9))).is_empty());
-        assert_eq!((t.active(), t.pending()), (0, 0));
-
-        let mut t = table(0);
-        assert!((1..=50).all(|travel| start(&mut t, travel, t0).is_some()));
-        assert_eq!((t.active(), t.pending()), (50, 0));
-    }
-
-    #[test]
-    fn a_queued_travel_is_cancelled_in_place_a_started_one_is_not() {
-        let t0 = Instant::now();
-        let mut t = table(1);
-        for travel in 1..=4 {
-            start(&mut t, travel, t0);
-        }
-        assert!(
-            t.on_cancel(3),
-            "queued: removed here, nothing to tell anyone"
-        );
-        assert_eq!(t.host_of(3), None);
-        assert!(!t.on_cancel(3) && !t.on_cancel(99));
-        assert!(!t.on_cancel(1), "started: the servers must retire it first");
-        assert_eq!((t.active(), t.pending()), (1, 2));
-        // Once they have, giving it up frees the slot for the queue, which
-        // kept its order around the hole.
-        assert_eq!(admitted(&t.on_give_up(1, None, t0)), vec![2]);
-        assert_eq!(admitted(&t.on_give_up(2, None, t0)), vec![4]);
-        assert_eq!(t.host_of(1), None);
-        // A completion that raced the cancellation finds nothing.
-        assert!(admitted(&t.on_done(1, None, t0)).is_empty());
-        assert_eq!((t.active(), t.pending()), (1, 0));
-    }
-
-    #[test]
     fn a_completion_nobody_waits_for_still_retires_the_travel() {
         let t0 = Instant::now();
-        let mut t = table(0);
+        let mut t = table();
         start(&mut t, 1, t0);
         start(&mut t, 2, t0);
-        t.on_done(1, None, t0);
+        t.on_done(1);
         assert_eq!(t.active(), 1);
         // Finished is finished: no route, no promotion re-drive, no
         // failover — whoever asks, whatever the servers look like.
@@ -669,10 +506,10 @@ mod tests {
             assert!(nothing(t.on_rehome(1, 1, cause, &ALL_UP, t0)));
         }
         // A duplicate completion frees nothing twice.
-        t.on_done(1, None, t0);
+        t.on_done(1);
         assert_eq!(t.active(), 1);
         // The entry waits for its reader, once.
-        assert_eq!(t.on_waited(1), Some((0, Duration::ZERO)));
+        assert_eq!(t.on_waited(1), Some(0));
         assert_eq!(t.on_waited(1), None);
         assert_eq!(t.entries.len(), 1);
     }
@@ -680,7 +517,7 @@ mod tests {
     #[test]
     fn the_cap_evicts_finished_travels_oldest_first_and_never_a_live_one() {
         let t0 = Instant::now();
-        let mut t = table(0);
+        let mut t = table();
         let cap = MAX_TRACKED as u64;
         for travel in 1..=cap {
             start(&mut t, travel, t0);
@@ -688,8 +525,8 @@ mod tests {
         // Travel 4 is mid-re-drive, 3 and 6 finished unwaited, the rest run.
         assert_eq!(orphaned(&mut t, 4, &[UP, DOWN, UP]), Some(1));
         moved(t.on_rehome(4, 1, Cause::HostLost, &ALL_UP, t0));
-        t.on_done(6, None, t0);
-        t.on_done(3, None, t0);
+        t.on_done(6);
+        t.on_done(3);
         let known = |t: &Travels, travel| t.entries.contains_key(&travel);
         start(&mut t, cap + 1, t0);
         assert!(
@@ -700,7 +537,7 @@ mod tests {
         assert!(!known(&t, 6));
         assert_eq!(t.entries.len(), MAX_TRACKED);
         // Nothing finished is left: the table grows rather than forget a
-        // travel that holds a slot.
+        // live travel.
         start(&mut t, cap + 3, t0);
         assert_eq!(t.entries.len(), MAX_TRACKED + 1);
         assert_eq!(t.host_of(1), Some(1));
@@ -711,17 +548,18 @@ mod tests {
     #[test]
     fn the_snapshot_is_frozen_and_pinned_once_at_dispatch() {
         let t0 = Instant::now();
-        let mut t = table(1);
-        let d = t.on_start(1, plan(), 1, Some(41), t0).unwrap();
+        let mut t = table();
+        let d = t.on_start(1, plan(), 1, Some(41), t0);
         assert_eq!((d.pin, d.plan.snapshot), (Some(41), Some(41)));
-        // A queued travel freezes when it is admitted, not when it
-        // arrived; `as_of` tightens the view, not the stamp.
+        // `as_of` tightens the view, not the stamp.
         let old = Arc::new(GTravel::v([1u64]).as_of(7).e("a").compile().unwrap());
-        assert!(t.on_start(2, old.clone(), 2, Some(41), t0).is_none());
+        let d = t.on_start(2, old.clone(), 2, Some(50), t0);
+        assert_eq!((d.pin, d.plan.snapshot), (Some(7), Some(50)));
+        assert_eq!(old.snapshot, None, "the caller's plan is not written to");
         assert_eq!(
             t.on_restart(0),
-            (1, vec![41]),
-            "views to re-pin: dispatched ones"
+            (1, vec![41, 7]),
+            "views to re-pin: the live ones"
         );
         // The re-drive resubmits the stamped plan and asks for no second
         // pin.
@@ -730,26 +568,23 @@ mod tests {
         let (_, redrive) = step.unwrap().unwrap();
         assert_eq!((redrive.pin, redrive.plan.snapshot), (None, Some(41)));
         // Whichever incarnation finishes, the view is unpinned once.
-        assert_eq!(t.on_done(1, Some(50), t0).unpin, None, "superseded");
-        let freed = t.on_done(at(1), Some(50), t0);
-        assert_eq!(freed.unpin, Some(41));
-        let d = &freed.admitted[0];
-        assert_eq!((d.travel, d.pin, d.plan.snapshot), (2, Some(7), Some(50)));
-        assert_eq!(old.snapshot, None, "the caller's plan is not written to");
-        assert_eq!(t.on_done(at(1), Some(50), t0).unpin, None, "unpinned once");
-        // A dispatch that fails gives back the slot and the pin.
-        let freed = t.on_give_up(2, Some(50), t0);
-        assert_eq!((freed.unpin, t.active()), (Some(7), 0));
+        assert_eq!(t.on_done(1), None, "superseded");
+        assert_eq!(t.on_done(at(1)), Some(41));
+        assert_eq!(t.on_done(at(1)), None, "unpinned once");
+        // A travel given up (its dispatch failed, say) releases its pin;
+        // a completion that raced the give-up finds nothing.
+        assert_eq!((t.on_give_up(2), t.active()), (Some(7), 0));
+        assert_eq!((t.on_give_up(2), t.on_done(2)), (None, None));
         // Without snapshot isolation nothing is stamped or pinned.
-        let d = t.on_start(3, old, 0, None, t0).unwrap();
+        let d = t.on_start(3, old, 0, None, t0);
         assert_eq!((d.pin, d.plan.snapshot), (None, None));
-        assert_eq!(t.on_done(3, None, t0).unpin, None);
+        assert_eq!(t.on_done(3), None);
     }
 
     #[test]
     fn a_lost_host_is_reported_once_and_rehomed_onto_the_next_live_server() {
         let t0 = Instant::now();
-        let mut t = table(0);
+        let mut t = table();
         start(&mut t, 1, t0);
         assert_eq!(orphaned(&mut t, 1, &ALL_UP), None);
         assert_eq!(orphaned(&mut t, 1, &[UP, DOWN, UP]), Some(1));
@@ -783,19 +618,18 @@ mod tests {
         let t0 = Instant::now();
         let mut t = redriven(t0);
         // The dead coordinator's `TravelDone` was already on the wire.
-        let freed = t.on_done(1, None, t0);
-        assert_eq!((freed.unpin, t.active()), (None, 1));
+        assert_eq!((t.on_done(1), t.active()), (None, 1));
         assert_eq!(t.on_waited(1), None, "the travel is still live");
         t.on_confirmed(1);
         assert_eq!(t.running(1), None);
         // The re-drive's own answers count, once.
         t.on_confirmed(at(1));
         assert_eq!(t.running(1), Some((2, 1)));
-        t.on_done(at(1), None, t0);
+        t.on_done(at(1));
         assert_eq!(t.active(), 0);
-        t.on_done(at(1), None, t0);
-        assert_eq!(t.active(), 0, "the slot is freed once");
-        assert_eq!(t.on_waited(1), Some((1, Duration::ZERO)));
+        t.on_done(at(1));
+        assert_eq!(t.active(), 0, "retired once");
+        assert_eq!(t.on_waited(1), Some(1));
         // With the entry gone the ticket's own id is all that is known.
         assert_eq!(t.live_id(1), 1);
     }
@@ -820,14 +654,14 @@ mod tests {
         t.on_confirmed(at(1));
         assert_eq!(t.running(1), Some((2, 1)));
         assert_eq!(probed(t.tick(1, &ALL_UP, t0 + RECOVER_DEADLINE)), None);
-        t.on_done(at(1), None, t0);
-        assert_eq!(t.on_waited(1), Some((1, Duration::ZERO)));
+        t.on_done(at(1));
+        assert_eq!(t.on_waited(1), Some(1));
     }
 
     #[test]
     fn nothing_is_due_before_next_deadline_and_a_tick_moves_it_past_now() {
         let t0 = Instant::now();
-        let mut t = table(0);
+        let mut t = table();
         start(&mut t, 1, t0);
         // The host check runs at its deadline, not a moment before.
         let due = t.next_deadline(1).unwrap();
@@ -861,7 +695,7 @@ mod tests {
         }
         assert_eq!(probes, 5, "one every {RECOVER_RENUDGE:?} before the stall");
         // Done is done: no deadline, nothing to tick.
-        t.on_done(at(1), None, t0);
+        t.on_done(at(1));
         assert_eq!(t.next_deadline(1), None);
     }
 
@@ -887,8 +721,8 @@ mod tests {
         // A running travel sheds the same way.
         let step = t.on_rehome(1, 0, Cause::Shed, &ALL_UP, t0);
         assert_eq!(moved(step), (at(2), at(3), 1));
-        t.on_done(at(3), None, t0);
-        assert_eq!(t.on_waited(1).map(|w| w.0), Some(3));
+        t.on_done(at(3));
+        assert_eq!(t.on_waited(1), Some(3));
     }
 
     #[test]
@@ -912,7 +746,7 @@ mod tests {
     #[test]
     fn a_ticket_out_of_attempts_is_lost_not_wrapped() {
         let t0 = Instant::now();
-        let mut t = table(0);
+        let mut t = table();
         start(&mut t, 1, t0);
         for attempt in 1..=MAX_ATTEMPT {
             let host = t.host_of(1).unwrap();

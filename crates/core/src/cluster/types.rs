@@ -235,9 +235,6 @@ pub struct TravelResult {
     /// How many coordinator failovers the traversal survived (a successor
     /// re-drove it that many times).
     pub failovers: u32,
-    /// Time spent in the client-side admission queue before the travel
-    /// was dispatched (zero when admitted immediately).
-    pub admit_wait: Duration,
 }
 
 impl TravelResult {
@@ -253,7 +250,6 @@ impl TravelResult {
             progress: outcome.progress,
             restarts,
             failovers: 0,
-            admit_wait: Duration::ZERO,
         }
     }
 }

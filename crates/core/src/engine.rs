@@ -1,5 +1,6 @@
 //! Engine selection and tuning.
 
+use crate::cache::CACHE_CAPACITY;
 use crate::faults::{ChaosPlan, FaultPlan};
 use gt_net::NetConfig;
 
@@ -71,8 +72,6 @@ pub struct EngineConfig {
     /// Worker threads per backend server ("a pool of worker threads is
     /// waiting on this queue", §V-B).
     pub workers_per_server: usize,
-    /// Traversal-affiliate cache capacity in triples (GraphTrek only).
-    pub cache_capacity: usize,
     /// Network latency/bandwidth model.
     pub net: NetConfig,
     /// Straggler injection plan (Fig. 11 experiments).
@@ -91,13 +90,9 @@ pub struct EngineConfig {
     pub force_merging_queue: Option<bool>,
     /// Override: force the traversal-affiliate cache on or off (ablation).
     pub force_cache: Option<bool>,
-    /// Maximum travels admitted into the cluster at once; further
-    /// submissions queue client-side in FIFO order until a slot frees
-    /// (`0` = unlimited, the single-tenant behaviour).
-    pub max_concurrent_travels: usize,
     /// MVCC snapshot isolation: stores stamp every write with a
     /// cluster-wide sequence number and each travel reads a frozen view
-    /// captured at admission, so a travel never observes ingest that
+    /// captured when it starts, so a travel never observes ingest that
     /// raced past it. Off by default: keys are stored raw, reads take
     /// the unversioned path, and every `snapshot_counters()` entry stays
     /// exactly zero.
@@ -116,14 +111,12 @@ impl EngineConfig {
         EngineConfig {
             kind,
             workers_per_server: 2,
-            cache_capacity: 1 << 16,
             net: NetConfig::instant(),
             faults: FaultPlan::none(),
             chaos: ChaosPlan::none(),
             reliable_delivery: false,
             force_merging_queue: None,
             force_cache: None,
-            max_concurrent_travels: 0,
             snapshot_isolation: false,
             transport: TransportKind::InProc,
         }
@@ -132,12 +125,6 @@ impl EngineConfig {
     /// Builder-style: worker threads per server.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers_per_server = n.max(1);
-        self
-    }
-
-    /// Builder-style: traversal-affiliate cache capacity.
-    pub fn cache_capacity(mut self, n: usize) -> Self {
-        self.cache_capacity = n;
         self
     }
 
@@ -179,12 +166,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: admission-control limit on concurrent travels.
-    pub fn max_concurrent_travels(mut self, n: usize) -> Self {
-        self.max_concurrent_travels = n;
-        self
-    }
-
     /// Builder-style: MVCC snapshot isolation for travels over a
     /// mutating graph.
     pub fn snapshot_isolation(mut self, on: bool) -> Self {
@@ -212,11 +193,12 @@ impl EngineConfig {
             .unwrap_or(matches!(self.kind, EngineKind::GraphTrek))
     }
 
-    /// The effective traversal-affiliate cache capacity.
+    /// The traversal-affiliate cache capacity in triples: [`CACHE_CAPACITY`]
+    /// where the cache is on (GraphTrek, or forced), 0 where it is off.
     pub fn effective_cache_capacity(&self) -> usize {
         let default_on = matches!(self.kind, EngineKind::GraphTrek);
         if self.force_cache.unwrap_or(default_on) {
-            self.cache_capacity
+            CACHE_CAPACITY
         } else {
             0
         }
@@ -249,10 +231,9 @@ mod tests {
         assert!(cfg.merging_queue_enabled());
         let cfg = EngineConfig::new(EngineKind::AsyncPlain)
             .force_merging_queue(true)
-            .force_cache(true)
-            .cache_capacity(128);
+            .force_cache(true);
         assert!(cfg.merging_queue_enabled());
-        assert_eq!(cfg.effective_cache_capacity(), 128);
+        assert_eq!(cfg.effective_cache_capacity(), CACHE_CAPACITY);
     }
 
     #[test]
@@ -261,13 +242,6 @@ mod tests {
         assert_eq!(EngineKind::AsyncPlain.label(), "Async-GT");
         assert_eq!(EngineKind::GraphTrek.label(), "GraphTrek");
         assert_eq!(EngineKind::all().len(), 3);
-    }
-
-    #[test]
-    fn concurrency_knobs() {
-        let cfg = EngineConfig::new(EngineKind::GraphTrek);
-        assert_eq!(cfg.max_concurrent_travels, 0, "unlimited by default");
-        assert_eq!(cfg.max_concurrent_travels(4).max_concurrent_travels, 4);
     }
 
     #[test]

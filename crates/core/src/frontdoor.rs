@@ -69,7 +69,8 @@ pub trait Backend: Send + Sync + 'static {
     /// Block until completion or `timeout`. On timeout the travel is
     /// aborted cluster-wide before the error returns.
     fn wait(&self, t: &Self::Ticket, timeout: Duration) -> Result<TravelResult, ClusterError>;
-    /// Cancel an in-flight travel (retires it on every server).
+    /// Cancel an in-flight travel: retire it on every server, answering
+    /// `Ok(true)` once each has acknowledged.
     fn cancel(&self, t: &Self::Ticket) -> Result<bool, ClusterError>;
     /// Progress snapshot from the travel's coordinator.
     fn progress(&self, t: &Self::Ticket) -> Result<ProgressSnapshot, ClusterError>;
@@ -84,7 +85,7 @@ impl Backend for ClusterState {
         ClusterState::wait(self, t, timeout)
     }
     fn cancel(&self, t: &Ticket) -> Result<bool, ClusterError> {
-        ClusterState::cancel(self, t)
+        ClusterState::cancel(self, t).map(|()| true)
     }
     fn progress(&self, t: &Ticket) -> Result<ProgressSnapshot, ClusterError> {
         ClusterState::progress(self, t)
@@ -714,7 +715,6 @@ mod tests {
                 progress: ProgressSnapshot::default(),
                 restarts: 0,
                 failovers: 0,
-                admit_wait: Duration::ZERO,
             })
         }
 

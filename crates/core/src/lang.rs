@@ -76,7 +76,7 @@ pub struct Plan {
     /// sequence number ([`GTravel::as_of`]). `None` reads the latest.
     #[serde(default)]
     pub as_of: Option<u64>,
-    /// Cluster-wide snapshot sequence captured at admission when the
+    /// Cluster-wide snapshot sequence captured at the travel's start when the
     /// engine runs with snapshot isolation. Stamped by the coordinator,
     /// never by the query author; carried in the plan so re-driven
     /// travels (failover, migration) re-read the *same* snapshot.
@@ -139,7 +139,7 @@ impl Plan {
     }
 
     /// The sequence bound every read of this travel resolves against:
-    /// the tighter of the user's `as_of()` and the admission snapshot.
+    /// the tighter of the user's `as_of()` and the start snapshot.
     /// `None` means unversioned latest-reads.
     pub fn view_seq(&self) -> Option<u64> {
         match (self.as_of, self.snapshot) {

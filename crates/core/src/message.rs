@@ -97,7 +97,7 @@ pub enum Msg {
     },
     /// Client → every server: cancel a traversal cluster-wide. Unlike
     /// [`Msg::Abort`] this is acknowledged, so the client can retire the
-    /// travel's admission slot only after every server has dropped its
+    /// travel only after every server has dropped its
     /// queued work and its traversal-affiliate cache partition.
     Cancel {
         /// Travel id.

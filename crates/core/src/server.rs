@@ -517,8 +517,8 @@ impl Dispatcher {
             Msg::Abort { travel } => self.handle_abort(travel),
             Msg::Cancel { travel, client } => {
                 // Cluster-wide cancellation: same cleanup as an abort,
-                // but acknowledged so the client can retire the travel's
-                // admission slot once every server has complied.
+                // but acknowledged so the client can retire the travel
+                // once every server has complied.
                 self.handle_abort(travel);
                 let server = self.sh.id;
                 self.sh.send(client, Msg::CancelAck { travel, server });
@@ -1026,6 +1026,47 @@ mod tests {
         let mut union = [ta[0], tb[0]];
         union.sort();
         assert_eq!(items[0].1, union, "d0 carries both tokens, sorted");
+    }
+
+    /// A completing step that is `rtn()`-marked returns its vertex in the
+    /// execution's one report and releases nothing: the final depth is
+    /// returned anyway, so a token of its own would only cost a release
+    /// round — an `OriginSatisfied` to itself, then a second report
+    /// carrying the same vertex.
+    #[test]
+    fn an_rtn_final_step_reports_its_vertex_once_and_releases_nothing() {
+        use gt_graph::{Props, Vertex};
+        let mut rig = Rig::new("rtn-final", EngineConfig::new(EngineKind::GraphTrek));
+        let v = rig.owned_by(0);
+        let vertex = Vertex::new(v.0, "N", Props::new());
+        rig.sh.partition.put_vertex(&vertex).expect("vertex");
+        rig.deliver(Msg::Visit {
+            travel: T,
+            depth: 0,
+            exec: exec(),
+            plan: Arc::new(GTravel::v([v.0]).rtn().compile().expect("plan")),
+            coordinator: PEER,
+            items: vec![(v, Vec::new())],
+        });
+        rig.sh.queue.close();
+        visit::worker_loop(&rig.sh);
+        let to_peer: Vec<Msg> = std::iter::from_fn(|| rig.peer.try_recv())
+            .map(|env| env.msg)
+            .collect();
+        let [Msg::ExecTerminated {
+            children, results, ..
+        }] = to_peer.as_slice()
+        else {
+            panic!("one report to the coordinator: {to_peer:?}");
+        };
+        assert!(children.is_empty(), "a release execution: {children:?}");
+        assert_eq!(results, &[(0, v)]);
+        let own: Vec<Msg> = std::iter::from_fn(|| rig.sh.ep.try_recv())
+            .map(|env| env.msg)
+            .collect();
+        assert!(own.is_empty(), "a release round: {own:?}");
+        assert!(!rig.sh.tokens.lock().holds(T), "origin token");
+        assert_eq!(rig.sh.metrics.snapshot().results_sent, 1);
     }
 
     /// A flush sends its shares and then one message to the coordinator:

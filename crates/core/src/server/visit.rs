@@ -507,7 +507,7 @@ fn process_parts(sh: &Arc<Shared>, mut parts: Parts) {
             let scan = &scans[i].1;
             step.fan_out(sh, hop, scan, std::mem::take(&mut tally));
         } else {
-            step.complete(sh, std::mem::take(&mut tally));
+            step.complete(std::mem::take(&mut tally));
         }
     }
     // The pop's one wait: no execution it completes flushes before it.
@@ -567,15 +567,16 @@ impl Step<'_> {
         }
     }
 
-    /// End of the chain: the path completed.
-    fn complete(&self, sh: &Arc<Shared>, tally: TravelMetrics) {
-        let tokens = self.outgoing_tokens(sh);
+    /// End of the chain: the path completed, satisfying the arriving
+    /// tokens. An `rtn()` here adds no token of its own: the final depth
+    /// is then returned, so the vertex is already among the results.
+    fn complete(&self, tally: TravelMetrics) {
         let mut out = self.req.out.lock();
         out.tally.merge(&tally);
         if self.req.plan.returns_final() {
             out.results.push((self.depth, self.vertex));
         }
-        out.satisfied.extend(tokens.iter().copied());
+        out.satisfied.extend(self.tokens.iter().copied());
     }
 
     /// Route every (matching) edge's destination to its owner's share of

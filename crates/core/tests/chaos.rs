@@ -386,14 +386,15 @@ fn progress_is_monotone_under_chaos() {
 }
 
 // ---------------------------------------------------------------------
-// Timeout ⇒ slot release (regression)
+// Timeout, then a travel started in the dark heals
 // ---------------------------------------------------------------------
 
 /// Regression: a permanently-lost travel must make `Cluster::wait`
-/// return a typed `TravelError::Timeout` — not hang — AND free its
-/// admission slot so a queued travel still gets to run.
+/// return a typed `TravelError::Timeout` — not hang — and retire it;
+/// a travel started while a server was isolated completes once the
+/// isolation heals, by retransmission.
 #[test]
-fn wait_timeout_frees_admission_slot_for_pending_travel() {
+fn wait_timeout_retires_a_lost_travel_and_a_travel_started_in_the_dark_heals() {
     let g = random_graph(8, 40, None);
     let q = GTravel::v([0u64, 1, 2]).e("link").e("read");
     let want = oracle_map(&g, &q);
@@ -401,17 +402,17 @@ fn wait_timeout_frees_admission_slot_for_pending_travel() {
     let cluster = Cluster::build(
         &g,
         ClusterConfig::new(&dir, 2),
-        EngineConfig::new(EngineKind::GraphTrek)
-            .max_concurrent_travels(1)
-            .force_reliable_delivery(true),
+        EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
     )
     .unwrap();
     // Travel ids start at 1 ⇒ the first travel's coordinator is server 1.
     // Isolating it swallows the submission: that travel can never finish.
     cluster.isolate_server(1, true);
     let doomed = cluster.start(&q).unwrap();
-    let queued = cluster.start(&q).unwrap();
-    assert_eq!(cluster.pending_travels(), 1, "limit 1 must park travel 2");
+    // Coordinated by server 0; what of it is bound for server 1 is lost
+    // until the heal.
+    let in_the_dark = cluster.start(&q).unwrap();
+    assert_eq!(cluster.active_travels(), 2);
     let err = cluster.wait(&doomed, Duration::from_millis(300));
     assert!(
         matches!(
@@ -422,15 +423,12 @@ fn wait_timeout_frees_admission_slot_for_pending_travel() {
         ),
         "lost travel must time out, got {err:?}"
     );
-    // The timeout released the slot: the queued travel was dispatched.
-    assert_eq!(cluster.pending_travels(), 0, "queued travel still parked");
-    assert_eq!(cluster.active_travels(), 1);
+    assert_eq!(cluster.active_travels(), 1, "the timeout retired it");
     // Heal the network; reliable delivery retransmits whatever the
-    // queued travel lost while server 1 was dark.
+    // second travel lost while server 1 was dark.
     cluster.isolate_server(1, false);
-    let got = cluster.wait(&queued, Duration::from_secs(30)).unwrap();
+    let got = cluster.wait(&in_the_dark, Duration::from_secs(30)).unwrap();
     assert_eq!(got.by_depth, want);
-    assert!(got.admit_wait > Duration::ZERO, "travel 2 queued, then ran");
     assert_eq!(cluster.active_travels(), 0);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();

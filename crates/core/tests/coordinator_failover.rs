@@ -263,7 +263,7 @@ fn cancelled_travel_reports_typed_cancellation() {
     )
     .unwrap();
     let ticket = cluster.start(&q).unwrap();
-    assert!(cluster.cancel(&ticket).unwrap(), "travel had started");
+    cluster.cancel(&ticket).unwrap();
     let err = cluster.wait(&ticket, Duration::from_millis(200));
     assert!(
         matches!(
@@ -367,16 +367,17 @@ fn progress_reroutes_to_successor_after_failover() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Admission bookkeeping survives a failover: a queued travel's
-/// `admit_wait` keeps measuring from its original submission, and the
-/// failed-over travel's slot is accounted under the same ticket
-/// (releasing normally on completion).
+/// A travel started while a failover is under way — the first travel's
+/// coordinator has crashed and nobody has restarted it yet — runs beside
+/// the re-drive and is untouched by it: what it sends the dead server is
+/// retransmitted to the restarted one, it keeps its coordinator, and both
+/// travels return the oracle's result and are retired.
 #[test]
-fn admission_timestamps_survive_failover() {
+fn a_travel_co_running_beside_a_failover_is_untouched() {
     let g = random_graph(19, 50, None);
     let q = mixed_query();
     let want = oracle_map(&g, &q);
-    let dir = tmp("admit-wait");
+    let dir = tmp("co-runner");
     let plan = ChaosPlan {
         crashes: vec![CrashPoint::coordinator(1, 4)],
         ..ChaosPlan::none()
@@ -384,25 +385,24 @@ fn admission_timestamps_survive_failover() {
     let cluster = Cluster::build(
         &g,
         ClusterConfig::new(&dir, 3),
-        EngineConfig::new(EngineKind::GraphTrek)
-            .chaos(plan)
-            .max_concurrent_travels(1),
+        EngineConfig::new(EngineKind::GraphTrek).chaos(plan),
     )
     .unwrap();
     let first = cluster.start(&q).unwrap(); // coordinator 1: will crash
-    let queued = cluster.start(&q).unwrap(); // parked behind the limit
-    assert_eq!(cluster.pending_travels(), 1);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !cluster.server_crashed(1) {
+        assert!(std::time::Instant::now() < deadline, "never crashed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let beside = cluster.start(&q).unwrap(); // coordinator 2
+    assert_eq!(cluster.active_travels(), 2);
     let a = cluster.wait(&first, Duration::from_secs(30)).unwrap();
     assert_eq!(a.by_depth, want, "failed-over travel diverged");
     assert_eq!(a.failovers, 1);
-    let b = cluster.wait(&queued, Duration::from_secs(30)).unwrap();
-    assert_eq!(b.by_depth, want, "queued travel diverged");
-    assert!(
-        b.admit_wait > Duration::ZERO,
-        "queued travel's admission wait spans the whole failover episode"
-    );
+    let b = cluster.wait(&beside, Duration::from_secs(30)).unwrap();
+    assert_eq!(b.by_depth, want, "co-running travel diverged");
+    assert_eq!(b.failovers, 0, "the co-runner kept its coordinator");
     assert_eq!(cluster.active_travels(), 0);
-    assert_eq!(cluster.pending_travels(), 0);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -437,7 +437,7 @@ fn cancel_after_a_failover_reports_the_tickets_travel() {
             assert!(std::time::Instant::now() < deadline, "never failed over");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(cluster.cancel(&ticket).unwrap(), "the travel had started");
+        cluster.cancel(&ticket).unwrap();
         waiter.join().expect("waiter panicked")
     });
     assert!(

@@ -254,10 +254,6 @@ impl TestClient {
         }
     }
 
-    fn cancel(&mut self, id: u64) {
-        send_client(&mut self.sock, &ClientMsg::Cancel { id }).unwrap();
-    }
-
     fn goodbye(mut self) {
         let _ = send_client(&mut self.sock, &ClientMsg::Goodbye);
     }
@@ -531,80 +527,6 @@ fn missed_deadline_surfaces_as_timeout() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(door.gate().counters("hasty").deadline_missed, 1);
-    client.goodbye();
-    door.stop();
-    cluster.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A request still parked in the cluster's admission queue can be
-/// cancelled like any other: its waiter is released and answers
-/// `Cancelled` at once. (It used to sit out the request's whole deadline
-/// and answer `Timeout`, for a travel no server ever saw.)
-#[test]
-fn cancelling_a_queued_request_answers_cancelled_at_once() {
-    let g = random_graph(9, 80, None);
-    let dir = tmp("cancel-queued");
-    let cluster = Cluster::build(
-        &g,
-        ClusterConfig::new(&dir, 2),
-        EngineConfig::new(EngineKind::GraphTrek)
-            .max_concurrent_travels(1)
-            .faults(graphtrek::faults::FaultPlan::round_robin_stragglers(
-                &[0, 1],
-                8,
-                Duration::from_millis(50),
-                1000,
-            )),
-    )
-    .unwrap();
-    let door = FrontDoor::serve(
-        cluster.handle(),
-        SocketAddrSpec::Tcp("127.0.0.1:0".into()),
-        QosConfig::default(),
-    )
-    .unwrap();
-    let mut client = TestClient::connect(door.local_addr(), "t");
-    let patient = || SubmitOpts {
-        deadline_ms: Some(20_000),
-    };
-    // The first travel crawls and holds the only slot; the second queues.
-    let slow = client.submit("v(0,1,2,3,4,5).e('link').e('link').e('link')", patient());
-    let queued = client.submit("v(0).e('run')", patient());
-    let state = cluster.handle();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while state.pending_travels() != 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the second request never queued"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let asked = std::time::Instant::now();
-    client.cancel(queued);
-    match client.response_for(queued) {
-        ServerMsg::Error {
-            error: WireError::Cancelled,
-            ..
-        } => {}
-        other => panic!("expected Cancelled for the queued request, got {other:?}"),
-    }
-    assert!(
-        asked.elapsed() < Duration::from_secs(5),
-        "answered after {:?}",
-        asked.elapsed()
-    );
-    assert_eq!(state.pending_travels(), 0);
-    // The running one is cancelled the usual way, acked by every server.
-    client.cancel(slow);
-    match client.response_for(slow) {
-        ServerMsg::Error {
-            error: WireError::Cancelled,
-            ..
-        } => {}
-        other => panic!("expected Cancelled for the running request, got {other:?}"),
-    }
-    assert_eq!(state.active_travels(), 0);
     client.goodbye();
     door.stop();
     cluster.shutdown();
