@@ -24,13 +24,14 @@
 //!   waiter always takes the pump over. A lone waiter never touches the
 //!   condvar.
 
-use crate::cluster::{ClusterError, TravelError, TravelResult};
+use crate::cluster::{first_coordinator, ClusterError, TravelError, TravelResult};
 use crate::frontdoor::Backend;
 use crate::lang::Plan;
 use crate::lockorder::assert_none_held;
 use crate::message::{Msg, ProgressSnapshot, TravelOutcome};
 use crate::{ticket_of, TravelId};
 use gt_net::{Endpoint, RecvError};
+use gt_placement::SharedPlacement;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,6 +137,8 @@ impl Drop for Listening<'_> {
 pub struct ClientPort {
     ep: Endpoint<Msg>,
     n_servers: usize,
+    /// The placement view a new travel's coordinator is picked by.
+    placement: Arc<SharedPlacement>,
     next_id: AtomicU64,
     state: Mutex<PortState>,
     cv: Condvar,
@@ -146,15 +149,17 @@ pub struct ClientPort {
 
 impl ClientPort {
     /// Wrap a client endpoint of a cluster whose backend servers are
-    /// endpoints `0..n_servers` of the same fabric or mesh. Travel and
+    /// endpoints `0..n` of the same fabric or mesh, `n` the servers of
+    /// `placement` — the view the port routes new travels by. Travel and
     /// request ids are minted as `id_base + 1, id_base + 2, …`: `0` for a
     /// cluster's only client, `endpoint << 48` where several ports in
     /// different processes share the servers — below bit 56 either way,
     /// where a re-drive's attempt starts ([`TravelId`]).
-    pub fn new(ep: Endpoint<Msg>, n_servers: usize, id_base: u64) -> ClientPort {
+    pub fn new(ep: Endpoint<Msg>, placement: Arc<SharedPlacement>, id_base: u64) -> ClientPort {
         ClientPort {
             ep,
-            n_servers,
+            n_servers: placement.snapshot().n_servers,
+            placement,
             next_id: AtomicU64::new(id_base + 1),
             state: Mutex::new(PortState::default()),
             cv: Condvar::new(),
@@ -383,10 +388,11 @@ impl ClientPort {
 impl Backend for ClientPort {
     type Ticket = Ticket;
 
-    /// Coordinators are assigned round-robin by travel id.
+    /// The primary of the travel's first start vertex coordinates it; a
+    /// scan's coordinator is picked round-robin by travel id.
     fn begin(&self, plan: Arc<Plan>) -> Result<Ticket, ClusterError> {
         let travel = self.open_travel();
-        let coordinator = (travel as usize) % self.n_servers;
+        let coordinator = first_coordinator(travel, &plan, &self.placement, self.n_servers);
         self.submit(travel, coordinator, plan)?;
         Ok(Ticket {
             travel,
@@ -429,8 +435,14 @@ mod tests {
     use super::*;
     use crate::lang::GTravel;
     use gt_net::{Endpoint, Fabric, NetConfig};
+    use gt_placement::PlacementMap;
     use gt_transport::{MeshConfig, SocketAddrSpec, SocketMesh};
     use std::sync::atomic::AtomicUsize;
+
+    /// The placement of a one-server cluster.
+    fn one_server() -> Arc<SharedPlacement> {
+        Arc::new(SharedPlacement::new(PlacementMap::initial(1, 1)))
+    }
 
     /// A port on endpoint 1 of a two-endpoint fabric; the test plays the
     /// one backend server on endpoint 0.
@@ -438,7 +450,7 @@ mod tests {
         let (fabric, mut eps) = Fabric::new(2, NetConfig::instant());
         let client = eps.pop().expect("endpoint 1");
         let server = eps.pop().expect("endpoint 0");
-        let port = ClientPort::new(client, 1, 0);
+        let port = ClientPort::new(client, one_server(), 0);
         (fabric, server, port)
     }
 
@@ -624,7 +636,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("gt-port-{}.sock", std::process::id()));
         let cfg = MeshConfig::single_process(2, SocketAddrSpec::Uds(path));
         let (mesh, mut eps) = SocketMesh::<Msg>::start(cfg).expect("mesh starts");
-        let port = &ClientPort::new(eps.pop().expect("endpoint 1"), 1, 0);
+        let port = &ClientPort::new(eps.pop().expect("endpoint 1"), one_server(), 0);
         let keys = [port.mint(), port.mint(), port.mint()];
         let _listening: Vec<_> = keys.iter().map(|&k| port.listen(k)).collect();
         std::thread::scope(|s| {

@@ -7,7 +7,8 @@
 //! server-side traversal (§IV-A): "the client sends the GTravel instance
 //! to one selected backend server to start a graph traversal … the
 //! traversal is executed among backend servers and returns the status and
-//! results to the coordinator."
+//! results to the coordinator." The server selected is the primary of the
+//! travel's first start vertex (a scan's is picked round-robin).
 //!
 //! [`ClusterState::submit_opts`] implements the paper's v1 failure handling:
 //! if no completion arrives within the timeout (a silent failure — e.g. a
@@ -20,7 +21,8 @@
 //! touches the port and the stores. What it decides
 //! with lives in sans-I/O machines under `cluster/` — `travels` (one
 //! entry per travel: coordinator routing, snapshot pins, the re-home of
-//! an orphaned travel), `rehome` (successor choice) and
+//! an orphaned travel), `rehome` (first coordinator and successor
+//! choice) and
 //! `healer` — which it steps under one lock that is
 //! never held across a send. `cluster/placement.rs` is shell too: the
 //! sequential placement orchestration and the healer thread.
@@ -47,7 +49,8 @@ use gt_kvstore::{Store, StoreConfig};
 use gt_net::{Endpoint, Fabric, Link};
 use gt_placement::{PlacementMap, SharedPlacement};
 use gt_transport::{MeshConfig, SocketAddrSpec, SocketMesh};
-use rehome::{ring_pick, Cause, Host};
+pub(crate) use rehome::first_coordinator;
+use rehome::{Cause, Host};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -300,13 +303,14 @@ impl Cluster {
             });
         }
         let table = Travels::new(n);
+        let placement = Arc::new(SharedPlacement::new(map));
         let inner = Arc::new_cyclic(|me: &std::sync::Weak<ClusterState>| ClusterState {
             slots,
             link,
             // Every observed completion retires its travel's live part and
             // unpins its view, whichever travel the receiving waiter is
             // after: a travel nobody waits for holds no pin.
-            port: ClientPort::new(client, n, 0).on_travel_done({
+            port: ClientPort::new(client, placement.clone(), 0).on_travel_done({
                 let me = me.clone();
                 move |travel| {
                     if let Some(cluster) = me.upgrade() {
@@ -317,7 +321,7 @@ impl Cluster {
             }),
             partitioner,
             engine: ecfg,
-            placement: Arc::new(SharedPlacement::new(map)),
+            placement,
             replication,
             durability,
             self_healing,
@@ -508,16 +512,13 @@ impl ClusterState {
     }
 
     /// Begin a traversal from an already-compiled plan (the front door's
-    /// path: it stamps QoS metadata onto the plan before dispatch).
+    /// path: it stamps QoS metadata onto the plan before dispatch). The
+    /// primary of its first start vertex coordinates it, a scan's
+    /// coordinator is picked round-robin by travel id, and neither is a
+    /// draining server.
     pub fn start_plan(&self, plan: Arc<Plan>) -> Result<Ticket, ClusterError> {
         let travel = self.port.open_travel();
-        // Deterministic ring assignment, skipping decommissioned servers
-        // (they keep serving reads while draining but host no new
-        // coordinator roles).
-        let n = self.slots.len();
-        let base = (travel as usize) % n;
-        let coordinator =
-            ring_pick(base, n, |c| !self.placement.is_decommissioned(c)).unwrap_or(base);
+        let coordinator = first_coordinator(travel, &plan, &self.placement, self.slots.len());
         let (seq, now) = (self.seq_now(), Instant::now());
         let dispatch = {
             let mut table = self.travels.lock();
@@ -1037,12 +1038,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let engine = EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true);
         let cluster = Cluster::build(&g, ClusterConfig::new(&dir, 3), engine).expect("cluster");
-        // Travel 1 is coordinated by server 1; starving server 0 keeps it
-        // in flight until the crash.
+        // Server 1 owns vertex 0, so it coordinates; starving server 0
+        // keeps the travel in flight until the crash.
         cluster.isolate_server(0, true);
         let q = GTravel::v([0u64]).e("next").e("next").e("next");
         let plan = Arc::new(q.compile().expect("plan"));
         let ticket = cluster.start_plan(plan.clone()).expect("started");
+        assert_eq!(ticket.coordinator, 1);
         std::thread::sleep(Duration::from_millis(50));
         cluster.crash_server(1).expect("crashed");
         cluster.isolate_server(0, false);

@@ -4,7 +4,12 @@
 //! promotion) move it the same way — the superseded incarnation is aborted
 //! everywhere and the plan resubmitted to a successor under a fresh travel
 //! id — and differ only in the [`Cause`]. The per-travel table
-//! ([`super::travels`]) decides when; this module decides where to.
+//! ([`super::travels`]) decides when; this module decides where to —
+//! and where a new travel's role starts ([`first_coordinator`]).
+
+use crate::lang::{Plan, Source};
+use crate::TravelId;
+use gt_placement::SharedPlacement;
 
 /// Why a travel's coordinator role moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +38,24 @@ pub(super) fn ring_pick(first: usize, n: usize, ok: impl Fn(usize) -> bool) -> O
     (0..n).map(|k| (first + k) % n).find(|&s| ok(s))
 }
 
+/// Who coordinates a new travel: the primary of a `v(ids…)` plan's first
+/// start vertex — "the coordinator first learns that userA is stored in
+/// server 2" (§IV-B), so a point travel never leaves that server — and the
+/// `travel % n` ring for a `v()` scan. A draining server is skipped, on
+/// the ring from that base. The one picker of both client shells.
+pub(crate) fn first_coordinator(
+    travel: TravelId,
+    plan: &Plan,
+    placement: &SharedPlacement,
+    n: usize,
+) -> usize {
+    let base = match &plan.source {
+        Source::Ids(ids) if !ids.is_empty() => placement.primary_of_vid(ids[0]),
+        Source::Ids(_) | Source::All => (travel as usize) % n,
+    };
+    ring_pick(base, n, |s| !placement.is_decommissioned(s)).unwrap_or(base)
+}
+
 /// Who takes the role over from `from`: the next live server after it
 /// that is not draining, `from` itself last. A lost host's travel settles
 /// for a draining server rather than die; a shed role stays where it is.
@@ -52,7 +75,8 @@ mod tests {
     use super::super::TravelError;
     use super::*;
     use crate::lang::GTravel;
-    use crate::TravelId;
+    use gt_graph::VertexId;
+    use gt_placement::PlacementMap;
     use std::collections::BTreeSet;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -80,6 +104,38 @@ mod tests {
         let hosts = [UP, DRAINING, DRAINING, UP];
         let fresh = |base| ring_pick(base, 4, |s| !hosts[s].decommissioned);
         assert_eq!((fresh(0), fresh(1), fresh(2)), (Some(0), Some(3), Some(3)));
+    }
+
+    #[test]
+    fn a_new_travel_starts_on_its_first_source_s_primary_and_a_scan_on_the_ring() {
+        let mut map = PlacementMap::initial(4, 1);
+        let owned_by = |map: &PlacementMap, s: usize| {
+            (0u64..)
+                .find(|&v| map.is_primary(s, VertexId(v)))
+                .expect("every server owns a partition")
+        };
+        let (on2, on3) = (owned_by(&map, 2), owned_by(&map, 3));
+        let placement = SharedPlacement::new(map.clone());
+        let pick = |travel, q: GTravel, placement: &SharedPlacement| {
+            first_coordinator(travel, &q.compile().expect("plan"), placement, 4)
+        };
+        // The first id decides, whatever the travel id and the other ids.
+        for travel in 1..=4 {
+            assert_eq!(pick(travel, GTravel::v([on2, on3]), &placement), 2);
+            assert_eq!(pick(travel, GTravel::v([on3, on2]).e("x"), &placement), 3);
+        }
+        // A scan has no first vertex: the ring by travel id.
+        let scans: Vec<usize> = (4..8)
+            .map(|t| pick(t, GTravel::v_all().e("x"), &placement))
+            .collect();
+        assert_eq!(scans, [0, 1, 2, 3]);
+        // A draining primary hosts no new role: the ring from it on.
+        map.decommission(2);
+        map.decommission(3);
+        let draining = SharedPlacement::new(map);
+        assert_eq!(pick(1, GTravel::v([on2]), &draining), 0);
+        assert_eq!(pick(2, GTravel::v_all(), &draining), 0);
+        assert_eq!(pick(5, GTravel::v_all(), &draining), 1);
     }
 
     #[test]

@@ -134,6 +134,9 @@ counters! {
         requests_dispatched: AtomicU64 => u64 [],
         /// Result vertices sent toward the coordinator / report destination.
         results_sent: AtomicU64 => u64 [],
+        /// Travels this server took the coordinator role of (a first
+        /// `Submit`, a failover's re-drive included; a repeat is not one).
+        travels_coordinated: AtomicU64 => u64 [],
         /// High-water mark of the local request queue.
         queue_peak: AtomicUsize => usize [],
         /// Straggler delay events injected on this server (Fig. 11 model).

@@ -451,7 +451,7 @@ impl Dispatcher {
                 travel,
                 plan,
                 client,
-            } => coord::handle_submit(self, travel, plan, client),
+            } => return coord::handle_submit(self, travel, plan, client),
             Msg::SourceScan {
                 travel,
                 plan,
@@ -1067,6 +1067,50 @@ mod tests {
         assert!(own.is_empty(), "a release round: {own:?}");
         assert!(!rig.sh.tokens.lock().holds(T), "origin token");
         assert_eq!(rig.sh.metrics.snapshot().results_sent, 1);
+    }
+
+    /// The coordinator receives its own share of a `v(ids…)` source where
+    /// it is: a `Submit` of a vertex this server owns queues the vertex at
+    /// once and puts nothing on the wire, to itself or anyone.
+    #[test]
+    fn a_submit_of_an_owned_vertex_queues_it_without_a_message() {
+        let mut rig = Rig::new("own-source", EngineConfig::new(EngineKind::GraphTrek));
+        let v = rig.owned_by(0);
+        rig.deliver(Msg::Submit {
+            travel: T,
+            plan: Arc::new(GTravel::v([v]).rtn().compile().expect("plan")),
+            client: CLIENT,
+        });
+        assert_eq!(rig.sh.ep.pending(), 0, "a message to itself");
+        assert_eq!(rig.peer.pending(), 0, "a message to the peer");
+        assert_eq!(rig.sh.queue.len(), 1, "the source vertex is not queued");
+        assert_eq!(rig.progress(T).created, 1, "one root execution");
+        assert_eq!(rig.sh.metrics.snapshot().travels_coordinated, 1);
+    }
+
+    /// The share received in place still counts as the depth-0 `Visit` it
+    /// stands for: a frontier crash point at step 0 kills the server on
+    /// it, after the other owner's share went out.
+    #[test]
+    fn a_frontier_crash_point_fires_on_the_coordinator_s_own_share() {
+        use crate::faults::CrashPoint;
+        let mut rig = Rig::new("own-source-crash", EngineConfig::new(EngineKind::GraphTrek));
+        rig.d.crash_trigger = Some(CrashTrigger::armed(CrashPoint::frontier(0, 0, 1)));
+        let (mine, theirs) = (rig.owned_by(0), rig.owned_by(PEER));
+        let submit = Msg::Submit {
+            travel: T,
+            plan: Arc::new(GTravel::v([mine, theirs]).compile().expect("plan")),
+            client: CLIENT,
+        };
+        assert_eq!(rig.d.dispatch_one(submit, None), LoopCtl::Crash);
+        assert!(
+            matches!(
+                rig.peer.try_recv().map(|env| env.msg),
+                Some(Msg::Visit { depth: 0, .. })
+            ),
+            "the peer's share went out first"
+        );
+        assert_eq!(rig.sh.queue.len(), 0, "queued on a dying server");
     }
 
     /// A flush sends its shares and then one message to the coordinator:

@@ -3,7 +3,7 @@
 //! dispatching the source, finishing. A failover's re-drive arrives as
 //! the `Submit` of a travel this server has never heard of.
 
-use super::{alloc_exec, send_travel, Dispatcher};
+use super::{alloc_exec, send_travel, Dispatcher, LoopCtl};
 use crate::coordinator::{CoordState, SyncState, TravelLedger};
 use crate::engine::EngineKind;
 use crate::lang::{Plan, Source};
@@ -11,6 +11,7 @@ use crate::message::{Msg, SyncExpect};
 use crate::{ExecId, Tokens, TravelId};
 use gt_graph::VertexId;
 use std::collections::hash_map::Entry;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Apply one tracing event to `travel`'s hosted asynchronous ledger, and
@@ -45,8 +46,14 @@ pub(super) fn coord_event(
 /// The submitting client decided this server coordinates `travel`:
 /// install coordinator state and run it from its source. A repeat — the
 /// client re-sends the `Submit` of a re-drive it has no sign of life from
-/// — finds the travel hosted and changes nothing.
-pub(super) fn handle_submit(d: &mut Dispatcher, travel: TravelId, plan: Arc<Plan>, client: usize) {
+/// — finds the travel hosted and changes nothing. Only the source share
+/// this server owns can end the loop (see [`dispatch_travel_source`]).
+pub(super) fn handle_submit(
+    d: &mut Dispatcher,
+    travel: TravelId,
+    plan: Arc<Plan>,
+    client: usize,
+) -> LoopCtl {
     let sh = &d.sh;
     let sync = matches!(sh.engine_kind, EngineKind::Sync);
     let state = if sync {
@@ -55,9 +62,12 @@ pub(super) fn handle_submit(d: &mut Dispatcher, travel: TravelId, plan: Arc<Plan
         CoordState::Async(TravelLedger::new(plan.clone(), client))
     };
     match d.coords.entry(travel) {
-        Entry::Occupied(_) => return,
+        Entry::Occupied(_) => return LoopCtl::Continue,
         Entry::Vacant(slot) => slot.insert(state),
     };
+    sh.metrics
+        .travels_coordinated
+        .fetch_add(1, Ordering::Relaxed);
     if sync {
         for s in 0..sh.n_servers {
             let start = Msg::SyncStart {
@@ -69,9 +79,9 @@ pub(super) fn handle_submit(d: &mut Dispatcher, travel: TravelId, plan: Arc<Plan
             };
             send_travel(sh, s, travel, start);
         }
-        return;
+        return LoopCtl::Continue;
     }
-    dispatch_travel_source(d, travel, &plan);
+    dispatch_travel_source(d, travel, &plan)
 }
 
 /// A fresh root execution of `travel`, created in its ledger.
@@ -84,11 +94,17 @@ fn root_exec(d: &mut Dispatcher, travel: TravelId) -> ExecId {
 /// Asynchronous source dispatch from the coordinator — targeted for
 /// explicit ids ("the coordinator first learns that userA is stored in
 /// server 2 … then sends the request"), broadcast scan otherwise.
-fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>) {
+///
+/// The share of ids this server owns is received here and now, after the
+/// other owners' `Visit`s went out, instead of crossing the wire to
+/// itself: through [`Dispatcher::handle_msg`], so a scripted frontier
+/// crash counts it as the depth-0 `Visit` it is — and the server dies
+/// with it, as it would have on receipt.
+fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>) -> LoopCtl {
     match &plan.source {
         Source::Ids(ids) => {
             let buckets = d.sh.placement.group_by_primary(ids.iter().copied());
-            let mut any = false;
+            let (mut any, mut own) = (false, None);
             for (owner, vids) in buckets.into_iter().enumerate() {
                 if vids.is_empty() {
                     continue;
@@ -104,12 +120,19 @@ fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>
                     coordinator: d.sh.id,
                     items,
                 };
-                send_travel(&d.sh, owner, travel, visit);
+                if owner == d.sh.id {
+                    own = Some(visit);
+                } else {
+                    send_travel(&d.sh, owner, travel, visit);
+                }
             }
             if !any {
                 // Degenerate: no owned sources at all; finish immediately.
                 let exec = root_exec(d, travel);
                 coord_event(d, travel, |l| l.exec_terminated(exec, &[]));
+            }
+            if let Some(visit) = own {
+                return d.handle_msg(visit);
             }
         }
         Source::All => {
@@ -124,6 +147,7 @@ fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>
             }
         }
     }
+    LoopCtl::Continue
 }
 
 /// A server finished its part of a synchronous step; when the whole step

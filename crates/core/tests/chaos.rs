@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{failovers, oracle_map, random_graph, tmp};
+use common::{failovers, led_by, oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
 use rand::rngs::SmallRng;
@@ -67,7 +67,16 @@ fn fanout_graph(n_layers: u64, width: u64) -> InMemoryGraph {
 /// Deep traversal over the fan-out graph with a mid-chain rtn(), so the
 /// chaos layer also gets origin-token traffic to interfere with.
 fn deep_query(steps: usize) -> GTravel {
-    let mut q = GTravel::v((0..16u64).collect::<Vec<_>>());
+    deep_query_from(&DEEP_SOURCES, steps)
+}
+
+/// The start vertices of [`deep_query`]: the first layer.
+const DEEP_SOURCES: [u64; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+
+/// [`deep_query`] from `sources` in that order; the first one's primary
+/// coordinates it.
+fn deep_query_from(sources: &[u64], steps: usize) -> GTravel {
+    let mut q = GTravel::v(sources.iter().copied());
     for s in 0..steps {
         q = q.e("next");
         if s == steps / 2 {
@@ -396,8 +405,8 @@ fn progress_is_monotone_under_chaos() {
 #[test]
 fn wait_timeout_retires_a_lost_travel_and_a_travel_started_in_the_dark_heals() {
     let g = random_graph(8, 40, None);
-    let q = GTravel::v([0u64, 1, 2]).e("link").e("read");
-    let want = oracle_map(&g, &q);
+    let sources = [0u64, 1, 2];
+    let want = oracle_map(&g, &GTravel::v(sources).e("link").e("read"));
     let dir = tmp("slot-release");
     let cluster = Cluster::build(
         &g,
@@ -405,13 +414,20 @@ fn wait_timeout_retires_a_lost_travel_and_a_travel_started_in_the_dark_heals() {
         EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
     )
     .unwrap();
-    // Travel ids start at 1 ⇒ the first travel's coordinator is server 1.
-    // Isolating it swallows the submission: that travel can never finish.
+    // The same sources, led by one that server `s` owns: a travel `s`
+    // coordinates, and a share of it on each server.
+    let from = |s| {
+        GTravel::v(led_by(&cluster, s, &sources))
+            .e("link")
+            .e("read")
+    };
+    // Isolating server 1 swallows the submission of a travel it
+    // coordinates: that travel can never finish.
     cluster.isolate_server(1, true);
-    let doomed = cluster.start(&q).unwrap();
+    let doomed = cluster.start(&from(1)).unwrap();
     // Coordinated by server 0; what of it is bound for server 1 is lost
     // until the heal.
-    let in_the_dark = cluster.start(&q).unwrap();
+    let in_the_dark = cluster.start(&from(0)).unwrap();
     assert_eq!(cluster.active_travels(), 2);
     let err = cluster.wait(&doomed, Duration::from_millis(300));
     assert!(
@@ -468,10 +484,12 @@ fn isolation_stalls_then_heals_to_completion() {
             .faults(faults),
     )
     .unwrap();
-    let ticket = cluster.start(&q).unwrap();
+    // Led by a source server 1 owns, server 1 coordinates the travel.
+    let ticket = cluster
+        .start(&deep_query_from(&led_by(&cluster, 1, &DEEP_SOURCES), 6))
+        .unwrap();
     // Cut off the non-coordinator backend once the travel is observably
-    // mid-flight (coordinator is travel 1 % 2 = server 1, so progress
-    // queries keep working while server 0 is dark).
+    // mid-flight (progress queries keep working while server 0 is dark).
     let mut armed = false;
     for _ in 0..200 {
         let p = cluster.progress(&ticket).unwrap();
@@ -482,6 +500,7 @@ fn isolation_stalls_then_heals_to_completion() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(armed, "travel never showed outstanding work (seed {seed})");
+    assert_eq!(cluster.metrics()[1].travels_coordinated, 1);
     cluster.isolate_server(0, true);
     let mut last = (0u64, 0u64);
     for _ in 0..20 {

@@ -60,11 +60,44 @@ pub fn random_graph(seed: u64, n: u64, name_prop: Option<&str>) -> InMemoryGraph
     g
 }
 
+/// The primary of vertex `v` in `cluster`'s placement: the server that
+/// coordinates a travel whose first start vertex `v` is.
+pub fn owner(cluster: &ClusterState, v: u64) -> usize {
+    let m = cluster.placement();
+    m.primary_of(m.partition_of(VertexId(v)))
+}
+
+/// `ids` with the first of them that `server` owns moved to the front:
+/// the same sources — so the same answer — for a travel that `server`
+/// coordinates.
+pub fn led_by(cluster: &ClusterState, server: usize, ids: &[u64]) -> Vec<u64> {
+    let lead = ids
+        .iter()
+        .position(|&v| owner(cluster, v) == server)
+        .unwrap_or_else(|| panic!("none of {ids:?} lives on server {server}"));
+    let mut ids = ids.to_vec();
+    ids[..=lead].rotate_right(1);
+    ids
+}
+
+/// The start vertices of [`mixed_query`].
+pub const MIXED_SOURCES: [u64; 6] = [0, 1, 2, 3, 4, 5];
+
 /// Four hops over [`random_graph`] mixing depth, a vertex filter and an
 /// intermediate `rtn()`: the query of the failure suites, where semantic
 /// richness matters more than traffic volume.
 pub fn mixed_query() -> GTravel {
-    GTravel::v([0u64, 1, 2, 3, 4, 5])
+    mixed_query_from(&MIXED_SOURCES)
+}
+
+/// [`mixed_query`] with a start vertex `server` owns first: the same
+/// answer, in a travel that `server` coordinates.
+pub fn mixed_query_on(cluster: &ClusterState, server: usize) -> GTravel {
+    mixed_query_from(&led_by(cluster, server, &MIXED_SOURCES))
+}
+
+fn mixed_query_from(sources: &[u64]) -> GTravel {
+    GTravel::v(sources.iter().copied())
         .e("link")
         .rtn()
         .e("read")

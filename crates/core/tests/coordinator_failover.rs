@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{failovers, mixed_query, oracle_map, random_graph, tmp};
+use common::{failovers, mixed_query, mixed_query_on, oracle_map, random_graph, tmp};
 use graphtrek::prelude::*;
 use std::time::Duration;
 
@@ -19,9 +19,9 @@ use std::time::Duration;
 // Tentpole: crash the coordinator mid-travel, all three engines
 // ---------------------------------------------------------------------
 
-/// Travel ids start at 1 and the coordinator is `travel % n`, so on a
-/// 3-server cluster the first travel is coordinated by server 1. Kill it
-/// after it has absorbed a handful of status-tracing events: the client
+/// A travel's coordinator is the primary of its first start vertex, so
+/// [`mixed_query_on`] puts one on server 1. Kill that server after it has
+/// absorbed a handful of status-tracing events: the client
 /// must fail the travel over and still deliver the oracle's result —
 /// same ticket, zero resubmissions the caller sees.
 #[test]
@@ -41,7 +41,7 @@ fn coordinator_crash_mid_travel_fails_over_on_all_engines() {
             EngineConfig::new(kind).chaos(plan),
         )
         .unwrap();
-        let ticket = cluster.start(&q).unwrap();
+        let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
         let got = cluster
             .wait(&ticket, Duration::from_secs(30))
             .unwrap_or_else(|e| panic!("{kind:?}: travel must survive the crash: {e}"));
@@ -81,7 +81,7 @@ fn coordinator_crash_during_result_assembly_recovers() {
             EngineConfig::new(kind).chaos(plan),
         )
         .unwrap();
-        let ticket = cluster.start(&q).unwrap();
+        let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
         let got = cluster
             .wait(&ticket, Duration::from_secs(30))
             .unwrap_or_else(|e| panic!("{kind:?}: late crash must be survivable: {e}"));
@@ -117,7 +117,7 @@ fn double_failover_survives_on_all_engines() {
             EngineConfig::new(kind).chaos(plan),
         )
         .unwrap();
-        let ticket = cluster.start(&q).unwrap();
+        let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
         let got = cluster
             .wait(&ticket, Duration::from_secs(30))
             .unwrap_or_else(|e| panic!("{kind:?}: double failover must succeed: {e}"));
@@ -139,7 +139,6 @@ fn double_failover_survives_on_all_engines() {
 fn failover_is_deterministic_for_a_fixed_seed() {
     let run = |tag: &str| {
         let g = random_graph(4242, 50, None);
-        let q = mixed_query();
         let dir = tmp(tag);
         let plan = ChaosPlan {
             crashes: vec![CrashPoint::coordinator(1, 4)],
@@ -151,7 +150,7 @@ fn failover_is_deterministic_for_a_fixed_seed() {
             EngineConfig::new(EngineKind::GraphTrek).chaos(plan),
         )
         .unwrap();
-        let ticket = cluster.start(&q).unwrap();
+        let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
         let got = cluster.wait(&ticket, Duration::from_secs(30)).unwrap();
         cluster.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -175,7 +174,6 @@ fn failover_is_deterministic_for_a_fixed_seed() {
 #[test]
 fn timeout_error_carries_last_progress() {
     let g = random_graph(7, 40, None);
-    let q = mixed_query();
     let dir = tmp("timeout-progress");
     let cluster = Cluster::build(
         &g,
@@ -183,10 +181,10 @@ fn timeout_error_carries_last_progress() {
         EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
     )
     .unwrap();
-    // Travel 1's coordinator is server 1; cutting server 0 starves the
-    // traversal of one shard without touching the coordinator.
+    // Server 1 coordinates; cutting server 0 starves the traversal of one
+    // shard without touching the coordinator.
     cluster.isolate_server(0, true);
-    let ticket = cluster.start(&q).unwrap();
+    let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
     let err = cluster.wait(&ticket, Duration::from_millis(400));
     match err {
         Err(ClusterError::Travel(TravelError::Timeout {
@@ -215,7 +213,6 @@ fn timeout_error_carries_last_progress() {
 #[test]
 fn short_wait_timeout_is_not_overshot_by_the_progress_probe() {
     let g = random_graph(19, 30, None);
-    let q = mixed_query();
     let dir = tmp("probe-overshoot");
     let cluster = Cluster::build(
         &g,
@@ -223,10 +220,10 @@ fn short_wait_timeout_is_not_overshot_by_the_progress_probe() {
         EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
     )
     .unwrap();
-    // Travel 1's coordinator is server 1; isolating it swallows both the
-    // travel and the post-deadline progress query.
+    // Server 1 coordinates; isolating it swallows both the travel and the
+    // post-deadline progress query.
     cluster.isolate_server(1, true);
-    let ticket = cluster.start(&q).unwrap();
+    let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
     let started = std::time::Instant::now();
     let err = cluster.wait(&ticket, Duration::from_millis(40));
     let elapsed = started.elapsed();
@@ -237,6 +234,10 @@ fn short_wait_timeout_is_not_overshot_by_the_progress_probe() {
     assert!(
         elapsed < Duration::from_millis(250),
         "wait(40ms) took {elapsed:?}: the probe window must be capped by the timeout"
+    );
+    assert!(
+        cluster.metrics().iter().all(|m| m.travels_coordinated == 0),
+        "the submission reached a live server, not the isolated coordinator"
     );
     cluster.isolate_server(1, false);
     cluster.shutdown();
@@ -282,7 +283,6 @@ fn cancelled_travel_reports_typed_cancellation() {
 #[test]
 fn coordinator_loss_without_reliability_is_typed() {
     let g = random_graph(13, 40, None);
-    let q = mixed_query();
     let dir = tmp("coord-lost");
     let cluster = Cluster::build(
         &g,
@@ -291,9 +291,9 @@ fn coordinator_loss_without_reliability_is_typed() {
     )
     .unwrap();
     cluster.isolate_server(0, true); // stall so the crash lands mid-travel
-    let ticket = cluster.start(&q).unwrap();
+    let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
     std::thread::sleep(Duration::from_millis(50));
-    cluster.crash_server(1).unwrap(); // travel 1's coordinator
+    cluster.crash_server(1).unwrap(); // the travel's coordinator
     let started = std::time::Instant::now();
     let err = cluster.wait(&ticket, Duration::from_secs(30));
     assert!(
@@ -326,7 +326,6 @@ fn coordinator_loss_without_reliability_is_typed() {
 #[test]
 fn progress_reroutes_to_successor_after_failover() {
     let g = random_graph(17, 40, None);
-    let q = mixed_query();
     let dir = tmp("reroute");
     // Drop 100% of the relayed data plane so the travel outlives the
     // failover (the control plane — abort, submit and progress
@@ -342,7 +341,7 @@ fn progress_reroutes_to_successor_after_failover() {
         EngineConfig::new(EngineKind::GraphTrek).chaos(plan),
     )
     .unwrap();
-    let ticket = cluster.start(&q).unwrap();
+    let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     cluster.crash_server(1).unwrap();
     let err = cluster.wait(&ticket, Duration::from_millis(800));
@@ -388,13 +387,13 @@ fn a_travel_co_running_beside_a_failover_is_untouched() {
         EngineConfig::new(EngineKind::GraphTrek).chaos(plan),
     )
     .unwrap();
-    let first = cluster.start(&q).unwrap(); // coordinator 1: will crash
+    let first = cluster.start(&mixed_query_on(&cluster, 1)).unwrap(); // will crash
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while !cluster.server_crashed(1) {
         assert!(std::time::Instant::now() < deadline, "never crashed");
         std::thread::sleep(Duration::from_millis(1));
     }
-    let beside = cluster.start(&q).unwrap(); // coordinator 2
+    let beside = cluster.start(&mixed_query_on(&cluster, 2)).unwrap();
     assert_eq!(cluster.active_travels(), 2);
     let a = cluster.wait(&first, Duration::from_secs(30)).unwrap();
     assert_eq!(a.by_depth, want, "failed-over travel diverged");
@@ -402,6 +401,11 @@ fn a_travel_co_running_beside_a_failover_is_untouched() {
     let b = cluster.wait(&beside, Duration::from_secs(30)).unwrap();
     assert_eq!(b.by_depth, want, "co-running travel diverged");
     assert_eq!(b.failovers, 0, "the co-runner kept its coordinator");
+    assert_eq!(
+        cluster.metrics()[2].travels_coordinated,
+        2,
+        "server 2 hosts the re-drive and the co-runner"
+    );
     assert_eq!(cluster.active_travels(), 0);
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -413,7 +417,6 @@ fn a_travel_co_running_beside_a_failover_is_untouched() {
 #[test]
 fn cancel_after_a_failover_reports_the_tickets_travel() {
     let g = random_graph(31, 40, None);
-    let q = mixed_query();
     let dir = tmp("cancel-after-failover");
     // Drop 100% of the relayed data plane so neither incarnation can
     // finish; the raw control plane keeps flowing.
@@ -427,7 +430,7 @@ fn cancel_after_a_failover_reports_the_tickets_travel() {
         EngineConfig::new(EngineKind::GraphTrek).chaos(plan),
     )
     .unwrap();
-    let ticket = cluster.start(&q).unwrap();
+    let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     cluster.crash_server(1).unwrap();
     let waiter = std::thread::scope(|s| {

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{random_graph, tmp};
+use common::{owner, random_graph, tmp};
 use graphtrek::cluster::{Cluster, ClusterConfig};
 use graphtrek::engine::{EngineConfig, EngineKind, TransportKind};
 use graphtrek::frontdoor::FrontDoor;
@@ -135,7 +135,7 @@ fn partition_copy_over_uds_keeps_travels_on_the_oracle() {
     )
     .unwrap();
     let ticket = cluster.start(q).unwrap();
-    let from = (ticket.travel() as usize + 1) % 3;
+    let from = (owner(&cluster, 0) + 1) % 3; // not the coordinator
     let partition = cluster.placement().primaried_by(from)[0];
     let to = cluster.placement().replicas_of(partition)[0];
     cluster.migrate(partition, to).unwrap();

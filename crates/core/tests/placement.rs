@@ -8,7 +8,10 @@
 
 mod common;
 
-use common::{failovers, mixed_query, oracle_map, random_graph, tmp};
+use common::{
+    failovers, led_by, mixed_query, mixed_query_on, oracle_map, owner, random_graph, tmp,
+    MIXED_SOURCES,
+};
 use graphtrek::prelude::*;
 use gt_graph::{Edge, Props, Vertex};
 use std::time::Duration;
@@ -83,7 +86,7 @@ fn replica_promotion_after_primary_crash_on_all_engines() {
         );
         let ticket = cluster.start(&q).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let coord = (ticket.travel() as usize) % 3;
+        let coord = owner(&cluster, MIXED_SOURCES[0]);
         let dead = (coord + 1) % 3;
         cluster.crash_server(dead).unwrap();
         // The disk is gone too: promotion must not depend on WAL replay.
@@ -133,8 +136,10 @@ fn promotion_leaves_finished_unwaited_travels_alone() {
     )
     .unwrap();
     // Five fire-and-forget travels, coordinators 1, 2, 0, 1, 2.
-    for _ in 0..5 {
-        cluster.start(&mixed_query()).unwrap();
+    for coordinator in [1, 2, 0, 1, 2] {
+        cluster
+            .start(&mixed_query_on(&cluster, coordinator))
+            .unwrap();
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while cluster.active_travels() != 0 {
@@ -145,6 +150,12 @@ fn promotion_leaves_finished_unwaited_travels_alone() {
         // Completions are observed by whoever pumps the client port.
         let _ = cluster.get_vertex(VertexId(0)).unwrap();
     }
+    let coordinated: Vec<u64> = cluster
+        .metrics()
+        .iter()
+        .map(|m| m.travels_coordinated)
+        .collect();
+    assert_eq!(coordinated, vec![1, 2, 2]);
     cluster.crash_server(2).unwrap();
     cluster.promote(2).unwrap();
     assert_eq!(failovers(&cluster), 0, "a finished travel was handed off");
@@ -161,8 +172,8 @@ fn promotion_leaves_finished_unwaited_travels_alone() {
 /// Drain a live non-coordinator server while a travel is in flight: its
 /// partitions migrate away (snapshot + forwarded writes + cutover re-routing the
 /// frontier), the travel completes with the oracle's result, and the
-/// drained server ends up primarying nothing. Follow-up travels —
-/// including ones whose id hashes onto the drained server — still work.
+/// drained server ends up primarying nothing. Follow-up travels still
+/// work.
 #[test]
 fn decommission_drains_server_mid_travel_on_all_engines() {
     let g = random_graph(13, 60, None);
@@ -179,7 +190,7 @@ fn decommission_drains_server_mid_travel_on_all_engines() {
         )
         .unwrap();
         let ticket = cluster.start(&q).unwrap();
-        let coord = (ticket.travel() as usize) % 4;
+        let coord = owner(&cluster, MIXED_SOURCES[0]);
         let drained = (coord + 1) % 4;
         let moves = cluster.decommission(drained).unwrap();
         assert!(
@@ -205,9 +216,8 @@ fn decommission_drains_server_mid_travel_on_all_engines() {
             cluster.net_stats().bulk_messages() > 0,
             "{kind:?}: snapshot chunks ride the bulk traffic class"
         );
-        // Travels keep landing correctly — including ids whose hash
-        // coordinator would have been the drained server (the ring
-        // advances past it).
+        // Travels keep landing correctly: the drained server primaries
+        // none of their sources, so it coordinates none of them.
         for _ in 0..4 {
             let r = cluster.submit(&q).unwrap();
             assert_eq!(r.by_depth, want, "{kind:?}: post-drain travel diverged");
@@ -241,10 +251,10 @@ fn coordinator_crash_while_a_peer_is_isolated_recovers_at_rf_1_and_2() {
                 EngineConfig::new(kind).force_reliable_delivery(true),
             )
             .unwrap();
-            // Travel 1's coordinator is server 1; starving server 0 keeps
-            // the travel in flight until the crash.
+            // Server 1 coordinates; starving server 0 keeps the travel in
+            // flight until the crash.
             cluster.isolate_server(0, true);
-            let ticket = cluster.start(&q).unwrap();
+            let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
             std::thread::sleep(Duration::from_millis(100));
             cluster.crash_server(1).unwrap();
             cluster.isolate_server(0, false);
@@ -382,7 +392,7 @@ fn migration_mid_travel_under_chaos_on_all_engines() {
         let ticket = cluster.start(&q).unwrap();
         // Move a partition primaried by a non-coordinator while the
         // travel's frontier is live.
-        let coord = (ticket.travel() as usize) % 3;
+        let coord = owner(&cluster, MIXED_SOURCES[0]);
         let from = (coord + 1) % 3;
         let to = (coord + 2) % 3;
         let partition = *cluster
@@ -409,7 +419,6 @@ fn migration_mid_travel_under_chaos_on_all_engines() {
 fn migration_cutover_racing_coordinator_failover_is_deterministic() {
     let run = |tag: &str| {
         let g = random_graph(4242, 50, None);
-        let q = mixed_query();
         let dir = tmp(tag);
         let plan = ChaosPlan {
             crashes: vec![CrashPoint::coordinator(1, 4)],
@@ -421,10 +430,10 @@ fn migration_cutover_racing_coordinator_failover_is_deterministic() {
             EngineConfig::new(EngineKind::GraphTrek).chaos(plan),
         )
         .unwrap();
-        let ticket = cluster.start(&q).unwrap(); // travel 1: coordinator 1
-                                                 // Migrate a partition off server 0 while the coordinator's crash
-                                                 // point is arming: the cutover broadcast and the failover handoff
-                                                 // interleave on every server.
+        let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
+        // Migrate a partition off server 0 while the coordinator's crash
+        // point is arming: the cutover broadcast and the failover handoff
+        // interleave on every server.
         let partition = *cluster.placement().primaried_by(0).first().unwrap();
         cluster.migrate(partition, 2).unwrap();
         let got = cluster
@@ -456,12 +465,15 @@ fn migration_cutover_racing_coordinator_failover_is_deterministic() {
 #[test]
 fn a_long_travel_fails_over() {
     let g = random_graph(53, 600, None);
-    let mut q = GTravel::v((0u64..12).collect::<Vec<_>>());
-    for _ in 0..12 {
-        q = q.e("link").e("read").e("write");
-    }
-    let q = q.rtn();
-    let want = oracle_map(&g, &q);
+    let sources: Vec<u64> = (0..12).collect();
+    let chain = |sources: Vec<u64>| {
+        let mut q = GTravel::v(sources);
+        for _ in 0..12 {
+            q = q.e("link").e("read").e("write");
+        }
+        q.rtn()
+    };
+    let want = oracle_map(&g, &chain(sources.clone()));
     let dir = tmp("long-failover");
     let plan = ChaosPlan {
         crashes: vec![CrashPoint::coordinator(1, 120)],
@@ -473,7 +485,10 @@ fn a_long_travel_fails_over() {
         EngineConfig::new(EngineKind::AsyncPlain).chaos(plan),
     )
     .unwrap();
-    let got = cluster.submit(&q).unwrap();
+    // Led by a source server 1 owns, server 1 coordinates it.
+    let got = cluster
+        .submit(&chain(led_by(&cluster, 1, &sources)))
+        .unwrap();
     assert_eq!(got.by_depth, want, "the re-drive must not change results");
     assert_eq!(got.failovers, 1, "the crash point lands mid-travel");
     assert_eq!(cluster.metrics()[1].crashes, 1);
@@ -489,7 +504,6 @@ fn a_long_travel_fails_over() {
 #[test]
 fn a_silent_successor_surfaces_failover_stalled() {
     let g = random_graph(59, 40, None);
-    let q = mixed_query();
     let dir = tmp("stalled");
     let cluster = Cluster::build(
         &g,
@@ -497,10 +511,10 @@ fn a_silent_successor_surfaces_failover_stalled() {
         EngineConfig::new(EngineKind::GraphTrek).force_reliable_delivery(true),
     )
     .unwrap();
-    // Travel 1: coordinator 1, successor-to-be 2. Isolating 2 both
-    // stalls the travel and swallows the re-drive's `Submit` and probes.
+    // Coordinator 1, successor-to-be 2. Isolating 2 both stalls the
+    // travel and swallows the re-drive's `Submit` and probes.
     cluster.isolate_server(2, true);
-    let ticket = cluster.start(&q).unwrap();
+    let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     cluster.crash_server(1).unwrap();
     let started = std::time::Instant::now();

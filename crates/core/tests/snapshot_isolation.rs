@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{oracle_map, random_graph, tmp};
+use common::{mixed_query, mixed_query_on, oracle_map, owner, random_graph, tmp, MIXED_SOURCES};
 use graphtrek::prelude::*;
 use gt_graph::{Edge, InMemoryGraph, Props, Vertex};
 use proptest::prelude::*;
@@ -20,27 +20,15 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// A query whose depth-1 frontier is rtn()'d, so fresh "link" edges off
-/// the sources change the result immediately, and whose deeper hops give
-/// multi-version reads at every depth something to leak through.
-fn snap_query() -> GTravel {
-    GTravel::v([0u64, 1, 2, 3, 4, 5])
-        .e("link")
-        .rtn()
-        .e("read")
-        .va(PropFilter::range("w", 0i64, 8i64))
-        .e("link")
-        .e("link")
-}
-
 fn versioned(kind: EngineKind) -> EngineConfig {
     EngineConfig::new(kind).snapshot_isolation(true)
 }
 
 /// New vertices (`ids`, type File, w = 1 so the w-filter passes) hung
-/// off the base sources by fresh "link" edges — depth 1 is rtn()'d, so
-/// [`snap_query`]'s result provably changes — plus "read"/"link" chains
-/// between the new vertices so deeper depths move too. Every row (vertex
+/// off the base sources by fresh "link" edges — [`mixed_query`]'s depth 1
+/// is rtn()'d, so its result provably changes — plus "read"/"link" chains
+/// between the new vertices, so its deeper hops give multi-version reads
+/// at every depth something to leak through. Every row (vertex
 /// id and edge source) is owned by a server `!= avoid`, so batches can
 /// be applied while that server is isolated or crashed.
 fn growth_rows(
@@ -138,7 +126,7 @@ fn with_auto_restart<T>(cluster: &Cluster, f: impl FnOnce() -> T) -> T {
 #[test]
 fn live_ingest_stays_invisible_until_the_next_travel() {
     let g = random_graph(11, 50, None);
-    let q = snap_query();
+    let q = mixed_query();
     let want_frozen = oracle_map(&g, &q);
     for kind in EngineKind::all() {
         let dir = tmp(&format!("steady-{kind:?}"));
@@ -148,17 +136,16 @@ fn live_ingest_stays_invisible_until_the_next_travel() {
             versioned(kind).force_reliable_delivery(true),
         )
         .unwrap();
-        // Travel 1's coordinator is server 1; stall the travel by
-        // isolating some other server that owns a source shard.
-        let iso = (0..6u64)
-            .map(|s| {
-                let m = cluster.placement();
-                m.primary_of(m.partition_of(VertexId(s)))
-            })
+        // Server 1 coordinates; stall the travel by isolating some other
+        // server that owns a source shard.
+        let iso = MIXED_SOURCES
+            .iter()
+            .map(|&s| owner(&cluster, s))
             .find(|&o| o != 1)
             .expect("some source must live off the coordinator");
         cluster.isolate_server(iso, true);
-        let ticket = cluster.start(&q).unwrap(); // read view freezes here
+        // The read view freezes here.
+        let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
         let (vs, es) = growth_rows(&cluster, Some(iso), 1000..1012);
         let mut g_after = g.clone();
         apply(&mut g_after, &vs, &es);
@@ -201,7 +188,7 @@ fn live_ingest_stays_invisible_until_the_next_travel() {
 #[test]
 fn as_of_and_created_after_pin_reads_to_explicit_seqs() {
     let g = random_graph(17, 40, None);
-    let q = snap_query();
+    let q = mixed_query();
     let dir = tmp("asof");
     let cluster = Cluster::build(
         &g,
@@ -229,13 +216,13 @@ fn as_of_and_created_after_pin_reads_to_explicit_seqs() {
     // Latest view sees everything; each as_of() rewinds one batch.
     let now = cluster.submit(&q).unwrap();
     assert_eq!(now.by_depth, oracle_map(&g_b, &q));
-    let at_a = cluster.submit(&snap_query().as_of(s1)).unwrap();
+    let at_a = cluster.submit(&mixed_query().as_of(s1)).unwrap();
     assert_eq!(
         at_a.by_depth,
         oracle_map(&g_a, &q),
         "as_of(s1) must see A only"
     );
-    let at_base = cluster.submit(&snap_query().as_of(s0)).unwrap();
+    let at_base = cluster.submit(&mixed_query().as_of(s0)).unwrap();
     assert_eq!(
         at_base.by_depth,
         oracle_map(&g, &q),
@@ -285,19 +272,19 @@ fn as_of_and_created_after_pin_reads_to_explicit_seqs() {
 #[test]
 fn frozen_view_survives_coordinator_failover() {
     let g = random_graph(23, 50, None);
-    let q = snap_query();
+    let q = mixed_query();
     let want_frozen = oracle_map(&g, &q);
     for kind in EngineKind::all() {
         let dir = tmp(&format!("failover-{kind:?}"));
-        // Travel 1's coordinator is server 1: kill it after a handful of
-        // status-tracing events.
+        // A travel from a source server 1 owns is coordinated there: kill
+        // it after a handful of status-tracing events.
         let plan = ChaosPlan {
             crashes: vec![CrashPoint::coordinator(1, 4)],
             ..ChaosPlan::none()
         };
         let cluster =
             Cluster::build(&g, ClusterConfig::new(&dir, 3), versioned(kind).chaos(plan)).unwrap();
-        let ticket = cluster.start(&q).unwrap();
+        let ticket = cluster.start(&mixed_query_on(&cluster, 1)).unwrap();
         // Rows avoid the crashing server so the ingest acks promptly.
         let (vs, es) = growth_rows(&cluster, Some(1), 1000..1012);
         let mut g_after = g.clone();
@@ -334,7 +321,7 @@ fn frozen_view_survives_coordinator_failover() {
 #[test]
 fn frozen_view_survives_live_migration_cutover() {
     let g = random_graph(31, 50, None);
-    let q = snap_query();
+    let q = mixed_query();
     let want_frozen = oracle_map(&g, &q);
     let dir = tmp("migrate");
     let cluster = Cluster::build(
@@ -367,7 +354,7 @@ fn frozen_view_survives_live_migration_cutover() {
     assert_eq!(next.by_depth, oracle_map(&g_after, &q));
     // Time travel across the migrated shard: the pre-ingest view is
     // still reconstructible from the shard's new home.
-    let rewound = cluster.submit(&snap_query().as_of(s0)).unwrap();
+    let rewound = cluster.submit(&mixed_query().as_of(s0)).unwrap();
     assert_eq!(
         rewound.by_depth, want_frozen,
         "migration must preserve historical versions"
@@ -394,7 +381,7 @@ fn chaos_crashes_with_live_ingest_never_tear_a_snapshot() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(4242);
     let g = random_graph(seed, 40, None);
-    let q = snap_query();
+    let q = mixed_query();
     let dir = tmp("chaos");
     let plan = ChaosPlan {
         seed,
@@ -482,7 +469,7 @@ proptest! {
         split_pick in 0usize..4,
     ) {
         let g = random_graph(seed, 24, None);
-        let q = snap_query();
+        let q = mixed_query();
         let split = split_pick.min(batches.len());
         let dir = tmp(&format!("prop-{seed}"));
         let cluster = Cluster::build(
@@ -536,7 +523,7 @@ proptest! {
 #[test]
 fn versioning_off_keeps_every_snapshot_counter_at_zero() {
     let g = random_graph(41, 40, None);
-    let q = snap_query();
+    let q = mixed_query();
     let want = oracle_map(&g, &q);
     let dir = tmp("dormant");
     let cluster = Cluster::build(
@@ -554,7 +541,7 @@ fn versioning_off_keeps_every_snapshot_counter_at_zero() {
     assert_eq!(got.by_depth, oracle_map(&g_after, &q));
     // An as_of bound on an unversioned cluster is inert: reads resolve
     // to the latest rows and no counter moves.
-    let bounded = cluster.submit(&snap_query().as_of(1)).unwrap();
+    let bounded = cluster.submit(&mixed_query().as_of(1)).unwrap();
     assert_eq!(bounded.by_depth, oracle_map(&g_after, &q));
     assert_ne!(got.by_depth, want, "the ingest must have been visible");
     assert!(cluster.get_vertex(probe).unwrap().is_some());

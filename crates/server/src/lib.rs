@@ -356,6 +356,7 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
             })
             .map_err(|e| ServeError::Cluster(ClusterError::Storage(e)))?;
 
+            let placement = Arc::new(SharedPlacement::new(map));
             let server = spawn(ServerArgs {
                 id: p,
                 n_servers: n,
@@ -365,13 +366,14 @@ pub fn serve(cfg: &NodeConfig) -> Result<Running, ServeError> {
                 epoch: 0,
                 metrics: None,
                 crash_after: None,
-                placement: Arc::new(SharedPlacement::new(map)),
+                placement: placement.clone(),
                 self_healing: false,
             });
             // Several processes' ports share the servers: each mints ids in
-            // its own endpoint's range.
+            // its own endpoint's range. The door picks coordinators by the
+            // same (static) placement its server routes by.
             let id_base = (agent_ep.id() as u64) << 48;
-            let agent = Arc::new(ClientPort::new(agent_ep, n, id_base));
+            let agent = Arc::new(ClientPort::new(agent_ep, placement, id_base));
             let door = FrontDoor::serve(agent, cfg.listen.clone(), cfg.qos.clone())
                 .map_err(ServeError::Io)?;
             Ok(Running {

@@ -8,7 +8,7 @@
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
-use common::{mixed_query, oracle_map, random_graph, tmp};
+use common::{mixed_query, mixed_query_on, oracle_map, owner, random_graph, tmp, MIXED_SOURCES};
 use graphtrek::message::Msg;
 use graphtrek::ExecId;
 use graphtrek_suite::prelude::*;
@@ -41,8 +41,8 @@ fn lossy_links_leave_every_engine_on_the_oracle() {
     }
 }
 
-/// Travel 1 is coordinated by server 1 of 3, which dies four tracing
-/// events in; server 2 re-drives it.
+/// A travel from a source server 1 of 3 owns is coordinated there; the
+/// server dies four tracing events in, and server 2 re-drives it.
 #[test]
 fn a_coordinator_crash_is_one_failover_on_every_engine() {
     let g = random_graph(11, 50, None);
@@ -60,7 +60,7 @@ fn a_coordinator_crash_is_one_failover_on_every_engine() {
             EngineConfig::new(kind).chaos(plan),
         )
         .unwrap();
-        let got = cluster.submit(&q).unwrap();
+        let got = cluster.submit(&mixed_query_on(&cluster, 1)).unwrap();
         assert_eq!(got.by_depth, want, "{kind:?} diverged across the failover");
         assert_eq!(got.failovers, 1, "{kind:?}");
         assert_eq!(got.restarts, 0, "{kind:?}: same travel id, no resubmission");
@@ -101,7 +101,7 @@ fn a_promoted_replica_finishes_the_travel() {
     .unwrap();
     let ticket = cluster.start(&q).unwrap();
     std::thread::sleep(Duration::from_millis(20));
-    let dead = (ticket.travel() as usize + 1) % 3; // not the coordinator
+    let dead = (owner(&cluster, MIXED_SOURCES[0]) + 1) % 3; // not the coordinator
     cluster.crash_server(dead).unwrap();
     std::fs::remove_dir_all(dir.join(format!("server-{dead}"))).ok();
     assert!(!cluster.promote(dead).unwrap().is_empty());
@@ -126,21 +126,29 @@ fn an_admitted_travel_does_not_see_a_later_acked_ingest() {
             .force_reliable_delivery(true),
     )
     .unwrap();
-    let owner = |v: VertexId| {
-        let m = cluster.placement();
-        m.primary_of(m.partition_of(v))
-    };
-    // Travel 1 is coordinated by server 1. Its source lives on server 0,
-    // which is cut off until the ingest is acked, so the second hop —
-    // off `mid`, where the new edge hangs — is read strictly after it.
+    let on = |v: VertexId| owner(&cluster, v.0);
+    // The source and its owner, the travel's coordinator, are live. Every
+    // second-hop path to `mid`, where the new edge hangs, runs through
+    // server 0, which is cut off until the ingest is acked, so `mid` is
+    // read at depth 2 strictly after it.
     let cut = 0;
-    let hop = g
-        .iter_edges()
-        .find(|e| e.label == "link" && owner(e.src) == cut && owner(e.dst) != cut)
-        .expect("a link edge leaving server 0");
-    let (src, mid) = (hop.src, hop.dst);
-    let new = (1000..).map(VertexId).find(|&v| owner(v) != cut).unwrap();
-    let q = GTravel::v([src]).e("link").e("link");
+    let links = || g.iter_edges().filter(|e| e.label == "link");
+    let (src, mid) = links()
+        .map(|e| e.src)
+        .filter(|&src| on(src) != cut)
+        .find_map(|src| {
+            let first: Vec<VertexId> = links().filter(|e| e.src == src).map(|e| e.dst).collect();
+            let into = |mid: VertexId| links().filter(move |e| e.dst == mid);
+            let via_cut = |mid| into(mid).all(|e| !first.contains(&e.src) || on(e.src) == cut);
+            links()
+                .filter(|e| first.contains(&e.src) && on(e.src) == cut && on(e.dst) != cut)
+                .map(|e| e.dst)
+                .find(|&mid| via_cut(mid))
+                .map(|mid| (src, mid))
+        })
+        .expect("a link path from a live server through server 0 and out");
+    let new = (1000..).map(VertexId).find(|&v| on(v) != cut).unwrap();
+    let q = GTravel::v([src]).e("link").e("link").e("link");
     let vertex = Vertex::new(new, "File", Props::new());
     let edge = Edge::new(mid, "link", new, Props::new());
     let mut after = g.clone();

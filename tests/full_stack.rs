@@ -305,7 +305,7 @@ fn bare_client_port_drives_a_travel_over_a_uds_mesh() {
         })
         .collect();
     let id_base = (client.id() as u64) << 48;
-    let port = ClientPort::new(client, n, id_base);
+    let port = ClientPort::new(client, Arc::new(SharedPlacement::new(map)), id_base);
     let ticket = port.begin(plan).unwrap();
     assert_eq!(ticket.travel(), id_base + 1);
     let got = port.wait(&ticket, Duration::from_secs(30)).unwrap();
