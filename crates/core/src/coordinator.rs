@@ -35,6 +35,7 @@
 //! defect in the transport degrades to a stuck travel (caught by the
 //! silent-failure timeout) rather than a wrong result.
 
+use crate::keyed::Keyed;
 use crate::lang::Plan;
 use crate::message::{ProgressSnapshot, SyncExpect, TravelOutcome};
 use crate::ExecId;
@@ -51,16 +52,16 @@ pub struct TravelLedger {
     pub client: usize,
     /// Servers that reported running an execution of this travel.
     hosts: BTreeSet<usize>,
-    created: HashSet<ExecId>,
-    terminated: HashSet<ExecId>,
+    created: HashSet<ExecId, Keyed>,
+    terminated: HashSet<ExecId, Keyed>,
     /// Terminations that arrived before their creation report.
-    orphans: HashSet<ExecId>,
+    orphans: HashSet<ExecId, Keyed>,
     /// |created ∩ terminated|.
     matched: usize,
     /// Outstanding executions per depth (created − terminated).
     outstanding: BTreeMap<u16, i64>,
-    depth_of: HashMap<ExecId, u16>,
-    results: BTreeMap<u16, BTreeSet<VertexId>>,
+    depth_of: HashMap<ExecId, u16, Keyed>,
+    results: Returned,
     created_total: u64,
     terminated_total: u64,
 }
@@ -73,13 +74,13 @@ impl TravelLedger {
             plan,
             client,
             hosts: BTreeSet::new(),
-            created: HashSet::new(),
-            terminated: HashSet::new(),
-            orphans: HashSet::new(),
+            created: HashSet::default(),
+            terminated: HashSet::default(),
+            orphans: HashSet::default(),
             matched: 0,
             outstanding: BTreeMap::new(),
-            depth_of: HashMap::new(),
-            results: BTreeMap::new(),
+            depth_of: HashMap::default(),
+            results: Returned::default(),
             created_total: 0,
             terminated_total: 0,
         }
@@ -121,9 +122,7 @@ impl TravelLedger {
 
     /// Record returned vertices.
     pub fn add_results(&mut self, items: &[(u16, VertexId)]) {
-        for &(depth, v) in items {
-            self.results.entry(depth).or_default().insert(v);
-        }
+        self.results.add(items);
     }
 
     /// Apply one execution's report: the vertices it returned, the
@@ -171,7 +170,7 @@ impl TravelLedger {
     /// Assemble the final outcome (call once [`TravelLedger::is_done`]).
     pub fn outcome(&self) -> TravelOutcome {
         TravelOutcome {
-            by_depth: assemble_by_depth(&self.plan, &self.results),
+            by_depth: self.results.by_depth(&self.plan),
             progress: self.progress(),
         }
     }
@@ -197,7 +196,7 @@ pub struct SyncState {
     /// Origin tokens promised per owner server (virtual final step).
     pub origin_expected: HashMap<usize, u64>,
     /// Collected results.
-    pub results: BTreeMap<u16, BTreeSet<VertexId>>,
+    results: Returned,
     /// Barrier count already performed (diagnostics).
     pub barriers: u64,
 }
@@ -213,7 +212,7 @@ impl SyncState {
             pending: (0..n_servers).collect(),
             next_expected: HashMap::new(),
             origin_expected: HashMap::new(),
-            results: BTreeMap::new(),
+            results: Returned::default(),
             barriers: 0,
         }
     }
@@ -271,42 +270,58 @@ impl SyncState {
 
     /// Record returned vertices.
     pub fn add_results(&mut self, items: &[(u16, VertexId)]) {
-        for &(depth, v) in items {
-            self.results.entry(depth).or_default().insert(v);
+        self.results.add(items);
+    }
+
+    /// Progress: the barriers performed so far.
+    pub fn progress(&self) -> ProgressSnapshot {
+        ProgressSnapshot {
+            created: self.barriers,
+            terminated: self.barriers,
+            outstanding_by_depth: Vec::new(),
         }
     }
 
     /// Assemble the outcome.
     pub fn outcome(&self) -> TravelOutcome {
         TravelOutcome {
-            by_depth: assemble_by_depth(&self.plan, &self.results),
-            progress: ProgressSnapshot {
-                created: self.barriers,
-                terminated: self.barriers,
-                outstanding_by_depth: Vec::new(),
-            },
+            by_depth: self.results.by_depth(&self.plan),
+            progress: self.progress(),
         }
     }
 }
 
-/// Sorted result lists for every *returned* depth of the plan, present
-/// even when empty (so an empty traversal still reports its shape).
-fn assemble_by_depth(
-    plan: &Plan,
-    results: &BTreeMap<u16, BTreeSet<VertexId>>,
-) -> Vec<(u16, Vec<VertexId>)> {
-    plan.returned_depths()
-        .into_iter()
-        .map(|d| {
-            (
-                d,
-                results
-                    .get(&d)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default(),
-            )
-        })
-        .collect()
+/// Returned vertices as reported, per depth, repeats and all: ~600 a
+/// travel on `fanout_uds`, so they are sorted and deduplicated once, when
+/// the outcome is assembled, not inserted into a set one by one.
+#[derive(Debug, Default)]
+struct Returned(Vec<Vec<VertexId>>);
+
+impl Returned {
+    fn add(&mut self, items: &[(u16, VertexId)]) {
+        for &(depth, v) in items {
+            let depth = usize::from(depth);
+            if self.0.len() <= depth {
+                self.0.resize_with(depth + 1, Vec::new);
+            }
+            self.0[depth].push(v);
+        }
+    }
+
+    /// Sorted, distinct result lists for every *returned* depth of the
+    /// plan, present even when empty (so an empty traversal still reports
+    /// its shape).
+    fn by_depth(&self, plan: &Plan) -> Vec<(u16, Vec<VertexId>)> {
+        plan.returned_depths()
+            .into_iter()
+            .map(|d| {
+                let mut vs = self.0.get(usize::from(d)).cloned().unwrap_or_default();
+                vs.sort_unstable();
+                vs.dedup();
+                (d, vs)
+            })
+            .collect()
+    }
 }
 
 /// A coordinator role instance: one per travel on its coordinator server.
@@ -428,6 +443,54 @@ mod tests {
             o.by_depth,
             vec![(1, vec![VertexId(3)]), (2, vec![VertexId(5)])]
         );
+    }
+
+    /// Reports arrive in any order and repeat vertices (two paths reach
+    /// one vertex, a retransmission repeats a report): either engine's
+    /// outcome lists each returned depth's distinct vertices in ascending
+    /// order, as a set per depth would.
+    #[test]
+    fn repeated_and_out_of_order_results_assemble_sorted_and_distinct() {
+        let p = Arc::new(
+            GTravel::v([1u64])
+                .rtn()
+                .e("a")
+                .e("b")
+                .rtn()
+                .compile()
+                .unwrap(),
+        );
+        let v = VertexId;
+        let reports = [
+            vec![(2, v(9)), (0, v(1)), (2, v(3))],
+            vec![(2, v(3)), (2, v(7))],
+            vec![],
+            vec![(0, v(1)), (2, v(9)), (2, v(0)), (1, v(5))],
+            vec![(2, v(7))],
+        ];
+        let mut sets: BTreeMap<u16, BTreeSet<VertexId>> = BTreeMap::new();
+        for &(d, x) in reports.iter().flatten() {
+            sets.entry(d).or_default().insert(x);
+        }
+        let want: Vec<(u16, Vec<VertexId>)> = p
+            .returned_depths()
+            .into_iter()
+            .map(|d| (d, sets.get(&d).into_iter().flatten().copied().collect()))
+            .collect();
+        assert_eq!(
+            want,
+            vec![(0, vec![v(1)]), (2, vec![v(0), v(3), v(7), v(9)])]
+        );
+        let mut l = TravelLedger::new(p.clone(), 0);
+        let mut s = SyncState::new(p, 0, 2);
+        for r in reports.iter().rev() {
+            l.add_results(r);
+            s.add_results(r);
+        }
+        l.exec_created(eid(0, 1), 0);
+        l.exec_terminated(eid(0, 1), &[]);
+        assert_eq!(l.outcome().by_depth, want);
+        assert_eq!(s.outcome().by_depth, want);
     }
 
     #[test]

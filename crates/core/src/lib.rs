@@ -91,6 +91,7 @@ pub mod coordinator;
 pub mod engine;
 pub mod faults;
 pub mod frontdoor;
+mod keyed;
 pub mod lang;
 pub mod lockorder;
 pub mod message;

@@ -1,38 +1,45 @@
-//! Local request queues: plain FIFO and GraphTrek's scheduling & merging
-//! queue (paper §V-B).
+//! The per-travel vertex table: GraphTrek's traversal-affiliate cache
+//! (paper §V-A) and its scheduling & merging queue (§V-B) in one structure.
 //!
 //! Each server "puts the received requests into a local queue and replies
 //! to the ancestor servers before processing"; a pool of worker threads
-//! drains it. The two policies:
+//! drains it. Both optimizations are keyed by the `{travel, step, vertex}`
+//! triple, so a server holds one [`VertexTable`]: per travel, a hash table
+//! keyed `(step, vertex)` whose slot holds the origin tokens already
+//! propagated from that visit (the cache half, [`crate::cache`]) and the
+//! parts waiting for a worker. A receipt ([`VertexTable::admit`]) takes one
+//! lock and one probe per request, which decides *redundant*, *new tokens*
+//! or *enqueue*. Two switches give the paper's configurations and the
+//! ablation's cells: a cache capacity of 0 turns the cache half off, and
+//! without the ordered pick slots are served in arrival order (plain
+//! Async-GT; the synchronous engine's per-step work list).
 //!
-//! * [`FifoQueue`] — arrival order, one vertex request at a time. This is
-//!   the plain Async-GT configuration (and the per-step work list of the
-//!   synchronous engine).
-//! * [`MergingQueue`] — a two-level policy. **Across travels** it runs
-//!   weighted fair queuing: each active travel accrues *virtual service*
-//!   as its requests are processed (scaled by a weight that favours
-//!   shallow plans), and the travel with the least virtual service is
-//!   picked next — ties broken by smallest travel id so concurrent runs
-//!   are deterministic. A travel joining (or re-joining) the queue starts
-//!   at the current virtual floor, so it neither banks credit while idle
-//!   nor starves incumbents. **Within a travel** it keeps the paper's
-//!   *execution scheduling*: "the worker thread always chooses the
-//!   request with the smallest step Id in the queue", helping slow steps
-//!   catch up and bounding the step spread (which in turn keeps the
-//!   traversal-affiliate cache effective); and *execution merging*: "we
-//!   consolidate different steps on the same vertex … we need only to
-//!   retrieve the vertex attributes or to scan its edges once locally."
-//!   [`RequestQueue::pop`] returns every queued part for the chosen
-//!   vertex, so the worker performs one storage access for all of them.
+//! The ordered pick is a two-level policy. **Across travels** it runs
+//! weighted fair queuing: each active travel accrues *virtual service* as
+//! its requests are processed (scaled by a weight that favours shallow
+//! plans), and the travel with the least virtual service is picked next —
+//! ties broken by smallest travel id so concurrent runs are deterministic.
+//! A travel joining (or re-joining) the queue starts at the current virtual
+//! floor, so it neither banks credit while idle nor starves incumbents.
+//! **Within a travel** it keeps the paper's *execution scheduling*: "the
+//! worker thread always chooses the request with the smallest step Id in
+//! the queue", helping slow steps catch up and bounding the step spread
+//! (which in turn keeps the cache effective); and *execution merging*: "we
+//! consolidate different steps on the same vertex … we need only to
+//! retrieve the vertex attributes or to scan its edges once locally."
+//! [`RequestQueue::pop`] returns every queued part for the chosen vertex,
+//! shallowest first, so the worker performs one storage access for all.
 
+use crate::cache::{CacheDecision, Seen};
+use crate::keyed::Keyed;
 use crate::lang::Plan;
 use crate::metrics::TravelMetrics;
 use crate::{ExecId, Token, Tokens, TravelId};
 use gt_graph::VertexId;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::ops::Bound;
-use std::sync::atomic::AtomicUsize;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -161,346 +168,510 @@ impl std::ops::Deref for Parts {
     }
 }
 
-impl std::ops::DerefMut for Parts {
-    fn deref_mut(&mut self) -> &mut [WorkItem] {
-        match &mut self.0 {
-            PartsRepr::Empty => &mut [],
-            PartsRepr::One(item) => std::slice::from_mut(item),
-            PartsRepr::Many(parts) => parts,
-        }
-    }
-}
-
-/// Queue behaviour shared by both policies.
+/// Queue behaviour of the table and of its [`MergingQueue`] view.
 pub trait RequestQueue: Send + Sync {
-    /// Enqueue a batch of vertex requests; returns the number of vertex
-    /// requests queued once the batch is in (the receipt path samples the
-    /// queue-length high-water mark from it without a second lock).
+    /// Enqueue a batch of vertex requests, consulting no cache; returns
+    /// the number of vertex requests queued once the batch is in.
     fn push_many(&self, items: Vec<WorkItem>) -> usize;
     /// Blocking pop. Returns every queued part for one chosen vertex
-    /// (for FIFO, every part of one entry); `None` once closed and
-    /// drained.
+    /// (in arrival order, every part of one entry); `None` once closed
+    /// and drained.
     fn pop(&self) -> Option<Parts>;
-    /// Close the queue; blocked and future pops return `None` after the
-    /// queue drains.
-    fn close(&self);
     /// Number of queued vertex requests.
     fn len(&self) -> usize;
     /// True when no vertex requests are queued.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Drop every queued request of one travel (abort path).
-    fn clear_travel(&self, travel: TravelId);
-    /// Drop every queued request of every travel (server-crash path: the
-    /// dying server's in-memory work vanishes wholesale).
-    fn clear_all(&self);
 }
 
-// --------------------------------------------------------------- FIFO
+/// A slot's key within its travel: `(step, vertex)`.
+pub type Key = (u16, VertexId);
 
-#[derive(Default)]
-struct FifoInner {
-    /// Arrival order of distinct (travel, depth, vertex) entries.
-    order: VecDeque<(TravelId, u16, VertexId)>,
-    /// Entry → queued parts. Fig. 6 of the paper draws the local queue at
-    /// exactly this granularity ("step1, v0 | step1, v1 | step2, v0 …"):
-    /// a duplicate request arriving while its twin is *still queued*
-    /// coalesces into the same entry instead of queuing again — only
-    /// re-arrivals after the entry was processed become the redundant
-    /// visits of §V-A.
-    items: HashMap<(TravelId, u16, VertexId), Parts>,
-    live: usize,
-    closed: bool,
-}
-
-/// Arrival-order queue with same-entry coalescing (plain Async-GT; the
-/// per-step work lists of the synchronous engine).
-#[derive(Default)]
-pub struct FifoQueue {
-    inner: Mutex<FifoInner>,
-    cond: Condvar,
-}
-
-impl FifoQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl RequestQueue for FifoQueue {
-    fn push_many(&self, items: Vec<WorkItem>) -> usize {
-        let mut g = self.inner.lock();
-        for item in items {
-            let key = (item.req.travel, item.depth, item.vertex);
-            match g.items.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().push(item);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Parts(PartsRepr::One(item)));
-                    g.order.push_back(key);
-                }
-            }
-            g.live += 1;
-        }
-        let live = g.live;
-        drop(g);
-        self.cond.notify_all();
-        live
-    }
-
-    fn pop(&self) -> Option<Parts> {
-        let mut g = self.inner.lock();
-        loop {
-            while let Some(key) = g.order.pop_front() {
-                if let Some(parts) = g.items.remove(&key) {
-                    g.live -= parts.len();
-                    return Some(parts);
-                }
-            }
-            if g.closed {
-                return None;
-            }
-            self.cond.wait(&mut g);
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.cond.notify_all();
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().live
-    }
-
-    fn clear_travel(&self, travel: TravelId) {
-        let mut g = self.inner.lock();
-        let mut removed = 0;
-        g.items.retain(|(t, _, _), parts| {
-            if *t == travel {
-                removed += parts.len();
-                false
-            } else {
-                true
-            }
-        });
-        g.live -= removed;
-        g.order.retain(|(t, _, _)| *t != travel);
-    }
-
-    fn clear_all(&self) {
-        let mut g = self.inner.lock();
-        g.order.clear();
-        g.items.clear();
-        g.live = 0;
-    }
-}
-
-// ----------------------------------------------- scheduling & merging
+/// A travel's order index: the held vertex ids of each step.
+type Order = Vec<BTreeSet<VertexId>>;
 
 /// Virtual-service units charged per processed part at weight 1.
 const VS_SCALE: u64 = 1024;
 
-/// Fair-share weight for a travel whose plan is `depth` hops long:
-/// shallow (interactive) plans get a larger share of worker service than
-/// deep scans, so a short query is not drained behind a long one.
-fn weight_for_depth(depth: u16) -> u64 {
-    (12 / (u64::from(depth) + 1)).max(1)
+/// Cleared travel tables kept for reuse, each sized for at most
+/// `SPARE_SLOTS`: a point travel allocates no table of its own, and a
+/// fan-out travel starts at the size its predecessor grew to.
+const SPARE_TABLES: usize = 8;
+const SPARE_SLOTS: usize = 1 << 12;
+
+/// One `(step, vertex)` of one travel: the cache half, the parts waiting
+/// in arrival order, and whether the key is in the order index (or the
+/// arrival queue) — parts wait, or it is an empty place-holder.
+#[derive(Default)]
+struct Slot {
+    seen: Seen,
+    parts: Parts,
+    held: bool,
 }
 
+/// One travel's slots and its place in the fair share.
 #[derive(Default)]
-struct TravelQ {
-    /// `(depth, vertex)` → the parts queued for it, in arrival order. The
-    /// key order *is* the pick order: smallest step first, then vertex id.
-    /// Sorted draining matters: storage clusters adjacent keys into runs,
-    /// so visiting a backlog in key order turns most reads into
-    /// sequential/warm accesses — the same disk-friendliness the paper's
-    /// layout exists for (§IV-B, §VI).
-    ///
-    /// A slot whose parts were merged into a shallower pop of the same
-    /// vertex stays behind *empty*, holding the vertex's place in that
-    /// depth's sweep. If the vertex is queued again before the sweep gets
-    /// there — at that depth or a deeper one — it is served at the held
-    /// place, next to its key-order neighbours whose run is being read
-    /// anyway, instead of waiting for its own depth's sweep to reload the
-    /// run. On `deep_cold`, dropping these place-holders costs +70 % cold
-    /// reads per travel (300 → 509) and 10 % of the travel rate.
-    slots: BTreeMap<(u16, VertexId), Parts>,
-    /// Weighted virtual service this travel has received (0 = uninitialized;
-    /// a fresh entry joins at the queue's virtual floor).
+struct TravelTable {
+    slots: HashMap<Key, Slot, Keyed>,
+    /// The order index of held keys, a set of vertex ids per step:
+    /// smallest step first, then vertex id, so a backlog is read in
+    /// storage-key order. A slot whose parts were merged into a shallower
+    /// pop of its vertex stays held *empty*: a re-queue of the vertex
+    /// before the sweep gets there is served at the held place. Dropping
+    /// these place-holders costs `deep_cold` +70 % cold reads (DESIGN.md
+    /// §15.3).
+    order: Order,
+    /// The cached keys in eviction order, built when eviction first
+    /// reaches this travel and kept from then on.
+    evictable: Option<BTreeSet<Key>>,
+    cached: usize,
+    /// Weighted virtual service received, and the fair-share weight: 0
+    /// while the travel has no place in the queue, so its next push joins
+    /// at the virtual floor.
     vservice: u64,
-    /// Fair-share weight (≥ 1 once initialized, 0 marks a fresh entry).
     weight: u64,
 }
 
-impl TravelQ {
-    /// Queue `item` behind the parts already at its `(depth, vertex)`.
-    fn put(&mut self, item: WorkItem) {
-        self.slots
-            .entry((item.depth, item.vertex))
-            .or_default()
-            .push(item);
+impl TravelTable {
+    /// Take `key`'s parts off the queue; the slot goes unless it is
+    /// cached.
+    fn release(&mut self, key: Key) -> Parts {
+        match self.slots.entry(key) {
+            Entry::Occupied(mut e) if e.get().seen.is_cached() => {
+                e.get_mut().held = false;
+                std::mem::take(&mut e.get_mut().parts)
+            }
+            Entry::Occupied(e) => e.remove().parts,
+            Entry::Vacant(_) => Parts::default(),
+        }
     }
 
     /// Take the next vertex in pick order with every part queued for it:
-    /// the slot at the smallest `(depth, vertex)`, then — execution
+    /// the held key at the smallest `(depth, vertex)`, then — execution
     /// merging — whatever the same vertex has queued at each deeper depth
-    /// (only depths that hold anything are probed: a seek to the next one,
-    /// then a lookup), so one storage access serves them all. Place-holders
-    /// with nothing to serve are dropped on the way; `None` once no slot is
-    /// left.
+    /// that holds anything, so one storage access serves them all.
+    /// Place-holders with nothing to serve are dropped on the way; `None`
+    /// once nothing is held.
     fn take_next(&mut self) -> Option<Parts> {
         loop {
-            let ((mut depth, vertex), mut parts) = self.slots.pop_first()?;
-            while let Some((&(deeper, _), _)) = self
-                .slots
-                .range((
-                    Bound::Excluded((depth, VertexId(u64::MAX))),
-                    Bound::Unbounded,
-                ))
-                .next()
-            {
-                if let Some(more) = self.slots.get_mut(&(deeper, vertex)) {
-                    parts.append(more); // leaves the place-holder
+            let depth = self.order.iter().position(|held| !held.is_empty())?;
+            let vertex = self.order[depth].pop_first()?;
+            let mut parts = self.release((depth as u16, vertex));
+            for deeper in depth + 1..self.order.len() {
+                if self.order[deeper].is_empty() {
+                    continue;
                 }
-                depth = deeper;
+                if let Some(slot) = self.slots.get_mut(&(deeper as u16, vertex)) {
+                    parts.append(&mut slot.parts); // leaves the place-holder
+                }
             }
             if !parts.is_empty() {
                 return Some(parts);
             }
         }
     }
+
+    /// Count `key` as newly cached and, while the table is over
+    /// `capacity`, evict this travel's smallest keys but `key` itself;
+    /// returns the evictions other travels still owe.
+    fn cached_one(&mut self, books: &mut Books, key: Key, capacity: usize) -> usize {
+        self.cached += 1;
+        books.cached += 1;
+        if let Some(evictable) = &mut self.evictable {
+            evictable.insert(key);
+        }
+        let mut owed = books.cached.saturating_sub(capacity);
+        while owed > 0 && self.evict_smallest(Some(key)) {
+            owed -= 1;
+            books.cached -= 1;
+        }
+        owed
+    }
+
+    /// Uncache the smallest cached key unless it is `keep`; `false` when
+    /// nothing was evicted.
+    fn evict_smallest(&mut self, keep: Option<Key>) -> bool {
+        let slots = &self.slots;
+        let evictable = self.evictable.get_or_insert_with(|| {
+            slots
+                .iter()
+                .filter(|(_, slot)| slot.seen.is_cached())
+                .map(|(key, _)| *key)
+                .collect()
+        });
+        let Some(&key) = evictable.first().filter(|&&k| Some(k) != keep) else {
+            return false;
+        };
+        evictable.pop_first();
+        self.cached -= 1;
+        if let Entry::Occupied(mut e) = self.slots.entry(key) {
+            if e.get().held {
+                e.get_mut().seen = Seen::Uncached;
+            } else {
+                e.remove();
+            }
+        }
+        true
+    }
 }
 
+/// Hold `item` in its slot, behind the parts already there; a slot not
+/// yet held joins the order index, or the arrival queue when the ordered
+/// pick is off.
+fn hold(slot: &mut Slot, order: Option<&mut Order>, books: &mut Books, item: WorkItem) {
+    if !slot.held {
+        slot.held = true;
+        let depth = usize::from(item.depth);
+        match order {
+            Some(order) => {
+                if order.len() <= depth {
+                    order.resize_with(depth + 1, BTreeSet::new);
+                }
+                order[depth].insert(item.vertex);
+            }
+            None => books
+                .arrivals
+                .push_back((item.req.travel, (item.depth, item.vertex))),
+        }
+    }
+    slot.parts.push(item);
+    books.live += 1;
+}
+
+/// The table's totals, and what is not per travel.
 #[derive(Default)]
-struct MergingInner {
-    travels: HashMap<TravelId, TravelQ>,
+struct Books {
+    /// Held keys in arrival order, when the ordered pick is off.
+    arrivals: VecDeque<(TravelId, Key)>,
+    /// Queued parts and cached slots.
     live: usize,
+    cached: usize,
     closed: bool,
     /// Virtual service of the least-served travel at the last fair pick;
     /// newly-arriving travels join here instead of at zero.
     vfloor: u64,
+    spare: Vec<TravelTable>,
 }
 
-/// GraphTrek's scheduling & merging queue (§V-B), extended with weighted
-/// fair cross-travel service for concurrent multi-travel execution.
-pub struct MergingQueue {
-    inner: Mutex<MergingInner>,
+impl Books {
+    /// Keep `table`'s allocation for a later travel.
+    fn recycle(&mut self, table: TravelTable) {
+        if self.spare.len() < SPARE_TABLES {
+            let mut slots = table.slots;
+            slots.clear();
+            slots.shrink_to(SPARE_SLOTS);
+            self.spare.push(TravelTable {
+                slots,
+                ..TravelTable::default()
+            });
+        }
+    }
+
+    /// Evict `owed` cached slots from the travels but `except`, smallest
+    /// keys first, travels in id order; what cannot go stays (soft capacity).
+    fn evict_others(
+        &mut self,
+        travels: &mut HashMap<TravelId, TravelTable, Keyed>,
+        except: TravelId,
+        mut owed: usize,
+    ) {
+        let mut others: Vec<TravelId> = travels
+            .iter()
+            .filter(|(t, table)| owed > 0 && **t != except && table.cached > 0)
+            .map(|(t, _)| *t)
+            .collect();
+        others.sort_unstable();
+        for t in others {
+            if let Some(table) = travels.get_mut(&t) {
+                while owed > 0 && table.evict_smallest(None) {
+                    owed -= 1;
+                    self.cached -= 1;
+                }
+            }
+        }
+    }
+}
+
+#[derive(Default)]
+struct Inner {
+    travels: HashMap<TravelId, TravelTable, Keyed>,
+    books: Books,
+}
+
+/// `travel`'s table, a recycled one (with room for `reserve` slots) if it
+/// has none.
+fn table_of<'a>(
+    travels: &'a mut HashMap<TravelId, TravelTable, Keyed>,
+    books: &mut Books,
+    travel: TravelId,
+    reserve: usize,
+) -> &'a mut TravelTable {
+    travels.entry(travel).or_insert_with(|| {
+        let mut table = books.spare.pop().unwrap_or_default();
+        table.slots.reserve(reserve);
+        table
+    })
+}
+
+/// A server's one table of received vertex requests (module docs): the
+/// cache half holds up to `capacity` slots (0: off); `ordered` picks by
+/// the order index and the fair share, else in arrival order.
+pub struct VertexTable {
+    inner: Mutex<Inner>,
     cond: Condvar,
+    capacity: usize,
+    ordered: bool,
 }
 
-impl Default for MergingQueue {
+impl Default for VertexTable {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl MergingQueue {
-    /// Empty queue.
+impl VertexTable {
+    /// An empty table with the ordered pick and no cache half: the
+    /// scheduling & merging queue alone ([`MergingQueue`]).
     pub fn new() -> Self {
-        MergingQueue {
-            inner: Mutex::new(MergingInner::default()),
+        Self::with(0, true)
+    }
+
+    /// An empty table caching up to `capacity` slots (0: no cache half),
+    /// picking in key order with merging when `ordered`, in arrival order
+    /// otherwise.
+    pub fn with(capacity: usize, ordered: bool) -> Self {
+        VertexTable {
+            inner: Mutex::new(Inner::default()),
             cond: Condvar::new(),
+            capacity,
+            ordered,
         }
+    }
+
+    /// Receipt of one execution's vertex requests: each is decided by the
+    /// cache half (if `req` is asynchronous) and queued unless redundant,
+    /// a re-visit narrowed to its unseen tokens. The redundant ones leave
+    /// `req`'s countdown, into its tally, before a worker can pop a part.
+    /// Returns how many were redundant and how many requests are queued.
+    pub fn admit(&self, req: &Arc<RequestState>, items: Vec<(VertexId, Tokens)>) -> (u64, usize) {
+        let enqueued_at = Instant::now();
+        let items = items.into_iter().map(|(vertex, tokens)| WorkItem {
+            vertex,
+            depth: req.depth,
+            tokens,
+            enqueued_at,
+            req: req.clone(),
+        });
+        let consult = self.capacity > 0 && req.mode == ReqMode::Async;
+        self.receive(items, consult, |redundant| {
+            req.out.lock().tally.redundant_visits += redundant;
+            req.remaining
+                .fetch_sub(redundant as usize, Ordering::AcqRel);
+        })
+    }
+
+    /// Queue `items`, each decided by the cache half first if `consult`,
+    /// under one lock and one travel lookup per run of same-travel items
+    /// (a receipt is one run); `redundant` sees how many were redundant,
+    /// if any, before the lock is released.
+    fn receive<I, F>(&self, items: I, consult: bool, redundant: F) -> (u64, usize)
+    where
+        I: Iterator<Item = WorkItem>,
+        F: FnOnce(u64),
+    {
+        let mut items = items.peekable();
+        let reserve = items.size_hint().0;
+        let mut g = self.inner.lock();
+        let Inner { travels, books } = &mut *g;
+        let (mut dropped, mut queued) = (0, false);
+        while let Some(travel) = items.peek().map(|item| item.req.travel) {
+            let table = table_of(travels, books, travel, reserve);
+            // Evictions other travels owe once this one has nothing left
+            // to give: the run pauses for them.
+            let mut owed = 0;
+            while let Some(mut item) = items.next_if(|item| item.req.travel == travel) {
+                let key = (item.depth, item.vertex);
+                let slot = table.slots.entry(key).or_default();
+                let mut first = false;
+                if consult {
+                    match slot.seen.observe(&item.tokens) {
+                        CacheDecision::Redundant => {
+                            dropped += 1;
+                            continue;
+                        }
+                        CacheDecision::NewTokens(new) => item.tokens = new,
+                        CacheDecision::FirstVisit => first = true,
+                    }
+                }
+                if self.ordered && table.weight == 0 {
+                    table.weight = weight_of(&item.req.plan);
+                    table.vservice = books.vfloor;
+                }
+                hold(slot, self.ordered.then_some(&mut table.order), books, item);
+                queued = true;
+                if first {
+                    owed = table.cached_one(books, key, self.capacity);
+                    if owed > 0 {
+                        break;
+                    }
+                }
+            }
+            if owed > 0 {
+                books.evict_others(travels, travel, owed);
+            }
+        }
+        if dropped > 0 {
+            redundant(dropped);
+        }
+        let live = books.live;
+        drop(g);
+        if queued {
+            self.cond.notify_all();
+        }
+        (dropped, live)
+    }
+
+    /// The cache half alone: consult-and-update for one request, queueing
+    /// nothing.
+    pub fn observe(&self, travel: TravelId, key: Key, tokens: &Tokens) -> CacheDecision {
+        if self.capacity == 0 {
+            return CacheDecision::FirstVisit;
+        }
+        let mut g = self.inner.lock();
+        let Inner { travels, books } = &mut *g;
+        let table = table_of(travels, books, travel, 1);
+        let decision = table.slots.entry(key).or_default().seen.observe(tokens);
+        if decision == CacheDecision::FirstVisit {
+            let owed = table.cached_one(books, key, self.capacity);
+            books.evict_others(travels, travel, owed);
+        }
+        decision
+    }
+
+    /// Drop a finished (or aborted) travel's queued requests and cached slots.
+    pub fn forget(&self, travel: TravelId) {
+        let mut g = self.inner.lock();
+        let Inner { travels, books } = &mut *g;
+        let Some(table) = travels.remove(&travel) else {
+            return;
+        };
+        if books.live > 0 {
+            books.live -= table.slots.values().map(|s| s.parts.len()).sum::<usize>();
+            books.arrivals.retain(|(t, _)| *t != travel);
+        }
+        books.cached -= table.cached;
+        books.recycle(table);
+    }
+
+    /// Drop every slot of every travel (server-crash path: the dying
+    /// server's in-memory work vanishes wholesale).
+    pub fn clear_all(&self) {
+        let mut g = self.inner.lock();
+        let closed = g.books.closed;
+        *g = Inner::default();
+        g.books.closed = closed;
+    }
+
+    /// Close the table; blocked and future pops return `None` once the
+    /// queue drains.
+    pub fn close(&self) {
+        self.inner.lock().books.closed = true;
+        self.cond.notify_all();
+    }
+
+    /// Number of cached slots.
+    pub fn cached(&self) -> usize {
+        self.inner.lock().books.cached
+    }
+
+    /// The next pick, if anything is queued.
+    fn take(&self, inner: &mut Inner) -> Option<Parts> {
+        let Inner { travels, books } = inner;
+        if books.live == 0 {
+            return None;
+        }
+        let (travel, parts, table) = loop {
+            if !self.ordered {
+                let (travel, key) = books.arrivals.pop_front()?;
+                let Some(table) = travels.get_mut(&travel) else {
+                    continue;
+                };
+                break (travel, table.release(key), table);
+            }
+            // Level 1 — cross-travel pick: least virtual service, ties
+            // broken by travel id, so the schedule is deterministic.
+            // Level 2 — within the travel: smallest depth, then smallest
+            // vertex id at that depth, merged across depths.
+            let (&travel, table) = travels
+                .iter_mut()
+                .filter(|(_, table)| !table.order.iter().all(BTreeSet::is_empty))
+                .min_by_key(|(t, table)| (table.vservice, **t))?;
+            // Only place-holders left: pick again. The travel keeps its
+            // weight and stale service (ROADMAP, item 11's open note).
+            let Some(parts) = table.take_next() else {
+                continue;
+            };
+            // Charge the service rendered, weighted; the floor tracks
+            // the picked (least-served) travel so newcomers join level.
+            books.vfloor = books.vfloor.max(table.vservice);
+            table.vservice = table
+                .vservice
+                .saturating_add(parts.len() as u64 * VS_SCALE / table.weight.max(1));
+            if table.order.iter().all(BTreeSet::is_empty) {
+                table.weight = 0;
+            }
+            break (travel, parts, table);
+        };
+        books.live -= parts.len();
+        if table.slots.is_empty() && table.weight == 0 {
+            if let Some(table) = travels.remove(&travel) {
+                books.recycle(table);
+            }
+        }
+        Some(parts)
     }
 }
 
-impl RequestQueue for MergingQueue {
+/// A travel's fair-share weight: shallow (interactive) plans get a larger
+/// share of worker service than deep scans, so a short query is not
+/// drained behind a long one; scaled by the tenant priority the front door
+/// stamped on the plan (1 when no QoS gate is in play).
+fn weight_of(plan: &Plan) -> u64 {
+    (12 / (u64::from(plan.depth()) + 1)).max(1) * u64::from(plan.qos_weight.max(1))
+}
+
+impl RequestQueue for VertexTable {
     fn push_many(&self, items: Vec<WorkItem>) -> usize {
-        let mut g = self.inner.lock();
-        let inner = &mut *g;
-        inner.live += items.len();
-        // One travel lookup per run of same-travel items: a batch is one
-        // execution's, so nearly always a single run.
-        let mut items = items.into_iter().peekable();
-        while let Some(first) = items.next() {
-            let travel = first.req.travel;
-            let tq = inner.travels.entry(travel).or_default();
-            if tq.weight == 0 {
-                // Fresh (or re-entrant) travel: join at the virtual floor
-                // with a weight derived from its plan's length, scaled by
-                // the tenant priority the front door stamped on the plan
-                // (1 when no QoS gate is in play).
-                tq.weight = weight_for_depth(first.req.plan.depth())
-                    * u64::from(first.req.plan.qos_weight.max(1));
-                tq.vservice = inner.vfloor;
-            }
-            tq.put(first);
-            while let Some(item) = items.next_if(|item| item.req.travel == travel) {
-                tq.put(item);
-            }
-        }
-        let live = g.live;
-        drop(g);
-        self.cond.notify_all();
-        live
+        self.receive(items.into_iter(), false, |_| {}).1
     }
 
     fn pop(&self) -> Option<Parts> {
         let mut g = self.inner.lock();
         loop {
-            // Level 1 — cross-travel pick: least virtual service, ties
-            // broken by travel id, so the schedule is deterministic.
-            // Level 2 — within the travel: smallest depth, then smallest
-            // vertex id at that depth, merged across depths.
-            while g.live > 0 {
-                let inner = &mut *g;
-                let Some((&travel, tq)) = inner
-                    .travels
-                    .iter_mut()
-                    .filter(|(_, tq)| !tq.slots.is_empty())
-                    .min_by_key(|(t, tq)| (tq.vservice, **t))
-                else {
-                    break;
-                };
-                let Some(parts) = tq.take_next() else {
-                    continue; // only place-holders were left; pick again
-                };
-                // Charge the service rendered, weighted; the floor tracks
-                // the picked (least-served) travel so newcomers join level.
-                inner.vfloor = inner.vfloor.max(tq.vservice);
-                tq.vservice = tq
-                    .vservice
-                    .saturating_add(parts.len() as u64 * VS_SCALE / tq.weight.max(1));
-                inner.live -= parts.len();
-                if tq.slots.is_empty() {
-                    inner.travels.remove(&travel);
-                }
+            if let Some(parts) = self.take(&mut g) {
                 return Some(parts);
             }
-            if g.closed {
+            if g.books.closed {
                 return None;
             }
             self.cond.wait(&mut g);
         }
     }
 
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.cond.notify_all();
-    }
-
     fn len(&self) -> usize {
-        self.inner.lock().live
-    }
-
-    fn clear_travel(&self, travel: TravelId) {
-        let mut g = self.inner.lock();
-        if let Some(tq) = g.travels.remove(&travel) {
-            let removed: usize = tq.slots.values().map(|parts| parts.len()).sum();
-            g.live -= removed;
-        }
-    }
-
-    fn clear_all(&self) {
-        let mut g = self.inner.lock();
-        g.travels.clear();
-        g.live = 0;
+        self.inner.lock().books.live
     }
 }
+
+/// The queue half of a [`VertexTable`] on its own, ordered pick on and no
+/// cache ([`VertexTable::new`]): GraphTrek's scheduling & merging queue
+/// (§V-B), extended with weighted fair cross-travel service for
+/// concurrent multi-travel execution.
+pub type MergingQueue = VertexTable;
+
+#[cfg(test)]
+mod parent_pair;
 
 #[cfg(test)]
 mod tests {
@@ -544,7 +715,7 @@ mod tests {
 
     #[test]
     fn fifo_preserves_arrival_order() {
-        let q = FifoQueue::new();
+        let q = VertexTable::with(0, false);
         let r = req(1, 0, 3);
         q.push_many(vec![item(&r, 1), item(&r, 2), item(&r, 3)]);
         assert_eq!(q.len(), 3);
@@ -557,7 +728,7 @@ mod tests {
 
     #[test]
     fn fifo_coalesces_queued_duplicates() {
-        let q = FifoQueue::new();
+        let q = VertexTable::with(0, false);
         let r1 = req(1, 2, 1);
         let r2 = req(1, 2, 1);
         // Same (travel, depth, vertex) queued twice before any pop: one
@@ -580,18 +751,18 @@ mod tests {
 
     #[test]
     fn fifo_clear_travel_is_selective() {
-        let q = FifoQueue::new();
+        let q = VertexTable::with(0, false);
         let r1 = req(1, 0, 1);
         let r2 = req(2, 0, 1);
         q.push_many(vec![item(&r1, 1), item(&r2, 2)]);
-        q.clear_travel(1);
+        q.forget(1);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap()[0].req.travel, 2);
     }
 
     #[test]
     fn clear_all_empties_both_queues() {
-        let fifo = FifoQueue::new();
+        let fifo = VertexTable::with(0, false);
         let r1 = req(1, 0, 1);
         let r2 = req(2, 0, 1);
         fifo.push_many(vec![item(&r1, 1), item(&r2, 2)]);
@@ -602,7 +773,7 @@ mod tests {
         fifo.push_many(vec![item(&r1, 3)]);
         assert_eq!(fifo.pop().unwrap()[0].vertex, VertexId(3));
 
-        let mq = MergingQueue::new();
+        let mq = VertexTable::new();
         mq.push_many(vec![item(&r1, 1), item(&r2, 2)]);
         mq.clear_all();
         assert_eq!(mq.len(), 0);
@@ -675,7 +846,7 @@ mod tests {
         }]);
         let parts = q.pop().unwrap();
         assert_eq!(parts.len(), 2);
-        assert!(q.pop_is_empty_nonblocking());
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -700,7 +871,7 @@ mod tests {
         };
         let drain = |q: &MergingQueue| {
             let mut out = Vec::new();
-            while !q.pop_is_empty_nonblocking() {
+            while !q.is_empty() {
                 let parts = q.pop().unwrap();
                 out.push(
                     parts
@@ -778,7 +949,7 @@ mod tests {
         };
         let drain = |q: &MergingQueue| -> Vec<(TravelId, u16, VertexId)> {
             let mut out = Vec::new();
-            while !q.pop_is_empty_nonblocking() {
+            while !q.is_empty() {
                 for p in q.pop().unwrap().iter() {
                     out.push((p.req.travel, p.depth, p.vertex));
                 }
@@ -815,12 +986,12 @@ mod tests {
 
     #[test]
     fn merging_clear_travel() {
-        let q = MergingQueue::new();
+        let q = VertexTable::new();
         let a = req(1, 1, 1);
         let b = req(2, 1, 1);
         q.push_many(vec![item(&a, 1), item(&a, 2)]);
         q.push_many(vec![item(&b, 3)]);
-        q.clear_travel(1);
+        q.forget(1);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap()[0].req.travel, 2);
     }
@@ -838,7 +1009,7 @@ mod tests {
 
     #[test]
     fn blocked_pop_wakes_on_close() {
-        let q = Arc::new(FifoQueue::new());
+        let q = Arc::new(VertexTable::with(0, false));
         let q2 = q.clone();
         let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -899,11 +1070,11 @@ mod tests {
                     })
                     .collect();
                 q.push_many(batch);
-            } else if !q.pop_is_empty_nonblocking() {
+            } else if !q.is_empty() {
                 pop_into(&mut out);
             }
         }
-        while !q.pop_is_empty_nonblocking() {
+        while !q.is_empty() {
             pop_into(&mut out);
         }
         out
@@ -919,12 +1090,5 @@ mod tests {
         let got = scripted_transcript();
         let want = include_str!("../tests/golden/merging_queue.txt");
         assert_eq!(got, want, "transcript now:\n{got}");
-    }
-
-    impl MergingQueue {
-        /// Test helper: non-blocking emptiness check.
-        fn pop_is_empty_nonblocking(&self) -> bool {
-            self.inner.lock().live == 0
-        }
     }
 }

@@ -23,9 +23,9 @@
 //! of the write path.
 //!
 //! The same server code runs all three engines; the differences are the
-//! queue policy, the traversal-affiliate cache capacity, and whether a
-//! traversal is driven by the asynchronous protocol or the synchronous
-//! controller.
+//! vertex table's two switches (its pick order and its cache capacity),
+//! and whether a traversal is driven by the asynchronous protocol or the
+//! synchronous controller.
 
 mod barrier;
 mod coord;
@@ -36,14 +36,13 @@ mod ingest;
 mod relay;
 mod visit;
 
-use crate::cache::TraversalCache;
 use crate::coordinator::CoordState;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::faults::{CrashPoint, CrashTrigger, ServerFaults};
 use crate::lockorder::{assert_none_held, OrderedMutex, Rank};
 use crate::message::Msg;
 use crate::metrics::ServerMetrics;
-use crate::queue::{FifoQueue, MergingQueue, RequestQueue};
+use crate::queue::VertexTable;
 use crate::{ExecId, TravelId};
 use copy::{CopyRoute, CopyTrap};
 use detector::Detector;
@@ -139,8 +138,8 @@ struct Shared {
     engine_kind: EngineKind,
     partition: Arc<GraphPartition>,
     ep: Endpoint<Msg>,
-    queue: Arc<dyn RequestQueue>,
-    cache: TraversalCache,
+    /// The traversal-affiliate cache and the request queue, in one.
+    table: VertexTable,
     metrics: Arc<ServerMetrics>,
     faults: ServerFaults,
     exec_ctr: AtomicU64,
@@ -203,11 +202,6 @@ fn alloc_exec(sh: &Arc<Shared>) -> ExecId {
 
 /// A server's state, before any thread runs on it.
 fn build(args: ServerArgs) -> Dispatcher {
-    let queue: Arc<dyn RequestQueue> = if args.engine.merging_queue_enabled() {
-        Arc::new(MergingQueue::new())
-    } else {
-        Arc::new(FifoQueue::new())
-    };
     // Seed the id counters from the epoch so a restarted server can never
     // reuse a pre-crash ExecId or token id (48-bit counter space, high
     // byte = epoch).
@@ -219,10 +213,10 @@ fn build(args: ServerArgs) -> Dispatcher {
         engine_kind: args.engine.kind,
         partition: args.partition,
         ep: args.endpoint,
-        queue,
-        // No per-travel reserve floor: no workload or test ever set one
-        // (EXPERIMENTS.md, "Second census").
-        cache: TraversalCache::new(args.engine.effective_cache_capacity(), 0),
+        table: VertexTable::with(
+            args.engine.effective_cache_capacity(),
+            args.engine.merging_queue_enabled(),
+        ),
         metrics: args.metrics.unwrap_or_default(),
         faults: args.engine.faults.for_server(args.id),
         exec_ctr: AtomicU64::new(ctr_seed),
@@ -340,9 +334,9 @@ impl Dispatcher {
             // (coordinator ledgers, step buffers, copies) with it.
             sh.crashed.store(true, Ordering::SeqCst);
             sh.metrics.crashes.fetch_add(1, Ordering::Relaxed);
-            sh.queue.clear_all();
+            sh.table.clear_all();
         }
-        sh.queue.close();
+        sh.table.close();
     }
 
     /// Take one received message: the failure detector absorbs its own
@@ -587,7 +581,7 @@ impl Dispatcher {
             Msg::ProgressQuery { travel, client } => {
                 let snapshot = match self.coords.get(&travel) {
                     Some(CoordState::Async(l)) => l.progress(),
-                    Some(CoordState::Sync(s)) => s.outcome().progress,
+                    Some(CoordState::Sync(s)) => s.progress(),
                     None => Default::default(),
                 };
                 self.sh
@@ -617,8 +611,7 @@ impl Dispatcher {
     /// for it are fenced from now on.
     fn handle_abort(&mut self, travel: TravelId) {
         let sh = &self.sh;
-        sh.queue.clear_travel(travel);
-        sh.cache.forget_travel(travel);
+        sh.table.forget(travel);
         sh.tokens.lock().forget(travel);
         if sh.reliable {
             sh.relay.lock().forget(travel);
@@ -638,6 +631,7 @@ mod tests {
     use super::*;
     use crate::lang::{GTravel, Plan};
     use crate::message::SyncExpect;
+    use crate::queue::RequestQueue;
     use gt_graph::VertexId;
     use gt_kvstore::{Store, StoreConfig};
     use gt_net::{Endpoint, Fabric, NetConfig};
@@ -649,11 +643,13 @@ mod tests {
     const CLIENT: usize = 2;
 
     /// Server 0 of two on an instant fabric, its shard empty; the test
-    /// holds the peer's and the client's endpoints.
+    /// holds the peer's and the client's endpoints (and, in a larger rig,
+    /// the further servers' in `others`).
     struct Rig {
         d: Dispatcher,
         sh: Arc<Shared>,
         peer: Endpoint<Msg>,
+        others: Vec<Endpoint<Msg>>,
         client: Endpoint<Msg>,
         _fabric: Fabric<Msg>,
         dir: std::path::PathBuf,
@@ -661,28 +657,35 @@ mod tests {
 
     impl Rig {
         fn new(tag: &str, engine: EngineConfig) -> Rig {
+            Rig::of(2, tag, engine)
+        }
+
+        /// Server 0 of `n`; the client is endpoint `n`.
+        fn of(n: usize, tag: &str, engine: EngineConfig) -> Rig {
             let dir = std::env::temp_dir().join(format!("gt-shell-{}-{tag}", std::process::id()));
             std::fs::remove_dir_all(&dir).ok();
             let store = Arc::new(Store::open(StoreConfig::new(&dir)).expect("store"));
-            let (fabric, mut eps) = Fabric::new(3, NetConfig::instant());
-            let client = eps.pop().expect("endpoint 2");
+            let (fabric, mut eps) = Fabric::new(n + 1, NetConfig::instant());
+            let client = eps.pop().expect("client endpoint");
+            let others = eps.split_off(2);
             let peer = eps.pop().expect("endpoint 1");
             let d = build(ServerArgs {
                 id: 0,
-                n_servers: 2,
+                n_servers: n,
                 partition: Arc::new(GraphPartition::open(store).expect("partition")),
                 endpoint: eps.pop().expect("endpoint 0"),
                 engine,
                 epoch: 0,
                 metrics: None,
                 crash_after: None,
-                placement: Arc::new(SharedPlacement::new(PlacementMap::initial(2, 1))),
+                placement: Arc::new(SharedPlacement::new(PlacementMap::initial(n, 1))),
                 self_healing: false,
             });
             Rig {
                 sh: d.sh.clone(),
                 d,
                 peer,
+                others,
                 client,
                 _fabric: fabric,
                 dir,
@@ -712,8 +715,8 @@ mod tests {
         /// Nothing on this server remembers `T`, and nothing left it.
         fn assert_no_trace_of_the_travel(&self) {
             let sh = &self.sh;
-            assert_eq!(sh.queue.len(), 0, "queued work");
-            assert_eq!(sh.cache.len(), 0, "cache partition");
+            assert_eq!(sh.table.len(), 0, "queued work");
+            assert_eq!(sh.table.cached(), 0, "cache partition");
             assert!(!sh.tokens.lock().holds(T), "origin token");
             assert!(!self.d.barrier.holds(T), "step buffer");
             assert!(!self.d.coords.contains_key(&T), "coordinator state");
@@ -725,7 +728,7 @@ mod tests {
         fn progress(&self, travel: TravelId) -> crate::message::ProgressSnapshot {
             match self.d.coords.get(&travel) {
                 Some(CoordState::Async(l)) => l.progress(),
-                Some(CoordState::Sync(s)) => s.outcome().progress,
+                Some(CoordState::Sync(s)) => s.progress(),
                 None => panic!("travel {travel:#x} is not hosted"),
             }
         }
@@ -1004,7 +1007,7 @@ mod tests {
             coordinator: PEER,
             items: vec![(a, Vec::new()), (b, Vec::new())],
         });
-        sh.queue.close();
+        sh.table.close();
         visit::worker_loop(sh);
         let shares: Vec<Vec<(VertexId, crate::Tokens)>> =
             std::iter::from_fn(|| rig.peer.try_recv())
@@ -1048,7 +1051,7 @@ mod tests {
             coordinator: PEER,
             items: vec![(v, Vec::new())],
         });
-        rig.sh.queue.close();
+        rig.sh.table.close();
         visit::worker_loop(&rig.sh);
         let to_peer: Vec<Msg> = std::iter::from_fn(|| rig.peer.try_recv())
             .map(|env| env.msg)
@@ -1083,9 +1086,31 @@ mod tests {
         });
         assert_eq!(rig.sh.ep.pending(), 0, "a message to itself");
         assert_eq!(rig.peer.pending(), 0, "a message to the peer");
-        assert_eq!(rig.sh.queue.len(), 1, "the source vertex is not queued");
+        assert_eq!(rig.sh.table.len(), 1, "the source vertex is not queued");
         assert_eq!(rig.progress(T).created, 1, "one root execution");
         assert_eq!(rig.sh.metrics.snapshot().travels_coordinated, 1);
+    }
+
+    /// A `v()` scan's coordinator receives its own `SourceScan` in place,
+    /// as it does its share of a `v(ids…)` source: on three servers the
+    /// two others each get one, and nothing is addressed to itself.
+    #[test]
+    fn a_scan_s_coordinator_receives_its_own_source_scan_in_place() {
+        let mut rig = Rig::of(3, "own-scan", EngineConfig::new(EngineKind::GraphTrek));
+        rig.deliver(Msg::Submit {
+            travel: T,
+            plan: Arc::new(GTravel::v_all().compile().expect("plan")),
+            client: 3,
+        });
+        let scans = |ep: &Endpoint<Msg>| {
+            std::iter::from_fn(|| ep.try_recv())
+                .filter(|env| matches!(env.msg, Msg::SourceScan { .. }))
+                .count()
+        };
+        assert_eq!(scans(&rig.sh.ep), 0, "source scans addressed to itself");
+        assert_eq!(scans(&rig.peer), 1);
+        assert_eq!(scans(&rig.others[0]), 1);
+        assert_eq!(rig.progress(T).created, 3, "one root execution per server");
     }
 
     /// The share received in place still counts as the depth-0 `Visit` it
@@ -1110,7 +1135,7 @@ mod tests {
             ),
             "the peer's share went out first"
         );
-        assert_eq!(rig.sh.queue.len(), 0, "queued on a dying server");
+        assert_eq!(rig.sh.table.len(), 0, "queued on a dying server");
     }
 
     /// A flush sends its shares and then one message to the coordinator:
@@ -1189,7 +1214,7 @@ mod tests {
             client: CLIENT,
         });
         rig.pump(); // the source `Visit`, queued
-        rig.sh.queue.close();
+        rig.sh.table.close();
         visit::worker_loop(&rig.sh);
         rig.pump(); // its report, which finishes the travel
         travel_done(&rig);

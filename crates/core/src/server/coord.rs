@@ -95,11 +95,12 @@ fn root_exec(d: &mut Dispatcher, travel: TravelId) -> ExecId {
 /// explicit ids ("the coordinator first learns that userA is stored in
 /// server 2 … then sends the request"), broadcast scan otherwise.
 ///
-/// The share of ids this server owns is received here and now, after the
-/// other owners' `Visit`s went out, instead of crossing the wire to
-/// itself: through [`Dispatcher::handle_msg`], so a scripted frontier
-/// crash counts it as the depth-0 `Visit` it is — and the server dies
-/// with it, as it would have on receipt.
+/// This server's own share — the ids it owns, or its part of the scan —
+/// is received here and now, after the others' `Visit`s or `SourceScan`s
+/// went out, instead of crossing the wire to itself: through
+/// [`Dispatcher::handle_msg`], so a scripted crash counts it as the
+/// message it is — and the server dies with it, as it would have on
+/// receipt.
 fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>) -> LoopCtl {
     match &plan.source {
         Source::Ids(ids) => {
@@ -136,6 +137,7 @@ fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>
             }
         }
         Source::All => {
+            let mut own = None;
             for s in 0..d.sh.n_servers {
                 let scan = Msg::SourceScan {
                     travel,
@@ -143,7 +145,14 @@ fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>
                     coordinator: d.sh.id,
                     exec: root_exec(d, travel),
                 };
-                send_travel(&d.sh, s, travel, scan);
+                if s == d.sh.id {
+                    own = Some(scan);
+                } else {
+                    send_travel(&d.sh, s, travel, scan);
+                }
+            }
+            if let Some(scan) = own {
+                return d.handle_msg(scan);
             }
         }
     }

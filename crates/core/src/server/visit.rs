@@ -2,8 +2,10 @@
 //! pool's visit of each one, and the flush that dispatches an execution's
 //! output downstream.
 //!
-//! Receipt checks the traversal-affiliate cache and queues what survives
-//! (§V-A); a worker pop yields every queued part for one vertex — one
+//! Receipt puts an execution's requests through the vertex table, whose
+//! one probe per request checks the traversal-affiliate cache (§V-A) and
+//! queues what survives; a worker pop yields every queued part for one
+//! vertex — one
 //! storage access amortized over all of them (execution merging, §V-B) —
 //! applies the plan's filters, expands edges, and accumulates output into
 //! the owning execution, which *flushes* when its last vertex request
@@ -15,12 +17,12 @@ use super::{alloc_exec, send_travel, Dispatcher, Shared};
 use crate::lang::{vertex_matches, Plan, Source};
 use crate::message::Msg;
 use crate::metrics::TravelMetrics;
-use crate::queue::{Parts, ReqMode, RequestOutput, RequestState, WorkItem};
+use crate::queue::{Parts, ReqMode, RequestQueue, RequestState};
 use crate::{ExecId, Token, Tokens, TravelId};
 use gt_graph::{Props, VertexId};
 use gt_kvstore::{IoScope, ReadView};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,58 +34,66 @@ struct TokenRecord {
     released: bool,
 }
 
-/// Pending `rtn()` returns registered on this server (§IV-D).
+/// Pending `rtn()` returns registered on this server (§IV-D), per travel,
+/// so retiring a travel is one removal.
 #[derive(Debug, Default)]
 pub(super) struct TokenRegistry {
-    /// (travel, depth, vertex) → token id (reuse on re-registration).
-    by_key: HashMap<(TravelId, u16, VertexId), u64>,
-    /// (travel, token id) → record.
-    records: HashMap<(TravelId, u64), TokenRecord>,
+    travels: HashMap<TravelId, TravelTokens>,
+}
+
+/// One travel's pending returns.
+#[derive(Debug, Default)]
+struct TravelTokens {
+    /// (depth, vertex) → token id (reuse on re-registration).
+    by_key: HashMap<(u16, VertexId), u64>,
+    /// Token id → record.
+    records: HashMap<u64, TokenRecord>,
 }
 
 impl TokenRegistry {
+    /// The token of `travel`'s `(depth, vertex)`: the one registered
+    /// before, or a fresh id from `fresh`.
+    fn register(
+        &mut self,
+        travel: TravelId,
+        depth: u16,
+        vertex: VertexId,
+        fresh: impl FnOnce() -> u64,
+    ) -> u64 {
+        let t = self.travels.entry(travel).or_default();
+        *t.by_key.entry((depth, vertex)).or_insert_with(|| {
+            let id = fresh();
+            let record = TokenRecord {
+                depth,
+                vertex,
+                released: false,
+            };
+            t.records.insert(id, record);
+            id
+        })
+    }
+
     /// Mark tokens released and return their recorded (depth, vertex)
     /// pairs.
     fn release(&mut self, travel: TravelId, tokens: &[u64]) -> Vec<(u16, VertexId)> {
-        let mut out = Vec::new();
-        for &t in tokens {
-            if let Some(rec) = self.records.get_mut(&(travel, t)) {
-                if !rec.released {
-                    rec.released = true;
-                    out.push((rec.depth, rec.vertex));
-                }
-            }
-        }
-        out
+        let Some(t) = self.travels.get_mut(&travel) else {
+            return Vec::new();
+        };
+        let release = |id| {
+            let rec = t.records.get_mut(id)?;
+            (!std::mem::replace(&mut rec.released, true)).then_some((rec.depth, rec.vertex))
+        };
+        tokens.iter().filter_map(release).collect()
     }
 
     pub(super) fn forget(&mut self, travel: TravelId) {
-        self.by_key.retain(|(t, _, _), _| *t != travel);
-        self.records.retain(|(t, _), _| *t != travel);
+        self.travels.remove(&travel);
     }
 
     #[cfg(test)]
     pub(super) fn holds(&self, travel: TravelId) -> bool {
-        self.records.keys().any(|(t, _)| *t == travel)
+        self.travels.contains_key(&travel)
     }
-}
-
-fn register_token(sh: &Arc<Shared>, travel: TravelId, depth: u16, vertex: VertexId) -> u64 {
-    let mut reg = sh.tokens.lock();
-    if let Some(&id) = reg.by_key.get(&(travel, depth, vertex)) {
-        return id;
-    }
-    let id = sh.token_ctr.fetch_add(1, Ordering::Relaxed);
-    reg.by_key.insert((travel, depth, vertex), id);
-    reg.records.insert(
-        (travel, id),
-        TokenRecord {
-            depth,
-            vertex,
-            released: false,
-        },
-    );
-    id
 }
 
 /// The read view every storage access of a travel resolves against: the
@@ -138,33 +148,15 @@ pub(super) fn handle_visit(
     sh.metrics
         .requests_received
         .fetch_add(items.len() as u64, Ordering::Relaxed);
-    // Traversal-affiliate cache check at receipt (§V-A): redundant
-    // requests are abandoned before they ever reach the queue. One lock
-    // acquisition covers the whole message.
-    let (kept, redundant) = sh.cache.observe_many(travel, depth, items);
-    if redundant > 0 {
-        sh.metrics
-            .redundant_visits
-            .fetch_add(redundant, Ordering::Relaxed);
-    }
     let mode = ReqMode::Async;
-    enqueue_execution(
-        sh,
-        travel,
-        depth,
-        exec,
-        plan,
-        coordinator,
-        mode,
-        redundant,
-        kept,
-    );
+    enqueue_execution(sh, travel, depth, exec, plan, coordinator, mode, 0, items);
 }
 
-/// Admit one execution: queue its vertex requests (or flush it at once
-/// when none survived receipt) and sample the queue-length high-water mark
-/// from the push itself. `redundant` requests were already dropped at
-/// receipt and open the execution's tally.
+/// Admit one execution: its vertex requests go through the vertex table
+/// under one lock — redundant ones are abandoned at receipt (§V-A), the
+/// rest queued — and the queue-length high-water mark is sampled from the
+/// receipt itself. `dup` requests were already dropped by the caller and
+/// open the execution's tally.
 #[expect(
     clippy::too_many_arguments,
     reason = "the fields of one `RequestState`, passed once from two call sites"
@@ -177,9 +169,10 @@ fn enqueue_execution(
     plan: Arc<Plan>,
     coordinator: usize,
     mode: ReqMode,
-    redundant: u64,
+    dup: u64,
     items: Vec<(VertexId, Tokens)>,
 ) {
+    let n = items.len();
     let req = Arc::new(RequestState {
         travel,
         depth,
@@ -188,31 +181,20 @@ fn enqueue_execution(
         coordinator,
         tepoch: 0,
         mode,
-        remaining: AtomicUsize::new(items.len()),
-        out: Mutex::new(RequestOutput {
-            tally: TravelMetrics {
-                redundant_visits: redundant,
-                ..TravelMetrics::default()
-            },
-            ..RequestOutput::default()
-        }),
+        remaining: AtomicUsize::new(n),
+        out: Mutex::default(),
     });
-    if items.is_empty() {
-        flush_request(sh, &req);
-        return;
+    req.out.lock().tally.redundant_visits = dup;
+    let (redundant, live) = sh.table.admit(&req, items);
+    sh.metrics.observe_queue_len(live);
+    if dup + redundant > 0 {
+        sh.metrics
+            .redundant_visits
+            .fetch_add(dup + redundant, Ordering::Relaxed);
     }
-    let enqueued_at = Instant::now();
-    let work: Vec<WorkItem> = items
-        .into_iter()
-        .map(|(vertex, tokens)| WorkItem {
-            vertex,
-            depth: req.depth,
-            tokens,
-            enqueued_at,
-            req: req.clone(),
-        })
-        .collect();
-    sh.metrics.observe_queue_len(sh.queue.push_many(work));
+    if redundant as usize == n {
+        flush_request(sh, &req);
+    }
 }
 
 /// Release satisfied origin tokens: the vertices they were registered for
@@ -294,40 +276,21 @@ fn run_sync_step(sh: &Arc<Shared>, travel: TravelId, fire: Option<Fire>) {
 }
 
 /// Dedup a step fragment (level-synchronous BFS visits each vertex once
-/// per step) and push it to the work queue.
+/// per step, with the union of its arrivals' tokens) and admit it.
 fn enqueue_sync_fragment(
     sh: &Arc<Shared>,
     travel: TravelId,
     depth: u16,
     plan: Arc<Plan>,
     coordinator: usize,
-    items: Vec<(VertexId, Tokens)>,
+    mut items: Vec<(VertexId, Tokens)>,
 ) {
+    let received = items.len();
     sh.metrics
         .requests_received
-        .fetch_add(items.len() as u64, Ordering::Relaxed);
-    let mut merged: BTreeMap<VertexId, BTreeSet<Token>> = BTreeMap::new();
-    let mut dup = 0u64;
-    for (v, tokens) in items {
-        match merged.entry(v) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                dup += 1;
-                e.get_mut().extend(tokens);
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(tokens.into_iter().collect());
-            }
-        }
-    }
-    if dup > 0 {
-        sh.metrics
-            .redundant_visits
-            .fetch_add(dup, Ordering::Relaxed);
-    }
-    let items = merged
-        .into_iter()
-        .map(|(vertex, tokens)| (vertex, tokens.into_iter().collect()))
-        .collect();
+        .fetch_add(received as u64, Ordering::Relaxed);
+    merge_share(&mut items);
+    let dup = (received - items.len()) as u64;
     let (exec, mode) = (alloc_exec(sh), ReqMode::SyncStep);
     enqueue_execution(sh, travel, depth, exec, plan, coordinator, mode, dup, items);
 }
@@ -335,7 +298,7 @@ fn enqueue_sync_fragment(
 // ======================================================== worker side
 
 pub(super) fn worker_loop(sh: &Arc<Shared>) {
-    while let Some(parts) = sh.queue.pop() {
+    while let Some(parts) = sh.table.pop() {
         process_parts(sh, parts);
     }
 }
@@ -402,17 +365,16 @@ fn scan_edges(
 /// executions are ticked only after that wait: an execution the pop
 /// completes flushes its `Visit`s and report no earlier than the pop's
 /// storage access would have finished.
-fn process_parts(sh: &Arc<Shared>, mut parts: Parts) {
+fn process_parts(sh: &Arc<Shared>, parts: Parts) {
     let popped_at = Instant::now();
-    // Both queues hand the parts over shallowest depth first; the stable
-    // sort (a no-op on sorted input) makes the run-grouping below hold for
-    // any queue.
-    parts.sort_by_key(|p| p.depth);
+    // The table hands the parts over shallowest depth first, so a depth's
+    // parts are one run.
+    debug_assert!(parts.is_sorted_by_key(|p| p.depth));
     let Some(first) = parts.first() else {
         return; // unreachable: the queue never yields an empty batch
     };
     let (vertex, min_depth) = (first.vertex, first.depth);
-    // All parts of one pop belong to one travel (neither queue merges
+    // All parts of one pop belong to one travel (the table never merges
     // across travels), so its accounting rides on the first part's
     // execution and one read view covers every part.
     let view = plan_view(&first.req.plan);
@@ -550,7 +512,12 @@ impl Step<'_> {
         if self.req.plan.rtn_at(self.depth) {
             let own = Token {
                 owner: sh.id as u16,
-                id: register_token(sh, self.req.travel, self.depth, self.vertex),
+                id: sh
+                    .tokens
+                    .lock()
+                    .register(self.req.travel, self.depth, self.vertex, || {
+                        sh.token_ctr.fetch_add(1, Ordering::Relaxed)
+                    }),
             };
             if !tokens.contains(&own) {
                 tokens.to_mut().push(own);
@@ -737,4 +704,41 @@ pub(super) fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
         }
     };
     send(req.coordinator, report);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Retiring one travel drops its pending returns in one removal and
+    /// leaves another travel's releasable, its token ids intact.
+    #[test]
+    fn retiring_one_travel_leaves_the_other_s_tokens_releasable() {
+        let mut reg = TokenRegistry::default();
+        let mut ids = 0u64;
+        let mut fresh = || {
+            ids += 1;
+            ids
+        };
+        let a = reg.register(1, 1, VertexId(4), &mut fresh);
+        let b = reg.register(2, 1, VertexId(4), &mut fresh);
+        let b2 = reg.register(2, 2, VertexId(9), &mut fresh);
+        assert_eq!(
+            reg.register(2, 1, VertexId(4), &mut fresh),
+            b,
+            "re-registration reuses"
+        );
+        reg.forget(1);
+        assert!(!reg.holds(1) && reg.holds(2));
+        assert_eq!(
+            reg.release(1, &[a]),
+            vec![],
+            "a retired travel releases nothing"
+        );
+        assert_eq!(
+            reg.release(2, &[b2, b]),
+            vec![(2, VertexId(9)), (1, VertexId(4))]
+        );
+        assert_eq!(reg.release(2, &[b]), vec![], "released once");
+    }
 }
