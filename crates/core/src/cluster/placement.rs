@@ -87,11 +87,11 @@ impl ClusterState {
     /// through the regular [`ClusterState::wait`] failover path.
     ///
     /// After the map flips, the dead slot is revived as a *data-less
-    /// worker*: it primaries nothing and replicates nothing, but the
-    /// stepped (Sync) engine's per-depth barrier counts every server, so
-    /// the process must exist even if its disk is gone — promotion works
-    /// even when the old store directory was wiped, because the promoted
-    /// replicas own the data now.
+    /// worker*: it primaries nothing and replicates nothing, but a `v()`
+    /// scan's coordinator sends every server a `SourceScan` and waits for
+    /// each one's report, so the process must exist even if its disk is
+    /// gone — promotion works even when the old store directory was
+    /// wiped, because the promoted replicas own the data now.
     ///
     /// Requires replication ≥ 2 to be useful; with no replicas the
     /// partition becomes unowned and this returns an error.

@@ -1,6 +1,5 @@
-//! Coordinator-side traversal state: the status-tracing ledger of the
-//! asynchronous engines and the step controller of the synchronous
-//! baseline.
+//! Coordinator-side traversal state: the status-tracing ledger every
+//! engine runs, with the step gate that makes it Sync-GT's controller.
 //!
 //! §IV-C: "we log the creation and termination events of executions in the
 //! coordinator server. … An execution will not be considered finished in
@@ -23,6 +22,19 @@
 //! ran the execution, so a finished travel is retired on exactly the
 //! servers that hosted it.
 //!
+//! # The step gate
+//!
+//! Sync-GT (§VI) is the same traversal, except that "the controller makes
+//! sure that all previous executions have finished and then starts the
+//! next step". The ledger already knows when that is: no execution at a
+//! depth up to the released step is outstanding. A gated travel's servers
+//! hold the frames of every later step, and each (server, step) is one
+//! execution with a fixed id that every parent feeding it names as its
+//! child (`server::step_exec`), so the ledger sees one child per server
+//! per step and the gate counts how many parents named it. When a step's
+//! executions have all terminated, [`TravelLedger::due_releases`] names
+//! the servers of the next step and the frames each one waits for.
+//!
 //! # Interaction with the fault-injecting transport
 //!
 //! Under a [`ChaosPlan`](crate::faults::ChaosPlan) the relay layer
@@ -37,13 +49,13 @@
 
 use crate::keyed::Keyed;
 use crate::lang::Plan;
-use crate::message::{ProgressSnapshot, SyncExpect, TravelOutcome};
+use crate::message::{ProgressSnapshot, TravelOutcome};
 use crate::ExecId;
 use gt_graph::VertexId;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Ledger for one asynchronous traversal.
+/// Ledger for one traversal.
 #[derive(Debug)]
 pub struct TravelLedger {
     /// The plan (kept for result assembly).
@@ -64,6 +76,19 @@ pub struct TravelLedger {
     results: Returned,
     created_total: u64,
     terminated_total: u64,
+    /// Sync-GT's step gate; `None` on the asynchronous engines.
+    gate: Option<StepGate>,
+}
+
+/// What a gated ledger adds: how far it has released, and who waits for
+/// how many frames.
+#[derive(Debug, Default)]
+struct StepGate {
+    /// The deepest step released; step 0 runs at once.
+    released: u16,
+    /// For each (depth, server) step execution, the parents that named
+    /// it, each counted on its first termination only.
+    named: BTreeMap<(u16, usize), u64>,
 }
 
 impl TravelLedger {
@@ -83,7 +108,14 @@ impl TravelLedger {
             results: Returned::default(),
             created_total: 0,
             terminated_total: 0,
+            gate: None,
         }
+    }
+
+    /// The same ledger behind a step gate (Sync-GT).
+    pub fn gated(mut self) -> Self {
+        self.gate = Some(StepGate::default());
+        self
     }
 
     /// Record an execution-creation event.
@@ -102,13 +134,14 @@ impl TravelLedger {
     }
 
     /// Record an execution termination, registering its children
-    /// atomically (they ride in the same message).
-    pub fn exec_terminated(&mut self, exec: ExecId, children: &[(ExecId, u16)]) {
+    /// atomically (they ride in the same message). False when `exec` had
+    /// already terminated: a redelivered report.
+    pub fn exec_terminated(&mut self, exec: ExecId, children: &[(ExecId, u16)]) -> bool {
         for &(child, depth) in children {
             self.exec_created(child, depth);
         }
         if !self.terminated.insert(exec) {
-            return;
+            return false;
         }
         self.terminated_total += 1;
         if self.created.contains(&exec) {
@@ -118,6 +151,7 @@ impl TravelLedger {
         } else {
             self.orphans.insert(exec);
         }
+        true
     }
 
     /// Record returned vertices.
@@ -137,7 +171,38 @@ impl TravelLedger {
     ) {
         self.add_results(results);
         self.hosts.insert(server);
-        self.exec_terminated(exec, children);
+        if self.exec_terminated(exec, children) {
+            if let Some(gate) = &mut self.gate {
+                for &(child, depth) in children {
+                    *gate.named.entry((depth, child.server())).or_default() += 1;
+                }
+            }
+        }
+    }
+
+    /// The step releases now due, as `(server, depth, frames)`: while no
+    /// execution at a depth up to the released step is outstanding, each
+    /// server named at the next depth is released with the count of
+    /// parents that named it. Empty on an ungated ledger.
+    pub fn due_releases(&mut self) -> Vec<(usize, u16, u64)> {
+        let Some(gate) = &mut self.gate else {
+            return Vec::new();
+        };
+        // The depth past the last releases the origin tokens (§IV-D).
+        let last = self.plan.depth() + 1;
+        let mut due = Vec::new();
+        while gate.released < last
+            && self
+                .outstanding
+                .range(..=gate.released)
+                .all(|(_, &n)| n <= 0)
+        {
+            gate.released += 1;
+            let depth = gate.released;
+            let named = gate.named.range((depth, 0)..=(depth, usize::MAX));
+            due.extend(named.map(|(&(_, server), &frames)| (server, depth, frames)));
+        }
+        due
     }
 
     /// Servers that ran an execution of this travel, in id order.
@@ -168,121 +233,6 @@ impl TravelLedger {
     }
 
     /// Assemble the final outcome (call once [`TravelLedger::is_done`]).
-    pub fn outcome(&self) -> TravelOutcome {
-        TravelOutcome {
-            by_depth: self.results.by_depth(&self.plan),
-            progress: self.progress(),
-        }
-    }
-}
-
-/// Controller state for one synchronous traversal (§VI's baseline: "each
-/// time, the controller makes sure that all previous executions have
-/// finished and then starts the next step").
-#[derive(Debug)]
-pub struct SyncState {
-    /// The plan.
-    pub plan: Arc<Plan>,
-    /// Client endpoint awaiting `TravelDone`.
-    pub client: usize,
-    /// Cluster size.
-    pub n_servers: usize,
-    /// Step currently executing.
-    pub depth: u16,
-    /// Servers whose `SyncStepDone` is still pending for `depth`.
-    pub pending: HashSet<usize>,
-    /// Frontier vertices promised per destination server for `depth + 1`.
-    pub next_expected: HashMap<usize, u64>,
-    /// Origin tokens promised per owner server (virtual final step).
-    pub origin_expected: HashMap<usize, u64>,
-    /// Collected results.
-    results: Returned,
-    /// Barrier count already performed (diagnostics).
-    pub barriers: u64,
-}
-
-impl SyncState {
-    /// Fresh controller state.
-    pub fn new(plan: Arc<Plan>, client: usize, n_servers: usize) -> Self {
-        SyncState {
-            plan,
-            client,
-            n_servers,
-            depth: 0,
-            pending: (0..n_servers).collect(),
-            next_expected: HashMap::new(),
-            origin_expected: HashMap::new(),
-            results: Returned::default(),
-            barriers: 0,
-        }
-    }
-
-    /// Record one server's step-done report. Returns `true` when the
-    /// whole step has completed (the barrier condition).
-    pub fn step_done(
-        &mut self,
-        server: usize,
-        depth: u16,
-        sent: &[(usize, u64)],
-        origin_sent: &[(usize, u64)],
-    ) -> bool {
-        if depth != self.depth || !self.pending.remove(&server) {
-            return false; // stale or duplicate report
-        }
-        for &(dst, n) in sent {
-            *self.next_expected.entry(dst).or_insert(0) += n;
-        }
-        for &(dst, n) in origin_sent {
-            *self.origin_expected.entry(dst).or_insert(0) += n;
-        }
-        self.pending.is_empty()
-    }
-
-    /// Advance to the next step after a barrier. Returns the work list:
-    /// `(depth, per-server expectation)`; empty when the traversal is over.
-    pub fn advance(&mut self) -> Vec<(usize, u16, SyncExpect)> {
-        self.barriers += 1;
-        let final_depth = self.plan.depth();
-        if self.depth < final_depth {
-            // Interior step: arm servers expecting frontier vertices.
-            self.depth += 1;
-            let expected = std::mem::take(&mut self.next_expected);
-            self.pending = expected.keys().copied().collect();
-            expected
-                .into_iter()
-                .filter(|(_, n)| *n > 0)
-                .map(|(s, n)| (s, self.depth, SyncExpect::Vertices(n)))
-                .collect()
-        } else if self.depth == final_depth && !self.origin_expected.is_empty() {
-            // Virtual origin-release step.
-            self.depth += 1;
-            let expected = std::mem::take(&mut self.origin_expected);
-            self.pending = expected.keys().copied().collect();
-            expected
-                .into_iter()
-                .filter(|(_, n)| *n > 0)
-                .map(|(s, n)| (s, self.depth, SyncExpect::OriginTokens(n)))
-                .collect()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Record returned vertices.
-    pub fn add_results(&mut self, items: &[(u16, VertexId)]) {
-        self.results.add(items);
-    }
-
-    /// Progress: the barriers performed so far.
-    pub fn progress(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            created: self.barriers,
-            terminated: self.barriers,
-            outstanding_by_depth: Vec::new(),
-        }
-    }
-
-    /// Assemble the outcome.
     pub fn outcome(&self) -> TravelOutcome {
         TravelOutcome {
             by_depth: self.results.by_depth(&self.plan),
@@ -322,15 +272,6 @@ impl Returned {
             })
             .collect()
     }
-}
-
-/// A coordinator role instance: one per travel on its coordinator server.
-#[derive(Debug)]
-pub enum CoordState {
-    /// Asynchronous engines.
-    Async(TravelLedger),
-    /// Synchronous baseline.
-    Sync(SyncState),
 }
 
 #[cfg(test)]
@@ -481,16 +422,13 @@ mod tests {
             want,
             vec![(0, vec![v(1)]), (2, vec![v(0), v(3), v(7), v(9)])]
         );
-        let mut l = TravelLedger::new(p.clone(), 0);
-        let mut s = SyncState::new(p, 0, 2);
+        let mut l = TravelLedger::new(p, 0);
         for r in reports.iter().rev() {
             l.add_results(r);
-            s.add_results(r);
         }
         l.exec_created(eid(0, 1), 0);
         l.exec_terminated(eid(0, 1), &[]);
         assert_eq!(l.outcome().by_depth, want);
-        assert_eq!(s.outcome().by_depth, want);
     }
 
     #[test]
@@ -501,50 +439,70 @@ mod tests {
         assert_eq!(l.outcome().by_depth, vec![(2, vec![])]);
     }
 
-    #[test]
-    fn sync_barrier_and_advance() {
-        let mut s = SyncState::new(plan(), 0, 3);
-        assert!(!s.step_done(0, 0, &[(1, 5)], &[]));
-        assert!(!s.step_done(1, 0, &[(1, 2), (2, 1)], &[]));
-        // Duplicate/stale reports ignored.
-        assert!(!s.step_done(0, 0, &[(1, 99)], &[]));
-        assert!(s.step_done(2, 0, &[], &[]));
-        let next = s.advance();
-        assert_eq!(s.depth, 1);
-        let mut next_sorted = next.clone();
-        next_sorted.sort_by_key(|(s, _, _)| *s);
-        assert_eq!(next_sorted.len(), 2);
-        assert!(matches!(next_sorted[0], (1, 1, SyncExpect::Vertices(7))));
-        assert!(matches!(next_sorted[1], (2, 1, SyncExpect::Vertices(1))));
+    /// Server `s`'s execution of step `d`, as a gated flush names it.
+    fn step(s: usize, d: u16) -> ExecId {
+        ExecId::new(s, u64::from(d))
     }
 
     #[test]
-    fn sync_virtual_origin_step() {
+    fn a_step_is_released_once_every_execution_before_it_terminated() {
+        let mut l = TravelLedger::new(plan(), 9).gated();
+        let root = eid(1, 1 << 16);
+        l.exec_created(root, 0);
+        assert_eq!(l.due_releases(), vec![], "step 0 is still running");
+        l.report(root, &[(step(1, 1), 1), (step(2, 1), 1)], &[], 1);
+        assert_eq!(l.due_releases(), vec![(1, 1, 1), (2, 1, 1)]);
+        // Both step-1 executions feed server 2's step 2; one of them is
+        // still running, so step 2 waits.
+        l.report(step(1, 1), &[(step(0, 2), 2), (step(2, 2), 2)], &[], 1);
+        assert_eq!(l.due_releases(), vec![]);
+        l.report(step(2, 1), &[(step(2, 2), 2)], &[], 2);
+        assert_eq!(l.due_releases(), vec![(0, 2, 1), (2, 2, 2)]);
+        assert_eq!(l.progress().outstanding_by_depth, vec![(2, 2)]);
+        l.report(step(0, 2), &[], &[(2, VertexId(5))], 0);
+        l.report(step(2, 2), &[], &[], 2);
+        assert_eq!(l.due_releases(), vec![], "no origin step: nothing named");
+        assert!(l.is_done());
+        assert_eq!(l.hosts().collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    /// A retransmitted report names its children again; the frames a
+    /// step waits for are still one per parent.
+    #[test]
+    fn a_redelivered_report_does_not_inflate_a_frame_count() {
+        let mut l = TravelLedger::new(plan(), 9).gated();
+        let (a, b) = (eid(0, 1 << 16), eid(1, 1 << 16));
+        l.exec_created(a, 0);
+        l.exec_created(b, 0);
+        l.report(a, &[(step(1, 1), 1)], &[], 0);
+        l.report(a, &[(step(1, 1), 1)], &[], 0);
+        assert_eq!(l.due_releases(), vec![], "b still runs step 0");
+        l.report(b, &[(step(1, 1), 1)], &[], 1);
+        assert_eq!(l.due_releases(), vec![(1, 1, 2)]);
+    }
+
+    /// The depth past the last is the release of the origin tokens: a
+    /// step like any other, released when the last one has terminated.
+    #[test]
+    fn the_origin_release_is_the_step_past_the_last() {
         let p = Arc::new(GTravel::v([1u64]).rtn().e("a").compile().unwrap());
-        let mut s = SyncState::new(p, 0, 1);
-        // Depth 0 produces frontier for depth 1.
-        assert!(s.step_done(0, 0, &[(0, 1)], &[]));
-        let next = s.advance();
-        assert_eq!(next, vec![(0, 1, SyncExpect::Vertices(1))]);
-        // Final step satisfies one origin token on server 0.
-        assert!(s.step_done(0, 1, &[], &[(0, 1)]));
-        let next = s.advance();
-        assert_eq!(next, vec![(0, 2, SyncExpect::OriginTokens(1))]);
-        assert!(s.step_done(0, 2, &[], &[]));
-        assert!(
-            s.advance().is_empty(),
-            "traversal over after origin release"
-        );
+        let mut l = TravelLedger::new(p, 9).gated();
+        let root = eid(0, 1 << 16);
+        l.exec_created(root, 0);
+        l.report(root, &[(step(0, 1), 1)], &[], 0);
+        assert_eq!(l.due_releases(), vec![(0, 1, 1)]);
+        l.report(step(0, 1), &[(step(0, 2), 2)], &[], 0);
+        assert_eq!(l.due_releases(), vec![(0, 2, 1)]);
+        l.report(step(0, 2), &[], &[(0, VertexId(1))], 0);
+        assert_eq!(l.due_releases(), vec![]);
+        assert!(l.is_done());
     }
 
     #[test]
-    fn sync_finishes_without_origins() {
-        let mut s = SyncState::new(plan(), 0, 1);
-        assert!(s.step_done(0, 0, &[(0, 1)], &[]));
-        s.advance();
-        assert!(s.step_done(0, 1, &[(0, 1)], &[]));
-        s.advance();
-        assert!(s.step_done(0, 2, &[], &[]));
-        assert!(s.advance().is_empty());
+    fn an_ungated_ledger_releases_nothing() {
+        let mut l = TravelLedger::new(plan(), 9);
+        l.exec_created(eid(0, 1), 0);
+        l.report(eid(0, 1), &[(eid(1, 1), 1)], &[], 0);
+        assert_eq!(l.due_releases(), vec![]);
     }
 }

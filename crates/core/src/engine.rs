@@ -34,7 +34,9 @@ impl TransportKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Level-synchronous baseline (the paper's **Sync-GT**): a controller
-    /// barrier between steps, data flowing server-to-server (§VI).
+    /// barrier between steps, data flowing server-to-server (§VI) — the
+    /// Async-GT path behind a step gate that the coordinator's ledger
+    /// opens, each step one execution per server.
     Sync,
     /// Plain asynchronous traversal (the paper's **Async-GT**): no
     /// barrier, but also no caching or merging (§VII-A's ablation).

@@ -87,13 +87,13 @@ impl FaultPlan {
 
 /// A scripted server crash: "crash server `server` after `after_messages`
 /// frontier messages at step ≥ `step`". Frontier messages are the
-/// data-plane traversal messages (`Visit`, `SourceScan`, `SyncFrontier`);
-/// counting them gives a workload-relative trigger that lands mid-travel
-/// regardless of graph size. With `coordinator_events` set, the counter
-/// instead runs over the coordinator-role reports (`ExecTerminated`,
-/// `SyncStepDone`) — one per execution, or per server and step — so the
-/// crash reliably lands on a server while it is *hosting a ledger* — the
-/// failover path's target. A crash point fires at most once per plan — a
+/// data-plane traversal messages (`Visit`, `SourceScan`), counted as they
+/// arrive, whether Sync-GT then holds them or not; counting them gives a
+/// workload-relative trigger that lands mid-travel regardless of graph
+/// size. With `coordinator_events` set, the counter instead runs over the
+/// coordinator-role reports (`ExecTerminated`) — one per execution, which
+/// on Sync-GT is one per server and step — so the crash reliably lands on
+/// a server while it is *hosting a ledger* — the failover path's target. A crash point fires at most once per plan — a
 /// restarted server does not re-arm it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
@@ -150,10 +150,10 @@ impl CrashTrigger {
         let qualifies = match msg.traffic() {
             // Step-scoped trigger: frontier traffic at or past the step.
             Traffic::Frontier(depth) => !self.point.coordinator_events && depth >= self.point.step,
-            // Coordinator-role trigger: count tracing/barrier messages the
-            // server absorbs while hosting a travel's ledger, so the crash
-            // lands mid-travel with coordinator state in flight.
-            Traffic::Tracing | Traffic::StepDone => self.point.coordinator_events,
+            // Coordinator-role trigger: count tracing reports the server
+            // absorbs while hosting a travel's ledger, so the crash lands
+            // mid-travel with coordinator state in flight.
+            Traffic::Tracing => self.point.coordinator_events,
             Traffic::Reply(_) | Traffic::Lossy(_) | Traffic::Other => false,
         };
         if !qualifies {

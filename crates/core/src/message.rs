@@ -1,15 +1,16 @@
 //! Wire messages exchanged between clients, coordinators, and backend
 //! servers.
 //!
-//! One enum covers both engines: the asynchronous flow (`Visit` fan-out
-//! with `ExecTerminated` tracing, §IV-B/§IV-C) and the synchronous
-//! baseline's controller protocol (`SyncStart` barriers with
-//! server-to-server `SyncFrontier` data flow, §VI). §IV-C finishes an
-//! execution once it "has registered all its downstream executions … and
-//! has reported its own termination": that is one event, and it is one
-//! message — the termination names the children it created and carries
-//! the vertices it returned, so a flush sends its shares and then exactly
-//! one report to the coordinator. Messages are plain
+//! One enum covers all three engines: the asynchronous flow (`Visit`
+//! fan-out with `ExecTerminated` tracing, §IV-B/§IV-C), which the
+//! synchronous baseline runs too, behind one more message: the
+//! coordinator's `StepRelease`, which lets a server run a step it has
+//! been holding the frames of (§VI). §IV-C finishes an execution once it
+//! "has registered all its downstream executions … and has reported its
+//! own termination": that is one event, and it is one message — the
+//! termination names the children it created and carries the vertices
+//! it returned, so a flush sends its shares and then exactly one report
+//! to the coordinator. Messages are plain
 //! values — the "network" is [`gt_net`]'s simulated fabric — but each
 //! implements [`WireCodec`], so the bandwidth model charges the bytes the
 //! socket carrier would write.
@@ -31,17 +32,6 @@ pub struct TravelOutcome {
     pub by_depth: Vec<(u16, Vec<VertexId>)>,
     /// Status-tracing totals at completion.
     pub progress: ProgressSnapshot,
-}
-
-/// How a `SyncStart` tells the server what to wait for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncExpect {
-    /// Depth 0: resolve the source locally (scan or owned ids).
-    ScanSource,
-    /// Interior depth: process after receiving this many frontier vertices.
-    Vertices(u64),
-    /// Virtual final step: release origins after this many satisfied tokens.
-    OriginTokens(u64),
 }
 
 /// Why a partition-copy flow runs; the snapshot + delta-trap protocol is
@@ -170,51 +160,17 @@ pub enum Msg {
         tokens: Vec<u64>,
     },
 
-    // ---------------------------------------------------- sync traversal
-    /// Controller → server: begin (or arm) step `depth`.
-    SyncStart {
+    /// Coordinator → server, Sync-GT only: every execution of the steps
+    /// before `depth` has terminated, so run the step this server has
+    /// been holding — its `Visit`s at `depth`, or at the depth past the
+    /// last its `OriginSatisfied` tokens — once `frames` of them arrived.
+    StepRelease {
         /// Travel id.
         travel: TravelId,
-        /// The plan.
-        plan: Arc<Plan>,
-        /// Controller server id.
-        coordinator: usize,
-        /// Step to run.
+        /// The released step.
         depth: u16,
-        /// What to wait for before processing.
-        expect: SyncExpect,
-    },
-    /// Server → server: frontier fragment for the next step (data flows
-    /// between backend servers "without going through the controller").
-    SyncFrontier {
-        /// Travel id.
-        travel: TravelId,
-        /// Depth the vertices enter at.
-        depth: u16,
-        /// Vertices with origin tokens.
-        items: Vec<(VertexId, Tokens)>,
-    },
-    /// Final-step server → origin owner (sync flavour of `OriginSatisfied`).
-    SyncOrigin {
-        /// Travel id.
-        travel: TravelId,
-        /// Token ids local to the receiving server.
-        tokens: Vec<u64>,
-    },
-    /// Server → controller: this server finished its part of `depth`.
-    SyncStepDone {
-        /// Travel id.
-        travel: TravelId,
-        /// The finished step.
-        depth: u16,
-        /// Reporting server.
-        server: usize,
-        /// Frontier vertices sent per destination server.
-        sent: Vec<(usize, u64)>,
-        /// Origin tokens satisfied per owner server.
-        origin_sent: Vec<(usize, u64)>,
-        /// Returned vertices this server produced in the step.
-        results: Vec<(u16, VertexId)>,
+        /// How many frames name this server's execution of the step.
+        frames: u64,
     },
 
     // ------------------------------------------- online metadata updates
@@ -463,8 +419,6 @@ pub(crate) enum Traffic {
     Frontier(u16),
     /// A status-tracing report on its way to the coordinator.
     Tracing,
-    /// A sync step's barrier report.
-    StepDone,
     /// Control plane, and everything else that only ever rides inside an
     /// envelope.
     Other,
@@ -511,10 +465,9 @@ impl Msg {
             Msg::Heartbeat { from, seq } => {
                 Traffic::Lossy(gt_net::chaos_key_of(&[3, *from as u64, *seq]))
             }
-            Msg::Visit { depth, .. } | Msg::SyncFrontier { depth, .. } => Traffic::Frontier(*depth),
+            Msg::Visit { depth, .. } => Traffic::Frontier(*depth),
             Msg::SourceScan { .. } => Traffic::Frontier(0),
             Msg::ExecTerminated { .. } => Traffic::Tracing,
-            Msg::SyncStepDone { .. } => Traffic::StepDone,
             // Listed explicitly so a new variant fails to compile here
             // instead of being silently dropped at the client or
             // exempted from chaos.
@@ -523,8 +476,7 @@ impl Msg {
             | Msg::ProgressQuery { .. }
             | Msg::Cancel { .. }
             | Msg::OriginSatisfied { .. }
-            | Msg::SyncStart { .. }
-            | Msg::SyncOrigin { .. }
+            | Msg::StepRelease { .. }
             | Msg::Ingest { .. }
             | Msg::GetVertex { .. }
             | Msg::PlacementUpdate { .. }

@@ -43,14 +43,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Whether a request participates in the async protocol or a sync step.
+/// The protocol a request runs: there is one, since Sync-GT runs the
+/// asynchronous path behind a step gate. The type stays because the
+/// benchmark harness builds [`RequestState`] by literal
+/// (`benchmark/src/replay.rs`); it goes with the next PR that may touch
+/// those files (ROADMAP item 5(iii)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqMode {
     /// Asynchronous execution: flush dispatches `Visit`s + tracing events.
     Async,
-    /// One synchronous step fragment: flush sends `SyncFrontier`s +
-    /// `SyncStepDone`.
-    SyncStep,
 }
 
 /// Accumulated output of one execution, flushed when every vertex request
@@ -450,7 +451,7 @@ impl VertexTable {
     }
 
     /// Receipt of one execution's vertex requests: each is decided by the
-    /// cache half (if `req` is asynchronous) and queued unless redundant,
+    /// cache half (if there is one) and queued unless redundant,
     /// a re-visit narrowed to its unseen tokens. The redundant ones leave
     /// `req`'s countdown, into its tally, before a worker can pop a part.
     /// Returns how many were redundant and how many requests are queued.
@@ -463,7 +464,7 @@ impl VertexTable {
             enqueued_at,
             req: req.clone(),
         });
-        let consult = self.capacity > 0 && req.mode == ReqMode::Async;
+        let consult = self.capacity > 0;
         self.receive(items, consult, |redundant| {
             req.out.lock().tally.redundant_visits += redundant;
             req.remaining

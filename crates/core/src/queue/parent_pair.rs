@@ -300,7 +300,7 @@ fn run_against_the_pair(seed: u64) {
         })
         .collect();
     let mut execs = 0u64;
-    let mut req = |travel: TravelId, depth: u16, mode: ReqMode| {
+    let mut req = |travel: TravelId, depth: u16| {
         execs += 1;
         Arc::new(RequestState {
             travel,
@@ -309,7 +309,7 @@ fn run_against_the_pair(seed: u64) {
             plan: plans[travel as usize - 1].clone(),
             coordinator: 0,
             tepoch: 0,
-            mode,
+            mode: ReqMode::Async,
             remaining: AtomicUsize::new(0),
             out: Mutex::new(RequestOutput::default()),
         })
@@ -326,14 +326,9 @@ fn run_against_the_pair(seed: u64) {
         let travel = 1 + next(3);
         let depth = next(4) as u16;
         match next(20) {
-            // A `Visit` (or, one in ten, a synchronous step's fragment).
+            // A `Visit`.
             0..=8 => {
-                let mode = if next(10) == 0 {
-                    ReqMode::SyncStep
-                } else {
-                    ReqMode::Async
-                };
-                let r = req(travel, depth, mode);
+                let r = req(travel, depth);
                 let items: Vec<(VertexId, Tokens)> = (0..next(5))
                     .map(|_| (VertexId(next(10)), tokens(&mut next)))
                     .collect();
@@ -341,11 +336,7 @@ fn run_against_the_pair(seed: u64) {
                 let mut want_redundant = 0;
                 let mut kept = Vec::new();
                 for (vertex, tokens) in items {
-                    let decision = match mode {
-                        ReqMode::Async => cache.observe(travel, depth, vertex, &tokens),
-                        ReqMode::SyncStep => CacheDecision::FirstVisit,
-                    };
-                    let tokens = match decision {
+                    let tokens = match cache.observe(travel, depth, vertex, &tokens) {
                         CacheDecision::FirstVisit => tokens,
                         CacheDecision::NewTokens(new) => new,
                         CacheDecision::Redundant => {
@@ -380,7 +371,7 @@ fn run_against_the_pair(seed: u64) {
             10 => {
                 let mut items = Vec::new();
                 for _ in 0..next(4) {
-                    let r = req(1 + next(3), next(4) as u16, ReqMode::Async);
+                    let r = req(1 + next(3), next(4) as u16);
                     items.push(WorkItem {
                         vertex: VertexId(next(10)),
                         depth: r.depth,

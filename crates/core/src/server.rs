@@ -15,19 +15,19 @@
 //! and the dispatcher both touch (with its two ranked locks), the
 //! dispatcher thread's own `Dispatcher` state and its one `Msg` dispatch
 //! table (`handle_msg`). Every protocol with state of its own is a
-//! machine in a submodule — `relay`, `detector`, `barrier`, `copy` — a
-//! plain struct with no thread, lock, endpoint or clock inside, stepped
-//! as `(state, input, now) → Output` by the shell, which alone owns the
-//! locks, the endpoint, the partition and the clock (DESIGN.md §16).
+//! machine in a submodule — `relay`, `detector`, `copy`, and `visit`'s
+//! step holds — a plain struct with no thread, lock, endpoint or clock
+//! inside, stepped as `(state, input, now) → Output` by the shell, which
+//! alone owns the locks, the endpoint, the partition and the clock
+//! (DESIGN.md §16).
 //! `coord` and `ingest` are the shell side of the coordinator role and
 //! of the write path.
 //!
 //! The same server code runs all three engines; the differences are the
 //! vertex table's two switches (its pick order and its cache capacity),
-//! and whether a traversal is driven by the asynchronous protocol or the
-//! synchronous controller.
+//! and, for Sync-GT, the step gate: a server holds each step's frames
+//! until the coordinator releases it, and runs it as one execution.
 
-mod barrier;
 mod coord;
 mod copy;
 mod detector;
@@ -36,7 +36,7 @@ mod ingest;
 mod relay;
 mod visit;
 
-use crate::coordinator::CoordState;
+use crate::coordinator::TravelLedger;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::faults::{CrashPoint, CrashTrigger, ServerFaults};
 use crate::lockorder::{assert_none_held, OrderedMutex, Rank};
@@ -135,7 +135,8 @@ enum LoopCtl {
 struct Shared {
     id: usize,
     n_servers: usize,
-    engine_kind: EngineKind,
+    /// Sync-GT: every travel's steps wait for the coordinator's release.
+    gated: bool,
     partition: Arc<GraphPartition>,
     ep: Endpoint<Msg>,
     /// The traversal-affiliate cache and the request queue, in one.
@@ -191,26 +192,42 @@ struct Dispatcher {
     pending_ingest: HashMap<u64, ingest::PendingIngest>,
     /// Outgoing partition copies (source side).
     copy: CopyTrap,
-    /// Per-travel synchronous-engine step buffers.
-    barrier: barrier::SyncBarrier,
-    coords: HashMap<TravelId, CoordState>,
+    /// Sync-GT's held step frames.
+    holds: visit::Holds,
+    /// The ledgers of the travels this server coordinates.
+    coords: HashMap<TravelId, TravelLedger>,
 }
+
+/// Execution counters start here: below it is the range of
+/// [`step_exec`], which [`alloc_exec`] never yields.
+const STEP_EXECS: u64 = 1 << 16;
 
 fn alloc_exec(sh: &Arc<Shared>) -> ExecId {
     ExecId::new(sh.id, sh.exec_ctr.fetch_add(1, Ordering::Relaxed))
 }
 
+/// Where incarnation `epoch`'s id counters start (48-bit counter space,
+/// high byte = epoch, above the step executions' range).
+fn counter_seed(epoch: u64) -> u64 {
+    (epoch << 40) | STEP_EXECS
+}
+
+/// Server `owner`'s execution of step `depth` of a gated travel: the one
+/// child every parent that feeds it names, whichever server it ran on.
+fn step_exec(owner: usize, depth: u16) -> ExecId {
+    ExecId::new(owner, u64::from(depth))
+}
+
 /// A server's state, before any thread runs on it.
 fn build(args: ServerArgs) -> Dispatcher {
     // Seed the id counters from the epoch so a restarted server can never
-    // reuse a pre-crash ExecId or token id (48-bit counter space, high
-    // byte = epoch).
+    // reuse a pre-crash ExecId or token id.
     debug_assert!(args.epoch < (1 << 8), "epoch exceeds counter headroom");
-    let ctr_seed = (args.epoch << 40) | 1;
+    let ctr_seed = counter_seed(args.epoch);
     let sh = Arc::new(Shared {
         id: args.id,
         n_servers: args.n_servers,
-        engine_kind: args.engine.kind,
+        gated: args.engine.kind == EngineKind::Sync,
         partition: args.partition,
         ep: args.endpoint,
         table: VertexTable::with(
@@ -235,7 +252,7 @@ fn build(args: ServerArgs) -> Dispatcher {
         retired: BTreeSet::new(),
         pending_ingest: HashMap::new(),
         copy: CopyTrap::default(),
-        barrier: barrier::SyncBarrier::default(),
+        holds: visit::Holds::default(),
         coords: HashMap::new(),
     }
 }
@@ -331,7 +348,7 @@ impl Dispatcher {
             // Abrupt death: the queued work vanishes with the process; the
             // workers exit on the closed queue; `Shared` (cache, tokens,
             // relay state) drops with the threads, this thread's own state
-            // (coordinator ledgers, step buffers, copies) with it.
+            // (coordinator ledgers, held steps, copies) with it.
             sh.crashed.store(true, Ordering::SeqCst);
             sh.metrics.crashes.fetch_add(1, Ordering::Relaxed);
             sh.table.clear_all();
@@ -405,19 +422,17 @@ impl Dispatcher {
             Msg::Crash => return LoopCtl::Crash,
             // The fence: the travel finished, was aborted or was cancelled on
             // this server, and a stray message that would host it again, queue
-            // work, fill a cache partition, register a token or buffer a step
+            // work, fill a cache partition, register a token or hold a step
             // for it is dropped — nothing would ever clean that state up
             // again. (`Relay` hands the verdict to its machine instead: it
-            // still has to ack. The coordinator's tracing and barrier reports
-            // need no fence: the abort that retires a travel removes its
-            // `coords` entry, and they are no-ops without one.)
+            // still has to ack. The coordinator's tracing reports need no
+            // fence: the abort that retires a travel removes its `coords`
+            // entry, and they are no-ops without one.)
             Msg::Submit { travel, .. }
             | Msg::SourceScan { travel, .. }
             | Msg::Visit { travel, .. }
             | Msg::OriginSatisfied { travel, .. }
-            | Msg::SyncStart { travel, .. }
-            | Msg::SyncFrontier { travel, .. }
-            | Msg::SyncOrigin { travel, .. }
+            | Msg::StepRelease { travel, .. }
                 if self.is_retired(travel) => {}
             Msg::Relay {
                 travel,
@@ -459,7 +474,7 @@ impl Dispatcher {
                 plan,
                 coordinator,
                 items,
-            } => visit::handle_visit(&self.sh, travel, depth, exec, plan, coordinator, items),
+            } => visit::handle_visit(self, travel, depth, exec, plan, coordinator, items),
             Msg::ExecTerminated {
                 travel,
                 exec,
@@ -474,40 +489,12 @@ impl Dispatcher {
                 exec,
                 coordinator,
                 tokens,
-            } => visit::handle_origin_satisfied(&self.sh, travel, exec, coordinator, &tokens),
-            Msg::SyncStart {
-                travel,
-                plan,
-                coordinator,
-                depth,
-                expect,
-            } => visit::handle_sync(self, travel, |b| {
-                b.on_start(travel, plan, coordinator, depth, expect)
-            }),
-            Msg::SyncFrontier {
+            } => visit::handle_origin_satisfied(self, travel, exec, coordinator, tokens),
+            Msg::StepRelease {
                 travel,
                 depth,
-                items,
-            } => visit::handle_sync(self, travel, |b| b.on_frontier(travel, depth, items)),
-            Msg::SyncOrigin { travel, tokens } => {
-                visit::handle_sync(self, travel, |b| b.on_origin(travel, &tokens))
-            }
-            Msg::SyncStepDone {
-                travel,
-                depth,
-                server,
-                sent,
-                origin_sent,
-                results,
-            } => coord::handle_sync_step_done(
-                self,
-                travel,
-                depth,
-                server,
-                &sent,
-                &origin_sent,
-                &results,
-            ),
+                frames,
+            } => visit::handle_step_release(self, travel, depth, frames),
             Msg::Abort { travel } => self.handle_abort(travel),
             Msg::Cancel { travel, client } => {
                 // Cluster-wide cancellation: same cleanup as an abort,
@@ -579,11 +566,8 @@ impl Dispatcher {
                 self.sh.send(client, Msg::VertexReply { req, vertex });
             }
             Msg::ProgressQuery { travel, client } => {
-                let snapshot = match self.coords.get(&travel) {
-                    Some(CoordState::Async(l)) => l.progress(),
-                    Some(CoordState::Sync(s)) => s.progress(),
-                    None => Default::default(),
-                };
+                let hosted = self.coords.get(&travel);
+                let snapshot = hosted.map(TravelLedger::progress).unwrap_or_default();
                 self.sh
                     .send(client, Msg::ProgressReport { travel, snapshot });
             }
@@ -607,7 +591,7 @@ impl Dispatcher {
 
     /// The travel is over here (finished, abandoned, cancelled or superseded
     /// by its re-drive): queued work, its cache partition, pending returns,
-    /// step buffers and every machine's state for it go, and stray messages
+    /// held steps and every machine's state for it go, and stray messages
     /// for it are fenced from now on.
     fn handle_abort(&mut self, travel: TravelId) {
         let sh = &self.sh;
@@ -616,7 +600,7 @@ impl Dispatcher {
         if sh.reliable {
             sh.relay.lock().forget(travel);
         }
-        self.barrier.forget(travel);
+        self.holds.forget(travel);
         self.coords.remove(&travel);
         self.mark_retired(travel);
     }
@@ -630,7 +614,6 @@ mod tests {
 
     use super::*;
     use crate::lang::{GTravel, Plan};
-    use crate::message::SyncExpect;
     use crate::queue::RequestQueue;
     use gt_graph::VertexId;
     use gt_kvstore::{Store, StoreConfig};
@@ -718,7 +701,7 @@ mod tests {
             assert_eq!(sh.table.len(), 0, "queued work");
             assert_eq!(sh.table.cached(), 0, "cache partition");
             assert!(!sh.tokens.lock().holds(T), "origin token");
-            assert!(!self.d.barrier.holds(T), "step buffer");
+            assert!(!self.d.holds.holds(T), "held step");
             assert!(!self.d.coords.contains_key(&T), "coordinator state");
             assert_eq!(self.peer.pending(), 0, "message to the peer");
             assert_eq!(self.client.pending(), 0, "message to the client");
@@ -727,8 +710,7 @@ mod tests {
         /// What the coordinator state hosted for `travel` has traced.
         fn progress(&self, travel: TravelId) -> crate::message::ProgressSnapshot {
             match self.d.coords.get(&travel) {
-                Some(CoordState::Async(l)) => l.progress(),
-                Some(CoordState::Sync(s)) => s.progress(),
+                Some(l) => l.progress(),
                 None => panic!("travel {travel:#x} is not hosted"),
             }
         }
@@ -800,28 +782,33 @@ mod tests {
         );
     }
 
+    /// Unfenced, a release holds a step nobody will ever send frames for,
+    /// and a frame of a gated travel a step nobody will ever release.
     #[test]
-    fn late_sync_step_inputs_are_fenced() {
+    fn late_step_inputs_of_a_gated_travel_are_fenced() {
         let sync = || EngineConfig::new(EngineKind::Sync);
-        let start = Msg::SyncStart {
+        let release = Msg::StepRelease {
             travel: T,
+            depth: 1,
+            frames: 2,
+        };
+        late_after_abort("step-release", sync(), release);
+        let frame = Msg::Visit {
+            travel: T,
+            depth: 1,
+            exec: step_exec(0, 1),
             plan: plan(),
             coordinator: PEER,
-            depth: 1,
-            expect: SyncExpect::Vertices(5),
-        };
-        late_after_abort("sync-start", sync(), start);
-        let frontier = Msg::SyncFrontier {
-            travel: T,
-            depth: 1,
             items: vec![(VertexId(1), Vec::new())],
         };
-        late_after_abort("sync-frontier", sync(), frontier);
-        let origin = Msg::SyncOrigin {
+        late_after_abort("step-frame", sync(), frame);
+        let tokens = Msg::OriginSatisfied {
             travel: T,
+            exec: step_exec(0, 2),
+            coordinator: PEER,
             tokens: vec![3],
         };
-        late_after_abort("sync-origin", sync(), origin);
+        late_after_abort("step-tokens", sync(), tokens);
     }
 
     #[test]
@@ -903,23 +890,23 @@ mod tests {
                     server: PEER,
                 },
             ),
+            (EngineKind::Sync, visit()),
             (
                 EngineKind::Sync,
-                Msg::SyncFrontier {
+                Msg::StepRelease {
                     travel: T,
                     depth: 1,
-                    items: vec![(VertexId(1), Vec::new())],
+                    frames: 1,
                 },
             ),
             (
                 EngineKind::Sync,
-                Msg::SyncStepDone {
+                Msg::ExecTerminated {
                     travel: T,
-                    depth: 0,
-                    server: PEER,
-                    sent: Vec::new(),
-                    origin_sent: Vec::new(),
+                    exec: exec(),
+                    children: vec![(step_exec(PEER, 1), 1)],
                     results: vec![(1, VertexId(5))],
+                    server: PEER,
                 },
             ),
         ];
@@ -1247,30 +1234,167 @@ mod tests {
         rig.assert_no_trace_of_the_travel();
     }
 
-    /// The coordinator's barrier report needs no fence of its own: the
-    /// abort that retires a travel takes its `coords` entry along.
+    /// A Sync-GT travel's progress is the §IV-C estimate of its ledger,
+    /// as on the other engines: a submitted travel has a root execution
+    /// created and not yet terminated, outstanding at step 0.
     #[test]
-    fn a_late_step_done_finds_no_controller() {
-        let mut rig = Rig::new("step-done", EngineConfig::new(EngineKind::Sync));
+    fn a_sync_travel_reports_its_outstanding_executions() {
+        let mut rig = Rig::new("sync-progress", EngineConfig::new(EngineKind::Sync));
+        let v = rig.owned_by(0);
         rig.deliver(Msg::Submit {
             travel: T,
-            plan: plan(),
+            plan: Arc::new(GTravel::v([v.0]).e("x").compile().expect("plan")),
             client: CLIENT,
         });
-        assert!(rig.d.coords.contains_key(&T));
-        while rig.peer.try_recv().is_some() {} // the step-0 `SyncStart`
-        rig.deliver(Msg::Abort { travel: T });
-        for server in 0..2 {
-            rig.deliver(Msg::SyncStepDone {
-                travel: T,
-                depth: 0,
-                server,
-                sent: Vec::new(),
-                origin_sent: Vec::new(),
-                results: Vec::new(),
-            });
+        let p = rig.progress(T);
+        assert!(p.created > p.terminated, "{p:?}");
+        assert_eq!(p.outstanding_by_depth, vec![(0, 1)]);
+    }
+
+    /// A gated step's frames and its release race; the step runs as one
+    /// execution when the last of them arrives, each vertex once.
+    #[test]
+    fn a_held_step_runs_once_when_its_frames_and_release_are_in() {
+        let mut rig = Rig::new("held-step", EngineConfig::new(EngineKind::Sync));
+        let v = rig.owned_by(0);
+        // Two parents each sent `v`: this server's one share of their
+        // flushes.
+        let frame = || Msg::Visit {
+            travel: T,
+            depth: 1,
+            exec: step_exec(0, 1),
+            plan: plan(),
+            coordinator: PEER,
+            items: vec![(v, Vec::new())],
+        };
+        rig.deliver(frame());
+        assert!(rig.d.holds.holds(T));
+        assert_eq!(rig.sh.table.len(), 0, "admitted before its release");
+        rig.deliver(Msg::StepRelease {
+            travel: T,
+            depth: 1,
+            frames: 2,
+        });
+        assert_eq!(rig.sh.table.len(), 0, "admitted one frame short");
+        rig.deliver(frame());
+        assert!(!rig.d.holds.holds(T));
+        assert_eq!(rig.sh.table.len(), 1, "the step, each vertex once");
+        let m = rig.sh.metrics.snapshot();
+        assert_eq!((m.requests_received, m.redundant_visits), (2, 1));
+    }
+
+    /// A Sync travel aborted while its step-1 frames are held — by a
+    /// re-drive or a cancel, which abort it everywhere — leaves no hold and
+    /// no token record on any of three servers, each stepped by hand, and
+    /// the coordinator's report that would have released the step changes
+    /// nothing after it. No bound on held travels is needed.
+    #[test]
+    fn an_abort_while_frames_are_held_leaves_nothing_on_any_server() {
+        use gt_graph::{Edge, Props, Vertex};
+        let n = 3;
+        let (fabric, mut eps) = Fabric::new(n + 1, NetConfig::instant());
+        let _client = eps.pop().expect("client endpoint");
+        let placement = PlacementMap::initial(n, 1);
+        let dirs: Vec<std::path::PathBuf> = (0..n)
+            .map(|s| std::env::temp_dir().join(format!("gt-shell-{}-held-{s}", std::process::id())))
+            .collect();
+        let mut ds: Vec<Dispatcher> = eps
+            .into_iter()
+            .zip(&dirs)
+            .enumerate()
+            .map(|(id, (endpoint, dir))| {
+                std::fs::remove_dir_all(dir).ok();
+                let store = Arc::new(Store::open(StoreConfig::new(dir)).expect("store"));
+                build(ServerArgs {
+                    id,
+                    n_servers: n,
+                    partition: Arc::new(GraphPartition::open(store).expect("partition")),
+                    endpoint,
+                    engine: EngineConfig::new(EngineKind::Sync),
+                    epoch: 0,
+                    metrics: None,
+                    crash_after: None,
+                    placement: Arc::new(SharedPlacement::new(placement.clone())),
+                    self_healing: false,
+                })
+            })
+            .collect();
+        let owned_by = |server: usize| {
+            (0u64..)
+                .map(VertexId)
+                .find(|v| placement.primary_of(placement.partition_of(*v)) == server)
+                .expect("every server owns a partition")
+        };
+        // `a` on server 0 leads to one vertex on each of the others.
+        let (a, b1, b2) = (owned_by(0), owned_by(1), owned_by(2));
+        let sh0 = ds[0].sh.clone();
+        sh0.partition
+            .put_vertex(&Vertex::new(a.0, "N", Props::new()))
+            .expect("vertex");
+        for b in [b1, b2] {
+            let edge = Edge::new(a.0, "x", b.0, Props::new());
+            sh0.partition.put_edge(&edge).expect("edge");
         }
-        rig.assert_no_trace_of_the_travel();
+        let plan = GTravel::v([a.0]).rtn().e("x").e("x").compile();
+        let submit = Msg::Submit {
+            travel: T,
+            plan: Arc::new(plan.expect("plan")),
+            client: n,
+        };
+        assert_eq!(ds[0].dispatch_one(submit, None), LoopCtl::Continue);
+        // Step 0 runs on server 0: it registers `a`'s token and sends
+        // each peer its share; its report waits in server 0's inbox.
+        sh0.table.close();
+        visit::worker_loop(&sh0);
+        for d in &mut ds[1..] {
+            while let Some(env) = d.sh.ep.try_recv() {
+                assert_eq!(d.dispatch_one(env.msg, None), LoopCtl::Continue);
+            }
+            assert!(
+                d.holds.holds(T),
+                "server {}: the frame is not held",
+                d.sh.id
+            );
+            assert_eq!(d.sh.table.len(), 0, "server {}: admitted", d.sh.id);
+        }
+        assert!(sh0.tokens.lock().holds(T), "no origin token registered");
+        for d in &mut ds {
+            assert_eq!(
+                d.dispatch_one(Msg::Abort { travel: T }, None),
+                LoopCtl::Continue
+            );
+        }
+        // The report that would have released step 1.
+        while let Some(env) = sh0.ep.try_recv() {
+            assert_eq!(ds[0].dispatch_one(env.msg, None), LoopCtl::Continue);
+        }
+        for d in &ds {
+            let id = d.sh.id;
+            assert!(!d.holds.holds(T), "server {id}: held step");
+            assert!(!d.sh.tokens.lock().holds(T), "server {id}: origin token");
+            assert_eq!(d.sh.table.len(), 0, "server {id}: queued work");
+            assert!(d.coords.is_empty(), "server {id}: ledger");
+            assert_eq!(d.sh.ep.pending(), 0, "server {id}: a release went out");
+        }
+        drop((ds, fabric));
+        for dir in dirs {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    /// The ids of step executions and the ids the counters hand out never
+    /// meet, whatever the incarnation.
+    #[test]
+    fn step_executions_and_allocated_ones_are_disjoint() {
+        let counter = |id: ExecId| id.0 & ((1 << 48) - 1);
+        assert!(counter(step_exec(3, u16::MAX)) < STEP_EXECS);
+        for epoch in 0..1 << 8 {
+            assert!(counter_seed(epoch) >= STEP_EXECS, "epoch {epoch}");
+        }
+        let rig = Rig::new("step-ids", EngineConfig::new(EngineKind::Sync));
+        let first = alloc_exec(&rig.sh);
+        assert_eq!(counter(first), STEP_EXECS);
+        assert_eq!(first.server(), step_exec(0, 1).server());
     }
 
     /// A probe and a heartbeat that arrive behind a backlog of frontier

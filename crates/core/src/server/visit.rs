@@ -9,11 +9,17 @@
 //! storage access amortized over all of them (execution merging, §V-B) —
 //! applies the plan's filters, expands edges, and accumulates output into
 //! the owning execution, which *flushes* when its last vertex request
-//! completes. Both protocol flavours share all of it; they differ only in
-//! which messages a flush sends.
+//! completes.
+//!
+//! All three engines run this one path. Sync-GT adds a step gate (§VI):
+//! past step 0, a frame is not admitted when it arrives but held (the
+//! [`Holds`] machine) until the coordinator's `StepRelease` says how many
+//! frames the step has, and the step then runs as one execution over
+//! their union, each vertex once. Its flush names each receiver's step
+//! execution as the child ([`super::step_exec`]), so every parent that
+//! feeds a step names the same one.
 
-use super::barrier::{Fire, SyncBarrier};
-use super::{alloc_exec, send_travel, Dispatcher, Shared};
+use super::{alloc_exec, send_travel, step_exec, Dispatcher, Shared};
 use crate::lang::{vertex_matches, Plan, Source};
 use crate::message::Msg;
 use crate::metrics::TravelMetrics;
@@ -133,11 +139,11 @@ pub(super) fn handle_source_scan(
     exec: ExecId,
 ) {
     let items = resolve_local_source(sh, &plan);
-    handle_visit(sh, travel, 0, exec, plan, coordinator, items);
+    enqueue_execution(sh, travel, 0, exec, plan, coordinator, 0, items);
 }
 
 pub(super) fn handle_visit(
-    sh: &Arc<Shared>,
+    d: &mut Dispatcher,
     travel: TravelId,
     depth: u16,
     exec: ExecId,
@@ -145,11 +151,74 @@ pub(super) fn handle_visit(
     coordinator: usize,
     items: Vec<(VertexId, Tokens)>,
 ) {
-    sh.metrics
-        .requests_received
-        .fetch_add(items.len() as u64, Ordering::Relaxed);
-    let mode = ReqMode::Async;
-    enqueue_execution(sh, travel, depth, exec, plan, coordinator, mode, 0, items);
+    if !d.sh.gated || depth == 0 {
+        return enqueue_execution(&d.sh, travel, depth, exec, plan, coordinator, 0, items);
+    }
+    let frame = Held::Frontier {
+        depth,
+        plan,
+        coordinator,
+        items,
+    };
+    hold(d, travel, exec, frame);
+}
+
+pub(super) fn handle_origin_satisfied(
+    d: &mut Dispatcher,
+    travel: TravelId,
+    exec: ExecId,
+    coordinator: usize,
+    tokens: Vec<u64>,
+) {
+    if !d.sh.gated {
+        return release_origins(&d.sh, travel, exec, coordinator, &tokens);
+    }
+    let frame = Held::Origins {
+        coordinator,
+        tokens,
+    };
+    hold(d, travel, exec, frame);
+}
+
+/// Hold one frame of a gated travel's step execution `exec`, and run the
+/// step if that was the last one its release names.
+fn hold(d: &mut Dispatcher, travel: TravelId, exec: ExecId, frame: Held) {
+    if let Some(step) = d.holds.on_frame(travel, exec, frame) {
+        run_step(&d.sh, travel, exec, step);
+    }
+}
+
+/// The coordinator released step `depth` of a gated travel: this
+/// server's execution of it runs once all `frames` are here.
+pub(super) fn handle_step_release(d: &mut Dispatcher, travel: TravelId, depth: u16, frames: u64) {
+    let exec = step_exec(d.sh.id, depth);
+    if let Some(step) = d.holds.on_release(travel, exec, frames) {
+        run_step(&d.sh, travel, exec, step);
+    }
+}
+
+/// Run a released step as the one execution `exec`: its frontier with
+/// each vertex once, carrying the union of its arrivals' tokens (a
+/// level-synchronous step visits a vertex once; the dropped arrivals
+/// count as redundant), or the release of its origin tokens.
+fn run_step(sh: &Arc<Shared>, travel: TravelId, exec: ExecId, step: Held) {
+    match step {
+        Held::Frontier {
+            depth,
+            plan,
+            coordinator,
+            mut items,
+        } => {
+            let arrived = items.len();
+            merge_share(&mut items);
+            let dup = (arrived - items.len()) as u64;
+            enqueue_execution(sh, travel, depth, exec, plan, coordinator, dup, items);
+        }
+        Held::Origins {
+            coordinator,
+            tokens,
+        } => release_origins(sh, travel, exec, coordinator, &tokens),
+    }
 }
 
 /// Admit one execution: its vertex requests go through the vertex table
@@ -159,7 +228,7 @@ pub(super) fn handle_visit(
 /// open the execution's tally.
 #[expect(
     clippy::too_many_arguments,
-    reason = "the fields of one `RequestState`, passed once from two call sites"
+    reason = "the fields of one `RequestState`, passed once from three call sites"
 )]
 fn enqueue_execution(
     sh: &Arc<Shared>,
@@ -168,11 +237,13 @@ fn enqueue_execution(
     exec: ExecId,
     plan: Arc<Plan>,
     coordinator: usize,
-    mode: ReqMode,
     dup: u64,
     items: Vec<(VertexId, Tokens)>,
 ) {
     let n = items.len();
+    sh.metrics
+        .requests_received
+        .fetch_add(n as u64 + dup, Ordering::Relaxed);
     let req = Arc::new(RequestState {
         travel,
         depth,
@@ -180,7 +251,7 @@ fn enqueue_execution(
         plan,
         coordinator,
         tepoch: 0,
-        mode,
+        mode: ReqMode::Async,
         remaining: AtomicUsize::new(n),
         out: Mutex::default(),
     });
@@ -213,14 +284,15 @@ fn count_results(sh: &Arc<Shared>, results: &[(u16, VertexId)]) {
     }
 }
 
-pub(super) fn handle_origin_satisfied(
+/// The execution `exec` covering a release of origin tokens terminates
+/// with it, its report carrying the returned vertices.
+fn release_origins(
     sh: &Arc<Shared>,
     travel: TravelId,
     exec: ExecId,
     coordinator: usize,
     tokens: &[u64],
 ) {
-    // The synthetic execution covering the release terminates with it.
     let report = Msg::ExecTerminated {
         travel,
         exec,
@@ -231,68 +303,108 @@ pub(super) fn handle_origin_satisfied(
     send_travel(sh, coordinator, travel, report);
 }
 
-// ------------------------------------------------------ sync engine
+// ------------------------------------------------------ Sync-GT's holds
 
-/// Feed one sync-engine input (`SyncStart`, `SyncFrontier`, `SyncOrigin`)
-/// to the travel's step barrier and run the step it releases, if any.
-pub(super) fn handle_sync(
-    d: &mut Dispatcher,
-    travel: TravelId,
-    input: impl FnOnce(&mut SyncBarrier) -> Option<Fire>,
-) {
-    let fire = input(&mut d.barrier);
-    run_sync_step(&d.sh, travel, fire);
+/// What a held step's frames carried, merged.
+#[derive(Debug)]
+pub(super) enum Held {
+    /// `Visit`s: the step's frontier.
+    Frontier {
+        depth: u16,
+        plan: Arc<Plan>,
+        coordinator: usize,
+        items: Vec<(VertexId, Tokens)>,
+    },
+    /// `OriginSatisfied`s: the tokens the step releases.
+    Origins {
+        coordinator: usize,
+        tokens: Vec<u64>,
+    },
 }
 
-fn run_sync_step(sh: &Arc<Shared>, travel: TravelId, fire: Option<Fire>) {
-    match fire {
-        None => {}
-        Some(Fire::ScanSource { plan, coordinator }) => {
-            let items = resolve_local_source(sh, &plan);
-            enqueue_sync_fragment(sh, travel, 0, plan, coordinator, items);
-        }
-        Some(Fire::Frontier {
-            depth,
-            plan,
-            coordinator,
-            items,
-        }) => enqueue_sync_fragment(sh, travel, depth, plan, coordinator, items),
-        Some(Fire::Origins {
-            depth,
-            coordinator,
-            tokens,
-        }) => {
-            let report = Msg::SyncStepDone {
-                travel,
-                depth,
-                server: sh.id,
-                sent: Vec::new(),
-                origin_sent: Vec::new(),
-                results: release(sh, travel, &tokens),
-            };
-            send_travel(sh, coordinator, travel, report);
+impl Held {
+    fn absorb(&mut self, frame: Held) {
+        match (self, frame) {
+            (Held::Frontier { items, .. }, Held::Frontier { items: more, .. }) => {
+                items.extend(more)
+            }
+            (Held::Origins { tokens, .. }, Held::Origins { tokens: more, .. }) => {
+                tokens.extend(more)
+            }
+            // A step execution's id names its depth, and the depth its
+            // kind: the origin release is the depth past the last.
+            (Held::Frontier { .. }, Held::Origins { .. })
+            | (Held::Origins { .. }, Held::Frontier { .. }) => {
+                debug_assert!(false, "one step held two kinds of frame")
+            }
         }
     }
 }
 
-/// Dedup a step fragment (level-synchronous BFS visits each vertex once
-/// per step, with the union of its arrivals' tokens) and admit it.
-fn enqueue_sync_fragment(
-    sh: &Arc<Shared>,
-    travel: TravelId,
-    depth: u16,
-    plan: Arc<Plan>,
-    coordinator: usize,
-    mut items: Vec<(VertexId, Tokens)>,
-) {
-    let received = items.len();
-    sh.metrics
-        .requests_received
-        .fetch_add(received as u64, Ordering::Relaxed);
-    merge_share(&mut items);
-    let dup = (received - items.len()) as u64;
-    let (exec, mode) = (alloc_exec(sh), ReqMode::SyncStep);
-    enqueue_execution(sh, travel, depth, exec, plan, coordinator, mode, dup, items);
+/// One held step: its frames so far, and the count its release names.
+#[derive(Debug, Default)]
+struct Hold {
+    received: u64,
+    /// `None` until the coordinator's `StepRelease` arrives.
+    expected: Option<u64>,
+    frames: Option<Held>,
+}
+
+/// Sync-GT's held steps on this server, one per (travel, step
+/// execution), from the first frame or release until the step runs. The
+/// release and the frames ride different links, so either may come
+/// first; the step runs when the last of them arrives. A travel retired
+/// here — finished, cancelled, or superseded by its re-drive, which
+/// aborts it everywhere — drops its holds, and the retired-travel fence
+/// keeps later frames and releases out, so nothing is held for a travel
+/// that will not run.
+#[derive(Debug, Default)]
+pub(super) struct Holds {
+    steps: HashMap<(TravelId, ExecId), Hold>,
+}
+
+impl Holds {
+    /// One frame of step execution `exec`; the step's frames, merged,
+    /// once every one its release names is here.
+    pub(super) fn on_frame(&mut self, travel: TravelId, exec: ExecId, frame: Held) -> Option<Held> {
+        let hold = self.steps.entry((travel, exec)).or_default();
+        hold.received += 1;
+        match &mut hold.frames {
+            Some(held) => held.absorb(frame),
+            None => hold.frames = Some(frame),
+        }
+        self.fire(travel, exec)
+    }
+
+    /// The coordinator's release of step execution `exec`, naming its
+    /// frame count.
+    pub(super) fn on_release(
+        &mut self,
+        travel: TravelId,
+        exec: ExecId,
+        frames: u64,
+    ) -> Option<Held> {
+        self.steps.entry((travel, exec)).or_default().expected = Some(frames);
+        self.fire(travel, exec)
+    }
+
+    fn fire(&mut self, travel: TravelId, exec: ExecId) -> Option<Held> {
+        let key = (travel, exec);
+        let hold = self.steps.get(&key)?;
+        if hold.expected != Some(hold.received) {
+            return None;
+        }
+        self.steps.remove(&key)?.frames
+    }
+
+    pub(super) fn forget(&mut self, travel: TravelId) {
+        self.steps.retain(|&(t, _), _| t != travel);
+    }
+
+    #[cfg(test)]
+    pub(super) fn holds(&self, travel: TravelId) -> bool {
+        self.steps.keys().any(|&(t, _)| t == travel)
+    }
 }
 
 // ======================================================== worker side
@@ -604,13 +716,11 @@ fn merge_share(items: &mut Vec<(VertexId, Tokens)>) {
     }
 }
 
-/// Flush a completed execution: dispatch its accumulated output, then
-/// send its one report to the coordinator (§IV-B/C for async, the
-/// step-done protocol for sync). The two flavours walk the output the same
-/// way; an asynchronous flush names each downstream share a child
-/// execution and registers the children with its own termination, a
-/// synchronous one counts what it sent where for the controller's barrier
-/// arithmetic. Either report carries the execution's returned vertices.
+/// Flush a completed execution: dispatch its accumulated output, naming
+/// each downstream share a child execution, then send its one report to
+/// the coordinator (§IV-B/C), which registers the children with its own
+/// termination and carries the execution's returned vertices. On a gated
+/// travel the child is the receiver's execution of the next step.
 pub(super) fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
     let out = std::mem::take(&mut *req.out.lock());
     let travel = req.travel;
@@ -628,80 +738,53 @@ pub(super) fn flush_request(sh: &Arc<Shared>, req: &RequestState) {
             .or_default()
             .push(t.id);
     }
-    let sync = req.mode == ReqMode::SyncStep;
     let send = |to: usize, msg: Msg| send_travel(sh, to, travel, msg);
     let mut children: Vec<(ExecId, u16)> = Vec::new();
-    let mut child = |depth: u16| {
-        let exec = alloc_exec(sh);
+    let mut child = |owner: usize, depth: u16| {
+        let exec = if sh.gated {
+            step_exec(owner, depth)
+        } else {
+            alloc_exec(sh)
+        };
         children.push((exec, depth));
         exec
     };
     let depth = req.depth + 1;
-    let mut sent: Vec<(usize, u64)> = Vec::new();
     for (owner, mut items) in out.dst_by_owner.into_iter().enumerate() {
         if items.is_empty() {
             continue;
         }
         merge_share(&mut items);
-        if sync {
-            sent.push((owner, items.len() as u64));
-        }
         sh.metrics
             .requests_dispatched
             .fetch_add(1, Ordering::Relaxed);
-        let share = if sync {
-            Msg::SyncFrontier {
-                travel,
-                depth,
-                items,
-            }
-        } else {
-            Msg::Visit {
-                travel,
-                depth,
-                exec: child(depth),
-                plan: req.plan.clone(),
-                coordinator: req.coordinator,
-                items,
-            }
+        let visit = Msg::Visit {
+            travel,
+            depth,
+            exec: child(owner, depth),
+            plan: req.plan.clone(),
+            coordinator: req.coordinator,
+            items,
         };
-        send(owner, share);
+        send(owner, visit);
     }
     let virtual_depth = req.plan.depth() + 1;
-    let mut origin_sent: Vec<(usize, u64)> = Vec::new();
     for (owner, tokens) in satisfied_by_owner {
-        let satisfied = if sync {
-            origin_sent.push((owner, tokens.len() as u64));
-            Msg::SyncOrigin { travel, tokens }
-        } else {
-            Msg::OriginSatisfied {
-                travel,
-                exec: child(virtual_depth),
-                coordinator: req.coordinator,
-                tokens,
-            }
+        let satisfied = Msg::OriginSatisfied {
+            travel,
+            exec: child(owner, virtual_depth),
+            coordinator: req.coordinator,
+            tokens,
         };
         send(owner, satisfied);
     }
     count_results(sh, &out.results);
-    let results = out.results;
-    let report = if sync {
-        Msg::SyncStepDone {
-            travel,
-            depth: req.depth,
-            server: sh.id,
-            sent,
-            origin_sent,
-            results,
-        }
-    } else {
-        Msg::ExecTerminated {
-            travel,
-            exec: req.exec,
-            children,
-            results,
-            server: sh.id,
-        }
+    let report = Msg::ExecTerminated {
+        travel,
+        exec: req.exec,
+        children,
+        results: out.results,
+        server: sh.id,
     };
     send(req.coordinator, report);
 }

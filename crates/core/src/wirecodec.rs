@@ -33,7 +33,7 @@
 //! peer decode to `None` instead of to a different message.
 
 use crate::lang::{Plan, PlanStep, Source};
-use crate::message::{CopyPurpose, Msg, ProgressSnapshot, SyncExpect, TravelOutcome};
+use crate::message::{CopyPurpose, Msg, ProgressSnapshot, TravelOutcome};
 use crate::{ExecId, Token};
 use gt_graph::{Cond, Edge, FilterSet, PropFilter, PropValue, Vertex, VertexId};
 use gt_placement::{PartitionEntry, PlacementMap};
@@ -448,31 +448,6 @@ impl Wire for Edge {
 
 // ------------------------------------------------------- protocol payloads
 
-impl Wire for SyncExpect {
-    const MIN_SIZE: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            SyncExpect::ScanSource => out.push(1),
-            SyncExpect::Vertices(n) => (2u8, *n).put(out),
-            SyncExpect::OriginTokens(n) => (3u8, *n).put(out),
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match r.u8().ok()? {
-            1 => SyncExpect::ScanSource,
-            2 => SyncExpect::Vertices(Wire::get(r)?),
-            3 => SyncExpect::OriginTokens(Wire::get(r)?),
-            _ => return None,
-        })
-    }
-    fn wire_len(&self) -> usize {
-        match self {
-            SyncExpect::ScanSource => 1,
-            SyncExpect::Vertices(n) | SyncExpect::OriginTokens(n) => 1 + n.wire_len(),
-        }
-    }
-}
-
 impl Wire for CopyPurpose {
     const MIN_SIZE: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
@@ -595,9 +570,10 @@ wire_table! {
         // separate `Results`, and `ExecTerminated` / `SyncStepDone`
         // without the results they now carry (re-issued as 57 and 58).
         12 => OriginSatisfied { travel, exec, coordinator, tokens },
-        14 => SyncStart { travel, plan, coordinator, depth, expect },
-        15 => SyncFrontier { travel, depth, items },
-        16 => SyncOrigin { travel, tokens },
+        // 14–16 and 58 are retired: Sync-GT's own protocol — `SyncStart`,
+        // `SyncFrontier`, `SyncOrigin`, `SyncStepDone` — which has no
+        // successor but 60: a gated step runs on `Visit`s and reports by
+        // `ExecTerminated`.
         18 => Ingest { req, client, vertices, edges },
         // 19–20 are retired (`IngestAck`/`GetVertex` with the replica-read
         // barrier fields; re-issued slimmer as 47–48); they stay unassigned.
@@ -635,8 +611,8 @@ wire_table! {
         52 => Heartbeat { from, seq },
         56 => RelayAck { travel, server, seq, attempt },
         57 => ExecTerminated { travel, exec, children, results, server },
-        58 => SyncStepDone { travel, depth, server, sent, origin_sent, results },
         59 => CopyApplied { mig, server },
+        60 => StepRelease { travel, depth, frames },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.

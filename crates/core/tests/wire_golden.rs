@@ -13,7 +13,7 @@
 //! a `retired/` label, where it must decode to `None` for good.
 
 use graphtrek::lang::{GTravel, Plan};
-use graphtrek::message::{CopyPurpose, Msg, ProgressSnapshot, SyncExpect, TravelOutcome};
+use graphtrek::message::{CopyPurpose, Msg, ProgressSnapshot, TravelOutcome};
 use graphtrek::{ExecId, Token};
 use gt_graph::{Edge, PropFilter, PropValue, Props, Vertex, VertexId};
 use gt_placement::PlacementMap;
@@ -123,43 +123,10 @@ fn msgs() -> Vec<Msg> {
             coordinator: 0,
             tokens: vec![7, 8],
         },
-        Msg::SyncStart {
+        Msg::StepRelease {
             travel: 6,
-            plan: plan.clone(),
-            coordinator: 1,
-            depth: 0,
-            expect: SyncExpect::ScanSource,
-        },
-        Msg::SyncStart {
-            travel: 6,
-            plan: plan.clone(),
-            coordinator: 1,
-            depth: 1,
-            expect: SyncExpect::Vertices(12),
-        },
-        Msg::SyncStart {
-            travel: 6,
-            plan: plan.clone(),
-            coordinator: 1,
             depth: 2,
-            expect: SyncExpect::OriginTokens(3),
-        },
-        Msg::SyncFrontier {
-            travel: 6,
-            depth: 1,
-            items: vec![(VertexId(3), vec![Token { owner: 0, id: 1 }])],
-        },
-        Msg::SyncOrigin {
-            travel: 6,
-            tokens: vec![1, 2, 3],
-        },
-        Msg::SyncStepDone {
-            travel: 6,
-            depth: 1,
-            server: 2,
-            sent: vec![(0, 5), (1, 6)],
-            origin_sent: vec![(2, 1)],
-            results: vec![(2, VertexId(11))],
+            frames: 3,
         },
         Msg::Ingest {
             req: 9,
@@ -452,11 +419,12 @@ fn retired_tags_stay_unassigned() {
     let (_, retired) = golden_lines();
     assert_eq!(
         retired.len(),
-        25,
+        29,
         "tags 41-44, then 19, 20 and 30, then 23, 25 and 38, then 24, 26 and 32, \
          then 22 and 50 (`Relay`, `RelayAck` with a travel-epoch) and the takeover's \
          53, 51, 54 and 27, then the tracing reports 10, 11, 13 and 17, then the \
-         copy's 35 and 36 (`CopyApplied` with a phase, `CopyCutover`)"
+         copy's 35 and 36 (`CopyApplied` with a phase, `CopyCutover`), then \
+         Sync-GT's own protocol, 14, 15, 16 and 58"
     );
     for line in retired {
         let (label, frame) = line.split_once(' ').expect("label, then hex");
@@ -501,11 +469,26 @@ fn malformed_bytes_decode_to_none() {
     buf.push(7);
     assert!(Msg::decode(&buf).is_none());
     // A hostile length prefix larger than the buffer is rejected before
-    // allocation (tag 16 is `SyncOrigin { travel, tokens }`).
-    let mut buf = vec![16];
-    buf.extend_from_slice(&5u64.to_le_bytes());
+    // allocation (tag 12 is `OriginSatisfied { travel, exec, coordinator,
+    // tokens }`).
+    let mut buf = vec![12];
+    for field in [5u64, 7, 0] {
+        buf.extend_from_slice(&field.to_le_bytes());
+    }
     buf.extend_from_slice(&u32::MAX.to_le_bytes());
     assert!(Msg::decode(&buf).is_none());
+    // A `StepRelease` with a byte too many, and one whose frame count
+    // is cut short.
+    let release = Msg::StepRelease {
+        travel: 6,
+        depth: 2,
+        frames: 3,
+    }
+    .to_bytes();
+    let mut long = release.clone();
+    long.push(0);
+    assert!(Msg::decode(&long).is_none());
+    assert!(Msg::decode(&release[..release.len() - 4]).is_none());
     // Relay nesting beyond the engine's single level is rejected.
     let mut deep = Msg::Abort { travel: 1 };
     for _ in 0..10 {
