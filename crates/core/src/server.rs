@@ -190,7 +190,7 @@ struct Dispatcher {
     retired: BTreeSet<TravelId>,
     /// req id → ingest awaiting replica write acks.
     pending_ingest: HashMap<u64, ingest::PendingIngest>,
-    /// Outgoing partition copies (source side).
+    /// Partition copies: outgoing flows, failed incoming ones.
     copy: CopyTrap,
     /// Sync-GT's held step frames.
     holds: visit::Holds,
@@ -481,9 +481,11 @@ impl Dispatcher {
                 children,
                 results,
                 server,
-            } => coord::coord_event(self, travel, |l| {
-                l.report(exec, &children, &results, server)
-            }),
+            } => {
+                return coord::coord_event(self, travel, |l| {
+                    l.report(exec, &children, &results, server)
+                })
+            }
             Msg::OriginSatisfied {
                 travel,
                 exec,
@@ -553,7 +555,7 @@ impl Dispatcher {
                 client,
                 purpose,
                 ..
-            } => ingest::handle_copy_data(&self.sh, mig, pairs, phase, last, client, purpose),
+            } => ingest::handle_copy_data(self, mig, pairs, phase, last, client, purpose),
             Msg::CopyFinish { mig, purpose } => ingest::handle_copy_finish(self, mig, purpose),
             Msg::GetVertex {
                 req,
@@ -1481,6 +1483,47 @@ mod tests {
             panic!("the empty snapshot's last chunk, then the write: {to_peer:?}");
         };
         assert!(*rows > 0, "the forwarded write carries its rows");
+    }
+
+    /// A copy target acknowledges a snapshot only when every chunk of it
+    /// imported: a last chunk carrying one malformed `verts` row is
+    /// refused whole and sends no `CopyApplied`; a clean one still does.
+    #[test]
+    fn a_snapshot_whose_chunk_is_refused_is_not_acknowledged() {
+        use crate::message::CopyPurpose;
+        use gt_graph::{codec, Props, Vertex};
+        let mut rig = Rig::new("copy-refused", EngineConfig::new(EngineKind::GraphTrek));
+        let v = Vertex::new(3u64, "N", Props::new());
+        let key = codec::vertex_key(v.id).to_vec();
+        let good = (
+            "verts".to_string(),
+            key.clone(),
+            Some(codec::encode_vertex(&v).to_vec()),
+        );
+        let bad = ("verts".to_string(), key, Some(vec![0xFF]));
+        let chunk = |mig, pairs| Msg::CopyData {
+            mig,
+            partition: 0,
+            pairs,
+            phase: 0,
+            last: true,
+            client: CLIENT,
+            purpose: CopyPurpose::Move,
+        };
+        rig.deliver(chunk(9, vec![good.clone(), bad]));
+        assert_eq!(
+            rig.client.pending(),
+            0,
+            "a refused snapshot is acknowledged"
+        );
+        assert!(rig.sh.partition.get_vertex(v.id).expect("read").is_none());
+        rig.deliver(chunk(10, vec![good]));
+        let ack = rig.client.try_recv().map(|env| env.msg);
+        assert!(
+            matches!(ack, Some(Msg::CopyApplied { mig: 10, server: 0 })),
+            "{ack:?}"
+        );
+        assert_eq!(rig.sh.partition.get_vertex(v.id).expect("read"), Some(v));
     }
 
     /// The one gate on "no ranked guard is alive where a message leaves".

@@ -17,26 +17,49 @@ use std::sync::Arc;
 /// of a gated travel it made due, and finish the travel if that was its
 /// last outstanding execution. No-op when this server doesn't host a
 /// ledger for `travel`.
+///
+/// A release addressed to this server is received here and now, after the
+/// others went out, through [`Dispatcher::handle_msg`] — as
+/// [`dispatch_travel_source`] receives the source share — instead of
+/// crossing the wire to itself. It is handed over after the retire below,
+/// so a travel that just finished fences it, as it would have on receipt.
 pub(super) fn coord_event(
     d: &mut Dispatcher,
     travel: TravelId,
     apply: impl FnOnce(&mut TravelLedger),
-) {
+) -> LoopCtl {
     let Some(l) = d.coords.get_mut(&travel) else {
-        return;
+        return LoopCtl::Continue;
     };
     apply(l);
+    let mut own = Vec::new();
     for (server, depth, frames) in l.due_releases() {
         let release = Msg::StepRelease {
             travel,
             depth,
             frames,
         };
-        send_travel(&d.sh, server, travel, release);
+        if server == d.sh.id {
+            own.push(release);
+        } else {
+            send_travel(&d.sh, server, travel, release);
+        }
     }
-    if !l.is_done() {
-        return;
+    if l.is_done() {
+        retire(d, travel);
     }
+    for release in own {
+        let ctl = d.handle_msg(release);
+        if ctl != LoopCtl::Continue {
+            return ctl;
+        }
+    }
+    LoopCtl::Continue
+}
+
+/// `travel` is complete: drop its ledger, retire it everywhere it ran and
+/// tell the client.
+fn retire(d: &mut Dispatcher, travel: TravelId) {
     if let Some(l) = d.coords.remove(&travel) {
         // Retire the travel where it ran: here at once, on every other
         // server that reported hosting an execution by an `Abort`. A
@@ -78,7 +101,9 @@ pub(super) fn handle_submit(
 /// A fresh root execution of `travel`, created in its ledger.
 fn root_exec(d: &mut Dispatcher, travel: TravelId) -> ExecId {
     let exec = alloc_exec(&d.sh);
-    coord_event(d, travel, |l| l.exec_created(exec, 0));
+    // An execution outstanding at step 0 makes no step due: there is no
+    // release to hand over, so the loop carries on.
+    let _ = coord_event(d, travel, |l| l.exec_created(exec, 0));
     exec
 }
 
@@ -122,7 +147,7 @@ fn dispatch_travel_source(d: &mut Dispatcher, travel: TravelId, plan: &Arc<Plan>
             if !any {
                 // Degenerate: no owned sources at all; finish immediately.
                 let exec = root_exec(d, travel);
-                coord_event(d, travel, |l| {
+                return coord_event(d, travel, |l| {
                     l.exec_terminated(exec, &[]);
                 });
             }

@@ -1,6 +1,6 @@
-//! The source side of a live partition copy as a sans-I/O machine: which
+//! A live partition copy as a sans-I/O machine: on the source, which
 //! writes each outgoing flow forwards, and the chunking of exported rows
-//! into `CopyData` messages.
+//! into `CopyData` messages; on the target, which snapshot is acknowledged.
 //!
 //! One flow serves live migration and replica restoration. The flow is
 //! registered as its snapshot is exported, on the dispatcher thread that
@@ -8,6 +8,11 @@
 //! later write to the flow's partition is forwarded to the target at once,
 //! behind the snapshot's chunks on the same link, until `CopyFinish`. A
 //! write the target receives twice is an idempotent upsert.
+//!
+//! The target acknowledges a snapshot's last chunk only if no chunk of the
+//! copy failed to import (a peer's malformed row is refused whole). An
+//! unacknowledged copy runs into the orchestrator's deadline and fails, and
+//! the old holders keep serving.
 
 use crate::message::{CopyPurpose, Msg};
 use crate::TravelId;
@@ -17,6 +22,10 @@ use std::collections::{BTreeSet, HashMap};
 
 /// Snapshot/forwarded rows per [`Msg::CopyData`] chunk.
 const CHUNK_ROWS: usize = 512;
+
+/// Failed incoming copies remembered at once. A failed copy gets no
+/// `CopyFinish` to forget it by, so the oldest mark goes past this.
+const MAX_FAILED_COPIES: usize = 256;
 
 /// Where one copy flow's chunks go and what they are stamped with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +38,12 @@ pub(super) struct CopyRoute {
     pub(super) purpose: CopyPurpose,
 }
 
-/// Every outgoing copy flow of one server.
+/// Every outgoing copy flow of one server, and the incoming copies one of
+/// whose chunks it failed to import.
 #[derive(Default)]
 pub(super) struct CopyTrap {
     flows: HashMap<TravelId, CopyRoute>,
+    failed: BTreeSet<TravelId>,
 }
 
 impl CopyTrap {
@@ -62,8 +73,22 @@ impl CopyTrap {
         forward
     }
 
+    /// Target side: a chunk of copy `mig` was imported (`imported`) or
+    /// refused. Returns whether to acknowledge it: only the `last` chunk
+    /// of a snapshot none of whose chunks failed is.
+    pub(super) fn on_chunk(&mut self, mig: TravelId, imported: bool, last: bool) -> bool {
+        if !imported {
+            self.failed.insert(mig);
+            while self.failed.len() > MAX_FAILED_COPIES {
+                self.failed.pop_first();
+            }
+        }
+        last && !self.failed.contains(&mig)
+    }
+
     /// The flow is over; true if this server was its source.
     pub(super) fn on_finish(&mut self, mig: TravelId) -> bool {
+        self.failed.remove(&mig);
         self.flows.remove(&mig).is_some()
     }
 }
@@ -156,6 +181,23 @@ mod tests {
             forwarded,
             vec![(route(1, 0), vids(&[2])), (route(2, 1), vids(&[3]))]
         );
+    }
+
+    #[test]
+    fn a_snapshot_with_a_failed_chunk_is_never_acknowledged() {
+        let mut trap = CopyTrap::default();
+        assert!(!trap.on_chunk(1, true, false));
+        assert!(trap.on_chunk(1, true, true), "a clean snapshot is acked");
+        assert!(!trap.on_chunk(2, false, false));
+        assert!(!trap.on_chunk(2, true, true), "an earlier chunk failed");
+        assert!(!trap.on_chunk(3, false, true), "the last chunk failed");
+        assert!(trap.on_chunk(4, true, true), "other copies are unaffected");
+        assert!(!trap.on_finish(2));
+        assert!(!trap.failed.contains(&2), "the finish forgets the mark");
+        for mig in 10..10 + MAX_FAILED_COPIES as TravelId + 5 {
+            trap.on_chunk(mig, false, false);
+        }
+        assert_eq!(trap.failed.len(), MAX_FAILED_COPIES);
     }
 
     fn rows(n: usize) -> Vec<RawTriple> {

@@ -160,9 +160,9 @@ pub(super) fn handle_copy_begin(d: &mut Dispatcher, route: CopyRoute) {
 
 /// Target side: apply a snapshot (phase 0, bulk segment import) or
 /// forwarded-write (phase 1, memtable upsert) chunk; the snapshot's last
-/// chunk is acknowledged.
+/// chunk is acknowledged, unless a chunk of the copy failed to import.
 pub(super) fn handle_copy_data(
-    sh: &Arc<Shared>,
+    d: &mut Dispatcher,
     mig: TravelId,
     pairs: Vec<gt_graph::storage::RawTriple>,
     phase: u8,
@@ -170,9 +170,10 @@ pub(super) fn handle_copy_data(
     client: usize,
     purpose: CopyPurpose,
 ) {
+    let sh = &d.sh;
     count_copy_chunks(sh, purpose, false, 1);
-    let _ = sh.partition.import_raw(pairs, phase == 0);
-    if last {
+    let imported = sh.partition.import_raw(pairs, phase == 0).is_ok();
+    if d.copy.on_chunk(mig, imported, last) {
         let server = sh.id;
         sh.send(client, Msg::CopyApplied { mig, server });
     }

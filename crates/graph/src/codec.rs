@@ -145,8 +145,8 @@ pub fn decode_props(data: &[u8]) -> Option<Props> {
 }
 
 /// Whether [`decode_props`] would accept `data`, decided by walking the
-/// length fields: no `String`, no map. Lets a read that only needs to know
-/// a record is intact (an unfiltered traversal step) skip the decode.
+/// length fields: no `String`, no map. The check a partition makes on
+/// edge props that arrive from a peer (`GraphPartition::import_raw`).
 pub fn props_well_formed(data: &[u8]) -> bool {
     fn walk(data: &[u8]) -> Option<()> {
         let n = u16::from_le_bytes(data.get(0..2)?.try_into().ok()?) as usize;
@@ -161,6 +161,46 @@ pub fn props_well_formed(data: &[u8]) -> bool {
         (pos == data.len()).then_some(())
     }
     walk(data).is_some()
+}
+
+/// Why [`encode_props`] cannot represent `props` — a key over `u16::MAX`
+/// bytes, more than `u16::MAX` entries, a string over `u32::MAX` bytes —
+/// or `None` when it encodes them exactly.
+fn props_unrepresentable(props: &Props) -> Option<String> {
+    if props.len() > u16::MAX as usize {
+        return Some(format!("{} properties, at most {}", props.len(), u16::MAX));
+    }
+    props.iter().find_map(|(k, v)| {
+        if k.len() > u16::MAX as usize {
+            return Some(format!("a {}-byte property key", k.len()));
+        }
+        match v {
+            PropValue::Str(s) if s.len() > u32::MAX as usize => {
+                Some(format!("a {}-byte string under {k:?}", s.len()))
+            }
+            _ => None,
+        }
+    })
+}
+
+/// Why [`encode_vertex`] cannot represent `v` without truncating a
+/// length field, or `None` when it encodes `v` exactly. The graph layer
+/// refuses such a vertex before it writes anything.
+pub fn vertex_unrepresentable(v: &Vertex) -> Option<String> {
+    if v.vtype.len() > u16::MAX as usize {
+        return Some(format!("a {}-byte vertex type", v.vtype.len()));
+    }
+    props_unrepresentable(&v.props)
+}
+
+/// Why [`edge_key`] and [`encode_props`] cannot represent an edge with
+/// `label` and `props` — a label over 255 bytes, or props as in
+/// [`vertex_unrepresentable`] — or `None`.
+pub fn edge_unrepresentable(label: &str, props: &Props) -> Option<String> {
+    if label.len() > u8::MAX as usize {
+        return Some(format!("a {}-byte edge label", label.len()));
+    }
+    props_unrepresentable(props)
 }
 
 /// Encode a vertex record (type + props) for the vertex namespace.
@@ -186,8 +226,8 @@ pub fn decode_vertex(id: VertexId, data: &[u8]) -> Option<Vertex> {
     Some(Vertex { id, vtype, props })
 }
 
-/// Whether [`decode_vertex`] would accept `data` — the existence-only
-/// form of the vertex read (see [`props_well_formed`]).
+/// Whether [`decode_vertex`] would accept `data` (see
+/// [`props_well_formed`]).
 pub fn vertex_well_formed(data: &[u8]) -> bool {
     let Some(tlen) = data.get(0..2).and_then(|b| b.try_into().ok()) else {
         return false;
@@ -207,7 +247,9 @@ pub fn vertex_key(id: VertexId) -> [u8; 8] {
 ///
 /// All edges of a vertex share the `src` prefix; all edges with a given
 /// label share the longer `src|label` prefix, so a typed adjacency scan is
-/// one sequential prefix scan (the §VI layout optimization).
+/// one sequential prefix scan (the §VI layout optimization). A label over
+/// 255 bytes does not fit its length byte; the graph layer refuses such
+/// an edge before it builds a key ([`edge_unrepresentable`]).
 pub fn edge_key(src: VertexId, label: &str, dst: VertexId) -> Vec<u8> {
     debug_assert!(label.len() <= u8::MAX as usize, "edge label too long");
     let mut out = Vec::with_capacity(17 + label.len());

@@ -18,8 +18,12 @@ use crate::memory::InMemoryGraph;
 use crate::model::{Edge, Props, Vertex, VertexId};
 use crate::partition::{EdgeCutPartitioner, ServerId};
 use crate::value::PropValue;
-use gt_kvstore::{Namespace, ReadView, Result, Store, WriteBatch};
+use gt_kvstore::{version, Error, Namespace, ReadView, Result, Store, WriteBatch};
 use std::sync::Arc;
+
+/// The namespaces of vertex records and of edges.
+const VERTS: &str = "verts";
+const EDGES: &str = "edges";
 
 /// Number of operations grouped per bulk-load batch.
 const LOAD_BATCH: usize = 1024;
@@ -56,8 +60,8 @@ impl std::fmt::Debug for GraphPartition {
 impl GraphPartition {
     /// Open (or create) a partition inside `store`.
     pub fn open(store: Arc<Store>) -> Result<Self> {
-        let verts = store.namespace("verts")?;
-        let edges = store.namespace("edges")?;
+        let verts = store.namespace(VERTS)?;
+        let edges = store.namespace(EDGES)?;
         Ok(GraphPartition {
             store,
             verts,
@@ -82,15 +86,17 @@ impl GraphPartition {
 
     /// Insert or replace a vertex (attributes + type-index entry). With
     /// snapshot versioning on, the write is stamped at a freshly
-    /// allocated sequence number.
+    /// allocated sequence number. A vertex the codec cannot represent is
+    /// refused with [`Error::Unrepresentable`] and nothing is written.
     pub fn put_vertex(&self, v: &Vertex) -> Result<()> {
         match self.store.alloc_seq() {
             Some(seq) => self.put_vertex_at(v, seq),
             None => {
+                representable_vertex(v)?;
+                let types = self.type_ns(&v.vtype)?;
                 self.verts
                     .put(codec::vertex_key(v.id).to_vec(), codec::encode_vertex(v))?;
-                self.type_ns(&v.vtype)?
-                    .put(codec::vertex_key(v.id).to_vec(), bytes::Bytes::new())?;
+                types.put(codec::vertex_key(v.id).to_vec(), bytes::Bytes::new())?;
                 Ok(())
             }
         }
@@ -109,29 +115,36 @@ impl GraphPartition {
                 .unwrap_or(PropValue::Int(seq as i64));
             v2.props.set(CREATED_SEQ_PROP, created);
         }
+        representable_vertex(&v2)?;
+        let types = self.type_ns(&v2.vtype)?;
         let mut vb = WriteBatch::with_capacity(1);
         vb.put(codec::vertex_key(v2.id).to_vec(), codec::encode_vertex(&v2));
         self.verts.write_batch_at(vb, seq)?;
         let mut tb = WriteBatch::with_capacity(1);
         tb.put(codec::vertex_key(v2.id).to_vec(), bytes::Bytes::new());
-        self.type_ns(&v2.vtype)?.write_batch_at(tb, seq)?;
+        types.write_batch_at(tb, seq)?;
         Ok(())
     }
 
-    /// Insert or replace an edge (stamped when versioning is on).
+    /// Insert or replace an edge (stamped when versioning is on); refused
+    /// like [`Self::put_vertex`] when the codec cannot represent it.
     pub fn put_edge(&self, e: &Edge) -> Result<()> {
         match self.store.alloc_seq() {
             Some(seq) => self.put_edge_at(e, seq),
-            None => self.edges.put(
-                codec::edge_key(e.src, &e.label, e.dst),
-                bytes::Bytes::from(codec::encode_props(&e.props)),
-            ),
+            None => {
+                representable_edge(&e.label, &e.props)?;
+                self.edges.put(
+                    codec::edge_key(e.src, &e.label, e.dst),
+                    bytes::Bytes::from(codec::encode_props(&e.props)),
+                )
+            }
         }
     }
 
     /// Insert or replace an edge at `seq`, stamping
     /// [`CREATED_SEQ_PROP`] (preserved across upserts like vertices).
     pub fn put_edge_at(&self, e: &Edge, seq: u64) -> Result<()> {
+        representable_edge(&e.label, &e.props)?;
         let key = codec::edge_key(e.src, &e.label, e.dst);
         let mut props = e.props.clone();
         if props.get(CREATED_SEQ_PROP).is_none() {
@@ -142,6 +155,7 @@ impl GraphPartition {
                 .and_then(|p| p.get(CREATED_SEQ_PROP).cloned())
                 .unwrap_or(PropValue::Int(seq as i64));
             props.set(CREATED_SEQ_PROP, created);
+            representable_edge(&e.label, &props)?;
         }
         let mut b = WriteBatch::with_capacity(1);
         b.put(key, bytes::Bytes::from(codec::encode_props(&props)));
@@ -167,16 +181,15 @@ impl GraphPartition {
     }
 
     /// Whether vertex `id` is visible at `view`: the same storage read,
-    /// I/O-model charge and `IoStats` as [`Self::get_vertex_at`], but the
-    /// record is only walked, never built — what an unfiltered traversal
-    /// step needs. A record `get_vertex_at` would reject is absent here
-    /// too.
+    /// I/O-model charge and `IoStats` as [`Self::get_vertex_at`], but no
+    /// byte of the record is looked at — what an unfiltered traversal step
+    /// needs. A record only enters the partition well-formed (checked
+    /// where it is written or imported), so this agrees with
+    /// `get_vertex_at(..).is_some()`.
     pub fn has_vertex_at(&self, id: VertexId, view: ReadView) -> Result<bool> {
         let key = codec::vertex_key(id);
-        let found = self
-            .verts
-            .get_with(&key, self.kv_view(view), codec::vertex_well_formed)?;
-        Ok(found == Some(true))
+        let found = self.verts.get_with(&key, self.kv_view(view), |_| ())?;
+        Ok(found.is_some())
     }
 
     /// The kvstore view a read at `view` takes: a versioned store resolves
@@ -212,9 +225,10 @@ impl GraphPartition {
     }
 
     /// Destinations of the `label` edges of `src` visible at `view`, in
-    /// destination order: the scan of [`Self::edges_out_at`] with only the
-    /// key tail decoded — what a hop without edge filters needs. An edge
-    /// `edges_out_at` would skip (malformed key or props) is skipped here.
+    /// destination order: the scan of [`Self::edges_out_at`] reading only
+    /// the 8 key bytes after the prefix — what a hop without edge filters
+    /// needs. Values are never looked at; edges enter the partition
+    /// well-formed, so this agrees with `edges_out_at`'s destinations.
     pub fn edge_dsts_at(
         &self,
         src: VertexId,
@@ -224,10 +238,9 @@ impl GraphPartition {
         let prefix = codec::edge_label_prefix(src, label);
         let mut out = Vec::new();
         self.edges
-            .scan_prefix_with(&prefix, self.kv_view(view), |k, v| {
-                if codec::props_well_formed(v) {
-                    out.extend(codec::split_edge_key(k).map(|(_, _, dst)| dst));
-                }
+            .scan_prefix_with(&prefix, self.kv_view(view), |k, _| {
+                let tail = k.get(prefix.len()..).and_then(|t| t.try_into().ok());
+                out.extend(tail.map(VertexId::from_be_bytes));
             })?;
         Ok(out)
     }
@@ -259,24 +272,38 @@ impl GraphPartition {
     /// Bulk-load vertices and edges with batched writes. With snapshot
     /// versioning on, the entire load is stamped at one freshly
     /// allocated sequence number — the initial graph is a single
-    /// consistent version.
+    /// consistent version. Every record is checked before the first
+    /// write: one the codec cannot represent refuses the whole load with
+    /// [`Error::Unrepresentable`], and nothing is written.
     pub fn load(
         &self,
         vertices: impl IntoIterator<Item = Vertex>,
         edges: impl IntoIterator<Item = Edge>,
     ) -> Result<()> {
         let seq = self.store.alloc_seq();
+        let stamp = |props: &mut Props| {
+            if let Some(s) = seq {
+                if props.get(CREATED_SEQ_PROP).is_none() {
+                    props.set(CREATED_SEQ_PROP, PropValue::Int(s as i64));
+                }
+            }
+        };
+        let mut vertices: Vec<Vertex> = vertices.into_iter().collect();
+        for v in &mut vertices {
+            stamp(&mut v.props);
+            representable_vertex(v)?;
+        }
+        let mut edges: Vec<Edge> = edges.into_iter().collect();
+        for e in &mut edges {
+            stamp(&mut e.props);
+            representable_edge(&e.label, &e.props)?;
+        }
         let write = |ns: &Namespace, batch: WriteBatch| match seq {
             Some(s) => ns.write_batch_at(batch, s),
             None => ns.write_batch(batch),
         };
         let mut vbatch = WriteBatch::with_capacity(LOAD_BATCH);
-        for mut v in vertices {
-            if let Some(s) = seq {
-                if v.props.get(CREATED_SEQ_PROP).is_none() {
-                    v.props.set(CREATED_SEQ_PROP, PropValue::Int(s as i64));
-                }
-            }
+        for v in vertices {
             vbatch.put(codec::vertex_key(v.id).to_vec(), codec::encode_vertex(&v));
             // The type index is written through its own namespace batch-of-one;
             // type namespaces are few, so per-op cost is negligible.
@@ -289,12 +316,7 @@ impl GraphPartition {
         }
         write(&self.verts, vbatch)?;
         let mut ebatch = WriteBatch::with_capacity(LOAD_BATCH);
-        for mut e in edges {
-            if let Some(s) = seq {
-                if e.props.get(CREATED_SEQ_PROP).is_none() {
-                    e.props.set(CREATED_SEQ_PROP, PropValue::Int(s as i64));
-                }
-            }
+        for e in edges {
             ebatch.put(
                 codec::edge_key(e.src, &e.label, e.dst),
                 bytes::Bytes::from(codec::encode_props(&e.props)),
@@ -370,7 +392,25 @@ impl GraphPartition {
     /// segment-import fast path (snapshot phase of a migration); the
     /// normal write path otherwise (delta catch-up), so later mutations
     /// shadow the snapshot.
+    ///
+    /// The rows come from a peer, so this is where foreign bytes enter the
+    /// partition: every `verts` record and every `edges` key and props
+    /// value is checked before any row is written (a versioned key with
+    /// its `!seq` suffix split off first). One malformed row refuses the
+    /// whole batch with [`Error::Corruption`] and leaves the partition
+    /// untouched — which is what lets the reads trust what they find.
     pub fn import_raw(&self, triples: Vec<RawTriple>, bulk: bool) -> Result<()> {
+        let versioned = self.store.versioning_enabled();
+        if let Some((i, (ns, _, _))) = triples
+            .iter()
+            .enumerate()
+            .find(|(_, (ns, k, v))| !row_well_formed(ns, k, v.as_deref(), versioned))
+        {
+            return Err(Error::corruption(
+                "import",
+                format!("row {i} of namespace {ns:?} is not a well-formed graph record"),
+            ));
+        }
         type NsPairs = Vec<(Vec<u8>, Option<bytes::Bytes>)>;
         let mut by_ns: std::collections::BTreeMap<String, NsPairs> =
             std::collections::BTreeMap::new();
@@ -380,8 +420,13 @@ impl GraphPartition {
                 .or_default()
                 .push((k, v.map(bytes::Bytes::from)));
         }
+        // Open every namespace before writing to any, so a refused name
+        // refuses the batch before its first row.
+        let mut opened = Vec::with_capacity(by_ns.len());
         for (ns_name, pairs) in by_ns {
-            let ns = self.store.namespace(&ns_name)?;
+            opened.push((self.store.namespace(&ns_name)?, pairs));
+        }
+        for (ns, pairs) in opened {
             if bulk {
                 ns.import_raw(pairs)?;
             } else {
@@ -405,6 +450,41 @@ impl GraphPartition {
         }
         Ok(())
     }
+}
+
+/// Whether one imported row is a record the graph layer could have
+/// written: a `verts` row an 8-byte id keying a record
+/// [`codec::decode_vertex`] accepts, an `edges` row a key
+/// [`codec::split_edge_key`] accepts keying props [`codec::decode_props`]
+/// accepts. A tombstone (`None`) carries no value to check. Other
+/// namespaces (the type index) are not read for their values.
+fn row_well_formed(ns: &str, key: &[u8], value: Option<&[u8]>, versioned: bool) -> bool {
+    let user_key = if versioned {
+        match version::split_suffixed(key) {
+            Some((k, _)) => k,
+            None => return false,
+        }
+    } else {
+        key
+    };
+    match ns {
+        VERTS => user_key.len() == 8 && value.is_none_or(codec::vertex_well_formed),
+        EDGES => {
+            codec::split_edge_key(user_key).is_some() && value.is_none_or(codec::props_well_formed)
+        }
+        _ => true,
+    }
+}
+
+/// Refuse a vertex [`codec::encode_vertex`] would truncate.
+fn representable_vertex(v: &Vertex) -> Result<()> {
+    codec::vertex_unrepresentable(v).map_or(Ok(()), |why| Err(Error::Unrepresentable(why)))
+}
+
+/// Refuse an edge [`codec::edge_key`] or [`codec::encode_props`] would
+/// truncate.
+fn representable_edge(label: &str, props: &Props) -> Result<()> {
+    codec::edge_unrepresentable(label, props).map_or(Ok(()), |why| Err(Error::Unrepresentable(why)))
 }
 
 /// The vertex id a storage key belongs to (all graph namespaces lead with
@@ -823,6 +903,104 @@ mod tests {
             1
         );
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Every row the partition holds, in any namespace.
+    fn all_rows(p: &GraphPartition) -> Vec<RawTriple> {
+        p.export_where(|_| true).unwrap()
+    }
+
+    #[test]
+    fn unrepresentable_records_are_refused_by_put_and_load() {
+        let long = |n: usize| "x".repeat(n);
+        let bad_label = Edge::new(1u64, long(256), 2u64, Props::new());
+        let bad_key = Vertex::new(1u64, "N", Props::new().with(long(65_536), 1i64));
+        let bad_type = Vertex::new(1u64, long(65_536), Props::new());
+        let good = Vertex::new(2u64, "N", Props::new());
+        let unrepresentable = |r: Result<()>| matches!(r, Err(Error::Unrepresentable(_)));
+        for versioned in [false, true] {
+            let (p, dir) = if versioned {
+                let (p, _clock, dir) = open_tmp_versioned("unrep");
+                (p, dir)
+            } else {
+                open_tmp("unrep")
+            };
+            assert!(unrepresentable(p.put_edge(&bad_label)));
+            assert!(unrepresentable(p.put_edge_at(&bad_label, 1)));
+            for v in [&bad_key, &bad_type] {
+                assert!(unrepresentable(p.put_vertex(v)));
+                assert!(unrepresentable(p.put_vertex_at(v, 1)));
+                assert!(unrepresentable(p.load([good.clone(), v.clone()], [])));
+            }
+            assert!(unrepresentable(p.load([good.clone()], [bad_label.clone()])));
+            assert!(all_rows(&p).is_empty(), "versioned: {versioned}");
+            // The limits themselves are representable.
+            let widest = Edge::new(1u64, long(255), 2u64, Props::new());
+            p.load([good.clone()], [widest.clone()]).unwrap();
+            assert_eq!(
+                p.edge_dsts_at(VertexId(1), &widest.label, ReadView::LATEST)
+                    .unwrap(),
+                vec![VertexId(2)]
+            );
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn versioned_edges_round_trip_through_import_and_damage_is_refused() {
+        let (src, clock, sdir) = open_tmp_versioned("vedges");
+        src.put_vertex(&Vertex::new(1u64, "N", Props::new()))
+            .unwrap();
+        src.put_edge(&Edge::new(1u64, "read", 2u64, Props::new().with("w", 1i64)))
+            .unwrap();
+        let s1 = src.store().current_seq();
+        src.put_edge(&Edge::new(1u64, "read", 3u64, Props::new()))
+            .unwrap();
+        src.store().flush_all().unwrap();
+        let dump = all_rows(&src);
+        let target = |tag: &str| {
+            let dir = sdir.with_extension(tag);
+            std::fs::remove_dir_all(&dir).ok();
+            let cfg = StoreConfig::new(&dir).version_clock(clock.clone());
+            let p = GraphPartition::open(Arc::new(Store::open(cfg).unwrap())).unwrap();
+            (p, dir)
+        };
+
+        for bulk in [true, false] {
+            let (dst, ddir) = target(if bulk { "bulk" } else { "delta" });
+            dst.import_raw(dump.clone(), bulk).unwrap();
+            for view in [ReadView::at(s1), ReadView::LATEST] {
+                let full: Vec<VertexId> = src
+                    .edges_out_at(VertexId(1), "read", view)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(d, _)| d)
+                    .collect();
+                assert_eq!(dst.edge_dsts_at(VertexId(1), "read", view).unwrap(), full);
+                assert_eq!(
+                    dst.edges_out_at(VertexId(1), "read", view).unwrap(),
+                    src.edges_out_at(VertexId(1), "read", view).unwrap()
+                );
+            }
+            std::fs::remove_dir_all(ddir).ok();
+        }
+
+        // One edge's props damaged: the whole copy is refused.
+        let mut damaged = dump;
+        let row = damaged
+            .iter_mut()
+            .find(|(ns, _, v)| ns == "edges" && v.is_some())
+            .unwrap();
+        row.2.as_mut().unwrap().push(0xFF);
+        let (dst, ddir) = target("damaged");
+        let refused = dst.import_raw(damaged, true);
+        assert!(
+            matches!(refused, Err(Error::Corruption { .. })),
+            "{refused:?}"
+        );
+        assert!(all_rows(&dst).is_empty());
+        std::fs::remove_dir_all(ddir).ok();
+        std::fs::remove_dir_all(sdir).ok();
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub enum Error {
     },
     /// A namespace name contained characters unusable as a directory name.
     InvalidNamespace(String),
+    /// A record its encoder cannot represent (a length that overflows its
+    /// field) was refused before anything was written.
+    Unrepresentable(String),
     /// The store was already closed (e.g. a handle outlived shutdown).
     Closed,
 }
@@ -31,6 +34,7 @@ impl fmt::Display for Error {
                 write!(f, "corruption in {file}: {detail}")
             }
             Error::InvalidNamespace(name) => write!(f, "invalid namespace name: {name:?}"),
+            Error::Unrepresentable(why) => write!(f, "unrepresentable record: {why}"),
             Error::Closed => write!(f, "store is closed"),
         }
     }

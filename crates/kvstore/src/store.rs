@@ -122,7 +122,10 @@ impl Store {
 
     /// Get (opening or creating on first use) a namespace handle.
     pub fn namespace(&self, name: &str) -> Result<Arc<Tree>> {
+        // A leading `.` would name the store root (`.`), its parent (`..`)
+        // or a hidden directory beside the trees.
         if name.is_empty()
+            || name.starts_with('.')
             || !name
                 .bytes()
                 .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.')
@@ -314,8 +317,22 @@ mod tests {
         let s = Store::open(StoreConfig::new(&dir)).unwrap();
         assert!(s.namespace("").is_err());
         assert!(s.namespace("a/b").is_err());
-        assert!(s.namespace("..").is_ok()); // dots allowed; traversal needs '/' which is rejected
         assert!(s.namespace("ok_name-1.x").is_ok());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn namespaces_leading_with_a_dot_are_refused() {
+        let dir = tmp("dots");
+        let s = Store::open(StoreConfig::new(&dir)).unwrap();
+        for name in [".", "..", "...", ".hidden"] {
+            assert!(
+                matches!(s.namespace(name), Err(Error::InvalidNamespace(_))),
+                "{name:?}"
+            );
+        }
+        assert!(s.namespace("a.b").is_ok());
+        assert_eq!(s.list_namespaces(), vec!["a.b".to_string()]);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -15,12 +15,21 @@
 # object. Code built without frame pointers (the precompiled Rust
 # standard library, libc) can hide or misattribute its caller's frame,
 # so read small inclusive shares with care.
+#
+#   CALLERS=<regex> tools/profile.sh <workload> [seed] [seconds]
+#
+# adds a third table: the samples with a function matching <regex>
+# (awk syntax) anywhere on their stack, grouped by their innermost four
+# frames ("leaf <- caller <- …"), each path's share of all samples. It
+# tells which callee a hot function's time goes to once inlining hides
+# it from the self column, e.g. CALLERS='has_vertex_at|edge_dsts_at'.
 set -euo pipefail
 
 workload=${1:?usage: tools/profile.sh <workload> [seed] [seconds]}
 seed=${2:-1}
 seconds=${3:-20}
 top=${TOP:-40}
+callers=${CALLERS:-}
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=${PROFILE_DIR:-$root/target/profile}
 mkdir -p "$out"
@@ -132,7 +141,7 @@ nm -C --defined-only -n "$bin" |
     awk '$2 ~ /^[tTwW]$/ { a = $1; sub(/^[^ ]+ [^ ]+ /, ""); sub(/::h[0-9a-f]+$/, ""); print a, $0 }' \
         >"$out/symbols.txt"
 
-awk -v top="$top" '
+awk -v top="$top" -v callers="$callers" '
 function hex(s,    i, c, v) {
     v = 0
     for (i = 1; i <= length(s); i++) {
@@ -167,6 +176,8 @@ $1 == "obj" { nobj++; obase[nobj] = hex($2); ostart[nobj] = hex($3); oend[nobj] 
 $1 == "s" {
     total++
     delete seen
+    hit = 0
+    path = ""
     for (i = 2; i <= NF; i++) {
         # A return address points after its call: look up the call.
         k = $i (i > 2 ? "r" : "")
@@ -174,7 +185,10 @@ $1 == "s" {
         f = memo[k]
         if (i == 2) self[f]++
         if (!(f in seen)) { seen[f] = 1; incl[f]++ }
+        if (callers != "" && f ~ callers) hit = 1
+        if (i <= 5) path = path (i > 2 ? " <- " : "") f
     }
+    if (hit) { matched++; paths[path]++ }
 }
 END {
     if (total == 0) { print "no samples"; exit 1 }
@@ -183,5 +197,9 @@ END {
     close("sort -k1,1nr | head -n " top)
     printf "\n%7s %7s  %s   (by inclusive share)\n", "self%", "incl%", "function"
     for (f in incl) printf "%7.2f %7.2f  %s\n", 100 * self[f] / total, 100 * incl[f] / total, f | "sort -k2,2nr | head -n " top
+    close("sort -k2,2nr | head -n " top)
+    if (callers == "") exit
+    printf "\n%7.2f%% of samples have /%s/ on the stack; by innermost four frames:\n", 100 * matched / total, callers
+    for (p in paths) printf "%7.2f  %s\n", 100 * paths[p] / total, p | "sort -k1,1nr | head -n " top
 }
 ' "$out/symbols.txt" "$samples"
