@@ -50,7 +50,7 @@ use gt_net::{Endpoint, Fabric, Link};
 use gt_placement::{PlacementMap, SharedPlacement};
 use gt_transport::{MeshConfig, SocketAddrSpec, SocketMesh};
 pub(crate) use rehome::first_coordinator;
-use rehome::{Cause, Host};
+use rehome::Cause;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -499,9 +499,9 @@ impl ClusterState {
     }
 
     /// The *initial* hash partitioner. Only valid for inspecting vertex
-    /// placement on a static cluster — after a [`ClusterState::migrate`],
-    /// [`ClusterState::promote`] or [`ClusterState::rebalance`] the authoritative
-    /// routing lives in [`ClusterState::placement`].
+    /// placement on a static cluster — after a [`ClusterState::migrate`] or
+    /// [`ClusterState::promote`] the authoritative routing lives in
+    /// [`ClusterState::placement`].
     pub fn partitioner(&self) -> EdgeCutPartitioner {
         self.partitioner
     }
@@ -513,9 +513,8 @@ impl ClusterState {
 
     /// Begin a traversal from an already-compiled plan (the front door's
     /// path: it stamps QoS metadata onto the plan before dispatch). The
-    /// primary of its first start vertex coordinates it, a scan's
-    /// coordinator is picked round-robin by travel id, and neither is a
-    /// draining server.
+    /// primary of its first start vertex coordinates it, and a scan's
+    /// coordinator is picked round-robin by travel id.
     pub fn start_plan(&self, plan: Arc<Plan>) -> Result<Ticket, ClusterError> {
         let travel = self.port.open_travel();
         let coordinator = first_coordinator(travel, &plan, &self.placement, self.slots.len());
@@ -627,21 +626,19 @@ impl ClusterState {
         }
     }
 
-    /// What the servers look like right now, for a step of the table.
-    fn hosts(&self) -> Vec<Host> {
-        let host = |s| Host {
-            crashed: self.server_crashed(s),
-            decommissioned: self.placement.is_decommissioned(s),
-        };
-        (0..self.slots.len()).map(host).collect()
+    /// Which servers are down right now, for a step of the table.
+    fn crashed_servers(&self) -> Vec<bool> {
+        (0..self.slots.len())
+            .map(|s| self.server_crashed(s))
+            .collect()
     }
 
     /// A wait of `travel` timed out at `now`: tick its entry, then re-home
     /// it off a lost host, probe a silent re-drive or give it up. The error
     /// is why the travel cannot be saved.
     fn step_travel(&self, travel: TravelId, now: Instant) -> Result<(), ClusterError> {
-        let hosts = self.hosts();
-        let tick = self.travels.lock().tick(travel, &hosts, now);
+        let crashed = self.crashed_servers();
+        let tick = self.travels.lock().tick(travel, &crashed, now);
         match tick.map_err(ClusterError::Travel)? {
             Tick::Idle => Ok(()),
             Tick::Probe(redrive) => self.probe(redrive),
@@ -711,10 +708,10 @@ impl ClusterState {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let (hosts, now) = (self.hosts(), Instant::now());
+        let (crashed, now) = (self.crashed_servers(), Instant::now());
         let step = {
             let mut table = self.travels.lock();
-            table.on_rehome(travel, from, cause, &hosts, now)
+            table.on_rehome(travel, from, cause, &crashed, now)
         };
         let Some((superseded, redrive)) = step.map_err(ClusterError::Travel)? else {
             return Ok(());

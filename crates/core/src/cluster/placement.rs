@@ -1,14 +1,13 @@
 //! Placement orchestration and the healer thread: sequential shell code
 //! over the client port — install and broadcast a map, copy a partition
-//! under live traffic, promote, drain, rebalance, re-replicate. What to
-//! answer a suspicion and where a missing copy goes are decided elsewhere
-//! ([`super::healer::Healer`], [`gt_placement::rebalance::plan_repairs`]).
+//! under live traffic, promote, migrate, re-replicate. What to answer a
+//! suspicion and where a missing copy goes are decided elsewhere
+//! ([`super::healer::Healer`], [`super::healer::plan_repairs`]).
 
-use super::healer::Healer;
+use super::healer::{plan_repairs, Healer};
 use super::rehome::Cause;
 use super::{ClusterError, ClusterState};
 use crate::message::{CopyPurpose, Msg, PLACEMENT_KEYS, SUSPECT_KEY};
-use gt_placement::rebalance::{plan_moves, plan_repairs, Move};
 use gt_placement::PlacementMap;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,8 +115,8 @@ impl ClusterState {
         // Re-drive the unfinished travels whose coordinator is live:
         // their in-flight frontier work on the dead shard is gone, and
         // only a fresh re-drive against the promoted replicas recovers it.
-        let hosts = self.hosts();
-        let hosted = self.travels.lock().hosted_alive(&hosts);
+        let crashed = self.crashed_servers();
+        let hosted = self.travels.lock().hosted_alive(&crashed);
         for (travel, coordinator) in hosted {
             // Best-effort: the map flip above is already durable, so a
             // re-drive that cannot start must not fail the promotion. Each
@@ -144,7 +143,8 @@ impl ClusterState {
     /// `to`) and the healer's re-replication (`Replica`: the cutover adds
     /// `to` to the replica set). One acknowledged phase — the bulk
     /// snapshot, with every write after it forwarded until the finish —
-    /// then the map edit, broadcast, and release of both ends.
+    /// then the map edit, broadcast, and release of both ends. A copy that
+    /// fails after its begin releases the source alone.
     fn copy_partition(
         &self,
         partition: usize,
@@ -189,63 +189,38 @@ impl ClusterState {
                 purpose,
             },
         )?;
-        // The snapshot applied on the target; the source forwards every
-        // later write behind it on the same link.
-        self.port.await_reply(mig, deadline, |m| match m {
-            Msg::CopyApplied { .. } => Ok(()),
-            other => Err(other),
-        })?;
-        // Cutover: edit the map and broadcast. In-flight frontiers and
-        // writes route by the new map as soon as each server installs it.
-        let mut map = self.placement.snapshot();
-        let changed = match purpose {
-            CopyPurpose::Move => {
-                map.set_primary(partition, to);
-                true
-            }
-            CopyPurpose::Replica => map.add_replica(partition, to),
-        };
-        if changed {
-            self.broadcast_placement(map)?;
-        }
-        for s in [from, to] {
-            self.port.send(s, Msg::CopyFinish { mig, purpose })?;
-        }
-        Ok(())
-    }
-
-    /// Drain a server for removal: mark it decommissioned (it hosts no
-    /// new coordinator roles and receives no new primaries), migrate
-    /// every partition it primaries to the least-loaded active servers,
-    /// and broadcast the final map. The server stays up throughout —
-    /// travels it currently coordinates or serves finish normally on its
-    /// retained (stale) copies. Returns the executed move plan.
-    pub fn decommission(&self, server: usize) -> Result<Vec<Move>, ClusterError> {
-        if server >= self.slots.len() {
-            return Err(ClusterError::Recovery(format!("no server {server}")));
-        }
-        let active = self.placement.snapshot().active_servers().len();
-        if active <= 1 {
-            return Err(ClusterError::Recovery(
-                "cannot decommission the last active server".into(),
-            ));
-        }
-        let mut map = self.placement.snapshot();
-        map.decommission(server);
-        self.broadcast_placement(map)?;
-        self.rebalance()
-    }
-
-    /// Load-aware rebalance: plan shard moves from observed per-server
-    /// real-I/O visit counts ([`gt_placement::rebalance::plan_moves`])
-    /// and execute them as live migrations. Returns the executed plan
-    /// (empty when already balanced).
-    pub fn rebalance(&self) -> Result<Vec<Move>, ClusterError> {
-        let moves = plan_moves(&self.loads(), &self.placement.snapshot());
-        for m in &moves {
-            self.migrate(m.partition, m.to)?;
-        }
-        Ok(moves)
+        // The snapshot applied on the target (the source forwards every
+        // later write behind it on the same link), then the cutover: edit
+        // the map and broadcast. In-flight frontiers and writes route by
+        // the new map as soon as each server installs it.
+        let copied = self
+            .port
+            .await_reply(mig, deadline, |m| match m {
+                Msg::CopyApplied { .. } => Ok(()),
+                other => Err(other),
+            })
+            .and_then(|_| {
+                let mut map = self.placement.snapshot();
+                let changed = match purpose {
+                    CopyPurpose::Move => {
+                        map.set_primary(partition, to);
+                        true
+                    }
+                    CopyPurpose::Replica => map.add_replica(partition, to),
+                };
+                if changed {
+                    self.broadcast_placement(map)
+                } else {
+                    Ok(())
+                }
+            });
+        // The source forwards writes until its finish, so it hears one on
+        // every exit. The target hears one only for a copy that landed: it
+        // credits a restored replica.
+        let released = self.port.send(from, Msg::CopyFinish { mig, purpose });
+        copied?;
+        released?;
+        self.port.send(to, Msg::CopyFinish { mig, purpose })
     }
 
     /// Observed per-server load: real-I/O vertex visits.
@@ -313,9 +288,7 @@ impl ClusterState {
         if map.under_replicated(self.replication).is_empty() {
             return;
         }
-        let crashed: Vec<bool> = (0..self.slots.len())
-            .map(|s| self.server_crashed(s))
-            .collect();
+        let crashed = self.crashed_servers();
         for (partition, to) in plan_repairs(&map, self.replication, &crashed, &self.loads()) {
             let _ = self.copy_partition(partition, to, CopyPurpose::Replica);
         }

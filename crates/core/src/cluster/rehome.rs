@@ -19,54 +19,33 @@ pub(super) enum Cause {
     HostLost,
     /// A live host sheds it because the data under the travel moved.
     /// Nothing restarts, and the role moves on (back onto the host itself
-    /// only when no other server is eligible).
+    /// only when no other server is up).
     Shed,
-}
-
-/// What the shell saw of one server when it gathered a step's facts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(super) struct Host {
-    pub(super) crashed: bool,
-    /// Draining: serves reads, hosts no new coordinator roles.
-    pub(super) decommissioned: bool,
-}
-
-/// The first of `first, first + 1, …` (mod `n`, each server once) that
-/// `ok` accepts. Deterministic, so a fixed seed reproduces every
-/// coordinator assignment.
-pub(super) fn ring_pick(first: usize, n: usize, ok: impl Fn(usize) -> bool) -> Option<usize> {
-    (0..n).map(|k| (first + k) % n).find(|&s| ok(s))
 }
 
 /// Who coordinates a new travel: the primary of a `v(ids…)` plan's first
 /// start vertex — "the coordinator first learns that userA is stored in
 /// server 2" (§IV-B), so a point travel never leaves that server — and the
-/// `travel % n` ring for a `v()` scan. A draining server is skipped, on
-/// the ring from that base. The one picker of both client shells.
+/// `travel % n` ring for a `v()` scan. The one picker of both client
+/// shells.
 pub(crate) fn first_coordinator(
     travel: TravelId,
     plan: &Plan,
     placement: &SharedPlacement,
     n: usize,
 ) -> usize {
-    let base = match &plan.source {
+    match &plan.source {
         Source::Ids(ids) if !ids.is_empty() => placement.primary_of_vid(ids[0]),
         Source::Ids(_) | Source::All => (travel as usize) % n,
-    };
-    ring_pick(base, n, |s| !placement.is_decommissioned(s)).unwrap_or(base)
+    }
 }
 
-/// Who takes the role over from `from`: the next live server after it
-/// that is not draining, `from` itself last. A lost host's travel settles
-/// for a draining server rather than die; a shed role stays where it is.
-pub(super) fn successor_of(from: usize, cause: Cause, hosts: &[Host]) -> Option<usize> {
-    let (n, next) = (hosts.len(), from + 1);
-    let up = |s: usize| !hosts[s].crashed;
-    let eligible = ring_pick(next, n, |s| up(s) && !hosts[s].decommissioned);
-    match cause {
-        Cause::HostLost => eligible.or_else(|| ring_pick(next, n, up)),
-        Cause::Shed => eligible,
-    }
+/// Who takes the role over from `from`: the first server after it on the
+/// ring that has not `crashed`, `from` itself last. Deterministic, so a
+/// fixed seed reproduces every coordinator assignment.
+pub(super) fn successor_of(from: usize, crashed: &[bool]) -> Option<usize> {
+    let n = crashed.len();
+    (1..=n).map(|k| (from + k) % n).find(|&s| !crashed[s])
 }
 
 #[cfg(test)]
@@ -81,34 +60,12 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    const UP: Host = Host {
-        crashed: false,
-        decommissioned: false,
-    };
-    const DOWN: Host = Host {
-        crashed: true,
-        decommissioned: false,
-    };
-    const DRAINING: Host = Host {
-        crashed: false,
-        decommissioned: true,
-    };
-
-    #[test]
-    fn the_ring_starts_where_it_is_told_and_visits_every_server_once() {
-        assert_eq!(ring_pick(2, 4, |_| true), Some(2));
-        assert_eq!(ring_pick(2, 4, |s| s < 2), Some(0), "wraps");
-        assert_eq!(ring_pick(5, 4, |s| s == 0), Some(0), "any start, mod n");
-        assert_eq!(ring_pick(2, 4, |_| false), None);
-        // A new travel's coordinator: its hash slot unless that drains.
-        let hosts = [UP, DRAINING, DRAINING, UP];
-        let fresh = |base| ring_pick(base, 4, |s| !hosts[s].decommissioned);
-        assert_eq!((fresh(0), fresh(1), fresh(2)), (Some(0), Some(3), Some(3)));
-    }
+    const UP: bool = false;
+    const DOWN: bool = true;
 
     #[test]
     fn a_new_travel_starts_on_its_first_source_s_primary_and_a_scan_on_the_ring() {
-        let mut map = PlacementMap::initial(4, 1);
+        let map = PlacementMap::initial(4, 1);
         let owned_by = |map: &PlacementMap, s: usize| {
             (0u64..)
                 .find(|&v| map.is_primary(s, VertexId(v)))
@@ -129,35 +86,18 @@ mod tests {
             .map(|t| pick(t, GTravel::v_all().e("x"), &placement))
             .collect();
         assert_eq!(scans, [0, 1, 2, 3]);
-        // A draining primary hosts no new role: the ring from it on.
-        map.decommission(2);
-        map.decommission(3);
-        let draining = SharedPlacement::new(map);
-        assert_eq!(pick(1, GTravel::v([on2]), &draining), 0);
-        assert_eq!(pick(2, GTravel::v_all(), &draining), 0);
-        assert_eq!(pick(5, GTravel::v_all(), &draining), 1);
     }
 
     #[test]
-    fn the_successor_is_the_next_live_server_that_is_not_draining() {
-        let both = |from, hosts: &[Host]| {
-            (
-                successor_of(from, Cause::HostLost, hosts),
-                successor_of(from, Cause::Shed, hosts),
-            )
-        };
-        assert_eq!(both(1, &[UP, UP, UP]), (Some(2), Some(2)));
-        assert_eq!(both(2, &[UP, UP, UP]), (Some(0), Some(0)), "the ring wraps");
-        assert_eq!(both(0, &[UP, DOWN, UP]), (Some(2), Some(2)));
-        assert_eq!(both(0, &[UP, DRAINING, UP]), (Some(2), Some(2)));
+    fn the_successor_is_the_next_live_server_on_the_ring() {
+        assert_eq!(successor_of(1, &[UP, UP, UP]), Some(2));
+        assert_eq!(successor_of(1, &[UP, UP, DOWN, DOWN]), Some(0), "wraps");
+        assert_eq!(successor_of(2, &[UP, UP, UP]), Some(0), "the ring wraps");
+        assert_eq!(successor_of(0, &[UP, DOWN, UP]), Some(2));
         // Every other server is dead: the role stays on (or comes back
         // to) the host itself — revived by then, if it was lost.
-        assert_eq!(both(1, &[DOWN, UP, DOWN]), (Some(1), Some(1)));
-        // Only draining servers are left: a lost host's travel settles for
-        // one rather than die; a shed role has nowhere better to go.
-        assert_eq!(both(0, &[DOWN, DRAINING, DOWN]), (Some(1), None));
-        assert_eq!(both(0, &[DRAINING, DOWN, DOWN]), (Some(0), None));
-        assert_eq!(both(0, &[DOWN, DOWN, DOWN]), (None, None));
+        assert_eq!(successor_of(1, &[DOWN, UP, DOWN]), Some(1));
+        assert_eq!(successor_of(0, &[DOWN, DOWN, DOWN]), None);
     }
 
     // -------------------------------------------------------- the model
@@ -239,13 +179,8 @@ mod tests {
         let (mut pins, mut unpins, mut freed_slots, mut rehomes) = (0, 0, 0, 0u32);
         let (mut stalled, mut vacated_by) = (false, None);
 
-        let hosts = |servers: &[Server]| -> Vec<Host> {
-            let host = |s: &Server| Host {
-                crashed: s.crashed,
-                decommissioned: false,
-            };
-            servers.iter().map(host).collect()
-        };
+        let crashed =
+            |servers: &[Server]| -> Vec<bool> { servers.iter().map(|s| s.crashed).collect() };
         let mut now = t0;
         let horizon = t0 + RECOVER_DEADLINE * 4;
         macro_rules! put {
@@ -279,7 +214,7 @@ mod tests {
         }
         macro_rules! rehome {
             ($from:expr, $cause:expr) => {{
-                let facts = hosts(&servers);
+                let facts = crashed(&servers);
                 match table.on_rehome(T, $from, $cause, &facts, now) {
                     Ok(Some((old, redrive))) => {
                         rehomes += 1;
@@ -370,12 +305,12 @@ mod tests {
             if promotion.is_some_and(|when| when <= now) {
                 // `promote`: re-drive what a live server coordinates.
                 promotion = None;
-                let facts = hosts(&servers);
+                let facts = crashed(&servers);
                 if let Some(&(_, host)) = table.hosted_alive(&facts).first() {
                     rehome!(host, Cause::Shed);
                 }
             } else if table.next_deadline(T).is_some_and(|due| due <= now) {
-                let facts = hosts(&servers);
+                let facts = crashed(&servers);
                 match table.tick(T, &facts, now) {
                     Ok(Tick::Idle) => {}
                     Ok(Tick::Orphaned(host)) => {

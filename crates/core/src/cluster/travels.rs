@@ -24,7 +24,7 @@
 //! table under one lock that is never held across a send, and carries
 //! out what comes back.
 
-use super::rehome::{successor_of, Cause, Host};
+use super::rehome::{successor_of, Cause};
 use super::TravelError;
 use crate::client::MAX_TRACKED;
 use crate::lang::Plan;
@@ -259,29 +259,29 @@ impl Travels {
 
     /// Live travels whose coordinator role sits on a live server, with
     /// that server: the ones a replica promotion re-drives.
-    pub(super) fn hosted_alive(&self, hosts: &[Host]) -> Vec<(TravelId, usize)> {
+    pub(super) fn hosted_alive(&self, crashed: &[bool]) -> Vec<(TravelId, usize)> {
         let hosted = |(&travel, e): (&TravelId, &Entry)| {
             let role = e.live.as_ref()?.state.hosted()?;
-            alive(&self.incarnation, role, hosts).then_some((travel, role.host))
+            alive(&self.incarnation, role, crashed).then_some((travel, role.host))
         };
         self.entries.iter().filter_map(hosted).collect()
     }
 
     /// Move the coordinator role off `from`: supersede the live
     /// incarnation and resubmit the plan, as dispatched, to a successor
-    /// under the next attempt's id. The shell gathered the facts: `hosts`
-    /// is the servers as they are now (after the restart, for a lost
-    /// host). Answers the superseded id, to abort everywhere, and the
+    /// under the next attempt's id. The shell gathered the facts:
+    /// `crashed` is the servers as they are now (after the restart, for a
+    /// lost host). Answers the superseded id, to abort everywhere, and the
     /// re-drive's dispatch. `None` — nothing happens — unless the entry is
     /// still where the facts were gathered for: orphaned off `from` for
     /// [`Cause::HostLost`], hosted by `from` (answered for or not) for
-    /// [`Cause::Shed`], which also stays put when no server is eligible.
+    /// [`Cause::Shed`], which also stays put when every server is down.
     pub(super) fn on_rehome(
         &mut self,
         travel: TravelId,
         from: usize,
         cause: Cause,
-        hosts: &[Host],
+        crashed: &[bool],
         now: Instant,
     ) -> Result<Option<(TravelId, Dispatch)>, TravelError> {
         let Some(e) = self.entries.get_mut(&travel) else {
@@ -299,7 +299,7 @@ impl Travels {
             return Ok(None);
         }
         // Out of attempts is out of places to go.
-        let successor = successor_of(from, cause, hosts).filter(|_| e.failovers < MAX_ATTEMPT);
+        let successor = successor_of(from, crashed).filter(|_| e.failovers < MAX_ATTEMPT);
         let Some(host) = successor else {
             return match cause {
                 Cause::HostLost => Err(TravelError::CoordinatorLost { travel }),
@@ -343,13 +343,13 @@ impl Travels {
         })
     }
 
-    /// `travel`'s deadline passed at `now`, `hosts` the servers as they are:
+    /// `travel`'s deadline passed at `now`, `crashed` the servers as they are:
     /// a due host check finding the host gone claims the travel for this
     /// caller; a silent re-drive is probed when due, stalled at its deadline.
     pub(super) fn tick(
         &mut self,
         travel: TravelId,
-        hosts: &[Host],
+        crashed: &[bool],
         now: Instant,
     ) -> Result<Tick, TravelError> {
         let Some(e) = self.entries.get_mut(&travel) else {
@@ -361,7 +361,7 @@ impl Travels {
         if now >= live.next_check {
             live.next_check = now + HOST_CHECK_EVERY;
             let hosted = live.state.hosted();
-            if let Some(role) = hosted.filter(|&r| !alive(&self.incarnation, r, hosts)) {
+            if let Some(role) = hosted.filter(|&r| !alive(&self.incarnation, r, crashed)) {
                 live.state = State::Orphaned(role);
                 return Ok(Tick::Orphaned(role.host));
             }
@@ -382,8 +382,8 @@ impl Travels {
 }
 
 /// Whether the incarnation of a server a role was given to is still up.
-fn alive(incarnation: &[u64], role: Role, hosts: &[Host]) -> bool {
-    !hosts[role.host].crashed && incarnation[role.host] == role.incarnation
+fn alive(incarnation: &[u64], role: Role, crashed: &[bool]) -> bool {
+    !crashed[role.host] && incarnation[role.host] == role.incarnation
 }
 
 /// The dispatch of `travel`'s re-drive under `attempt`: the plan as first
@@ -414,15 +414,9 @@ mod tests {
     use super::*;
     use crate::lang::GTravel;
 
-    const UP: Host = Host {
-        crashed: false,
-        decommissioned: false,
-    };
-    const DOWN: Host = Host {
-        crashed: true,
-        decommissioned: false,
-    };
-    const ALL_UP: [Host; 3] = [UP; 3];
+    const UP: bool = false;
+    const DOWN: bool = true;
+    const ALL_UP: [bool; 3] = [UP; 3];
 
     fn plan() -> Arc<Plan> {
         Arc::new(GTravel::v([1u64]).e("a").compile().unwrap())
@@ -462,10 +456,10 @@ mod tests {
     }
 
     /// A tick at the travel's next host check, with the servers as
-    /// `hosts`: the host it found gone, if it did.
-    fn orphaned(t: &mut Travels, travel: TravelId, hosts: &[Host]) -> Option<usize> {
+    /// `crashed`: the host it found gone, if it did.
+    fn orphaned(t: &mut Travels, travel: TravelId, crashed: &[bool]) -> Option<usize> {
         let at = t.entries.get(&travel)?.live.as_ref()?.next_check;
-        match t.tick(travel, hosts, at) {
+        match t.tick(travel, crashed, at) {
             Ok(Tick::Orphaned(host)) => Some(host),
             _ => None,
         }

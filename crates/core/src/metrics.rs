@@ -87,10 +87,9 @@ macro_rules! counters {
 
             /// Every counter belonging to the placement machinery (map
             /// propagation, write replication, shard migration).
-            /// On a static single-replica cluster — no `rebalance()`,
-            /// `decommission()`, or `promote()`, replication factor 1 —
-            /// each of these is exactly zero, and the dormancy test
-            /// asserts so.
+            /// On a static single-replica cluster — no `migrate()` or
+            /// `promote()`, replication factor 1 — each of these is
+            /// exactly zero, and the dormancy test asserts so.
             pub fn placement_counters(&self) -> [(&'static str, u64); counters!(@count $($($placement)?)*)] {
                 [$($(counters!(@entry self, $name, $placement),)?)*]
             }

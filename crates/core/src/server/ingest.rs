@@ -179,9 +179,9 @@ pub(super) fn handle_copy_data(
     }
 }
 
-/// The orchestrator finishes both ends of the flow; only the target
-/// (which has no source-side entry to clean up) counts a restored
-/// replica.
+/// The orchestrator finishes both ends of a copy that landed and the
+/// source alone of one that failed; only the target (which has no
+/// source-side entry to clean up) counts a restored replica.
 pub(super) fn handle_copy_finish(d: &mut Dispatcher, mig: TravelId, purpose: CopyPurpose) {
     if !d.copy.on_finish(mig) && purpose == CopyPurpose::Replica {
         d.sh.metrics.rereplications.fetch_add(1, Ordering::Relaxed);

@@ -466,32 +466,29 @@ impl Wire for CopyPurpose {
 }
 
 impl Wire for PlacementMap {
-    const MIN_SIZE: usize = 24;
+    const MIN_SIZE: usize = 20;
     fn put(&self, out: &mut Vec<u8>) {
         self.version.put(out);
         self.n_servers.put(out);
         self.entries.put(out);
-        self.decommissioned.put(out);
     }
     fn get(r: &mut Reader<'_>) -> Option<Self> {
         let map = PlacementMap {
             version: Wire::get(r)?,
             n_servers: Wire::get(r)?,
             entries: Wire::get(r)?,
-            decommissioned: Wire::get(r)?,
         };
         // Routing takes a vertex hash modulo `entries.len()` and indexes
-        // `decommissioned` and the server table by the ids in the map, so
-        // a map that would panic there is malformed here.
+        // the server table by the ids in the map, so a map that would
+        // panic there is malformed here.
         let routable = !map.entries.is_empty()
-            && map.decommissioned.len() == map.n_servers
             && map.entries.iter().all(|e| {
                 e.primary < map.n_servers && e.replicas.iter().all(|&s| s < map.n_servers)
             });
         routable.then_some(map)
     }
     fn wire_len(&self) -> usize {
-        16 + self.entries.wire_len() + self.decommissioned.wire_len()
+        16 + self.entries.wire_len()
     }
 }
 
@@ -584,7 +581,8 @@ wire_table! {
         // takeover protocol — `CoordRecover`, `CoordHandoff`, `ReAnnounce`,
         // `RecoverDone`, and their later forms 51, 53 and 54 — which has
         // no successor: a failover's re-drive is a `Submit`.
-        28 => PlacementUpdate { map, client },
+        // 28 is retired (`PlacementUpdate` whose map carried per-server
+        // drain flags; re-issued without as 61).
         29 => PlacementAck { version, server },
         // 30 is retired (`ReplicateWrite` with its write sequence;
         // re-issued as 49).
@@ -613,6 +611,7 @@ wire_table! {
         57 => ExecTerminated { travel, exec, children, results, server },
         59 => CopyApplied { mig, server },
         60 => StepRelease { travel, depth, frames },
+        61 => PlacementUpdate { map, client },
     }
     by hand {
         // The payload is a whole message, and its nesting is bounded.

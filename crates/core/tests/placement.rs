@@ -166,69 +166,7 @@ fn promotion_leaves_finished_unwaited_travels_alone() {
 }
 
 // ---------------------------------------------------------------------
-// Tentpole (b): decommission drains a server mid-travel — all engines
-// ---------------------------------------------------------------------
-
-/// Drain a live non-coordinator server while a travel is in flight: its
-/// partitions migrate away (snapshot + forwarded writes + cutover re-routing the
-/// frontier), the travel completes with the oracle's result, and the
-/// drained server ends up primarying nothing. Follow-up travels still
-/// work.
-#[test]
-fn decommission_drains_server_mid_travel_on_all_engines() {
-    let g = random_graph(13, 60, None);
-    let q = mixed_query();
-    let want = oracle_map(&g, &q);
-    for kind in EngineKind::all() {
-        let dir = tmp(&format!("drain-{kind:?}"));
-        let cluster = Cluster::build(
-            &g,
-            ClusterConfig::new(&dir, 4),
-            EngineConfig::new(kind)
-                .force_reliable_delivery(true)
-                .faults(crawl(4)),
-        )
-        .unwrap();
-        let ticket = cluster.start(&q).unwrap();
-        let coord = owner(&cluster, MIXED_SOURCES[0]);
-        let drained = (coord + 1) % 4;
-        let moves = cluster.decommission(drained).unwrap();
-        assert!(
-            !moves.is_empty(),
-            "{kind:?}: draining must migrate at least one partition"
-        );
-        let got = cluster
-            .wait(&ticket, Duration::from_secs(30))
-            .unwrap_or_else(|e| panic!("{kind:?}: travel must survive the drain: {e}"));
-        assert_eq!(got.by_depth, want, "{kind:?} diverged across the drain");
-        let map = cluster.placement();
-        assert!(map.is_decommissioned(drained), "{kind:?}: flagged");
-        assert!(
-            map.primaried_by(drained).is_empty(),
-            "{kind:?}: a drained server must primary nothing"
-        );
-        let m = cluster.metrics();
-        assert!(
-            m.iter().map(|s| s.migrate_chunks_in).sum::<u64>() > 0,
-            "{kind:?}: migration must have shipped chunks"
-        );
-        assert!(
-            cluster.net_stats().bulk_messages() > 0,
-            "{kind:?}: snapshot chunks ride the bulk traffic class"
-        );
-        // Travels keep landing correctly: the drained server primaries
-        // none of their sources, so it coordinates none of them.
-        for _ in 0..4 {
-            let r = cluster.submit(&q).unwrap();
-            assert_eq!(r.by_depth, want, "{kind:?}: post-drain travel diverged");
-        }
-        cluster.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tentpole (c): the coordinator dies while a peer is isolated
+// Tentpole (b): the coordinator dies while a peer is isolated
 // ---------------------------------------------------------------------
 
 /// The coordinator crashes with a peer cut off, so whatever tracing the
@@ -271,12 +209,12 @@ fn coordinator_crash_while_a_peer_is_isolated_recovers_at_rf_1_and_2() {
 }
 
 // ---------------------------------------------------------------------
-// Tentpole (d): dormancy — a static cluster pays nothing
+// Tentpole (c): dormancy — a static cluster pays nothing
 // ---------------------------------------------------------------------
 
 /// On a static single-replica cluster every placement/replication/
-/// migration counter stays exactly zero, no bulk traffic moves, and the
-/// rebalancer proposes no moves: the subsystem is free until used.
+/// migration counter stays exactly zero and no bulk traffic moves: the
+/// subsystem is free until used.
 #[test]
 fn static_cluster_keeps_every_placement_counter_at_zero() {
     let g = random_graph(29, 50, None);
@@ -313,10 +251,6 @@ fn static_cluster_keeps_every_placement_counter_at_zero() {
     }
     assert_eq!(cluster.net_stats().bulk_messages(), 0);
     assert_eq!(cluster.net_stats().bulk_bytes(), 0);
-    assert!(
-        cluster.rebalance().unwrap().is_empty(),
-        "a balanced cluster must propose no moves"
-    );
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -376,6 +310,9 @@ fn from_partitions_clusters_carry_a_typed_durability_warning() {
 /// A live migration injected mid-travel under lossy chaos still yields
 /// the oracle's result on all three engines. The data plane is dropped,
 /// duplicated and delayed; the migration control plane is raw and FIFO.
+/// The snapshot ships on the bulk traffic class, the source primaries
+/// the partition no more, and travels started after the move still
+/// equal the oracle.
 #[test]
 fn migration_mid_travel_under_chaos_on_all_engines() {
     let g = random_graph(43, 50, None);
@@ -401,14 +338,76 @@ fn migration_mid_travel_under_chaos_on_all_engines() {
             .first()
             .expect("every server primaries something initially");
         cluster.migrate(partition, to).unwrap();
-        assert_eq!(cluster.placement().primary_of(partition), to);
+        let map = cluster.placement();
+        assert_eq!(map.primary_of(partition), to);
+        assert!(
+            !map.primaried_by(from).contains(&partition),
+            "{kind:?}: the source still primaries the partition"
+        );
         let got = cluster
             .wait(&ticket, Duration::from_secs(30))
             .unwrap_or_else(|e| panic!("{kind:?}: travel must survive the migration: {e}"));
         assert_eq!(got.by_depth, want, "{kind:?} diverged across migration");
+        let m = cluster.metrics();
+        assert!(
+            m.iter().map(|s| s.migrate_chunks_in).sum::<u64>() > 0,
+            "{kind:?}: migration must have shipped chunks"
+        );
+        assert!(
+            cluster.net_stats().bulk_messages() > 0,
+            "{kind:?}: snapshot chunks ride the bulk traffic class"
+        );
+        for _ in 0..4 {
+            let r = cluster.submit(&q).unwrap();
+            assert_eq!(r.by_depth, want, "{kind:?}: post-migration travel diverged");
+        }
         cluster.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A copy that fails after its begin releases its source: a migration
+/// to an isolated target runs out of patience, and once the target is
+/// back, writes to the partition are not forwarded to it any more (a
+/// source left holding the flow ships every later write, for good).
+/// Waits out the copy's 60 s patience, so it runs in the nightly lane.
+#[test]
+#[ignore = "waits out a failed copy's 60 s patience"]
+fn a_failed_copy_stops_forwarding_writes() {
+    let g = random_graph(47, 40, None);
+    let dir = tmp("failed-copy");
+    let cluster = Cluster::build(
+        &g,
+        ClusterConfig::new(&dir, 3),
+        EngineConfig::new(EngineKind::GraphTrek),
+    )
+    .unwrap();
+    let (from, to) = (0, 2);
+    let map = cluster.placement();
+    let partition = map.primaried_by(from)[0];
+    cluster.isolate_server(to, true);
+    assert!(
+        cluster.migrate(partition, to).is_err(),
+        "the isolated target acknowledged a snapshot"
+    );
+    cluster.isolate_server(to, false);
+    assert_eq!(cluster.placement().primary_of(partition), from);
+    let forwarded = || cluster.metrics()[from].migrate_chunks_out;
+    let before = forwarded();
+    let ids = (1_000u64..).map(VertexId);
+    let vertices = ids
+        .filter(|&v| map.partition_of(v) == partition)
+        .take(3)
+        .map(|v| Vertex::new(v, "File", Props::new()))
+        .collect();
+    assert!(cluster.ingest(vertices, vec![]).unwrap() > 0);
+    assert_eq!(
+        forwarded(),
+        before,
+        "the source still forwards the failed copy's writes"
+    );
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The nasty lane: a migration cutover races a scripted coordinator

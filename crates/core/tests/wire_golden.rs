@@ -419,12 +419,13 @@ fn retired_tags_stay_unassigned() {
     let (_, retired) = golden_lines();
     assert_eq!(
         retired.len(),
-        29,
+        30,
         "tags 41-44, then 19, 20 and 30, then 23, 25 and 38, then 24, 26 and 32, \
          then 22 and 50 (`Relay`, `RelayAck` with a travel-epoch) and the takeover's \
          53, 51, 54 and 27, then the tracing reports 10, 11, 13 and 17, then the \
          copy's 35 and 36 (`CopyApplied` with a phase, `CopyCutover`), then \
-         Sync-GT's own protocol, 14, 15, 16 and 58"
+         Sync-GT's own protocol, 14, 15, 16 and 58, then 28 (`PlacementUpdate` \
+         with drain flags)"
     );
     for line in retired {
         let (label, frame) = line.split_once(' ').expect("label, then hex");
@@ -507,10 +508,6 @@ fn malformed_bytes_decode_to_none() {
     let bad_maps = [
         PlacementMap {
             entries: vec![],
-            ..good.clone()
-        },
-        PlacementMap {
-            decommissioned: vec![false; 2],
             ..good.clone()
         },
         {

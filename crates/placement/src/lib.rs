@@ -12,17 +12,12 @@
 //!   map can never overwrite a newer one ([`SharedPlacement::install`]
 //!   is the fence);
 //! * primaries can change — replica **promotion** after a crash, or a
-//!   live **migration** cutover — and servers can be **decommissioned**
-//!   (drained of primaries and excluded from new coordinator duty).
+//!   live **migration** cutover — and replica sets regrow by
+//!   **re-replication**; the server set itself is fixed, as in the paper.
 //!
 //! The initial map reproduces the seed routing exactly: `n_partitions ==
 //! n_servers` and partition `p`'s primary is server `p`, so a static
 //! cluster behaves byte-identically to the pre-placement code.
-//!
-//! [`rebalance::plan_moves`] is the pure load-aware planner driving
-//! `Cluster::rebalance()`.
-
-pub mod rebalance;
 
 use gt_graph::{splitmix64, VertexId};
 use parking_lot::RwLock;
@@ -54,9 +49,6 @@ pub struct PlacementMap {
     pub version: u64,
     /// One entry per partition, indexed by partition id.
     pub entries: Vec<PartitionEntry>,
-    /// Servers drained of primary duty (still alive, still draining
-    /// straggler traffic, but excluded from new placements/coordination).
-    pub decommissioned: Vec<bool>,
     /// Number of servers in the cluster.
     pub n_servers: usize,
 }
@@ -78,7 +70,6 @@ impl PlacementMap {
         PlacementMap {
             version: 1,
             entries,
-            decommissioned: vec![false; n_servers],
             n_servers,
         }
     }
@@ -125,11 +116,9 @@ impl PlacementMap {
     /// list. Bumps the version.
     pub fn set_primary(&mut self, partition: usize, server: usize) {
         let e = &mut self.entries[partition];
-        let old = e.primary;
         e.replicas.retain(|&r| r != server);
         // The demoted primary does NOT rejoin the replica set: its copy
         // stops receiving writes and only serves stale-routed stragglers.
-        let _ = old;
         e.primary = server;
         self.version += 1;
     }
@@ -183,25 +172,6 @@ impl PlacementMap {
                 // partition (have > rf) must not evaluate `rf - have`.
                 (have < rf).then(|| (p, rf - have))
             })
-            .collect()
-    }
-
-    /// Mark a server as decommissioned (no new primaries, no coordinator
-    /// duty). Bumps the version.
-    pub fn decommission(&mut self, server: usize) {
-        self.decommissioned[server] = true;
-        self.version += 1;
-    }
-
-    /// Has `server` been decommissioned?
-    pub fn is_decommissioned(&self, server: usize) -> bool {
-        self.decommissioned[server]
-    }
-
-    /// Servers still eligible for primaries/coordination, ascending.
-    pub fn active_servers(&self) -> Vec<usize> {
-        (0..self.n_servers)
-            .filter(|&s| !self.decommissioned[s])
             .collect()
     }
 
@@ -300,11 +270,6 @@ impl SharedPlacement {
             f(m.primary_of(m.partition_of(vid)), vid);
         }
     }
-
-    /// Has `server` been decommissioned?
-    pub fn is_decommissioned(&self, server: usize) -> bool {
-        self.map.read().is_decommissioned(server)
-    }
 }
 
 #[cfg(test)]
@@ -400,14 +365,6 @@ mod tests {
         assert!(full.under_replicated(2).is_empty());
         assert!(full.under_replicated(1).is_empty());
         assert_eq!(full.under_replicated(9).len(), 3, "rf clamps to n");
-    }
-
-    #[test]
-    fn decommission_excludes_from_active_set() {
-        let mut map = PlacementMap::initial(4, 1);
-        map.decommission(2);
-        assert!(map.is_decommissioned(2));
-        assert_eq!(map.active_servers(), vec![0, 1, 3]);
     }
 
     #[test]
